@@ -4,16 +4,21 @@ Clients resolve through their nearest local resolver, and the resolver
 hands back the replica nearest to itself, not to the client. The replica
 set and cache model are identical to the native architecture so the two
 can be compared on the same placements and demand.
+
+``resolve_nodes_dns`` is the resolver trials use, once per node;
+``resolve_request_dns`` resolves one request and stays as its test oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .service_router import DeliveryLeg, DeliveryPlan, SRProfile
-from .topology import HopTable, extract_path
+import numpy as np
 
-__all__ = ["DnsConfig", "ldns_of", "dns_select", "resolve_request_dns"]
+from .service_router import DeliveryLeg, DeliveryPlan, SRProfile, cache_misses
+from .topology import HopTable, extract_path, nearest
+
+__all__ = ["DnsConfig", "ldns_of", "dns_select", "resolve_request_dns", "resolve_nodes_dns"]
 
 
 @dataclass(frozen=True)
@@ -69,3 +74,22 @@ def resolve_request_dns(client: int, item_id: int, config: DnsConfig,
         legs.append(DeliveryLeg(selected, origin,
                                 tuple(extract_path(hops, selected, origin)), bitrate))
     return DeliveryPlan(legs=tuple(legs), client_path_hops=legs[0].hops)
+
+
+def resolve_nodes_dns(nodes: np.ndarray, items: np.ndarray, config: DnsConfig,
+                      hops: HopTable) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve the requests ``(nodes[i], items[i])`` once per node.
+
+    Every node is mapped once to its LDNS, to the replica nearest to it as
+    a resolver, and to its nearest cloud point as a replica (ties to the
+    lowest id); a request reads its node's replica and tests its item
+    against that replica's cache. Returns per-request ``(replica, fallback
+    origin)``, the origin -1 where the replica caches the item.
+    """
+    resolver = nearest(hops, config.ldns)
+    point = nearest(hops, config.service_points)[resolver[nodes]]
+    miss = cache_misses(config.profiles, point, items)
+    clouds = [p.node_id for p in config.profiles.values() if p.role == "cloud"]
+    if miss.any() and not clouds:
+        raise ValueError("no cloud point to satisfy a cache miss")
+    return point, np.where(miss, nearest(hops, clouds)[point], -1)

@@ -2,11 +2,22 @@
 
 A trial is a deterministic function of (config, trial index): it derives a
 trial seed, places service points, draws a catalogue and demand, resolves
-every request through the configured architecture and accumulates per-arc
-response loads. Catchment aggregation is applied analytically: each tree
-arc carries the group rate of the request stream that crosses it, so
-aggregated load never exceeds unicast load and shrinks monotonically with
-the interval, arc by arc.
+the requests through the configured architecture and accumulates per-arc
+response loads.
+
+Resolution runs once per client node, not once per request: the service
+point depends on the node alone and the fallback origin on the service
+point alone (``resolve_nodes`` / ``resolve_nodes_dns``; the scalar
+``resolve_request`` / ``resolve_request_dns`` are their test oracles).
+Every flow is charged on one canonical root -> leaf path
+(``extract_path(hops, root, leaf)``): service point -> client for the
+delivery, origin -> service point for the fallback pull. Unicast,
+catchment trees and Bloom delivery all read the same paths.
+
+Catchment aggregation is applied analytically: each tree arc carries the
+group rate of the request stream that crosses it, so aggregated load never
+exceeds unicast load and shrinks monotonically with the interval, arc by
+arc; a zero interval reproduces unicast.
 
 Trials are embarrassingly parallel; seeds are derived independently of
 scheduling, so parallel sweeps are byte-identical to sequential ones.
@@ -16,12 +27,13 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import data
-from .dns_baseline import DnsConfig, resolve_request_dns
+from .dns_baseline import DnsConfig, resolve_nodes_dns
 from .forwarding import BloomScheme, deliver, encode_tree, forward
 from .placement import place_all
 from .rendezvous import MulticastTree
@@ -29,9 +41,9 @@ from .service_router import (
     build_rendezvous,
     group_rate,
     make_profiles,
-    resolve_request,
+    resolve_nodes,
 )
-from .topology import all_pairs, extract_path, load_topology
+from .topology import all_pairs, canonical_paths, load_topology
 from .workload import (
     CHUNK_DURATION,
     build_catalogue,
@@ -172,20 +184,27 @@ def _load_context(topology_path: str, population_path: str):
     return graph, hops, populations
 
 
-def _response_arcs(graph, leg_arcs) -> list[int]:
-    # Responses traverse the reverse arcs of the request path.
-    return [graph.reverse_arc(a) for a in leg_arcs]
-
-
-def _bloom_delivered(graph, root: int, leaf_paths: dict[int, list[int]]) -> set[int]:
+def _bloom_delivered(graph, root: int, leaves: frozenset[int], arcs: frozenset[int]) -> set[int]:
     """Arc set actually walked under a Bloom identifier of the tree."""
-    arcs = frozenset(a for path in leaf_paths.values() for a in path)
-    tree = MulticastTree(root=root, leaves=frozenset(leaf_paths), arcs=arcs)
+    tree = MulticastTree(root=root, leaves=leaves, arcs=arcs)
     fid = encode_tree(tree, BloomScheme())
     carried: set[int] = set()
     for node in deliver(fid, root, graph):
         carried |= forward(fid, node, graph)
     return carried
+
+
+def _gather(indptr: np.ndarray, path: np.ndarray, flows: np.ndarray):
+    """Path arcs of ``flows[i]`` for every i, in order: (i per arc, arc)."""
+    lengths = indptr[flows + 1] - indptr[flows]
+    owner = np.repeat(np.arange(len(flows)), lengths)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return owner, path[indptr[flows][owner] + offset]
+
+
+def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
+    """Weights summed per arc, in input order; float even when empty."""
+    return np.bincount(arcs, weights=weights, minlength=n_arcs).astype(np.float64, copy=False)
 
 
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
@@ -206,81 +225,92 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     profiles = make_profiles(placement.fog, placement.cloud, catalogue,
                              config.fog_cache_fraction)
 
+    n_requests = len(demand.requests)
+    keys = np.fromiter(chain.from_iterable(demand.requests), dtype=np.intp,
+                       count=2 * n_requests)
+    nodes, items = keys[0::2], keys[1::2]
+    counts = np.fromiter(demand.requests.values(), dtype=np.int64, count=n_requests)
     if config.arch == "dns":
         dns_config = DnsConfig(
             ldns=placement.ldns,
             service_points=tuple(sorted(set(placement.fog) | set(placement.cloud))),
             profiles=profiles,
         )
-        plans = {
-            (node, item): resolve_request_dns(node, item, dns_config, hops,
-                                              catalogue.bitrate(item))
-            for (node, item) in demand.requests
-        }
+        point, origin = resolve_nodes_dns(nodes, items, dns_config, hops)
     else:
-        table = build_rendezvous(profiles)
-        plans = {
-            (node, item): resolve_request(node, item, profiles, table, hops, catalogue)
-            for (node, item) in demand.requests
-        }
+        point, origin = resolve_nodes(nodes, items, profiles, build_rendezvous(profiles), hops)
+    pull = (origin >= 0) & config.count_fallback
+    bitrate = catalogue.bitrates[items - 1]
 
-    unicast_load = np.zeros(graph.n_arcs)
-    samples: list[int] = []
-    # Requests pooled per (service point, item): the inputs of aggregation.
-    members: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    fallback_legs: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    for (node, item), count in demand.requests.items():
-        plan = plans[(node, item)]
-        samples.extend([plan.client_path_hops] * count)
-        bitrate = catalogue.bitrate(item)
-        counted_legs = plan.legs if config.count_fallback else plan.legs[:1]
-        for leg in counted_legs:
-            for arc in _response_arcs(graph, leg.arcs):
-                unicast_load[arc] += count * bitrate * CHUNK_DURATION
-        key = (plan.service_point, item)
-        members.setdefault(key, []).append((node, count))
-        if len(plan.legs) > 1:
-            fallback_legs[key] = plan.legs[1].arcs
+    # Flows: one per client node (service point -> client), then one per
+    # service point that pulls counted misses (origin -> service point).
+    clients, first_at, client_flow = np.unique(nodes, return_index=True, return_inverse=True)
+    pulling, pull_at, pull_flow = np.unique(point[pull], return_index=True, return_inverse=True)
+    indptr, path = canonical_paths(
+        hops,
+        roots=np.concatenate([point[first_at], origin[pull][pull_at]]),
+        leaves=np.concatenate([clients, pulling]),
+    )
+    request_load = counts * bitrate * CHUNK_DURATION
+    flow_load = np.concatenate([
+        np.bincount(client_flow, weights=request_load, minlength=len(clients)),
+        np.bincount(pull_flow, weights=request_load[pull], minlength=len(pulling)),
+    ])
+    unicast_load = _per_arc(path, np.repeat(flow_load, np.diff(indptr)), graph.n_arcs)
 
     outcome = TrialOutcome(
         unicast=TrialMetrics(
             arc_load=unicast_load,
-            path_samples=np.asarray(samples, dtype=np.int32),
+            path_samples=np.repeat(hops.dist[nodes, point], counts),
             offered_bitrate=demand.offered_bitrate,
         )
     )
+    if not config.catchment:
+        return outcome
 
+    # Requests pool per (service point, item) group. Groups are numbered in
+    # order of their first request, so per-arc sums keep request order.
+    _, group_at, group = np.unique(point * (catalogue.n + 1) + items,
+                                   return_index=True, return_inverse=True)
+    group = np.argsort(np.argsort(group_at))[group]
+    group_at = np.sort(group_at)
+    group_total = np.bincount(group, weights=counts)
+
+    # Tree arcs: each arc of a group's tree carries the members crossing it.
+    owner, arc = _gather(indptr, path, client_flow)
+    tree_keys, tree_of = np.unique(group[owner] * graph.n_arcs + arc, return_inverse=True)
+    tree_group, tree_arc = np.divmod(tree_keys, graph.n_arcs)
+    entries = [(tree_group, tree_arc, np.bincount(tree_of, weights=counts[owner]))]
+
+    if config.scheme == "bloom":
+        # False-positive arcs carry the tree's full group rate
+        # (conservative); exact-bit stays the headline scheme.
+        remote = nodes != point
+        leaves: dict[int, set[int]] = {}
+        for g, node in zip(group[remote].tolist(), nodes[remote].tolist()):
+            leaves.setdefault(g, set()).add(node)
+        bounds = np.searchsorted(tree_group, np.arange(len(group_at) + 1))
+        for g, members in leaves.items():
+            root = int(point[group_at[g]])
+            tree = frozenset(tree_arc[bounds[g]:bounds[g + 1]].tolist())
+            extra = sorted(_bloom_delivered(graph, root, frozenset(members), tree) - tree)
+            entries.append((np.full(len(extra), g), np.array(extra, dtype=np.intp),
+                            np.full(len(extra), group_total[g])))
+
+    # Fallback pulls: one per group whose point lacks the item.
+    pulled = np.flatnonzero(pull[group_at])
+    owner, arc = _gather(indptr, path,
+                         len(clients) + np.searchsorted(pulling, point[group_at[pulled]]))
+    entries.append((pulled[owner], arc, group_total[pulled[owner]]))
+
+    entry_group, entry_arc, entry_rate = (np.concatenate(column) for column in zip(*entries))
+    order = np.argsort(entry_group, kind="stable")
+    entry_arc, entry_rate = entry_arc[order], entry_rate[order]
+    entry_bitrate = bitrate[group_at][entry_group[order]]
     for interval in config.catchment:
-        load = np.zeros(graph.n_arcs)
-        for (point, item), group in members.items():
-            bitrate = catalogue.bitrate(item)
-            total_rate = 0.0
-            arc_rate: dict[int, int] = {}
-            leaf_paths: dict[int, list[int]] = {}
-            for node, count in group:
-                total_rate += count
-                if node == point:
-                    continue  # served locally, no backhaul arcs
-                path = extract_path(hops, point, node)
-                leaf_paths[node] = path
-                for arc in path:
-                    arc_rate[arc] = arc_rate.get(arc, 0) + count
-            for arc, rate in arc_rate.items():
-                load[arc] += group_rate(rate, interval) * bitrate * CHUNK_DURATION
-            if config.scheme == "bloom" and leaf_paths:
-                # False-positive arcs carry the tree's full group rate
-                # (conservative); exact-bit stays the headline scheme.
-                entering = group_rate(total_rate, interval)
-                for arc in _bloom_delivered(graph, point, leaf_paths):
-                    if arc not in arc_rate:
-                        load[arc] += entering * bitrate * CHUNK_DURATION
-            if config.count_fallback and (point, item) in fallback_legs:
-                pulled = group_rate(total_rate, interval)
-                for arc in _response_arcs(graph, fallback_legs[(point, item)]):
-                    load[arc] += pulled * bitrate * CHUNK_DURATION
+        weights = group_rate(entry_rate, interval) * entry_bitrate * CHUNK_DURATION
         outcome.by_catchment[interval] = TrialMetrics(
-            arc_load=load,
+            arc_load=_per_arc(entry_arc, weights, graph.n_arcs),
             path_samples=outcome.unicast.path_samples,
             offered_bitrate=demand.offered_bitrate,
         )
@@ -302,16 +332,16 @@ def ecdf(samples) -> list[tuple[int, float]]:
     return [(int(v), float(f)) for v, f in zip(values, fractions)]
 
 
-def _run_one(args: tuple[ScenarioConfig, int]) -> TrialOutcome:
-    return run_trial(*args)
-
-
-def _run_trials(config: ScenarioConfig, jobs: int) -> list[TrialOutcome]:
-    tasks = [(config, index) for index in range(config.trials)]
+def _run_configs(configs: list[ScenarioConfig], jobs: int):
+    """Yield ``(config, outcomes)`` per config; one worker pool serves the sweep."""
     if jobs <= 1:
-        return [_run_one(t) for t in tasks]
+        for config in configs:
+            yield config, [run_trial(config, index) for index in range(config.trials)]
+        return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_one, tasks))
+        for config in configs:
+            yield config, list(pool.map(run_trial, [config] * config.trials,
+                                        range(config.trials)))
 
 
 def _fmt(x: float) -> str:
@@ -333,8 +363,7 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
     summary_rows: list[str] = []
     manifest: list[str] = []
 
-    for config in configs:
-        outcomes = _run_trials(config, jobs)
+    for config, outcomes in _run_configs(configs, jobs):
         prefix = f"{config.arch},{config.fog_k},{config.cloud_k},{config.ldns_k},{config.mode}"
         variant_keys = [UNICAST] + [t for t in config.catchment if t != UNICAST]
         mean: dict[float, float] = {}

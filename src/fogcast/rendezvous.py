@@ -86,9 +86,6 @@ class RendezvousTable:
     def subscribers(self, name: ScopedName) -> frozenset[int]:
         return frozenset(self._subs.get(name, ()))
 
-    def names(self) -> tuple[ScopedName, ...]:
-        return tuple(self._subs)
-
     def _candidates(self, publication: ScopedName) -> set[int]:
         if publication.root_scope == SCOPE_HTTP:
             return set(self._subs.get(publication, ()))

@@ -5,20 +5,27 @@ table; a request resolves to the nearest offering, with a second leg to a
 cloud point when the matched fog gateway lacks the concrete resource.
 Quasi-synchronous requests for the same resource at the same service point
 are merged within a catchment interval so one response serves the group.
+
+``resolve_nodes`` is the resolver trials use: the match depends on the
+client node only, so it runs once per node. ``resolve_request`` resolves
+one request through the rendezvous table and stays as its test oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .rendezvous import (
     SCOPE_HTTP,
     SCOPE_MICRO,
     MulticastTree,
+    NoSubscriberError,
     RendezvousTable,
     ScopedName,
 )
-from .topology import HopTable, extract_path
+from .topology import HopTable, extract_path, nearest
 from .workload import CHUNK_DURATION, ServiceCatalogue
 
 __all__ = [
@@ -31,6 +38,8 @@ __all__ = [
     "make_profiles",
     "build_rendezvous",
     "resolve_request",
+    "resolve_nodes",
+    "cache_misses",
     "catchment_group",
     "group_rate",
     "multicast_load",
@@ -147,6 +156,48 @@ def resolve_request(client: int, item_id: int, profiles: dict[int, SRProfile],
     return DeliveryPlan(legs=tuple(legs), client_path_hops=legs[0].hops)
 
 
+def cache_misses(profiles: dict[int, SRProfile], points: np.ndarray,
+                 items: np.ndarray) -> np.ndarray:
+    """Per request: True where gateway ``points[i]`` does not cache ``items[i]``."""
+    width = int(items.max(initial=0)) + 1
+    held: dict[frozenset[int], np.ndarray] = {}  # one lookup row per distinct cache
+    miss = np.zeros(len(items), dtype=bool)
+    for node in set(points.tolist()):
+        cached = profiles[node].cached_items
+        if cached not in held:
+            ids = np.fromiter(cached, dtype=np.intp, count=len(cached))
+            held[cached] = np.zeros(width, dtype=bool)
+            held[cached][ids[ids < width]] = True
+        here = points == node
+        miss[here] = ~held[cached][items[here]]
+    return miss
+
+
+def resolve_nodes(nodes: np.ndarray, items: np.ndarray, profiles: dict[int, SRProfile],
+                  table: RendezvousTable, hops: HopTable) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve the requests ``(nodes[i], items[i])`` once per node.
+
+    Every node is matched once to its nearest FQDN subscriber, and every
+    node once to its nearest catalogue-bundle subscriber (ties to the
+    lowest id, as in ``RendezvousTable.match``); a request reads its
+    node's match and tests its item against that gateway's cache. Returns
+    per-request ``(service point, fallback origin)``, the origin -1 where
+    the point caches the item. The bundle subscription covers every
+    item URL, as ``build_rendezvous`` registers it.
+    """
+    service = ScopedName(SCOPE_HTTP, DEFAULT_FQDN)
+    point = nearest(hops, table.subscribers(service))[nodes]
+    if (point < 0).any():
+        raise NoSubscriberError(f"no subscriber for {service}")
+    miss = cache_misses(profiles, point, items)
+    clouds = table.subscribers(ScopedName(SCOPE_MICRO, DEFAULT_FQDN, _MICRO_PATTERN))
+    if miss.any() and not clouds:
+        item = int(items[miss][0])
+        raise NoSubscriberError(
+            f"no subscriber for {ScopedName(SCOPE_MICRO, DEFAULT_FQDN, item_url(item))}")
+    return point, np.where(miss, nearest(hops, clouds)[point], -1)
+
+
 @dataclass(frozen=True)
 class CatchmentGroup:
     """Requests merged into one multicast response."""
@@ -194,18 +245,21 @@ def catchment_group(arrivals: Iterable[tuple[float, int]], interval: float,
     return groups
 
 
-def group_rate(rate: float, interval: float) -> float:
+def group_rate(rate, interval: float):
     """Group formation rate for Poisson requests under catchment windows.
 
     A window opens on an arrival and absorbs everything for ``interval``
     seconds, so inter-group gaps average ``interval + 1/rate``: the group
-    rate is ``rate / (1 + rate * interval)``.
+    rate is ``rate / (1 + rate * interval)``, and 0 where ``rate`` is 0.
+    ``rate`` may be an array.
     """
-    if rate < 0 or interval < 0:
+    rate = np.asarray(rate, dtype=np.float64)
+    if (rate < 0).any() or interval < 0:
         raise ValueError("rate and interval must be >= 0")
-    if rate == 0.0:
-        return 0.0
-    return rate / (1.0 + rate * interval)
+    busy = rate > 0
+    groups = np.zeros_like(rate)
+    groups[busy] = rate[busy] / (1.0 + rate[busy] * interval)
+    return groups if groups.ndim else float(groups)
 
 
 def multicast_load(groups_per_s: float, tree: MulticastTree, bitrate: float,

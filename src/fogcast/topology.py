@@ -24,6 +24,8 @@ __all__ = [
     "load_topology",
     "all_pairs",
     "extract_path",
+    "canonical_paths",
+    "nearest",
     "closeness",
 ]
 
@@ -61,7 +63,9 @@ class NetworkGraph:
     nodes: tuple[Node, ...]
     arcs: tuple[Arc, ...]
     out_arcs: tuple[tuple[int, ...], ...]
-    _arc_index: dict[tuple[int, int], int] = field(repr=False)
+    # Arc ids by endpoints: sorted ``src * n + dst`` keys and the id of each.
+    _arc_keys: np.ndarray = field(repr=False, compare=False)
+    _arc_ids: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -76,7 +80,17 @@ class NetworkGraph:
 
     def arc_between(self, src: int, dst: int) -> int:
         """Arc id of the directed arc src -> dst; KeyError if absent."""
-        return self._arc_index[(src, dst)]
+        at = int(np.searchsorted(self._arc_keys, src * self.n_nodes + dst))
+        if at < len(self._arc_ids):
+            arc = self.arcs[self._arc_ids[at]]
+            if (arc.src, arc.dst) == (src, dst):
+                return arc.id
+        raise KeyError((src, dst))
+
+    def arcs_between(self, src, dst) -> np.ndarray:
+        """Ids of the arcs ``src[i] -> dst[i]``; every pair must be an arc."""
+        key = np.asarray(src, dtype=np.int64) * self.n_nodes + np.asarray(dst, dtype=np.int64)
+        return self._arc_ids[np.searchsorted(self._arc_keys, key)]
 
     def reverse_arc(self, arc_id: int) -> int:
         # Arcs are emitted in forward/backward pairs, so the partner
@@ -114,11 +128,14 @@ def build_graph(coords: list[tuple[str, float, float]],
     out: list[list[int]] = [[] for _ in range(n)]
     for arc in arcs:
         out[arc.src].append(arc.id)
+    keys = np.array([a.src * n + a.dst for a in arcs], dtype=np.int64)
+    ids = np.argsort(keys)
     graph = NetworkGraph(
         nodes=nodes,
         arcs=tuple(arcs),
         out_arcs=tuple(tuple(a) for a in out),
-        _arc_index={(a.src, a.dst): a.id for a in arcs},
+        _arc_keys=keys[ids],
+        _arc_ids=ids,
     )
     _check_connected(graph)
     return graph
@@ -258,6 +275,41 @@ def extract_path(hops: HopTable, src: int, dst: int) -> list[int]:
     node_walk.reverse()
     graph = hops.graph
     return [graph.arc_between(u, v) for u, v in zip(node_walk, node_walk[1:])]
+
+
+def canonical_paths(hops: HopTable, roots, leaves) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical paths ``roots[f] -> leaves[f]`` of many flows at once, as CSR.
+
+    ``arcs[indptr[f]:indptr[f + 1]]`` equals ``extract_path(hops, roots[f],
+    leaves[f])``. Every flow walks ``pred[root, .]`` up from its leaf, one
+    level per step for all flows together.
+    """
+    roots = np.asarray(roots, dtype=np.intp)
+    leaves = np.asarray(leaves, dtype=np.intp)
+    indptr = np.zeros(len(leaves) + 1, dtype=np.intp)
+    np.cumsum(hops.dist[roots, leaves], out=indptr[1:])
+    arcs = np.empty(indptr[-1], dtype=np.intp)
+    flow = np.flatnonzero(indptr[1:] > indptr[:-1])
+    node = leaves[flow]
+    slot = indptr[flow + 1]
+    while flow.size:
+        up = hops.pred[roots[flow], node].astype(np.intp)
+        slot = slot - 1
+        arcs[slot] = hops.graph.arcs_between(up, node)
+        more = up != roots[flow]
+        flow, node, slot = flow[more], up[more], slot[more]
+    return indptr, arcs
+
+
+def nearest(hops: HopTable, candidates) -> np.ndarray:
+    """Per node: the candidate nearest to it in hops, ties to the lowest id.
+
+    Every entry is -1 when there is no candidate.
+    """
+    candidates = np.array(sorted(set(candidates)), dtype=np.intp)
+    if candidates.size == 0:
+        return np.full(hops.graph.n_nodes, -1, dtype=np.intp)
+    return candidates[np.argmin(hops.dist[:, candidates], axis=1)]
 
 
 def closeness(hops: HopTable, node: int) -> float:

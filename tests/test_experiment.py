@@ -19,9 +19,12 @@ from fogcast.experiment import (
     _SALT_CATALOGUE,
     _SALT_DEMAND,
 )
+from conftest import random_connected_graph
+from fogcast import dns_baseline, experiment, rendezvous, service_router, topology
+from fogcast.dns_baseline import DnsConfig, resolve_nodes_dns, resolve_request_dns
 from fogcast.placement import place_all
-from fogcast.service_router import build_rendezvous, make_profiles, resolve_request
-from fogcast.topology import all_pairs, load_topology
+from fogcast.service_router import build_rendezvous, make_profiles, resolve_nodes, resolve_request
+from fogcast.topology import all_pairs, extract_path, load_topology
 from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
 
 GRAPHML_HEADER = (
@@ -114,6 +117,17 @@ def test_single_node_trial_is_all_local(single_node_setup):
         assert backhaul(metrics) == 0.0
 
 
+def test_trial_without_demand_has_zero_float_loads(chain_setup):
+    top, pop = chain_setup
+    config = ScenarioConfig(arch="icn", fog_k=1, cloud_k=1, catchment=(1.0,), load_fraction=0.0,
+                            topology_path=top, population_path=pop, n_items=3, trials=1)
+    outcome = run_trial(config, 0)
+    assert outcome.unicast.path_samples.size == 0
+    for metrics in outcome.variants().values():
+        assert metrics.arc_load.dtype == np.float64
+        assert backhaul(metrics) == 0.0
+
+
 def test_trials_deterministic(chain_setup):
     top, pop = chain_setup
     config = ScenarioConfig(
@@ -130,38 +144,111 @@ def test_trials_deterministic(chain_setup):
 
 
 def test_trial_loads_match_manual_flow_enumeration(chain_setup):
-    """Recompute a tiny trial step by step and enumerate its flows by hand."""
-    top, pop = chain_setup
-    config = ScenarioConfig(
-        arch="icn", fog_k=1, cloud_k=1, topology_path=top, population_path=pop,
-        n_items=3, bitrates=(20e6,), target_bitrate=1e9, trials=1, base_seed=2,
-    )
-    outcome = run_trial(config, 0)
+    """Recompute tiny trials step by step and enumerate their flows by hand.
 
-    graph = load_topology(top)
-    hops = all_pairs(graph)
-    populations = assign_population(graph, load_population(pop))
-    seed = trial_seed(config.base_seed, 0)
-    placement = place_all(
-        hops, populations,
-        {"fog": ("pop", 1), "cloud": ("pop", 1), "ldns": ("pop", 0)}, seed,
-    )
-    catalogue = build_catalogue(3, 0.8, (20e6,), seed ^ _SALT_CATALOGUE)
-    demand = draw_demand(populations, catalogue, 0.4, 1e9, seed ^ _SALT_DEMAND)
-    profiles = make_profiles(placement.fog, placement.cloud, catalogue)
-    table = build_rendezvous(profiles)
+    Each flow is charged on its canonical path: service point -> client,
+    and origin -> service point for a fallback pull. The bundled backbone
+    has node pairs whose canonical paths differ from reversed request paths.
+    """
+    pulls = 0
+    for top, pop in (chain_setup, ("", "")):
+        config = ScenarioConfig(
+            arch="icn", fog_k=2, cloud_k=2, topology_path=top, population_path=pop,
+            n_items=30, bitrates=(20e6,), target_bitrate=1e9, trials=1, base_seed=2,
+        )
+        outcome = run_trial(config, 0)
 
-    expected = np.zeros(graph.n_arcs)
-    expected_samples = []
-    for (node, item), count in demand.requests.items():
-        plan = resolve_request(node, item, profiles, table, hops, catalogue)
-        expected_samples.extend([plan.client_path_hops] * count)
-        for leg in plan.legs:
-            for arc in leg.arcs:
-                expected[graph.reverse_arc(arc)] += count * leg.bitrate
-    assert outcome.unicast.arc_load == pytest.approx(expected)
-    assert list(outcome.unicast.path_samples) == expected_samples
-    assert outcome.unicast.offered_bitrate == demand.offered_bitrate
+        graph = load_topology(config.topology_path)
+        hops = all_pairs(graph)
+        populations = assign_population(graph, load_population(config.population_path))
+        seed = trial_seed(config.base_seed, 0)
+        placement = place_all(
+            hops, populations,
+            {"fog": ("pop", 2), "cloud": ("pop", 2), "ldns": ("pop", 0)}, seed,
+        )
+        catalogue = build_catalogue(30, 0.8, (20e6,), seed ^ _SALT_CATALOGUE)
+        demand = draw_demand(populations, catalogue, 0.4, 1e9, seed ^ _SALT_DEMAND)
+        profiles = make_profiles(placement.fog, placement.cloud, catalogue)
+        table = build_rendezvous(profiles)
+
+        expected = np.zeros(graph.n_arcs)
+        expected_samples = []
+        for (node, item), count in demand.requests.items():
+            plan = resolve_request(node, item, profiles, table, hops, catalogue)
+            expected_samples.extend([plan.client_path_hops] * count)
+            point = plan.service_point
+            flows = [(point, node)] + [(leg.dst, point) for leg in plan.legs[1:]]
+            pulls += len(flows) - 1
+            for root, leaf in flows:
+                for arc in extract_path(hops, root, leaf):
+                    expected[arc] += count * 20e6
+        assert outcome.unicast.arc_load == pytest.approx(expected)
+        assert list(outcome.unicast.path_samples) == expected_samples
+        assert outcome.unicast.offered_bitrate == demand.offered_bitrate
+    assert pulls > 0
+
+
+def _resolution_cases():
+    """The bundled backbone, then 50 random graphs, each with a placement
+    where one node is both fog and cloud."""
+    rng = np.random.default_rng(5)
+    graphs = [load_topology(bundled_topology())]
+    graphs += [random_connected_graph(rng, n, int(rng.integers(0, n)))
+               for n in rng.integers(2, 30, size=50).tolist()]
+    for graph in graphs:
+        n = graph.n_nodes
+        fog = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False).tolist()
+        cloud = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False).tolist()
+        ldns = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False).tolist()
+        nodes = np.repeat(np.arange(n), 4)
+        items = rng.integers(1, 21, size=len(nodes))
+        yield all_pairs(graph), fog, sorted(set(cloud) | {fog[0]}), ldns, nodes, items
+
+
+def test_per_node_kernel_matches_scalar_resolvers(monkeypatch):
+    catalogue = build_catalogue(20, 0.8, (20e6,), seed=3)
+    ties = 0
+    for hops, fog, cloud, ldns, nodes, items in _resolution_cases():
+        profiles = make_profiles(fog, cloud, catalogue, fog_cache_fraction=0.25)
+        table = build_rendezvous(profiles)
+        dns_config = DnsConfig(ldns=tuple(ldns), profiles=profiles,
+                               service_points=tuple(sorted(set(fog) | set(cloud))))
+        kernels = {
+            "icn": resolve_nodes(nodes, items, profiles, table, hops),
+            "dns": resolve_nodes_dns(nodes, items, dns_config, hops),
+        }
+        for i, (node, item) in enumerate(zip(nodes.tolist(), items.tolist())):
+            oracles = {
+                "icn": resolve_request(node, item, profiles, table, hops, catalogue),
+                "dns": resolve_request_dns(node, item, dns_config, hops, 20e6),
+            }
+            for arch, plan in oracles.items():
+                point, origin = kernels[arch]
+                assert point[i] == plan.service_point, (arch, node, item)
+                assert origin[i] == (plan.legs[1].dst if len(plan.legs) > 1 else -1)
+                assert hops.dist[node, point[i]] == plan.client_path_hops
+            ties += sum(hops.dist[node, p] == hops.dist[node, oracles["icn"].service_point]
+                        for p in profiles) > 1
+    assert ties > 0
+
+    # Trials route through the per-node kernel alone.
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-request routing called inside a trial")
+
+    for module, name in ((service_router, "resolve_request"),
+                         (dns_baseline, "resolve_request_dns"),
+                         (experiment, "resolve_request"),
+                         (experiment, "resolve_request_dns"),
+                         (experiment, "extract_path"),
+                         (service_router, "extract_path"),
+                         (dns_baseline, "extract_path"),
+                         (rendezvous, "extract_path"),
+                         (topology, "extract_path")):
+        monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(rendezvous.RendezvousTable, "match", refuse)
+    for config in (ScenarioConfig(arch="icn", fog_k=4, cloud_k=4, catchment=(1.0,), trials=1),
+                   ScenarioConfig(arch="dns", fog_k=4, cloud_k=4, ldns_k=4, trials=1)):
+        assert backhaul(run_trial(config, 0).unicast) > 0
 
 
 def test_sample_count_equals_request_count(chain_setup):
@@ -188,6 +275,24 @@ def test_catchment_monotone_and_bounded_by_unicast(chain_setup):
         b1 = backhaul(outcome.by_catchment[1.0])
         b10 = backhaul(outcome.by_catchment[10.0])
         assert b10 <= b1 <= b01 <= uni
+
+
+@pytest.mark.parametrize("count_fallback", [True, False])
+@pytest.mark.parametrize("fog_k,cloud_k", [(2, 2), (2, 8), (8, 2), (8, 8)])
+def test_catchment_loads_arc_by_arc_on_bundled_backbone(fog_k, cloud_k, count_fallback):
+    """T = 0 reproduces unicast, and T1 < T2 gives load(T2) <= load(T1) <=
+    unicast, on every arc."""
+    intervals = (0.0, 0.1, 1.0, 10.0)
+    config = ScenarioConfig(arch="icn", fog_k=fog_k, cloud_k=cloud_k, catchment=intervals,
+                            count_fallback=count_fallback, trials=10, base_seed=3)
+    for index in range(config.trials):
+        outcome = run_trial(config, index)
+        unicast = outcome.unicast.arc_load
+        loads = [outcome.by_catchment[t].arc_load for t in intervals]
+        assert loads[0] == pytest.approx(unicast, rel=1e-12, abs=0)
+        for smaller, larger in zip(loads, loads[1:]):
+            assert (larger <= smaller).all()
+        assert (loads[1] <= unicast).all()
 
 
 def test_zero_interval_catchment_equals_unicast_total(chain_setup):

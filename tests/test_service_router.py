@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -126,8 +128,13 @@ def test_unsorted_arrivals_rejected():
 def test_group_rate_boundary_values():
     assert group_rate(5.0, 0.0) == 5.0
     assert group_rate(0.0, 3.0) == 0.0
+    assert group_rate(0.0, math.inf) == 0.0
+    assert group_rate(np.array([0.0, 4.0]), math.inf).tolist() == [0.0, 0.0]
+    assert group_rate(np.array([0.0, 5.0, 1.0]), 0.0).tolist() == [0.0, 5.0, 1.0]
     with pytest.raises(ValueError):
         group_rate(-1.0, 0.0)
+    with pytest.raises(ValueError):
+        group_rate(np.array([1.0, -1.0]), 0.0)
 
 
 def test_group_rate_monotone_in_interval():

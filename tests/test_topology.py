@@ -9,9 +9,11 @@ from fogcast.topology import (
     TopologyError,
     all_pairs,
     build_graph,
+    canonical_paths,
     closeness,
     extract_path,
     load_topology,
+    nearest,
 )
 
 
@@ -128,6 +130,40 @@ def test_extract_path_reconstructs_walk_for_all_pairs(geant, geant_hops):
                 assert arc.src == at
                 at = arc.dst
             assert at == dst
+
+
+def test_canonical_paths_equal_extract_path_for_all_pairs(geant, geant_hops):
+    rng = np.random.default_rng(21)
+    cases = [(geant, geant_hops)]
+    for _ in range(20):
+        n = int(rng.integers(1, 25))
+        graph = random_connected_graph(rng, n, int(rng.integers(0, n + 1)))
+        cases.append((graph, all_pairs(graph)))
+    for graph, hops in cases:
+        n = graph.n_nodes
+        roots, leaves = np.divmod(np.arange(n * n), n)
+        indptr, arcs = canonical_paths(hops, roots, leaves)
+        for flow, (root, leaf) in enumerate(zip(roots.tolist(), leaves.tolist())):
+            assert arcs[indptr[flow]:indptr[flow + 1]].tolist() == extract_path(hops, root, leaf)
+
+
+def test_nearest_matches_brute_force_with_lowest_id_ties():
+    rng = np.random.default_rng(22)
+    ties = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 25))
+        graph = random_connected_graph(rng, n, int(rng.integers(0, n)))
+        hops = all_pairs(graph)
+        size = int(rng.integers(1, n + 1))
+        candidates = [int(v) for v in rng.choice(n, size=size, replace=False)]
+        found = nearest(hops, candidates)
+        for v in range(n):
+            best = min(int(hops.dist[v, c]) for c in candidates)
+            closest = [c for c in candidates if hops.dist[v, c] == best]
+            ties += len(closest) > 1
+            assert found[v] == min(closest)
+    assert ties > 0
+    assert (nearest(hops, []) == -1).all()
 
 
 def test_predecessor_tie_breaks_to_lowest_node_id():
