@@ -12,7 +12,8 @@ point alone (``resolve_nodes`` / ``resolve_nodes_dns``; the scalar
 Every flow is charged on one canonical root -> leaf path
 (``extract_path(hops, root, leaf)``): service point -> client for the
 delivery, origin -> service point for the fallback pull. Unicast,
-catchment trees and Bloom delivery all read the same paths.
+catchment trees and Bloom delivery all read the same paths; Bloom
+forwarding of every group of a trial is one ``deliver_groups`` call.
 
 Catchment aggregation is applied analytically: each tree arc carries the
 group rate of the request stream that crosses it, so aggregated load never
@@ -27,16 +28,14 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import data
 from .dns_baseline import DnsConfig, resolve_nodes_dns
-from .forwarding import BloomScheme, deliver, encode_tree, forward
+from .forwarding import BloomScheme, deliver_groups
 from .placement import place_all
-from .rendezvous import MulticastTree
 from .service_router import (
     build_rendezvous,
     group_rate,
@@ -184,16 +183,6 @@ def _load_context(topology_path: str, population_path: str):
     return graph, hops, populations
 
 
-def _bloom_delivered(graph, root: int, leaves: frozenset[int], arcs: frozenset[int]) -> set[int]:
-    """Arc set actually walked under a Bloom identifier of the tree."""
-    tree = MulticastTree(root=root, leaves=leaves, arcs=arcs)
-    fid = encode_tree(tree, BloomScheme())
-    carried: set[int] = set()
-    for node in deliver(fid, root, graph):
-        carried |= forward(fid, node, graph)
-    return carried
-
-
 def _gather(indptr: np.ndarray, path: np.ndarray, flows: np.ndarray):
     """Path arcs of ``flows[i]`` for every i, in order: (i per arc, arc)."""
     lengths = indptr[flows + 1] - indptr[flows]
@@ -225,11 +214,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     profiles = make_profiles(placement.fog, placement.cloud, catalogue,
                              config.fog_cache_fraction)
 
-    n_requests = len(demand.requests)
-    keys = np.fromiter(chain.from_iterable(demand.requests), dtype=np.intp,
-                       count=2 * n_requests)
-    nodes, items = keys[0::2], keys[1::2]
-    counts = np.fromiter(demand.requests.values(), dtype=np.int64, count=n_requests)
+    nodes, items, counts = demand.nodes, demand.items, demand.counts
     if config.arch == "dns":
         dns_config = DnsConfig(
             ldns=placement.ldns,
@@ -285,17 +270,13 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     if config.scheme == "bloom":
         # False-positive arcs carry the tree's full group rate
         # (conservative); exact-bit stays the headline scheme.
-        remote = nodes != point
-        leaves: dict[int, set[int]] = {}
-        for g, node in zip(group[remote].tolist(), nodes[remote].tolist()):
-            leaves.setdefault(g, set()).add(node)
-        bounds = np.searchsorted(tree_group, np.arange(len(group_at) + 1))
-        for g, members in leaves.items():
-            root = int(point[group_at[g]])
-            tree = frozenset(tree_arc[bounds[g]:bounds[g + 1]].tolist())
-            extra = sorted(_bloom_delivered(graph, root, frozenset(members), tree) - tree)
-            entries.append((np.full(len(extra), g), np.array(extra, dtype=np.intp),
-                            np.full(len(extra), group_total[g])))
+        carried_group, carried_arc = deliver_groups(graph, BloomScheme(), point[group_at],
+                                                    tree_group, tree_arc)
+        # Both key lists are sorted and every tree arc is carried.
+        extra = np.ones(len(carried_arc), dtype=bool)
+        extra[np.searchsorted(carried_group * graph.n_arcs + carried_arc, tree_keys)] = False
+        carried_group, carried_arc = carried_group[extra], carried_arc[extra]
+        entries.append((carried_group, carried_arc, group_total[carried_group]))
 
     # Fallback pulls: one per group whose point lacks the item.
     pulled = np.flatnonzero(pull[group_at])

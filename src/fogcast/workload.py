@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -157,17 +158,26 @@ def build_catalogue(n: int, alpha: float, bitrate_set: tuple[float, ...],
 class DemandMatrix:
     """Per-node, per-item request counts for one epoch.
 
-    ``requests`` maps ``(node_id, item_id)`` to the number of active users
-    requesting that item; each user consumes one chunk per epoch second.
+    Request ``i`` is ``counts[i]`` active users at node ``nodes[i]`` asking
+    for item ``items[i]``, ordered by node, then item; each user consumes
+    one chunk per epoch second. The arrays are read-only.
     """
 
-    requests: dict[tuple[int, int], int]
+    nodes: np.ndarray
+    items: np.ndarray
+    counts: np.ndarray
     epoch: float
     offered_bitrate: float
 
     @property
+    def requests(self) -> MappingProxyType:
+        """Read-only ``(node_id, item_id) -> count`` view of the arrays."""
+        return MappingProxyType(dict(zip(zip(self.nodes.tolist(), self.items.tolist()),
+                                         self.counts.tolist())))
+
+    @property
     def total_requests(self) -> int:
-        return sum(self.requests.values())
+        return int(self.counts.sum())
 
 
 def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
@@ -179,6 +189,8 @@ def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
     split across nodes in proportion to ``load_fraction * population`` and
     each user requests exactly one catalogue item sampled from the
     popularity distribution. Expected offered bitrate equals the target.
+    All users draw from one seeded stream, node after node, so the result
+    equals a per-node ``rng.choice(n, size=users, p=probabilities)`` loop.
     """
     populations = np.asarray(populations)
     if not (0.0 <= load_fraction <= 1.0):
@@ -188,21 +200,23 @@ def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
     if populations.sum() <= 0:
         raise WorkloadError("all-zero population")
 
-    requests: dict[tuple[int, int], int] = {}
-    offered = 0.0
+    keys = np.zeros(0, dtype=np.int64)
     if load_fraction > 0.0:
         budget = target_bitrate / catalogue.mean_bitrate
         weights = load_fraction * populations.astype(np.float64)
-        shares = weights / weights.sum()
-        rng = np.random.default_rng(seed)
-        for node in range(len(populations)):
-            users = int(round(budget * shares[node]))
-            if users == 0:
-                continue
-            items = rng.choice(catalogue.n, size=users, p=catalogue.probabilities)
-            ids, counts = np.unique(items, return_counts=True)
-            for idx, count in zip(ids, counts):
-                item_id = int(idx) + 1
-                requests[(node, item_id)] = int(count)
-                offered += float(count) * catalogue.bitrate(item_id)
-    return DemandMatrix(requests=requests, epoch=1.0, offered_bitrate=offered)
+        users = np.rint(budget * (weights / weights.sum())).astype(np.int64)
+        cdf = catalogue.probabilities.cumsum()
+        cdf /= cdf[-1]
+        draws = np.random.default_rng(seed).random(int(users.sum()))
+        keys = (np.repeat(np.arange(len(populations)), users) * catalogue.n
+                + cdf.searchsorted(draws, side="right"))
+    keys, counts = np.unique(keys, return_counts=True)
+    nodes, index = np.divmod(keys, catalogue.n)
+    items = index + 1
+    # Left-to-right running sum (accumulate, not pairwise) in request order.
+    load = counts * catalogue.bitrates[index]
+    offered = float(np.cumsum(load)[-1]) if load.size else 0.0
+    for array in (nodes, items, counts):
+        array.setflags(write=False)
+    return DemandMatrix(nodes=nodes, items=items, counts=counts, epoch=1.0,
+                        offered_bitrate=offered)

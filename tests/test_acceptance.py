@@ -296,3 +296,22 @@ def test_criterion_10_byte_identical_sweeps(tmp_path):
     )
     report(10, identical, "repeated and parallel sweeps byte-identical across "
                           f"{len(names)} output files")
+
+
+def test_bloom_and_dns_sweeps_byte_identical(tmp_path):
+    """Criterion 10's byte-identity for the Bloom scheme and the DNS baseline."""
+    configs = [
+        ScenarioConfig(arch="icn", fog_k=k, cloud_k=2, catchment=(0.1, 1.0),
+                       scheme="bloom", trials=3, base_seed=BASE_SEED)
+        for k in (2, 4)
+    ] + [
+        ScenarioConfig(arch="dns", fog_k=k, cloud_k=2, ldns_k=2, trials=3,
+                       base_seed=BASE_SEED)
+        for k in (2, 4)
+    ]
+    names = ("backhaul.csv", "pathlen.csv", "summary.csv", "manifest.txt")
+    for label, jobs in (("seq", 1), ("par", 2)):
+        run_sweep(configs, out_dir=tmp_path / label, jobs=jobs)
+    for name in names:
+        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+    assert "bloom" in (tmp_path / "seq" / "manifest.txt").read_text()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,11 @@ from fogcast.experiment import (
     _SALT_DEMAND,
 )
 from conftest import random_connected_graph
-from fogcast import dns_baseline, experiment, rendezvous, service_router, topology
+from fogcast import dns_baseline, experiment, forwarding, rendezvous, service_router, topology
 from fogcast.dns_baseline import DnsConfig, resolve_nodes_dns, resolve_request_dns
+from fogcast.forwarding import BloomScheme, deliver, encode_tree, forward
 from fogcast.placement import place_all
+from fogcast.rendezvous import MulticastTree
 from fogcast.service_router import build_rendezvous, make_profiles, resolve_nodes, resolve_request
 from fogcast.topology import all_pairs, extract_path, load_topology
 from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
@@ -344,6 +348,77 @@ def test_bloom_scheme_only_adds_load(chain_setup):
     assert backhaul(bloom.by_catchment[1.0]) >= backhaul(exact.by_catchment[1.0])
     assert (bloom.by_catchment[1.0].arc_load >= exact.by_catchment[1.0].arc_load - 1e-9).all()
 
+
+def _per_group_bloom_loop(graph, scheme, roots, tree_group, tree_arc, fp_arcs):
+    """Stand-in for ``deliver_groups``: the loop trials ran before the kernel,
+    encoding, delivering and forwarding one group at a time. Counts the
+    carried arcs outside each tree into ``fp_arcs[scheme]``."""
+    bounds = np.searchsorted(tree_group, np.arange(len(roots) + 1))
+    groups, arcs = [], []
+    for g in np.unique(tree_group).tolist():
+        root = int(roots[g])
+        tree = MulticastTree(root=root, leaves=frozenset(),
+                             arcs=frozenset(tree_arc[bounds[g]:bounds[g + 1]].tolist()))
+        fid = encode_tree(tree, scheme)
+        carried: set[int] = set()
+        for node in deliver(fid, root, graph):
+            carried |= forward(fid, node, graph)
+        fp_arcs[scheme] = fp_arcs.get(scheme, 0) + len(carried - tree.arcs)
+        groups += [g] * len(carried)
+        arcs += sorted(carried)
+    return np.array(groups, dtype=np.intp), np.array(arcs, dtype=np.intp)
+
+
+def test_seeded_bloom_trial_equals_per_group_loop(monkeypatch):
+    """Kernel trials equal the per-group loop byte for byte, under the default
+    scheme (no false positive on the bundled backbone, so equal to the exact
+    scheme too) and a 16-bit one (many); trials call no scalar forwarding
+    and label each arc once."""
+    configs = [ScenarioConfig(arch="icn", fog_k=f, cloud_k=c, catchment=(0.1, 1.0, 10.0),
+                              scheme="bloom", count_fallback=fallback, base_seed=7)
+               for f, c, fallback in ((4, 4, True), (2, 8, False), (8, 2, True))]
+    schemes = (BloomScheme(), BloomScheme(m=16, k=2))
+    expected = {}
+    fp_arcs = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment, "deliver_groups",
+                      lambda *args: _per_group_bloom_loop(*args, fp_arcs))
+        for scheme in schemes:
+            patch.setattr(experiment, "BloomScheme", lambda scheme=scheme: scheme)
+            expected[scheme] = [run_trial(c, i) for c in configs for i in range(2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar forwarding called inside a trial")
+
+    labels = []
+    label_arc = forwarding.label_arc
+
+    def counting_label_arc(scheme, arc_id):
+        labels.append((scheme, arc_id))
+        return label_arc(scheme, arc_id)
+
+    for name in ("forward", "deliver", "encode_tree"):
+        monkeypatch.setattr(forwarding, name, refuse)
+    monkeypatch.setattr(forwarding, "label_arc", counting_label_arc)
+    monkeypatch.setattr(forwarding, "_MASK_TABLES", {})
+    exact = [run_trial(dataclasses.replace(c, scheme="exact"), i)
+             for c in configs for i in range(2)]
+    assert fp_arcs[schemes[0]] == 0 and fp_arcs[schemes[1]] > 0
+    for scheme in schemes:
+        monkeypatch.setattr(experiment, "BloomScheme", lambda scheme=scheme: scheme)
+        got = [run_trial(c, i) for c in configs for i in range(2)]
+        for want, have in zip(expected[scheme], got):
+            assert want.variants().keys() == have.variants().keys()
+            for key, metrics in want.variants().items():
+                assert metrics.arc_load.tobytes() == have.variants()[key].arc_load.tobytes()
+    # No false positive: Bloom trials equal exact ones; many: they add load.
+    for want, have in zip(exact, expected[schemes[0]]):
+        for key, metrics in want.variants().items():
+            assert metrics.arc_load.tobytes() == have.variants()[key].arc_load.tobytes()
+    assert backhaul(got[0].by_catchment[1.0]) > backhaul(exact[0].by_catchment[1.0])
+    n_arcs = experiment._load_context(configs[0].topology_path,
+                                      configs[0].population_path)[0].n_arcs
+    assert len(labels) == len(set(labels)) == len(schemes) * n_arcs
 
 # --- metrics ----------------------------------------------------------------
 

@@ -8,11 +8,14 @@ from fogcast.forwarding import (
     BloomScheme,
     ExactScheme,
     ForwardingId,
+    carried_arcs,
     deliver,
+    deliver_groups,
     encode_tree,
     forward,
     fpr_theoretical,
     label_arc,
+    label_masks,
 )
 from fogcast.rendezvous import MulticastTree, build_tree
 from fogcast.topology import all_pairs, extract_path
@@ -168,3 +171,73 @@ def test_measured_fpr_within_factor_two_of_formula():
     measured = float(np.mean(rates))
     predicted = fpr_theoretical(m, k, inserted)
     assert predicted / 2 <= measured <= predicted * 2
+
+
+# --- group kernel against the scalar functions ---------------------------------
+
+def scalar_carried(fid, root, graph):
+    """Arcs the scalar plane carries: ``forward`` at every delivered node."""
+    carried = set()
+    for node in deliver(fid, root, graph):
+        carried |= forward(fid, node, graph)
+    return carried
+
+
+def by_group(group, arc, n_groups):
+    out = [set() for _ in range(n_groups)]
+    for g, a in zip(group.tolist(), arc.tolist()):
+        out[g].add(a)
+    return out
+
+
+@pytest.mark.parametrize("scheme", [ExactScheme(width=8), BloomScheme(m=64, k=3),
+                                    BloomScheme(m=200, k=5, hash_seed=7)])
+def test_label_masks_hold_label_positions(scheme):
+    g = random_connected_graph(np.random.default_rng(2), 5, 0)  # 8 arcs
+    masks = label_masks(g, scheme)
+    width = ForwardingId(bits=0, scheme=scheme).width
+    assert masks.dtype == np.uint64 and masks.shape == (g.n_arcs, -(-width // 64))
+    for arc_id in range(g.n_arcs):
+        bits = sum(int(word) << (64 * i) for i, word in enumerate(masks[arc_id].tolist()))
+        assert bits == encode_tree(make_tree(0, set(), {arc_id}), scheme).bits
+    assert label_masks(g, scheme) is masks
+    assert not masks.flags.writeable
+
+
+def test_group_kernel_matches_scalar_delivery(geant):
+    """Per group, the kernel carries exactly the arcs of ``forward`` over
+    ``deliver``, on the bundled backbone and 50 random graphs, under the
+    default Bloom scheme and a 16-bit one whose false positives chain over
+    several hops and close cycles."""
+    rng = np.random.default_rng(31)
+    graphs = [geant] + [random_connected_graph(rng, int(rng.integers(4, 31)),
+                                               int(rng.integers(0, 20)))
+                        for _ in range(50)]
+    chained = cycles = 0
+    for g in graphs:
+        hops = all_pairs(g)
+        trees = [build_tree(hops, int(root), {int(x) for x in rng.choice(
+                     g.n_nodes, size=int(rng.integers(1, min(6, g.n_nodes))), replace=False)})
+                 for root in rng.integers(0, g.n_nodes, size=6)]
+        trees.append(make_tree(int(rng.integers(g.n_nodes)), set(), set()))  # no arcs
+        roots = np.array([t.root for t in trees])
+        tree_group = np.concatenate([np.full(len(t.arcs), i) for i, t in enumerate(trees)])
+        tree_arc = np.concatenate([sorted(t.arcs) for t in trees]).astype(np.intp)
+        for scheme in (BloomScheme(), BloomScheme(m=16, k=2)):
+            got = by_group(*deliver_groups(g, scheme, roots, tree_group, tree_arc), len(trees))
+            for tree, carried in zip(trees, got):
+                fid = encode_tree(tree, scheme)
+                assert carried == scalar_carried(fid, tree.root, g)
+                tree_nodes = {tree.root} | {g.arcs[a].dst for a in tree.arcs}
+                extra = carried - tree.arcs
+                chained += sum(g.arcs[a].src not in tree_nodes for a in extra)
+                cycles += sum(a ^ 1 in carried for a in extra)
+
+            # An all-ones identifier from every root carries every arc.
+            words = label_masks(g, scheme).shape[1]
+            ones = np.full((len(roots), words), np.iinfo(np.uint64).max, dtype=np.uint64)
+            fid = ForwardingId(bits=(1 << scheme.m) - 1, scheme=scheme)
+            got = by_group(*carried_arcs(g, scheme, ones, roots), len(roots))
+            for root, carried in zip(roots.tolist(), got):
+                assert carried == scalar_carried(fid, root, g) == set(range(g.n_arcs))
+    assert chained > 0 and cycles > 0

@@ -153,6 +153,47 @@ def test_offered_bitrate_consistent_with_requests(geant_population):
     assert demand.total_requests == sum(demand.requests.values())
 
 
+def per_node_demand(populations, catalogue, load_fraction, target_bitrate, seed):
+    """Reference draw: one ``rng.choice`` per node, counted item by item."""
+    requests: dict[tuple[int, int], int] = {}
+    offered = 0.0
+    if load_fraction > 0.0:
+        budget = target_bitrate / catalogue.mean_bitrate
+        weights = load_fraction * np.asarray(populations).astype(np.float64)
+        shares = weights / weights.sum()
+        rng = np.random.default_rng(seed)
+        for node in range(len(populations)):
+            users = int(round(budget * shares[node]))
+            if users == 0:
+                continue
+            items = rng.choice(catalogue.n, size=users, p=catalogue.probabilities)
+            ids, counts = np.unique(items, return_counts=True)
+            for idx, count in zip(ids, counts):
+                requests[(node, int(idx) + 1)] = int(count)
+                offered += float(count) * catalogue.bitrate(int(idx) + 1)
+    return requests, offered
+
+
+@pytest.mark.parametrize("load_fraction", [0.0, 0.4, 1.0])
+def test_demand_equals_per_node_reference(geant_population, load_fraction):
+    # Sparse populations leave nodes with zero people, and tiny ones round
+    # to zero users.
+    sparse = geant_population.copy()
+    sparse[::3] = 0
+    sparse[1::7] = 1
+    for populations in (geant_population, sparse):
+        for seed in range(5):
+            # Bitrates that are not integers make the offered sum depend on
+            # its order.
+            cat = build_catalogue(300 + 50 * seed, 0.8, (math.pi * 1e7, math.e * 1e7, 0.3e7),
+                                  seed=seed)
+            demand = draw_demand(populations, cat, load_fraction, 70e9, seed=seed)
+            requests, offered = per_node_demand(populations, cat, load_fraction, 70e9, seed)
+            assert list(demand.requests.items()) == list(requests.items())
+            assert demand.offered_bitrate == offered
+            assert demand.total_requests == sum(requests.values())
+    assert (sparse == 0).any()
+
 def test_demand_deterministic_per_seed(geant_population):
     cat = build_catalogue(100, 0.8, (20e6, 40e6), seed=5)
     a = draw_demand(geant_population, cat, 0.4, 70e9, seed=11)
