@@ -64,7 +64,7 @@ def _weights_for(mode: str, populations: np.ndarray, hops: HopTable) -> np.ndarr
     if mode == "pop":
         return np.asarray(populations, dtype=np.float64)
     if mode == "cls":
-        return np.array([closeness(hops, v) for v in range(hops.graph.n_nodes)])
+        return closeness(hops, np.arange(hops.graph.n_nodes))
     raise PlacementError(f"unknown placement mode {mode!r}")
 
 
@@ -76,11 +76,13 @@ def place_all(hops: HopTable, populations: np.ndarray,
     a role with k = 0 stays empty. Overlap across roles is permitted.
     """
     picked: dict[str, tuple[int, ...]] = {}
+    weights: dict[str, np.ndarray] = {}
     for role in ("fog", "cloud", "ldns"):
         mode, k = roles.get(role, ("pop", 0))
         if k == 0:
             picked[role] = ()
             continue
-        weights = _weights_for(mode, populations, hops)
-        picked[role] = place_points(weights, k, seed ^ ROLE_SALTS[role])
+        if mode not in weights:
+            weights[mode] = _weights_for(mode, populations, hops)
+        picked[role] = place_points(weights[mode], k, seed ^ ROLE_SALTS[role])
     return Placement(fog=picked["fog"], cloud=picked["cloud"], ldns=picked["ldns"], seed=seed)

@@ -81,25 +81,52 @@ def great_circle_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float
     return 2 * _EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
 
+def _great_circle_km(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """``great_circle_km`` on broadcast numpy arrays."""
+    p1, p2 = np.radians(lat1), np.radians(lat2)
+    dl = np.radians(lon2 - lon1)
+    a = np.sin((p2 - p1) / 2) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2) ** 2
+    return 2 * _EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
+
+
+# Cell-to-node distances taken at once, at most: 128 KB per temporary, so
+# set-up leaves no megabytes of freed blocks in the heap.
+_DISTANCE_BLOCK = 1 << 14
+# numpy's sin/cos may differ from math's by an ulp or so: nodes this close
+# (relative) to a cell's numpy minimum are compared again with great_circle_km.
+_RECHECK_RTOL = 1e-9
+
+
 def assign_population(graph, cells: list[PopulationCell]) -> np.ndarray:
     """Voronoi-assign each grid cell to its geodesically nearest node.
 
     Ties go to the lowest node id. Returns per-node totals (int64 array);
-    total population is conserved exactly.
+    total population is conserved exactly. Distances to every node are
+    taken in numpy, a block of cells at a time; when more than one node
+    lies within ``_RECHECK_RTOL`` of a cell's minimum, the scalar
+    ``great_circle_km`` decides among them, so the nearest node is exactly
+    the one a scalar scan in node order finds.
     """
     if not cells:
         raise WorkloadError("empty population grid")
+    node_lat = np.array([node.lat for node in graph.nodes])
+    node_lon = np.array([node.lon for node in graph.nodes])
+    cell_lat = np.array([cell.lat for cell in cells])[:, None]
+    cell_lon = np.array([cell.lon for cell in cells])[:, None]
+    best = np.empty(len(cells), dtype=np.intp)
+    step = max(1, _DISTANCE_BLOCK // graph.n_nodes)
+    for lo in range(0, len(cells), step):
+        d = _great_circle_km(cell_lat[lo:lo + step], cell_lon[lo:lo + step], node_lat, node_lon)
+        # fmin skips NaN distances, as the scalar scan's ``d < best_d`` does.
+        near = d <= np.fmin.reduce(d, axis=1, keepdims=True) * (1 + _RECHECK_RTOL)
+        best[lo:lo + step] = near.argmax(axis=1)
+        for i in np.flatnonzero(near.sum(axis=1) > 1):
+            cell = cells[lo + i]
+            ties = np.flatnonzero(near[i]).tolist()
+            exact = [great_circle_km(cell.lat, cell.lon, node_lat[v], node_lon[v]) for v in ties]
+            best[lo + i] = ties[exact.index(min(exact))]
     totals = np.zeros(graph.n_nodes, dtype=np.int64)
-    node_pos = [(node.lat, node.lon) for node in graph.nodes]
-    for cell in cells:
-        best = 0
-        best_d = math.inf
-        for nid, (nlat, nlon) in enumerate(node_pos):
-            d = great_circle_km(cell.lat, cell.lon, nlat, nlon)
-            if d < best_d:
-                best_d = d
-                best = nid
-        totals[best] += cell.count
+    np.add.at(totals, best, np.array([cell.count for cell in cells], dtype=np.int64))
     return totals
 
 

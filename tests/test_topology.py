@@ -6,6 +6,7 @@ import pytest
 from conftest import bfs_distances, random_connected_graph
 from fogcast.data import bundled_topology
 from fogcast.topology import (
+    _BLOCK,
     TopologyError,
     all_pairs,
     build_graph,
@@ -177,6 +178,39 @@ def test_predecessor_tie_breaks_to_lowest_node_id():
     assert [g.arcs[a].dst for a in path] == [1, 3]
 
 
+def bfs_predecessors(graph, source: int) -> list[int]:
+    """Oracle for ``pred[source]``: the lowest-id neighbour one hop closer."""
+    dist = bfs_distances(graph, source)
+    return [source if v == source else
+            min(u for u in graph.neighbors(v) if dist[u] == dist[v] - 1)
+            for v in range(graph.n_nodes)]
+
+
+def _path(n):
+    return build_graph([(f"p{i}", 0.0, float(i)) for i in range(n)],
+                       [(i, i + 1) for i in range(n - 1)])
+
+
+def test_all_pairs_dist_and_pred_equal_bfs_oracle(geant):
+    rng = np.random.default_rng(23)
+    # A star whose hub sits mid-range, with leaf ids on both sides of it.
+    star = build_graph([(f"s{i}", 0.0, float(i)) for i in range(_BLOCK + 1)],
+                       [(_BLOCK // 2, v) for v in range(_BLOCK + 1) if v != _BLOCK // 2])
+    complete = build_graph([(f"k{i}", 0.0, float(i)) for i in range(12)],
+                           [(u, v) for u in range(12) for v in range(u)])
+    graphs = [geant, _path(1), _path(2), _path(2 * _BLOCK + 3), star, complete]
+    # Sizes on both sides of the source-block and the 64-bit word boundaries.
+    for n in sorted({63, 64, 65, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 300}):
+        graphs.append(random_connected_graph(rng, n, n // 2))
+    for graph in graphs:
+        hops = all_pairs(graph)
+        n = graph.n_nodes
+        assert hops.dist.shape == hops.pred.shape == (n, n)
+        for s in range(n):
+            assert hops.dist[s].tolist() == bfs_distances(graph, s)
+            assert hops.pred[s].tolist() == bfs_predecessors(graph, s)
+
+
 def test_closeness_star_center_and_leaf(star4):
     hops = all_pairs(star4)
     assert closeness(hops, 0) == 1.0
@@ -186,6 +220,20 @@ def test_closeness_star_center_and_leaf(star4):
 def test_closeness_in_unit_interval(geant_hops):
     for v in range(geant_hops.graph.n_nodes):
         assert 0.0 < closeness(geant_hops, v) <= 1.0
+
+
+def test_closeness_of_all_nodes_equals_one_node_calls(geant_hops):
+    rng = np.random.default_rng(24)
+    tables = [geant_hops] + [all_pairs(random_connected_graph(rng, n, n // 3))
+                             for n in (1, 2, 5, 40, 130)]
+    for hops in tables:
+        n = hops.graph.n_nodes
+        values = closeness(hops, np.arange(n))
+        assert values.dtype == np.float64 and values.shape == (n,)
+        for v in range(n):
+            expected = (n - 1) / float(hops.dist[v].sum()) if n > 1 else 1.0
+            assert values[v] == expected == closeness(hops, v)
+            assert type(closeness(hops, v)) is float
 
 
 def test_geant_closeness_matches_direct_summation(geant, geant_hops):

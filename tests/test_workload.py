@@ -9,9 +9,11 @@ from fogcast.topology import build_graph
 from fogcast.workload import (
     PopulationCell,
     WorkloadError,
+    _great_circle_km,
     assign_population,
     build_catalogue,
     draw_demand,
+    great_circle_km,
     load_population,
 )
 
@@ -76,6 +78,81 @@ def test_geant_assignment_matches_linear_scan_oracle(geant, geant_population):
         expected[best] += cell.count
     assert (geant_population == expected).all()
     assert geant_population.sum() == sum(c.count for c in cells)
+
+
+def scan_nearest(graph, cell):
+    """The scalar linear scan: first strict minimum of great_circle_km in node order."""
+    best, best_d = 0, math.inf
+    for node in graph.nodes:
+        d = great_circle_km(cell.lat, cell.lon, node.lat, node.lon)
+        if d < best_d:
+            best, best_d = node.id, d
+    return best
+
+
+def scan_totals(graph, cells):
+    totals = np.zeros(graph.n_nodes, dtype=np.int64)
+    for cell in cells:
+        totals[scan_nearest(graph, cell)] += cell.count
+    return totals
+
+
+def _chain(positions):
+    return build_graph([(f"n{i}", lat, lon) for i, (lat, lon) in enumerate(positions)],
+                       [(i - 1, i) for i in range(1, len(positions))])
+
+
+def test_assignment_equals_scalar_scan_on_bundled_and_random_grids(geant):
+    from fogcast.data import bundled_population
+
+    cells = load_population(bundled_population())
+    assert (assign_population(geant, cells) == scan_totals(geant, cells)).all()
+    rng = np.random.default_rng(31)
+    graph = _chain(list(zip(rng.uniform(-90, 90, 2000).tolist(),
+                            rng.uniform(-180, 180, 2000).tolist())))
+    cells = [PopulationCell(lat, lon, count) for lat, lon, count in zip(
+        rng.uniform(-90, 90, 300).tolist(), rng.uniform(-180, 180, 300).tolist(),
+        rng.integers(1, 10**6, 300).tolist())]
+    totals = assign_population(graph, cells)
+    assert totals.dtype == np.int64
+    assert (totals == scan_totals(graph, cells)).all()
+    assert totals.sum() == sum(cell.count for cell in cells)
+
+
+def test_equidistant_and_ulp_close_nodes_resolve_as_the_scalar_scan():
+    # Cell (lat, lon) between nodes (lat, lon - dx) and (lat, lon + dx): the two
+    # distances are equal or some ulps apart, and numpy's order of the two
+    # sometimes differs from great_circle_km's.
+    rng = np.random.default_rng(32)
+    lat, lon, dx = (rng.uniform(low, high, 20000) for low, high in ((30, 60), (-10, 30), (0.01, 2)))
+    west = _great_circle_km(lat, lon, lat, lon - dx)
+    east = _great_circle_km(lat, lon, lat, lon + dx)
+    kinds = {"tie": [], "ulp": [], "flip": []}
+    for i, (a, b) in enumerate(zip(west.tolist(), east.tolist())):
+        w = great_circle_km(lat[i], lon[i], lat[i], lon[i] - dx[i])
+        e = great_circle_km(lat[i], lon[i], lat[i], lon[i] + dx[i])
+        if (a < b, a == b) != (w < e, w == e):
+            kinds["flip"].append(i)
+        elif w == e:
+            kinds["tie"].append(i)
+        elif abs(w - e) <= 4 * math.ulp(w):
+            kinds["ulp"].append(i)
+    assert all(kinds.values())
+    for i in kinds["flip"] + kinds["tie"][:40] + kinds["ulp"][:40]:
+        cell = PopulationCell(float(lat[i]), float(lon[i]), 1)
+        for pair in ((lon[i] - dx[i], lon[i] + dx[i]), (lon[i] + dx[i], lon[i] - dx[i])):
+            graph = _chain([(lat[i], pair[0]), (lat[i], pair[1])])
+            totals = assign_population(graph, [cell])
+            assert totals[scan_nearest(graph, cell)] == 1
+    # A node without usable coordinates (NaN) is skipped, as by the scan.
+    graph = _chain([(math.nan, 0.0), (5.0, 5.0), (1.0, 1.0)])
+    cell = PopulationCell(0.0, 0.0, 2)
+    assert scan_nearest(graph, cell) == 2
+    assert assign_population(graph, [cell]).tolist() == [0, 0, 2]
+    # Exact ties among three or more nodes go to the lowest id.
+    graph = _chain([(10.0, 5.0), (0.0, 1.0), (0.0, -1.0), (10.0, 5.0), (1.0, 0.0)])
+    assert assign_population(graph, [PopulationCell(0.0, 0.0, 3)]).tolist() == [0, 3, 0, 0, 0]
+    assert assign_population(graph, [PopulationCell(10.0, 5.0, 3)]).tolist() == [3, 0, 0, 0, 0]
 
 
 # --- catalogue -------------------------------------------------------------
