@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiment import ScenarioConfig, load_grid, run_sweep
+from .experiment import SUMMARY_HEADER, ScenarioConfig, load_grid, run_sweep, summary_row
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
@@ -103,17 +103,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    rows: dict[tuple, list[float]] = {}
+    # run_sweep writes each (config, interval) as a run of rows from trial 0.
+    runs: list[tuple[str, list[float]]] = []
     lines = Path(args.backhaul).read_text().splitlines()
     for line in lines[1:]:
-        arch, fog, cloud, ldns, mode, t, _trial, value = line.split(",")
-        rows.setdefault((arch, fog, cloud, ldns, mode, t), []).append(float(value))
-    print("arch,fog_k,cloud_k,ldns_k,mode,T,trials,mean_backhaul_bps,std_backhaul_bps")
-    for key, values in rows.items():
-        n = len(values)
-        mean = sum(values) / n
-        var = sum((v - mean) ** 2 for v in values) / n
-        print(",".join(key) + f",{n},{mean!r},{var ** 0.5!r}")
+        label, trial, value = line.rsplit(",", 2)
+        if trial == "0" or not runs or runs[-1][0] != label:
+            runs.append((label, []))
+        runs[-1][1].append(float(value))
+    print(SUMMARY_HEADER)
+    for label, values in runs:
+        print(summary_row(label, values)[0])
     return 0
 
 

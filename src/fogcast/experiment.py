@@ -28,6 +28,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,7 @@ __all__ = [
     "run_trial",
     "backhaul",
     "ecdf",
+    "summary_row",
     "run_sweep",
     "load_grid",
     "expand_grid",
@@ -160,7 +162,6 @@ class SweepResult:
     trials: int
     mean_backhaul: dict[float, float]
     std_backhaul: dict[float, float]
-    ecdf_points: list[tuple[int, float]]
 
 
 def _splitmix64(x: int) -> int:
@@ -329,6 +330,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def summary_row(label: str, values) -> tuple[str, float, float]:
+    """The ``summary.csv`` row of one (config, interval) and its mean and std.
+
+    ``label`` is the row's ``arch,fog_k,cloud_k,ldns_k,mode,T`` prefix and
+    ``values`` the per-trial backhaul, in trial order; the std is the
+    population std. ``fogcast summarize`` rebuilds the rows from
+    ``backhaul.csv`` with it, which reproduces ``summary.csv`` exactly.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    mean, std = float(values.mean()), float(values.std())
+    return f"{label},{len(values)},{_fmt(mean)},{_fmt(std)}", mean, std
+
+
 def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
               jobs: int = 1) -> list[SweepResult]:
     """Run every config, optionally writing CSV output and a run manifest.
@@ -350,21 +364,16 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
         mean: dict[float, float] = {}
         std: dict[float, float] = {}
         for key in variant_keys:
-            values = np.array([backhaul(o.variants()[key]) for o in outcomes])
-            mean[key] = float(values.mean())
-            std[key] = float(values.std())
+            values = [backhaul(o.variants()[key]) for o in outcomes]
             for index, value in enumerate(values):
                 backhaul_rows.append(f"{prefix},{_fmt(key)},{index},{_fmt(value)}")
-            summary_rows.append(
-                f"{prefix},{_fmt(key)},{len(outcomes)},{_fmt(mean[key])},{_fmt(std[key])}"
-            )
+            row, mean[key], std[key] = summary_row(f"{prefix},{_fmt(key)}", values)
+            summary_rows.append(row)
         pooled = np.concatenate([o.unicast.path_samples for o in outcomes])
-        points = ecdf(pooled)
-        for hopcount, fraction in points:
+        for hopcount, fraction in ecdf(pooled):
             pathlen_rows.append(f"{prefix},{hopcount},{_fmt(fraction)}")
         results.append(SweepResult(config=config, trials=len(outcomes),
-                                   mean_backhaul=mean, std_backhaul=std,
-                                   ecdf_points=points))
+                                   mean_backhaul=mean, std_backhaul=std))
         manifest.append(f"[config {len(results) - 1}]")
         for f_ in fields(config):
             manifest.append(f"{f_.name} = {getattr(config, f_.name)}")
@@ -433,29 +442,17 @@ _SWEEP_KEYS = ("fog_k", "cloud_k", "ldns_k", "mode")
 def expand_grid(settings: dict) -> list[ScenarioConfig]:
     """Cross-product of the sweep axes in a parsed grid description."""
     base = dict(settings)
-    axes: list[tuple[str, list]] = []
+    for key in ("catchment", "bitrates"):
+        if key in base:
+            value = base[key]
+            base[key] = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    axes: dict[str, list] = {}
     for key in _SWEEP_KEYS:
         value = base.pop(key, None)
-        if value is None:
-            continue
-        axes.append((key, value if isinstance(value, list) else [value]))
-    if "catchment" in base and not isinstance(base["catchment"], tuple):
-        value = base["catchment"]
-        base["catchment"] = tuple(value) if isinstance(value, list) else (value,)
-    if "bitrates" in base and not isinstance(base["bitrates"], tuple):
-        value = base["bitrates"]
-        base["bitrates"] = tuple(value) if isinstance(value, list) else (value,)
-    configs = [ScenarioConfig(**base)] if not axes else []
-    if axes:
-        def rec(i: int, acc: dict):
-            if i == len(axes):
-                configs.append(ScenarioConfig(**base, **acc))
-                return
-            key, values = axes[i]
-            for v in values:
-                rec(i + 1, {**acc, key: v})
-        rec(0, {})
-    return configs
+        if value is not None:
+            axes[key] = value if isinstance(value, list) else [value]
+    return [ScenarioConfig(**base, **dict(zip(axes, combo)))
+            for combo in product(*axes.values())]
 
 
 def load_grid(path: str | Path) -> list[ScenarioConfig]:

@@ -4,7 +4,8 @@ Fog and cloud gateways subscribe their offerings into the rendezvous
 table; a request resolves to the nearest offering, with a second leg to a
 cloud point when the matched fog gateway lacks the concrete resource.
 Quasi-synchronous requests for the same resource at the same service point
-are merged within a catchment interval so one response serves the group.
+are merged within a catchment interval so one response serves the group;
+``group_rate`` is the analytic rate of such groups.
 
 ``resolve_nodes`` is the resolver trials use: the match depends on the
 client node only, so it runs once per node. ``resolve_request`` resolves
@@ -20,29 +21,25 @@ import numpy as np
 from .rendezvous import (
     SCOPE_HTTP,
     SCOPE_MICRO,
-    MulticastTree,
     NoSubscriberError,
     RendezvousTable,
     ScopedName,
 )
 from .topology import HopTable, extract_path, nearest
-from .workload import CHUNK_DURATION, ServiceCatalogue
+from .workload import ServiceCatalogue
 
 __all__ = [
     "DEFAULT_FQDN",
     "SRProfile",
     "DeliveryLeg",
     "DeliveryPlan",
-    "CatchmentGroup",
     "item_url",
     "make_profiles",
     "build_rendezvous",
     "resolve_request",
     "resolve_nodes",
     "cache_misses",
-    "catchment_group",
     "group_rate",
-    "multicast_load",
 ]
 
 DEFAULT_FQDN = "svc.example.net"
@@ -57,12 +54,14 @@ def item_url(item_id: int) -> str:
 
 @dataclass(frozen=True)
 class SRProfile:
-    """One service gateway: its role, cache contents and offered service."""
+    """One service gateway: its role and cache contents.
+
+    Every gateway offers the one service ``DEFAULT_FQDN``.
+    """
 
     node_id: int
     role: str  # "fog" | "cloud"
     cached_items: frozenset[int]
-    offered_fqdn: str = DEFAULT_FQDN
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,8 @@ class DeliveryPlan:
 
 
 def make_profiles(fog_nodes: Iterable[int], cloud_nodes: Iterable[int],
-                  catalogue: ServiceCatalogue, fog_cache_fraction: float = 0.1,
-                  fqdn: str = DEFAULT_FQDN) -> dict[int, SRProfile]:
+                  catalogue: ServiceCatalogue,
+                  fog_cache_fraction: float = 0.1) -> dict[int, SRProfile]:
     """Build gateway profiles for a placement.
 
     Cloud points cache the full catalogue; fog points cache the top
@@ -109,34 +108,31 @@ def make_profiles(fog_nodes: Iterable[int], cloud_nodes: Iterable[int],
     full_cache = frozenset(range(1, catalogue.n + 1))
     profiles: dict[int, SRProfile] = {}
     for node in fog_nodes:
-        profiles[node] = SRProfile(node, "fog", fog_cache, fqdn)
+        profiles[node] = SRProfile(node, "fog", fog_cache)
     for node in cloud_nodes:
-        profiles[node] = SRProfile(node, "cloud", full_cache, fqdn)
+        profiles[node] = SRProfile(node, "cloud", full_cache)
     return profiles
 
 
 def build_rendezvous(profiles: dict[int, SRProfile]) -> RendezvousTable:
     """Subscribe every gateway's offerings.
 
-    All gateways listen for their FQDN under the service scope; cloud
+    All gateways listen for ``DEFAULT_FQDN`` under the service scope; cloud
     gateways additionally listen for the catalogue bundle under the
     micro-service scope so fog cache misses can be pulled from them.
     """
     table = RendezvousTable()
     for profile in profiles.values():
-        table.subscribe(ScopedName(SCOPE_HTTP, profile.offered_fqdn), profile.node_id)
+        table.subscribe(ScopedName(SCOPE_HTTP, DEFAULT_FQDN), profile.node_id)
         if profile.role == "cloud":
-            table.subscribe(
-                ScopedName(SCOPE_MICRO, profile.offered_fqdn, _MICRO_PATTERN),
-                profile.node_id,
-            )
+            table.subscribe(ScopedName(SCOPE_MICRO, DEFAULT_FQDN, _MICRO_PATTERN),
+                            profile.node_id)
     return table
 
 
 def resolve_request(client: int, item_id: int, profiles: dict[int, SRProfile],
                     table: RendezvousTable, hops: HopTable,
-                    catalogue: ServiceCatalogue,
-                    fqdn: str = DEFAULT_FQDN) -> DeliveryPlan:
+                    catalogue: ServiceCatalogue) -> DeliveryPlan:
     """Resolve one request into its delivery legs.
 
     Leg 1 goes to the nearest FQDN subscriber. If that gateway lacks the
@@ -144,12 +140,12 @@ def resolve_request(client: int, item_id: int, profiles: dict[int, SRProfile],
     and pulls it from the nearest covering cloud point.
     """
     bitrate = catalogue.bitrate(item_id)
-    service_point = table.match(hops, ScopedName(SCOPE_HTTP, fqdn), client)
+    service_point = table.match(hops, ScopedName(SCOPE_HTTP, DEFAULT_FQDN), client)
     legs = [DeliveryLeg(client, service_point,
                         tuple(extract_path(hops, client, service_point)), bitrate)]
     if item_id not in profiles[service_point].cached_items:
         origin = table.match(
-            hops, ScopedName(SCOPE_MICRO, fqdn, item_url(item_id)), service_point
+            hops, ScopedName(SCOPE_MICRO, DEFAULT_FQDN, item_url(item_id)), service_point
         )
         legs.append(DeliveryLeg(service_point, origin,
                                 tuple(extract_path(hops, service_point, origin)), bitrate))
@@ -198,53 +194,6 @@ def resolve_nodes(nodes: np.ndarray, items: np.ndarray, profiles: dict[int, SRPr
     return point, np.where(miss, nearest(hops, clouds)[point], -1)
 
 
-@dataclass(frozen=True)
-class CatchmentGroup:
-    """Requests merged into one multicast response."""
-
-    service_point: int
-    item_id: int
-    members: frozenset[int]
-    window_start: float
-    interval: float
-    size: int
-
-
-def catchment_group(arrivals: Iterable[tuple[float, int]], interval: float,
-                    service_point: int = -1, item_id: int = -1) -> list[CatchmentGroup]:
-    """Window sorted ``(time, node)`` arrivals into catchment groups.
-
-    The first request opens a window ``[t, t + interval]``; every request
-    with time <= t + interval joins it, and the first strictly later
-    request opens the next window. No request is ever lost: group sizes
-    sum to the number of arrivals.
-    """
-    if interval < 0:
-        raise ValueError("catchment interval must be >= 0")
-    groups: list[CatchmentGroup] = []
-    members: set[int] = set()
-    size = 0
-    window_start = 0.0
-    last = None
-    for t, node in arrivals:
-        if last is not None and t < last:
-            raise ValueError("arrival times must be sorted ascending")
-        last = t
-        if size and t > window_start + interval:
-            groups.append(CatchmentGroup(service_point, item_id, frozenset(members),
-                                         window_start, interval, size))
-            members = set()
-            size = 0
-        if not size:
-            window_start = t
-        members.add(node)
-        size += 1
-    if size:
-        groups.append(CatchmentGroup(service_point, item_id, frozenset(members),
-                                     window_start, interval, size))
-    return groups
-
-
 def group_rate(rate, interval: float):
     """Group formation rate for Poisson requests under catchment windows.
 
@@ -260,14 +209,3 @@ def group_rate(rate, interval: float):
     groups = np.zeros_like(rate)
     groups[busy] = rate[busy] / (1.0 + rate[busy] * interval)
     return groups if groups.ndim else float(groups)
-
-
-def multicast_load(groups_per_s: float, tree: MulticastTree, bitrate: float,
-                   chunk_duration: float = CHUNK_DURATION) -> dict[int, float]:
-    """Per-arc load of serving ``groups_per_s`` responses over ``tree``.
-
-    Every tree arc carries one copy of each response; arcs off the tree
-    carry nothing.
-    """
-    per_arc = groups_per_s * bitrate * chunk_duration
-    return {arc_id: per_arc for arc_id in tree.arcs}

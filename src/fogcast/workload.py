@@ -149,9 +149,6 @@ class ServiceCatalogue:
     def bitrate(self, item_id: int) -> float:
         return float(self.bitrates[item_id - 1])
 
-    def probability(self, item_id: int) -> float:
-        return float(self.probabilities[item_id - 1])
-
     @property
     def mean_bitrate(self) -> float:
         return float(np.dot(self.probabilities, self.bitrates))
@@ -193,7 +190,6 @@ class DemandMatrix:
     nodes: np.ndarray
     items: np.ndarray
     counts: np.ndarray
-    epoch: float
     offered_bitrate: float
 
     @property
@@ -245,5 +241,4 @@ def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
     offered = float(np.cumsum(load)[-1]) if load.size else 0.0
     for array in (nodes, items, counts):
         array.setflags(write=False)
-    return DemandMatrix(nodes=nodes, items=items, counts=counts, epoch=1.0,
-                        offered_bitrate=offered)
+    return DemandMatrix(nodes=nodes, items=items, counts=counts, offered_bitrate=offered)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 from collections import deque
+from typing import Iterable, Iterator
 
 import numpy as np
 import pytest
@@ -22,6 +24,44 @@ def bfs_distances(graph: NetworkGraph, source: int) -> list[int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def count_windows(times: Iterable[float], interval: float) -> int:
+    """Independent catchment-windowing oracle: event by event over sorted times.
+
+    The first arrival opens a window ``[t, t + interval]``; every arrival
+    with time <= t + interval joins it, and the first strictly later
+    arrival opens the next window. Returns the number of windows (groups).
+    """
+    if interval < 0:
+        raise ValueError("catchment interval must be >= 0")
+    windows = 0
+    window_end = last = -math.inf
+    for t in times:
+        if t < last:
+            raise ValueError("arrival times must be sorted ascending")
+        last = t
+        if t > window_end:
+            windows += 1
+            window_end = t + interval
+    return windows
+
+
+def poisson_arrivals(rate: float, horizon: float, seed: int) -> Iterator[float]:
+    """Seeded Poisson arrival times in ``[0, horizon)``, in order."""
+    rng = np.random.default_rng(seed)
+    t = 0.0
+    while True:
+        for gap in rng.exponential(1.0 / rate, size=250_000).tolist():
+            t += gap
+            if t >= horizon:
+                return
+            yield t
+
+
+def simulated_group_rate(rate: float, interval: float, horizon: float, seed: int) -> float:
+    """Groups per second that ``count_windows`` forms over a Poisson stream."""
+    return count_windows(poisson_arrivals(rate, horizon, seed), interval) / horizon
 
 
 def random_connected_graph(rng: np.random.Generator, n_nodes: int,

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, simulated_group_rate
 from fogcast.data import bundled_population, bundled_topology
 from fogcast.dns_baseline import DnsConfig, resolve_request_dns
 from fogcast.experiment import (
@@ -207,29 +207,13 @@ def test_criterion_7_catchment_monotonicity(grid_run):
                   f"(worst violation {worst:.2e} b/s)")
 
 
-def _simulated_group_rate(rate: float, interval: float, horizon: float, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    t = 0.0
-    groups = 0
-    window_end = -1.0
-    while t < horizon:
-        for gap in rng.exponential(1.0 / rate, size=250_000).tolist():
-            t += gap
-            if t >= horizon:
-                break
-            if t > window_end:
-                groups += 1
-                window_end = t + interval
-    return groups / horizon
-
-
 def test_criterion_8_aggregation_model_validation():
     horizon = 1_000_000.0
     worst = 0.0
     for rate in (0.1, 1.0, 10.0):
         for interval in (0.1, 1.0, 10.0):
-            simulated = _simulated_group_rate(rate, interval, horizon,
-                                              seed=int(rate * 1000 + interval))
+            simulated = simulated_group_rate(rate, interval, horizon,
+                                             seed=int(rate * 1000 + interval))
             analytic = group_rate(rate, interval)
             worst = max(worst, abs(simulated - analytic) / analytic)
     ok = worst <= 0.02

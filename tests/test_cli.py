@@ -123,3 +123,18 @@ def test_ecdf_reports_missing_config(tiny_inputs, tmp_path, capsys):
         "--arch", "dns", "--fog", "9", "--cloud", "9",
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("grid", [
+    "arch = icn\nfog = 2,4,8\ncloud = 2,4\ncatchment = 0.1,1,10\ntrials = 20\nseed = 1\n",
+    "arch = icn\nfog = 2,4\ncloud = 2,4\ncatchment = 0.1,1,10\nscheme = bloom\ntrials = 20\n"
+    "seed = 3\n",
+    "arch = dns\nfog = 2,4,8\ncloud = 2,4\nldns = 2\ntrials = 20\nseed = 1\n",
+], ids=["icn", "icn_bloom", "dns"])
+def test_summarize_equals_summary_csv(grid, tmp_path, capsys):
+    (tmp_path / "grid.cfg").write_text(grid)
+    out = tmp_path / "out"
+    assert run_cmd(["sweep", "--grid", str(tmp_path / "grid.cfg"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cmd(["summarize", "--backhaul", str(out / "backhaul.csv")]) == 0
+    assert capsys.readouterr().out == (out / "summary.csv").read_text()

@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from fogcast.rendezvous import MulticastTree, NoSubscriberError, build_tree
+from conftest import count_windows, simulated_group_rate
+from fogcast.rendezvous import NoSubscriberError
 from fogcast.service_router import (
-    CatchmentGroup,
     build_rendezvous,
-    catchment_group,
     group_rate,
     item_url,
     make_profiles,
-    multicast_load,
     resolve_request,
 )
 from fogcast.topology import all_pairs
@@ -87,42 +85,39 @@ def test_item_urls_are_concrete():
 
 
 # --- catchment windowing ----------------------------------------------------
+# Trials use the analytic ``group_rate``; the windowing rule it models is
+# pinned down on the event-driven oracle ``conftest.count_windows``.
 
-def test_catchment_groups_split_at_window_boundaries():
-    groups = catchment_group([(0.0, 1), (0.05, 2), (0.2, 3)], 0.1)
-    assert [g.size for g in groups] == [2, 1]
-    assert groups[0].members == {1, 2}
-    assert groups[1].members == {3}
-    assert groups[0].window_start == 0.0
-    assert groups[1].window_start == pytest.approx(0.2)
+def test_windows_split_at_window_boundaries():
+    assert count_windows([0.0, 0.05, 0.2], 0.1) == 2
+    # an arrival at exactly start + interval still joins the window
+    assert count_windows([0.0, 0.25, 0.5], 0.25) == 2
+    assert count_windows([0.0, 0.25, 0.5], 0.5) == 1
 
 
 def test_simultaneous_requests_form_one_group():
-    groups = catchment_group([(1.0, 1), (1.0, 2), (1.0, 3)], 0.0)
-    assert len(groups) == 1
-    assert groups[0].size == 3
+    assert count_windows([1.0, 1.0, 1.0], 0.0) == 1
 
 
 def test_zero_interval_with_distinct_times_gives_one_group_each():
-    groups = catchment_group([(0.0, 1), (0.5, 2), (1.0, 3)], 0.0)
-    assert [g.size for g in groups] == [1, 1, 1]
+    assert count_windows([0.0, 0.5, 1.0], 0.0) == 3
 
 
-def test_suppression_never_loses_members():
+def test_windows_bounded_by_arrivals_and_shrink_with_interval():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        times = np.sort(rng.uniform(0, 60, size=int(rng.integers(1, 200))))
-        arrivals = [(float(t), int(i)) for i, t in enumerate(times)]
-        for interval in (0.0, 0.1, 1.0, 10.0):
-            groups = catchment_group(arrivals, interval)
-            assert sum(g.size for g in groups) == len(arrivals)
+        times = np.sort(rng.uniform(0, 60, size=int(rng.integers(1, 200)))).tolist()
+        windows = [count_windows(times, t) for t in (0.0, 0.1, 1.0, 10.0, 60.0)]
+        assert windows[0] == len(set(times))
+        assert all(a >= b for a, b in zip(windows, windows[1:]))
+        assert windows[-1] == 1
 
 
 def test_unsorted_arrivals_rejected():
     with pytest.raises(ValueError):
-        catchment_group([(1.0, 1), (0.5, 2)], 1.0)
+        count_windows([1.0, 0.5], 1.0)
     with pytest.raises(ValueError):
-        catchment_group([(0.0, 1)], -1.0)
+        count_windows([0.0], -1.0)
 
 
 def test_group_rate_boundary_values():
@@ -142,48 +137,7 @@ def test_group_rate_monotone_in_interval():
     assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
-def simulate_group_rate(rate: float, interval: float, horizon: float, seed: int) -> float:
-    """Event-driven windowing oracle over Poisson arrivals."""
-    rng = np.random.default_rng(seed)
-    t = 0.0
-    groups = 0
-    window_end = -1.0
-    while t < horizon:
-        for gap in rng.exponential(1.0 / rate, size=100_000).tolist():
-            t += gap
-            if t >= horizon:
-                break
-            if t > window_end:
-                groups += 1
-                window_end = t + interval
-    return groups / horizon
-
-
 def test_group_rate_matches_event_driven_oracle():
-    simulated = simulate_group_rate(1.0, 1.0, horizon=1_000_000.0, seed=99)
+    simulated = simulated_group_rate(1.0, 1.0, horizon=1_000_000.0, seed=99)
     assert simulated == pytest.approx(0.5, abs=0.01)
     assert group_rate(1.0, 1.0) == 0.5
-
-
-# --- multicast load ---------------------------------------------------------
-
-def test_multicast_load_uniform_over_tree_arcs():
-    tree = MulticastTree(root=0, leaves=frozenset({4}), arcs=frozenset({1, 5, 7, 9}))
-    load = multicast_load(1.0, tree, 20e6)
-    assert load == {1: 20e6, 5: 20e6, 7: 20e6, 9: 20e6}
-    assert sum(load.values()) == pytest.approx(80e6)
-
-
-def test_zero_group_rate_means_zero_load():
-    tree = MulticastTree(root=0, leaves=frozenset({1}), arcs=frozenset({0}))
-    assert multicast_load(0.0, tree, 20e6) == {0: 0.0}
-
-
-def test_multicast_load_total_scales_with_tree_size(geant, geant_hops):
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        root = int(rng.integers(geant.n_nodes))
-        leaves = {int(x) for x in rng.choice(geant.n_nodes, size=6, replace=False)}
-        tree = build_tree(geant_hops, root, leaves)
-        load = multicast_load(0.25, tree, 40e6)
-        assert sum(load.values()) == pytest.approx(len(tree.arcs) * 0.25 * 40e6)
