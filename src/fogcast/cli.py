@@ -16,6 +16,13 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(",") if part.strip())
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type of ``--jobs`` and ``--trials``: an integer >= 1."""
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
 def _add_run_parser(sub) -> None:
     p = sub.add_parser("run", help="run one scenario and write CSV output")
     p.add_argument("--topology", default="", help="GraphML file (default: bundled)")
@@ -27,7 +34,7 @@ def _add_run_parser(sub) -> None:
     p.add_argument("--placement", choices=("pop", "cls"), default="pop")
     p.add_argument("--catchment", default="", metavar="T[,T...]",
                    help="catchment intervals in seconds (icn only)")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--items", type=int, default=1000)
     p.add_argument("--alpha", type=float, default=0.8)
@@ -39,14 +46,14 @@ def _add_run_parser(sub) -> None:
     p.add_argument("--no-fallback-load", action="store_true",
                    help="exclude fog-to-cloud fallback traffic from backhaul")
     p.add_argument("--scheme", choices=("exact", "bloom"), default="exact")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", required=True, metavar="DIR")
 
 
 def _add_sweep_parser(sub) -> None:
     p = sub.add_parser("sweep", help="run a grid file")
     p.add_argument("--grid", required=True, metavar="FILE")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", required=True, metavar="DIR")
 
 

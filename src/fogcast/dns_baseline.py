@@ -5,20 +5,19 @@ hands back the replica nearest to itself, not to the client. The replica
 set and cache model are identical to the native architecture so the two
 can be compared on the same placements and demand.
 
-``resolve_nodes_dns`` is the resolver trials use, once per node;
-``resolve_request_dns`` resolves one request and stays as its test oracle.
+Trials resolve both architectures with ``service_router.resolve_nodes``,
+given the LDNS points as resolvers. ``resolve_request_dns`` resolves one
+request through a resolver and stays as its test oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
+from .service_router import DeliveryLeg, DeliveryPlan, SRProfile
+from .topology import HopTable, extract_path
 
-from .service_router import DeliveryLeg, DeliveryPlan, SRProfile, cache_misses
-from .topology import HopTable, extract_path, nearest
-
-__all__ = ["DnsConfig", "ldns_of", "dns_select", "resolve_request_dns", "resolve_nodes_dns"]
+__all__ = ["DnsConfig", "ldns_of", "dns_select", "resolve_request_dns"]
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def resolve_request_dns(client: int, item_id: int, config: DnsConfig,
     selected = dns_select(resolver, config.service_points, hops)
     legs = [DeliveryLeg(client, selected,
                         tuple(extract_path(hops, client, selected)), bitrate)]
-    if item_id not in config.profiles[selected].cached_items:
+    if item_id > config.profiles[selected].top_items:
         clouds = [p.node_id for p in config.profiles.values() if p.role == "cloud"]
         if not clouds:
             raise ValueError("no cloud point to satisfy a cache miss")
@@ -74,22 +73,3 @@ def resolve_request_dns(client: int, item_id: int, config: DnsConfig,
         legs.append(DeliveryLeg(selected, origin,
                                 tuple(extract_path(hops, selected, origin)), bitrate))
     return DeliveryPlan(legs=tuple(legs), client_path_hops=legs[0].hops)
-
-
-def resolve_nodes_dns(nodes: np.ndarray, items: np.ndarray, config: DnsConfig,
-                      hops: HopTable) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve the requests ``(nodes[i], items[i])`` once per node.
-
-    Every node is mapped once to its LDNS, to the replica nearest to it as
-    a resolver, and to its nearest cloud point as a replica (ties to the
-    lowest id); a request reads its node's replica and tests its item
-    against that replica's cache. Returns per-request ``(replica, fallback
-    origin)``, the origin -1 where the replica caches the item.
-    """
-    resolver = nearest(hops, config.ldns)
-    point = nearest(hops, config.service_points)[resolver[nodes]]
-    miss = cache_misses(config.profiles, point, items)
-    clouds = [p.node_id for p in config.profiles.values() if p.role == "cloud"]
-    if miss.any() and not clouds:
-        raise ValueError("no cloud point to satisfy a cache miss")
-    return point, np.where(miss, nearest(hops, clouds)[point], -1)

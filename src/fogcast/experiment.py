@@ -2,13 +2,14 @@
 
 A trial is a deterministic function of (config, trial index): it derives a
 trial seed, places service points, draws a catalogue and demand, resolves
-the requests through the configured architecture and accumulates per-arc
-response loads.
+the requests and accumulates per-arc response loads.
 
 Resolution runs once per client node, not once per request: the service
 point depends on the node alone and the fallback origin on the service
-point alone (``resolve_nodes`` / ``resolve_nodes_dns``; the scalar
-``resolve_request`` / ``resolve_request_dns`` are their test oracles).
+point alone. Both architectures take the same ``resolve_nodes`` call; the
+only difference is where the lookup starts, at the client (icn places no
+LDNS) or at its nearest LDNS (dns). The scalar ``resolve_request`` /
+``resolve_request_dns`` are its test oracles.
 Every flow is charged on one canonical root -> leaf path
 (``extract_path(hops, root, leaf)``): service point -> client for the
 delivery, origin -> service point for the fallback pull. Unicast,
@@ -25,6 +26,7 @@ scheduling, so parallel sweeps are byte-identical to sequential ones.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -34,15 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .dns_baseline import DnsConfig, resolve_nodes_dns
 from .forwarding import BloomScheme, deliver_groups
 from .placement import place_all
-from .service_router import (
-    build_rendezvous,
-    group_rate,
-    make_profiles,
-    resolve_nodes,
-)
+from .service_router import group_rate, make_profiles, resolve_nodes
 from .topology import all_pairs, canonical_paths, load_topology
 from .workload import (
     CHUNK_DURATION,
@@ -124,8 +120,11 @@ class ScenarioConfig:
                 raise ConfigError("dns runs need at least one LDNS point")
             if self.catchment:
                 raise ConfigError("dns runs support no catchment aggregation")
-        if any(t < 0 for t in self.catchment):
-            raise ConfigError("catchment intervals must be >= 0")
+        for at, t in enumerate(self.catchment):
+            if not math.isfinite(t) or t < 0:
+                raise ConfigError(f"catchment interval {t} must be finite and >= 0")
+            if t in self.catchment[:at]:
+                raise ConfigError(f"catchment interval {t} repeated")
         if not self.topology_path:
             object.__setattr__(self, "topology_path", str(data.bundled_topology()))
         if not self.population_path:
@@ -216,15 +215,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
                              config.fog_cache_fraction)
 
     nodes, items, counts = demand.nodes, demand.items, demand.counts
-    if config.arch == "dns":
-        dns_config = DnsConfig(
-            ldns=placement.ldns,
-            service_points=tuple(sorted(set(placement.fog) | set(placement.cloud))),
-            profiles=profiles,
-        )
-        point, origin = resolve_nodes_dns(nodes, items, dns_config, hops)
-    else:
-        point, origin = resolve_nodes(nodes, items, profiles, build_rendezvous(profiles), hops)
+    point, origin = resolve_nodes(hops, nodes, items, profiles, placement.ldns)
     pull = (origin >= 0) & config.count_fallback
     bitrate = catalogue.bitrates[items - 1]
 

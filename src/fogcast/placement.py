@@ -14,8 +14,6 @@ from .topology import HopTable, closeness
 
 __all__ = ["Placement", "PlacementError", "place_points", "place_all", "ROLE_SALTS"]
 
-MODES = ("pop", "cls")
-
 # XOR salts keep the per-role draws on independent streams for one trial seed.
 ROLE_SALTS = {
     "fog": 0x1F09,
@@ -33,7 +31,6 @@ class Placement:
     fog: tuple[int, ...]
     cloud: tuple[int, ...]
     ldns: tuple[int, ...]
-    seed: int
 
 
 def place_points(weights: np.ndarray, k: int, seed: int) -> tuple[int, ...]:
@@ -85,4 +82,4 @@ def place_all(hops: HopTable, populations: np.ndarray,
         if mode not in weights:
             weights[mode] = _weights_for(mode, populations, hops)
         picked[role] = place_points(weights[mode], k, seed ^ ROLE_SALTS[role])
-    return Placement(fog=picked["fog"], cloud=picked["cloud"], ldns=picked["ldns"], seed=seed)
+    return Placement(fog=picked["fog"], cloud=picked["cloud"], ldns=picked["ldns"])

@@ -7,9 +7,12 @@ Quasi-synchronous requests for the same resource at the same service point
 are merged within a catchment interval so one response serves the group;
 ``group_rate`` is the analytic rate of such groups.
 
-``resolve_nodes`` is the resolver trials use: the match depends on the
-client node only, so it runs once per node. ``resolve_request`` resolves
-one request through the rendezvous table and stays as its test oracle.
+``resolve_nodes`` is the resolver trials use, for both architectures: a
+request is looked up at its client node (rendezvous matching) or at the
+client's nearest resolver (resolver redirection), so it runs once per
+node. ``resolve_request`` resolves one request through the rendezvous
+table and ``dns_baseline.resolve_request_dns`` through a resolver; both
+stay as its test oracles.
 """
 from __future__ import annotations
 
@@ -38,7 +41,6 @@ __all__ = [
     "build_rendezvous",
     "resolve_request",
     "resolve_nodes",
-    "cache_misses",
     "group_rate",
 ]
 
@@ -56,12 +58,13 @@ def item_url(item_id: int) -> str:
 class SRProfile:
     """One service gateway: its role and cache contents.
 
-    Every gateway offers the one service ``DEFAULT_FQDN``.
+    Every gateway offers the one service ``DEFAULT_FQDN`` and caches the
+    popularity prefix of the catalogue, items ``1..top_items``.
     """
 
     node_id: int
     role: str  # "fog" | "cloud"
-    cached_items: frozenset[int]
+    top_items: int
 
 
 @dataclass(frozen=True)
@@ -104,13 +107,11 @@ def make_profiles(fog_nodes: Iterable[int], cloud_nodes: Iterable[int],
     if not 0.0 < fog_cache_fraction <= 1.0:
         raise ValueError("fog_cache_fraction outside (0, 1]")
     top = max(1, int(fog_cache_fraction * catalogue.n))
-    fog_cache = frozenset(range(1, top + 1))
-    full_cache = frozenset(range(1, catalogue.n + 1))
     profiles: dict[int, SRProfile] = {}
     for node in fog_nodes:
-        profiles[node] = SRProfile(node, "fog", fog_cache)
+        profiles[node] = SRProfile(node, "fog", top)
     for node in cloud_nodes:
-        profiles[node] = SRProfile(node, "cloud", full_cache)
+        profiles[node] = SRProfile(node, "cloud", catalogue.n)
     return profiles
 
 
@@ -143,7 +144,7 @@ def resolve_request(client: int, item_id: int, profiles: dict[int, SRProfile],
     service_point = table.match(hops, ScopedName(SCOPE_HTTP, DEFAULT_FQDN), client)
     legs = [DeliveryLeg(client, service_point,
                         tuple(extract_path(hops, client, service_point)), bitrate)]
-    if item_id not in profiles[service_point].cached_items:
+    if item_id > profiles[service_point].top_items:
         origin = table.match(
             hops, ScopedName(SCOPE_MICRO, DEFAULT_FQDN, item_url(item_id)), service_point
         )
@@ -152,45 +153,29 @@ def resolve_request(client: int, item_id: int, profiles: dict[int, SRProfile],
     return DeliveryPlan(legs=tuple(legs), client_path_hops=legs[0].hops)
 
 
-def cache_misses(profiles: dict[int, SRProfile], points: np.ndarray,
-                 items: np.ndarray) -> np.ndarray:
-    """Per request: True where gateway ``points[i]`` does not cache ``items[i]``."""
-    width = int(items.max(initial=0)) + 1
-    held: dict[frozenset[int], np.ndarray] = {}  # one lookup row per distinct cache
-    miss = np.zeros(len(items), dtype=bool)
-    for node in set(points.tolist()):
-        cached = profiles[node].cached_items
-        if cached not in held:
-            ids = np.fromiter(cached, dtype=np.intp, count=len(cached))
-            held[cached] = np.zeros(width, dtype=bool)
-            held[cached][ids[ids < width]] = True
-        here = points == node
-        miss[here] = ~held[cached][items[here]]
-    return miss
-
-
-def resolve_nodes(nodes: np.ndarray, items: np.ndarray, profiles: dict[int, SRProfile],
-                  table: RendezvousTable, hops: HopTable) -> tuple[np.ndarray, np.ndarray]:
+def resolve_nodes(hops: HopTable, nodes: np.ndarray, items: np.ndarray,
+                  profiles: dict[int, SRProfile],
+                  resolvers: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Resolve the requests ``(nodes[i], items[i])`` once per node.
 
-    Every node is matched once to its nearest FQDN subscriber, and every
-    node once to its nearest catalogue-bundle subscriber (ties to the
-    lowest id, as in ``RendezvousTable.match``); a request reads its
-    node's match and tests its item against that gateway's cache. Returns
+    A request is looked up at its client node, or at the client's nearest
+    resolver when ``resolvers`` are given. It is served by the gateway
+    nearest the lookup node; a gateway that does not cache the item pulls
+    it from the cloud gateway nearest to it. Ties go to the lowest id, as
+    in ``RendezvousTable.match`` and ``dns_baseline.dns_select``. Returns
     per-request ``(service point, fallback origin)``, the origin -1 where
-    the point caches the item. The bundle subscription covers every
-    item URL, as ``build_rendezvous`` registers it.
+    the point caches the item.
     """
-    service = ScopedName(SCOPE_HTTP, DEFAULT_FQDN)
-    point = nearest(hops, table.subscribers(service))[nodes]
-    if (point < 0).any():
-        raise NoSubscriberError(f"no subscriber for {service}")
-    miss = cache_misses(profiles, point, items)
-    clouds = table.subscribers(ScopedName(SCOPE_MICRO, DEFAULT_FQDN, _MICRO_PATTERN))
+    if not profiles:
+        raise NoSubscriberError("no service point placed")
+    lookup = nearest(hops, resolvers)[nodes] if len(resolvers) else nodes
+    point = nearest(hops, profiles)[lookup]
+    top_items = np.zeros(hops.graph.n_nodes, dtype=np.int64)
+    top_items[list(profiles)] = [profile.top_items for profile in profiles.values()]
+    miss = items > top_items[point]
+    clouds = [node for node, profile in profiles.items() if profile.role == "cloud"]
     if miss.any() and not clouds:
-        item = int(items[miss][0])
-        raise NoSubscriberError(
-            f"no subscriber for {ScopedName(SCOPE_MICRO, DEFAULT_FQDN, item_url(item))}")
+        raise NoSubscriberError(f"no cloud point to serve item {int(items[miss][0])}")
     return point, np.where(miss, nearest(hops, clouds)[point], -1)
 
 

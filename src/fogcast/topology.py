@@ -92,11 +92,6 @@ class NetworkGraph:
         key = np.asarray(src, dtype=np.int64) * self.n_nodes + np.asarray(dst, dtype=np.int64)
         return self._arc_ids[np.searchsorted(self._arc_keys, key)]
 
-    def reverse_arc(self, arc_id: int) -> int:
-        # Arcs are emitted in forward/backward pairs, so the partner
-        # differs only in the lowest bit.
-        return arc_id ^ 1
-
 
 def build_graph(coords: list[tuple[str, float, float]],
                 edges: list[tuple[int, int]]) -> NetworkGraph:

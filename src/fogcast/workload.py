@@ -140,7 +140,6 @@ class ServiceCatalogue:
 
     probabilities: np.ndarray
     bitrates: np.ndarray
-    alpha: float
 
     @property
     def n(self) -> int:
@@ -175,7 +174,7 @@ def build_catalogue(n: int, alpha: float, bitrate_set: tuple[float, ...],
     bitrates = np.asarray(bitrate_set, dtype=np.float64)[choices]
     probabilities.setflags(write=False)
     bitrates.setflags(write=False)
-    return ServiceCatalogue(probabilities=probabilities, bitrates=bitrates, alpha=float(alpha))
+    return ServiceCatalogue(probabilities=probabilities, bitrates=bitrates)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from fogcast.cli import main
+from fogcast.experiment import ConfigError
 from test_experiment import write_graphml
 
 
@@ -51,6 +52,35 @@ def test_run_dns_arch(tiny_inputs, tmp_path):
         "--out", str(tmp_path / "dns_out"),
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("run", "--jobs", "0"), ("run", "--jobs", "two"), ("run", "--trials", "0"),
+    ("run", "--trials", "1.5"), ("sweep", "--jobs", "0"), ("sweep", "--jobs", "-2"),
+])
+def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp_path, capsys):
+    top, pop = tiny_inputs
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(f"topology = {top}\npopulation = {pop}\nitems = 3\ntrials = 1\n")
+    out = tmp_path / "out"
+    args = {"run": ["run", "--topology", top, "--population", pop, "--items", "3"],
+            "sweep": ["sweep", "--grid", str(grid)]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cmd(args + [flag, value, "--out", str(out)])
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"fogcast {command}: error: argument {flag}: "
+                      f"expected an integer >= 1, got {value!r}"]
+    assert not out.exists()
+
+
+def test_run_rejects_repeated_catchment(tiny_inputs, tmp_path):
+    top, pop = tiny_inputs
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"catchment interval 1\.0 repeated"):
+        run_cmd(["run", "--topology", top, "--population", pop, "--items", "3",
+                 "--catchment", "1,1", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_sweep_from_grid_file(tiny_inputs, tmp_path):

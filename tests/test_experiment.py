@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -23,10 +25,10 @@ from fogcast.experiment import (
 )
 from conftest import random_connected_graph
 from fogcast import dns_baseline, experiment, forwarding, rendezvous, service_router, topology
-from fogcast.dns_baseline import DnsConfig, resolve_nodes_dns, resolve_request_dns
+from fogcast.dns_baseline import DnsConfig, resolve_request_dns
 from fogcast.forwarding import BloomScheme, deliver, encode_tree, forward
 from fogcast.placement import place_all
-from fogcast.rendezvous import MulticastTree
+from fogcast.rendezvous import MulticastTree, NoSubscriberError
 from fogcast.service_router import build_rendezvous, make_profiles, resolve_nodes, resolve_request
 from fogcast.topology import all_pairs, extract_path, load_topology
 from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
@@ -96,6 +98,21 @@ def test_defaults_point_at_bundled_fixtures():
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ConfigError):
         ScenarioConfig(**kwargs)
+
+
+@pytest.mark.parametrize("catchment, message", [
+    ((1.0, 1.0), "catchment interval 1.0 repeated"),
+    ((0.1, 1.0, 0.1), "catchment interval 0.1 repeated"),
+    ((math.nan,), "catchment interval nan must be finite"),
+    ((0.1, math.inf), "catchment interval inf must be finite"),
+])
+def test_repeated_and_non_finite_catchment_rejected(catchment, message, tmp_path):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ScenarioConfig(catchment=catchment)
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("catchment = " + ",".join(map(str, catchment)) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_grid(grid)
 
 
 def test_trial_seeds_mix_base_and_index():
@@ -218,8 +235,8 @@ def test_per_node_kernel_matches_scalar_resolvers(monkeypatch):
         dns_config = DnsConfig(ldns=tuple(ldns), profiles=profiles,
                                service_points=tuple(sorted(set(fog) | set(cloud))))
         kernels = {
-            "icn": resolve_nodes(nodes, items, profiles, table, hops),
-            "dns": resolve_nodes_dns(nodes, items, dns_config, hops),
+            "icn": resolve_nodes(hops, nodes, items, profiles),
+            "dns": resolve_nodes(hops, nodes, items, profiles, tuple(ldns)),
         }
         for i, (node, item) in enumerate(zip(nodes.tolist(), items.tolist())):
             oracles = {
@@ -235,11 +252,16 @@ def test_per_node_kernel_matches_scalar_resolvers(monkeypatch):
                         for p in profiles) > 1
     assert ties > 0
 
-    # Trials route through the per-node kernel alone.
+    # Trials route through the per-node kernel alone, which reads neither
+    # a rendezvous table nor a resolver config.
     def refuse(*args, **kwargs):
-        raise AssertionError("per-request routing called inside a trial")
+        raise AssertionError("scalar-oracle routing called inside a trial")
 
     for module, name in ((service_router, "resolve_request"),
+                         (service_router, "build_rendezvous"),
+                         (experiment, "build_rendezvous"),
+                         (dns_baseline, "DnsConfig"),
+                         (experiment, "DnsConfig"),
                          (dns_baseline, "resolve_request_dns"),
                          (experiment, "resolve_request"),
                          (experiment, "resolve_request_dns"),
@@ -250,9 +272,19 @@ def test_per_node_kernel_matches_scalar_resolvers(monkeypatch):
                          (topology, "extract_path")):
         monkeypatch.setattr(module, name, refuse, raising=False)
     monkeypatch.setattr(rendezvous.RendezvousTable, "match", refuse)
+    monkeypatch.setattr(rendezvous.RendezvousTable, "subscribe", refuse)
     for config in (ScenarioConfig(arch="icn", fog_k=4, cloud_k=4, catchment=(1.0,), trials=1),
                    ScenarioConfig(arch="dns", fog_k=4, cloud_k=4, ldns_k=4, trials=1)):
         assert backhaul(run_trial(config, 0).unicast) > 0
+
+
+@pytest.mark.parametrize("arch, ldns_k", [("icn", 0), ("dns", 2)])
+def test_missing_role_is_named_for_both_architectures(arch, ldns_k):
+    with pytest.raises(NoSubscriberError, match="no service point placed"):
+        run_trial(ScenarioConfig(arch=arch, fog_k=0, cloud_k=0, ldns_k=ldns_k, trials=1), 0)
+    # fog points cache the top 10% of items, so some request misses
+    with pytest.raises(NoSubscriberError, match=r"no cloud point to serve item \d+"):
+        run_trial(ScenarioConfig(arch=arch, fog_k=4, cloud_k=0, ldns_k=ldns_k, trials=1), 0)
 
 
 def test_sample_count_equals_request_count(chain_setup):

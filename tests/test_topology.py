@@ -27,7 +27,7 @@ def test_every_edge_expands_to_two_arcs(triangle):
     assert triangle.n_nodes == 3
     assert triangle.n_arcs == 6
     for arc in triangle.arcs:
-        rev = triangle.arcs[triangle.reverse_arc(arc.id)]
+        rev = triangle.arcs[arc.id ^ 1]
         assert (rev.src, rev.dst) == (arc.dst, arc.src)
 
 
