@@ -13,7 +13,12 @@ from .experiment import SUMMARY_HEADER, ScenarioConfig, load_grid, run_sweep, su
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in raw.split(",") if part.strip())
+    """argparse type of ``--catchment`` and ``--bitrates``: comma-separated numbers."""
+    try:
+        return tuple(float(part) for part in raw.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {raw!r}") from None
 
 
 def _positive_int(raw: str) -> int:
@@ -32,13 +37,13 @@ def _add_run_parser(sub) -> None:
     p.add_argument("--cloud", type=int, default=2, metavar="K")
     p.add_argument("--ldns", type=int, default=0, metavar="K")
     p.add_argument("--placement", choices=("pop", "cls"), default="pop")
-    p.add_argument("--catchment", default="", metavar="T[,T...]",
+    p.add_argument("--catchment", type=_parse_floats, default="", metavar="T[,T...]",
                    help="catchment intervals in seconds (icn only)")
     p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--items", type=int, default=1000)
     p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--bitrates", default="20e6,40e6,60e6")
+    p.add_argument("--bitrates", type=_parse_floats, default="20e6,40e6,60e6")
     p.add_argument("--load-fraction", type=float, default=0.4)
     p.add_argument("--target-bitrate", type=float, default=70e9)
     p.add_argument("--fog-cache", type=float, default=0.1,
@@ -79,12 +84,12 @@ def _cmd_run(args) -> int:
         cloud_k=args.cloud,
         ldns_k=args.ldns,
         mode=args.placement,
-        catchment=_parse_floats(args.catchment),
+        catchment=args.catchment,
         topology_path=args.topology,
         population_path=args.population,
         n_items=args.items,
         alpha=args.alpha,
-        bitrates=_parse_floats(args.bitrates),
+        bitrates=args.bitrates,
         load_fraction=args.load_fraction,
         target_bitrate=args.target_bitrate,
         trials=args.trials,

@@ -16,6 +16,11 @@ delivery, origin -> service point for the fallback pull. Unicast,
 catchment trees and Bloom delivery all read the same paths; Bloom
 forwarding of every group of a trial is one ``deliver_groups`` call.
 
+Every root is a placed point, so a trial fills the hop rows of its fog,
+cloud and LDNS points once (``HopRows.table``) and reads only those rows
+for the nearest-point maps, the canonical paths and the path samples; no
+n x n table is built.
+
 Catchment aggregation is applied analytically: each tree arc carries the
 group rate of the request stream that crosses it, so aggregated load never
 exceeds unicast load and shrinks monotonically with the interval, arc by
@@ -39,7 +44,7 @@ from . import data
 from .forwarding import BloomScheme, deliver_groups
 from .placement import place_all
 from .service_router import group_rate, make_profiles, resolve_nodes
-from .topology import all_pairs, canonical_paths, load_topology
+from .topology import HopRows, canonical_paths, load_topology
 from .workload import (
     CHUNK_DURATION,
     build_catalogue,
@@ -178,9 +183,10 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
 @lru_cache(maxsize=8)
 def _load_context(topology_path: str, population_path: str):
     graph = load_topology(topology_path)
-    hops = all_pairs(graph)
     populations = assign_population(graph, load_population(population_path))
-    return graph, hops, populations
+    # pop placement draws only populated nodes, the most populous likeliest.
+    likely = np.argsort(-populations, kind="stable")[:np.count_nonzero(populations > 0)]
+    return graph, HopRows(graph, likely), populations
 
 
 def _gather(indptr: np.ndarray, path: np.ndarray, flows: np.ndarray):
@@ -198,7 +204,7 @@ def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
 
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     """Execute one seeded trial; deterministic for fixed (config, index)."""
-    graph, hops, populations = _load_context(config.topology_path, config.population_path)
+    graph, rows, populations = _load_context(config.topology_path, config.population_path)
     seed = trial_seed(config.base_seed, trial_index)
 
     roles = {
@@ -206,7 +212,8 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
         "cloud": (config.mode, config.cloud_k),
         "ldns": (config.mode, config.ldns_k),
     }
-    placement = place_all(hops, populations, roles, seed)
+    placement = place_all(rows, populations, roles, seed)
+    hops = rows.table(placement.fog + placement.cloud + placement.ldns)
     catalogue = build_catalogue(config.n_items, config.alpha, config.bitrates,
                                 seed ^ _SALT_CATALOGUE)
     demand = draw_demand(populations, catalogue, config.load_fraction,
@@ -238,7 +245,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     outcome = TrialOutcome(
         unicast=TrialMetrics(
             arc_load=unicast_load,
-            path_samples=np.repeat(hops.dist[nodes, point], counts),
+            path_samples=np.repeat(hops.dist[hops.slot[point], nodes], counts),
             offered_bitrate=demand.offered_bitrate,
         )
     )

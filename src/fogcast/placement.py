@@ -2,7 +2,8 @@
 
 Nodes are drawn sequentially without replacement, with probability
 proportional to their weight among the remaining candidates. ``pop`` mode
-weighs nodes by assigned population, ``cls`` mode by closeness centrality.
+weighs nodes by assigned population, ``cls`` mode by closeness centrality,
+which ``HopRows.centrality`` computes once per graph.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import HopTable, closeness
+from .topology import HopRows
 
 __all__ = ["Placement", "PlacementError", "place_points", "place_all", "ROLE_SALTS"]
 
@@ -57,15 +58,15 @@ def place_points(weights: np.ndarray, k: int, seed: int) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def _weights_for(mode: str, populations: np.ndarray, hops: HopTable) -> np.ndarray:
+def _weights_for(mode: str, populations: np.ndarray, hops: HopRows) -> np.ndarray:
     if mode == "pop":
         return np.asarray(populations, dtype=np.float64)
     if mode == "cls":
-        return closeness(hops, np.arange(hops.graph.n_nodes))
+        return hops.centrality
     raise PlacementError(f"unknown placement mode {mode!r}")
 
 
-def place_all(hops: HopTable, populations: np.ndarray,
+def place_all(hops: HopRows, populations: np.ndarray,
               roles: dict[str, tuple[str, int]], seed: int) -> Placement:
     """Place every configured role with independent role-specific streams.
 

@@ -164,7 +164,8 @@ def resolve_nodes(hops: HopTable, nodes: np.ndarray, items: np.ndarray,
     it from the cloud gateway nearest to it. Ties go to the lowest id, as
     in ``RendezvousTable.match`` and ``dns_baseline.dns_select``. Returns
     per-request ``(service point, fallback origin)``, the origin -1 where
-    the point caches the item.
+    the point caches the item. ``hops`` must hold the rows of the
+    resolvers and the gateways; ``nearest`` reads only those.
     """
     if not profiles:
         raise NoSubscriberError("no service point placed")

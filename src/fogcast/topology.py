@@ -5,11 +5,17 @@ Graphs come from Internet Topology Zoo GraphML documents (``Latitude`` /
 directed arcs so that forward and reverse traffic can be accounted
 separately; arc ``2j`` and ``2j+1`` are the two directions of source edge
 ``j``, which makes the reverse of arc ``a`` simply ``a ^ 1``.
+
+Hop counts come as rows, one per source, from a breadth-first search of 64
+sources at a time. The pipeline searches only the rows a trial uses
+(``HopRows``: its fog, cloud and LDNS points), so no n x n table is built;
+``all_pairs`` builds every row and is the tests' reference.
 """
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +25,8 @@ __all__ = [
     "Arc",
     "NetworkGraph",
     "HopTable",
+    "HopRows",
+    "NO_ROW",
     "TopologyError",
     "build_graph",
     "load_topology",
@@ -211,21 +219,33 @@ def load_topology(source: str | Path) -> NetworkGraph:
 
 @dataclass(frozen=True)
 class HopTable:
-    """All-pairs hop counts plus one deterministic predecessor tree per source.
+    """Hop counts and canonical predecessor trees from a set of sources.
 
-    ``dist[s, v]`` is the exact unit-weight shortest hop count and
-    ``pred[s, v]`` the predecessor of ``v`` on the canonical path from
-    ``s`` (ties broken by lowest predecessor node id; ``pred[s, s] = s``).
-    Immutable and shareable.
+    Source ``s`` owns row ``slot[s]``: ``dist[slot[s], v]`` is the exact
+    unit-weight shortest hop count from ``s`` to ``v`` and
+    ``pred[slot[s], v]`` the predecessor of ``v`` on the canonical path
+    from ``s`` (ties broken by lowest predecessor node id; ``s`` is its own
+    predecessor). ``all_pairs`` gives node ``s`` row ``s``, so its
+    ``dist[s, v]`` reads directly; a table from ``HopRows`` holds the rows
+    it was asked for, and ``slot`` is ``NO_ROW`` for the others, an index
+    past every array, so reading a row it lacks raises IndexError. Rows are
+    deterministic, so cache state never changes results.
     """
 
     graph: NetworkGraph
     dist: np.ndarray
     pred: np.ndarray
+    slot: np.ndarray
 
 
 # Sources searched together: one bit of a uint64 word per source.
 _BLOCK = 64
+
+# Bytes of dist and pred rows a HopRows keeps before it starts over.
+_ROW_BUDGET = 8_000_000
+
+# ``HopTable.slot`` of a node without a row: past the end of every array.
+NO_ROW = np.iinfo(np.intp).max
 
 
 def _bits(words: np.ndarray, count: int) -> np.ndarray:
@@ -234,68 +254,158 @@ def _bits(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=count, bitorder="little")
 
 
-def all_pairs(graph: NetworkGraph) -> HopTable:
-    """All-pairs shortest hop counts on unit arc weights, with canonical predecessors.
-
-    A level-synchronous breadth-first search runs from 64 sources at once:
-    node ``v`` holds one uint64 word whose bit ``j`` says whether source
-    ``s0 + j`` has reached it. One level ORs the words of every in-arc's
-    source into its target with one ``bitwise_or.reduceat`` over the arcs
-    sorted by (dst, src); a bit that is new at level ``L`` puts ``v`` at
-    hop distance ``L`` from that source. ``pred[s, v]`` is then the lowest
-    id among the in-neighbours of ``v`` one hop closer to ``s`` (found by
-    sweeping the sorted in-arcs slot by slot, highest slot first, so the
-    lowest id writes last), and ``pred[s, s] = s``.
-
-    Besides the returned n x n int32 ``dist`` and ``pred``, memory holds
-    one block's n x 64 int32 distance and predecessor columns (0.5 MB each
-    at 2,000 nodes), their per-slot gathers and one word per node and arc.
-    """
-    n = graph.n_nodes
-    dist = np.zeros((n, n), dtype=np.int32)
-    pred = np.zeros((n, n), dtype=np.int32)
+def _in_arcs(graph: NetworkGraph):
+    """The arcs as ``_bfs_block`` reads them: sources sorted by (dst, src),
+    the first arc into each node, and per slot ``k`` the nodes with more
+    than ``k`` in-arcs and their ``k``-th lowest in-neighbours."""
     src = np.array([a.src for a in graph.arcs], dtype=np.intp)
     dst = np.array([a.dst for a in graph.arcs], dtype=np.intp)
     order = np.lexsort((src, dst))
     src, dst = src[order], dst[order]
     # A connected graph of two or more nodes gives every node an in-arc.
-    start = np.searchsorted(dst, np.arange(n))
-    indeg = np.bincount(dst, minlength=n)
-    # Slot k: every node with more than k in-arcs, and its k-th lowest in-neighbour.
+    start = np.searchsorted(dst, np.arange(graph.n_nodes))
+    indeg = np.bincount(dst, minlength=graph.n_nodes)
     slots = []
     for k in range(int(indeg.max(initial=0))):
         v = np.flatnonzero(indeg > k)
         slots.append((v, src[start[v] + k]))
-    # A lone node has no arcs; its zero dist and pred entries are already right.
-    for s0 in range(0, n if graph.arcs else 0, _BLOCK):
-        sources = np.arange(s0, min(s0 + _BLOCK, n))
-        width = len(sources)
-        bit = np.arange(width)
-        seen = np.zeros(n, dtype=np.uint64)
-        seen[sources] = np.uint64(1) << bit.astype(np.uint64)
-        frontier = seen
-        d = np.zeros((n, width), dtype=np.int32)
-        while frontier.any():
-            unseen = ~seen
-            # Each level a source has not yet reached v adds one hop to dist.
-            d += _bits(unseen, width)
-            frontier = np.bitwise_or.reduceat(frontier[src], start) & unseen
-            seen |= frontier
-        p = np.full((n, width), -1, dtype=np.int32)
-        for v, u in reversed(slots):
-            p[v] = np.where(d[u] + 1 == d[v], u[:, None], p[v])
-        p[sources, bit] = sources
-        dist[s0:s0 + width] = d.T
-        pred[s0:s0 + width] = p.T
-    dist.setflags(write=False)
-    pred.setflags(write=False)
-    return HopTable(graph=graph, dist=dist, pred=pred)
+    return src, start, slots
+
+
+def _bfs_block(in_arcs, sources):
+    """Hop counts and canonical predecessors from up to 64 distinct sources.
+
+    A level-synchronous breadth-first search runs from all of them at once:
+    node ``v`` holds one uint64 word whose bit ``j`` says whether
+    ``sources[j]`` has reached it. One level ORs the words of every
+    in-arc's source into its target with one ``bitwise_or.reduceat`` over
+    the arcs sorted by (dst, src); a bit that is new at level ``L`` puts
+    ``v`` at hop distance ``L`` from that source. The predecessor of ``v``
+    is then the lowest id among its in-neighbours one hop closer to the
+    source (found by sweeping the sorted in-arcs slot by slot, highest slot
+    first, so the lowest id writes last), and a source is its own.
+
+    Returns n x len(sources) int32 ``dist`` and ``pred`` columns; besides
+    them memory holds one word per node and arc and per-slot gathers.
+    """
+    src, start, slots = in_arcs
+    n = len(start)
+    width = len(sources)
+    bit = np.arange(width)
+    seen = np.zeros(n, dtype=np.uint64)
+    seen[sources] = np.uint64(1) << bit.astype(np.uint64)
+    frontier = seen
+    d = np.zeros((n, width), dtype=np.int32)
+    # A lone node has no arcs; its zero distance is already right.
+    while src.size and frontier.any():
+        unseen = ~seen
+        # Each level a source has not yet reached v adds one hop to dist.
+        d += _bits(unseen, width)
+        frontier = np.bitwise_or.reduceat(frontier[src], start) & unseen
+        seen |= frontier
+    p = np.full((n, width), -1, dtype=np.int32)
+    for v, u in reversed(slots):
+        p[v] = np.where(d[u] + 1 == d[v], u[:, None], p[v])
+    p[sources, bit] = sources
+    return d, p
+
+
+def _every_block(graph: NetworkGraph):
+    """``(first source, dist, pred)`` of each 64-source block of all nodes, in order."""
+    in_arcs = _in_arcs(graph)
+    for s0 in range(0, graph.n_nodes, _BLOCK):
+        yield s0, *_bfs_block(in_arcs, np.arange(s0, min(s0 + _BLOCK, graph.n_nodes)))
+
+
+def all_pairs(graph: NetworkGraph) -> HopTable:
+    """Every node's hop row: an n x n ``dist`` and ``pred``, ``slot[s] = s``.
+
+    The pipeline reads rows through ``HopRows`` instead; this full table is
+    the reference of the tests and of the scalar oracles (``extract_path``,
+    ``RendezvousTable.match``, ``dns_baseline``, ``build_tree``).
+    """
+    n = graph.n_nodes
+    dist = np.empty((n, n), dtype=np.int32)
+    pred = np.empty((n, n), dtype=np.int32)
+    for s0, d, p in _every_block(graph):
+        dist[s0:s0 + _BLOCK] = d.T
+        pred[s0:s0 + _BLOCK] = p.T
+    slot = np.arange(n)
+    for table in (dist, pred, slot):
+        table.setflags(write=False)
+    return HopTable(graph=graph, dist=dist, pred=pred, slot=slot)
+
+
+class HopRows:
+    """Hop rows of the sources a trial uses, searched on demand.
+
+    ``table(sources)`` returns a HopTable holding the rows of ``sources``;
+    ``_bfs_block`` searches the missing ones. ``likely`` lists the sources
+    trials ask for most, likeliest first: a search fills whole 64-source
+    blocks, and the bits the missing sources leave spare go to the first
+    nodes of ``likely`` not held yet. Rows go into a store preallocated
+    for ``_ROW_BUDGET`` bytes, or for every node of ``likely`` if that is
+    more (and for one call's rows if even that is more), so once all of
+    ``likely`` is held, asking only for those never searches again. When
+    a call's rows do not fit, the store starts over with new arrays, so
+    tables handed out before keep their rows. ``centrality`` is every
+    node's closeness, computed on first use. Not thread-safe.
+    """
+
+    def __init__(self, graph: NetworkGraph, likely=()):
+        self.graph = graph
+        self._in_arcs = _in_arcs(graph)
+        self._likely = np.asarray(likely, dtype=np.intp)
+        self._reset(0)
+
+    def _reset(self, rows: int) -> None:
+        n = self.graph.n_nodes
+        rows = min(n, max(_ROW_BUDGET // (8 * n), len(self._likely), rows))
+        self._store = HopTable(self.graph, np.empty((rows, n), dtype=np.int32),
+                               np.empty((rows, n), dtype=np.int32),
+                               np.full(n, NO_ROW, dtype=np.intp))
+        self._used = 0
+
+    def table(self, sources) -> HopTable:
+        """A HopTable holding (at least) the rows of ``sources``."""
+        sources = np.asarray(sources, dtype=np.intp)
+        store = self._store
+        if (store.slot[sources] != NO_ROW).all():
+            return store
+        wanted = np.zeros(self.graph.n_nodes, dtype=bool)
+        wanted[sources] = True
+        missing = np.flatnonzero(wanted & (store.slot == NO_ROW))
+        if self._used + len(missing) > len(store.dist):
+            missing = np.flatnonzero(wanted)
+            self._reset(len(missing))
+            store = self._store
+        room = min(-len(missing) % _BLOCK, len(store.dist) - self._used - len(missing))
+        likely = self._likely
+        spare = likely[(store.slot[likely] == NO_ROW) & ~wanted[likely]]
+        missing = np.concatenate([missing, spare[:room]])
+        for at in range(0, len(missing), _BLOCK):
+            block = missing[at:at + _BLOCK]
+            rows = np.arange(self._used, self._used + len(block))
+            d, p = _bfs_block(self._in_arcs, block)
+            store.dist[rows] = d.T
+            store.pred[rows] = p.T
+            store.slot[block] = rows
+            self._used += len(block)
+        return store
+
+    @cached_property
+    def centrality(self) -> np.ndarray:
+        """``closeness`` of every node, read-only."""
+        value = closeness(self.graph)
+        value.setflags(write=False)
+        return value
 
 
 def extract_path(hops: HopTable, src: int, dst: int) -> list[int]:
     """Ordered arc ids of the canonical shortest path src -> dst.
 
-    Empty when src == dst; length always equals ``dist[src, dst]``.
+    Empty when src == dst; length always equals ``dist[src, dst]``. A
+    scalar oracle: ``hops`` is an ``all_pairs`` table.
     """
     if src == dst:
         return []
@@ -313,19 +423,21 @@ def canonical_paths(hops: HopTable, roots, leaves) -> tuple[np.ndarray, np.ndarr
     """Canonical paths ``roots[f] -> leaves[f]`` of many flows at once, as CSR.
 
     ``arcs[indptr[f]:indptr[f + 1]]`` equals ``extract_path(hops, roots[f],
-    leaves[f])``. Every flow walks ``pred[root, .]`` up from its leaf, one
-    level per step for all flows together.
+    leaves[f])``. Every flow walks the ``pred`` row of its root up from its
+    leaf, one level per step for all flows together; ``hops`` must hold
+    the roots' rows.
     """
     roots = np.asarray(roots, dtype=np.intp)
     leaves = np.asarray(leaves, dtype=np.intp)
+    rows = hops.slot[roots]
     indptr = np.zeros(len(leaves) + 1, dtype=np.intp)
-    np.cumsum(hops.dist[roots, leaves], out=indptr[1:])
+    np.cumsum(hops.dist[rows, leaves], out=indptr[1:])
     arcs = np.empty(indptr[-1], dtype=np.intp)
     flow = np.flatnonzero(indptr[1:] > indptr[:-1])
     node = leaves[flow]
     slot = indptr[flow + 1]
     while flow.size:
-        up = hops.pred[roots[flow], node].astype(np.intp)
+        up = hops.pred[rows[flow], node].astype(np.intp)
         slot = slot - 1
         arcs[slot] = hops.graph.arcs_between(up, node)
         more = up != roots[flow]
@@ -336,22 +448,25 @@ def canonical_paths(hops: HopTable, roots, leaves) -> tuple[np.ndarray, np.ndarr
 def nearest(hops: HopTable, candidates) -> np.ndarray:
     """Per node: the candidate nearest to it in hops, ties to the lowest id.
 
-    Every entry is -1 when there is no candidate.
+    Reads the candidates' own rows, which ``hops`` must hold: ``build_graph``
+    adds both arcs of every edge, so hop distances are symmetric. Every
+    entry is -1 when there is no candidate.
     """
     candidates = np.array(sorted(set(candidates)), dtype=np.intp)
     if candidates.size == 0:
         return np.full(hops.graph.n_nodes, -1, dtype=np.intp)
-    return candidates[np.argmin(hops.dist[:, candidates], axis=1)]
+    return candidates[np.argmin(hops.dist[hops.slot[candidates]], axis=0)]
 
 
-def closeness(hops: HopTable, node):
-    """Closeness centrality: (|V| - 1) / sum of hop distances from node.
+def closeness(graph: NetworkGraph) -> np.ndarray:
+    """Closeness centrality of every node: (|V| - 1) / sum of its hop distances.
 
-    ``node`` may be an array of node ids; the result is then an array of
-    the same values, bit for bit, as one call per node.
+    The sums come from one streaming pass over every 64-source block,
+    which keeps only each block's distance sums; ``HopRows.centrality``
+    keeps the result.
     """
-    n = hops.graph.n_nodes
+    n = graph.n_nodes
     if n < 2:
-        return np.ones(np.shape(node)) if np.ndim(node) else 1.0
-    value = (n - 1) / hops.dist[node].sum(axis=-1).astype(np.float64)
-    return value if np.ndim(node) else float(value)
+        return np.ones(n)
+    sums = np.concatenate([d.sum(axis=0) for _, d, _ in _every_block(graph)])
+    return (n - 1) / sums.astype(np.float64)

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import importlib.util
 import math
 from collections import deque
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 import pytest
 
 from fogcast.data import bundled_population, bundled_topology
-from fogcast.topology import NetworkGraph, all_pairs, build_graph, load_topology
+from fogcast.topology import HopRows, NetworkGraph, all_pairs, build_graph, load_topology
 from fogcast.workload import assign_population, load_population
 
 
@@ -76,6 +78,21 @@ def random_connected_graph(rng: np.random.Generator, n_nodes: int,
     return build_graph(coords, edges)
 
 
+def write_synthetic(out_dir: Path, seed: int, n_nodes: int = 2000,
+                    n_chords: int = 400) -> tuple[str, str]:
+    """Write the benchmark's synthetic backbone and population grid of
+    ``seed`` (``perfbench/synth.py``) under ``out_dir``; return their paths."""
+    spec = importlib.util.spec_from_file_location(
+        "synth", Path(__file__).resolve().parents[1] / "perfbench" / "synth.py")
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    topology = out_dir / f"backbone_{seed}_{n_nodes}.graphml"
+    population = out_dir / f"population_{seed}.txt"
+    topology.write_text(synth.backbone_graphml(seed, n_nodes, n_chords))
+    population.write_text(synth.population_grid(seed))
+    return str(topology), str(population)
+
+
 @pytest.fixture(scope="session")
 def geant():
     return load_topology(bundled_topology())
@@ -84,6 +101,11 @@ def geant():
 @pytest.fixture(scope="session")
 def geant_hops(geant):
     return all_pairs(geant)
+
+
+@pytest.fixture()
+def geant_rows(geant):
+    return HopRows(geant)
 
 
 @pytest.fixture(scope="session")

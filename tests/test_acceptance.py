@@ -28,7 +28,7 @@ from fogcast.forwarding import BloomScheme, ExactScheme, deliver, encode_tree, f
 from fogcast.placement import place_all
 from fogcast.rendezvous import build_tree
 from fogcast.service_router import build_rendezvous, group_rate, make_profiles, resolve_request
-from fogcast.topology import all_pairs, load_topology
+from fogcast.topology import HopRows, all_pairs, load_topology
 from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
 
 BASE_SEED = 3
@@ -154,7 +154,7 @@ def _matched_resolutions(fog_k: int, cloud_k: int, ldns_k: int, trial_index: int
     populations = assign_population(graph, load_population(bundled_population()))
     seed = trial_seed(BASE_SEED, trial_index)
     placement = place_all(
-        hops, populations,
+        HopRows(graph), populations,
         {"fog": ("pop", fog_k), "cloud": ("pop", cloud_k), "ldns": ("pop", ldns_k)},
         seed,
     )

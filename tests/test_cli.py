@@ -57,8 +57,10 @@ def test_run_dns_arch(tiny_inputs, tmp_path):
 @pytest.mark.parametrize("command, flag, value", [
     ("run", "--jobs", "0"), ("run", "--jobs", "two"), ("run", "--trials", "0"),
     ("run", "--trials", "1.5"), ("sweep", "--jobs", "0"), ("sweep", "--jobs", "-2"),
+    ("run", "--catchment", "abc"), ("run", "--bitrates", "1e6,x"),
 ])
 def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp_path, capsys):
+    """Bad counts and number lists exit 2 with one argparse line and no output."""
     top, pop = tiny_inputs
     grid = tmp_path / "grid.cfg"
     grid.write_text(f"topology = {top}\npopulation = {pop}\nitems = 3\ntrials = 1\n")
@@ -69,8 +71,10 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
         run_cmd(args + [flag, value, "--out", str(out)])
     assert exit_info.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    expected = {"--catchment": "comma-separated numbers",
+                "--bitrates": "comma-separated numbers"}.get(flag, "an integer >= 1")
     assert errors == [f"fogcast {command}: error: argument {flag}: "
-                      f"expected an integer >= 1, got {value!r}"]
+                      f"expected {expected}, got {value!r}"]
     assert not out.exists()
 
 

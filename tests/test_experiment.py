@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,14 +24,14 @@ from fogcast.experiment import (
     _SALT_CATALOGUE,
     _SALT_DEMAND,
 )
-from conftest import random_connected_graph
+from conftest import random_connected_graph, write_synthetic
 from fogcast import dns_baseline, experiment, forwarding, rendezvous, service_router, topology
 from fogcast.dns_baseline import DnsConfig, resolve_request_dns
 from fogcast.forwarding import BloomScheme, deliver, encode_tree, forward
 from fogcast.placement import place_all
 from fogcast.rendezvous import MulticastTree, NoSubscriberError
 from fogcast.service_router import build_rendezvous, make_profiles, resolve_nodes, resolve_request
-from fogcast.topology import all_pairs, extract_path, load_topology
+from fogcast.topology import HopRows, all_pairs, extract_path, load_topology
 from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
 
 GRAPHML_HEADER = (
@@ -184,7 +185,7 @@ def test_trial_loads_match_manual_flow_enumeration(chain_setup):
         populations = assign_population(graph, load_population(config.population_path))
         seed = trial_seed(config.base_seed, 0)
         placement = place_all(
-            hops, populations,
+            HopRows(graph), populations,
             {"fog": ("pop", 2), "cloud": ("pop", 2), "ldns": ("pop", 0)}, seed,
         )
         catalogue = build_catalogue(30, 0.8, (20e6,), seed ^ _SALT_CATALOGUE)
@@ -451,6 +452,75 @@ def test_seeded_bloom_trial_equals_per_group_loop(monkeypatch):
     n_arcs = experiment._load_context(configs[0].topology_path,
                                       configs[0].population_path)[0].n_arcs
     assert len(labels) == len(set(labels)) == len(schemes) * n_arcs
+
+
+@pytest.fixture()
+def fresh_context():
+    """Trials load their topology anew, and leave no context behind."""
+    experiment._load_context.cache_clear()
+    yield
+    experiment._load_context.cache_clear()
+
+
+def test_row_budget_resets_keep_trials_byte_identical(monkeypatch, fresh_context):
+    configs = [ScenarioConfig(fog_k=4, cloud_k=4, mode=mode, catchment=(0.1, 1.0), trials=8)
+               for mode in ("pop", "cls")]
+    configs.append(ScenarioConfig(arch="dns", fog_k=4, cloud_k=2, ldns_k=3, mode="cls", trials=8))
+
+    def outcomes_of(config, index):
+        return [(key, m.arc_load.tobytes(), m.path_samples.tobytes())
+                for key, m in run_trial(config, index).variants().items()]
+
+    expected = [o for c in configs for i in range(c.trials) for o in outcomes_of(c, i)]
+    resets = []
+    reset = topology.HopRows._reset
+
+    def counting_reset(self, rows):
+        resets.append(rows)
+        reset(self, rows)
+
+    monkeypatch.setattr(topology.HopRows, "_reset", counting_reset)
+    # Room for 10 of the bundled backbone's 37 rows, and only 3 likely
+    # sources, so that pop sweeps outgrow the store too.
+    monkeypatch.setattr(topology, "_ROW_BUDGET", 10 * 8 * 37)
+    monkeypatch.setattr(experiment, "HopRows",
+                        lambda graph, likely: topology.HopRows(graph, likely[:3]))
+    experiment._load_context.cache_clear()
+    got = []
+    for config in configs:
+        got += outcomes_of(config, 0)
+        after_first = len(resets)
+        for index in range(1, config.trials):
+            got += outcomes_of(config, index)
+        # The store starts over in the middle of every sweep.
+        assert len(resets) > after_first
+    assert got == expected
+
+
+def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
+    top, pop = write_synthetic(tmp_path, 1)
+
+    def refuse(graph):
+        raise AssertionError("the pipeline built an all-pairs table")
+
+    monkeypatch.setattr(topology, "all_pairs", refuse)
+    configs = [ScenarioConfig(fog_k=8, cloud_k=8, mode=mode, catchment=(0.1, 1.0, 10.0),
+                              topology_path=top, population_path=pop, trials=2)
+               for mode in ("pop", "cls")]
+    tracemalloc.start()
+    try:
+        graph, rows, _ = experiment._load_context(top, pop)
+        for config in configs:
+            for index in range(config.trials):
+                run_trial(config, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = rows.table([])
+    assert store.dist.nbytes + store.pred.nbytes <= topology._ROW_BUDGET
+    # The n x n dist and pred tables alone would take 32 MB on 2,000 nodes.
+    assert graph.n_nodes == 2000 and peak < 16e6
+
 
 # --- metrics ----------------------------------------------------------------
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fogcast.placement import Placement, PlacementError, place_all, place_points
-from fogcast.topology import all_pairs
+from fogcast.topology import HopRows
 
 
 def test_k_equals_n_selects_every_node():
@@ -43,9 +43,9 @@ def test_selection_frequency_proportional_to_weight():
     assert hits / 100_000 == pytest.approx(0.75, abs=0.01)
 
 
-def test_place_all_role_sizes(geant_hops, geant_population):
+def test_place_all_role_sizes(geant_rows, geant_population):
     placement = place_all(
-        geant_hops, geant_population,
+        geant_rows, geant_population,
         {"fog": ("pop", 2), "cloud": ("pop", 2), "ldns": ("pop", 0)},
         seed=5,
     )
@@ -54,21 +54,21 @@ def test_place_all_role_sizes(geant_hops, geant_population):
     assert placement.ldns == ()
 
 
-def test_place_all_deterministic(geant_hops, geant_population):
+def test_place_all_deterministic(geant_rows, geant_population):
     roles = {"fog": ("pop", 3), "cloud": ("cls", 2), "ldns": ("pop", 4)}
-    a = place_all(geant_hops, geant_population, roles, seed=17)
-    b = place_all(geant_hops, geant_population, roles, seed=17)
+    a = place_all(geant_rows, geant_population, roles, seed=17)
+    b = place_all(geant_rows, geant_population, roles, seed=17)
     assert a == b
 
 
-def test_roles_draw_independent_streams(geant_hops, geant_population):
+def test_roles_draw_independent_streams(geant_rows, geant_population):
     # the fog draw must not move when another role's k changes
     with_ldns = place_all(
-        geant_hops, geant_population,
+        geant_rows, geant_population,
         {"fog": ("pop", 3), "cloud": ("pop", 2), "ldns": ("pop", 6)}, seed=23,
     )
     without_ldns = place_all(
-        geant_hops, geant_population,
+        geant_rows, geant_population,
         {"fog": ("pop", 3), "cloud": ("pop", 2), "ldns": ("pop", 0)}, seed=23,
     )
     assert with_ldns.fog == without_ldns.fog
@@ -81,11 +81,11 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-def test_pop_mode_selection_tracks_population(geant_hops, geant_population):
-    freq = np.zeros(geant_hops.graph.n_nodes)
+def test_pop_mode_selection_tracks_population(geant_rows, geant_population):
+    freq = np.zeros(geant_rows.graph.n_nodes)
     for seed in range(50):
         placement = place_all(
-            geant_hops, geant_population,
+            geant_rows, geant_population,
             {"fog": ("pop", 4), "cloud": ("pop", 4), "ldns": ("pop", 0)}, seed=seed,
         )
         for node in placement.fog + placement.cloud:
@@ -94,7 +94,7 @@ def test_pop_mode_selection_tracks_population(geant_hops, geant_population):
 
 
 def test_cls_mode_weights_are_closeness(star4):
-    hops = all_pairs(star4)
+    hops = HopRows(star4)
     # center holds closeness 1.0 vs 0.6 leaves; with k=1 it should dominate
     hits = sum(
         place_all(hops, np.ones(4), {"fog": ("cls", 1), "cloud": ("cls", 0),

@@ -3,10 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bfs_distances, random_connected_graph
+from conftest import bfs_distances, random_connected_graph, write_synthetic
+from fogcast import topology
 from fogcast.data import bundled_topology
 from fogcast.topology import (
     _BLOCK,
+    NO_ROW,
+    HopRows,
     TopologyError,
     all_pairs,
     build_graph,
@@ -191,18 +194,24 @@ def _path(n):
                        [(i, i + 1) for i in range(n - 1)])
 
 
-def test_all_pairs_dist_and_pred_equal_bfs_oracle(geant):
+def _edge_graphs() -> list:
+    """Graphs at the edges of the block search: 1 and 2 nodes, a 131-node
+    path, a star with hub 32, K12, and trees plus chords of 63, 64, 65, 129
+    and 300 nodes (both sides of the source-block and 64-bit word sizes)."""
     rng = np.random.default_rng(23)
     # A star whose hub sits mid-range, with leaf ids on both sides of it.
     star = build_graph([(f"s{i}", 0.0, float(i)) for i in range(_BLOCK + 1)],
                        [(_BLOCK // 2, v) for v in range(_BLOCK + 1) if v != _BLOCK // 2])
     complete = build_graph([(f"k{i}", 0.0, float(i)) for i in range(12)],
                            [(u, v) for u in range(12) for v in range(u)])
-    graphs = [geant, _path(1), _path(2), _path(2 * _BLOCK + 3), star, complete]
-    # Sizes on both sides of the source-block and the 64-bit word boundaries.
+    graphs = [_path(1), _path(2), _path(2 * _BLOCK + 3), star, complete]
     for n in sorted({63, 64, 65, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 300}):
         graphs.append(random_connected_graph(rng, n, n // 2))
-    for graph in graphs:
+    return graphs
+
+
+def test_all_pairs_dist_and_pred_equal_bfs_oracle(geant):
+    for graph in [geant] + _edge_graphs():
         hops = all_pairs(graph)
         n = graph.n_nodes
         assert hops.dist.shape == hops.pred.shape == (n, n)
@@ -211,15 +220,93 @@ def test_all_pairs_dist_and_pred_equal_bfs_oracle(geant):
             assert hops.pred[s].tolist() == bfs_predecessors(graph, s)
 
 
+@pytest.fixture(scope="module")
+def row_graphs(geant, tmp_path_factory):
+    """The bundled backbone, the synthetic backbones of seeds 1-4 and the edge graphs."""
+    out = tmp_path_factory.mktemp("synthetic")
+    synthetic = [load_topology(write_synthetic(out, seed)[0]) for seed in (1, 2, 3, 4)]
+    return [geant] + synthetic + _edge_graphs()
+
+
+def test_hop_rows_equal_all_pairs(row_graphs):
+    rng = np.random.default_rng(25)
+    for graph in row_graphs:
+        reference = all_pairs(graph)
+        n = graph.n_nodes
+        rows = HopRows(graph, likely=rng.permutation(n)[:n // 4])
+        # Every node, in shuffled requests of 1-191 sources with duplicates.
+        order = np.concatenate([rng.permutation(n), rng.integers(0, n, size=n // 2)])
+        cuts = np.cumsum(rng.integers(1, 3 * _BLOCK, size=len(order)))
+        for sources in np.split(order, cuts[cuts < len(order)]):
+            table = rows.table(sources)
+            at = table.slot[sources]
+            assert (table.dist[at] == reference.dist[sources]).all()
+            assert (table.pred[at] == reference.pred[sources]).all()
+
+
+def test_streaming_closeness_equals_all_pairs_row_sums(row_graphs):
+    for graph in row_graphs:
+        n = graph.n_nodes
+        values = closeness(graph)
+        dist = all_pairs(graph).dist
+        expected = [(n - 1) / float(dist[v].sum()) if n > 1 else 1.0 for v in range(n)]
+        assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+        assert HopRows(graph).centrality.tobytes() == values.tobytes()
+
+
+def test_hop_row_store_starts_over_past_its_budget(geant, monkeypatch):
+    reference = all_pairs(geant)
+    # Room for five rows of the 37-node backbone.
+    monkeypatch.setattr(topology, "_ROW_BUDGET", 5 * 8 * geant.n_nodes)
+    rows = HopRows(geant, likely=[0, 2, 4])
+    first = rows.table([3, 1])
+    assert first.slot[[1, 3]].tolist() == [0, 1]
+    assert first.slot[[0, 2, 4]].tolist() == [2, 3, 4]   # spare bits go to likely sources
+    assert (first.slot != NO_ROW).sum() == 5
+    later = rows.table([30, 31, 32])                  # does not fit: new store
+    assert later is not first and (later.slot != NO_ROW).sum() == 5
+    big = rows.table(np.arange(12))                   # more than the budget: one call's rows
+    assert len(big.dist) == 12
+    for table, sources in ((first, [1, 3]), (later, [30, 31, 32]), (big, np.arange(12))):
+        assert (table.dist[table.slot[sources]] == reference.dist[sources]).all()
+        assert (table.pred[table.slot[sources]] == reference.pred[sources]).all()
+    with pytest.raises(IndexError):
+        first.dist[first.slot[[1, 36]]]
+
+
+def test_hop_row_store_holds_every_likely_source(geant, monkeypatch):
+    reference = all_pairs(geant)
+    searches = []
+    search = topology._bfs_block
+
+    def counting_search(in_arcs, sources):
+        searches.append(len(sources))
+        return search(in_arcs, sources)
+
+    monkeypatch.setattr(topology, "_bfs_block", counting_search)
+    # Room for five rows by the budget, but twenty likely sources.
+    monkeypatch.setattr(topology, "_ROW_BUDGET", 5 * 8 * geant.n_nodes)
+    likely = np.arange(36, 16, -1)
+    rows = HopRows(geant, likely=likely)
+    store = rows.table([20])
+    assert len(store.dist) == 20 and searches == [20]
+    rng = np.random.default_rng(26)
+    for _ in range(50):
+        sources = rng.choice(likely, size=rng.integers(1, 12))
+        assert rows.table(sources) is store
+        assert (store.dist[store.slot[sources]] == reference.dist[sources]).all()
+    assert searches == [20]
+
+
 def test_closeness_star_center_and_leaf(star4):
-    hops = all_pairs(star4)
-    assert closeness(hops, 0) == 1.0
-    assert closeness(hops, 1) == pytest.approx(3 / 5)
+    values = closeness(star4)
+    assert values[0] == 1.0
+    assert values[1] == pytest.approx(3 / 5)
 
 
-def test_closeness_in_unit_interval(geant_hops):
-    for v in range(geant_hops.graph.n_nodes):
-        assert 0.0 < closeness(geant_hops, v) <= 1.0
+def test_closeness_in_unit_interval(geant):
+    values = closeness(geant)
+    assert ((0.0 < values) & (values <= 1.0)).all()
 
 
 def test_closeness_of_all_nodes_equals_one_node_calls(geant_hops):
@@ -228,17 +315,17 @@ def test_closeness_of_all_nodes_equals_one_node_calls(geant_hops):
                              for n in (1, 2, 5, 40, 130)]
     for hops in tables:
         n = hops.graph.n_nodes
-        values = closeness(hops, np.arange(n))
+        values = closeness(hops.graph)
         assert values.dtype == np.float64 and values.shape == (n,)
         for v in range(n):
+            # One node's closeness, from its own row alone.
             expected = (n - 1) / float(hops.dist[v].sum()) if n > 1 else 1.0
-            assert values[v] == expected == closeness(hops, v)
-            assert type(closeness(hops, v)) is float
+            assert values[v] == expected
 
 
-def test_geant_closeness_matches_direct_summation(geant, geant_hops):
+def test_geant_closeness_matches_direct_summation(geant):
     total = sum(bfs_distances(geant, 0))
-    assert closeness(geant_hops, 0) == pytest.approx((geant.n_nodes - 1) / total)
+    assert closeness(geant)[0] == pytest.approx((geant.n_nodes - 1) / total)
 
 
 def test_fixture_loads_quickly():
