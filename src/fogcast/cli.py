@@ -163,7 +163,12 @@ def main(argv=None) -> int:
         "summarize": _cmd_summarize,
         "ecdf": _cmd_ecdf,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except OSError as error:
+        # A missing or unreadable input file; its message names the path.
+        print(f"fogcast: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from . import data
 from .forwarding import BloomScheme, deliver_groups
 from .placement import place_all
 from .service_router import group_rate, make_profiles, resolve_nodes
-from .topology import HopRows, canonical_paths, load_topology
+from .topology import HopRows, canonical_paths, gather, load_topology
 from .workload import (
     CHUNK_DURATION,
     build_catalogue,
@@ -189,14 +189,6 @@ def _load_context(topology_path: str, population_path: str):
     return graph, HopRows(graph, likely), populations
 
 
-def _gather(indptr: np.ndarray, path: np.ndarray, flows: np.ndarray):
-    """Path arcs of ``flows[i]`` for every i, in order: (i per arc, arc)."""
-    lengths = indptr[flows + 1] - indptr[flows]
-    owner = np.repeat(np.arange(len(flows)), lengths)
-    offset = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return owner, path[indptr[flows][owner] + offset]
-
-
 def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
     """Weights summed per arc, in input order; float even when empty."""
     return np.bincount(arcs, weights=weights, minlength=n_arcs).astype(np.float64, copy=False)
@@ -261,7 +253,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     group_total = np.bincount(group, weights=counts)
 
     # Tree arcs: each arc of a group's tree carries the members crossing it.
-    owner, arc = _gather(indptr, path, client_flow)
+    owner, arc = gather(indptr, path, client_flow)
     tree_keys, tree_of = np.unique(group[owner] * graph.n_arcs + arc, return_inverse=True)
     tree_group, tree_arc = np.divmod(tree_keys, graph.n_arcs)
     entries = [(tree_group, tree_arc, np.bincount(tree_of, weights=counts[owner]))]
@@ -279,8 +271,8 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
 
     # Fallback pulls: one per group whose point lacks the item.
     pulled = np.flatnonzero(pull[group_at])
-    owner, arc = _gather(indptr, path,
-                         len(clients) + np.searchsorted(pulling, point[group_at[pulled]]))
+    owner, arc = gather(indptr, path,
+                        len(clients) + np.searchsorted(pulling, point[group_at[pulled]]))
     entries.append((pulled[owner], arc, group_total[pulled[owner]]))
 
     entry_group, entry_arc, entry_rate = (np.concatenate(column) for column in zip(*entries))

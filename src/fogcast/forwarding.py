@@ -11,11 +11,14 @@ identifier.
 Trials forward every group of a trial at once. ``label_masks`` holds each
 arc's label as a bit mask of ``ceil(width / 64)`` uint64 words, built once
 per (graph, scheme) with ``label_arc``. ``deliver_groups`` ORs each group's
-tree masks into its identifier, tests every arc against every identifier
-(an arc passes when ``fid & mask == mask``) and walks the passing arcs
-from all roots together, level by level. The scalar ``label_arc``,
-``encode_tree``, ``forward`` and ``deliver`` are the reference
-implementation that the kernel is tested against.
+tree masks into its identifier and delivers each distinct (root,
+identifier) pair once: the arcs a packet takes depend on nothing else, and
+the groups of a trial share few such pairs, since a popular item served
+from one point reaches the same clients. ``carried_arcs`` tests every arc
+against every identifier (an arc passes when ``fid & mask == mask``) and
+walks the passing arcs from all roots together, level by level. The
+scalar ``label_arc``, ``encode_tree``, ``forward`` and ``deliver`` are the
+reference implementation that the kernel is tested against.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rendezvous import MulticastTree
-from .topology import NetworkGraph
+from .topology import NetworkGraph, gather
 
 __all__ = [
     "ExactScheme",
@@ -204,13 +207,31 @@ def deliver_groups(graph: NetworkGraph, scheme: Scheme, roots, tree_group,
     an all-zero identifier and carries nothing. Returns ``(group, arc)``
     pairs sorted by group, then arc: for each group, the union of
     ``forward(fid, v)`` over ``v`` in ``deliver(fid, root)``.
+
+    Each distinct (root, identifier) pair is delivered once, and its arcs
+    are copied to every group that shares it. This is exact, because
+    ``forward`` and ``deliver`` read nothing but the identifier and the
+    root: groups whose trees differ but whose Bloom identifiers collide
+    carry the same arcs too.
     """
     masks = label_masks(graph, scheme)
+    roots = np.asarray(roots, dtype=np.intp)
     fids = np.zeros((len(roots), masks.shape[1]), dtype=np.uint64)
     present, starts = np.unique(tree_group, return_index=True)
     if present.size:
         fids[present] = np.bitwise_or.reduceat(masks[tree_arc], starts, axis=0)
-    return carried_arcs(graph, scheme, fids, roots)
+    # Equal (root, identifier) rows are adjacent once sorted; each run is one tree.
+    order = np.lexsort((*fids.T, roots))
+    sorted_roots, sorted_fids = roots[order], fids[order]
+    run_start = np.ones(len(order), dtype=bool)
+    run_start[1:] = ((sorted_roots[1:] != sorted_roots[:-1])
+                     | (sorted_fids[1:] != sorted_fids[:-1]).any(axis=1))
+    tree_of = np.empty(len(order), dtype=np.intp)
+    tree_of[order] = np.cumsum(run_start) - 1
+    first = order[run_start]
+    tree, arc = carried_arcs(graph, scheme, fids[first], roots[first])
+    indptr = np.searchsorted(tree, np.arange(len(first) + 1))
+    return gather(indptr, arc, tree_of)
 
 
 def carried_arcs(graph: NetworkGraph, scheme: Scheme, fids,

@@ -33,6 +33,7 @@ __all__ = [
     "all_pairs",
     "extract_path",
     "canonical_paths",
+    "gather",
     "nearest",
     "closeness",
 ]
@@ -443,6 +444,18 @@ def canonical_paths(hops: HopTable, roots, leaves) -> tuple[np.ndarray, np.ndarr
         more = up != roots[flow]
         flow, node, slot = flow[more], up[more], slot[more]
     return indptr, arcs
+
+
+def gather(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray):
+    """Entries of CSR row ``rows[i]`` for every i, in order: (i per entry, entry).
+
+    Row ``r`` is ``values[indptr[r]:indptr[r + 1]]``; a row may be asked
+    for any number of times.
+    """
+    lengths = indptr[rows + 1] - indptr[rows]
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return owner, values[indptr[rows][owner] + offset]
 
 
 def nearest(hops: HopTable, candidates) -> np.ndarray:

@@ -159,6 +159,32 @@ def test_ecdf_reports_missing_config(tiny_inputs, tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["run_topology", "run_population", "sweep_grid",
+                                     "sweep_topology", "summarize", "ecdf"])
+def test_missing_file_is_one_error_line(command, tiny_inputs, tmp_path, capsys):
+    """A missing input file exits 2 with one stderr line naming it and no output."""
+    top, pop = tiny_inputs
+    missing = str(tmp_path / "missing.file")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(f"topology = {missing}\npopulation = {pop}\nitems = 3\ntrials = 1\n")
+    out = str(tmp_path / "out")
+    run = ["run", "--items", "3", "--trials", "1", "--out", out]
+    args = {
+        "run_topology": run + ["--topology", missing, "--population", pop],
+        "run_population": run + ["--topology", top, "--population", missing],
+        "sweep_grid": ["sweep", "--grid", missing, "--out", out],
+        "sweep_topology": ["sweep", "--grid", str(grid), "--out", out],
+        "summarize": ["summarize", "--backhaul", missing],
+        "ecdf": ["ecdf", "--pathlen", missing, "--arch", "icn", "--fog", "1", "--cloud", "1"],
+    }[command]
+    assert run_cmd(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("fogcast: error: ") and missing in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("grid", [
     "arch = icn\nfog = 2,4,8\ncloud = 2,4\ncatchment = 0.1,1,10\ntrials = 20\nseed = 1\n",
     "arch = icn\nfog = 2,4\ncloud = 2,4\ncatchment = 0.1,1,10\nscheme = bloom\ntrials = 20\n"

@@ -241,3 +241,48 @@ def test_group_kernel_matches_scalar_delivery(geant):
             for root, carried in zip(roots.tolist(), got):
                 assert carried == scalar_carried(fid, root, g) == set(range(g.n_arcs))
     assert chained > 0 and cycles > 0
+
+
+def test_group_kernel_delivers_each_distinct_identifier_once(geant, geant_hops, monkeypatch):
+    """Groups sharing a (root, identifier) pair cost one delivery: repeated
+    trees, one arc set from two roots, two arc sets whose 16-bit Bloom
+    identifiers collide, identifiers equal in their first word only and
+    empty trees between them. Every group still carries the arcs of
+    ``forward`` over ``deliver`` from its own root."""
+    tree = build_tree(geant_hops, 3, {20, 30})
+    small = BloomScheme(m=16, k=2)
+    bits = encode_tree(tree, small).bits
+    # An arc the 16-bit identifier of ``tree`` already passes collides with it.
+    surplus = next(a for a in range(geant.n_arcs) if a not in tree.arcs
+                   and ForwardingId(bits, small).test(label_arc(small, a).positions))
+    # An exact bit past the first word leaves that word as it was.
+    wide = next(a for a in range(64, geant.n_arcs) if a not in tree.arcs)
+    other = build_tree(geant_hops, 11, {0, 25})
+    empty = set()
+    trees = [tree, make_tree(3, empty, empty), make_tree(3, {20, 30}, tree.arcs | {wide}),
+             tree, make_tree(20, {30}, tree.arcs), make_tree(3, empty, empty),
+             make_tree(3, {20, 30}, tree.arcs | {surplus}), other,
+             make_tree(12, {0, 25}, other.arcs), make_tree(20, empty, empty), tree, other]
+    roots = np.array([t.root for t in trees])
+    tree_group = np.concatenate([np.full(len(t.arcs), i) for i, t in enumerate(trees)])
+    tree_arc = np.concatenate([sorted(t.arcs) for t in trees]).astype(np.intp)
+    assert encode_tree(trees[6], small).bits == bits
+
+    delivered = []
+
+    def spy(graph, scheme, fids, roots):
+        delivered.extend(
+            (int(root), sum(int(word) << 64 * i for i, word in enumerate(row)))
+            for root, row in zip(roots.tolist(), fids))
+        return carried_arcs(graph, scheme, fids, roots)
+
+    monkeypatch.setattr("fogcast.forwarding.carried_arcs", spy)
+    for scheme in (ExactScheme(width=geant.n_arcs), BloomScheme(), small):
+        delivered.clear()
+        group, arc = deliver_groups(geant, scheme, roots, tree_group, tree_arc)
+        keys = group * geant.n_arcs + arc
+        assert (np.diff(keys) > 0).all()
+        for t, carried in zip(trees, by_group(group, arc, len(trees))):
+            assert carried == scalar_carried(encode_tree(t, scheme), t.root, geant)
+        pairs = [(t.root, encode_tree(t, scheme).bits) for t in trees]
+        assert sorted(delivered) == sorted(set(pairs))
