@@ -9,7 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiment import SUMMARY_HEADER, ScenarioConfig, load_grid, run_sweep, summary_row
+from .experiment import (SUMMARY_HEADER, ConfigError, ScenarioConfig, load_grid, run_sweep,
+                         summary_row)
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
@@ -165,8 +166,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except OSError as error:
-        # A missing or unreadable input file; its message names the path.
+    except (OSError, ConfigError) as error:
+        # A missing or unreadable input file, or a bad config or grid key;
+        # the message names the path, key or value.
         print(f"fogcast: error: {error}", file=sys.stderr)
         return 2
 

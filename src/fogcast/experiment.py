@@ -21,10 +21,13 @@ cloud and LDNS points once (``HopRows.table``) and reads only those rows
 for the nearest-point maps, the canonical paths and the path samples; no
 n x n table is built.
 
-Catchment aggregation is applied analytically: each tree arc carries the
-group rate of the request stream that crosses it, so aggregated load never
-exceeds unicast load and shrinks monotonically with the interval, arc by
-arc; a zero interval reproduces unicast.
+Catchment aggregation is applied analytically: each arc a group's packets
+take carries the group rate, which shrinks monotonically with the interval.
+On tree and fallback arcs it never exceeds the unicast rate, and a zero
+interval reproduces it, so the exact scheme stays within unicast on every
+arc. Bloom identifiers also pass false-positive arcs, each charged the
+whole group rate (conservatively): a Bloom variant carries at least the
+exact load on every arc, and can exceed unicast on those arcs.
 
 Trials are embarrassingly parallel; seeds are derived independently of
 scheduling, so parallel sweeps are byte-identical to sequential ones.
@@ -118,6 +121,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown forwarding scheme {self.scheme!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not 0 < self.load_fraction <= 1:
+            raise ConfigError(f"load_fraction {self.load_fraction} outside (0, 1]")
         if self.arch == "icn" and self.ldns_k != 0:
             raise ConfigError("icn runs take no LDNS points")
         if self.arch == "dns":

@@ -39,20 +39,29 @@ def place_points(weights: np.ndarray, k: int, seed: int) -> tuple[int, ...]:
 
     Deterministic for a fixed seed. Zero-weight nodes are never selected
     while positive-weight nodes remain; requesting more points than there
-    are positive-weight nodes fails.
+    are positive-weight nodes, or a negative, NaN or infinite weight, fails.
+    Bit-identical to one ``rng.choice(len(weights), p=probs)`` per pick: it
+    maps one ``rng.random()`` double u to ``cdf.searchsorted(u, side="right")``
+    with ``cdf = probs.cumsum() / last``; ``rng.random(k)`` gives the same k
+    doubles, and each pick repeats those float operations, minus the checks.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if k < 1 or k > len(weights):
         raise PlacementError(f"k={k} outside 1..{len(weights)}")
-    positive = int((weights > 0).sum())
+    valid = (weights >= 0) & (weights < np.inf)  # False at NaN too
+    if not valid.all():
+        node = int(np.argmin(valid))
+        raise PlacementError(f"node {node} has weight {weights[node]}; "
+                             "weights must be finite and >= 0")
+    positive = np.count_nonzero(weights)
     if k > positive:
         raise PlacementError(f"k={k} exceeds the {positive} positive-weight node(s)")
-    rng = np.random.default_rng(seed)
     remaining = weights.copy()
     chosen: list[int] = []
-    for _ in range(k):
-        probs = remaining / remaining.sum()
-        node = int(rng.choice(len(remaining), p=probs))
+    for u in np.random.default_rng(seed).random(k):
+        cdf = (remaining / remaining.sum()).cumsum()
+        cdf /= cdf[-1]
+        node = int(cdf.searchsorted(u, side="right"))
         chosen.append(node)
         remaining[node] = 0.0
     return tuple(sorted(chosen))
@@ -73,14 +82,9 @@ def place_all(hops: HopRows, populations: np.ndarray,
     ``roles`` maps a role name (fog / cloud / ldns) to its ``(mode, k)``;
     a role with k = 0 stays empty. Overlap across roles is permitted.
     """
-    picked: dict[str, tuple[int, ...]] = {}
-    weights: dict[str, np.ndarray] = {}
-    for role in ("fog", "cloud", "ldns"):
+    picked: dict[str, tuple[int, ...]] = dict.fromkeys(ROLE_SALTS, ())
+    for role, salt in ROLE_SALTS.items():
         mode, k = roles.get(role, ("pop", 0))
-        if k == 0:
-            picked[role] = ()
-            continue
-        if mode not in weights:
-            weights[mode] = _weights_for(mode, populations, hops)
-        picked[role] = place_points(weights[mode], k, seed ^ ROLE_SALTS[role])
-    return Placement(fog=picked["fog"], cloud=picked["cloud"], ldns=picked["ldns"])
+        if k:
+            picked[role] = place_points(_weights_for(mode, populations, hops), k, seed ^ salt)
+    return Placement(**picked)

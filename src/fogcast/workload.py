@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 
@@ -30,6 +31,10 @@ __all__ = [
 
 # Seconds of content delivered per request; shared with the load accounting.
 CHUNK_DURATION = 1.0
+
+# Buckets of the demand draw's guide table. A power of two, so that a draw's
+# bucket floor(u * G) and every bucket edge b / G are exact.
+_GUIDE_BUCKETS = 1 << 16
 
 _EARTH_RADIUS_KM = 6371.0
 
@@ -135,11 +140,15 @@ class ServiceCatalogue:
     """Zipf-ranked service catalogue.
 
     ``probabilities[i]`` and ``bitrates[i]`` describe the item of rank
-    ``i + 1``; item ids used elsewhere are these 1-based ranks.
+    ``i + 1``; item ids used elsewhere are these 1-based ranks. ``cdf`` and
+    ``guide`` serve ``_guide_search``. The arrays are read-only, and all but
+    ``bitrates`` are shared by every catalogue of one ``(n, alpha)``.
     """
 
     probabilities: np.ndarray
     bitrates: np.ndarray
+    cdf: np.ndarray
+    guide: np.ndarray
 
     @property
     def n(self) -> int:
@@ -153,28 +162,57 @@ class ServiceCatalogue:
         return float(np.dot(self.probabilities, self.bitrates))
 
 
+@lru_cache(maxsize=8)
+def _zipf_law(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only probabilities, cdf and guide table of a Zipf catalogue."""
+    weights = np.arange(1, n + 1, dtype=np.float64) ** (-alpha)
+    probabilities = weights / weights.sum()
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    # guide[b] = cdf.searchsorted(b / G, side="right") counts the items whose
+    # edge ceil(cdf * G) (exact) is <= b; built from the n edges, without a
+    # G-long float array.
+    edges = np.ceil(cdf * _GUIDE_BUCKETS).astype(np.intp)
+    runs = np.diff(edges, prepend=0, append=_GUIDE_BUCKETS + 1)
+    guide = np.repeat(np.arange(n + 1, dtype=np.min_scalar_type(n)), runs)
+    for array in (probabilities, cdf, guide):
+        array.setflags(write=False)
+    return probabilities, cdf, guide
+
+
 def build_catalogue(n: int, alpha: float, bitrate_set: tuple[float, ...],
                     seed: int) -> ServiceCatalogue:
     """Build a catalogue of ``n`` items with popularity rank^(-alpha) / H.
 
     Each item's bitrate is drawn uniformly from ``bitrate_set`` with the
-    seeded generator, once, at build time.
+    seeded generator, once, at build time. The rest depends on ``(n,
+    alpha)`` alone and is computed once per pair, as a fresh build would.
     """
     if n < 1:
         raise WorkloadError("catalogue needs at least one item")
-    if alpha < 0:
+    if not alpha >= 0:
         raise WorkloadError("alpha must be non-negative")
     if not bitrate_set:
         raise WorkloadError("empty bitrate set")
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    weights = ranks ** (-float(alpha))
-    probabilities = weights / weights.sum()
-    rng = np.random.default_rng(seed)
-    choices = rng.integers(0, len(bitrate_set), size=n)
+    probabilities, cdf, guide = _zipf_law(n, float(alpha))
+    choices = np.random.default_rng(seed).integers(0, len(bitrate_set), size=n)
     bitrates = np.asarray(bitrate_set, dtype=np.float64)[choices]
-    probabilities.setflags(write=False)
     bitrates.setflags(write=False)
-    return ServiceCatalogue(probabilities=probabilities, bitrates=bitrates)
+    return ServiceCatalogue(probabilities=probabilities, bitrates=bitrates, cdf=cdf, guide=guide)
+
+
+def _guide_search(cdf: np.ndarray, guide: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Exactly ``cdf.searchsorted(draws, side="right")`` for draws in [0, 1).
+
+    Chen and Asau's (1974) indexed search: a draw u in bucket b = floor(u * G)
+    lies in [b / G, (b + 1) / G), so its answer is in guide[b] .. guide[b + 1];
+    only draws whose bucket holds a cdf value take the binary search.
+    """
+    bucket = (draws * _GUIDE_BUCKETS).astype(np.intp)
+    items = guide[bucket]
+    wide = np.flatnonzero(guide[bucket + 1] != items)
+    items[wide] = cdf.searchsorted(draws[wide], side="right")
+    return items
 
 
 @dataclass(frozen=True)
@@ -212,7 +250,9 @@ def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
     each user requests exactly one catalogue item sampled from the
     popularity distribution. Expected offered bitrate equals the target.
     All users draw from one seeded stream, node after node, so the result
-    equals a per-node ``rng.choice(n, size=users, p=probabilities)`` loop.
+    equals a per-node ``rng.choice(n, size=users, p=probabilities)`` loop:
+    ``choice`` maps each double u to ``cdf.searchsorted(u, side="right")``,
+    which ``_guide_search`` returns exactly.
     """
     populations = np.asarray(populations)
     if not (0.0 <= load_fraction <= 1.0):
@@ -227,11 +267,9 @@ def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
         budget = target_bitrate / catalogue.mean_bitrate
         weights = load_fraction * populations.astype(np.float64)
         users = np.rint(budget * (weights / weights.sum())).astype(np.int64)
-        cdf = catalogue.probabilities.cumsum()
-        cdf /= cdf[-1]
         draws = np.random.default_rng(seed).random(int(users.sum()))
         keys = (np.repeat(np.arange(len(populations)), users) * catalogue.n
-                + cdf.searchsorted(draws, side="right"))
+                + _guide_search(catalogue.cdf, catalogue.guide, draws))
     keys, counts = np.unique(keys, return_counts=True)
     nodes, index = np.divmod(keys, catalogue.n)
     items = index + 1

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from fogcast.cli import main
-from fogcast.experiment import ConfigError
 from test_experiment import write_graphml
 
 
@@ -78,12 +77,39 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
     assert not out.exists()
 
 
-def test_run_rejects_repeated_catchment(tiny_inputs, tmp_path):
+def test_run_rejects_repeated_catchment(tiny_inputs, tmp_path, capsys):
     top, pop = tiny_inputs
     out = tmp_path / "out"
-    with pytest.raises(ConfigError, match=r"catchment interval 1\.0 repeated"):
-        run_cmd(["run", "--topology", top, "--population", pop, "--items", "3",
-                 "--catchment", "1,1", "--out", str(out)])
+    assert run_cmd(["run", "--topology", top, "--population", pop, "--items", "3",
+                    "--catchment", "1,1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "fogcast: error: catchment interval 1.0 repeated\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, setting, named", [
+    ("sweep", "unknown = 3", "unknown key 'unknown'"),
+    ("sweep", "load_fraction = 0", "load_fraction 0 outside (0, 1]"),
+    ("sweep", "load_fraction = 1.5", "load_fraction 1.5 outside (0, 1]"),
+    ("run", "--load-fraction=0", "load_fraction 0.0 outside (0, 1]"),
+    ("run", "--load-fraction=-0.4", "load_fraction -0.4 outside (0, 1]"),
+])
+def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_path, capsys):
+    """A bad grid key or config value exits 2 with one stderr line naming it
+    and no output."""
+    top, pop = tiny_inputs
+    out = tmp_path / "out"
+    if command == "sweep":
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(f"topology = {top}\npopulation = {pop}\nitems = 3\ntrials = 1\n"
+                        f"{setting}\n")
+        args = ["sweep", "--grid", str(grid)]
+    else:
+        args = ["run", "--topology", top, "--population", pop, "--items", "3", setting]
+    assert run_cmd(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("fogcast: error: ") and named in captured.err
     assert not out.exists()
 
 

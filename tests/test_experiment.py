@@ -94,6 +94,10 @@ def test_defaults_point_at_bundled_fixtures():
         dict(arch="dns", ldns_k=0),
         dict(arch="dns", ldns_k=2, catchment=(1.0,)),
         dict(catchment=(-1.0,)),
+        dict(load_fraction=0.0),
+        dict(load_fraction=-0.4),
+        dict(load_fraction=1.5),
+        dict(load_fraction=math.nan),
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -141,7 +145,8 @@ def test_single_node_trial_is_all_local(single_node_setup):
 
 def test_trial_without_demand_has_zero_float_loads(chain_setup):
     top, pop = chain_setup
-    config = ScenarioConfig(arch="icn", fog_k=1, cloud_k=1, catchment=(1.0,), load_fraction=0.0,
+    # A target this small rounds every node's users to zero.
+    config = ScenarioConfig(arch="icn", fog_k=1, cloud_k=1, catchment=(1.0,), target_bitrate=1.0,
                             topology_path=top, population_path=pop, n_items=3, trials=1)
     outcome = run_trial(config, 0)
     assert outcome.unicast.path_samples.size == 0
@@ -380,6 +385,30 @@ def test_bloom_scheme_only_adds_load(chain_setup):
     assert (exact.unicast.arc_load == bloom.unicast.arc_load).all()
     assert backhaul(bloom.by_catchment[1.0]) >= backhaul(exact.by_catchment[1.0])
     assert (bloom.by_catchment[1.0].arc_load >= exact.by_catchment[1.0].arc_load - 1e-9).all()
+
+
+def test_bloom_aggregation_bounds_arc_by_arc_on_2000_node_backbone(tmp_path):
+    """On the ``bloom_2k`` golden grid's backbone and config, exact
+    aggregation stays within unicast on every arc, Bloom aggregation carries
+    at least the exact load on every arc, and some Bloom false-positive arc
+    carries more than unicast."""
+    topology, population = write_synthetic(tmp_path, 1)
+    above_unicast = 0
+    for fog_k in (4, 8):
+        base = dict(arch="icn", fog_k=fog_k, cloud_k=4, catchment=(0.1, 1.0), trials=2,
+                    base_seed=5, topology_path=topology, population_path=population)
+        for index in range(2):
+            exact = run_trial(ScenarioConfig(**base, scheme="exact"), index)
+            bloom = run_trial(ScenarioConfig(**base, scheme="bloom"), index)
+            unicast = exact.unicast.arc_load
+            assert (bloom.unicast.arc_load == unicast).all()
+            for interval in (0.1, 1.0):
+                exact_load = exact.by_catchment[interval].arc_load
+                bloom_load = bloom.by_catchment[interval].arc_load
+                assert (exact_load <= unicast).all()
+                assert (bloom_load >= exact_load).all()
+                above_unicast += int((bloom_load > unicast).sum())
+    assert above_unicast > 0
 
 
 def _per_group_bloom_loop(graph, scheme, roots, tree_group, tree_arc, fp_arcs):

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from fogcast.topology import build_graph
 from fogcast.workload import (
+    _GUIDE_BUCKETS,
     PopulationCell,
     WorkloadError,
     _great_circle_km,
+    _guide_search,
     assign_population,
     build_catalogue,
     draw_demand,
@@ -197,6 +200,56 @@ def test_catalogue_rejects_bad_inputs():
         build_catalogue(10, 0.8, (), seed=1)
     with pytest.raises(WorkloadError):
         build_catalogue(10, -0.1, (20e6,), seed=1)
+    with pytest.raises(WorkloadError):
+        build_catalogue(10, math.nan, (20e6,), seed=1)
+
+
+# Catalogue sizes and Zipf exponents of the exactness tests: one item, a few,
+# the default, and more items than guide buckets; flat to steep.
+LAWS = list(product((1, 10, 1000, 70000), (0.0, 0.8, 1.5, 3.0)))
+
+
+def fresh_law(n, alpha):
+    """Probabilities, cdf and guide as a fresh, uncached computation makes them."""
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    weights = ranks ** (-float(alpha))
+    probabilities = weights / weights.sum()
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    return probabilities, cdf, cdf.searchsorted(edges, side="right")
+
+
+@pytest.mark.parametrize("n, alpha", LAWS)
+def test_cached_catalogue_arrays_are_read_only_and_fresh(n, alpha):
+    first = build_catalogue(n, alpha, (20e6, 40e6), seed=1)
+    second = build_catalogue(n, alpha, (20e6, 40e6), seed=2)
+    probabilities, cdf, guide = fresh_law(n, alpha)
+    assert first.probabilities.tobytes() == probabilities.tobytes()
+    assert first.cdf.tobytes() == cdf.tobytes()
+    assert (first.guide == guide).all()
+    for name in ("probabilities", "cdf", "guide"):
+        assert getattr(second, name) is getattr(first, name)
+    for array in (first.probabilities, first.cdf, first.guide, first.bitrates):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("n, alpha", LAWS)
+def test_guide_search_equals_searchsorted_at_every_edge(n, alpha):
+    cat = build_catalogue(n, alpha, (20e6,), seed=1)
+    cdf = cat.cdf
+    below, above = np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)
+    edges = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
+    draws = np.concatenate([cdf, below, above, edges, np.nextafter(edges, 1.0),
+                            [np.nextafter(1.0, 0.0)]])
+    draws = draws[(draws >= 0) & (draws < 1)]
+    expected = cdf.searchsorted(draws, side="right")
+    assert (_guide_search(cdf, cat.guide, draws) == expected).all()
+    # Shuffled draws take the same answers.
+    order = np.random.default_rng(n).permutation(len(draws))
+    assert (_guide_search(cdf, cat.guide, draws[order]) == expected[order]).all()
 
 
 # --- demand ----------------------------------------------------------------
@@ -258,12 +311,13 @@ def test_demand_equals_per_node_reference(geant_population, load_fraction):
     sparse = geant_population.copy()
     sparse[::3] = 0
     sparse[1::7] = 1
+    # Bitrates that are not integers make the offered sum depend on its order.
+    bitrates = (math.pi * 1e7, math.e * 1e7, 0.3e7)
+    cases = [(300 + 50 * seed, 0.8, seed) for seed in range(5)]
+    cases += [(n, alpha, 7 + at) for at, (n, alpha) in enumerate(LAWS)]
     for populations in (geant_population, sparse):
-        for seed in range(5):
-            # Bitrates that are not integers make the offered sum depend on
-            # its order.
-            cat = build_catalogue(300 + 50 * seed, 0.8, (math.pi * 1e7, math.e * 1e7, 0.3e7),
-                                  seed=seed)
+        for n, alpha, seed in cases:
+            cat = build_catalogue(n, alpha, bitrates, seed=seed)
             demand = draw_demand(populations, cat, load_fraction, 70e9, seed=seed)
             requests, offered = per_node_demand(populations, cat, load_fraction, 70e9, seed)
             assert list(demand.requests.items()) == list(requests.items())
