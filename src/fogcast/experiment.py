@@ -16,10 +16,12 @@ delivery, origin -> service point for the fallback pull. Unicast,
 catchment trees and Bloom delivery all read the same paths; Bloom
 forwarding of every group of a trial is one ``deliver_groups`` call.
 
-Every root is a placed point, so a trial fills the hop rows of its fog,
+Every root is a placed point, so a trial takes the hop rows of its fog,
 cloud and LDNS points once (``HopRows.table``) and reads only those rows
 for the nearest-point maps, the canonical paths and the path samples; no
-n x n table is built.
+n x n table is built. The rows of populated nodes, the only ones ``pop``
+placement draws, are searched once per topology; any other point's row is
+searched in the trial that asks for it.
 
 Catchment aggregation is applied analytically: each arc a group's packets
 take carries the group rate, which shrinks monotonically with the interval.
@@ -113,6 +115,10 @@ class ScenarioConfig:
     fog_cache_fraction: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("fog_k", "cloud_k", "ldns_k", "n_items", "trials", "base_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.arch not in ("icn", "dns"):
             raise ConfigError(f"unknown architecture {self.arch!r}")
         if self.mode not in ("pop", "cls"):
@@ -189,9 +195,8 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
 def _load_context(topology_path: str, population_path: str):
     graph = load_topology(topology_path)
     populations = assign_population(graph, load_population(population_path))
-    # pop placement draws only populated nodes, the most populous likeliest.
-    likely = np.argsort(-populations, kind="stable")[:np.count_nonzero(populations > 0)]
-    return graph, HopRows(graph, likely), populations
+    # pop placement draws only populated nodes: their rows are held.
+    return graph, HopRows(graph, np.flatnonzero(populations)), populations
 
 
 def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
@@ -365,6 +370,8 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
             row, mean[key], std[key] = summary_row(f"{prefix},{_fmt(key)}", values)
             summary_rows.append(row)
         pooled = np.concatenate([o.unicast.path_samples for o in outcomes])
+        if pooled.size == 0:
+            raise ConfigError(f"config {prefix}: no trial drew a request")
         for hopcount, fraction in ecdf(pooled):
             pathlen_rows.append(f"{prefix},{hopcount},{_fmt(fraction)}")
         results.append(SweepResult(config=config, trials=len(outcomes),

@@ -7,9 +7,10 @@ separately; arc ``2j`` and ``2j+1`` are the two directions of source edge
 ``j``, which makes the reverse of arc ``a`` simply ``a ^ 1``.
 
 Hop counts come as rows, one per source, from a breadth-first search of 64
-sources at a time. The pipeline searches only the rows a trial uses
-(``HopRows``: its fog, cloud and LDNS points), so no n x n table is built;
-``all_pairs`` builds every row and is the tests' reference.
+sources at a time. The pipeline reads only the rows a trial uses, its fog,
+cloud and LDNS points, so no n x n table is built: ``HopRows`` searches the
+rows of a held set of nodes once, and any other row per call. ``all_pairs``
+searches every row and is the tests' reference.
 """
 from __future__ import annotations
 
@@ -230,7 +231,7 @@ class HopTable:
     ``dist[s, v]`` reads directly; a table from ``HopRows`` holds the rows
     it was asked for, and ``slot`` is ``NO_ROW`` for the others, an index
     past every array, so reading a row it lacks raises IndexError. Rows are
-    deterministic, so cache state never changes results.
+    deterministic, so the held set never changes results.
     """
 
     graph: NetworkGraph
@@ -241,9 +242,6 @@ class HopTable:
 
 # Sources searched together: one bit of a uint64 word per source.
 _BLOCK = 64
-
-# Bytes of dist and pred rows a HopRows keeps before it starts over.
-_ROW_BUDGET = 8_000_000
 
 # ``HopTable.slot`` of a node without a row: past the end of every array.
 NO_ROW = np.iinfo(np.intp).max
@@ -311,88 +309,70 @@ def _bfs_block(in_arcs, sources):
     return d, p
 
 
-def _every_block(graph: NetworkGraph):
-    """``(first source, dist, pred)`` of each 64-source block of all nodes, in order."""
-    in_arcs = _in_arcs(graph)
-    for s0 in range(0, graph.n_nodes, _BLOCK):
-        yield s0, *_bfs_block(in_arcs, np.arange(s0, min(s0 + _BLOCK, graph.n_nodes)))
+def _hop_table(graph: NetworkGraph, in_arcs, sources, held: HopTable | None = None) -> HopTable:
+    """A read-only HopTable of exactly the rows of distinct ``sources``.
 
-
-def all_pairs(graph: NetworkGraph) -> HopTable:
-    """Every node's hop row: an n x n ``dist`` and ``pred``, ``slot[s] = s``.
-
-    The pipeline reads rows through ``HopRows`` instead; this full table is
-    the reference of the tests and of the scalar oracles (``extract_path``,
-    ``RendezvousTable.match``, ``dns_baseline``, ``build_tree``).
+    Row ``i`` belongs to ``sources[i]``. Rows ``held`` holds are copied from
+    it; ``_bfs_block`` searches the others, 64 at a time.
     """
     n = graph.n_nodes
-    dist = np.empty((n, n), dtype=np.int32)
-    pred = np.empty((n, n), dtype=np.int32)
-    for s0, d, p in _every_block(graph):
-        dist[s0:s0 + _BLOCK] = d.T
-        pred[s0:s0 + _BLOCK] = p.T
-    slot = np.arange(n)
+    slot = np.full(n, NO_ROW, dtype=np.intp)
+    slot[sources] = np.arange(len(sources))
+    dist = np.empty((len(sources), n), dtype=np.int32)
+    pred = np.empty((len(sources), n), dtype=np.int32)
+    missing = np.arange(len(sources))
+    if held is not None:
+        copied = held.slot[sources] != NO_ROW
+        rows = held.slot[sources[copied]]
+        dist[copied], pred[copied] = held.dist[rows], held.pred[rows]
+        missing = missing[~copied]
+    for at in range(0, len(missing), _BLOCK):
+        rows = missing[at:at + _BLOCK]
+        d, p = _bfs_block(in_arcs, sources[rows])
+        dist[rows] = d.T
+        pred[rows] = p.T
     for table in (dist, pred, slot):
         table.setflags(write=False)
     return HopTable(graph=graph, dist=dist, pred=pred, slot=slot)
 
 
-class HopRows:
-    """Hop rows of the sources a trial uses, searched on demand.
+def all_pairs(graph: NetworkGraph) -> HopTable:
+    """Every node's hop row: an n x n ``dist`` and ``pred``, ``slot[s] = s``.
 
-    ``table(sources)`` returns a HopTable holding the rows of ``sources``;
-    ``_bfs_block`` searches the missing ones. ``likely`` lists the sources
-    trials ask for most, likeliest first: a search fills whole 64-source
-    blocks, and the bits the missing sources leave spare go to the first
-    nodes of ``likely`` not held yet. Rows go into a store preallocated
-    for ``_ROW_BUDGET`` bytes, or for every node of ``likely`` if that is
-    more (and for one call's rows if even that is more), so once all of
-    ``likely`` is held, asking only for those never searches again. When
-    a call's rows do not fit, the store starts over with new arrays, so
-    tables handed out before keep their rows. ``centrality`` is every
-    node's closeness, computed on first use. Not thread-safe.
+    The pipeline reads only the rows it needs, through ``HopRows``; this
+    full table is the reference of the tests and of the scalar oracles
+    (``extract_path``, ``RendezvousTable.match``, ``dns_baseline``,
+    ``build_tree``).
+    """
+    return _hop_table(graph, _in_arcs(graph), np.arange(graph.n_nodes))
+
+
+class HopRows:
+    """Hop rows of a graph: those of ``held`` searched once, any other per call.
+
+    ``held`` lists distinct nodes, the sources trials ask for most; their
+    rows are searched at construction into the read-only table ``held``.
+    ``table(sources)`` returns that table when it holds every row of
+    ``sources``, and otherwise a new table of exactly their rows, the held
+    ones copied and the others searched; searched rows are not kept.
+    Nothing changes after construction but the cached ``centrality``, every
+    node's closeness, computed on first use, so a HopRows is safe to share.
     """
 
-    def __init__(self, graph: NetworkGraph, likely=()):
+    def __init__(self, graph: NetworkGraph, held=()):
         self.graph = graph
         self._in_arcs = _in_arcs(graph)
-        self._likely = np.asarray(likely, dtype=np.intp)
-        self._reset(0)
-
-    def _reset(self, rows: int) -> None:
-        n = self.graph.n_nodes
-        rows = min(n, max(_ROW_BUDGET // (8 * n), len(self._likely), rows))
-        self._store = HopTable(self.graph, np.empty((rows, n), dtype=np.int32),
-                               np.empty((rows, n), dtype=np.int32),
-                               np.full(n, NO_ROW, dtype=np.intp))
-        self._used = 0
+        self.held = _hop_table(graph, self._in_arcs, np.asarray(held, dtype=np.intp))
 
     def table(self, sources) -> HopTable:
         """A HopTable holding (at least) the rows of ``sources``."""
         sources = np.asarray(sources, dtype=np.intp)
-        store = self._store
-        if (store.slot[sources] != NO_ROW).all():
-            return store
+        held = self.held
+        if (held.slot[sources] != NO_ROW).all():
+            return held
         wanted = np.zeros(self.graph.n_nodes, dtype=bool)
         wanted[sources] = True
-        missing = np.flatnonzero(wanted & (store.slot == NO_ROW))
-        if self._used + len(missing) > len(store.dist):
-            missing = np.flatnonzero(wanted)
-            self._reset(len(missing))
-            store = self._store
-        room = min(-len(missing) % _BLOCK, len(store.dist) - self._used - len(missing))
-        likely = self._likely
-        spare = likely[(store.slot[likely] == NO_ROW) & ~wanted[likely]]
-        missing = np.concatenate([missing, spare[:room]])
-        for at in range(0, len(missing), _BLOCK):
-            block = missing[at:at + _BLOCK]
-            rows = np.arange(self._used, self._used + len(block))
-            d, p = _bfs_block(self._in_arcs, block)
-            store.dist[rows] = d.T
-            store.pred[rows] = p.T
-            store.slot[block] = rows
-            self._used += len(block)
-        return store
+        return _hop_table(self.graph, self._in_arcs, np.flatnonzero(wanted), held)
 
     @cached_property
     def centrality(self) -> np.ndarray:
@@ -481,5 +461,7 @@ def closeness(graph: NetworkGraph) -> np.ndarray:
     n = graph.n_nodes
     if n < 2:
         return np.ones(n)
-    sums = np.concatenate([d.sum(axis=0) for _, d, _ in _every_block(graph)])
+    in_arcs = _in_arcs(graph)
+    sums = np.concatenate([_bfs_block(in_arcs, np.arange(s0, min(s0 + _BLOCK, n)))[0].sum(axis=0)
+                           for s0 in range(0, n, _BLOCK)])
     return (n - 1) / sums.astype(np.float64)

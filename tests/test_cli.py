@@ -92,6 +92,11 @@ def test_run_rejects_repeated_catchment(tiny_inputs, tmp_path, capsys):
     ("sweep", "load_fraction = 1.5", "load_fraction 1.5 outside (0, 1]"),
     ("run", "--load-fraction=0", "load_fraction 0.0 outside (0, 1]"),
     ("run", "--load-fraction=-0.4", "load_fraction -0.4 outside (0, 1]"),
+    ("sweep", "fog = abc", "fog_k must be an integer, got 'abc'"),
+    ("sweep", "trials = 1.5", "trials must be an integer, got 1.5"),
+    ("sweep", "items = 2e3", "n_items must be an integer, got 2000.0"),
+    ("sweep", "seed = true", "base_seed must be an integer, got True"),
+    ("sweep", "target_bitrate = 1", "config icn,2,2,0,pop: no trial drew a request"),
 ])
 def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_path, capsys):
     """A bad grid key or config value exits 2 with one stderr line naming it

@@ -31,7 +31,7 @@ from fogcast.forwarding import BloomScheme, deliver, encode_tree, forward
 from fogcast.placement import place_all
 from fogcast.rendezvous import MulticastTree, NoSubscriberError
 from fogcast.service_router import build_rendezvous, make_profiles, resolve_nodes, resolve_request
-from fogcast.topology import HopRows, all_pairs, extract_path, load_topology
+from fogcast.topology import NO_ROW, HopRows, all_pairs, extract_path, load_topology
 from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
 
 GRAPHML_HEADER = (
@@ -491,39 +491,24 @@ def fresh_context():
     experiment._load_context.cache_clear()
 
 
-def test_row_budget_resets_keep_trials_byte_identical(monkeypatch, fresh_context):
+def test_held_rows_never_change_results(monkeypatch, fresh_context):
     configs = [ScenarioConfig(fog_k=4, cloud_k=4, mode=mode, catchment=(0.1, 1.0), trials=8)
                for mode in ("pop", "cls")]
     configs.append(ScenarioConfig(arch="dns", fog_k=4, cloud_k=2, ldns_k=3, mode="cls", trials=8))
 
-    def outcomes_of(config, index):
+    def outcomes():
+        experiment._load_context.cache_clear()
         return [(key, m.arc_load.tobytes(), m.path_samples.tobytes())
-                for key, m in run_trial(config, index).variants().items()]
+                for c in configs for i in range(c.trials)
+                for key, m in run_trial(c, i).variants().items()]
 
-    expected = [o for c in configs for i in range(c.trials) for o in outcomes_of(c, i)]
-    resets = []
-    reset = topology.HopRows._reset
-
-    def counting_reset(self, rows):
-        resets.append(rows)
-        reset(self, rows)
-
-    monkeypatch.setattr(topology.HopRows, "_reset", counting_reset)
-    # Room for 10 of the bundled backbone's 37 rows, and only 3 likely
-    # sources, so that pop sweeps outgrow the store too.
-    monkeypatch.setattr(topology, "_ROW_BUDGET", 10 * 8 * 37)
-    monkeypatch.setattr(experiment, "HopRows",
-                        lambda graph, likely: topology.HopRows(graph, likely[:3]))
-    experiment._load_context.cache_clear()
-    got = []
-    for config in configs:
-        got += outcomes_of(config, 0)
-        after_first = len(resets)
-        for index in range(1, config.trials):
-            got += outcomes_of(config, index)
-        # The store starts over in the middle of every sweep.
-        assert len(resets) > after_first
-    assert got == expected
+    expected = outcomes()
+    # Three held rows of the bundled backbone's 37, then none: trials then
+    # search most of their rows, and copy the held ones they ask for.
+    for held in (3, 0):
+        monkeypatch.setattr(experiment, "HopRows",
+                            lambda graph, nodes, held=held: topology.HopRows(graph, nodes[:held]))
+        assert outcomes() == expected
 
 
 def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
@@ -538,15 +523,18 @@ def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
                for mode in ("pop", "cls")]
     tracemalloc.start()
     try:
-        graph, rows, _ = experiment._load_context(top, pop)
+        graph, rows, populations = experiment._load_context(top, pop)
         for config in configs:
             for index in range(config.trials):
                 run_trial(config, index)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    store = rows.table([])
-    assert store.dist.nbytes + store.pred.nbytes <= topology._ROW_BUDGET
+    # The held table is the populated nodes' rows, and only theirs.
+    populated = np.flatnonzero(populations)
+    assert len(populated) == 271
+    assert np.flatnonzero(rows.held.slot != NO_ROW).tolist() == populated.tolist()
+    assert rows.held.dist.shape == rows.held.pred.shape == (271, graph.n_nodes)
     # The n x n dist and pred tables alone would take 32 MB on 2,000 nodes.
     assert graph.n_nodes == 2000 and peak < 16e6
 

@@ -233,7 +233,7 @@ def test_hop_rows_equal_all_pairs(row_graphs):
     for graph in row_graphs:
         reference = all_pairs(graph)
         n = graph.n_nodes
-        rows = HopRows(graph, likely=rng.permutation(n)[:n // 4])
+        rows = HopRows(graph, held=rng.permutation(n)[:n // 4])
         # Every node, in shuffled requests of 1-191 sources with duplicates.
         order = np.concatenate([rng.permutation(n), rng.integers(0, n, size=n // 2)])
         cuts = np.cumsum(rng.integers(1, 3 * _BLOCK, size=len(order)))
@@ -254,28 +254,8 @@ def test_streaming_closeness_equals_all_pairs_row_sums(row_graphs):
         assert HopRows(graph).centrality.tobytes() == values.tobytes()
 
 
-def test_hop_row_store_starts_over_past_its_budget(geant, monkeypatch):
-    reference = all_pairs(geant)
-    # Room for five rows of the 37-node backbone.
-    monkeypatch.setattr(topology, "_ROW_BUDGET", 5 * 8 * geant.n_nodes)
-    rows = HopRows(geant, likely=[0, 2, 4])
-    first = rows.table([3, 1])
-    assert first.slot[[1, 3]].tolist() == [0, 1]
-    assert first.slot[[0, 2, 4]].tolist() == [2, 3, 4]   # spare bits go to likely sources
-    assert (first.slot != NO_ROW).sum() == 5
-    later = rows.table([30, 31, 32])                  # does not fit: new store
-    assert later is not first and (later.slot != NO_ROW).sum() == 5
-    big = rows.table(np.arange(12))                   # more than the budget: one call's rows
-    assert len(big.dist) == 12
-    for table, sources in ((first, [1, 3]), (later, [30, 31, 32]), (big, np.arange(12))):
-        assert (table.dist[table.slot[sources]] == reference.dist[sources]).all()
-        assert (table.pred[table.slot[sources]] == reference.pred[sources]).all()
-    with pytest.raises(IndexError):
-        first.dist[first.slot[[1, 36]]]
-
-
-def test_hop_row_store_holds_every_likely_source(geant, monkeypatch):
-    reference = all_pairs(geant)
+def _counting_searches(monkeypatch):
+    """Patch the block search to log the size of each block it is given."""
     searches = []
     search = topology._bfs_block
 
@@ -284,18 +264,61 @@ def test_hop_row_store_holds_every_likely_source(geant, monkeypatch):
         return search(in_arcs, sources)
 
     monkeypatch.setattr(topology, "_bfs_block", counting_search)
-    # Room for five rows by the budget, but twenty likely sources.
-    monkeypatch.setattr(topology, "_ROW_BUDGET", 5 * 8 * geant.n_nodes)
-    likely = np.arange(36, 16, -1)
-    rows = HopRows(geant, likely=likely)
-    store = rows.table([20])
-    assert len(store.dist) == 20 and searches == [20]
+    return searches
+
+
+def test_hop_row_store_holds_every_likely_source(monkeypatch):
+    """The held rows are searched once, at construction, and serve every call
+    whose sources they cover."""
     rng = np.random.default_rng(26)
+    graph = random_connected_graph(rng, 300, 150)
+    reference = all_pairs(graph)
+    searches = _counting_searches(monkeypatch)
+    held = rng.permutation(300)[:150]
+    rows = HopRows(graph, held=held)
+    assert searches == [64, 64, 22]
+    assert sorted(np.flatnonzero(rows.held.slot != NO_ROW)) == sorted(held)
     for _ in range(50):
-        sources = rng.choice(likely, size=rng.integers(1, 12))
-        assert rows.table(sources) is store
-        assert (store.dist[store.slot[sources]] == reference.dist[sources]).all()
-    assert searches == [20]
+        sources = rng.choice(held, size=rng.integers(0, 12))
+        assert rows.table(sources) is rows.held
+        at = rows.held.slot[sources]
+        assert (rows.held.dist[at] == reference.dist[sources]).all()
+        assert (rows.held.pred[at] == reference.pred[sources]).all()
+    assert len(searches) == 3
+    assert not (rows.held.dist.flags.writeable or rows.held.slot.flags.writeable)
+
+
+def test_hop_row_store_starts_over_past_its_budget(monkeypatch):
+    """A call that asks past the held rows gets a new table of exactly its
+    rows; searched rows are not kept, and earlier tables keep theirs."""
+    rng = np.random.default_rng(27)
+    graph = random_connected_graph(rng, 300, 150)
+    reference = all_pairs(graph)
+    searches = _counting_searches(monkeypatch)
+    held = rng.permutation(300)[:150]
+    rows = HopRows(graph, held=held)
+    others = np.setdiff1d(np.arange(300), held)
+    earlier = []
+    for m in (1, 64, 65, 130):
+        fresh = rng.choice(others, size=m, replace=False)
+        sources = np.concatenate([fresh, fresh[:m // 2], held[:5]])
+        for _ in range(2):  # searched rows are not kept
+            searches.clear()
+            table = rows.table(rng.permutation(sources))
+            assert searches == [min(64, m - at) for at in range(0, m, 64)]
+        assert table is not rows.held
+        asked = np.zeros(300, dtype=bool)
+        asked[sources] = True
+        assert ((table.slot != NO_ROW) == asked).all()
+        assert len(table.dist) == len(table.pred) == asked.sum()
+        assert not (table.dist.flags.writeable or table.pred.flags.writeable)
+        with pytest.raises(IndexError):
+            table.dist[table.slot[np.flatnonzero(~asked)[:1]]]
+        earlier.append((table, sources))
+    for table, sources in earlier:
+        at = table.slot[sources]
+        assert (table.dist[at] == reference.dist[sources]).all()
+        assert (table.pred[at] == reference.pred[sources]).all()
 
 
 def test_closeness_star_center_and_leaf(star4):
