@@ -9,8 +9,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiment import (SUMMARY_HEADER, ConfigError, ScenarioConfig, load_grid, run_sweep,
-                         summary_row)
+from .errors import FogcastError
+from .experiment import (BACKHAUL_HEADER, PATHLEN_HEADER, SUMMARY_HEADER, ScenarioConfig,
+                         load_grid, run_sweep, summary_row)
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
@@ -115,15 +116,34 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _csv_rows(path: str, header: str) -> list[tuple[int, list[str]]]:
+    """The data rows of a CSV file ``run_sweep`` wrote under ``header``, with
+    their line numbers; a row of another width names its file and line."""
+    width = header.count(",") + 1
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines()[1:], start=2):
+        row = line.split(",")
+        if len(row) != width:
+            raise FogcastError(f"{path}:{lineno}: expected {width} comma-separated "
+                               f"fields, got {len(row)}")
+        rows.append((lineno, row))
+    return rows
+
+
 def _cmd_summarize(args) -> int:
     # run_sweep writes each (config, interval) as a run of rows from trial 0.
     runs: list[tuple[str, list[float]]] = []
-    lines = Path(args.backhaul).read_text().splitlines()
-    for line in lines[1:]:
-        label, trial, value = line.rsplit(",", 2)
+    for lineno, row in _csv_rows(args.backhaul, BACKHAUL_HEADER):
+        *fields, trial, value = row
+        label = ",".join(fields)
+        try:
+            value = float(value)
+        except ValueError:
+            raise FogcastError(f"{args.backhaul}:{lineno}: backhaul_bps {value!r} "
+                               "is not a number") from None
         if trial == "0" or not runs or runs[-1][0] != label:
             runs.append((label, []))
-        runs[-1][1].append(float(value))
+        runs[-1][1].append(value)
     print(SUMMARY_HEADER)
     for label, values in runs:
         print(summary_row(label, values)[0])
@@ -131,17 +151,13 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_ecdf(args) -> int:
-    wanted = (args.arch, str(args.fog), str(args.cloud), str(args.ldns), args.placement)
-    lines = Path(args.pathlen).read_text().splitlines()
-    matched = False
+    wanted = [args.arch, str(args.fog), str(args.cloud), str(args.ldns), args.placement]
+    steps = [row[5:] for _, row in _csv_rows(args.pathlen, PATHLEN_HEADER) if row[:5] == wanted]
     print("# hops cum_fraction")
-    for line in lines[1:]:
-        arch, fog, cloud, ldns, mode, hopcount, fraction = line.split(",")
-        if (arch, fog, cloud, ldns, mode) == wanted:
-            matched = True
-            print(f"{hopcount} {fraction}")
-    if not matched:
-        print(f"no rows match {wanted}", file=sys.stderr)
+    for hopcount, fraction in steps:
+        print(f"{hopcount} {fraction}")
+    if not steps:
+        print(f"no rows match {tuple(wanted)}", file=sys.stderr)
         return 1
     return 0
 
@@ -166,9 +182,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (OSError, ConfigError) as error:
-        # A missing or unreadable input file, or a bad config or grid key;
-        # the message names the path, key or value.
+    except (OSError, FogcastError) as error:
+        # A missing or unreadable input file, a bad input, config or grid
+        # key, or a scenario that cannot run; the message names the path,
+        # line, key or value.
         print(f"fogcast: error: {error}", file=sys.stderr)
         return 2
 

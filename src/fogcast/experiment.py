@@ -8,13 +8,13 @@ Resolution runs once per client node, not once per request: the service
 point depends on the node alone and the fallback origin on the service
 point alone. Both architectures take the same ``resolve_nodes`` call; the
 only difference is where the lookup starts, at the client (icn places no
-LDNS) or at its nearest LDNS (dns). The scalar ``resolve_request`` /
-``resolve_request_dns`` are its test oracles.
+LDNS) or at its nearest LDNS (dns). The scalar oracles of both, and of
+the paths and Bloom delivery below, are in ``tests/oracles.py``.
 Every flow is charged on one canonical root -> leaf path
-(``extract_path(hops, root, leaf)``): service point -> client for the
-delivery, origin -> service point for the fallback pull. Unicast,
-catchment trees and Bloom delivery all read the same paths; Bloom
-forwarding of every group of a trial is one ``deliver_groups`` call.
+(``canonical_paths``): service point -> client for the delivery, origin
+-> service point for the fallback pull. Unicast, catchment trees and
+Bloom delivery all read the same paths; Bloom forwarding of every group
+of a trial is one ``deliver_groups`` call.
 
 Every root is a placed point, so a trial takes the hop rows of its fog,
 cloud and LDNS points once (``HopRows.table``) and reads only those rows
@@ -37,6 +37,7 @@ scheduling, so parallel sweeps are byte-identical to sequential ones.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -46,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data
+from .errors import FogcastError
 from .forwarding import BloomScheme, deliver_groups
 from .placement import place_all
 from .service_router import group_rate, make_profiles, resolve_nodes
@@ -87,8 +89,14 @@ SUMMARY_HEADER = "arch,fog_k,cloud_k,ldns_k,mode,T,trials,mean_backhaul_bps,std_
 UNICAST = 0.0
 
 
-class ConfigError(ValueError):
+class ConfigError(FogcastError):
     """Raised for inconsistent scenario configurations."""
+
+
+def _finite(value) -> bool:
+    """True for a finite real number; False for anything else, bool included."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -125,10 +133,22 @@ class ScenarioConfig:
             raise ConfigError(f"unknown placement mode {self.mode!r}")
         if self.scheme not in ("exact", "bloom"):
             raise ConfigError(f"unknown forwarding scheme {self.scheme!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        for name in ("n_items", "trials"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} {getattr(self, name)} must be >= 1")
         if not 0 < self.load_fraction <= 1:
             raise ConfigError(f"load_fraction {self.load_fraction} outside (0, 1]")
+        if not self.bitrates:
+            raise ConfigError("bitrates must hold at least one value")
+        for name, values, wanted, fits in (
+            ("alpha", (self.alpha,), "finite and >= 0", lambda x: x >= 0),
+            ("target_bitrate", (self.target_bitrate,), "finite and > 0", lambda x: x > 0),
+            ("bitrates", self.bitrates, "finite and > 0", lambda x: x > 0),
+            ("fog_cache_fraction", (self.fog_cache_fraction,), "in (0, 1]", lambda x: 0 < x <= 1),
+        ):
+            for value in values:
+                if not (_finite(value) and fits(value)):
+                    raise ConfigError(f"{name} {value!r} must be {wanted}")
         if self.arch == "icn" and self.ldns_k != 0:
             raise ConfigError("icn runs take no LDNS points")
         if self.arch == "dns":
@@ -153,7 +173,6 @@ class TrialMetrics:
 
     arc_load: np.ndarray
     path_samples: np.ndarray
-    offered_bitrate: float
 
 
 @dataclass
@@ -248,7 +267,6 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
         unicast=TrialMetrics(
             arc_load=unicast_load,
             path_samples=np.repeat(hops.dist[hops.slot[point], nodes], counts),
-            offered_bitrate=demand.offered_bitrate,
         )
     )
     if not config.catchment:
@@ -294,7 +312,6 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
         outcome.by_catchment[interval] = TrialMetrics(
             arc_load=_per_arc(entry_arc, weights, graph.n_arcs),
             path_samples=outcome.unicast.path_samples,
-            offered_bitrate=demand.offered_bitrate,
         )
     return outcome
 

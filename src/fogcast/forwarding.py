@@ -17,8 +17,8 @@ the groups of a trial share few such pairs, since a popular item served
 from one point reaches the same clients. ``carried_arcs`` tests every arc
 against every identifier (an arc passes when ``fid & mask == mask``) and
 walks the passing arcs from all roots together, level by level. The
-scalar ``label_arc``, ``encode_tree``, ``forward`` and ``deliver`` are the
-reference implementation that the kernel is tested against.
+scalar ``encode_tree``, ``forward`` and ``deliver`` in ``tests/oracles.py``,
+built on ``label_arc``, are the reference the kernel is tested against.
 """
 from __future__ import annotations
 
@@ -29,18 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rendezvous import MulticastTree
-from .topology import NetworkGraph, gather
+from .topology import NetworkGraph, arc_ends, gather
 
 __all__ = [
     "ExactScheme",
     "BloomScheme",
     "ArcLabel",
-    "ForwardingId",
     "label_arc",
-    "encode_tree",
-    "forward",
-    "deliver",
     "label_masks",
     "deliver_groups",
     "carried_arcs",
@@ -81,25 +76,6 @@ class ArcLabel:
     positions: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ForwardingId:
-    """Fixed-width bit vector naming the arcs of one delivery tree."""
-
-    bits: int
-    scheme: Scheme
-
-    @property
-    def width(self) -> int:
-        return _width(self.scheme)
-
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def test(self, positions: tuple[int, ...]) -> bool:
-        return all(self.bits >> p & 1 for p in positions)
-
-
 def label_arc(scheme: Scheme, arc_id: int) -> ArcLabel:
     """Bit positions owned by ``arc_id`` under ``scheme``.
 
@@ -119,54 +95,6 @@ def label_arc(scheme: Scheme, arc_id: int) -> ArcLabel:
     h2 = int.from_bytes(digest[8:], "little") | 1
     positions = tuple(sorted({(h1 + i * h2) % scheme.m for i in range(scheme.k)}))
     return ArcLabel(arc_id, positions)
-
-
-def encode_tree(tree: MulticastTree, scheme: Scheme) -> ForwardingId:
-    """OR together the labels of every tree arc."""
-    bits = 0
-    for arc_id in tree.arcs:
-        for p in label_arc(scheme, arc_id).positions:
-            bits |= 1 << p
-    return ForwardingId(bits=bits, scheme=scheme)
-
-
-def forward(fid: ForwardingId, node: int, graph: NetworkGraph) -> set[int]:
-    """Out-arcs of ``node`` whose label tests positive in ``fid``.
-
-    Stateless: the decision is a pure function of the identifier and the
-    node's arc labels.
-    """
-    if isinstance(fid.scheme, ExactScheme) and fid.scheme.width != graph.n_arcs:
-        raise ValueError(
-            f"exact fid width {fid.scheme.width} does not label a "
-            f"{graph.n_arcs}-arc graph"
-        )
-    return {
-        arc_id
-        for arc_id in graph.out_arcs[node]
-        if fid.test(label_arc(fid.scheme, arc_id).positions)
-    }
-
-
-def deliver(fid: ForwardingId, root: int, graph: NetworkGraph) -> set[int]:
-    """Nodes reached by repeatedly forwarding ``fid`` from ``root``.
-
-    A visited-arc guard makes delivery terminate on any identifier,
-    including an adversarial all-ones one.
-    """
-    reached = {root}
-    used_arcs: set[int] = set()
-    frontier = [root]
-    while frontier:
-        node = frontier.pop()
-        for arc_id in forward(fid, node, graph):
-            if arc_id in used_arcs:
-                continue
-            used_arcs.add(arc_id)
-            dst = graph.arcs[arc_id].dst
-            frontier.append(dst)
-            reached.add(dst)
-    return reached
 
 
 # Elements of the (groups, arcs) word temporary in the mask test.
@@ -254,7 +182,7 @@ def carried_arcs(graph: NetworkGraph, scheme: Scheme, fids,
         for word in range(masks.shape[1]):
             block &= (fids[lo:lo + rows, word, None] & masks[:, word]) == masks[:, word]
     group, arc = np.nonzero(passes)
-    src, dst = _arc_ends(graph)
+    src, dst = arc_ends(graph)
     src, dst = src[arc], dst[arc]
     reached = np.zeros((len(roots), graph.n_nodes), dtype=bool)
     reached[np.arange(len(roots)), roots] = True
@@ -269,13 +197,6 @@ def carried_arcs(graph: NetworkGraph, scheme: Scheme, fids,
         reached |= frontier
     carried = reached[group, src]
     return group[carried], arc[carried]
-
-
-def _arc_ends(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Source and destination node of every arc, from the ``src * n + dst`` keys."""
-    keys = np.empty_like(graph._arc_keys)
-    keys[graph._arc_ids] = graph._arc_keys
-    return np.divmod(keys, graph.n_nodes)
 
 
 def fpr_theoretical(m: int, k: int, n_inserted: int) -> float:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FogcastError
 from .topology import HopRows
 
 __all__ = ["Placement", "PlacementError", "place_points", "place_all", "ROLE_SALTS"]
@@ -23,7 +24,7 @@ ROLE_SALTS = {
 }
 
 
-class PlacementError(ValueError):
+class PlacementError(FogcastError):
     """Raised when a placement request cannot be satisfied."""
 
 

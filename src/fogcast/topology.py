@@ -10,7 +10,8 @@ Hop counts come as rows, one per source, from a breadth-first search of 64
 sources at a time. The pipeline reads only the rows a trial uses, its fog,
 cloud and LDNS points, so no n x n table is built: ``HopRows`` searches the
 rows of a held set of nodes once, and any other row per call. ``all_pairs``
-searches every row and is the tests' reference.
+searches every row; the tests and their scalar oracles (``tests/oracles.py``)
+read it.
 """
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from .errors import FogcastError
 
 __all__ = [
     "Node",
@@ -32,7 +35,7 @@ __all__ = [
     "build_graph",
     "load_topology",
     "all_pairs",
-    "extract_path",
+    "arc_ends",
     "canonical_paths",
     "gather",
     "nearest",
@@ -42,7 +45,7 @@ __all__ = [
 _GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
 
-class TopologyError(ValueError):
+class TopologyError(FogcastError):
     """Raised for malformed or unusable topology documents."""
 
 
@@ -87,15 +90,6 @@ class NetworkGraph:
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         return tuple(self.arcs[a].dst for a in self.out_arcs[node])
-
-    def arc_between(self, src: int, dst: int) -> int:
-        """Arc id of the directed arc src -> dst; KeyError if absent."""
-        at = int(np.searchsorted(self._arc_keys, src * self.n_nodes + dst))
-        if at < len(self._arc_ids):
-            arc = self.arcs[self._arc_ids[at]]
-            if (arc.src, arc.dst) == (src, dst):
-                return arc.id
-        raise KeyError((src, dst))
 
     def arcs_between(self, src, dst) -> np.ndarray:
         """Ids of the arcs ``src[i] -> dst[i]``; every pair must be an arc."""
@@ -174,7 +168,7 @@ def load_topology(source: str | Path) -> NetworkGraph:
     try:
         tree = ET.parse(str(source))
     except ET.ParseError as exc:
-        raise TopologyError(f"malformed GraphML document: {exc}") from exc
+        raise TopologyError(f"{source}: malformed GraphML document: {exc}") from exc
     root = tree.getroot()
 
     key_ids: dict[str, str] = {}
@@ -228,7 +222,8 @@ class HopTable:
     ``pred[slot[s], v]`` the predecessor of ``v`` on the canonical path
     from ``s`` (ties broken by lowest predecessor node id; ``s`` is its own
     predecessor). ``all_pairs`` gives node ``s`` row ``s``, so its
-    ``dist[s, v]`` reads directly; a table from ``HopRows`` holds the rows
+    ``dist[s, v]`` reads directly, as the scalar oracles in
+    ``tests/oracles.py`` read it; a table from ``HopRows`` holds the rows
     it was asked for, and ``slot`` is ``NO_ROW`` for the others, an index
     past every array, so reading a row it lacks raises IndexError. Rows are
     deterministic, so the held set never changes results.
@@ -253,12 +248,18 @@ def _bits(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=count, bitorder="little")
 
 
+def arc_ends(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Source and destination node of every arc, indexed by arc id."""
+    keys = np.empty_like(graph._arc_keys)
+    keys[graph._arc_ids] = graph._arc_keys
+    return np.divmod(keys, graph.n_nodes)
+
+
 def _in_arcs(graph: NetworkGraph):
     """The arcs as ``_bfs_block`` reads them: sources sorted by (dst, src),
     the first arc into each node, and per slot ``k`` the nodes with more
     than ``k`` in-arcs and their ``k``-th lowest in-neighbours."""
-    src = np.array([a.src for a in graph.arcs], dtype=np.intp)
-    dst = np.array([a.dst for a in graph.arcs], dtype=np.intp)
+    src, dst = arc_ends(graph)
     order = np.lexsort((src, dst))
     src, dst = src[order], dst[order]
     # A connected graph of two or more nodes gives every node an in-arc.
@@ -340,9 +341,8 @@ def all_pairs(graph: NetworkGraph) -> HopTable:
     """Every node's hop row: an n x n ``dist`` and ``pred``, ``slot[s] = s``.
 
     The pipeline reads only the rows it needs, through ``HopRows``; this
-    full table is the reference of the tests and of the scalar oracles
-    (``extract_path``, ``RendezvousTable.match``, ``dns_baseline``,
-    ``build_tree``).
+    full table is the reference of the tests and of the scalar oracles in
+    ``tests/oracles.py``.
     """
     return _hop_table(graph, _in_arcs(graph), np.arange(graph.n_nodes))
 
@@ -382,31 +382,13 @@ class HopRows:
         return value
 
 
-def extract_path(hops: HopTable, src: int, dst: int) -> list[int]:
-    """Ordered arc ids of the canonical shortest path src -> dst.
-
-    Empty when src == dst; length always equals ``dist[src, dst]``. A
-    scalar oracle: ``hops`` is an ``all_pairs`` table.
-    """
-    if src == dst:
-        return []
-    node_walk = [dst]
-    v = dst
-    while v != src:
-        v = int(hops.pred[src, v])
-        node_walk.append(v)
-    node_walk.reverse()
-    graph = hops.graph
-    return [graph.arc_between(u, v) for u, v in zip(node_walk, node_walk[1:])]
-
-
 def canonical_paths(hops: HopTable, roots, leaves) -> tuple[np.ndarray, np.ndarray]:
     """Canonical paths ``roots[f] -> leaves[f]`` of many flows at once, as CSR.
 
-    ``arcs[indptr[f]:indptr[f + 1]]`` equals ``extract_path(hops, roots[f],
-    leaves[f])``. Every flow walks the ``pred`` row of its root up from its
-    leaf, one level per step for all flows together; ``hops`` must hold
-    the roots' rows.
+    ``arcs[indptr[f]:indptr[f + 1]]`` are the arcs of the canonical path
+    from ``roots[f]`` to ``leaves[f]``, in order. Every flow walks the
+    ``pred`` row of its root up from its leaf, one level per step for all
+    flows together; ``hops`` must hold the roots' rows.
     """
     roots = np.asarray(roots, dtype=np.intp)
     leaves = np.asarray(leaves, dtype=np.intp)

@@ -17,6 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .errors import FogcastError
 __all__ = [
     "PopulationCell",
     "ServiceCatalogue",
@@ -39,7 +40,7 @@ _GUIDE_BUCKETS = 1 << 16
 _EARTH_RADIUS_KM = 6371.0
 
 
-class WorkloadError(ValueError):
+class WorkloadError(FogcastError):
     """Raised for unusable population or demand inputs."""
 
 

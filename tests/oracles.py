@@ -1,0 +1,362 @@
+"""Scalar reference implementations that the pipeline's kernels are tested against.
+
+Each is a plain, per-request or per-node model of one piece of a trial,
+kept independent of the array kernels in ``fogcast``:
+
+- topology: ``extract_path`` walks one canonical shortest path of an
+  ``all_pairs`` table, finding each arc by scanning the out-arcs of its
+  source (``canonical_paths`` is the kernel);
+- rendezvous: scoped names, the subscription table with nearest-subscriber
+  matching, and shortest-path delivery trees;
+- service routing: ``resolve_request`` resolves one request through the
+  rendezvous table (``service_router.resolve_nodes`` is the kernel);
+- resolver redirection: ``resolve_request_dns`` resolves one request
+  through the client's nearest LDNS (the same kernel, given resolvers);
+- forwarding: ``encode_tree``, ``forward`` and ``deliver`` encode and
+  deliver one tree at a time (``forwarding.deliver_groups`` is the kernel).
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+from fogcast.errors import NoSubscriberError
+from fogcast.forwarding import ExactScheme, Scheme, _width, label_arc
+from fogcast.service_router import SRProfile
+from fogcast.topology import HopTable, NetworkGraph
+from fogcast.workload import ServiceCatalogue
+
+
+# --- topology -----------------------------------------------------------------
+
+def extract_path(hops: HopTable, src: int, dst: int) -> list[int]:
+    """Ordered arc ids of the canonical shortest path src -> dst.
+
+    Empty when src == dst; length always equals ``dist[src, dst]``. A
+    scalar oracle: ``hops`` is an ``all_pairs`` table.
+    """
+    if src == dst:
+        return []
+    node_walk = [dst]
+    v = dst
+    while v != src:
+        v = int(hops.pred[src, v])
+        node_walk.append(v)
+    node_walk.reverse()
+    graph = hops.graph
+    return [next(arc for arc in graph.out_arcs[u] if graph.arcs[arc].dst == v)
+            for u, v in zip(node_walk, node_walk[1:])]
+
+
+# --- rendezvous ---------------------------------------------------------------
+
+SCOPE_HTTP = "HTTP"
+SCOPE_MICRO = "HTTP-Micro"
+_SCOPES = (SCOPE_HTTP, SCOPE_MICRO)
+
+
+@dataclass(frozen=True)
+class ScopedName:
+    """Hierarchical name: root scope / service FQDN / optional resource.
+
+    The resource may be a concrete URL or a wildcard pattern with a single
+    trailing ``*`` (prefix match).
+    """
+
+    root_scope: str
+    service: str
+    resource: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.root_scope not in _SCOPES:
+            raise ValueError(f"unknown root scope {self.root_scope!r}")
+        if self.resource is not None:
+            stars = self.resource.count("*")
+            if stars > 1 or (stars == 1 and not self.resource.endswith("*")):
+                raise ValueError(
+                    f"wildcard pattern {self.resource!r} must hold at most "
+                    "one '*', in final position"
+                )
+
+
+def wildcard_match(pattern: str, url: str) -> bool:
+    """True iff ``url`` equals ``pattern`` or matches its ``prefix*`` form."""
+    stars = pattern.count("*")
+    if stars > 1 or (stars == 1 and not pattern.endswith("*")):
+        raise ValueError(f"malformed wildcard pattern {pattern!r}")
+    if stars == 0:
+        return url == pattern
+    return url.startswith(pattern[:-1])
+
+
+class RendezvousTable:
+    """Subscription registry with nearest-subscriber matching.
+
+    Single writer, many readers: ``subscribe`` mutates, lookups never do.
+    Within the simulator every trial owns a private table.
+    """
+
+    def __init__(self) -> None:
+        self._subs: dict[ScopedName, set[int]] = {}
+
+    def subscribe(self, name: ScopedName, node: int) -> "RendezvousTable":
+        """Register ``node`` as a subscriber of ``name``. Idempotent."""
+        self._subs.setdefault(name, set()).add(node)
+        return self
+
+    def subscribers(self, name: ScopedName) -> frozenset[int]:
+        return frozenset(self._subs.get(name, ()))
+
+    def _candidates(self, publication: ScopedName) -> set[int]:
+        if publication.root_scope == SCOPE_HTTP:
+            return set(self._subs.get(publication, ()))
+        # Micro-scope publications carry a concrete URL; resolve it against
+        # the registered wildcard bundles of the same service.
+        found: set[int] = set()
+        for name, nodes in self._subs.items():
+            if name.root_scope != SCOPE_MICRO or name.service != publication.service:
+                continue
+            if name.resource is None or publication.resource is None:
+                continue
+            if wildcard_match(name.resource, publication.resource):
+                found |= nodes
+        return found
+
+    def match(self, hops: HopTable, publication: ScopedName, publisher: int) -> int:
+        """Subscriber of ``publication`` nearest to ``publisher``.
+
+        Ties break to the lowest node id; a publisher that subscribed
+        itself matches itself at distance 0.
+        """
+        candidates = self._candidates(publication)
+        if not candidates:
+            raise NoSubscriberError(f"no subscriber for {publication}")
+        return min(candidates, key=lambda node: (int(hops.dist[publisher, node]), node))
+
+
+@dataclass(frozen=True)
+class MulticastTree:
+    """Shortest-path delivery tree rooted at a service point."""
+
+    root: int
+    leaves: frozenset[int]
+    arcs: frozenset[int]
+
+
+def build_tree(hops: HopTable, root: int, leaves) -> MulticastTree:
+    """Union of canonical shortest paths root -> leaf.
+
+    Shared path prefixes contribute each arc once; the hop distance from
+    the root to any leaf along the tree equals the hop-table distance.
+    """
+    leaves = frozenset(leaves)
+    if not leaves:
+        raise ValueError("tree needs at least one leaf")
+    arcs: set[int] = set()
+    for leaf in leaves:
+        arcs.update(extract_path(hops, root, leaf))
+    return MulticastTree(root=root, leaves=leaves, arcs=frozenset(arcs))
+
+
+# --- service routing ----------------------------------------------------------
+
+DEFAULT_FQDN = "svc.example.net"
+
+# Cloud gateways advertise one resource bundle covering the whole catalogue.
+_MICRO_PATTERN = "/items/*"
+
+
+def item_url(item_id: int) -> str:
+    return f"/items/{item_id}"
+
+
+@dataclass(frozen=True)
+class DeliveryLeg:
+    src: int
+    dst: int
+    arcs: tuple[int, ...]
+    bitrate: float
+
+    @property
+    def hops(self) -> int:
+        return len(self.arcs)
+
+
+@dataclass(frozen=True)
+class DeliveryPlan:
+    """Request-direction legs of one resolved transaction.
+
+    ``client_path_hops`` counts the first leg only (0 when served
+    locally); it is the latency proxy, independent of any fallback leg.
+    """
+
+    legs: tuple[DeliveryLeg, ...]
+    client_path_hops: int
+
+    @property
+    def service_point(self) -> int:
+        return self.legs[0].dst
+
+
+def build_rendezvous(profiles: dict[int, SRProfile]) -> RendezvousTable:
+    """Subscribe every gateway's offerings.
+
+    All gateways listen for ``DEFAULT_FQDN`` under the service scope; cloud
+    gateways additionally listen for the catalogue bundle under the
+    micro-service scope so fog cache misses can be pulled from them.
+    """
+    table = RendezvousTable()
+    for profile in profiles.values():
+        table.subscribe(ScopedName(SCOPE_HTTP, DEFAULT_FQDN), profile.node_id)
+        if profile.role == "cloud":
+            table.subscribe(ScopedName(SCOPE_MICRO, DEFAULT_FQDN, _MICRO_PATTERN),
+                            profile.node_id)
+    return table
+
+
+def resolve_request(client: int, item_id: int, profiles: dict[int, SRProfile],
+                    table: RendezvousTable, hops: HopTable,
+                    catalogue: ServiceCatalogue) -> DeliveryPlan:
+    """Resolve one request into its delivery legs.
+
+    Leg 1 goes to the nearest FQDN subscriber. If that gateway lacks the
+    item, leg 2 publishes the concrete URL under the micro-service scope
+    and pulls it from the nearest covering cloud point.
+    """
+    bitrate = catalogue.bitrate(item_id)
+    service_point = table.match(hops, ScopedName(SCOPE_HTTP, DEFAULT_FQDN), client)
+    legs = [DeliveryLeg(client, service_point,
+                        tuple(extract_path(hops, client, service_point)), bitrate)]
+    if item_id > profiles[service_point].top_items:
+        origin = table.match(
+            hops, ScopedName(SCOPE_MICRO, DEFAULT_FQDN, item_url(item_id)), service_point
+        )
+        legs.append(DeliveryLeg(service_point, origin,
+                                tuple(extract_path(hops, service_point, origin)), bitrate))
+    return DeliveryPlan(legs=tuple(legs), client_path_hops=legs[0].hops)
+
+
+# --- resolver redirection -----------------------------------------------------
+
+@dataclass(frozen=True)
+class DnsConfig:
+    ldns: tuple[int, ...]
+    service_points: tuple[int, ...]
+    profiles: dict[int, SRProfile]
+
+    def __post_init__(self) -> None:
+        if not self.ldns:
+            raise ValueError("baseline runs need at least one LDNS")
+        if not self.service_points:
+            raise ValueError("baseline runs need at least one service point")
+
+
+def _nearest(origin: int, nodes: Iterable[int], hops: HopTable) -> int:
+    return min(nodes, key=lambda node: (int(hops.dist[origin, node]), node))
+
+
+def ldns_of(client: int, ldns_set: Iterable[int], hops: HopTable) -> int:
+    """The client's local resolver: minimum hop distance, tie lowest id."""
+    ldns_set = tuple(ldns_set)
+    if not ldns_set:
+        raise ValueError("empty LDNS set")
+    return _nearest(client, ldns_set, hops)
+
+
+def dns_select(ldns: int, service_points: Iterable[int], hops: HopTable) -> int:
+    """Replica returned by the resolver: nearest to the LDNS, not the client."""
+    service_points = tuple(service_points)
+    if not service_points:
+        raise ValueError("empty service point set")
+    return _nearest(ldns, service_points, hops)
+
+
+def resolve_request_dns(client: int, item_id: int, config: DnsConfig,
+                        hops: HopTable, bitrate: float) -> DeliveryPlan:
+    """Resolve one request through resolver redirection.
+
+    Leg 1 runs to the replica the client's LDNS selected; if that replica
+    lacks the item, leg 2 pulls it from the replica's nearest cloud point.
+    Unicast only: the baseline has no in-network aggregation.
+    """
+    resolver = ldns_of(client, config.ldns, hops)
+    selected = dns_select(resolver, config.service_points, hops)
+    legs = [DeliveryLeg(client, selected,
+                        tuple(extract_path(hops, client, selected)), bitrate)]
+    if item_id > config.profiles[selected].top_items:
+        clouds = [p.node_id for p in config.profiles.values() if p.role == "cloud"]
+        if not clouds:
+            raise ValueError("no cloud point to satisfy a cache miss")
+        origin = _nearest(selected, clouds, hops)
+        legs.append(DeliveryLeg(selected, origin,
+                                tuple(extract_path(hops, selected, origin)), bitrate))
+    return DeliveryPlan(legs=tuple(legs), client_path_hops=legs[0].hops)
+
+
+# --- forwarding ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ForwardingId:
+    """Fixed-width bit vector naming the arcs of one delivery tree."""
+
+    bits: int
+    scheme: Scheme
+
+    @property
+    def width(self) -> int:
+        return _width(self.scheme)
+
+    @property
+    def popcount(self) -> int:
+        return self.bits.bit_count()
+
+    def test(self, positions: tuple[int, ...]) -> bool:
+        return all(self.bits >> p & 1 for p in positions)
+
+
+def encode_tree(tree: MulticastTree, scheme: Scheme) -> ForwardingId:
+    """OR together the labels of every tree arc."""
+    bits = 0
+    for arc_id in tree.arcs:
+        for p in label_arc(scheme, arc_id).positions:
+            bits |= 1 << p
+    return ForwardingId(bits=bits, scheme=scheme)
+
+
+def forward(fid: ForwardingId, node: int, graph: NetworkGraph) -> set[int]:
+    """Out-arcs of ``node`` whose label tests positive in ``fid``.
+
+    Stateless: the decision is a pure function of the identifier and the
+    node's arc labels.
+    """
+    if isinstance(fid.scheme, ExactScheme) and fid.scheme.width != graph.n_arcs:
+        raise ValueError(
+            f"exact fid width {fid.scheme.width} does not label a "
+            f"{graph.n_arcs}-arc graph"
+        )
+    return {
+        arc_id
+        for arc_id in graph.out_arcs[node]
+        if fid.test(label_arc(fid.scheme, arc_id).positions)
+    }
+
+
+def deliver(fid: ForwardingId, root: int, graph: NetworkGraph) -> set[int]:
+    """Nodes reached by repeatedly forwarding ``fid`` from ``root``.
+
+    A visited-arc guard makes delivery terminate on any identifier,
+    including an adversarial all-ones one.
+    """
+    reached = {root}
+    used_arcs: set[int] = set()
+    frontier = [root]
+    while frontier:
+        node = frontier.pop()
+        for arc_id in forward(fid, node, graph):
+            if arc_id in used_arcs:
+                continue
+            used_arcs.add(arc_id)
+            dst = graph.arcs[arc_id].dst
+            frontier.append(dst)
+            reached.add(dst)
+    return reached

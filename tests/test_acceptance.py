@@ -14,7 +14,6 @@ import pytest
 
 from conftest import random_connected_graph, simulated_group_rate
 from fogcast.data import bundled_population, bundled_topology
-from fogcast.dns_baseline import DnsConfig, resolve_request_dns
 from fogcast.experiment import (
     ScenarioConfig,
     _SALT_CATALOGUE,
@@ -24,12 +23,20 @@ from fogcast.experiment import (
     run_trial,
     trial_seed,
 )
-from fogcast.forwarding import BloomScheme, ExactScheme, deliver, encode_tree, fpr_theoretical, label_arc
+from fogcast.forwarding import BloomScheme, ExactScheme, fpr_theoretical, label_arc
 from fogcast.placement import place_all
-from fogcast.rendezvous import build_tree
-from fogcast.service_router import build_rendezvous, group_rate, make_profiles, resolve_request
+from fogcast.service_router import group_rate, make_profiles
 from fogcast.topology import HopRows, all_pairs, load_topology
 from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
+from oracles import (
+    DnsConfig,
+    build_rendezvous,
+    build_tree,
+    deliver,
+    encode_tree,
+    resolve_request,
+    resolve_request_dns,
+)
 
 BASE_SEED = 3
 TRIALS = 50

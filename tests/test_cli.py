@@ -86,6 +86,10 @@ def test_run_rejects_repeated_catchment(tiny_inputs, tmp_path, capsys):
     assert not out.exists()
 
 
+# A malformed row for ``summarize`` and ``ecdf``, after a valid header.
+BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
+
+
 @pytest.mark.parametrize("command, setting, named", [
     ("sweep", "unknown = 3", "unknown key 'unknown'"),
     ("sweep", "load_fraction = 0", "load_fraction 0 outside (0, 1]"),
@@ -97,20 +101,48 @@ def test_run_rejects_repeated_catchment(tiny_inputs, tmp_path, capsys):
     ("sweep", "items = 2e3", "n_items must be an integer, got 2000.0"),
     ("sweep", "seed = true", "base_seed must be an integer, got True"),
     ("sweep", "target_bitrate = 1", "config icn,2,2,0,pop: no trial drew a request"),
+    ("run", "--topology={tmp}/bad.graphml", "bad.graphml: malformed GraphML document"),
+    ("run", "--population={tmp}/bad.txt", "bad.txt:2: expected lat,lon,count"),
+    ("run", "--topology= --population= --fog=40", "k=40 outside 1..37"),
+    ("run", "--cloud=0", "no cloud point to serve item"),
+    ("run", "--items=0", "n_items 0 must be >= 1"),
+    ("run", "--alpha=-1", "alpha -1.0 must be finite and >= 0"),
+    ("sweep", "alpha = nan", "alpha nan must be finite and >= 0"),
+    ("sweep", "alpha = steep", "alpha 'steep' must be finite and >= 0"),
+    ("run", "--target-bitrate=-5", "target_bitrate -5.0 must be finite and > 0"),
+    ("run", "--target-bitrate=inf", "target_bitrate inf must be finite and > 0"),
+    ("run", "--fog-cache=2", "fog_cache_fraction 2.0 must be in (0, 1]"),
+    ("sweep", "fog_cache_fraction = 0", "fog_cache_fraction 0 must be in (0, 1]"),
+    ("run", "--bitrates=0", "bitrates 0.0 must be finite and > 0"),
+    ("sweep", "bitrates = 20e6,inf", "bitrates inf must be finite and > 0"),
+    ("run", "--bitrates=,", "bitrates must hold at least one value"),
+    ("summarize", BAD_BACKHAUL + "icn,2\n", "bad.csv:2: expected 8 comma-separated fields, got 2"),
+    ("summarize", BAD_BACKHAUL + "icn,2,2,0,pop,0.0,0,1e9\nicn,2,2,0,pop,0.0,1,fast\n",
+     "bad.csv:3: backhaul_bps 'fast' is not a number"),
+    ("ecdf", "arch,fog_k,cloud_k,ldns_k,mode,hops,cum_fraction\nicn,1,1,0,pop,2\n",
+     "bad.csv:2: expected 7 comma-separated fields, got 6"),
 ])
 def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_path, capsys):
-    """A bad grid key or config value exits 2 with one stderr line naming it
-    and no output."""
+    """A bad grid key, config value, input file or CSV row exits 2 with one
+    stderr line naming it and no output."""
     top, pop = tiny_inputs
     out = tmp_path / "out"
+    (tmp_path / "bad.graphml").write_text("<graphml><graph>")
+    (tmp_path / "bad.txt").write_text("50.0,0.0,60\n50.0,1.0\n")
+    (tmp_path / "bad.csv").write_text(setting)
     if command == "sweep":
         grid = tmp_path / "grid.cfg"
         grid.write_text(f"topology = {top}\npopulation = {pop}\nitems = 3\ntrials = 1\n"
                         f"{setting}\n")
-        args = ["sweep", "--grid", str(grid)]
+        args = ["sweep", "--grid", str(grid), "--out", str(out)]
+    elif command == "run":
+        args = ["run", "--topology", top, "--population", pop, "--items", "3",
+                *setting.format(tmp=tmp_path).split(), "--out", str(out)]
     else:
-        args = ["run", "--topology", top, "--population", pop, "--items", "3", setting]
-    assert run_cmd(args + ["--out", str(out)]) == 2
+        args = {"summarize": ["summarize", "--backhaul", str(tmp_path / "bad.csv")],
+                "ecdf": ["ecdf", "--pathlen", str(tmp_path / "bad.csv"),
+                         "--arch", "icn", "--fog", "1", "--cloud", "1"]}[command]
+    assert run_cmd(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1

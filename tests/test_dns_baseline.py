@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import bfs_distances
-from fogcast.dns_baseline import DnsConfig, dns_select, ldns_of, resolve_request_dns
-from fogcast.service_router import build_rendezvous, make_profiles, resolve_request
+from fogcast.service_router import make_profiles
 from fogcast.topology import all_pairs
 from fogcast.workload import build_catalogue
+from oracles import (
+    DnsConfig,
+    build_rendezvous,
+    dns_select,
+    ldns_of,
+    resolve_request,
+    resolve_request_dns,
+)
 
 
 @pytest.fixture()

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
+import pkgutil
 import re
 import tracemalloc
 
@@ -24,15 +26,27 @@ from fogcast.experiment import (
     _SALT_CATALOGUE,
     _SALT_DEMAND,
 )
+import fogcast
+import oracles
 from conftest import random_connected_graph, write_synthetic
-from fogcast import dns_baseline, experiment, forwarding, rendezvous, service_router, topology
-from fogcast.dns_baseline import DnsConfig, resolve_request_dns
-from fogcast.forwarding import BloomScheme, deliver, encode_tree, forward
+from fogcast import experiment, forwarding, topology
+from fogcast.errors import NoSubscriberError
+from fogcast.forwarding import BloomScheme
 from fogcast.placement import place_all
-from fogcast.rendezvous import MulticastTree, NoSubscriberError
-from fogcast.service_router import build_rendezvous, make_profiles, resolve_nodes, resolve_request
-from fogcast.topology import NO_ROW, HopRows, all_pairs, extract_path, load_topology
+from fogcast.service_router import make_profiles, resolve_nodes
+from fogcast.topology import NO_ROW, HopRows, all_pairs, load_topology
 from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
+from oracles import (
+    DnsConfig,
+    MulticastTree,
+    build_rendezvous,
+    deliver,
+    encode_tree,
+    extract_path,
+    forward,
+    resolve_request,
+    resolve_request_dns,
+)
 
 GRAPHML_HEADER = (
     '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
@@ -211,7 +225,6 @@ def test_trial_loads_match_manual_flow_enumeration(chain_setup):
                     expected[arc] += count * 20e6
         assert outcome.unicast.arc_load == pytest.approx(expected)
         assert list(outcome.unicast.path_samples) == expected_samples
-        assert outcome.unicast.offered_bitrate == demand.offered_bitrate
     assert pulls > 0
 
 
@@ -232,7 +245,7 @@ def _resolution_cases():
         yield all_pairs(graph), fog, sorted(set(cloud) | {fog[0]}), ldns, nodes, items
 
 
-def test_per_node_kernel_matches_scalar_resolvers(monkeypatch):
+def test_per_node_kernel_matches_scalar_resolvers():
     catalogue = build_catalogue(20, 0.8, (20e6,), seed=3)
     ties = 0
     for hops, fog, cloud, ldns, nodes, items in _resolution_cases():
@@ -245,40 +258,25 @@ def test_per_node_kernel_matches_scalar_resolvers(monkeypatch):
             "dns": resolve_nodes(hops, nodes, items, profiles, tuple(ldns)),
         }
         for i, (node, item) in enumerate(zip(nodes.tolist(), items.tolist())):
-            oracles = {
+            plans = {
                 "icn": resolve_request(node, item, profiles, table, hops, catalogue),
                 "dns": resolve_request_dns(node, item, dns_config, hops, 20e6),
             }
-            for arch, plan in oracles.items():
+            for arch, plan in plans.items():
                 point, origin = kernels[arch]
                 assert point[i] == plan.service_point, (arch, node, item)
                 assert origin[i] == (plan.legs[1].dst if len(plan.legs) > 1 else -1)
                 assert hops.dist[node, point[i]] == plan.client_path_hops
-            ties += sum(hops.dist[node, p] == hops.dist[node, oracles["icn"].service_point]
+            ties += sum(hops.dist[node, p] == hops.dist[node, plans["icn"].service_point]
                         for p in profiles) > 1
     assert ties > 0
 
-    # Trials route through the per-node kernel alone, which reads neither
-    # a rendezvous table nor a resolver config.
-    def refuse(*args, **kwargs):
-        raise AssertionError("scalar-oracle routing called inside a trial")
-
-    for module, name in ((service_router, "resolve_request"),
-                         (service_router, "build_rendezvous"),
-                         (experiment, "build_rendezvous"),
-                         (dns_baseline, "DnsConfig"),
-                         (experiment, "DnsConfig"),
-                         (dns_baseline, "resolve_request_dns"),
-                         (experiment, "resolve_request"),
-                         (experiment, "resolve_request_dns"),
-                         (experiment, "extract_path"),
-                         (service_router, "extract_path"),
-                         (dns_baseline, "extract_path"),
-                         (rendezvous, "extract_path"),
-                         (topology, "extract_path")):
-        monkeypatch.setattr(module, name, refuse, raising=False)
-    monkeypatch.setattr(rendezvous.RendezvousTable, "match", refuse)
-    monkeypatch.setattr(rendezvous.RendezvousTable, "subscribe", refuse)
+    # Trials route through the per-node kernel alone: no fogcast module
+    # holds a scalar oracle for them to call.
+    moved = {name for name, value in vars(oracles).items()
+             if getattr(value, "__module__", None) == oracles.__name__}
+    for info in pkgutil.iter_modules(fogcast.__path__):
+        assert not moved & set(vars(importlib.import_module(f"fogcast.{info.name}"))), info.name
     for config in (ScenarioConfig(arch="icn", fog_k=4, cloud_k=4, catchment=(1.0,), trials=1),
                    ScenarioConfig(arch="dns", fog_k=4, cloud_k=4, ldns_k=4, trials=1)):
         assert backhaul(run_trial(config, 0).unicast) > 0
@@ -434,8 +432,7 @@ def _per_group_bloom_loop(graph, scheme, roots, tree_group, tree_arc, fp_arcs):
 def test_seeded_bloom_trial_equals_per_group_loop(monkeypatch):
     """Kernel trials equal the per-group loop byte for byte, under the default
     scheme (no false positive on the bundled backbone, so equal to the exact
-    scheme too) and a 16-bit one (many); trials call no scalar forwarding
-    and label each arc once."""
+    scheme too) and a 16-bit one (many); trials label each arc once."""
     configs = [ScenarioConfig(arch="icn", fog_k=f, cloud_k=c, catchment=(0.1, 1.0, 10.0),
                               scheme="bloom", count_fallback=fallback, base_seed=7)
                for f, c, fallback in ((4, 4, True), (2, 8, False), (8, 2, True))]
@@ -449,9 +446,6 @@ def test_seeded_bloom_trial_equals_per_group_loop(monkeypatch):
             patch.setattr(experiment, "BloomScheme", lambda scheme=scheme: scheme)
             expected[scheme] = [run_trial(c, i) for c in configs for i in range(2)]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("scalar forwarding called inside a trial")
-
     labels = []
     label_arc = forwarding.label_arc
 
@@ -459,8 +453,6 @@ def test_seeded_bloom_trial_equals_per_group_loop(monkeypatch):
         labels.append((scheme, arc_id))
         return label_arc(scheme, arc_id)
 
-    for name in ("forward", "deliver", "encode_tree"):
-        monkeypatch.setattr(forwarding, name, refuse)
     monkeypatch.setattr(forwarding, "label_arc", counting_label_arc)
     monkeypatch.setattr(forwarding, "_MASK_TABLES", {})
     exact = [run_trial(dataclasses.replace(c, scheme="exact"), i)
@@ -545,12 +537,12 @@ def test_backhaul_sums_a_three_hop_flow():
     load = np.zeros(10)
     for arc in (0, 4, 7):
         load[arc] += 20e6
-    metrics = TrialMetrics(arc_load=load, path_samples=np.array([3]), offered_bitrate=20e6)
+    metrics = TrialMetrics(arc_load=load, path_samples=np.array([3]))
     assert backhaul(metrics) == pytest.approx(60e6)
 
 
 def test_backhaul_of_empty_load_map_is_zero():
-    metrics = TrialMetrics(arc_load=np.zeros(4), path_samples=np.array([0]), offered_bitrate=0)
+    metrics = TrialMetrics(arc_load=np.zeros(4), path_samples=np.array([0]))
     assert backhaul(metrics) == 0.0
 
 

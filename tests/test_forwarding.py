@@ -7,18 +7,22 @@ from conftest import random_connected_graph
 from fogcast.forwarding import (
     BloomScheme,
     ExactScheme,
-    ForwardingId,
     carried_arcs,
-    deliver,
     deliver_groups,
-    encode_tree,
-    forward,
     fpr_theoretical,
     label_arc,
     label_masks,
 )
-from fogcast.rendezvous import MulticastTree, build_tree
-from fogcast.topology import all_pairs, extract_path
+from fogcast.topology import all_pairs
+from oracles import (
+    ForwardingId,
+    MulticastTree,
+    build_tree,
+    deliver,
+    encode_tree,
+    extract_path,
+    forward,
+)
 
 
 def make_tree(root, leaves, arcs):

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import bfs_distances, random_connected_graph
-from fogcast.rendezvous import (
+from fogcast.errors import NoSubscriberError
+from fogcast.topology import all_pairs
+from oracles import (
     SCOPE_HTTP,
     SCOPE_MICRO,
-    NoSubscriberError,
     RendezvousTable,
     ScopedName,
     build_tree,
+    extract_path,
     wildcard_match,
 )
-from fogcast.topology import all_pairs, extract_path
 
 FQDN = "svc.example.net"
 

@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import count_windows, simulated_group_rate
-from fogcast.rendezvous import NoSubscriberError
-from fogcast.service_router import (
-    build_rendezvous,
-    group_rate,
-    item_url,
-    make_profiles,
-    resolve_request,
-)
+from fogcast.errors import NoSubscriberError
+from fogcast.service_router import group_rate, make_profiles
 from fogcast.topology import all_pairs
 from fogcast.workload import build_catalogue
+from oracles import build_rendezvous, item_url, resolve_request
 
 
 @pytest.fixture()

@@ -12,13 +12,14 @@ from fogcast.topology import (
     HopRows,
     TopologyError,
     all_pairs,
+    arc_ends,
     build_graph,
     canonical_paths,
     closeness,
-    extract_path,
     load_topology,
     nearest,
 )
+from oracles import extract_path
 
 
 def test_geant_fixture_dimensions(geant):
@@ -32,6 +33,8 @@ def test_every_edge_expands_to_two_arcs(triangle):
     for arc in triangle.arcs:
         rev = triangle.arcs[arc.id ^ 1]
         assert (rev.src, rev.dst) == (arc.dst, arc.src)
+    src, dst = arc_ends(triangle)
+    assert list(zip(src.tolist(), dst.tolist())) == [(a.src, a.dst) for a in triangle.arcs]
 
 
 def test_duplicate_undirected_edges_collapse():
