@@ -2,6 +2,7 @@
 
 ``run`` executes one scenario, ``sweep`` a grid file, ``summarize`` and
 ``ecdf`` post-process the emitted CSV files into gnuplot-ready columns.
+``run`` takes every grid key ``key_name`` as a flag ``--key-name``, read as its grid line is.
 """
 from __future__ import annotations
 
@@ -10,49 +11,23 @@ import sys
 from pathlib import Path
 
 from .errors import FogcastError
-from .experiment import (BACKHAUL_HEADER, PATHLEN_HEADER, SUMMARY_HEADER, ScenarioConfig,
-                         load_grid, run_sweep, summary_row)
-
-
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    """argparse type of ``--catchment`` and ``--bitrates``: comma-separated numbers."""
-    try:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {raw!r}") from None
+from .experiment import (BACKHAUL_HEADER, GRID_KEYS, PATHLEN_HEADER, SUMMARY_HEADER,
+                         ScenarioConfig, grid_configs, load_grid, run_sweep, summary_row)
 
 
 def _positive_int(raw: str) -> int:
-    """argparse type of ``--jobs`` and ``--trials``: an integer >= 1."""
+    """argparse type of ``--jobs``: an integer >= 1."""
     if not raw.strip().isdigit() or int(raw) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
     return int(raw)
 
 
 def _add_run_parser(sub) -> None:
-    p = sub.add_parser("run", help="run one scenario and write CSV output")
-    p.add_argument("--topology", default="", help="GraphML file (default: bundled)")
-    p.add_argument("--population", default="", help="population grid file (default: bundled)")
-    p.add_argument("--arch", choices=("icn", "dns"), default="icn")
-    p.add_argument("--fog", type=int, default=2, metavar="K")
-    p.add_argument("--cloud", type=int, default=2, metavar="K")
-    p.add_argument("--ldns", type=int, default=0, metavar="K")
-    p.add_argument("--placement", choices=("pop", "cls"), default="pop")
-    p.add_argument("--catchment", type=_parse_floats, default="", metavar="T[,T...]",
-                   help="catchment intervals in seconds (icn only)")
-    p.add_argument("--trials", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--items", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--bitrates", type=_parse_floats, default="20e6,40e6,60e6")
-    p.add_argument("--load-fraction", type=float, default=0.4)
-    p.add_argument("--target-bitrate", type=float, default=70e9)
-    p.add_argument("--fog-cache", type=float, default=0.1,
-                   help="fraction of the catalogue cached at fog points")
-    p.add_argument("--no-fallback-load", action="store_true",
-                   help="exclude fog-to-cloud fallback traffic from backhaul")
-    p.add_argument("--scheme", choices=("exact", "bloom"), default="exact")
+    p = sub.add_parser("run", help="run one scenario, given as grid keys, and write CSV output")
+    for key, name in GRID_KEYS.items():
+        default = getattr(ScenarioConfig, name)  # the dataclass default
+        p.add_argument(f"--{key.replace('_', '-')}", metavar="VALUE",
+                       help=f"default: {default if default != '' else 'bundled'}")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", required=True, metavar="DIR")
 
@@ -80,27 +55,8 @@ def _add_ecdf_parser(sub) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = ScenarioConfig(
-        arch=args.arch,
-        fog_k=args.fog,
-        cloud_k=args.cloud,
-        ldns_k=args.ldns,
-        mode=args.placement,
-        catchment=args.catchment,
-        topology_path=args.topology,
-        population_path=args.population,
-        n_items=args.items,
-        alpha=args.alpha,
-        bitrates=args.bitrates,
-        load_fraction=args.load_fraction,
-        target_bitrate=args.target_bitrate,
-        trials=args.trials,
-        base_seed=args.seed,
-        count_fallback=not args.no_fallback_load,
-        scheme=args.scheme,
-        fog_cache_fraction=args.fog_cache,
-    )
-    results = run_sweep([config], out_dir=args.out, jobs=args.jobs)
+    raw = {key: getattr(args, key) for key in GRID_KEYS if getattr(args, key) is not None}
+    results = run_sweep(grid_configs(raw), out_dir=args.out, jobs=args.jobs)
     for result in results:
         for key, mean in sorted(result.mean_backhaul.items()):
             label = "unicast" if key == 0.0 else f"T={key:g}s"

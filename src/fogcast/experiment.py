@@ -50,7 +50,7 @@ from . import data
 from .errors import FogcastError
 from .forwarding import BloomScheme, deliver_groups
 from .placement import place_all
-from .service_router import group_rate, make_profiles, resolve_nodes
+from .service_router import fog_cache_items, group_rate, make_profiles, resolve_nodes
 from .topology import HopRows, canonical_paths, gather, load_topology
 from .workload import (
     CHUNK_DURATION,
@@ -73,6 +73,7 @@ __all__ = [
     "summary_row",
     "run_sweep",
     "load_grid",
+    "grid_configs",
     "expand_grid",
 ]
 
@@ -84,8 +85,8 @@ BACKHAUL_HEADER = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps"
 PATHLEN_HEADER = "arch,fog_k,cloud_k,ldns_k,mode,hops,cum_fraction"
 SUMMARY_HEADER = "arch,fog_k,cloud_k,ldns_k,mode,T,trials,mean_backhaul_bps,std_backhaul_bps"
 
-# Variant key for plain unicast rows; a zero catchment interval is
-# analytically identical, so the label is exact rather than conventional.
+# Variant key for plain unicast rows. A listed zero interval adds no variant:
+# under Bloom identifiers it would charge false-positive arcs as unicast.
 UNICAST = 0.0
 
 
@@ -127,6 +128,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.count_fallback, bool):
+            raise ConfigError(f"count_fallback {self.count_fallback!r} must be true or false")
         if self.arch not in ("icn", "dns"):
             raise ConfigError(f"unknown architecture {self.arch!r}")
         if self.mode not in ("pop", "cls"):
@@ -145,6 +148,7 @@ class ScenarioConfig:
             ("target_bitrate", (self.target_bitrate,), "finite and > 0", lambda x: x > 0),
             ("bitrates", self.bitrates, "finite and > 0", lambda x: x > 0),
             ("fog_cache_fraction", (self.fog_cache_fraction,), "in (0, 1]", lambda x: 0 < x <= 1),
+            ("catchment interval", self.catchment, "finite and >= 0", lambda x: x >= 0),
         ):
             for value in values:
                 if not (_finite(value) and fits(value)):
@@ -157,8 +161,6 @@ class ScenarioConfig:
             if self.catchment:
                 raise ConfigError("dns runs support no catchment aggregation")
         for at, t in enumerate(self.catchment):
-            if not math.isfinite(t) or t < 0:
-                raise ConfigError(f"catchment interval {t} must be finite and >= 0")
             if t in self.catchment[:at]:
                 raise ConfigError(f"catchment interval {t} repeated")
         if not self.topology_path:
@@ -177,15 +179,13 @@ class TrialMetrics:
 
 @dataclass
 class TrialOutcome:
-    """Metrics of one trial: unicast plus one variant per catchment interval."""
+    """Metrics of one trial: unicast plus one variant per nonzero catchment interval."""
 
     unicast: TrialMetrics
     by_catchment: dict[float, TrialMetrics] = field(default_factory=dict)
 
     def variants(self) -> dict[float, TrialMetrics]:
-        out = {UNICAST: self.unicast}
-        out.update(self.by_catchment)
-        return out
+        return {UNICAST: self.unicast, **self.by_catchment}
 
 
 @dataclass
@@ -269,7 +269,8 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
             path_samples=np.repeat(hops.dist[hops.slot[point], nodes], counts),
         )
     )
-    if not config.catchment:
+    intervals = [t for t in config.catchment if t != UNICAST]
+    if not intervals:
         return outcome
 
     # Requests pool per (service point, item) group. Groups are numbered in
@@ -307,7 +308,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     order = np.argsort(entry_group, kind="stable")
     entry_arc, entry_rate = entry_arc[order], entry_rate[order]
     entry_bitrate = bitrate[group_at][entry_group[order]]
-    for interval in config.catchment:
+    for interval in intervals:
         weights = group_rate(entry_rate, interval) * entry_bitrate * CHUNK_DURATION
         outcome.by_catchment[interval] = TrialMetrics(
             arc_load=_per_arc(entry_arc, weights, graph.n_arcs),
@@ -360,12 +361,33 @@ def summary_row(label: str, values) -> tuple[str, float, float]:
     return f"{label},{len(values)},{_fmt(mean)},{_fmt(std)}", mean, std
 
 
+def _prefix(config: ScenarioConfig) -> str:
+    return f"{config.arch},{config.fog_k},{config.cloud_k},{config.ldns_k},{config.mode}"
+
+
+def _check_fits(config: ScenarioConfig) -> None:
+    """Reject a config its topology cannot run: a role with more points than
+    its placement can draw, or a miss without a cloud point to pull from."""
+    graph, _, populations = _load_context(config.topology_path, config.population_path)
+    n, nodes = ((np.count_nonzero(populations), "populated nodes") if config.mode == "pop"
+                else (graph.n_nodes, "nodes"))
+    for key, k in (("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k)):
+        if k > n:
+            raise ConfigError(f"config {_prefix(config)}: {key} = {k} exceeds the {n} {nodes}")
+    if config.cloud_k == 0 and fog_cache_items(config.fog_cache_fraction,
+                                                config.n_items) < config.n_items:
+        raise ConfigError(f"config {_prefix(config)}: no cloud point to serve items past "
+                          "the fog cache")
+
+
 def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
               jobs: int = 1) -> list[SweepResult]:
     """Run every config, optionally writing CSV output and a run manifest.
 
-    Output files: ``backhaul.csv`` with one row per (config, interval,
-    trial); ``pathlen.csv`` with the pooled path-length ECDF per config;
+    Every config is checked against its topology before the first trial,
+    so a bad grid spends no trial and writes no file. Output files:
+    ``backhaul.csv`` with one row per (config, interval, trial);
+    ``pathlen.csv`` with the pooled path-length ECDF per config;
     ``summary.csv`` with one aggregate row per (config, interval);
     ``manifest.txt`` echoing configs and derived seeds.
     """
@@ -375,8 +397,10 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
     summary_rows: list[str] = []
     manifest: list[str] = []
 
+    for config in configs:
+        _check_fits(config)
     for config, outcomes in _run_configs(configs, jobs):
-        prefix = f"{config.arch},{config.fog_k},{config.cloud_k},{config.ldns_k},{config.mode}"
+        prefix = _prefix(config)
         variant_keys = [UNICAST] + [t for t in config.catchment if t != UNICAST]
         mean: dict[float, float] = {}
         std: dict[float, float] = {}
@@ -433,7 +457,7 @@ def _parse_list(raw: str) -> list:
     return [_parse_value(part) for part in raw.split(",") if part.strip()]
 
 
-_GRID_KEYS = {
+GRID_KEYS = {
     "topology": "topology_path",
     "population": "population_path",
     "arch": "arch",
@@ -474,27 +498,36 @@ def expand_grid(settings: dict) -> list[ScenarioConfig]:
             for combo in product(*axes.values())]
 
 
-def load_grid(path: str | Path) -> list[ScenarioConfig]:
-    """Parse a ``key = value`` grid file into a config list.
+def grid_configs(raw: dict[str, str]) -> list[ScenarioConfig]:
+    """The configs of a grid given as ``{grid key: raw value}``.
 
     Comma-separated values of ``fog``, ``cloud``, ``ldns`` and
     ``placement`` sweep the grid; other list-valued keys configure every
-    run (catchment intervals, bitrate set).
+    run (catchment intervals, bitrate set); file paths are taken as given.
+    ``fogcast run`` passes its flags here, so a flag reads as its grid line does.
     """
     settings: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for key, value in raw.items():
+        parsed = (value.strip() if key in ("topology", "population") else
+                  _parse_list(value) if "," in value else _parse_value(value))
+        if isinstance(parsed, list) and len(parsed) == 1:
+            parsed = parsed[0]
+        settings[GRID_KEYS[key]] = parsed
+    return expand_grid(settings)
+
+
+def load_grid(path: str | Path) -> list[ScenarioConfig]:
+    """Read a ``key = value`` grid file into ``grid_configs``."""
+    raw: dict[str, str] = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _GRID_KEYS:
+        if key not in GRID_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        field_name = _GRID_KEYS[key]
-        parsed = _parse_list(value) if "," in value else _parse_value(value)
-        if isinstance(parsed, list) and len(parsed) == 1:
-            parsed = parsed[0]
-        settings[field_name] = parsed
-    return expand_grid(settings)
+        raw[key] = value
+    return grid_configs(raw)

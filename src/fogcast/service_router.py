@@ -24,7 +24,7 @@ from .errors import NoSubscriberError
 from .topology import HopTable, nearest
 from .workload import ServiceCatalogue
 
-__all__ = ["SRProfile", "make_profiles", "resolve_nodes", "group_rate"]
+__all__ = ["SRProfile", "fog_cache_items", "make_profiles", "resolve_nodes", "group_rate"]
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,11 @@ class SRProfile:
     top_items: int
 
 
+def fog_cache_items(fog_cache_fraction: float, n_items: int) -> int:
+    """Items a fog point caches: the top ``fog_cache_fraction`` of them, at least one."""
+    return max(1, int(fog_cache_fraction * n_items))
+
+
 def make_profiles(fog_nodes: Iterable[int], cloud_nodes: Iterable[int],
                   catalogue: ServiceCatalogue,
                   fog_cache_fraction: float = 0.1) -> dict[int, SRProfile]:
@@ -51,7 +56,7 @@ def make_profiles(fog_nodes: Iterable[int], cloud_nodes: Iterable[int],
     """
     if not 0.0 < fog_cache_fraction <= 1.0:
         raise ValueError("fog_cache_fraction outside (0, 1]")
-    top = max(1, int(fog_cache_fraction * catalogue.n))
+    top = fog_cache_items(fog_cache_fraction, catalogue.n)
     profiles: dict[int, SRProfile] = {}
     for node in fog_nodes:
         profiles[node] = SRProfile(node, "fog", top)

@@ -163,14 +163,18 @@ def load_topology(source: str | Path) -> NetworkGraph:
     """Parse a Topology Zoo GraphML document into a NetworkGraph.
 
     Dense node ids follow document order. Nodes must carry Latitude and
-    Longitude data keys; an offending node is named in the error.
+    Longitude data keys; an offending node is named in the error. Every
+    error names the file.
     """
     try:
-        tree = ET.parse(str(source))
+        return _graph_of(ET.parse(str(source)).getroot())
     except ET.ParseError as exc:
         raise TopologyError(f"{source}: malformed GraphML document: {exc}") from exc
-    root = tree.getroot()
+    except TopologyError as exc:
+        raise TopologyError(f"{source}: {exc}") from None
 
+
+def _graph_of(root: ET.Element) -> NetworkGraph:
     key_ids: dict[str, str] = {}
     for key in root.findall(f"{_GRAPHML_NS}key"):
         if key.get("for") == "node":

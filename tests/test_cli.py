@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from fogcast import cli, experiment
 from fogcast.cli import main
+from fogcast.experiment import GRID_KEYS, ScenarioConfig, load_grid
 from test_experiment import write_graphml
 
 
@@ -59,21 +61,29 @@ def test_run_dns_arch(tiny_inputs, tmp_path):
     ("run", "--catchment", "abc"), ("run", "--bitrates", "1e6,x"),
 ])
 def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp_path, capsys):
-    """Bad counts and number lists exit 2 with one argparse line and no output."""
+    """Bad counts and number lists exit 2 with one error line and no output:
+    argparse checks ``--jobs``, the config checks the grid keys."""
     top, pop = tiny_inputs
     grid = tmp_path / "grid.cfg"
     grid.write_text(f"topology = {top}\npopulation = {pop}\nitems = 3\ntrials = 1\n")
     out = tmp_path / "out"
     args = {"run": ["run", "--topology", top, "--population", pop, "--items", "3"],
             "sweep": ["sweep", "--grid", str(grid)]}[command]
-    with pytest.raises(SystemExit) as exit_info:
-        run_cmd(args + [flag, value, "--out", str(out)])
-    assert exit_info.value.code == 2
+    try:
+        code = run_cmd(args + [flag, value, "--out", str(out)])
+    except SystemExit as exit_info:
+        code = exit_info.code
+    assert code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    expected = {"--catchment": "comma-separated numbers",
-                "--bitrates": "comma-separated numbers"}.get(flag, "an integer >= 1")
-    assert errors == [f"fogcast {command}: error: argument {flag}: "
-                      f"expected {expected}, got {value!r}"]
+    expected = {
+        "--jobs": f"fogcast {command}: error: argument --jobs: "
+                  f"expected an integer >= 1, got {value!r}",
+        "--trials": {"0": "fogcast: error: trials 0 must be >= 1",
+                     "1.5": "fogcast: error: trials must be an integer, got 1.5"}.get(value),
+        "--catchment": "fogcast: error: catchment interval 'abc' must be finite and >= 0",
+        "--bitrates": "fogcast: error: bitrates 'x' must be finite and > 0",
+    }[flag]
+    assert errors == [expected]
     assert not out.exists()
 
 
@@ -82,7 +92,7 @@ def test_run_rejects_repeated_catchment(tiny_inputs, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cmd(["run", "--topology", top, "--population", pop, "--items", "3",
                     "--catchment", "1,1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "fogcast: error: catchment interval 1.0 repeated\n"
+    assert capsys.readouterr().err == "fogcast: error: catchment interval 1 repeated\n"
     assert not out.exists()
 
 
@@ -94,7 +104,7 @@ BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
     ("sweep", "unknown = 3", "unknown key 'unknown'"),
     ("sweep", "load_fraction = 0", "load_fraction 0 outside (0, 1]"),
     ("sweep", "load_fraction = 1.5", "load_fraction 1.5 outside (0, 1]"),
-    ("run", "--load-fraction=0", "load_fraction 0.0 outside (0, 1]"),
+    ("run", "--load-fraction=0", "load_fraction 0 outside (0, 1]"),
     ("run", "--load-fraction=-0.4", "load_fraction -0.4 outside (0, 1]"),
     ("sweep", "fog = abc", "fog_k must be an integer, got 'abc'"),
     ("sweep", "trials = 1.5", "trials must be an integer, got 1.5"),
@@ -103,17 +113,29 @@ BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
     ("sweep", "target_bitrate = 1", "config icn,2,2,0,pop: no trial drew a request"),
     ("run", "--topology={tmp}/bad.graphml", "bad.graphml: malformed GraphML document"),
     ("run", "--population={tmp}/bad.txt", "bad.txt:2: expected lat,lon,count"),
-    ("run", "--topology= --population= --fog=40", "k=40 outside 1..37"),
+    ("sweep", "topology = no,such.graphml", "No such file or directory: 'no,such.graphml'"),
+    ("run", "--topology={tmp}/nokeys.graphml",
+     "nokeys.graphml: document declares no Latitude/Longitude node keys"),
+    ("run", "--topology={tmp}/split.graphml", "split.graphml: graph is disconnected"),
+    ("run", "--topology= --population= --fog=40",
+     "config icn,40,2,0,pop: fog = 40 exceeds the 37 populated nodes"),
+    ("sweep", "fog = 1,4", "config icn,4,2,0,pop: fog = 4 exceeds the 3 populated nodes"),
+    ("sweep", "placement = cls\nfog = 1,4", "config icn,4,2,0,cls: fog = 4 exceeds the 3 nodes"),
     ("run", "--cloud=0", "no cloud point to serve item"),
+    ("sweep", "count_fallback = 1", "count_fallback 1 must be true or false"),
+    ("run", "--count-fallback 1", "count_fallback 1 must be true or false"),
+    ("sweep", "catchment = abc", "catchment interval 'abc' must be finite and >= 0"),
+    ("run", "--catchment abc", "catchment interval 'abc' must be finite and >= 0"),
+    ("sweep", "catchment = 0.1,true", "catchment interval True must be finite and >= 0"),
     ("run", "--items=0", "n_items 0 must be >= 1"),
-    ("run", "--alpha=-1", "alpha -1.0 must be finite and >= 0"),
+    ("run", "--alpha=-1", "alpha -1 must be finite and >= 0"),
     ("sweep", "alpha = nan", "alpha nan must be finite and >= 0"),
     ("sweep", "alpha = steep", "alpha 'steep' must be finite and >= 0"),
-    ("run", "--target-bitrate=-5", "target_bitrate -5.0 must be finite and > 0"),
+    ("run", "--target-bitrate=-5", "target_bitrate -5 must be finite and > 0"),
     ("run", "--target-bitrate=inf", "target_bitrate inf must be finite and > 0"),
-    ("run", "--fog-cache=2", "fog_cache_fraction 2.0 must be in (0, 1]"),
+    ("run", "--fog-cache=2", "fog_cache_fraction 2 must be in (0, 1]"),
     ("sweep", "fog_cache_fraction = 0", "fog_cache_fraction 0 must be in (0, 1]"),
-    ("run", "--bitrates=0", "bitrates 0.0 must be finite and > 0"),
+    ("run", "--bitrates=0", "bitrates 0 must be finite and > 0"),
     ("sweep", "bitrates = 20e6,inf", "bitrates inf must be finite and > 0"),
     ("run", "--bitrates=,", "bitrates must hold at least one value"),
     ("summarize", BAD_BACKHAUL + "icn,2\n", "bad.csv:2: expected 8 comma-separated fields, got 2"),
@@ -128,6 +150,11 @@ def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_
     top, pop = tiny_inputs
     out = tmp_path / "out"
     (tmp_path / "bad.graphml").write_text("<graphml><graph>")
+    (tmp_path / "nokeys.graphml").write_text(
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph><node id="0"/></graph>'
+        "</graphml>")
+    write_graphml(tmp_path / "split.graphml",
+                  [("a", 50.0, 0.0), ("b", 50.0, 1.0), ("c", 50.0, 2.0)], [(0, 1)])
     (tmp_path / "bad.txt").write_text("50.0,0.0,60\n50.0,1.0\n")
     (tmp_path / "bad.csv").write_text(setting)
     if command == "sweep":
@@ -148,6 +175,69 @@ def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("fogcast: error: ") and named in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, named", [
+    ("fog = 2,40", "config icn,40,2,0,pop: fog = 40 exceeds the 37 populated nodes"),
+    ("placement = cls\nfog = 2,40", "config icn,40,2,0,cls: fog = 40 exceeds the 37 nodes"),
+    ("arch = dns\nldns = 1\ncloud = 2,40",
+     "config dns,2,40,1,pop: cloud = 40 exceeds the 37 populated nodes"),
+    ("arch = dns\nplacement = cls\nldns = 1,38",
+     "config dns,2,2,38,cls: ldns = 38 exceeds the 37 nodes"),
+    ("cloud = 2,0", "config icn,2,0,0,pop: no cloud point to serve items past the fog cache"),
+])
+def test_bad_grid_fails_before_the_first_trial(setting, named, tmp_path, capsys, monkeypatch):
+    """A grid whose second config cannot run spends no trial and writes no file."""
+    calls = []
+    run_trial = experiment.run_trial
+    monkeypatch.setattr(experiment, "run_trial",
+                        lambda *args: calls.append(args) or run_trial(*args))
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(f"{setting}\ntrials = 2\n")
+    out = tmp_path / "out"
+    assert run_cmd(["sweep", "--grid", str(grid), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"fogcast: error: {named}\n"
+    assert calls == []
+    assert not out.exists()
+
+
+def test_cloudless_grid_runs_when_fog_caches_every_item(tiny_inputs, tmp_path):
+    top, pop = tiny_inputs
+    out = tmp_path / "out"
+    assert run_cmd(["run", "--topology", top, "--population", pop, "--items", "3",
+                    "--cloud", "0", "--fog-cache-fraction", "1", "--trials", "2",
+                    "--out", str(out)]) == 0
+    assert (out / "backhaul.csv").exists()
+
+
+# A value for each grid key, away from its ``ScenarioConfig`` default.
+KEY_SAMPLES = {
+    "topology": "{top}", "population": "{pop}", "arch": "dns", "placement": "cls",
+    "fog": "1,2", "cloud": "1", "ldns": "1,2", "catchment": "0,0.1,1", "items": "2",
+    "alpha": "1.2", "bitrates": "1e6,2e6", "load_fraction": "0.5", "target_bitrate": "3e9",
+    "trials": "3", "seed": "7", "count_fallback": "false", "scheme": "bloom",
+    "fog_cache_fraction": "0.5",
+}
+# dns runs need an LDNS point, and only dns runs take one.
+COMPANIONS = {"arch": {"ldns": "1"}, "ldns": {"arch": "dns"}}
+
+
+@pytest.mark.parametrize("key", list(GRID_KEYS))
+def test_run_flag_builds_the_config_of_its_grid_line(key, tiny_inputs, tmp_path, monkeypatch):
+    """``fogcast run --key-name v`` and the grid line ``key_name = v`` build
+    equal configs, for every grid key."""
+    top, pop = tiny_inputs
+    settings = {"topology": top, "population": pop, "items": "3",
+                key: KEY_SAMPLES[key].format(top=top, pop=pop), **COMPANIONS.get(key, {})}
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    swept = []
+    monkeypatch.setattr(cli, "run_sweep", lambda configs, **_: swept.append(configs) or [])
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+    assert run_cmd(["run", *flags, "--out", str(tmp_path / "out")]) == 0
+    assert swept == [load_grid(grid)]
+    field = GRID_KEYS[key]
+    assert getattr(swept[0][0], field) != getattr(ScenarioConfig, field)
 
 
 def test_sweep_from_grid_file(tiny_inputs, tmp_path):

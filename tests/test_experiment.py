@@ -19,6 +19,7 @@ from fogcast.experiment import (
     backhaul,
     ecdf,
     expand_grid,
+    grid_configs,
     load_grid,
     run_sweep,
     run_trial,
@@ -320,9 +321,9 @@ def test_catchment_monotone_and_bounded_by_unicast(chain_setup):
 @pytest.mark.parametrize("count_fallback", [True, False])
 @pytest.mark.parametrize("fog_k,cloud_k", [(2, 2), (2, 8), (8, 2), (8, 8)])
 def test_catchment_loads_arc_by_arc_on_bundled_backbone(fog_k, cloud_k, count_fallback):
-    """T = 0 reproduces unicast, and T1 < T2 gives load(T2) <= load(T1) <=
-    unicast, on every arc."""
-    intervals = (0.0, 0.1, 1.0, 10.0)
+    """The smallest positive T reproduces unicast (T = 0 is unicast itself),
+    and T1 < T2 gives load(T2) <= load(T1) <= unicast, on every arc."""
+    intervals = (float(np.nextafter(0, 1)), 0.1, 1.0, 10.0)
     config = ScenarioConfig(arch="icn", fog_k=fog_k, cloud_k=cloud_k, catchment=intervals,
                             count_fallback=count_fallback, trials=10, base_seed=3)
     for index in range(config.trials):
@@ -337,13 +338,14 @@ def test_catchment_loads_arc_by_arc_on_bundled_backbone(fog_k, cloud_k, count_fa
 
 def test_zero_interval_catchment_equals_unicast_total(chain_setup):
     top, pop = chain_setup
+    smallest = float(np.nextafter(0, 1))
     config = ScenarioConfig(
-        arch="icn", fog_k=1, cloud_k=1, catchment=(0.0,),
+        arch="icn", fog_k=1, cloud_k=1, catchment=(smallest,),
         topology_path=top, population_path=pop, n_items=3,
         target_bitrate=2e9, trials=1,
     )
     outcome = run_trial(config, 0)
-    assert backhaul(outcome.by_catchment[0.0]) == pytest.approx(backhaul(outcome.unicast))
+    assert backhaul(outcome.by_catchment[smallest]) == pytest.approx(backhaul(outcome.unicast))
 
 
 def test_backhaul_additivity_over_requests(chain_setup):
@@ -473,6 +475,22 @@ def test_seeded_bloom_trial_equals_per_group_loop(monkeypatch):
     n_arcs = experiment._load_context(configs[0].topology_path,
                                       configs[0].population_path)[0].n_arcs
     assert len(labels) == len(set(labels)) == len(schemes) * n_arcs
+
+
+def test_zero_interval_row_is_unicast_under_bloom(monkeypatch, tmp_path):
+    """Listing T = 0 adds no variant: a Bloom grid's ``T = 0.0`` rows are
+    unicast, with or without 0 in ``catchment``, even when a 16-bit filter
+    passes many false-positive arcs."""
+    monkeypatch.setattr(experiment, "BloomScheme", lambda: BloomScheme(m=16, k=2))
+    rows = {}
+    for catchment in ("0.1,1", "0,0.1,1"):
+        configs = grid_configs({"scheme": "bloom", "fog": "2,8", "cloud": "4",
+                                "catchment": catchment, "trials": "3", "seed": "7"})
+        run_sweep(configs, out_dir=tmp_path / catchment)
+        lines = (tmp_path / catchment / "backhaul.csv").read_text().splitlines()[1:]
+        rows[catchment] = [line for line in lines if line.split(",")[5] == "0.0"]
+    assert len(rows["0.1,1"]) == 2 * 3
+    assert rows["0,0.1,1"] == rows["0.1,1"]
 
 
 @pytest.fixture()
