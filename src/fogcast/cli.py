@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .errors import FogcastError
 from .experiment import (BACKHAUL_HEADER, GRID_KEYS, PATHLEN_HEADER, SUMMARY_HEADER,
-                         ScenarioConfig, grid_configs, load_grid, run_sweep, summary_row)
+                         ScenarioConfig, grid_configs, load_grid, row_label, run_sweep,
+                         summary_row)
 
 
 def _positive_int(raw: str) -> int:
@@ -60,7 +61,7 @@ def _cmd_run(args) -> int:
     for result in results:
         for key, mean in sorted(result.mean_backhaul.items()):
             label = "unicast" if key == 0.0 else f"T={key:g}s"
-            print(f"{label}: mean backhaul {mean / 1e9:.2f} Gb/s "
+            print(f"{row_label(result.config)} {label}: mean backhaul {mean / 1e9:.2f} Gb/s "
                   f"(std {result.std_backhaul[key] / 1e9:.2f}) over {result.trials} trials")
     return 0
 

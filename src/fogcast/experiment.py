@@ -71,6 +71,7 @@ __all__ = [
     "backhaul",
     "ecdf",
     "summary_row",
+    "row_label",
     "run_sweep",
     "load_grid",
     "grid_configs",
@@ -361,22 +362,26 @@ def summary_row(label: str, values) -> tuple[str, float, float]:
     return f"{label},{len(values)},{_fmt(mean)},{_fmt(std)}", mean, std
 
 
-def _prefix(config: ScenarioConfig) -> str:
+def row_label(config: ScenarioConfig) -> str:
+    """The config's columns of every CSV row: ``arch,fog_k,cloud_k,ldns_k,mode``."""
     return f"{config.arch},{config.fog_k},{config.cloud_k},{config.ldns_k},{config.mode}"
 
 
 def _check_fits(config: ScenarioConfig) -> None:
     """Reject a config its topology cannot run: a role with more points than
-    its placement can draw, or a miss without a cloud point to pull from."""
+    its placement can draw, no service point at all, or a miss without a
+    cloud point to pull from."""
     graph, _, populations = _load_context(config.topology_path, config.population_path)
     n, nodes = ((np.count_nonzero(populations), "populated nodes") if config.mode == "pop"
                 else (graph.n_nodes, "nodes"))
     for key, k in (("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k)):
         if k > n:
-            raise ConfigError(f"config {_prefix(config)}: {key} = {k} exceeds the {n} {nodes}")
+            raise ConfigError(f"config {row_label(config)}: {key} = {k} exceeds the {n} {nodes}")
+    if config.fog_k == config.cloud_k == 0:
+        raise ConfigError(f"config {row_label(config)}: no service point (fog = 0 and cloud = 0)")
     if config.cloud_k == 0 and fog_cache_items(config.fog_cache_fraction,
                                                 config.n_items) < config.n_items:
-        raise ConfigError(f"config {_prefix(config)}: no cloud point to serve items past "
+        raise ConfigError(f"config {row_label(config)}: no cloud point to serve items past "
                           "the fog cache")
 
 
@@ -400,7 +405,7 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
     for config in configs:
         _check_fits(config)
     for config, outcomes in _run_configs(configs, jobs):
-        prefix = _prefix(config)
+        prefix = row_label(config)
         variant_keys = [UNICAST] + [t for t in config.catchment if t != UNICAST]
         mean: dict[float, float] = {}
         std: dict[float, float] = {}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import NetworkGraph, arc_ends, gather
+from .topology import NetworkGraph, gather
 
 __all__ = [
     "ExactScheme",
@@ -182,8 +182,7 @@ def carried_arcs(graph: NetworkGraph, scheme: Scheme, fids,
         for word in range(masks.shape[1]):
             block &= (fids[lo:lo + rows, word, None] & masks[:, word]) == masks[:, word]
     group, arc = np.nonzero(passes)
-    src, dst = arc_ends(graph)
-    src, dst = src[arc], dst[arc]
+    src, dst = graph.src[arc], graph.dst[arc]
     reached = np.zeros((len(roots), graph.n_nodes), dtype=bool)
     reached[np.arange(len(roots)), roots] = True
     frontier = reached.copy()

@@ -1,10 +1,12 @@
 """Backbone topology ingestion and unit-weight shortest-path services.
 
 Graphs come from Internet Topology Zoo GraphML documents (``Latitude`` /
-``Longitude`` node keys). Every undirected edge is expanded into a pair of
-directed arcs so that forward and reverse traffic can be accounted
-separately; arc ``2j`` and ``2j+1`` are the two directions of source edge
-``j``, which makes the reverse of arc ``a`` simply ``a ^ 1``.
+``Longitude`` node keys). A graph is an arc table: read-only ``lat`` and
+``lon`` arrays per node and ``src`` and ``dst`` arrays per directed arc.
+Every undirected edge is expanded into a pair of arcs so that forward and
+reverse traffic can be accounted separately; arc ``2j`` and ``2j+1`` are
+the two directions of deduplicated edge ``j``, which makes the reverse of
+arc ``a`` simply ``a ^ 1``.
 
 Hop counts come as rows, one per source, from a breadth-first search of 64
 sources at a time. The pipeline reads only the rows a trial uses, its fog,
@@ -25,8 +27,6 @@ import numpy as np
 from .errors import FogcastError
 
 __all__ = [
-    "Node",
-    "Arc",
     "NetworkGraph",
     "HopTable",
     "HopRows",
@@ -35,7 +35,6 @@ __all__ = [
     "build_graph",
     "load_topology",
     "all_pairs",
-    "arc_ends",
     "canonical_paths",
     "gather",
     "nearest",
@@ -49,47 +48,33 @@ class TopologyError(FogcastError):
     """Raised for malformed or unusable topology documents."""
 
 
-@dataclass(frozen=True)
-class Node:
-    id: int
-    label: str
-    lat: float
-    lon: float
-
-
-@dataclass(frozen=True)
-class Arc:
-    id: int
-    src: int
-    dst: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkGraph:
     """Directed-arc view of an undirected backbone graph.
 
-    Node and arc ids are dense and 0-based. The graph is guaranteed
-    connected; construction fails otherwise. Instances are immutable and
-    safe to share across concurrent trial workers.
+    Node and arc ids are dense and 0-based: node ``v`` is ``labels[v]`` at
+    (``lat[v]``, ``lon[v]``), and arc ``a`` runs ``src[a] -> dst[a]``. The
+    graph is guaranteed connected; construction fails otherwise. The arrays
+    are read-only, so instances are immutable and safe to share across
+    concurrent trial workers; they compare and hash by identity.
     """
 
-    nodes: tuple[Node, ...]
-    arcs: tuple[Arc, ...]
-    out_arcs: tuple[tuple[int, ...], ...]
+    labels: tuple[str, ...]
+    lat: np.ndarray
+    lon: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
     # Arc ids by endpoints: sorted ``src * n + dst`` keys and the id of each.
-    _arc_keys: np.ndarray = field(repr=False, compare=False)
-    _arc_ids: np.ndarray = field(repr=False, compare=False)
+    _arc_keys: np.ndarray = field(repr=False)
+    _arc_ids: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.labels)
 
     @property
     def n_arcs(self) -> int:
-        return len(self.arcs)
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return tuple(self.arcs[a].dst for a in self.out_arcs[node])
+        return len(self.src)
 
     def arcs_between(self, src, dst) -> np.ndarray:
         """Ids of the arcs ``src[i] -> dst[i]``; every pair must be an arc."""
@@ -101,41 +86,33 @@ def build_graph(coords: list[tuple[str, float, float]],
                 edges: list[tuple[int, int]]) -> NetworkGraph:
     """Assemble a NetworkGraph from (label, lat, lon) nodes and undirected edges.
 
-    Duplicate undirected edges are collapsed; self-loops are rejected.
-    The resulting arc list holds two directed arcs per surviving edge.
+    Duplicate undirected edges are collapsed, keeping the first occurrence
+    in place; self-loops are rejected. Edge ``j`` of what is left becomes
+    arcs ``2j`` (as given) and ``2j + 1`` (reversed).
     """
-    nodes = tuple(Node(i, label, lat, lon) for i, (label, lat, lon) in enumerate(coords))
-    n = len(nodes)
-    seen: set[tuple[int, int]] = set()
-    unique_edges: list[tuple[int, int]] = []
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise TopologyError(f"edge ({u}, {v}) references an unknown node")
-        if u == v:
-            raise TopologyError(f"self-loop on node {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            continue
-        seen.add(key)
-        unique_edges.append((u, v))
-
-    arcs: list[Arc] = []
-    for u, v in unique_edges:
-        arcs.append(Arc(len(arcs), u, v))
-        arcs.append(Arc(len(arcs), v, u))
-
-    out: list[list[int]] = [[] for _ in range(n)]
-    for arc in arcs:
-        out[arc.src].append(arc.id)
-    keys = np.array([a.src * n + a.dst for a in arcs], dtype=np.int64)
+    n = len(coords)
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    u, v = ends[:, 0], ends[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    unknown = (lo < 0) | (hi >= n)
+    bad = np.flatnonzero(unknown | (u == v))
+    if bad.size:
+        i = bad[0]
+        if unknown[i]:
+            raise TopologyError(f"edge ({u[i]}, {v[i]}) references an unknown node")
+        raise TopologyError(f"self-loop on node {u[i]}")
+    _, first = np.unique(lo * n + hi, return_index=True)
+    kept = ends[np.sort(first)].astype(np.intp)
+    src, dst = kept.reshape(-1), kept[:, ::-1].reshape(-1)
+    keys = src * n + dst
     ids = np.argsort(keys)
-    graph = NetworkGraph(
-        nodes=nodes,
-        arcs=tuple(arcs),
-        out_arcs=tuple(tuple(a) for a in out),
-        _arc_keys=keys[ids],
-        _arc_ids=ids,
-    )
+    keys = keys[ids]
+    lat = np.array([c[1] for c in coords], dtype=np.float64)
+    lon = np.array([c[2] for c in coords], dtype=np.float64)
+    for array in (lat, lon, src, dst, keys, ids):
+        array.setflags(write=False)
+    graph = NetworkGraph(labels=tuple(c[0] for c in coords), lat=lat, lon=lon,
+                         src=src, dst=dst, _arc_keys=keys, _arc_ids=ids)
     _check_connected(graph)
     return graph
 
@@ -143,16 +120,16 @@ def build_graph(coords: list[tuple[str, float, float]],
 def _check_connected(graph: NetworkGraph) -> None:
     if graph.n_nodes == 0:
         raise TopologyError("graph has no nodes")
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in graph.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != graph.n_nodes:
-        missing = sorted(set(range(graph.n_nodes)) - seen)
+    seen = np.zeros(graph.n_nodes, dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        reached = np.zeros_like(seen)
+        reached[graph.dst[frontier[graph.src]]] = True
+        frontier = reached & ~seen
+        seen |= frontier
+    if not seen.all():
+        missing = np.flatnonzero(~seen)
         raise TopologyError(
             f"graph is disconnected: {len(missing)} node(s) unreachable "
             f"from node 0 (e.g. node {missing[0]})"
@@ -252,20 +229,13 @@ def _bits(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=count, bitorder="little")
 
 
-def arc_ends(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Source and destination node of every arc, indexed by arc id."""
-    keys = np.empty_like(graph._arc_keys)
-    keys[graph._arc_ids] = graph._arc_keys
-    return np.divmod(keys, graph.n_nodes)
-
-
 def _in_arcs(graph: NetworkGraph):
-    """The arcs as ``_bfs_block`` reads them: sources sorted by (dst, src),
-    the first arc into each node, and per slot ``k`` the nodes with more
-    than ``k`` in-arcs and their ``k``-th lowest in-neighbours."""
-    src, dst = arc_ends(graph)
-    order = np.lexsort((src, dst))
-    src, dst = src[order], dst[order]
+    """The arcs as ``_bfs_block`` and ``_predecessors`` read them: sources
+    sorted by (dst, src), the first arc into each node, and per slot ``k``
+    the nodes with more than ``k`` in-arcs and their ``k``-th lowest
+    in-neighbours."""
+    order = np.lexsort((graph.src, graph.dst))
+    src, dst = graph.src[order], graph.dst[order]
     # A connected graph of two or more nodes gives every node an in-arc.
     start = np.searchsorted(dst, np.arange(graph.n_nodes))
     indeg = np.bincount(dst, minlength=graph.n_nodes)
@@ -277,27 +247,23 @@ def _in_arcs(graph: NetworkGraph):
 
 
 def _bfs_block(in_arcs, sources):
-    """Hop counts and canonical predecessors from up to 64 distinct sources.
+    """Hop counts from up to 64 distinct sources.
 
     A level-synchronous breadth-first search runs from all of them at once:
     node ``v`` holds one uint64 word whose bit ``j`` says whether
     ``sources[j]`` has reached it. One level ORs the words of every
     in-arc's source into its target with one ``bitwise_or.reduceat`` over
     the arcs sorted by (dst, src); a bit that is new at level ``L`` puts
-    ``v`` at hop distance ``L`` from that source. The predecessor of ``v``
-    is then the lowest id among its in-neighbours one hop closer to the
-    source (found by sweeping the sorted in-arcs slot by slot, highest slot
-    first, so the lowest id writes last), and a source is its own.
+    ``v`` at hop distance ``L`` from that source.
 
-    Returns n x len(sources) int32 ``dist`` and ``pred`` columns; besides
-    them memory holds one word per node and arc and per-slot gathers.
+    Returns n x len(sources) int32 ``dist`` columns; besides them memory
+    holds one word per node and arc.
     """
-    src, start, slots = in_arcs
+    src, start, _ = in_arcs
     n = len(start)
     width = len(sources)
-    bit = np.arange(width)
     seen = np.zeros(n, dtype=np.uint64)
-    seen[sources] = np.uint64(1) << bit.astype(np.uint64)
+    seen[sources] = np.uint64(1) << np.arange(width, dtype=np.uint64)
     frontier = seen
     d = np.zeros((n, width), dtype=np.int32)
     # A lone node has no arcs; its zero distance is already right.
@@ -307,18 +273,30 @@ def _bfs_block(in_arcs, sources):
         d += _bits(unseen, width)
         frontier = np.bitwise_or.reduceat(frontier[src], start) & unseen
         seen |= frontier
-    p = np.full((n, width), -1, dtype=np.int32)
+    return d
+
+
+def _predecessors(in_arcs, d, sources):
+    """Canonical predecessors for the ``_bfs_block`` columns ``d`` of ``sources``.
+
+    The predecessor of ``v`` is the lowest id among its in-neighbours one
+    hop closer to the source, found by sweeping the sorted in-arcs slot by
+    slot, highest slot first, so the lowest id writes last; a source is its
+    own. Returns n x len(sources) int32 ``pred`` columns.
+    """
+    _, _, slots = in_arcs
+    p = np.full(d.shape, -1, dtype=np.int32)
     for v, u in reversed(slots):
         p[v] = np.where(d[u] + 1 == d[v], u[:, None], p[v])
-    p[sources, bit] = sources
-    return d, p
+    p[sources, np.arange(len(sources))] = sources
+    return p
 
 
 def _hop_table(graph: NetworkGraph, in_arcs, sources, held: HopTable | None = None) -> HopTable:
     """A read-only HopTable of exactly the rows of distinct ``sources``.
 
     Row ``i`` belongs to ``sources[i]``. Rows ``held`` holds are copied from
-    it; ``_bfs_block`` searches the others, 64 at a time.
+    it; ``_bfs_block`` and ``_predecessors`` search the others, 64 at a time.
     """
     n = graph.n_nodes
     slot = np.full(n, NO_ROW, dtype=np.intp)
@@ -333,9 +311,9 @@ def _hop_table(graph: NetworkGraph, in_arcs, sources, held: HopTable | None = No
         missing = missing[~copied]
     for at in range(0, len(missing), _BLOCK):
         rows = missing[at:at + _BLOCK]
-        d, p = _bfs_block(in_arcs, sources[rows])
+        d = _bfs_block(in_arcs, sources[rows])
         dist[rows] = d.T
-        pred[rows] = p.T
+        pred[rows] = _predecessors(in_arcs, d, sources[rows]).T
     for table in (dist, pred, slot):
         table.setflags(write=False)
     return HopTable(graph=graph, dist=dist, pred=pred, slot=slot)
@@ -448,6 +426,6 @@ def closeness(graph: NetworkGraph) -> np.ndarray:
     if n < 2:
         return np.ones(n)
     in_arcs = _in_arcs(graph)
-    sums = np.concatenate([_bfs_block(in_arcs, np.arange(s0, min(s0 + _BLOCK, n)))[0].sum(axis=0)
+    sums = np.concatenate([_bfs_block(in_arcs, np.arange(s0, min(s0 + _BLOCK, n))).sum(axis=0)
                            for s0 in range(0, n, _BLOCK)])
     return (n - 1) / sums.astype(np.float64)

@@ -115,8 +115,7 @@ def assign_population(graph, cells: list[PopulationCell]) -> np.ndarray:
     """
     if not cells:
         raise WorkloadError("empty population grid")
-    node_lat = np.array([node.lat for node in graph.nodes])
-    node_lon = np.array([node.lon for node in graph.nodes])
+    node_lat, node_lon = graph.lat, graph.lon
     cell_lat = np.array([cell.lat for cell in cells])[:, None]
     cell_lon = np.array([cell.lon for cell in cells])[:, None]
     best = np.empty(len(cells), dtype=np.intp)

@@ -12,6 +12,7 @@ import pytest
 from fogcast.data import bundled_population, bundled_topology
 from fogcast.topology import HopRows, NetworkGraph, all_pairs, build_graph, load_topology
 from fogcast.workload import assign_population, load_population
+from oracles import adjacency
 
 
 def bfs_distances(graph: NetworkGraph, source: int) -> list[int]:
@@ -21,7 +22,7 @@ def bfs_distances(graph: NetworkGraph, source: int) -> list[int]:
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in graph.neighbors(u):
+        for _, v in adjacency(graph)[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)

@@ -3,9 +3,10 @@
 Each is a plain, per-request or per-node model of one piece of a trial,
 kept independent of the array kernels in ``fogcast``:
 
-- topology: ``extract_path`` walks one canonical shortest path of an
-  ``all_pairs`` table, finding each arc by scanning the out-arcs of its
-  source (``canonical_paths`` is the kernel);
+- topology: ``adjacency`` lists each node's out-arcs in plain Python, and
+  ``extract_path`` walks one canonical shortest path of an ``all_pairs``
+  table, finding each arc by scanning the out-arcs of its source
+  (``canonical_paths`` is the kernel);
 - rendezvous: scoped names, the subscription table with nearest-subscriber
   matching, and shortest-path delivery trees;
 - service routing: ``resolve_request`` resolves one request through the
@@ -18,6 +19,7 @@ kept independent of the array kernels in ``fogcast``:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from fogcast.errors import NoSubscriberError
@@ -28,6 +30,19 @@ from fogcast.workload import ServiceCatalogue
 
 
 # --- topology -----------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def adjacency(graph: NetworkGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per node, its out-arcs as (arc id, head node) pairs in arc-id order.
+
+    Read from the graph's ``src`` and ``dst`` arrays once per graph (a
+    graph hashes by identity), so the oracles walk plain lists.
+    """
+    out: list[list[tuple[int, int]]] = [[] for _ in range(graph.n_nodes)]
+    for arc, (u, v) in enumerate(zip(graph.src.tolist(), graph.dst.tolist())):
+        out[u].append((arc, v))
+    return tuple(tuple(arcs) for arcs in out)
+
 
 def extract_path(hops: HopTable, src: int, dst: int) -> list[int]:
     """Ordered arc ids of the canonical shortest path src -> dst.
@@ -43,8 +58,8 @@ def extract_path(hops: HopTable, src: int, dst: int) -> list[int]:
         v = int(hops.pred[src, v])
         node_walk.append(v)
     node_walk.reverse()
-    graph = hops.graph
-    return [next(arc for arc in graph.out_arcs[u] if graph.arcs[arc].dst == v)
+    out = adjacency(hops.graph)
+    return [next(arc for arc, head in out[u] if head == v)
             for u, v in zip(node_walk, node_walk[1:])]
 
 
@@ -336,7 +351,7 @@ def forward(fid: ForwardingId, node: int, graph: NetworkGraph) -> set[int]:
         )
     return {
         arc_id
-        for arc_id in graph.out_arcs[node]
+        for arc_id, _ in adjacency(graph)[node]
         if fid.test(label_arc(fid.scheme, arc_id).positions)
     }
 
@@ -356,7 +371,7 @@ def deliver(fid: ForwardingId, root: int, graph: NetworkGraph) -> set[int]:
             if arc_id in used_arcs:
                 continue
             used_arcs.add(arc_id)
-            dst = graph.arcs[arc_id].dst
+            dst = int(graph.dst[arc_id])
             frontier.append(dst)
             reached.add(dst)
     return reached

@@ -240,7 +240,7 @@ def test_criterion_9_forwarding_exactness():
         leaves = {int(x) for x in
                   rng.choice(n, size=int(rng.integers(1, min(6, n))), replace=False)}
         tree = build_tree(hops, root, leaves)
-        tree_nodes = {root} | {g.arcs[a].dst for a in tree.arcs}
+        tree_nodes = {root} | {int(g.dst[a]) for a in tree.arcs}
         if deliver(encode_tree(tree, ExactScheme(width=g.n_arcs)), root, g) != tree_nodes:
             exact_failures += 1
         if not deliver(encode_tree(tree, BloomScheme()), root, g) >= tree_nodes:

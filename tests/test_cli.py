@@ -44,6 +44,16 @@ def test_run_writes_output(tiny_inputs, tmp_path, capsys):
     assert "unicast" in stdout
 
 
+def test_run_labels_every_line_with_its_config(tmp_path, capsys):
+    """A run of several configs prints each config's lines under its CSV row label."""
+    assert run_cmd(["run", "--fog", "2,4", "--placement", "pop,cls", "--catchment", "0,0.1",
+                    "--items", "50", "--trials", "1", "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    unicast = [line.split(" ")[0] for line in lines if " unicast: " in line]
+    assert sorted(unicast) == ["icn,2,2,0,cls", "icn,2,2,0,pop", "icn,4,2,0,cls", "icn,4,2,0,pop"]
+    assert sorted(line.split(" ")[0] for line in lines) == sorted(unicast * 2)
+
+
 def test_run_dns_arch(tiny_inputs, tmp_path):
     top, pop = tiny_inputs
     code = run_cmd([
@@ -122,6 +132,8 @@ BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
     ("sweep", "fog = 1,4", "config icn,4,2,0,pop: fog = 4 exceeds the 3 populated nodes"),
     ("sweep", "placement = cls\nfog = 1,4", "config icn,4,2,0,cls: fog = 4 exceeds the 3 nodes"),
     ("run", "--cloud=0", "no cloud point to serve item"),
+    ("run", "--fog=0 --cloud=0 --fog-cache-fraction=1",
+     "config icn,0,0,0,pop: no service point (fog = 0 and cloud = 0)"),
     ("sweep", "count_fallback = 1", "count_fallback 1 must be true or false"),
     ("run", "--count-fallback 1", "count_fallback 1 must be true or false"),
     ("sweep", "catchment = abc", "catchment interval 'abc' must be finite and >= 0"),
@@ -185,6 +197,8 @@ def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_
     ("arch = dns\nplacement = cls\nldns = 1,38",
      "config dns,2,2,38,cls: ldns = 38 exceeds the 37 nodes"),
     ("cloud = 2,0", "config icn,2,0,0,pop: no cloud point to serve items past the fog cache"),
+    ("fog = 2,0\ncloud = 0\nfog_cache_fraction = 1",
+     "config icn,0,0,0,pop: no service point (fog = 0 and cloud = 0)"),
 ])
 def test_bad_grid_fails_before_the_first_trial(setting, named, tmp_path, capsys, monkeypatch):
     """A grid whose second config cannot run spends no trial and writes no file."""

@@ -11,6 +11,7 @@ from oracles import (
     SCOPE_MICRO,
     RendezvousTable,
     ScopedName,
+    adjacency,
     build_tree,
     extract_path,
     wildcard_match,
@@ -202,9 +203,8 @@ def test_tree_hop_distance_matches_table(geant, geant_hops):
         while frontier:
             nxt = []
             for u in frontier:
-                for arc_id in geant.out_arcs[u]:
+                for arc_id, v in adjacency(geant)[u]:
                     if arc_id in arc_set:
-                        v = geant.arcs[arc_id].dst
                         if v not in dist:
                             dist[v] = dist[u] + 1
                             nxt.append(v)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,13 @@ from fogcast.topology import (
     HopRows,
     TopologyError,
     all_pairs,
-    arc_ends,
     build_graph,
     canonical_paths,
     closeness,
     load_topology,
     nearest,
 )
-from oracles import extract_path
+from oracles import adjacency, extract_path
 
 
 def test_geant_fixture_dimensions(geant):
@@ -30,11 +31,52 @@ def test_geant_fixture_dimensions(geant):
 def test_every_edge_expands_to_two_arcs(triangle):
     assert triangle.n_nodes == 3
     assert triangle.n_arcs == 6
-    for arc in triangle.arcs:
-        rev = triangle.arcs[arc.id ^ 1]
-        assert (rev.src, rev.dst) == (arc.dst, arc.src)
-    src, dst = arc_ends(triangle)
-    assert list(zip(src.tolist(), dst.tolist())) == [(a.src, a.dst) for a in triangle.arcs]
+    a = np.arange(triangle.n_arcs)
+    assert (triangle.src[a ^ 1] == triangle.dst[a]).all()
+    assert (triangle.dst[a ^ 1] == triangle.src[a]).all()
+    assert list(zip(triangle.src.tolist(), triangle.dst.tolist())) == [
+        (0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]
+
+
+def reference_arcs(edges) -> list[tuple[int, int]]:
+    """The arc list built edge by edge: the first occurrence of each
+    undirected edge, in order, as arc ``2j`` (as given) and ``2j + 1``."""
+    seen: set[tuple[int, int]] = set()
+    arcs = []
+    for u, v in edges:
+        if (min(u, v), max(u, v)) not in seen:
+            seen.add((min(u, v), max(u, v)))
+            arcs += [(u, v), (v, u)]
+    return arcs
+
+
+def test_arc_table_equals_edge_by_edge_construction():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+        edges += [tuple(int(x) for x in rng.choice(n, size=2, replace=False))
+                  for _ in range(int(rng.integers(0, 2 * n)))]
+        # Repeated and reversed duplicates, shuffled in among the rest.
+        picks = rng.integers(0, len(edges), size=(2, n))
+        edges += [edges[i] for i in picks[0]] + [edges[i][::-1] for i in picks[1]]
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        coords = [(f"n{i}", float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180)))
+                  for i in range(n)]
+        g = build_graph(coords, edges)
+        arcs = reference_arcs(edges)
+        assert g.src.tolist() == [u for u, _ in arcs]
+        assert g.dst.tolist() == [v for _, v in arcs]
+        assert g.labels == tuple(label for label, _, _ in coords)
+        assert g.lat.tolist() == [lat for _, lat, _ in coords]
+        assert g.lon.tolist() == [lon for _, _, lon in coords]
+        for array in (g.src, g.dst, g.lat, g.lon):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert (g.arcs_between(g.src, g.dst) == np.arange(g.n_arcs)).all()
+        # A graph compares and hashes by identity.
+        assert g == g and g != build_graph(coords, edges)
+        assert {g: 1}[g] == 1
 
 
 def test_duplicate_undirected_edges_collapse():
@@ -79,8 +121,11 @@ def test_missing_coordinates_names_the_node(tmp_path):
 
 def test_node_ids_follow_document_order(geant):
     # The bundled document starts at the network's main hub.
-    assert geant.nodes[0].label == "Frankfurt"
-    assert [n.id for n in geant.nodes] == list(range(37))
+    assert geant.labels[0] == "Frankfurt"
+    ns = "{http://graphml.graphdrawing.org/xmlns}"
+    nodes = ET.parse(bundled_topology()).getroot().find(f"{ns}graph").findall(f"{ns}node")
+    assert len(geant.labels) == 37
+    assert geant.labels == tuple(el.find(f"{ns}data[@key='d2']").text for el in nodes)
 
 
 def test_self_distance_is_zero(geant_hops):
@@ -123,7 +168,7 @@ def test_extract_path_trivial_cases(chain4):
     hops = all_pairs(chain4)
     assert extract_path(hops, 2, 2) == []
     path = extract_path(hops, 0, 2)
-    assert [(chain4.arcs[a].src, chain4.arcs[a].dst) for a in path] == [(0, 1), (1, 2)]
+    assert [(chain4.src[a], chain4.dst[a]) for a in path] == [(0, 1), (1, 2)]
 
 
 def test_extract_path_reconstructs_walk_for_all_pairs(geant, geant_hops):
@@ -133,9 +178,8 @@ def test_extract_path_reconstructs_walk_for_all_pairs(geant, geant_hops):
             assert len(path) == geant_hops.dist[src, dst]
             at = src
             for arc_id in path:
-                arc = geant.arcs[arc_id]
-                assert arc.src == at
-                at = arc.dst
+                assert geant.src[arc_id] == at
+                at = geant.dst[arc_id]
             assert at == dst
 
 
@@ -181,14 +225,14 @@ def test_predecessor_tie_breaks_to_lowest_node_id():
     )
     hops = all_pairs(g)
     path = extract_path(hops, 0, 3)
-    assert [g.arcs[a].dst for a in path] == [1, 3]
+    assert [g.dst[a] for a in path] == [1, 3]
 
 
 def bfs_predecessors(graph, source: int) -> list[int]:
     """Oracle for ``pred[source]``: the lowest-id neighbour one hop closer."""
     dist = bfs_distances(graph, source)
     return [source if v == source else
-            min(u for u in graph.neighbors(v) if dist[u] == dist[v] - 1)
+            min(u for _, u in adjacency(graph)[v] if dist[u] == dist[v] - 1)
             for v in range(graph.n_nodes)]
 
 
@@ -255,6 +299,19 @@ def test_streaming_closeness_equals_all_pairs_row_sums(row_graphs):
         expected = [(n - 1) / float(dist[v].sum()) if n > 1 else 1.0 for v in range(n)]
         assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
         assert HopRows(graph).centrality.tobytes() == values.tobytes()
+
+
+def test_closeness_runs_no_predecessor_sweep(row_graphs, monkeypatch):
+    sweeps = []
+    sweep = topology._predecessors
+    monkeypatch.setattr(topology, "_predecessors",
+                        lambda *args: sweeps.append(args) or sweep(*args))
+    for graph in row_graphs:
+        closeness(graph)
+    assert sweeps == []
+    # The spy sees the sweep of every block a hop table searches.
+    HopRows(row_graphs[0], held=[0])
+    assert len(sweeps) == 1
 
 
 def _counting_searches(monkeypatch):

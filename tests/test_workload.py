@@ -72,11 +72,12 @@ def test_geant_assignment_matches_linear_scan_oracle(geant, geant_population):
 
     cells = load_population(bundled_population())
     expected = np.zeros(geant.n_nodes, dtype=np.int64)
+    lat, lon = geant.lat.tolist(), geant.lon.tolist()
     for cell in cells:
         best = min(
             range(geant.n_nodes),
             key=lambda i: (haversine_oracle(cell.lat, cell.lon,
-                                            geant.nodes[i].lat, geant.nodes[i].lon), i),
+                                            lat[i], lon[i]), i),
         )
         expected[best] += cell.count
     assert (geant_population == expected).all()
@@ -86,10 +87,10 @@ def test_geant_assignment_matches_linear_scan_oracle(geant, geant_population):
 def scan_nearest(graph, cell):
     """The scalar linear scan: first strict minimum of great_circle_km in node order."""
     best, best_d = 0, math.inf
-    for node in graph.nodes:
-        d = great_circle_km(cell.lat, cell.lon, node.lat, node.lon)
+    for node, (lat, lon) in enumerate(zip(graph.lat.tolist(), graph.lon.tolist())):
+        d = great_circle_km(cell.lat, cell.lon, lat, lon)
         if d < best_d:
-            best, best_d = node.id, d
+            best, best_d = node, d
     return best
 
 
