@@ -2,7 +2,14 @@
 
 A trial is a deterministic function of (config, trial index): it derives a
 trial seed, places service points, draws a catalogue and demand, resolves
-the requests and accumulates per-arc response loads.
+the requests and accumulates per-arc response loads and a hop histogram.
+
+Trials are paired: the trial seed depends on the base seed and the trial
+index alone, and no sweep axis changes the draws, so trial i of every
+config of a sweep serves the same catalogue and demand (common random
+numbers). The draws of the last trial seed are kept (``_trial_draws``),
+and sweeps run trial-major, so each trial index draws its workload once;
+placement stays per config.
 
 Resolution runs once per client node, not once per request: the service
 point depends on the node alone and the fallback origin on the service
@@ -32,13 +39,14 @@ whole group rate (conservatively): a Bloom variant carries at least the
 exact load on every arc, and can exceed unicast on those arcs.
 
 Trials are embarrassingly parallel; seeds are derived independently of
-scheduling, so parallel sweeps are byte-identical to sequential ones.
+scheduling, so parallel sweeps are byte-identical to sequential ones. A
+worker reduces each trial to what ``run_sweep`` writes: the backhaul of
+every variant and the hop histogram ``hop_counts``.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product
@@ -172,10 +180,11 @@ class ScenarioConfig:
 
 @dataclass
 class TrialMetrics:
-    """Per-arc load plus one path-length sample per request."""
+    """Per-arc load plus the hop histogram: ``hop_counts[h]`` users are h
+    hops from their service point."""
 
     arc_load: np.ndarray
-    path_samples: np.ndarray
+    hop_counts: np.ndarray
 
 
 @dataclass
@@ -219,6 +228,20 @@ def _load_context(topology_path: str, population_path: str):
     return graph, HopRows(graph, np.flatnonzero(populations)), populations
 
 
+@lru_cache(maxsize=1)
+def _trial_draws(seed: int, topology_path: str, population_path: str, n_items: int,
+                 alpha: float, bitrates: tuple[float, ...], load_fraction: float,
+                 target_bitrate: float):
+    """The catalogue and demand of one trial seed. Every field they read is
+    in the key, so configs that differ in placement, architecture or
+    accounting share them; both are read-only."""
+    _, _, populations = _load_context(topology_path, population_path)
+    catalogue = build_catalogue(n_items, alpha, bitrates, seed ^ _SALT_CATALOGUE)
+    demand = draw_demand(populations, catalogue, load_fraction, target_bitrate,
+                         seed ^ _SALT_DEMAND)
+    return catalogue, demand
+
+
 def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
     """Weights summed per arc, in input order; float even when empty."""
     return np.bincount(arcs, weights=weights, minlength=n_arcs).astype(np.float64, copy=False)
@@ -236,10 +259,9 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     }
     placement = place_all(rows, populations, roles, seed)
     hops = rows.table(placement.fog + placement.cloud + placement.ldns)
-    catalogue = build_catalogue(config.n_items, config.alpha, config.bitrates,
-                                seed ^ _SALT_CATALOGUE)
-    demand = draw_demand(populations, catalogue, config.load_fraction,
-                         config.target_bitrate, seed ^ _SALT_DEMAND)
+    catalogue, demand = _trial_draws(seed, config.topology_path, config.population_path,
+                                     config.n_items, config.alpha, config.bitrates,
+                                     config.load_fraction, config.target_bitrate)
     profiles = make_profiles(placement.fog, placement.cloud, catalogue,
                              config.fog_cache_fraction)
 
@@ -249,37 +271,49 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     bitrate = catalogue.bitrates[items - 1]
 
     # Flows: one per client node (service point -> client), then one per
-    # service point that pulls counted misses (origin -> service point).
-    clients, first_at, client_flow = np.unique(nodes, return_index=True, return_inverse=True)
-    pulling, pull_at, pull_flow = np.unique(point[pull], return_index=True, return_inverse=True)
+    # service point that pulls counted misses (origin -> service point),
+    # each kind in node order. Demand rows are sorted by node, so the
+    # clients are their runs; a pull's origin depends on its point alone.
+    new_node = np.ones(len(nodes), dtype=bool)
+    new_node[1:] = nodes[1:] != nodes[:-1]
+    first_at = np.flatnonzero(new_node)
+    clients = nodes[first_at]
+    pulled_from = np.full(graph.n_nodes, -1)
+    pulled_from[point[pull]] = origin[pull]
+    pulling = np.flatnonzero(pulled_from >= 0)
+    # Flow of each request, and of the pull at each node.
+    client_flow = np.cumsum(new_node) - 1
+    pull_flow = len(clients) - 1 + np.cumsum(pulled_from >= 0)
     indptr, path = canonical_paths(
         hops,
-        roots=np.concatenate([point[first_at], origin[pull][pull_at]]),
+        roots=np.concatenate([point[first_at], pulled_from[pulling]]),
         leaves=np.concatenate([clients, pulling]),
     )
     request_load = counts * bitrate * CHUNK_DURATION
-    flow_load = np.concatenate([
-        np.bincount(client_flow, weights=request_load, minlength=len(clients)),
-        np.bincount(pull_flow, weights=request_load[pull], minlength=len(pulling)),
-    ])
+    flow_load = np.bincount(np.concatenate([client_flow, pull_flow[point[pull]]]),
+                            weights=np.concatenate([request_load, request_load[pull]]),
+                            minlength=len(clients) + len(pulling))
     unicast_load = _per_arc(path, np.repeat(flow_load, np.diff(indptr)), graph.n_arcs)
 
-    outcome = TrialOutcome(
-        unicast=TrialMetrics(
-            arc_load=unicast_load,
-            path_samples=np.repeat(hops.dist[hops.slot[point], nodes], counts),
-        )
-    )
+    hop_counts = np.bincount(hops.dist[hops.slot[point], nodes], weights=counts)
+    outcome = TrialOutcome(unicast=TrialMetrics(unicast_load, hop_counts.astype(np.int64)))
     intervals = [t for t in config.catchment if t != UNICAST]
     if not intervals:
         return outcome
 
     # Requests pool per (service point, item) group. Groups are numbered in
-    # order of their first request, so per-arc sums keep request order.
-    _, group_at, group = np.unique(point * (catalogue.n + 1) + items,
-                                   return_index=True, return_inverse=True)
-    group = np.argsort(np.argsort(group_at))[group]
-    group_at = np.sort(group_at)
+    # order of their first request, so per-arc sums keep request order: a
+    # reversed scatter leaves each (point slot, item) cell its first request.
+    served = np.array(placement.fog + placement.cloud, dtype=np.intp)
+    point_slot = np.zeros(graph.n_nodes, dtype=np.intp)
+    point_slot[served] = np.arange(len(served))
+    key = point_slot[point] * catalogue.n + (items - 1)
+    first_of = np.empty(len(served) * catalogue.n, dtype=np.intp)
+    first_of[key[::-1]] = np.arange(len(key))[::-1]
+    first = first_of[key]
+    new_group = first == np.arange(len(key))
+    group_at = np.flatnonzero(new_group)
+    group = (np.cumsum(new_group) - 1)[first]
     group_total = np.bincount(group, weights=counts)
 
     # Tree arcs: each arc of a group's tree carries the members crossing it.
@@ -301,8 +335,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
 
     # Fallback pulls: one per group whose point lacks the item.
     pulled = np.flatnonzero(pull[group_at])
-    owner, arc = gather(indptr, path,
-                        len(clients) + np.searchsorted(pulling, point[group_at[pulled]]))
+    owner, arc = gather(indptr, path, pull_flow[point[group_at[pulled]]])
     entries.append((pulled[owner], arc, group_total[pulled[owner]]))
 
     entry_group, entry_arc, entry_rate = (np.concatenate(column) for column in zip(*entries))
@@ -313,7 +346,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
         weights = group_rate(entry_rate, interval) * entry_bitrate * CHUNK_DURATION
         outcome.by_catchment[interval] = TrialMetrics(
             arc_load=_per_arc(entry_arc, weights, graph.n_arcs),
-            path_samples=outcome.unicast.path_samples,
+            hop_counts=outcome.unicast.hop_counts,
         )
     return outcome
 
@@ -323,26 +356,45 @@ def backhaul(metrics: TrialMetrics) -> float:
     return float(metrics.arc_load.sum())
 
 
-def ecdf(samples) -> list[tuple[int, float]]:
-    """Right-continuous ECDF of integer hop counts as (hops, fraction) steps."""
-    samples = np.asarray(samples)
-    if samples.size == 0:
+def ecdf(hop_counts) -> list[tuple[int, float]]:
+    """Right-continuous ECDF of a hop histogram as (hops, fraction) steps;
+    ``hop_counts[h]`` samples are ``h`` hops long."""
+    hop_counts = np.asarray(hop_counts)
+    total = hop_counts.sum()
+    if total == 0:
         raise ValueError("ecdf needs at least one sample")
-    values, counts = np.unique(samples, return_counts=True)
-    fractions = np.cumsum(counts) / samples.size
+    values = np.flatnonzero(hop_counts)
+    fractions = np.cumsum(hop_counts[values]) / total
     return [(int(v), float(f)) for v, f in zip(values, fractions)]
 
 
-def _run_configs(configs: list[ScenarioConfig], jobs: int):
-    """Yield ``(config, outcomes)`` per config; one worker pool serves the sweep."""
-    if jobs <= 1:
-        for config in configs:
-            yield config, [run_trial(config, index) for index in range(config.trials)]
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for config in configs:
-            yield config, list(pool.map(run_trial, [config] * config.trials,
-                                        range(config.trials)))
+def _trial_row(task: tuple[ScenarioConfig, int]) -> tuple[list[float], np.ndarray]:
+    """One trial reduced to what ``run_sweep`` writes: the backhaul of each
+    variant, unicast first, and the hop histogram."""
+    outcome = run_trial(*task)
+    return [backhaul(m) for m in outcome.variants().values()], outcome.unicast.hop_counts
+
+
+def _run_configs(configs: list[ScenarioConfig], jobs: int) -> list[list]:
+    """Per config, the ``_trial_row`` of each of its trials, in trial order.
+
+    Trials run trial-major, so consecutive trials share their draws; with
+    ``jobs > 1`` a worker takes one trial index of every config at a time.
+    """
+    tasks = sorted(((at, index) for at, config in enumerate(configs)
+                    for index in range(config.trials)), key=lambda task: task[1])
+    calls = [(configs[at], index) for at, index in tasks]
+    if jobs <= 1 or not calls:
+        rows = map(_trial_row, calls)
+    else:
+        # Imported only here: it adds tens of ms to every start of the CLI.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(_trial_row, calls, chunksize=len(configs)))
+    by_config: list[list] = [[] for _ in configs]
+    for (at, _), row in zip(tasks, rows):
+        by_config[at].append(row)
+    return by_config
 
 
 def _fmt(x: float) -> str:
@@ -404,23 +456,25 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
 
     for config in configs:
         _check_fits(config)
-    for config, outcomes in _run_configs(configs, jobs):
+    for config, rows in zip(configs, _run_configs(configs, jobs)):
         prefix = row_label(config)
         variant_keys = [UNICAST] + [t for t in config.catchment if t != UNICAST]
         mean: dict[float, float] = {}
         std: dict[float, float] = {}
-        for key in variant_keys:
-            values = [backhaul(o.variants()[key]) for o in outcomes]
+        for at, key in enumerate(variant_keys):
+            values = [backhauls[at] for backhauls, _ in rows]
             for index, value in enumerate(values):
                 backhaul_rows.append(f"{prefix},{_fmt(key)},{index},{_fmt(value)}")
             row, mean[key], std[key] = summary_row(f"{prefix},{_fmt(key)}", values)
             summary_rows.append(row)
-        pooled = np.concatenate([o.unicast.path_samples for o in outcomes])
-        if pooled.size == 0:
+        pooled = np.zeros(max(len(hop_counts) for _, hop_counts in rows), dtype=np.int64)
+        for _, hop_counts in rows:
+            pooled[:len(hop_counts)] += hop_counts
+        if not pooled.any():
             raise ConfigError(f"config {prefix}: no trial drew a request")
         for hopcount, fraction in ecdf(pooled):
             pathlen_rows.append(f"{prefix},{hopcount},{_fmt(fraction)}")
-        results.append(SweepResult(config=config, trials=len(outcomes),
+        results.append(SweepResult(config=config, trials=len(rows),
                                    mean_backhaul=mean, std_backhaul=std))
         manifest.append(f"[config {len(results) - 1}]")
         for f_ in fields(config):

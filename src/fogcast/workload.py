@@ -220,14 +220,21 @@ class DemandMatrix:
     """Per-node, per-item request counts for one epoch.
 
     Request ``i`` is ``counts[i]`` active users at node ``nodes[i]`` asking
-    for item ``items[i]``, ordered by node, then item; each user consumes
-    one chunk per epoch second. The arrays are read-only.
+    for item ``items[i]`` of ``catalogue``, ordered by node, then item; each
+    user consumes one chunk per epoch second. The arrays are read-only.
     """
 
     nodes: np.ndarray
     items: np.ndarray
     counts: np.ndarray
-    offered_bitrate: float
+    catalogue: ServiceCatalogue
+
+    @property
+    def offered_bitrate(self) -> float:
+        """Summed bitrate of every user, a left-to-right running sum
+        (accumulate, not pairwise) in request order."""
+        load = self.counts * self.catalogue.bitrates[self.items - 1]
+        return float(np.cumsum(load)[-1]) if load.size else 0.0
 
     @property
     def requests(self) -> MappingProxyType:
@@ -273,9 +280,6 @@ def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
     keys, counts = np.unique(keys, return_counts=True)
     nodes, index = np.divmod(keys, catalogue.n)
     items = index + 1
-    # Left-to-right running sum (accumulate, not pairwise) in request order.
-    load = counts * catalogue.bitrates[index]
-    offered = float(np.cumsum(load)[-1]) if load.size else 0.0
     for array in (nodes, items, counts):
         array.setflags(write=False)
-    return DemandMatrix(nodes=nodes, items=items, counts=counts, offered_bitrate=offered)
+    return DemandMatrix(nodes=nodes, items=items, counts=counts, catalogue=catalogue)

@@ -44,6 +44,15 @@ TARGET = 70e9
 CATCHMENTS = (0.1, 1.0, 10.0)
 
 
+def pooled_hops(outcomes) -> np.ndarray:
+    """The trials' hop histograms summed: users per hop count."""
+    histograms = [o.unicast.hop_counts for o in outcomes]
+    pooled = np.zeros(max(len(h) for h in histograms), dtype=np.int64)
+    for h in histograms:
+        pooled[:len(h)] += h
+    return pooled
+
+
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[acceptance] criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
@@ -79,7 +88,7 @@ def grid_run():
                     t: [backhaul(o.by_catchment[t]) for o in outcomes]
                     for t in CATCHMENTS
                 },
-                "samples": np.concatenate([o.unicast.path_samples for o in outcomes]),
+                "hops": pooled_hops(outcomes),
             }
     return {"results": results, "elapsed": time.perf_counter() - start}
 
@@ -139,19 +148,17 @@ def test_criterion_4_dns_baseline_scaling(dns_runs):
 
 def test_criterion_5_path_length_ecdf(grid_run):
     config = icn_config(1, 1)
-    two_points = np.concatenate([
-        run_trial(config, i).unicast.path_samples for i in range(TRIALS)
-    ])
-    sixteen_points = grid_run["results"][(8, 8)]["samples"]
-    local2 = 100 * float((two_points == 0).mean())
-    le2_2 = 100 * float((two_points <= 2).mean())
-    local16 = 100 * float((sixteen_points == 0).mean())
-    le2_16 = 100 * float((sixteen_points <= 2).mean())
-    shrunk = int(two_points.max()) > int(sixteen_points.max())
-    ok = (2 <= local2 <= 18) and le2_2 >= 65 and local16 >= 30 and le2_16 >= 90 and shrunk
+    two_points = pooled_hops([run_trial(config, i) for i in range(TRIALS)])
+    sixteen_points = grid_run["results"][(8, 8)]["hops"]
+    local2 = 100 * two_points[0] / two_points.sum()
+    le2_2 = 100 * two_points[:3].sum() / two_points.sum()
+    local16 = 100 * sixteen_points[0] / sixteen_points.sum()
+    le2_16 = 100 * sixteen_points[:3].sum() / sixteen_points.sum()
+    max2, max16 = (int(np.flatnonzero(h)[-1]) for h in (two_points, sixteen_points))
+    ok = (2 <= local2 <= 18) and le2_2 >= 65 and local16 >= 30 and le2_16 >= 90 and max2 > max16
     report(5, ok, f"2 points: {local2:.1f}% local (10+-8), {le2_2:.0f}% <=2 hops (>=65); "
                   f"16 points: {local16:.0f}% local (>=30), {le2_16:.0f}% <=2 hops (>=90); "
-                  f"max {int(two_points.max())} -> {int(sixteen_points.max())}")
+                  f"max {max2} -> {max16}")
 
 
 def _matched_resolutions(fog_k: int, cloud_k: int, ldns_k: int, trial_index: int):

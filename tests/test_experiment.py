@@ -152,8 +152,8 @@ def test_single_node_trial_is_all_local(single_node_setup):
     )
     outcome = run_trial(config, 0)
     assert backhaul(outcome.unicast) == 0.0
-    assert (outcome.unicast.path_samples == 0).all()
-    assert len(outcome.unicast.path_samples) > 0
+    assert len(outcome.unicast.hop_counts) == 1
+    assert outcome.unicast.hop_counts[0] > 0
     for metrics in outcome.by_catchment.values():
         assert backhaul(metrics) == 0.0
 
@@ -164,7 +164,7 @@ def test_trial_without_demand_has_zero_float_loads(chain_setup):
     config = ScenarioConfig(arch="icn", fog_k=1, cloud_k=1, catchment=(1.0,), target_bitrate=1.0,
                             topology_path=top, population_path=pop, n_items=3, trials=1)
     outcome = run_trial(config, 0)
-    assert outcome.unicast.path_samples.size == 0
+    assert outcome.unicast.hop_counts.size == 0
     for metrics in outcome.variants().values():
         assert metrics.arc_load.dtype == np.float64
         assert backhaul(metrics) == 0.0
@@ -180,7 +180,7 @@ def test_trials_deterministic(chain_setup):
     first = run_trial(config, 0)
     second = run_trial(config, 0)
     assert (first.unicast.arc_load == second.unicast.arc_load).all()
-    assert (first.unicast.path_samples == second.unicast.path_samples).all()
+    assert (first.unicast.hop_counts == second.unicast.hop_counts).all()
     other = run_trial(config, 1)
     assert not (first.unicast.arc_load == other.unicast.arc_load).all()
 
@@ -225,7 +225,7 @@ def test_trial_loads_match_manual_flow_enumeration(chain_setup):
                 for arc in extract_path(hops, root, leaf):
                     expected[arc] += count * 20e6
         assert outcome.unicast.arc_load == pytest.approx(expected)
-        assert list(outcome.unicast.path_samples) == expected_samples
+        assert outcome.unicast.hop_counts.tolist() == np.bincount(expected_samples).tolist()
     assert pulls > 0
 
 
@@ -299,7 +299,11 @@ def test_sample_count_equals_request_count(chain_setup):
         n_items=3, target_bitrate=2e9, trials=1,
     )
     outcome = run_trial(config, 0)
-    assert outcome.unicast.path_samples.size > 0
+    seed = trial_seed(config.base_seed, 0)
+    populations = assign_population(load_topology(top), load_population(pop))
+    catalogue = build_catalogue(3, config.alpha, config.bitrates, seed ^ _SALT_CATALOGUE)
+    demand = draw_demand(populations, catalogue, config.load_fraction, 2e9, seed ^ _SALT_DEMAND)
+    assert outcome.unicast.hop_counts.sum() == demand.total_requests > 0
 
 
 def test_catchment_monotone_and_bounded_by_unicast(chain_setup):
@@ -357,7 +361,8 @@ def test_backhaul_additivity_over_requests(chain_setup):
         bitrates=(20e6,), target_bitrate=1e9, trials=1, base_seed=6,
     )
     outcome = run_trial(config, 0)
-    per_request = 20e6 * outcome.unicast.path_samples.sum()
+    hop_counts = outcome.unicast.hop_counts
+    per_request = 20e6 * (np.arange(len(hop_counts)) * hop_counts).sum()
     assert backhaul(outcome.unicast) == pytest.approx(per_request)
 
 
@@ -508,7 +513,7 @@ def test_held_rows_never_change_results(monkeypatch, fresh_context):
 
     def outcomes():
         experiment._load_context.cache_clear()
-        return [(key, m.arc_load.tobytes(), m.path_samples.tobytes())
+        return [(key, m.arc_load.tobytes(), m.hop_counts.tobytes())
                 for c in configs for i in range(c.trials)
                 for key, m in run_trial(c, i).variants().items()]
 
@@ -555,32 +560,35 @@ def test_backhaul_sums_a_three_hop_flow():
     load = np.zeros(10)
     for arc in (0, 4, 7):
         load[arc] += 20e6
-    metrics = TrialMetrics(arc_load=load, path_samples=np.array([3]))
+    metrics = TrialMetrics(arc_load=load, hop_counts=np.array([0, 0, 0, 1]))
     assert backhaul(metrics) == pytest.approx(60e6)
 
 
 def test_backhaul_of_empty_load_map_is_zero():
-    metrics = TrialMetrics(arc_load=np.zeros(4), path_samples=np.array([0]))
+    metrics = TrialMetrics(arc_load=np.zeros(4), hop_counts=np.array([1]))
     assert backhaul(metrics) == 0.0
 
 
 def test_ecdf_steps():
-    assert ecdf([0, 0, 2, 2]) == [(0, 0.5), (2, 1.0)]
+    assert ecdf([2, 0, 2]) == [(0, 0.5), (2, 1.0)]
 
 
 def test_ecdf_single_value():
-    assert ecdf([5, 5, 5]) == [(5, 1.0)]
+    assert ecdf([0, 0, 0, 0, 0, 3]) == [(5, 1.0)]
 
 
 def test_ecdf_rejects_empty_input():
-    with pytest.raises(ValueError):
-        ecdf([])
+    for hop_counts in ([], [0, 0]):
+        with pytest.raises(ValueError):
+            ecdf(hop_counts)
 
 
 def test_ecdf_is_a_cdf():
     rng = np.random.default_rng(1)
     samples = rng.integers(0, 15, size=500)
-    points = ecdf(samples)
+    points = ecdf(np.bincount(samples))
+    values, counts = np.unique(samples, return_counts=True)
+    assert points == [(int(v), float(f)) for v, f in zip(values, np.cumsum(counts) / 500)]
     fractions = [f for _, f in points]
     assert all(0 < f <= 1 for f in fractions)
     assert fractions == sorted(fractions)
@@ -653,6 +661,71 @@ def test_manifest_lists_trial_seeds(chain_setup, tmp_path):
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert str(trial_seed(42, 0)) in manifest
     assert str(trial_seed(42, 1)) in manifest
+
+
+@pytest.fixture()
+def fresh_draws():
+    """No trial's draws are kept before or after the test."""
+    experiment._trial_draws.cache_clear()
+    yield
+    experiment._trial_draws.cache_clear()
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record every call of ``experiment.<name>``, which still runs."""
+    calls = []
+    fn = getattr(experiment, name)
+    monkeypatch.setattr(experiment, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_sweep_draws_once_per_trial_index(monkeypatch, fresh_draws):
+    """Trial i of every config of a grid shares one catalogue and one demand."""
+    configs = grid_configs({"fog": "2,4,6,8", "cloud": "2,4,6,8", "catchment": "0.1,1,10",
+                            "trials": "3"})
+    assert len(configs) == 16
+    catalogues = count_calls(monkeypatch, "build_catalogue")
+    demands = count_calls(monkeypatch, "draw_demand")
+    trials = count_calls(monkeypatch, "run_trial")
+    run_sweep(configs)
+    assert len(catalogues) == len(demands) == 3
+    assert len(trials) == 16 * 3
+    # Trial-major: every config runs trial i before any runs trial i + 1.
+    assert [index for _, index in trials] == [i for i in range(3) for _ in configs]
+
+
+def test_sweep_draws_per_workload(monkeypatch, fresh_draws):
+    """Configs that differ in a field the draws read draw their own."""
+    configs = [ScenarioConfig(fog_k=2, cloud_k=2, n_items=n, trials=3) for n in (500, 1000)]
+    catalogues = count_calls(monkeypatch, "build_catalogue")
+    demands = count_calls(monkeypatch, "draw_demand")
+    run_sweep(configs)
+    assert len(catalogues) == len(demands) == 2 * 3
+    assert [args[0] for args in catalogues] == [500, 1000] * 3
+
+
+def test_shared_draws_equal_fresh_draws(fresh_draws):
+    """A trial that takes the draws another config left equals one that draws
+    them anew, arc by arc and hop bin by hop bin."""
+    first = ScenarioConfig(fog_k=2, cloud_k=4, catchment=(0.1, 1.0), trials=3, base_seed=8)
+    others = [
+        dataclasses.replace(first, fog_k=6, mode="cls", scheme="bloom", count_fallback=False),
+        ScenarioConfig(arch="dns", fog_k=4, cloud_k=2, ldns_k=3, trials=3, base_seed=8,
+                       fog_cache_fraction=0.3),
+    ]
+
+    def variants(outcome):
+        return [(key, m.arc_load.tobytes(), m.hop_counts.tobytes())
+                for key, m in outcome.variants().items()]
+
+    for other in others:
+        for index in range(first.trials):
+            run_trial(first, index)
+            hits = experiment._trial_draws.cache_info().hits
+            shared = variants(run_trial(other, index))
+            assert experiment._trial_draws.cache_info().hits == hits + 1
+            experiment._trial_draws.cache_clear()
+            assert variants(run_trial(other, index)) == shared
 
 
 # --- grid files -------------------------------------------------------------

@@ -8,7 +8,8 @@ carries thousands of false-positive arcs, so their charging is pinned too;
 the bundled backbone gives none. ``pathlen.csv`` and every row label must
 match exactly; backhaul values (the float columns of ``backhaul.csv`` and
 ``summary.csv``) within 1e-12 relative, so a change in numpy's float
-summation order does not fail the test.
+summation order does not fail the test. Each grid runs with one and with
+two jobs, and the two outputs must be byte-identical.
 
 Regenerate the files, only when an output change is intended, with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -42,21 +43,28 @@ SYNTHETIC = {"bloom_2k"}
 FLOAT_COLUMNS = {"backhaul.csv": 1, "summary.csv": 2, "pathlen.csv": 0}
 
 
-def sweep(name: str, out: Path) -> None:
+def sweep(name: str, out: Path, jobs: int = 1) -> None:
     out.mkdir(parents=True, exist_ok=True)
     grid = GRIDS[name]
     if name in SYNTHETIC:
         topology, population = write_synthetic(out, 1)
         grid += f"topology = {topology}\npopulation = {population}\n"
     (out / "grid.cfg").write_text(grid)
-    run_sweep(load_grid(out / "grid.cfg"), out_dir=out)
+    run_sweep(load_grid(out / "grid.cfg"), out_dir=out, jobs=jobs)
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_seeded_outputs_match_golden(name, tmp_path):
-    sweep(name, tmp_path)
+    for jobs in (1, 2):
+        sweep(name, tmp_path / f"jobs{jobs}", jobs)
+        check_golden(name, tmp_path / f"jobs{jobs}")
+    for csv in FLOAT_COLUMNS:
+        assert (tmp_path / "jobs2" / csv).read_bytes() == (tmp_path / "jobs1" / csv).read_bytes()
+
+
+def check_golden(name: str, out: Path) -> None:
     for csv, n_float in FLOAT_COLUMNS.items():
-        actual = (tmp_path / csv).read_text().splitlines()
+        actual = (out / csv).read_text().splitlines()
         expected = (GOLDEN / name / csv).read_text().splitlines()
         assert len(actual) == len(expected), csv
         for got, want in zip(actual, expected):
