@@ -8,8 +8,10 @@ Trials are paired: the trial seed depends on the base seed and the trial
 index alone, and no sweep axis changes the draws, so trial i of every
 config of a sweep serves the same catalogue and demand (common random
 numbers). The draws of the last trial seed are kept (``_trial_draws``),
-and sweeps run trial-major, so each trial index draws its workload once;
-placement stays per config.
+and sweeps run trial-major, so each trial index draws its workload once.
+Placement is shared the same way: each (trial seed, mode, role) is one
+seeded pick order (``_pick_order``), and a config takes its first k
+picks, which are exactly what a fresh draw of k points would give.
 
 Resolution runs once per client node, not once per request: the service
 point depends on the node alone and the fallback origin on the service
@@ -57,7 +59,7 @@ import numpy as np
 from . import data
 from .errors import FogcastError
 from .forwarding import BloomScheme, deliver_groups
-from .placement import place_all
+from .placement import ROLE_SALTS, PickOrder, pick_order, place_all
 from .service_router import fog_cache_items, group_rate, make_profiles, resolve_nodes
 from .topology import HopRows, canonical_paths, gather, load_topology
 from .workload import (
@@ -242,6 +244,16 @@ def _trial_draws(seed: int, topology_path: str, population_path: str, n_items: i
     return catalogue, demand
 
 
+@lru_cache(maxsize=2 * len(ROLE_SALTS))
+def _pick_order(seed: int, topology_path: str, population_path: str, mode: str,
+                role: str) -> PickOrder:
+    """The pick order of one (trial seed, mode, role), kept for every config
+    of the trial index: each takes its first k picks. Room for every mode
+    and role of one trial index."""
+    _, rows, populations = _load_context(topology_path, population_path)
+    return pick_order(rows, populations, mode, role, seed)
+
+
 def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
     """Weights summed per arc, in input order; float even when empty."""
     return np.bincount(arcs, weights=weights, minlength=n_arcs).astype(np.float64, copy=False)
@@ -257,7 +269,8 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
         "cloud": (config.mode, config.cloud_k),
         "ldns": (config.mode, config.ldns_k),
     }
-    placement = place_all(rows, populations, roles, seed)
+    placement = place_all(rows, populations, roles, seed, lambda mode, role: _pick_order(
+        seed, config.topology_path, config.population_path, mode, role))
     hops = rows.table(placement.fog + placement.cloud + placement.ldns)
     catalogue, demand = _trial_draws(seed, config.topology_path, config.population_path,
                                      config.n_items, config.alpha, config.bitrates,

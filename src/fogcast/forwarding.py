@@ -22,7 +22,6 @@ built on ``label_arc``, are the reference the kernel is tested against.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import weakref
 from dataclasses import dataclass
@@ -86,6 +85,7 @@ def label_arc(scheme: Scheme, arc_id: int) -> ArcLabel:
         if not 0 <= arc_id < scheme.width:
             raise ValueError(f"arc {arc_id} outside exact width {scheme.width}")
         return ArcLabel(arc_id, (arc_id,))
+    import hashlib  # here alone: loading it costs every CLI start a few ms
     digest = hashlib.blake2b(
         arc_id.to_bytes(8, "little"),
         digest_size=16,

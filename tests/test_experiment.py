@@ -728,6 +728,66 @@ def test_shared_draws_equal_fresh_draws(fresh_draws):
             assert variants(run_trial(other, index)) == shared
 
 
+@pytest.fixture()
+def fresh_orders():
+    """No trial's pick orders are kept before or after the test."""
+    experiment._pick_order.cache_clear()
+    yield
+    experiment._pick_order.cache_clear()
+
+
+# grid_dns: fog 2,4,6,8 x cloud 2,4,6,8 x pop,cls, 4 LDNS points.
+GRID_DNS = {"arch": "dns", "fog": "2,4,6,8", "cloud": "2,4,6,8", "ldns": "4",
+            "placement": "pop,cls", "trials": "3"}
+
+
+def test_sweep_places_once_per_trial_index(monkeypatch, fresh_orders):
+    """Trial i of every config takes its points from one pick order per
+    (mode, role): 6 per trial index, not one per config and role (96)."""
+    configs = grid_configs(GRID_DNS)
+    assert len(configs) == 32
+    orders = count_calls(monkeypatch, "pick_order")
+    run_sweep(configs)
+    assert len(orders) == 6 * 3
+    for index in range(3):
+        seed = trial_seed(1, index)
+        drawn = orders[6 * index:6 * (index + 1)]
+        assert {(args[2], args[3]) for args in drawn} == {
+            (mode, role) for mode in ("pop", "cls") for role in ("fog", "cloud", "ldns")}
+        assert {args[4] for args in drawn} == {seed}
+    info = experiment._pick_order.cache_info()
+    assert (info.misses, info.hits) == (6 * 3, (96 - 6) * 3)
+
+
+def test_shared_placement_equals_fresh_placement(fresh_orders):
+    """Points a config takes from a pick order others grew equal a fresh draw."""
+    configs = grid_configs(dict(GRID_DNS, fog="8,2,6,4", ldns="3,1"))
+    rows, populations = experiment._load_context(configs[0].topology_path,
+                                                 configs[0].population_path)[1:]
+    for index in range(3):
+        seed = trial_seed(1, index)
+        for config in configs:
+            roles = {role: (config.mode, k) for role, k in (
+                ("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k))}
+            shared = place_all(rows, populations, roles, seed, lambda mode, role: (
+                experiment._pick_order(seed, config.topology_path, config.population_path,
+                                       mode, role)))
+            assert shared == place_all(rows, populations, roles, seed)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_reversed_axes_give_every_config_the_same_rows(tmp_path, fresh_orders, jobs):
+    """Configs that grow a pick order in another order get the same rows."""
+    reverse = dict(GRID_DNS, fog="8,6,4,2", placement="cls,pop")
+    run_sweep(grid_configs(GRID_DNS), out_dir=tmp_path / "forward")
+    run_sweep(grid_configs(reverse), out_dir=tmp_path / "reverse", jobs=jobs)
+    for name in ("backhaul.csv", "pathlen.csv", "summary.csv"):
+        forward = (tmp_path / "forward" / name).read_text().splitlines()
+        reversed_ = (tmp_path / "reverse" / name).read_text().splitlines()
+        assert forward != reversed_
+        assert sorted(forward) == sorted(reversed_)
+
+
 # --- grid files -------------------------------------------------------------
 
 def test_expand_grid_cross_product():

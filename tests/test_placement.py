@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import write_synthetic
-from fogcast.placement import Placement, PlacementError, place_all, place_points
+from fogcast.placement import Placement, PickOrder, PlacementError, place_all, place_points
 from fogcast.topology import HopRows, load_topology
 from fogcast.workload import assign_population, load_population
 
@@ -63,6 +63,64 @@ def test_draw_equals_choice_reference_at_cdf_boundaries():
                 weights = np.array([head + step * np.spacing(head), tail / 3, 2 * tail / 3])
                 for k in (1, 2):
                     assert place_points(weights, k, seed) == choice_reference(weights, k, seed)
+
+
+# Request sequences for one pick order: growing, shrinking, repeated, and
+# eight seeded ones of five requests each.
+REQUEST_SEQUENCES = [(8, 2, 5), tuple(range(1, 9)), (3, 3, 1), (16, 1, 9, 9)] + [
+    tuple(int(k) for k in row)
+    for row in np.random.default_rng(15).integers(1, 17, size=(8, 5))
+]
+
+
+def assert_orders_equal_fresh_draws(weights: np.ndarray, seeds: range) -> None:
+    """Every ``first(k)`` of a pick order equals a fresh draw of k points,
+    whatever was asked of the order before; before each request the order
+    refuses one point more than the positive-weight nodes, with the message
+    a fresh draw gives, and stays usable."""
+    too_many = np.count_nonzero(weights) + 1
+    for seed in seeds:
+        with pytest.raises(PlacementError) as fresh:
+            choice_reference(weights, too_many, seed)
+        for requests in REQUEST_SEQUENCES:
+            order = PickOrder(weights, seed)
+            for k in requests:
+                with pytest.raises(PlacementError) as refused:
+                    order.first(too_many)
+                assert str(refused.value) == str(fresh.value)
+                expected = choice_reference(weights, k, seed)
+                assert order.first(k) == place_points(weights, k, seed) == expected, \
+                    (seed, requests, k)
+
+
+def test_pick_order_is_request_order_independent_on_bundled_weights(geant_rows,
+                                                                     geant_population):
+    for weights in (geant_population, geant_rows.centrality):
+        assert_orders_equal_fresh_draws(weights, range(48))
+
+
+def test_pick_order_is_request_order_independent_on_2000_node_backbone(tmp_path):
+    topology, population = write_synthetic(tmp_path, 1)
+    graph = load_topology(topology)
+    populations = assign_population(graph, load_population(population))
+    for weights in (populations, HopRows(graph).centrality):
+        assert_orders_equal_fresh_draws(weights, range(16))
+
+
+def test_pick_order_of_zero_weights_and_ties():
+    weights = np.array([0.0, 2.0, 0.0, 2.0, 2.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0, 1.0,
+                        1.0, 0.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
+    assert np.count_nonzero(weights) == 14
+    for seed in range(64):
+        order = PickOrder(weights, seed)
+        for k in (1, 7, 14, 3):
+            assert order.first(k) == choice_reference(weights, k, seed), (seed, k)
+        with pytest.raises(PlacementError, match=r"^k=15 exceeds the 14 positive-weight"):
+            order.first(15)
+        with pytest.raises(PlacementError, match=r"^k=21 outside 1\.\.20$"):
+            order.first(21)
+        with pytest.raises(PlacementError, match=r"^k=0 outside 1\.\.20$"):
+            order.first(0)
 
 
 @pytest.mark.parametrize("weights", [
