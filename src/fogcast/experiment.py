@@ -15,10 +15,11 @@ picks, which are exactly what a fresh draw of k points would give.
 
 Resolution runs once per client node, not once per request: the service
 point depends on the node alone and the fallback origin on the service
-point alone. Both architectures take the same ``resolve_nodes`` call; the
-only difference is where the lookup starts, at the client (icn places no
-LDNS) or at its nearest LDNS (dns). The scalar oracles of both, and of
-the paths and Bloom delivery below, are in ``tests/oracles.py``.
+point alone; the demand draw lists each request's client. Both
+architectures take the same ``resolve_nodes`` call; the only difference
+is where the lookup starts, at the client (icn places no LDNS) or at its
+nearest LDNS (dns). The scalar oracles of both, and of the paths and
+Bloom delivery below, are in ``tests/oracles.py``.
 Every flow is charged on one canonical root -> leaf path
 (``canonical_paths``): service point -> client for the delivery, origin
 -> service point for the fallback pull. Unicast, catchment trees and
@@ -26,11 +27,12 @@ Bloom delivery all read the same paths; Bloom forwarding of every group
 of a trial is one ``deliver_groups`` call.
 
 Every root is a placed point, so a trial takes the hop rows of its fog,
-cloud and LDNS points once (``HopRows.table``) and reads only those rows
-for the nearest-point maps, the canonical paths and the path samples; no
-n x n table is built. The rows of populated nodes, the only ones ``pop``
-placement draws, are searched once per topology; any other point's row is
-searched in the trial that asks for it.
+cloud and LDNS points once (``HopRows.table``) and reads only their
+columns of its clients and points, for the nearest-point maps, the
+canonical paths and the hop histogram; no n x n table is built. The rows
+of populated nodes, the only ones ``pop`` placement draws, are searched
+once per topology; any other point's row is searched in the trial that
+asks for it.
 
 Catchment aggregation is applied analytically: each arc a group's packets
 take carries the group rate, which shrinks monotonically with the interval.
@@ -278,37 +280,32 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     profiles = make_profiles(placement.fog, placement.cloud, catalogue,
                              config.fog_cache_fraction)
 
-    nodes, items, counts = demand.nodes, demand.items, demand.counts
-    point, origin = resolve_nodes(hops, nodes, items, profiles, placement.ldns)
+    items, counts, clients, client_of = (demand.items, demand.counts, demand.clients,
+                                         demand.client_of)
+    client_point, origin = resolve_nodes(hops, clients, client_of, items, profiles,
+                                         placement.ldns)
+    point = client_point[client_of]
     pull = (origin >= 0) & config.count_fallback
     bitrate = catalogue.bitrates[items - 1]
 
     # Flows: one per client node (service point -> client), then one per
     # service point that pulls counted misses (origin -> service point),
-    # each kind in node order. Demand rows are sorted by node, so the
-    # clients are their runs; a pull's origin depends on its point alone.
-    new_node = np.ones(len(nodes), dtype=bool)
-    new_node[1:] = nodes[1:] != nodes[:-1]
-    first_at = np.flatnonzero(new_node)
-    clients = nodes[first_at]
+    # each kind in node order; a pull's origin depends on its point alone.
     pulled_from = np.full(graph.n_nodes, -1)
     pulled_from[point[pull]] = origin[pull]
     pulling = np.flatnonzero(pulled_from >= 0)
-    # Flow of each request, and of the pull at each node.
-    client_flow = np.cumsum(new_node) - 1
+    # Flow of the pull at each node.
     pull_flow = len(clients) - 1 + np.cumsum(pulled_from >= 0)
-    indptr, path = canonical_paths(
-        hops,
-        roots=np.concatenate([point[first_at], pulled_from[pulling]]),
-        leaves=np.concatenate([clients, pulling]),
-    )
+    indptr, path = canonical_paths(hops, np.concatenate([client_point, pulled_from[pulling]]),
+                                   np.concatenate([clients, pulling]))
     request_load = counts * bitrate * CHUNK_DURATION
-    flow_load = np.bincount(np.concatenate([client_flow, pull_flow[point[pull]]]),
+    flow_load = np.bincount(np.concatenate([client_of, pull_flow[point[pull]]]),
                             weights=np.concatenate([request_load, request_load[pull]]),
                             minlength=len(clients) + len(pulling))
     unicast_load = _per_arc(path, np.repeat(flow_load, np.diff(indptr)), graph.n_arcs)
 
-    hop_counts = np.bincount(hops.dist[hops.slot[point], nodes], weights=counts)
+    client_hops = hops.dist[hops.slot[client_point], clients]
+    hop_counts = np.bincount(client_hops[client_of], weights=counts)
     outcome = TrialOutcome(unicast=TrialMetrics(unicast_load, hop_counts.astype(np.int64)))
     intervals = [t for t in config.catchment if t != UNICAST]
     if not intervals:
@@ -330,7 +327,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     group_total = np.bincount(group, weights=counts)
 
     # Tree arcs: each arc of a group's tree carries the members crossing it.
-    owner, arc = gather(indptr, path, client_flow)
+    owner, arc = gather(indptr, path, client_of)
     tree_keys, tree_of = np.unique(group[owner] * graph.n_arcs + arc, return_inverse=True)
     tree_group, tree_arc = np.divmod(tree_keys, graph.n_arcs)
     entries = [(tree_group, tree_arc, np.bincount(tree_of, weights=counts[owner]))]

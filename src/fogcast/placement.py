@@ -49,6 +49,10 @@ class PickOrder:
     asked before: a later call extends the draw where the last stopped
     (``random(a)`` then ``random(b)`` gives the doubles of ``random(a + b)``).
     A request that fails draws nothing.
+
+    A pick reads only the positive-weight nodes but for the total, a pairwise
+    sum over all n that rounds by position: a zero adds exactly 0 to the
+    sequential cdf and is never the first cdf value above u.
     """
 
     def __init__(self, weights: np.ndarray, seed: int) -> None:
@@ -58,9 +62,9 @@ class PickOrder:
             node = int(np.argmin(valid))
             raise PlacementError(f"node {node} has weight {weights[node]}; "
                                  "weights must be finite and >= 0")
-        self._positive = np.count_nonzero(weights)
+        self._support = np.flatnonzero(weights)
         self._rng = np.random.default_rng(seed)
-        self._remaining = weights.copy()
+        self._remaining, self._remaining_support = weights.copy(), weights[self._support]
         self._picks: list[int] = []
 
     def first(self, k: int) -> tuple[int, ...]:
@@ -68,16 +72,17 @@ class PickOrder:
         n = len(self._remaining)
         if k < 1 or k > n:
             raise PlacementError(f"k={k} outside 1..{n}")
-        if k > self._positive:
-            raise PlacementError(f"k={k} exceeds the {self._positive} positive-weight node(s)")
-        remaining = self._remaining
+        support, remaining, weights = self._support, self._remaining, self._remaining_support
+        if k > len(support):
+            raise PlacementError(f"k={k} exceeds the {len(support)} positive-weight node(s)")
         if k > len(self._picks):
             for u in self._rng.random(k - len(self._picks)):
-                cdf = (remaining / remaining.sum()).cumsum()
+                cdf = (weights / remaining.sum()).cumsum()
                 cdf /= cdf[-1]
-                node = int(cdf.searchsorted(u, side="right"))
+                at = int(cdf.searchsorted(u, side="right"))
+                node = int(support[at])
                 self._picks.append(node)
-                remaining[node] = 0.0
+                remaining[node] = weights[at] = 0.0
         return tuple(sorted(self._picks[:k]))
 
 

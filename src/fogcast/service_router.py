@@ -10,7 +10,8 @@ rate of such groups.
 ``resolve_nodes`` is the resolver trials use, for both architectures: a
 request is looked up at its client node (rendezvous matching) or at the
 client's nearest resolver (resolver redirection), so it runs once per
-node. Its scalar oracles, ``resolve_request`` through a rendezvous table
+client node and reads only the clients' columns of the placed points'
+rows. Its scalar oracles, ``resolve_request`` through a rendezvous table
 and ``resolve_request_dns`` through a resolver, are in ``tests/oracles.py``.
 """
 from __future__ import annotations
@@ -65,31 +66,32 @@ def make_profiles(fog_nodes: Iterable[int], cloud_nodes: Iterable[int],
     return profiles
 
 
-def resolve_nodes(hops: HopTable, nodes: np.ndarray, items: np.ndarray,
-                  profiles: dict[int, SRProfile],
+def resolve_nodes(hops: HopTable, clients: np.ndarray, client_of: np.ndarray,
+                  items: np.ndarray, profiles: dict[int, SRProfile],
                   resolvers: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve the requests ``(nodes[i], items[i])`` once per node.
+    """Resolve the requests ``(clients[client_of[i]], items[i])`` once per client.
 
     A request is looked up at its client node, or at the client's nearest
     resolver when ``resolvers`` are given. It is served by the gateway
     nearest the lookup node; a gateway that does not cache the item pulls
     it from the cloud gateway nearest to it. Ties go to the lowest id, as
     in the oracles' ``RendezvousTable.match`` and ``dns_select``. Returns
-    per-request ``(service point, fallback origin)``, the origin -1 where
-    the point caches the item. ``hops`` must hold the rows of the
-    resolvers and the gateways; ``nearest`` reads only those.
+    the service point of each client and the fallback origin of each
+    request, -1 where the point caches the item. ``hops`` must hold the
+    rows of the resolvers and the gateways; only their clients' and points'
+    columns are read.
     """
     if not profiles:
         raise NoSubscriberError("no service point placed")
-    lookup = nearest(hops, resolvers)[nodes] if len(resolvers) else nodes
-    point = nearest(hops, profiles)[lookup]
+    lookup = nearest(hops, resolvers, clients) if len(resolvers) else clients
+    point = nearest(hops, profiles, lookup)
     top_items = np.zeros(hops.graph.n_nodes, dtype=np.int64)
     top_items[list(profiles)] = [profile.top_items for profile in profiles.values()]
-    miss = items > top_items[point]
+    miss = items > top_items[point][client_of]
     clouds = [node for node, profile in profiles.items() if profile.role == "cloud"]
     if miss.any() and not clouds:
         raise NoSubscriberError(f"no cloud point to serve item {int(items[miss][0])}")
-    return point, np.where(miss, nearest(hops, clouds)[point], -1)
+    return point, np.where(miss, nearest(hops, clouds, point)[client_of], -1)
 
 
 def group_rate(rate, interval: float):
@@ -97,13 +99,11 @@ def group_rate(rate, interval: float):
 
     A window opens on an arrival and absorbs everything for ``interval``
     seconds, so inter-group gaps average ``interval + 1/rate``: the group
-    rate is ``rate / (1 + rate * interval)``, and 0 where ``rate`` is 0.
-    ``rate`` may be an array.
+    rate is ``rate / (1 + rate * interval)``, which is exactly 0 where
+    ``rate`` is 0; an endless window forms none. ``rate`` may be an array.
     """
     rate = np.asarray(rate, dtype=np.float64)
     if (rate < 0).any() or interval < 0:
         raise ValueError("rate and interval must be >= 0")
-    busy = rate > 0
-    groups = np.zeros_like(rate)
-    groups[busy] = rate[busy] / (1.0 + rate[busy] * interval)
+    groups = rate / (1.0 + rate * interval) if interval != np.inf else np.zeros_like(rate)
     return groups if groups.ndim else float(groups)

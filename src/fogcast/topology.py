@@ -9,16 +9,17 @@ the two directions of deduplicated edge ``j``, which makes the reverse of
 arc ``a`` simply ``a ^ 1``.
 
 Hop counts come as rows, one per source, from a breadth-first search of 64
-sources at a time. The pipeline reads only the rows a trial uses, its fog,
-cloud and LDNS points, so no n x n table is built: ``HopRows`` searches the
-rows of a held set of nodes once, and any other row per call. ``all_pairs``
-searches every row; the tests and their scalar oracles (``tests/oracles.py``)
-read it.
+sources at a time, each with a row of canonical in-arcs that paths are read
+from. The pipeline reads only the rows of a trial's fog, cloud and LDNS
+points, and of those only the columns it asks about, so no n x n table is
+built: ``HopRows`` searches the rows of a held set of nodes once, and any
+other row per call. ``all_pairs`` searches every row; the tests and their
+scalar oracles (``tests/oracles.py``) read it.
 """
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -64,9 +65,6 @@ class NetworkGraph:
     lon: np.ndarray
     src: np.ndarray
     dst: np.ndarray
-    # Arc ids by endpoints: sorted ``src * n + dst`` keys and the id of each.
-    _arc_keys: np.ndarray = field(repr=False)
-    _arc_ids: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -75,11 +73,6 @@ class NetworkGraph:
     @property
     def n_arcs(self) -> int:
         return len(self.src)
-
-    def arcs_between(self, src, dst) -> np.ndarray:
-        """Ids of the arcs ``src[i] -> dst[i]``; every pair must be an arc."""
-        key = np.asarray(src, dtype=np.int64) * self.n_nodes + np.asarray(dst, dtype=np.int64)
-        return self._arc_ids[np.searchsorted(self._arc_keys, key)]
 
 
 def build_graph(coords: list[tuple[str, float, float]],
@@ -104,15 +97,12 @@ def build_graph(coords: list[tuple[str, float, float]],
     _, first = np.unique(lo * n + hi, return_index=True)
     kept = ends[np.sort(first)].astype(np.intp)
     src, dst = kept.reshape(-1), kept[:, ::-1].reshape(-1)
-    keys = src * n + dst
-    ids = np.argsort(keys)
-    keys = keys[ids]
     lat = np.array([c[1] for c in coords], dtype=np.float64)
     lon = np.array([c[2] for c in coords], dtype=np.float64)
-    for array in (lat, lon, src, dst, keys, ids):
+    for array in (lat, lon, src, dst):
         array.setflags(write=False)
     graph = NetworkGraph(labels=tuple(c[0] for c in coords), lat=lat, lon=lon,
-                         src=src, dst=dst, _arc_keys=keys, _arc_ids=ids)
+                         src=src, dst=dst)
     _check_connected(graph)
     return graph
 
@@ -196,23 +186,23 @@ def _graph_of(root: ET.Element) -> NetworkGraph:
 
 @dataclass(frozen=True)
 class HopTable:
-    """Hop counts and canonical predecessor trees from a set of sources.
+    """Hop counts and canonical shortest-path trees from a set of sources.
 
     Source ``s`` owns row ``slot[s]``: ``dist[slot[s], v]`` is the exact
     unit-weight shortest hop count from ``s`` to ``v`` and
-    ``pred[slot[s], v]`` the predecessor of ``v`` on the canonical path
-    from ``s`` (ties broken by lowest predecessor node id; ``s`` is its own
-    predecessor). ``all_pairs`` gives node ``s`` row ``s``, so its
-    ``dist[s, v]`` reads directly, as the scalar oracles in
-    ``tests/oracles.py`` read it; a table from ``HopRows`` holds the rows
-    it was asked for, and ``slot`` is ``NO_ROW`` for the others, an index
-    past every array, so reading a row it lacks raises IndexError. Rows are
-    deterministic, so the held set never changes results.
+    ``in_arc[slot[s], v]`` the id of the arc into ``v`` on the canonical
+    path from ``s``, whose source is the predecessor of ``v`` (ties broken
+    by lowest predecessor node id; -1 at ``s``). ``all_pairs`` gives node
+    ``s`` row ``s``, so its ``dist[s, v]`` reads directly, as the scalar
+    oracles in ``tests/oracles.py`` read it; a table from ``HopRows`` holds
+    the rows it was asked for, and ``slot`` is ``NO_ROW`` for the others, an
+    index past every array, so reading a row it lacks raises IndexError.
+    Rows are deterministic, so the held set never changes results.
     """
 
     graph: NetworkGraph
     dist: np.ndarray
-    pred: np.ndarray
+    in_arc: np.ndarray
     slot: np.ndarray
 
 
@@ -232,8 +222,8 @@ def _bits(words: np.ndarray, count: int) -> np.ndarray:
 def _in_arcs(graph: NetworkGraph):
     """The arcs as ``_bfs_block`` and ``_predecessors`` read them: sources
     sorted by (dst, src), the first arc into each node, and per slot ``k``
-    the nodes with more than ``k`` in-arcs and their ``k``-th lowest
-    in-neighbours."""
+    the nodes with more than ``k`` in-arcs, their ``k``-th lowest
+    in-neighbours and the ids of the arcs from them."""
     order = np.lexsort((graph.src, graph.dst))
     src, dst = graph.src[order], graph.dst[order]
     # A connected graph of two or more nodes gives every node an in-arc.
@@ -242,7 +232,7 @@ def _in_arcs(graph: NetworkGraph):
     slots = []
     for k in range(int(indeg.max(initial=0))):
         v = np.flatnonzero(indeg > k)
-        slots.append((v, src[start[v] + k]))
+        slots.append((v, src[start[v] + k], order[start[v] + k]))
     return src, start, slots
 
 
@@ -276,19 +266,19 @@ def _bfs_block(in_arcs, sources):
     return d
 
 
-def _predecessors(in_arcs, d, sources):
-    """Canonical predecessors for the ``_bfs_block`` columns ``d`` of ``sources``.
+def _predecessors(in_arcs, d):
+    """Canonical in-arcs for the ``_bfs_block`` columns ``d`` of some sources.
 
-    The predecessor of ``v`` is the lowest id among its in-neighbours one
+    The in-arc of ``v`` comes from the lowest id among its in-neighbours one
     hop closer to the source, found by sweeping the sorted in-arcs slot by
-    slot, highest slot first, so the lowest id writes last; a source is its
-    own. Returns n x len(sources) int32 ``pred`` columns.
+    slot, highest slot first, so the lowest id writes last; no in-neighbour
+    is closer to a source than the source itself, so its entry stays -1.
+    Returns int32 ``in_arc`` columns of the same shape as ``d``.
     """
     _, _, slots = in_arcs
     p = np.full(d.shape, -1, dtype=np.int32)
-    for v, u in reversed(slots):
-        p[v] = np.where(d[u] + 1 == d[v], u[:, None], p[v])
-    p[sources, np.arange(len(sources))] = sources
+    for v, u, arc in reversed(slots):
+        p[v] = np.where(d[u] + 1 == d[v], arc[:, None], p[v])
     return p
 
 
@@ -302,25 +292,25 @@ def _hop_table(graph: NetworkGraph, in_arcs, sources, held: HopTable | None = No
     slot = np.full(n, NO_ROW, dtype=np.intp)
     slot[sources] = np.arange(len(sources))
     dist = np.empty((len(sources), n), dtype=np.int32)
-    pred = np.empty((len(sources), n), dtype=np.int32)
+    in_arc = np.empty((len(sources), n), dtype=np.int32)
     missing = np.arange(len(sources))
     if held is not None:
         copied = held.slot[sources] != NO_ROW
         rows = held.slot[sources[copied]]
-        dist[copied], pred[copied] = held.dist[rows], held.pred[rows]
+        dist[copied], in_arc[copied] = held.dist[rows], held.in_arc[rows]
         missing = missing[~copied]
     for at in range(0, len(missing), _BLOCK):
         rows = missing[at:at + _BLOCK]
         d = _bfs_block(in_arcs, sources[rows])
         dist[rows] = d.T
-        pred[rows] = _predecessors(in_arcs, d, sources[rows]).T
-    for table in (dist, pred, slot):
+        in_arc[rows] = _predecessors(in_arcs, d).T
+    for table in (dist, in_arc, slot):
         table.setflags(write=False)
-    return HopTable(graph=graph, dist=dist, pred=pred, slot=slot)
+    return HopTable(graph=graph, dist=dist, in_arc=in_arc, slot=slot)
 
 
 def all_pairs(graph: NetworkGraph) -> HopTable:
-    """Every node's hop row: an n x n ``dist`` and ``pred``, ``slot[s] = s``.
+    """Every node's hop row: an n x n ``dist`` and ``in_arc``, ``slot[s] = s``.
 
     The pipeline reads only the rows it needs, through ``HopRows``; this
     full table is the reference of the tests and of the scalar oracles in
@@ -369,8 +359,9 @@ def canonical_paths(hops: HopTable, roots, leaves) -> tuple[np.ndarray, np.ndarr
 
     ``arcs[indptr[f]:indptr[f + 1]]`` are the arcs of the canonical path
     from ``roots[f]`` to ``leaves[f]``, in order. Every flow walks the
-    ``pred`` row of its root up from its leaf, one level per step for all
-    flows together; ``hops`` must hold the roots' rows.
+    ``in_arc`` row of its root up from its leaf, one level per step for all
+    flows together: the arc into a node, then the arc into that arc's
+    source. ``hops`` must hold the roots' rows.
     """
     roots = np.asarray(roots, dtype=np.intp)
     leaves = np.asarray(leaves, dtype=np.intp)
@@ -382,11 +373,11 @@ def canonical_paths(hops: HopTable, roots, leaves) -> tuple[np.ndarray, np.ndarr
     node = leaves[flow]
     slot = indptr[flow + 1]
     while flow.size:
-        up = hops.pred[rows[flow], node].astype(np.intp)
         slot = slot - 1
-        arcs[slot] = hops.graph.arcs_between(up, node)
-        more = up != roots[flow]
-        flow, node, slot = flow[more], up[more], slot[more]
+        arcs[slot] = arc = hops.in_arc[rows[flow], node]
+        node = hops.graph.src[arc]
+        more = node != roots[flow]
+        flow, node, slot = flow[more], node[more], slot[more]
     return indptr, arcs
 
 
@@ -402,17 +393,17 @@ def gather(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray):
     return owner, values[indptr[rows][owner] + offset]
 
 
-def nearest(hops: HopTable, candidates) -> np.ndarray:
-    """Per node: the candidate nearest to it in hops, ties to the lowest id.
+def nearest(hops: HopTable, candidates, at) -> np.ndarray:
+    """Per node ``at[i]``: the candidate nearest to it in hops, ties to the lowest id.
 
-    Reads the candidates' own rows, which ``hops`` must hold: ``build_graph``
-    adds both arcs of every edge, so hop distances are symmetric. Every
-    entry is -1 when there is no candidate.
+    Reads the ``at`` columns of the candidates' own rows, which ``hops`` must
+    hold: ``build_graph`` adds both arcs of every edge, so hop distances are
+    symmetric. Every entry is -1 when there is no candidate.
     """
     candidates = np.array(sorted(set(candidates)), dtype=np.intp)
     if candidates.size == 0:
-        return np.full(hops.graph.n_nodes, -1, dtype=np.intp)
-    return candidates[np.argmin(hops.dist[hops.slot[candidates]], axis=0)]
+        return np.full(len(at), -1, dtype=np.intp)
+    return candidates[np.argmin(hops.dist[hops.slot[candidates][:, None], at], axis=0)]
 
 
 def closeness(graph: NetworkGraph) -> np.ndarray:

@@ -221,13 +221,17 @@ class DemandMatrix:
 
     Request ``i`` is ``counts[i]`` active users at node ``nodes[i]`` asking
     for item ``items[i]`` of ``catalogue``, ordered by node, then item; each
-    user consumes one chunk per epoch second. The arrays are read-only.
+    user consumes one chunk per epoch second. Request ``i`` comes from client
+    ``client_of[i]`` of ``clients``, the nodes with a request, ascending.
+    The arrays are read-only.
     """
 
     nodes: np.ndarray
     items: np.ndarray
     counts: np.ndarray
     catalogue: ServiceCatalogue
+    clients: np.ndarray
+    client_of: np.ndarray
 
     @property
     def offered_bitrate(self) -> float:
@@ -280,6 +284,8 @@ def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
     keys, counts = np.unique(keys, return_counts=True)
     nodes, index = np.divmod(keys, catalogue.n)
     items = index + 1
-    for array in (nodes, items, counts):
+    new_client = np.diff(nodes, prepend=-1) != 0
+    clients, client_of = nodes[new_client], np.cumsum(new_client) - 1
+    for array in (nodes, items, counts, clients, client_of):
         array.setflags(write=False)
-    return DemandMatrix(nodes=nodes, items=items, counts=counts, catalogue=catalogue)
+    return DemandMatrix(nodes, items, counts, catalogue, clients, client_of)

@@ -5,8 +5,8 @@ kept independent of the array kernels in ``fogcast``:
 
 - topology: ``adjacency`` lists each node's out-arcs in plain Python, and
   ``extract_path`` walks one canonical shortest path of an ``all_pairs``
-  table, finding each arc by scanning the out-arcs of its source
-  (``canonical_paths`` is the kernel);
+  table back from its leaf, one in-arc at a time (``canonical_paths`` is
+  the kernel);
 - rendezvous: scoped names, the subscription table with nearest-subscriber
   matching, and shortest-path delivery trees;
 - service routing: ``resolve_request`` resolves one request through the
@@ -48,19 +48,21 @@ def extract_path(hops: HopTable, src: int, dst: int) -> list[int]:
     """Ordered arc ids of the canonical shortest path src -> dst.
 
     Empty when src == dst; length always equals ``dist[src, dst]``. A
-    scalar oracle: ``hops`` is an ``all_pairs`` table.
+    scalar oracle: ``hops`` is an ``all_pairs`` table, whose ``in_arc`` row
+    of ``src`` gives the arc into each node, and that arc's source
+    (``graph.src``) the node before it. A walk that has not reached ``src``
+    after n arcs is no path, and raises.
     """
-    if src == dst:
-        return []
-    node_walk = [dst]
+    path: list[int] = []
     v = dst
-    while v != src:
-        v = int(hops.pred[src, v])
-        node_walk.append(v)
-    node_walk.reverse()
-    out = adjacency(hops.graph)
-    return [next(arc for arc, head in out[u] if head == v)
-            for u, v in zip(node_walk, node_walk[1:])]
+    for _ in range(hops.graph.n_nodes):
+        if v == src:
+            return path[::-1]
+        arc = int(hops.in_arc[src, v])
+        path.append(arc)
+        v = int(hops.graph.src[arc])
+    raise AssertionError(f"the in-arc walk from {dst} reached no {src} in "
+                         f"{hops.graph.n_nodes} arcs")
 
 
 # --- rendezvous ---------------------------------------------------------------

@@ -254,9 +254,10 @@ def test_per_node_kernel_matches_scalar_resolvers():
         table = build_rendezvous(profiles)
         dns_config = DnsConfig(ldns=tuple(ldns), profiles=profiles,
                                service_points=tuple(sorted(set(fog) | set(cloud))))
+        clients, client_of = np.unique(nodes, return_inverse=True)
         kernels = {
-            "icn": resolve_nodes(hops, nodes, items, profiles),
-            "dns": resolve_nodes(hops, nodes, items, profiles, tuple(ldns)),
+            "icn": resolve_nodes(hops, clients, client_of, items, profiles),
+            "dns": resolve_nodes(hops, clients, client_of, items, profiles, tuple(ldns)),
         }
         for i, (node, item) in enumerate(zip(nodes.tolist(), items.tolist())):
             plans = {
@@ -265,9 +266,9 @@ def test_per_node_kernel_matches_scalar_resolvers():
             }
             for arch, plan in plans.items():
                 point, origin = kernels[arch]
-                assert point[i] == plan.service_point, (arch, node, item)
+                assert point[client_of[i]] == plan.service_point, (arch, node, item)
                 assert origin[i] == (plan.legs[1].dst if len(plan.legs) > 1 else -1)
-                assert hops.dist[node, point[i]] == plan.client_path_hops
+                assert hops.dist[node, point[client_of[i]]] == plan.client_path_hops
             ties += sum(hops.dist[node, p] == hops.dist[node, plans["icn"].service_point]
                         for p in profiles) > 1
     assert ties > 0
@@ -549,8 +550,8 @@ def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
     populated = np.flatnonzero(populations)
     assert len(populated) == 271
     assert np.flatnonzero(rows.held.slot != NO_ROW).tolist() == populated.tolist()
-    assert rows.held.dist.shape == rows.held.pred.shape == (271, graph.n_nodes)
-    # The n x n dist and pred tables alone would take 32 MB on 2,000 nodes.
+    assert rows.held.dist.shape == rows.held.in_arc.shape == (271, graph.n_nodes)
+    # The n x n dist and in_arc tables alone would take 32 MB on 2,000 nodes.
     assert graph.n_nodes == 2000 and peak < 16e6
 
 

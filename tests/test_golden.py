@@ -1,11 +1,15 @@
 """Seeded outputs pinned across changes.
 
-Three small grids on the bundled backbone, and one Bloom grid on the
-2,000-node synthetic backbone of seed 1 (``conftest.write_synthetic``), are
-re-run and compared with the CSVs committed under
-``tests/data/golden/<grid>/``. On that backbone the default Bloom scheme
-carries thousands of false-positive arcs, so their charging is pinned too;
-the bundled backbone gives none. ``pathlen.csv`` and every row label must
+Three small grids on the bundled backbone, and three on the 2,000-node
+synthetic backbone of seed 1 (``conftest.write_synthetic``), are re-run and
+compared with the CSVs committed under ``tests/data/golden/<grid>/``. On
+that backbone the default Bloom scheme carries thousands of false-positive
+arcs, so their charging is pinned too; the bundled backbone gives none.
+There, too, only 271 of the 2,000 nodes are clients, so the per-client
+resolution and paths of a ``pop`` grid of each architecture are pinned
+where most nodes are not asked about: ``scale_2k`` has the shape of the
+benchmark's workload of that name, and ``dns_pop_2k`` places LDNS points
+by population. ``pathlen.csv`` and every row label must
 match exactly; backhaul values (the float columns of ``backhaul.csv`` and
 ``summary.csv``) within 1e-12 relative, so a change in numpy's float
 summation order does not fail the test. Each grid runs with one and with
@@ -34,20 +38,25 @@ GRIDS = {
            "trials = 4\nseed = 13\n",
     "bloom_2k": "arch = icn\nfog = 4,8\ncloud = 4\ncatchment = 0.1,1\nscheme = bloom\n"
                 "trials = 2\nseed = 5\n",
+    "scale_2k": "arch = icn\nfog = 8\ncloud = 8\ncatchment = 0.1,1,10\ntrials = 6\nseed = 3\n",
+    "dns_pop_2k": "arch = dns\nfog = 4,8\ncloud = 2,8\nldns = 2,4\nplacement = pop\n"
+                  "trials = 2\nseed = 4\n",
 }
 
 # Grids run on the 2,000-node synthetic backbone rather than the bundled one.
-SYNTHETIC = {"bloom_2k"}
+SYNTHETIC = {"bloom_2k", "scale_2k", "dns_pop_2k"}
 
 # Per file: how many trailing columns hold backhaul values.
 FLOAT_COLUMNS = {"backhaul.csv": 1, "summary.csv": 2, "pathlen.csv": 0}
 
 
-def sweep(name: str, out: Path, jobs: int = 1) -> None:
+def sweep(name: str, out: Path, jobs: int = 1, inputs: Path | None = None) -> None:
+    """Run grid ``name`` into ``out``; a synthetic backbone is written to
+    ``inputs`` (default ``out``), so runs that share it load it once."""
     out.mkdir(parents=True, exist_ok=True)
     grid = GRIDS[name]
     if name in SYNTHETIC:
-        topology, population = write_synthetic(out, 1)
+        topology, population = write_synthetic(inputs or out, 1)
         grid += f"topology = {topology}\npopulation = {population}\n"
     (out / "grid.cfg").write_text(grid)
     run_sweep(load_grid(out / "grid.cfg"), out_dir=out, jobs=jobs)
@@ -56,7 +65,7 @@ def sweep(name: str, out: Path, jobs: int = 1) -> None:
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_seeded_outputs_match_golden(name, tmp_path):
     for jobs in (1, 2):
-        sweep(name, tmp_path / f"jobs{jobs}", jobs)
+        sweep(name, tmp_path / f"jobs{jobs}", jobs, inputs=tmp_path)
         check_golden(name, tmp_path / f"jobs{jobs}")
     for csv in FLOAT_COLUMNS:
         assert (tmp_path / "jobs2" / csv).read_bytes() == (tmp_path / "jobs1" / csv).read_bytes()

@@ -123,6 +123,43 @@ def test_pick_order_of_zero_weights_and_ties():
             order.first(0)
 
 
+def test_pick_order_over_its_support_keeps_the_total_of_all_weights():
+    """Float weights with zeros interleaved, whose pairwise sum over every
+    node differs in its last bits from the sum over the positive ones: the
+    draw, run over the positive nodes alone, must still take the total over
+    all of them, as ``rng.choice`` does, for every k."""
+    rng = np.random.default_rng(1)
+    weights = rng.lognormal(0.0, 2.0, size=40)
+    weights[rng.random(40) < 0.35] = 0.0
+    positive = np.count_nonzero(weights)
+    assert positive == 29
+    assert weights.sum().tobytes() != weights[weights > 0].sum().tobytes()
+    for seed in range(64):
+        order = PickOrder(weights, seed)
+        for k in range(1, positive + 1):
+            assert order.first(k) == choice_reference(weights, k, seed), (seed, k)
+
+    # Zeros around a first weight within a few ulps of the seed's first
+    # draw, where the total's last bits decide the first pick: in some of
+    # these cases the positive weights' own total would pick another node.
+    moved = 0
+    for seed in range(64):
+        u = np.random.default_rng(seed).random()
+        for scale in (1.0, 3.0, 0.7, 1e3):
+            head, tail = u * scale, (1 - u) * scale
+            for step in range(-3, 4):
+                weights = np.zeros(24)
+                support = np.array([1, 5, 9, 14, 22])
+                weights[support] = [head + step * np.spacing(head), tail / 7, 2 * tail / 7,
+                                    3 * tail / 7, tail / 7]
+                expected = choice_reference(weights, 1, seed)
+                assert PickOrder(weights, seed).first(1) == expected, (seed, scale, step)
+                cdf = (weights[support] / weights[support].sum()).cumsum()
+                cdf /= cdf[-1]
+                moved += (int(support[cdf.searchsorted(u, side="right")]),) != expected
+    assert moved > 0
+
+
 @pytest.mark.parametrize("weights", [
     [0.0, 2.0, 0.0, 2.0, 2.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0, 1.0, 1.0, 0.0, 2.0, 2.0, 2.0, 1.0],
     [1.0] * 16,

@@ -73,7 +73,10 @@ def test_arc_table_equals_edge_by_edge_construction():
         for array in (g.src, g.dst, g.lat, g.lon):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        assert (g.arcs_between(g.src, g.dst) == np.arange(g.n_arcs)).all()
+        # The arcs are distinct (src, dst) pairs, and a ^ 1 reverses arc a.
+        assert len(set(zip(g.src.tolist(), g.dst.tolist()))) == g.n_arcs
+        a = np.arange(g.n_arcs)
+        assert (g.src[a ^ 1] == g.dst[a]).all() and (g.dst[a ^ 1] == g.src[a]).all()
         # A graph compares and hashes by identity.
         assert g == g and g != build_graph(coords, edges)
         assert {g: 1}[g] == 1
@@ -207,14 +210,33 @@ def test_nearest_matches_brute_force_with_lowest_id_ties():
         hops = all_pairs(graph)
         size = int(rng.integers(1, n + 1))
         candidates = [int(v) for v in rng.choice(n, size=size, replace=False)]
-        found = nearest(hops, candidates)
+        found = nearest(hops, candidates, np.arange(n))
         for v in range(n):
             best = min(int(hops.dist[v, c]) for c in candidates)
             closest = [c for c in candidates if hops.dist[v, c] == best]
             ties += len(closest) > 1
             assert found[v] == min(closest)
     assert ties > 0
-    assert (nearest(hops, []) == -1).all()
+    assert (nearest(hops, [], np.arange(hops.graph.n_nodes)) == -1).all()
+
+
+def test_nearest_at_some_nodes_equals_the_full_map_at_them(row_graphs):
+    """``nearest(hops, candidates, at)`` reads the ``at`` columns alone and
+    equals the every-node map indexed by ``at``, duplicates in ``at`` too."""
+    rng = np.random.default_rng(28)
+    for graph in row_graphs:
+        n = graph.n_nodes
+        for size in sorted({1, min(n, 3), min(n, 20)}):
+            candidates = rng.choice(n, size=size, replace=False)
+            hops = HopRows(graph).table(candidates)
+            full = nearest(hops, candidates, np.arange(n))
+            for at in (rng.integers(0, n, size=2 * n), np.repeat(rng.integers(0, n, size=3), 4),
+                       np.zeros(0, dtype=np.intp)):
+                found = nearest(hops, candidates.tolist() + candidates[:1].tolist(), at)
+                assert found.dtype == np.intp and found.tolist() == full[at].tolist()
+        at = rng.integers(0, n, size=5)
+        assert nearest(HopRows(graph).table([]), [], at).tolist() == [-1] * 5
+        assert nearest(HopRows(graph).table([]), (), at[:0]).tolist() == []
 
 
 def test_predecessor_tie_breaks_to_lowest_node_id():
@@ -228,12 +250,20 @@ def test_predecessor_tie_breaks_to_lowest_node_id():
     assert [g.dst[a] for a in path] == [1, 3]
 
 
-def bfs_predecessors(graph, source: int) -> list[int]:
-    """Oracle for ``pred[source]``: the lowest-id neighbour one hop closer."""
+def bfs_in_arcs(graph, source: int) -> list[int]:
+    """Oracle for ``in_arc[source]``: the arc into each node from its
+    lowest-id neighbour one hop closer, found among that neighbour's
+    out-arcs; -1 at the source."""
     dist = bfs_distances(graph, source)
-    return [source if v == source else
-            min(u for _, u in adjacency(graph)[v] if dist[u] == dist[v] - 1)
-            for v in range(graph.n_nodes)]
+    out = adjacency(graph)
+    arcs = []
+    for v in range(graph.n_nodes):
+        if v == source:
+            arcs.append(-1)
+            continue
+        u = min(u for _, u in out[v] if dist[u] == dist[v] - 1)
+        arcs.append(next(arc for arc, head in out[u] if head == v))
+    return arcs
 
 
 def _path(n):
@@ -257,14 +287,14 @@ def _edge_graphs() -> list:
     return graphs
 
 
-def test_all_pairs_dist_and_pred_equal_bfs_oracle(geant):
+def test_all_pairs_dist_and_in_arc_equal_bfs_oracle(geant):
     for graph in [geant] + _edge_graphs():
         hops = all_pairs(graph)
         n = graph.n_nodes
-        assert hops.dist.shape == hops.pred.shape == (n, n)
+        assert hops.dist.shape == hops.in_arc.shape == (n, n)
         for s in range(n):
             assert hops.dist[s].tolist() == bfs_distances(graph, s)
-            assert hops.pred[s].tolist() == bfs_predecessors(graph, s)
+            assert hops.in_arc[s].tolist() == bfs_in_arcs(graph, s)
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +303,31 @@ def row_graphs(geant, tmp_path_factory):
     out = tmp_path_factory.mktemp("synthetic")
     synthetic = [load_topology(write_synthetic(out, seed)[0]) for seed in (1, 2, 3, 4)]
     return [geant] + synthetic + _edge_graphs()
+
+
+def test_in_arc_rows_hold_their_invariants_entry_by_entry(row_graphs):
+    """On every ``all_pairs`` entry (s, v), v != s, the in-arc a enters v,
+    leaves a node one hop closer to s, and leaves the lowest-id such node;
+    at v == s it is -1. Checked for every in-arc of every node, in blocks
+    of sources, on the 2,000-node backbones too."""
+    for graph in row_graphs:
+        hops = all_pairs(graph)
+        n, src, dst = graph.n_nodes, graph.src, graph.dst
+        for s0 in range(0, n, 256):
+            s = np.arange(s0, min(s0 + 256, n))
+            dist, arc = hops.dist[s], hops.in_arc[s].astype(np.intp)
+            source = s[:, None] == np.arange(n)
+            assert (arc[source] == -1).all() and (arc[~source] >= 0).all()
+            if n == 1:
+                continue  # a lone node has no arc to read
+            a = np.where(source, 0, arc)
+            rows = np.arange(len(s))[:, None]
+            assert (dst[a] == np.arange(n))[~source].all()
+            assert (dist[rows, src[a]] + 1 == dist)[~source].all()
+            # No arc from a lower-id node one hop closer enters v.
+            closer = dist[:, src] + 1 == dist[:, dst]
+            chosen = src[a][:, dst]
+            assert (~closer | (chosen <= src)).all()
 
 
 def test_hop_rows_equal_all_pairs(row_graphs):
@@ -288,7 +343,7 @@ def test_hop_rows_equal_all_pairs(row_graphs):
             table = rows.table(sources)
             at = table.slot[sources]
             assert (table.dist[at] == reference.dist[sources]).all()
-            assert (table.pred[at] == reference.pred[sources]).all()
+            assert (table.in_arc[at] == reference.in_arc[sources]).all()
 
 
 def test_streaming_closeness_equals_all_pairs_row_sums(row_graphs):
@@ -343,7 +398,7 @@ def test_hop_row_store_holds_every_likely_source(monkeypatch):
         assert rows.table(sources) is rows.held
         at = rows.held.slot[sources]
         assert (rows.held.dist[at] == reference.dist[sources]).all()
-        assert (rows.held.pred[at] == reference.pred[sources]).all()
+        assert (rows.held.in_arc[at] == reference.in_arc[sources]).all()
     assert len(searches) == 3
     assert not (rows.held.dist.flags.writeable or rows.held.slot.flags.writeable)
 
@@ -370,15 +425,15 @@ def test_hop_row_store_starts_over_past_its_budget(monkeypatch):
         asked = np.zeros(300, dtype=bool)
         asked[sources] = True
         assert ((table.slot != NO_ROW) == asked).all()
-        assert len(table.dist) == len(table.pred) == asked.sum()
-        assert not (table.dist.flags.writeable or table.pred.flags.writeable)
+        assert len(table.dist) == len(table.in_arc) == asked.sum()
+        assert not (table.dist.flags.writeable or table.in_arc.flags.writeable)
         with pytest.raises(IndexError):
             table.dist[table.slot[np.flatnonzero(~asked)[:1]]]
         earlier.append((table, sources))
     for table, sources in earlier:
         at = table.slot[sources]
         assert (table.dist[at] == reference.dist[sources]).all()
-        assert (table.pred[at] == reference.pred[sources]).all()
+        assert (table.in_arc[at] == reference.in_arc[sources]).all()
 
 
 def test_closeness_star_center_and_leaf(star4):

@@ -324,6 +324,11 @@ def test_demand_equals_per_node_reference(geant_population, load_fraction):
             assert list(demand.requests.items()) == list(requests.items())
             assert demand.offered_bitrate == offered
             assert demand.total_requests == sum(requests.values())
+            # The clients are the distinct request nodes, ascending, and
+            # client_of maps each request to its node's client.
+            assert demand.clients.tolist() == sorted({node for node, _ in requests})
+            assert demand.clients[demand.client_of].tolist() == demand.nodes.tolist()
+            assert not (demand.clients.flags.writeable or demand.client_of.flags.writeable)
     assert (sparse == 0).any()
 
 def test_demand_deterministic_per_seed(geant_population):
