@@ -6,7 +6,7 @@ source-routed multicast trees, and the whole pipeline is compared against
 a resolver-redirection baseline on seeded, reproducible trials.
 """
 from .experiment import ScenarioConfig, backhaul, ecdf, run_sweep, run_trial
-from .topology import all_pairs, load_topology
+from .topology import load_topology
 
 __all__ = [
     "ScenarioConfig",
@@ -14,7 +14,6 @@ __all__ = [
     "ecdf",
     "run_sweep",
     "run_trial",
-    "all_pairs",
     "load_topology",
 ]
 

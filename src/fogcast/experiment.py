@@ -263,7 +263,7 @@ def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
 
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     """Execute one seeded trial; deterministic for fixed (config, index)."""
-    graph, rows, populations = _load_context(config.topology_path, config.population_path)
+    graph, rows, _ = _load_context(config.topology_path, config.population_path)
     seed = trial_seed(config.base_seed, trial_index)
 
     roles = {
@@ -271,7 +271,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
         "cloud": (config.mode, config.cloud_k),
         "ldns": (config.mode, config.ldns_k),
     }
-    placement = place_all(rows, populations, roles, seed, lambda mode, role: _pick_order(
+    placement = place_all(roles, lambda mode, role: _pick_order(
         seed, config.topology_path, config.population_path, mode, role))
     hops = rows.table(placement.fog + placement.cloud + placement.ldns)
     catalogue, demand = _trial_draws(seed, config.topology_path, config.population_path,
@@ -586,8 +586,10 @@ def grid_configs(raw: dict[str, str]) -> list[ScenarioConfig]:
 
 
 def load_grid(path: str | Path) -> list[ScenarioConfig]:
-    """Read a ``key = value`` grid file into ``grid_configs``."""
+    """Read a ``key = value`` grid file into ``grid_configs``; a key may
+    appear once."""
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -598,5 +600,8 @@ def load_grid(path: str | Path) -> list[ScenarioConfig]:
         key = key.strip()
         if key not in GRID_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        raw[key] = value
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeated "
+                              f"(first on line {first_line[key]})")
+        raw[key], first_line[key] = value, lineno
     return grid_configs(raw)

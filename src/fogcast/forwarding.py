@@ -3,13 +3,13 @@
 A delivery tree is encoded into a fixed-width forwarding identifier that
 travels with the packet; each node forwards on exactly those outgoing arcs
 whose label tests positive in the identifier, so the core keeps no
-per-group state. Two encodings are provided: one exact bit per arc, and a
-Bloom filter over per-arc signatures (smaller, but with false-positive
-deliveries). Arc labels are unidirectional; reverse delivery needs its own
-identifier.
+per-group state. An identifier is a Bloom filter over per-arc signatures
+(LIPSIN-style), which passes false-positive arcs too; the exact scheme a
+trial reports charges the tree arcs directly. Arc labels are
+unidirectional; reverse delivery needs its own identifier.
 
 Trials forward every group of a trial at once. ``label_masks`` holds each
-arc's label as a bit mask of ``ceil(width / 64)`` uint64 words, built once
+arc's label as a bit mask of ``ceil(m / 64)`` uint64 words, built once
 per (graph, scheme) with ``label_arc``. ``deliver_groups`` ORs each group's
 tree masks into its identifier and delivers each distinct (root,
 identifier) pair once: the arcs a packet takes depend on nothing else, and
@@ -31,9 +31,7 @@ import numpy as np
 from .topology import NetworkGraph, gather
 
 __all__ = [
-    "ExactScheme",
     "BloomScheme",
-    "ArcLabel",
     "label_arc",
     "label_masks",
     "deliver_groups",
@@ -47,13 +45,6 @@ DEFAULT_HASH_SEED = 0x51B0
 
 
 @dataclass(frozen=True)
-class ExactScheme:
-    """One bit per arc; width must equal the graph's arc count."""
-
-    width: int
-
-
-@dataclass(frozen=True)
 class BloomScheme:
     """Bloom filter of m bits, k hash positions per arc."""
 
@@ -62,29 +53,9 @@ class BloomScheme:
     hash_seed: int = DEFAULT_HASH_SEED
 
 
-Scheme = ExactScheme | BloomScheme
-
-
-def _width(scheme: Scheme) -> int:
-    return scheme.width if isinstance(scheme, ExactScheme) else scheme.m
-
-
-@dataclass(frozen=True)
-class ArcLabel:
-    arc_id: int
-    positions: tuple[int, ...]
-
-
-def label_arc(scheme: Scheme, arc_id: int) -> ArcLabel:
-    """Bit positions owned by ``arc_id`` under ``scheme``.
-
-    Exact labels are the arc id itself; Bloom labels come from seeded
-    double hashing, deterministic per (arc_id, m, k, hash seed).
-    """
-    if isinstance(scheme, ExactScheme):
-        if not 0 <= arc_id < scheme.width:
-            raise ValueError(f"arc {arc_id} outside exact width {scheme.width}")
-        return ArcLabel(arc_id, (arc_id,))
+def label_arc(scheme: BloomScheme, arc_id: int) -> tuple[int, ...]:
+    """Sorted bit positions owned by ``arc_id``: seeded double hashing,
+    deterministic per (arc_id, m, k, hash seed)."""
     import hashlib  # here alone: loading it costs every CLI start a few ms
     digest = hashlib.blake2b(
         arc_id.to_bytes(8, "little"),
@@ -93,8 +64,7 @@ def label_arc(scheme: Scheme, arc_id: int) -> ArcLabel:
     ).digest()
     h1 = int.from_bytes(digest[:8], "little")
     h2 = int.from_bytes(digest[8:], "little") | 1
-    positions = tuple(sorted({(h1 + i * h2) % scheme.m for i in range(scheme.k)}))
-    return ArcLabel(arc_id, positions)
+    return tuple(sorted({(h1 + i * h2) % scheme.m for i in range(scheme.k)}))
 
 
 # Elements of the (groups, arcs) word temporary in the mask test.
@@ -102,13 +72,13 @@ _TEST_BLOCK = 1 << 14
 
 # Mask tables by (id(graph), scheme); each entry holds a weak reference to
 # its graph, which drops the entry when the graph is collected.
-_MASK_TABLES: dict[tuple[int, Scheme], tuple[weakref.ref, np.ndarray]] = {}
+_MASK_TABLES: dict[tuple[int, BloomScheme], tuple[weakref.ref, np.ndarray]] = {}
 
 
-def label_masks(graph: NetworkGraph, scheme: Scheme) -> np.ndarray:
+def label_masks(graph: NetworkGraph, scheme: BloomScheme) -> np.ndarray:
     """Every arc's label under ``scheme`` as a read-only bit mask table.
 
-    Row ``a`` holds ``ceil(width / 64)`` uint64 words; position ``p`` of
+    Row ``a`` holds ``ceil(m / 64)`` uint64 words; position ``p`` of
     ``label_arc(scheme, a)`` is bit ``p % 64`` of word ``p // 64``. Built
     once per (graph, scheme) and process; later calls return the table.
     """
@@ -116,9 +86,9 @@ def label_masks(graph: NetworkGraph, scheme: Scheme) -> np.ndarray:
     hit = _MASK_TABLES.get(key)
     if hit is not None and hit[0]() is graph:
         return hit[1]
-    masks = np.zeros((graph.n_arcs, -(-_width(scheme) // 64)), dtype=np.uint64)
+    masks = np.zeros((graph.n_arcs, -(-scheme.m // 64)), dtype=np.uint64)
     for arc_id in range(graph.n_arcs):
-        for p in label_arc(scheme, arc_id).positions:
+        for p in label_arc(scheme, arc_id):
             masks[arc_id, p // 64] |= np.uint64(1 << (p % 64))
     masks.setflags(write=False)
     _MASK_TABLES[key] = (weakref.ref(graph, lambda _, key=key: _MASK_TABLES.pop(key, None)),
@@ -126,7 +96,7 @@ def label_masks(graph: NetworkGraph, scheme: Scheme) -> np.ndarray:
     return masks
 
 
-def deliver_groups(graph: NetworkGraph, scheme: Scheme, roots, tree_group,
+def deliver_groups(graph: NetworkGraph, scheme: BloomScheme, roots, tree_group,
                    tree_arc) -> tuple[np.ndarray, np.ndarray]:
     """Arcs carried when each group's tree is encoded and delivered, all at once.
 
@@ -162,7 +132,7 @@ def deliver_groups(graph: NetworkGraph, scheme: Scheme, roots, tree_group,
     return gather(indptr, arc, tree_of)
 
 
-def carried_arcs(graph: NetworkGraph, scheme: Scheme, fids,
+def carried_arcs(graph: NetworkGraph, scheme: BloomScheme, fids,
                  roots) -> tuple[np.ndarray, np.ndarray]:
     """Arcs carried by identifier ``fids[g]`` delivered from ``roots[g]``.
 

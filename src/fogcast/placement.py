@@ -7,7 +7,8 @@ which ``HopRows.centrality`` computes once per graph.
 
 One draw is a ``PickOrder`` that grows on demand: the points for k are
 its first k picks, for every k, so a sweep draws each (trial seed, mode,
-role) once and configs that differ only in their counts share it.
+role) once and configs that differ only in their counts share it;
+``place_all`` takes every role's points from such orders.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ import numpy as np
 from .errors import FogcastError
 from .topology import HopRows
 
-__all__ = ["Placement", "PlacementError", "PickOrder", "place_points", "pick_order",
-           "place_all", "ROLE_SALTS"]
+__all__ = ["Placement", "PlacementError", "PickOrder", "pick_order", "place_all",
+           "ROLE_SALTS"]
 
 # XOR salts keep the per-role draws on independent streams for one trial seed.
 ROLE_SALTS = {
@@ -48,7 +49,10 @@ class PickOrder:
     only on the picks before it, so ``first(k)`` is the same whatever was
     asked before: a later call extends the draw where the last stopped
     (``random(a)`` then ``random(b)`` gives the doubles of ``random(a + b)``).
-    A request that fails draws nothing.
+    A request that fails draws nothing. ``first(k)`` is bit-identical to
+    one ``rng.choice(n, p=probs)`` per pick: that maps one double u to
+    ``cdf.searchsorted(u, side="right")`` with ``cdf = probs.cumsum() / last``,
+    and each pick repeats those float operations, minus the checks.
 
     A pick reads only the positive-weight nodes but for the total, a pairwise
     sum over all n that rounds by position: a zero adds exactly 0 to the
@@ -86,20 +90,6 @@ class PickOrder:
         return tuple(sorted(self._picks[:k]))
 
 
-def place_points(weights: np.ndarray, k: int, seed: int) -> tuple[int, ...]:
-    """Draw ``k`` distinct node ids proportionally to ``weights``.
-
-    Deterministic for a fixed seed. Zero-weight nodes are never selected
-    while positive-weight nodes remain; requesting more points than there
-    are positive-weight nodes, or a negative, NaN or infinite weight, fails.
-    Bit-identical to one ``rng.choice(len(weights), p=probs)`` per pick: it
-    maps one ``rng.random()`` double u to ``cdf.searchsorted(u, side="right")``
-    with ``cdf = probs.cumsum() / last``; ``rng.random(k)`` gives the same k
-    doubles, and each pick repeats those float operations, minus the checks.
-    """
-    return PickOrder(weights, seed).first(k)
-
-
 def pick_order(hops: HopRows, populations: np.ndarray, mode: str, role: str,
                seed: int) -> PickOrder:
     """The pick order of one role: its mode's weights on the role's stream."""
@@ -114,22 +104,14 @@ def _weights_for(mode: str, populations: np.ndarray, hops: HopRows) -> np.ndarra
     raise PlacementError(f"unknown placement mode {mode!r}")
 
 
-def place_all(hops: HopRows, populations: np.ndarray,
-              roles: dict[str, tuple[str, int]], seed: int,
-              orders: Callable[[str, str], PickOrder] | None = None) -> Placement:
-    """Place every configured role with independent role-specific streams.
+def place_all(roles: dict[str, tuple[str, int]],
+              orders: Callable[[str, str], PickOrder]) -> Placement:
+    """Place every role: its first k picks of ``orders(mode, role)``.
 
-    ``roles`` maps a role name (fog / cloud / ldns) to its ``(mode, k)``;
+    ``roles`` maps each role name (fog / cloud / ldns) to its ``(mode, k)``;
     a role with k = 0 stays empty. Overlap across roles is permitted.
-    ``orders(mode, role)``, when given, supplies the role's ``pick_order``
-    for this seed (a cache shared by configs that differ only in k); by
-    default each is drawn afresh.
+    ``orders`` supplies a role's ``pick_order`` for the trial seed, a cache
+    shared by the configs that differ only in k.
     """
-    picked: dict[str, tuple[int, ...]] = dict.fromkeys(ROLE_SALTS, ())
-    for role in ROLE_SALTS:
-        mode, k = roles.get(role, ("pop", 0))
-        if k:
-            order = (orders(mode, role) if orders is not None
-                     else pick_order(hops, populations, mode, role, seed))
-            picked[role] = order.first(k)
-    return Placement(**picked)
+    return Placement(**{role: orders(mode, role).first(k) if k else ()
+                        for role, (mode, k) in roles.items()})

@@ -53,10 +53,9 @@ def make_profiles(fog_nodes: Iterable[int], cloud_nodes: Iterable[int],
 
     Cloud points cache the full catalogue; fog points cache the top
     ``fog_cache_fraction`` of items by popularity (at least one). A node
-    placed in both roles keeps the cloud profile.
+    placed in both roles keeps the cloud profile. ``ScenarioConfig``
+    checks that ``fog_cache_fraction`` lies in (0, 1].
     """
-    if not 0.0 < fog_cache_fraction <= 1.0:
-        raise ValueError("fog_cache_fraction outside (0, 1]")
     top = fog_cache_items(fog_cache_fraction, catalogue.n)
     profiles: dict[int, SRProfile] = {}
     for node in fog_nodes:

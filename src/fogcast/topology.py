@@ -13,8 +13,8 @@ sources at a time, each with a row of canonical in-arcs that paths are read
 from. The pipeline reads only the rows of a trial's fog, cloud and LDNS
 points, and of those only the columns it asks about, so no n x n table is
 built: ``HopRows`` searches the rows of a held set of nodes once, and any
-other row per call. ``all_pairs`` searches every row; the tests and their
-scalar oracles (``tests/oracles.py``) read it.
+other row per call. The full table of every row, ``all_pairs``, is the
+tests' reference and lives with their scalar oracles (``tests/oracles.py``).
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ __all__ = [
     "TopologyError",
     "build_graph",
     "load_topology",
-    "all_pairs",
     "canonical_paths",
     "gather",
     "nearest",
@@ -192,11 +191,11 @@ class HopTable:
     unit-weight shortest hop count from ``s`` to ``v`` and
     ``in_arc[slot[s], v]`` the id of the arc into ``v`` on the canonical
     path from ``s``, whose source is the predecessor of ``v`` (ties broken
-    by lowest predecessor node id; -1 at ``s``). ``all_pairs`` gives node
-    ``s`` row ``s``, so its ``dist[s, v]`` reads directly, as the scalar
-    oracles in ``tests/oracles.py`` read it; a table from ``HopRows`` holds
-    the rows it was asked for, and ``slot`` is ``NO_ROW`` for the others, an
-    index past every array, so reading a row it lacks raises IndexError.
+    by lowest predecessor node id; -1 at ``s``). A table holds the rows it
+    was asked for, and ``slot`` is ``NO_ROW`` for the others, an index past
+    every array, so reading a row it lacks raises IndexError; the tests'
+    full table (``all_pairs`` in ``tests/oracles.py``) gives node ``s`` row
+    ``s``, so its ``dist[s, v]`` reads directly.
     Rows are deterministic, so the held set never changes results.
     """
 
@@ -307,16 +306,6 @@ def _hop_table(graph: NetworkGraph, in_arcs, sources, held: HopTable | None = No
     for table in (dist, in_arc, slot):
         table.setflags(write=False)
     return HopTable(graph=graph, dist=dist, in_arc=in_arc, slot=slot)
-
-
-def all_pairs(graph: NetworkGraph) -> HopTable:
-    """Every node's hop row: an n x n ``dist`` and ``in_arc``, ``slot[s] = s``.
-
-    The pipeline reads only the rows it needs, through ``HopRows``; this
-    full table is the reference of the tests and of the scalar oracles in
-    ``tests/oracles.py``.
-    """
-    return _hop_table(graph, _in_arcs(graph), np.arange(graph.n_nodes))
 
 
 class HopRows:

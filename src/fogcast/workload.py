@@ -154,9 +154,6 @@ class ServiceCatalogue:
     def n(self) -> int:
         return len(self.probabilities)
 
-    def bitrate(self, item_id: int) -> float:
-        return float(self.bitrates[item_id - 1])
-
     @property
     def mean_bitrate(self) -> float:
         return float(np.dot(self.probabilities, self.bitrates))
@@ -187,13 +184,8 @@ def build_catalogue(n: int, alpha: float, bitrate_set: tuple[float, ...],
     Each item's bitrate is drawn uniformly from ``bitrate_set`` with the
     seeded generator, once, at build time. The rest depends on ``(n,
     alpha)`` alone and is computed once per pair, as a fresh build would.
+    ``ScenarioConfig`` checks ``n``, ``alpha`` and the bitrate set.
     """
-    if n < 1:
-        raise WorkloadError("catalogue needs at least one item")
-    if not alpha >= 0:
-        raise WorkloadError("alpha must be non-negative")
-    if not bitrate_set:
-        raise WorkloadError("empty bitrate set")
     probabilities, cdf, guide = _zipf_law(n, float(alpha))
     choices = np.random.default_rng(seed).integers(0, len(bitrate_set), size=n)
     bitrates = np.asarray(bitrate_set, dtype=np.float64)[choices]
@@ -220,7 +212,7 @@ class DemandMatrix:
     """Per-node, per-item request counts for one epoch.
 
     Request ``i`` is ``counts[i]`` active users at node ``nodes[i]`` asking
-    for item ``items[i]`` of ``catalogue``, ordered by node, then item; each
+    for item ``items[i]`` of the catalogue, ordered by node, then item; each
     user consumes one chunk per epoch second. Request ``i`` comes from client
     ``client_of[i]`` of ``clients``, the nodes with a request, ascending.
     The arrays are read-only.
@@ -229,16 +221,8 @@ class DemandMatrix:
     nodes: np.ndarray
     items: np.ndarray
     counts: np.ndarray
-    catalogue: ServiceCatalogue
     clients: np.ndarray
     client_of: np.ndarray
-
-    @property
-    def offered_bitrate(self) -> float:
-        """Summed bitrate of every user, a left-to-right running sum
-        (accumulate, not pairwise) in request order."""
-        load = self.counts * self.catalogue.bitrates[self.items - 1]
-        return float(np.cumsum(load)[-1]) if load.size else 0.0
 
     @property
     def requests(self) -> MappingProxyType:
@@ -263,29 +247,25 @@ def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
     All users draw from one seeded stream, node after node, so the result
     equals a per-node ``rng.choice(n, size=users, p=probabilities)`` loop:
     ``choice`` maps each double u to ``cdf.searchsorted(u, side="right")``,
-    which ``_guide_search`` returns exactly.
+    which ``_guide_search`` returns exactly. ``ScenarioConfig`` checks
+    ``load_fraction`` and the target; only an all-zero population is
+    rejected here.
     """
     populations = np.asarray(populations)
-    if not (0.0 <= load_fraction <= 1.0):
-        raise WorkloadError("load_fraction outside [0, 1]")
-    if target_bitrate <= 0:
-        raise WorkloadError("target_bitrate must be positive")
     if populations.sum() <= 0:
         raise WorkloadError("all-zero population")
 
-    keys = np.zeros(0, dtype=np.int64)
-    if load_fraction > 0.0:
-        budget = target_bitrate / catalogue.mean_bitrate
-        weights = load_fraction * populations.astype(np.float64)
-        users = np.rint(budget * (weights / weights.sum())).astype(np.int64)
-        draws = np.random.default_rng(seed).random(int(users.sum()))
-        keys = (np.repeat(np.arange(len(populations)), users) * catalogue.n
-                + _guide_search(catalogue.cdf, catalogue.guide, draws))
-    keys, counts = np.unique(keys, return_counts=True)
+    budget = target_bitrate / catalogue.mean_bitrate
+    weights = load_fraction * populations.astype(np.float64)
+    users = np.rint(budget * (weights / weights.sum())).astype(np.int64)
+    draws = np.random.default_rng(seed).random(int(users.sum()))
+    keys, counts = np.unique(np.repeat(np.arange(len(populations)), users) * catalogue.n
+                             + _guide_search(catalogue.cdf, catalogue.guide, draws),
+                             return_counts=True)
     nodes, index = np.divmod(keys, catalogue.n)
     items = index + 1
     new_client = np.diff(nodes, prepend=-1) != 0
     clients, client_of = nodes[new_client], np.cumsum(new_client) - 1
     for array in (nodes, items, counts, clients, client_of):
         array.setflags(write=False)
-    return DemandMatrix(nodes, items, counts, catalogue, clients, client_of)
+    return DemandMatrix(nodes, items, counts, clients, client_of)

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from fogcast.data import bundled_population, bundled_topology
-from fogcast.topology import HopRows, NetworkGraph, all_pairs, build_graph, load_topology
+from fogcast.topology import HopRows, NetworkGraph, build_graph, load_topology
 from fogcast.workload import assign_population, load_population
-from oracles import adjacency
+from oracles import adjacency, all_pairs
 
 
 def bfs_distances(graph: NetworkGraph, source: int) -> list[int]:

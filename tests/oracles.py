@@ -3,10 +3,13 @@
 Each is a plain, per-request or per-node model of one piece of a trial,
 kept independent of the array kernels in ``fogcast``:
 
-- topology: ``adjacency`` lists each node's out-arcs in plain Python, and
-  ``extract_path`` walks one canonical shortest path of an ``all_pairs``
-  table back from its leaf, one in-arc at a time (``canonical_paths`` is
-  the kernel);
+- topology: ``all_pairs`` is the full hop table, every node's row (the
+  pipeline reads only the rows it asks ``HopRows`` for); ``adjacency``
+  lists each node's out-arcs in plain Python, and ``extract_path`` walks
+  one canonical shortest path of an ``all_pairs`` table back from its
+  leaf, one in-arc at a time (``canonical_paths`` is the kernel);
+- placement: ``fresh_placement`` draws every role from a fresh pick order,
+  the reference for the pick orders trials share;
 - rendezvous: scoped names, the subscription table with nearest-subscriber
   matching, and shortest-path delivery trees;
 - service routing: ``resolve_request`` resolves one request through the
@@ -14,7 +17,8 @@ kept independent of the array kernels in ``fogcast``:
 - resolver redirection: ``resolve_request_dns`` resolves one request
   through the client's nearest LDNS (the same kernel, given resolvers);
 - forwarding: ``encode_tree``, ``forward`` and ``deliver`` encode and
-  deliver one tree at a time (``forwarding.deliver_groups`` is the kernel).
+  deliver one tree at a time (``forwarding.deliver_groups`` is the kernel),
+  under a Bloom scheme or the exact one, one bit per arc (``ExactScheme``).
 """
 from __future__ import annotations
 
@@ -22,14 +26,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+import numpy as np
+
 from fogcast.errors import NoSubscriberError
-from fogcast.forwarding import ExactScheme, Scheme, _width, label_arc
+from fogcast.forwarding import BloomScheme, label_arc
+from fogcast.placement import Placement, pick_order, place_all
 from fogcast.service_router import SRProfile
-from fogcast.topology import HopTable, NetworkGraph
+from fogcast.topology import HopRows, HopTable, NetworkGraph, _hop_table, _in_arcs
 from fogcast.workload import ServiceCatalogue
 
 
 # --- topology -----------------------------------------------------------------
+
+def all_pairs(graph: NetworkGraph) -> HopTable:
+    """Every node's hop row: an n x n ``dist`` and ``in_arc``, ``slot[s] = s``."""
+    return _hop_table(graph, _in_arcs(graph), np.arange(graph.n_nodes))
+
 
 @lru_cache(maxsize=64)
 def adjacency(graph: NetworkGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -63,6 +75,15 @@ def extract_path(hops: HopTable, src: int, dst: int) -> list[int]:
         v = int(hops.graph.src[arc])
     raise AssertionError(f"the in-arc walk from {dst} reached no {src} in "
                          f"{hops.graph.n_nodes} arcs")
+
+
+# --- placement ----------------------------------------------------------------
+
+def fresh_placement(hops: HopRows, populations, roles: dict[str, tuple[str, int]],
+                    seed: int) -> Placement:
+    """``place_all`` with a fresh ``pick_order`` per role for ``seed``: what a
+    trial places from the pick orders its sweep shares."""
+    return place_all(roles, lambda mode, role: pick_order(hops, populations, mode, role, seed))
 
 
 # --- rendezvous ---------------------------------------------------------------
@@ -240,7 +261,7 @@ def resolve_request(client: int, item_id: int, profiles: dict[int, SRProfile],
     item, leg 2 publishes the concrete URL under the micro-service scope
     and pulls it from the nearest covering cloud point.
     """
-    bitrate = catalogue.bitrate(item_id)
+    bitrate = float(catalogue.bitrates[item_id - 1])
     service_point = table.match(hops, ScopedName(SCOPE_HTTP, DEFAULT_FQDN), client)
     legs = [DeliveryLeg(client, service_point,
                         tuple(extract_path(hops, client, service_point)), bitrate)]
@@ -313,6 +334,26 @@ def resolve_request_dns(client: int, item_id: int, config: DnsConfig,
 # --- forwarding ---------------------------------------------------------------
 
 @dataclass(frozen=True)
+class ExactScheme:
+    """One bit per arc; width must equal the graph's arc count."""
+
+    width: int
+
+
+Scheme = ExactScheme | BloomScheme
+
+
+def arc_label(scheme: Scheme, arc_id: int) -> tuple[int, ...]:
+    """Bit positions of ``arc_id``: the arc id itself under the exact scheme,
+    ``label_arc``'s under a Bloom scheme."""
+    if isinstance(scheme, BloomScheme):
+        return label_arc(scheme, arc_id)
+    if not 0 <= arc_id < scheme.width:
+        raise ValueError(f"arc {arc_id} outside exact width {scheme.width}")
+    return (arc_id,)
+
+
+@dataclass(frozen=True)
 class ForwardingId:
     """Fixed-width bit vector naming the arcs of one delivery tree."""
 
@@ -321,7 +362,7 @@ class ForwardingId:
 
     @property
     def width(self) -> int:
-        return _width(self.scheme)
+        return self.scheme.width if isinstance(self.scheme, ExactScheme) else self.scheme.m
 
     @property
     def popcount(self) -> int:
@@ -335,7 +376,7 @@ def encode_tree(tree: MulticastTree, scheme: Scheme) -> ForwardingId:
     """OR together the labels of every tree arc."""
     bits = 0
     for arc_id in tree.arcs:
-        for p in label_arc(scheme, arc_id).positions:
+        for p in arc_label(scheme, arc_id):
             bits |= 1 << p
     return ForwardingId(bits=bits, scheme=scheme)
 
@@ -354,7 +395,7 @@ def forward(fid: ForwardingId, node: int, graph: NetworkGraph) -> set[int]:
     return {
         arc_id
         for arc_id, _ in adjacency(graph)[node]
-        if fid.test(label_arc(fid.scheme, arc_id).positions)
+        if fid.test(arc_label(fid.scheme, arc_id))
     }
 
 

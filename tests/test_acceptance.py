@@ -23,17 +23,19 @@ from fogcast.experiment import (
     run_trial,
     trial_seed,
 )
-from fogcast.forwarding import BloomScheme, ExactScheme, fpr_theoretical, label_arc
-from fogcast.placement import place_all
+from fogcast.forwarding import BloomScheme, fpr_theoretical, label_arc
 from fogcast.service_router import group_rate, make_profiles
-from fogcast.topology import HopRows, all_pairs, load_topology
+from fogcast.topology import HopRows, load_topology
 from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
 from oracles import (
     DnsConfig,
+    ExactScheme,
+    all_pairs,
     build_rendezvous,
     build_tree,
     deliver,
     encode_tree,
+    fresh_placement,
     resolve_request,
     resolve_request_dns,
 )
@@ -167,7 +169,7 @@ def _matched_resolutions(fog_k: int, cloud_k: int, ldns_k: int, trial_index: int
     hops = all_pairs(graph)
     populations = assign_population(graph, load_population(bundled_population()))
     seed = trial_seed(BASE_SEED, trial_index)
-    placement = place_all(
+    placement = fresh_placement(
         HopRows(graph), populations,
         {"fog": ("pop", fog_k), "cloud": ("pop", cloud_k), "ldns": ("pop", ldns_k)},
         seed,
@@ -184,7 +186,8 @@ def _matched_resolutions(fog_k: int, cloud_k: int, ldns_k: int, trial_index: int
     pairs = []
     for (node, item) in demand.requests:
         native = resolve_request(node, item, profiles, table, hops, catalogue)
-        baseline = resolve_request_dns(node, item, config, hops, catalogue.bitrate(item))
+        baseline = resolve_request_dns(node, item, config, hops,
+                                       float(catalogue.bitrates[item - 1]))
         pairs.append((native.client_path_hops, baseline.client_path_hops))
     return pairs
 
@@ -260,10 +263,10 @@ def test_criterion_9_forwarding_exactness():
         scheme = BloomScheme(m=m, k=k, hash_seed=hash_seed)
         bits = 0
         for arc in range(inserted):
-            for p in label_arc(scheme, arc).positions:
+            for p in label_arc(scheme, arc):
                 bits |= 1 << p
         hits = sum(
-            all(bits >> p & 1 for p in label_arc(scheme, arc).positions)
+            all(bits >> p & 1 for p in label_arc(scheme, arc))
             for arc in range(inserted, 500)
         )
         rates.append(hits / (500 - inserted))

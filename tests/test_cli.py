@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fogcast import cli, experiment
@@ -112,6 +118,7 @@ BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
 
 @pytest.mark.parametrize("command, setting, named", [
     ("sweep", "unknown = 3", "unknown key 'unknown'"),
+    ("sweep", "fog = 2\ncloud = 2\nfog = 4", "grid.cfg:7: key 'fog' repeated (first on line 5)"),
     ("sweep", "load_fraction = 0", "load_fraction 0 outside (0, 1]"),
     ("sweep", "load_fraction = 1.5", "load_fraction 1.5 outside (0, 1]"),
     ("run", "--load-fraction=0", "load_fraction 0 outside (0, 1]"),
@@ -170,9 +177,12 @@ def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_
     (tmp_path / "bad.txt").write_text("50.0,0.0,60\n50.0,1.0\n")
     (tmp_path / "bad.csv").write_text(setting)
     if command == "sweep":
+        # The setting's own keys replace these defaults: a grid key may appear once.
+        defaults = {"topology": top, "population": pop, "items": "3", "trials": "1"}
+        given = {line.partition("=")[0].strip() for line in setting.splitlines()}
         grid = tmp_path / "grid.cfg"
-        grid.write_text(f"topology = {top}\npopulation = {pop}\nitems = 3\ntrials = 1\n"
-                        f"{setting}\n")
+        grid.write_text("".join(f"{key} = {value}\n" for key, value in defaults.items()
+                                if key not in given) + f"{setting}\n")
         args = ["sweep", "--grid", str(grid), "--out", str(out)]
     elif command == "run":
         args = ["run", "--topology", top, "--population", pop, "--items", "3",
@@ -213,6 +223,19 @@ def test_bad_grid_fails_before_the_first_trial(setting, named, tmp_path, capsys,
     assert capsys.readouterr().err == f"fogcast: error: {named}\n"
     assert calls == []
     assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_worker_pool_and_no_hashlib():
+    """Only ``--jobs`` > 1 loads ``concurrent.futures`` and only Bloom
+    labelling ``hashlib``: a fresh ``import fogcast.cli`` loads neither."""
+    code = "import fogcast.cli; import sys; print(sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
+                          env=dict(os.environ, PYTHONPATH="src"), capture_output=True,
+                          text=True, check=True)
+    loaded = ast.literal_eval(done.stdout)
+    assert "fogcast.cli" in loaded
+    assert [name for name in loaded if name == "hashlib"
+            or name.split(".")[:2] == ["concurrent", "futures"]] == []
 
 
 def test_cloudless_grid_runs_when_fog_caches_every_item(tiny_inputs, tmp_path):

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import bfs_distances
 from fogcast.service_router import make_profiles
-from fogcast.topology import all_pairs
 from fogcast.workload import build_catalogue
 from oracles import (
     DnsConfig,
+    all_pairs,
     build_rendezvous,
     dns_select,
     ldns_of,
@@ -75,7 +75,7 @@ def test_cached_item_needs_one_leg(chain4, catalogue):
     hops = all_pairs(chain4)
     profiles = make_profiles([1], [3], catalogue)
     config = DnsConfig(ldns=(0,), service_points=(1, 3), profiles=profiles)
-    plan = resolve_request_dns(0, 1, config, hops, catalogue.bitrate(1))
+    plan = resolve_request_dns(0, 1, config, hops, float(catalogue.bitrates[0]))
     assert len(plan.legs) == 1
     assert plan.client_path_hops == 1
 
@@ -84,7 +84,7 @@ def test_uncached_item_pulls_from_the_nearest_cloud(chain4, catalogue):
     hops = all_pairs(chain4)
     profiles = make_profiles([1], [3], catalogue)
     config = DnsConfig(ldns=(0,), service_points=(1, 3), profiles=profiles)
-    plan = resolve_request_dns(0, 99, config, hops, catalogue.bitrate(99))
+    plan = resolve_request_dns(0, 99, config, hops, float(catalogue.bitrates[98]))
     assert [(leg.src, leg.dst) for leg in plan.legs] == [(0, 1), (1, 3)]
     assert plan.client_path_hops == 1
 
@@ -94,7 +94,7 @@ def test_missing_cloud_is_a_configuration_error(chain4, catalogue):
     profiles = make_profiles([1, 3], [], catalogue)
     config = DnsConfig(ldns=(0,), service_points=(1, 3), profiles=profiles)
     with pytest.raises(ValueError):
-        resolve_request_dns(0, 99, config, hops, catalogue.bitrate(99))
+        resolve_request_dns(0, 99, config, hops, float(catalogue.bitrates[98]))
 
 
 def test_config_validation(catalogue):
@@ -123,5 +123,5 @@ def test_baseline_paths_dominate_native_paths(geant, geant_hops, catalogue):
                 native = resolve_request(client, item, profiles, table,
                                          geant_hops, catalogue)
                 baseline = resolve_request_dns(client, item, config, geant_hops,
-                                               catalogue.bitrate(item))
+                                               float(catalogue.bitrates[item - 1]))
                 assert baseline.client_path_hops >= native.client_path_hops

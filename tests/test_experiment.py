@@ -33,18 +33,19 @@ from conftest import random_connected_graph, write_synthetic
 from fogcast import experiment, forwarding, topology
 from fogcast.errors import NoSubscriberError
 from fogcast.forwarding import BloomScheme
-from fogcast.placement import place_all
 from fogcast.service_router import make_profiles, resolve_nodes
-from fogcast.topology import NO_ROW, HopRows, all_pairs, load_topology
+from fogcast.topology import NO_ROW, HopRows, load_topology
 from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
 from oracles import (
     DnsConfig,
     MulticastTree,
+    all_pairs,
     build_rendezvous,
     deliver,
     encode_tree,
     extract_path,
     forward,
+    fresh_placement,
     resolve_request,
     resolve_request_dns,
 )
@@ -204,7 +205,7 @@ def test_trial_loads_match_manual_flow_enumeration(chain_setup):
         hops = all_pairs(graph)
         populations = assign_population(graph, load_population(config.population_path))
         seed = trial_seed(config.base_seed, 0)
-        placement = place_all(
+        placement = fresh_placement(
             HopRows(graph), populations,
             {"fog": ("pop", 2), "cloud": ("pop", 2), "ldns": ("pop", 0)}, seed,
         )
@@ -530,10 +531,14 @@ def test_held_rows_never_change_results(monkeypatch, fresh_context):
 def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
     top, pop = write_synthetic(tmp_path, 1)
 
-    def refuse(graph):
-        raise AssertionError("the pipeline built an all-pairs table")
+    hop_table = topology._hop_table
 
-    monkeypatch.setattr(topology, "all_pairs", refuse)
+    def refuse_all_rows(graph, in_arcs, sources, held=None):
+        if len(sources) == graph.n_nodes:
+            raise AssertionError("the pipeline built an all-pairs table")
+        return hop_table(graph, in_arcs, sources, held)
+
+    monkeypatch.setattr(topology, "_hop_table", refuse_all_rows)
     configs = [ScenarioConfig(fog_k=8, cloud_k=8, mode=mode, catchment=(0.1, 1.0, 10.0),
                               topology_path=top, population_path=pop, trials=2)
                for mode in ("pop", "cls")]
@@ -770,10 +775,10 @@ def test_shared_placement_equals_fresh_placement(fresh_orders):
         for config in configs:
             roles = {role: (config.mode, k) for role, k in (
                 ("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k))}
-            shared = place_all(rows, populations, roles, seed, lambda mode, role: (
+            shared = experiment.place_all(roles, lambda mode, role: (
                 experiment._pick_order(seed, config.topology_path, config.population_path,
                                        mode, role)))
-            assert shared == place_all(rows, populations, roles, seed)
+            assert shared == fresh_placement(rows, populations, roles, seed)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -6,18 +6,19 @@ import pytest
 from conftest import random_connected_graph
 from fogcast.forwarding import (
     BloomScheme,
-    ExactScheme,
     carried_arcs,
     deliver_groups,
     fpr_theoretical,
     label_arc,
     label_masks,
 )
-from fogcast.topology import all_pairs
 from oracles import (
+    ExactScheme,
     ForwardingId,
     MulticastTree,
     adjacency,
+    all_pairs,
+    arc_label,
     build_tree,
     deliver,
     encode_tree,
@@ -43,10 +44,10 @@ def test_single_arc_tree_has_popcount_one():
 
 def test_exact_labels_unique_and_in_range():
     scheme = ExactScheme(width=16)
-    labels = [label_arc(scheme, a).positions for a in range(16)]
+    labels = [arc_label(scheme, a) for a in range(16)]
     assert len(set(labels)) == 16
     with pytest.raises(ValueError):
-        label_arc(scheme, 16)
+        arc_label(scheme, 16)
 
 
 def test_bloom_labels_deterministic_and_bounded():
@@ -55,7 +56,7 @@ def test_bloom_labels_deterministic_and_bounded():
         first = label_arc(scheme, arc)
         second = label_arc(scheme, arc)
         assert first == second
-        assert all(0 <= p < 64 for p in first.positions)
+        assert all(0 <= p < 64 for p in first)
     other_seed = BloomScheme(m=64, k=3, hash_seed=999)
     assert any(label_arc(scheme, a) != label_arc(other_seed, a) for a in range(50))
 
@@ -65,7 +66,7 @@ def test_bloom_has_no_false_negatives():
     arcs = {2, 9, 17, 33, 48}
     fid = encode_tree(make_tree(0, {1}, arcs), scheme)
     for arc in arcs:
-        assert fid.test(label_arc(scheme, arc).positions)
+        assert fid.test(label_arc(scheme, arc))
 
 
 def test_zero_fid_forwards_nowhere(chain4):
@@ -102,7 +103,7 @@ def test_bloom_forwarding_superset_with_exact_false_positive_set():
         assert bloom_out >= exact_out
         surplus = {
             a for a, _ in adjacency(g)[node]
-            if a not in tree.arcs and fid.test(label_arc(scheme, a).positions)
+            if a not in tree.arcs and fid.test(label_arc(scheme, a))
         }
         assert bloom_out - exact_out == surplus
 
@@ -170,7 +171,7 @@ def test_measured_fpr_within_factor_two_of_formula():
         tree = make_tree(0, {1}, set(universe[:inserted]))
         fid = encode_tree(tree, scheme)
         false_positives = sum(
-            fid.test(label_arc(scheme, arc).positions) for arc in universe[inserted:]
+            fid.test(label_arc(scheme, arc)) for arc in universe[inserted:]
         )
         rates.append(false_positives / (len(universe) - inserted))
     measured = float(np.mean(rates))
@@ -195,7 +196,7 @@ def by_group(group, arc, n_groups):
     return out
 
 
-@pytest.mark.parametrize("scheme", [ExactScheme(width=8), BloomScheme(m=64, k=3),
+@pytest.mark.parametrize("scheme", [BloomScheme(m=16, k=2), BloomScheme(m=64, k=3),
                                     BloomScheme(m=200, k=5, hash_seed=7)])
 def test_label_masks_hold_label_positions(scheme):
     g = random_connected_graph(np.random.default_rng(2), 5, 0)  # 8 arcs
@@ -259,9 +260,13 @@ def test_group_kernel_delivers_each_distinct_identifier_once(geant, geant_hops, 
     bits = encode_tree(tree, small).bits
     # An arc the 16-bit identifier of ``tree`` already passes collides with it.
     surplus = next(a for a in range(geant.n_arcs) if a not in tree.arcs
-                   and ForwardingId(bits, small).test(label_arc(small, a).positions))
-    # An exact bit past the first word leaves that word as it was.
-    wide = next(a for a in range(64, geant.n_arcs) if a not in tree.arcs)
+                   and ForwardingId(bits, small).test(label_arc(small, a)))
+    # An arc whose default-scheme bits, not all set yet, lie past the first
+    # word leaves that word of the identifier as it was.
+    bloom = BloomScheme()
+    fid = encode_tree(tree, bloom)
+    wide = next(a for a in range(geant.n_arcs) if a not in tree.arcs
+                and min(label_arc(bloom, a)) >= 64 and not fid.test(label_arc(bloom, a)))
     other = build_tree(geant_hops, 11, {0, 25})
     empty = set()
     trees = [tree, make_tree(3, empty, empty), make_tree(3, {20, 30}, tree.arcs | {wide}),
@@ -272,6 +277,8 @@ def test_group_kernel_delivers_each_distinct_identifier_once(geant, geant_hops, 
     tree_group = np.concatenate([np.full(len(t.arcs), i) for i, t in enumerate(trees)])
     tree_arc = np.concatenate([sorted(t.arcs) for t in trees]).astype(np.intp)
     assert encode_tree(trees[6], small).bits == bits
+    wide_bits = encode_tree(trees[2], bloom).bits
+    assert wide_bits != fid.bits and (wide_bits ^ fid.bits) & (1 << 64) - 1 == 0
 
     delivered = []
 
@@ -282,7 +289,7 @@ def test_group_kernel_delivers_each_distinct_identifier_once(geant, geant_hops, 
         return carried_arcs(graph, scheme, fids, roots)
 
     monkeypatch.setattr("fogcast.forwarding.carried_arcs", spy)
-    for scheme in (ExactScheme(width=geant.n_arcs), BloomScheme(), small):
+    for scheme in (bloom, small):
         delivered.clear()
         group, arc = deliver_groups(geant, scheme, roots, tree_group, tree_arc)
         keys = group * geant.n_arcs + arc

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import write_synthetic
-from fogcast.placement import Placement, PickOrder, PlacementError, place_all, place_points
+from fogcast.placement import PickOrder, PlacementError
 from fogcast.topology import HopRows, load_topology
 from fogcast.workload import assign_population, load_population
+from oracles import fresh_placement
 
 
 def choice_reference(weights: np.ndarray, k: int, seed: int) -> tuple[int, ...]:
-    """Reference draw: one ``rng.choice`` per pick, as ``place_points`` drew
-    before it took its doubles from one ``rng.random(k)``."""
+    """Reference draw: one ``rng.choice`` per pick, as placement drew before
+    ``PickOrder`` took its doubles from one ``rng.random`` stream."""
     weights = np.asarray(weights, dtype=np.float64)
     if k < 1 or k > len(weights):
         raise PlacementError(f"k={k} outside 1..{len(weights)}")
@@ -35,7 +36,7 @@ def assert_draws_equal_reference(weights: np.ndarray, seeds: range) -> None:
     """Seed s draws k = 1 + s % 16 points, so every k of 1..16 is covered."""
     for seed in seeds:
         k = 1 + seed % 16
-        assert place_points(weights, k, seed) == choice_reference(weights, k, seed), (seed, k)
+        assert PickOrder(weights, seed).first(k) == choice_reference(weights, k, seed), (seed, k)
 
 
 def test_draw_equals_choice_reference_on_bundled_weights(geant_rows, geant_population):
@@ -62,7 +63,7 @@ def test_draw_equals_choice_reference_at_cdf_boundaries():
             for step in range(-3, 4):
                 weights = np.array([head + step * np.spacing(head), tail / 3, 2 * tail / 3])
                 for k in (1, 2):
-                    assert place_points(weights, k, seed) == choice_reference(weights, k, seed)
+                    assert PickOrder(weights, seed).first(k) == choice_reference(weights, k, seed)
 
 
 # Request sequences for one pick order: growing, shrinking, repeated, and
@@ -89,8 +90,7 @@ def assert_orders_equal_fresh_draws(weights: np.ndarray, seeds: range) -> None:
                     order.first(too_many)
                 assert str(refused.value) == str(fresh.value)
                 expected = choice_reference(weights, k, seed)
-                assert order.first(k) == place_points(weights, k, seed) == expected, \
-                    (seed, requests, k)
+                assert order.first(k) == expected, (seed, requests, k)
 
 
 def test_pick_order_is_request_order_independent_on_bundled_weights(geant_rows,
@@ -170,7 +170,7 @@ def test_draw_equals_choice_reference_with_zeros_and_ties(weights):
     weights = np.array(weights)
     for seed in range(2048):
         k = 1 + seed % np.count_nonzero(weights)
-        assert place_points(weights, k, seed) == choice_reference(weights, k, seed), (seed, k)
+        assert PickOrder(weights, seed).first(k) == choice_reference(weights, k, seed), (seed, k)
 
 
 @pytest.mark.parametrize("bad, shown", [(-0.5, "-0.5"), (math.nan, "nan"), (math.inf, "inf"),
@@ -178,47 +178,47 @@ def test_draw_equals_choice_reference_with_zeros_and_ties(weights):
 def test_negative_nan_and_infinite_weights_are_named(bad, shown):
     weights = np.array([1.0, 2.0, 0.0, bad, 3.0, -1.0])
     with pytest.raises(PlacementError, match=f"^node 3 has weight {shown};"):
-        place_points(weights, 1, seed=1)
+        PickOrder(weights, 1).first(1)
 
 
 def test_k_equals_n_selects_every_node():
-    assert place_points(np.array([5.0, 1.0, 2.0]), 3, seed=1) == (0, 1, 2)
+    assert PickOrder(np.array([5.0, 1.0, 2.0]), 1).first(3) == (0, 1, 2)
 
 
 def test_only_positive_weight_node_is_chosen():
-    assert place_points(np.array([1.0, 0.0, 0.0]), 1, seed=99) == (0,)
+    assert PickOrder(np.array([1.0, 0.0, 0.0]), 99).first(1) == (0,)
 
 
 def test_zero_weight_nodes_never_selected_while_positive_remain():
     weights = np.array([3.0, 0.0, 1.0, 0.0, 2.0])
     for seed in range(200):
-        chosen = place_points(weights, 3, seed)
+        chosen = PickOrder(weights, seed).first(3)
         assert set(chosen) == {0, 2, 4}
 
 
 def test_requesting_more_than_positive_weight_nodes_fails():
     with pytest.raises(PlacementError):
-        place_points(np.array([1.0, 0.0]), 2, seed=1)
+        PickOrder(np.array([1.0, 0.0]), 1).first(2)
     with pytest.raises(PlacementError):
-        place_points(np.array([1.0]), 0, seed=1)
+        PickOrder(np.array([1.0]), 1).first(0)
 
 
 def test_no_repeats_within_a_draw():
     rng = np.random.default_rng(0)
     for seed in range(100):
         weights = rng.random(12) + 0.01
-        chosen = place_points(weights, 7, seed)
+        chosen = PickOrder(weights, seed).first(7)
         assert len(chosen) == len(set(chosen)) == 7
 
 
 def test_selection_frequency_proportional_to_weight():
     weights = np.array([3.0, 1.0])
-    hits = sum(place_points(weights, 1, seed)[0] == 0 for seed in range(100_000))
+    hits = sum(PickOrder(weights, seed).first(1)[0] == 0 for seed in range(100_000))
     assert hits / 100_000 == pytest.approx(0.75, abs=0.01)
 
 
 def test_place_all_role_sizes(geant_rows, geant_population):
-    placement = place_all(
+    placement = fresh_placement(
         geant_rows, geant_population,
         {"fog": ("pop", 2), "cloud": ("pop", 2), "ldns": ("pop", 0)},
         seed=5,
@@ -230,18 +230,18 @@ def test_place_all_role_sizes(geant_rows, geant_population):
 
 def test_place_all_deterministic(geant_rows, geant_population):
     roles = {"fog": ("pop", 3), "cloud": ("cls", 2), "ldns": ("pop", 4)}
-    a = place_all(geant_rows, geant_population, roles, seed=17)
-    b = place_all(geant_rows, geant_population, roles, seed=17)
+    a = fresh_placement(geant_rows, geant_population, roles, seed=17)
+    b = fresh_placement(geant_rows, geant_population, roles, seed=17)
     assert a == b
 
 
 def test_roles_draw_independent_streams(geant_rows, geant_population):
     # the fog draw must not move when another role's k changes
-    with_ldns = place_all(
+    with_ldns = fresh_placement(
         geant_rows, geant_population,
         {"fog": ("pop", 3), "cloud": ("pop", 2), "ldns": ("pop", 6)}, seed=23,
     )
-    without_ldns = place_all(
+    without_ldns = fresh_placement(
         geant_rows, geant_population,
         {"fog": ("pop", 3), "cloud": ("pop", 2), "ldns": ("pop", 0)}, seed=23,
     )
@@ -258,7 +258,7 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
 def test_pop_mode_selection_tracks_population(geant_rows, geant_population):
     freq = np.zeros(geant_rows.graph.n_nodes)
     for seed in range(50):
-        placement = place_all(
+        placement = fresh_placement(
             geant_rows, geant_population,
             {"fog": ("pop", 4), "cloud": ("pop", 4), "ldns": ("pop", 0)}, seed=seed,
         )
@@ -271,8 +271,8 @@ def test_cls_mode_weights_are_closeness(star4):
     hops = HopRows(star4)
     # center holds closeness 1.0 vs 0.6 leaves; with k=1 it should dominate
     hits = sum(
-        place_all(hops, np.ones(4), {"fog": ("cls", 1), "cloud": ("cls", 0),
-                                     "ldns": ("cls", 0)}, seed=s).fog[0] == 0
+        fresh_placement(hops, np.ones(4), {"fog": ("cls", 1), "cloud": ("cls", 0),
+                                           "ldns": ("cls", 0)}, seed=s).fog[0] == 0
         for s in range(2000)
     )
     assert hits / 2000 == pytest.approx(1.0 / (1.0 + 3 * 0.6), abs=0.03)

@@ -5,13 +5,13 @@ import pytest
 
 from conftest import bfs_distances, random_connected_graph
 from fogcast.errors import NoSubscriberError
-from fogcast.topology import all_pairs
 from oracles import (
     SCOPE_HTTP,
     SCOPE_MICRO,
     RendezvousTable,
     ScopedName,
     adjacency,
+    all_pairs,
     build_tree,
     extract_path,
     wildcard_match,

@@ -8,9 +8,8 @@ import pytest
 from conftest import count_windows, simulated_group_rate
 from fogcast.errors import NoSubscriberError
 from fogcast.service_router import group_rate, make_profiles
-from fogcast.topology import all_pairs
 from fogcast.workload import build_catalogue
-from oracles import build_rendezvous, item_url, resolve_request
+from oracles import all_pairs, build_rendezvous, item_url, resolve_request
 
 
 @pytest.fixture()
@@ -28,11 +27,6 @@ def test_profiles_cache_model(catalogue):
 def test_colocated_node_keeps_the_cloud_profile(catalogue):
     profiles = make_profiles([2], [2], catalogue)
     assert profiles[2].role == "cloud"
-
-
-def test_fog_cache_fraction_validated(catalogue):
-    with pytest.raises(ValueError):
-        make_profiles([1], [2], catalogue, fog_cache_fraction=0.0)
 
 
 def test_item_cached_at_nearest_fog_needs_one_leg(chain4, catalogue):

@@ -13,14 +13,13 @@ from fogcast.topology import (
     NO_ROW,
     HopRows,
     TopologyError,
-    all_pairs,
     build_graph,
     canonical_paths,
     closeness,
     load_topology,
     nearest,
 )
-from oracles import adjacency, extract_path
+from oracles import adjacency, all_pairs, extract_path
 
 
 def test_geant_fixture_dimensions(geant):
@@ -297,63 +296,75 @@ def test_all_pairs_dist_and_in_arc_equal_bfs_oracle(geant):
             assert hops.in_arc[s].tolist() == bfs_in_arcs(graph, s)
 
 
+SYNTHETIC_SEEDS = (1, 2, 3, 4)
+# One id per graph of ``row_graphs``, in its order.
+ROW_GRAPH_IDS = (["geant"] + [f"synthetic{seed}" for seed in SYNTHETIC_SEEDS]
+                 + [f"edge{at}" for at in range(len(_edge_graphs()))])
+
+
 @pytest.fixture(scope="module")
 def row_graphs(geant, tmp_path_factory):
     """The bundled backbone, the synthetic backbones of seeds 1-4 and the edge graphs."""
     out = tmp_path_factory.mktemp("synthetic")
-    synthetic = [load_topology(write_synthetic(out, seed)[0]) for seed in (1, 2, 3, 4)]
+    synthetic = [load_topology(write_synthetic(out, seed)[0]) for seed in SYNTHETIC_SEEDS]
     return [geant] + synthetic + _edge_graphs()
 
 
-def test_in_arc_rows_hold_their_invariants_entry_by_entry(row_graphs):
+@pytest.fixture(scope="module", params=range(len(ROW_GRAPH_IDS)), ids=ROW_GRAPH_IDS)
+def row_table(request, row_graphs):
+    """One graph of ``row_graphs`` and its ``all_pairs`` table. pytest runs the
+    tests that take this module-scoped fixture graph by graph, so each table
+    is built once and one is held at a time: 32 MB at 2,000 nodes."""
+    graph = row_graphs[request.param]
+    return graph, all_pairs(graph)
+
+
+def test_in_arc_rows_hold_their_invariants_entry_by_entry(row_table):
     """On every ``all_pairs`` entry (s, v), v != s, the in-arc a enters v,
     leaves a node one hop closer to s, and leaves the lowest-id such node;
     at v == s it is -1. Checked for every in-arc of every node, in blocks
     of sources, on the 2,000-node backbones too."""
-    for graph in row_graphs:
-        hops = all_pairs(graph)
-        n, src, dst = graph.n_nodes, graph.src, graph.dst
-        for s0 in range(0, n, 256):
-            s = np.arange(s0, min(s0 + 256, n))
-            dist, arc = hops.dist[s], hops.in_arc[s].astype(np.intp)
-            source = s[:, None] == np.arange(n)
-            assert (arc[source] == -1).all() and (arc[~source] >= 0).all()
-            if n == 1:
-                continue  # a lone node has no arc to read
-            a = np.where(source, 0, arc)
-            rows = np.arange(len(s))[:, None]
-            assert (dst[a] == np.arange(n))[~source].all()
-            assert (dist[rows, src[a]] + 1 == dist)[~source].all()
-            # No arc from a lower-id node one hop closer enters v.
-            closer = dist[:, src] + 1 == dist[:, dst]
-            chosen = src[a][:, dst]
-            assert (~closer | (chosen <= src)).all()
+    graph, hops = row_table
+    n, src, dst = graph.n_nodes, graph.src, graph.dst
+    for s0 in range(0, n, 256):
+        s = np.arange(s0, min(s0 + 256, n))
+        dist, arc = hops.dist[s], hops.in_arc[s].astype(np.intp)
+        source = s[:, None] == np.arange(n)
+        assert (arc[source] == -1).all() and (arc[~source] >= 0).all()
+        if n == 1:
+            continue  # a lone node has no arc to read
+        a = np.where(source, 0, arc)
+        rows = np.arange(len(s))[:, None]
+        assert (dst[a] == np.arange(n))[~source].all()
+        assert (dist[rows, src[a]] + 1 == dist)[~source].all()
+        # No arc from a lower-id node one hop closer enters v.
+        closer = dist[:, src] + 1 == dist[:, dst]
+        chosen = src[a][:, dst]
+        assert (~closer | (chosen <= src)).all()
 
 
-def test_hop_rows_equal_all_pairs(row_graphs):
+def test_hop_rows_equal_all_pairs(row_table):
+    graph, reference = row_table
     rng = np.random.default_rng(25)
-    for graph in row_graphs:
-        reference = all_pairs(graph)
-        n = graph.n_nodes
-        rows = HopRows(graph, held=rng.permutation(n)[:n // 4])
-        # Every node, in shuffled requests of 1-191 sources with duplicates.
-        order = np.concatenate([rng.permutation(n), rng.integers(0, n, size=n // 2)])
-        cuts = np.cumsum(rng.integers(1, 3 * _BLOCK, size=len(order)))
-        for sources in np.split(order, cuts[cuts < len(order)]):
-            table = rows.table(sources)
-            at = table.slot[sources]
-            assert (table.dist[at] == reference.dist[sources]).all()
-            assert (table.in_arc[at] == reference.in_arc[sources]).all()
+    n = graph.n_nodes
+    rows = HopRows(graph, held=rng.permutation(n)[:n // 4])
+    # Every node, in shuffled requests of 1-191 sources with duplicates.
+    order = np.concatenate([rng.permutation(n), rng.integers(0, n, size=n // 2)])
+    cuts = np.cumsum(rng.integers(1, 3 * _BLOCK, size=len(order)))
+    for sources in np.split(order, cuts[cuts < len(order)]):
+        table = rows.table(sources)
+        at = table.slot[sources]
+        assert (table.dist[at] == reference.dist[sources]).all()
+        assert (table.in_arc[at] == reference.in_arc[sources]).all()
 
 
-def test_streaming_closeness_equals_all_pairs_row_sums(row_graphs):
-    for graph in row_graphs:
-        n = graph.n_nodes
-        values = closeness(graph)
-        dist = all_pairs(graph).dist
-        expected = [(n - 1) / float(dist[v].sum()) if n > 1 else 1.0 for v in range(n)]
-        assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
-        assert HopRows(graph).centrality.tobytes() == values.tobytes()
+def test_streaming_closeness_equals_all_pairs_row_sums(row_table):
+    graph, hops = row_table
+    n = graph.n_nodes
+    values = closeness(graph)
+    expected = [(n - 1) / float(hops.dist[v].sum()) if n > 1 else 1.0 for v in range(n)]
+    assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+    assert HopRows(graph).centrality.tobytes() == values.tobytes()
 
 
 def test_closeness_runs_no_predecessor_sweep(row_graphs, monkeypatch):
