@@ -128,7 +128,6 @@ class ScenarioConfig:
     n_items: int = 1000
     alpha: float = 0.8
     bitrates: tuple[float, ...] = (20e6, 40e6, 60e6)
-    load_fraction: float = 0.4
     target_bitrate: float = 70e9
     trials: int = 50
     base_seed: int = 1
@@ -149,11 +148,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown placement mode {self.mode!r}")
         if self.scheme not in ("exact", "bloom"):
             raise ConfigError(f"unknown forwarding scheme {self.scheme!r}")
-        for name in ("n_items", "trials"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} {getattr(self, name)} must be >= 1")
-        if not 0 < self.load_fraction <= 1:
-            raise ConfigError(f"load_fraction {self.load_fraction} outside (0, 1]")
+        for name, least in (("fog_k", 0), ("cloud_k", 0), ("ldns_k", 0), ("n_items", 1),
+                            ("trials", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} {getattr(self, name)} must be >= {least}")
         if not self.bitrates:
             raise ConfigError("bitrates must hold at least one value")
         for name, values, wanted, fits in (
@@ -173,6 +171,8 @@ class ScenarioConfig:
                 raise ConfigError("dns runs need at least one LDNS point")
             if self.catchment:
                 raise ConfigError("dns runs support no catchment aggregation")
+        if self.scheme == "bloom" and not any(self.catchment):
+            raise ConfigError("bloom forwarding needs a nonzero catchment interval")
         for at, t in enumerate(self.catchment):
             if t in self.catchment[:at]:
                 raise ConfigError(f"catchment interval {t} repeated")
@@ -234,15 +234,13 @@ def _load_context(topology_path: str, population_path: str):
 
 @lru_cache(maxsize=1)
 def _trial_draws(seed: int, topology_path: str, population_path: str, n_items: int,
-                 alpha: float, bitrates: tuple[float, ...], load_fraction: float,
-                 target_bitrate: float):
+                 alpha: float, bitrates: tuple[float, ...], target_bitrate: float):
     """The catalogue and demand of one trial seed. Every field they read is
     in the key, so configs that differ in placement, architecture or
     accounting share them; both are read-only."""
     _, _, populations = _load_context(topology_path, population_path)
     catalogue = build_catalogue(n_items, alpha, bitrates, seed ^ _SALT_CATALOGUE)
-    demand = draw_demand(populations, catalogue, load_fraction, target_bitrate,
-                         seed ^ _SALT_DEMAND)
+    demand = draw_demand(populations, catalogue, target_bitrate, seed ^ _SALT_DEMAND)
     return catalogue, demand
 
 
@@ -276,7 +274,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     hops = rows.table(placement.fog + placement.cloud + placement.ldns)
     catalogue, demand = _trial_draws(seed, config.topology_path, config.population_path,
                                      config.n_items, config.alpha, config.bitrates,
-                                     config.load_fraction, config.target_bitrate)
+                                     config.target_bitrate)
     profiles = make_profiles(placement.fog, placement.cloud, catalogue,
                              config.fog_cache_fraction)
 
@@ -311,19 +309,10 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     if not intervals:
         return outcome
 
-    # Requests pool per (service point, item) group. Groups are numbered in
-    # order of their first request, so per-arc sums keep request order: a
-    # reversed scatter leaves each (point slot, item) cell its first request.
-    served = np.array(placement.fog + placement.cloud, dtype=np.intp)
-    point_slot = np.zeros(graph.n_nodes, dtype=np.intp)
-    point_slot[served] = np.arange(len(served))
-    key = point_slot[point] * catalogue.n + (items - 1)
-    first_of = np.empty(len(served) * catalogue.n, dtype=np.intp)
-    first_of[key[::-1]] = np.arange(len(key))[::-1]
-    first = first_of[key]
-    new_group = first == np.arange(len(key))
-    group_at = np.flatnonzero(new_group)
-    group = (np.cumsum(new_group) - 1)[first]
+    # Requests pool per (service point, item) group, numbered in key order;
+    # ``group_at`` is each group's first request.
+    _, group_at, group = np.unique(point * catalogue.n + (items - 1), return_index=True,
+                                   return_inverse=True)
     group_total = np.bincount(group, weights=counts)
 
     # Tree arcs: each arc of a group's tree carries the members crossing it.
@@ -349,9 +338,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     entries.append((pulled[owner], arc, group_total[pulled[owner]]))
 
     entry_group, entry_arc, entry_rate = (np.concatenate(column) for column in zip(*entries))
-    order = np.argsort(entry_group, kind="stable")
-    entry_arc, entry_rate = entry_arc[order], entry_rate[order]
-    entry_bitrate = bitrate[group_at][entry_group[order]]
+    entry_bitrate = bitrate[group_at][entry_group]
     for interval in intervals:
         weights = group_rate(entry_rate, interval) * entry_bitrate * CHUNK_DURATION
         outcome.by_catchment[interval] = TrialMetrics(
@@ -538,7 +525,6 @@ GRID_KEYS = {
     "items": "n_items",
     "alpha": "alpha",
     "bitrates": "bitrates",
-    "load_fraction": "load_fraction",
     "target_bitrate": "target_bitrate",
     "trials": "trials",
     "seed": "base_seed",

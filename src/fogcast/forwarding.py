@@ -23,8 +23,8 @@ built on ``label_arc``, are the reference the kernel is tested against.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,29 +70,21 @@ def label_arc(scheme: BloomScheme, arc_id: int) -> tuple[int, ...]:
 # Elements of the (groups, arcs) word temporary in the mask test.
 _TEST_BLOCK = 1 << 14
 
-# Mask tables by (id(graph), scheme); each entry holds a weak reference to
-# its graph, which drops the entry when the graph is collected.
-_MASK_TABLES: dict[tuple[int, BloomScheme], tuple[weakref.ref, np.ndarray]] = {}
 
-
+@lru_cache(maxsize=8)
 def label_masks(graph: NetworkGraph, scheme: BloomScheme) -> np.ndarray:
     """Every arc's label under ``scheme`` as a read-only bit mask table.
 
     Row ``a`` holds ``ceil(m / 64)`` uint64 words; position ``p`` of
     ``label_arc(scheme, a)`` is bit ``p % 64`` of word ``p // 64``. Built
-    once per (graph, scheme) and process; later calls return the table.
+    once per (graph, scheme) and process; later calls return the table (a
+    graph hashes by identity, and a cached one stays alive to keep its key).
     """
-    key = (id(graph), scheme)
-    hit = _MASK_TABLES.get(key)
-    if hit is not None and hit[0]() is graph:
-        return hit[1]
     masks = np.zeros((graph.n_arcs, -(-scheme.m // 64)), dtype=np.uint64)
     for arc_id in range(graph.n_arcs):
         for p in label_arc(scheme, arc_id):
             masks[arc_id, p // 64] |= np.uint64(1 << (p % 64))
     masks.setflags(write=False)
-    _MASK_TABLES[key] = (weakref.ref(graph, lambda _, key=key: _MASK_TABLES.pop(key, None)),
-                         masks)
     return masks
 
 

@@ -331,9 +331,7 @@ class HopRows:
         held = self.held
         if (held.slot[sources] != NO_ROW).all():
             return held
-        wanted = np.zeros(self.graph.n_nodes, dtype=bool)
-        wanted[sources] = True
-        return _hop_table(self.graph, self._in_arcs, np.flatnonzero(wanted), held)
+        return _hop_table(self.graph, self._in_arcs, np.unique(sources), held)
 
     @cached_property
     def centrality(self) -> np.ndarray:

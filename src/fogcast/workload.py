@@ -236,27 +236,24 @@ class DemandMatrix:
 
 
 def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
-                load_fraction: float, target_bitrate: float,
-                seed: int) -> DemandMatrix:
+                target_bitrate: float, seed: int) -> DemandMatrix:
     """Draw one epoch of demand calibrated to ``target_bitrate``.
 
     The active-user budget is ``target_bitrate / E[bitrate]``; users are
-    split across nodes in proportion to ``load_fraction * population`` and
-    each user requests exactly one catalogue item sampled from the
-    popularity distribution. Expected offered bitrate equals the target.
+    split across nodes in proportion to population and each user requests
+    exactly one catalogue item sampled from the popularity distribution. Expected offered bitrate equals the target.
     All users draw from one seeded stream, node after node, so the result
     equals a per-node ``rng.choice(n, size=users, p=probabilities)`` loop:
     ``choice`` maps each double u to ``cdf.searchsorted(u, side="right")``,
-    which ``_guide_search`` returns exactly. ``ScenarioConfig`` checks
-    ``load_fraction`` and the target; only an all-zero population is
-    rejected here.
+    which ``_guide_search`` returns exactly. ``ScenarioConfig`` checks the
+    target; only an all-zero population is rejected here.
     """
     populations = np.asarray(populations)
     if populations.sum() <= 0:
         raise WorkloadError("all-zero population")
 
     budget = target_bitrate / catalogue.mean_bitrate
-    weights = load_fraction * populations.astype(np.float64)
+    weights = populations.astype(np.float64)
     users = np.rint(budget * (weights / weights.sum())).astype(np.int64)
     draws = np.random.default_rng(seed).random(int(users.sum()))
     keys, counts = np.unique(np.repeat(np.arange(len(populations)), users) * catalogue.n

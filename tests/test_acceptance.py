@@ -175,7 +175,7 @@ def _matched_resolutions(fog_k: int, cloud_k: int, ldns_k: int, trial_index: int
         seed,
     )
     catalogue = build_catalogue(1000, 0.8, (20e6, 40e6, 60e6), seed ^ _SALT_CATALOGUE)
-    demand = draw_demand(populations, catalogue, 0.4, TARGET, seed ^ _SALT_DEMAND)
+    demand = draw_demand(populations, catalogue, TARGET, seed ^ _SALT_DEMAND)
     profiles = make_profiles(placement.fog, placement.cloud, catalogue)
     table = build_rendezvous(profiles)
     config = DnsConfig(

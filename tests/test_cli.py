@@ -118,11 +118,13 @@ BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
 
 @pytest.mark.parametrize("command, setting, named", [
     ("sweep", "unknown = 3", "unknown key 'unknown'"),
+    ("sweep", "load_fraction = 0.4", "unknown key 'load_fraction'"),
     ("sweep", "fog = 2\ncloud = 2\nfog = 4", "grid.cfg:7: key 'fog' repeated (first on line 5)"),
-    ("sweep", "load_fraction = 0", "load_fraction 0 outside (0, 1]"),
-    ("sweep", "load_fraction = 1.5", "load_fraction 1.5 outside (0, 1]"),
-    ("run", "--load-fraction=0", "load_fraction 0 outside (0, 1]"),
-    ("run", "--load-fraction=-0.4", "load_fraction -0.4 outside (0, 1]"),
+    ("sweep", "fog = 2,-1", "fog_k -1 must be >= 0"),
+    ("run", "--cloud=-2", "cloud_k -2 must be >= 0"),
+    ("run", "--scheme=bloom", "bloom forwarding needs a nonzero catchment interval"),
+    ("run", "--scheme=bloom --catchment=0",
+     "bloom forwarding needs a nonzero catchment interval"),
     ("sweep", "fog = abc", "fog_k must be an integer, got 'abc'"),
     ("sweep", "trials = 1.5", "trials must be an integer, got 1.5"),
     ("sweep", "items = 2e3", "n_items must be an integer, got 2000.0"),
@@ -251,12 +253,13 @@ def test_cloudless_grid_runs_when_fog_caches_every_item(tiny_inputs, tmp_path):
 KEY_SAMPLES = {
     "topology": "{top}", "population": "{pop}", "arch": "dns", "placement": "cls",
     "fog": "1,2", "cloud": "1", "ldns": "1,2", "catchment": "0,0.1,1", "items": "2",
-    "alpha": "1.2", "bitrates": "1e6,2e6", "load_fraction": "0.5", "target_bitrate": "3e9",
+    "alpha": "1.2", "bitrates": "1e6,2e6", "target_bitrate": "3e9",
     "trials": "3", "seed": "7", "count_fallback": "false", "scheme": "bloom",
     "fog_cache_fraction": "0.5",
 }
-# dns runs need an LDNS point, and only dns runs take one.
-COMPANIONS = {"arch": {"ldns": "1"}, "ldns": {"arch": "dns"}}
+# dns runs need an LDNS point, and only dns runs take one; bloom runs need
+# a catchment interval.
+COMPANIONS = {"arch": {"ldns": "1"}, "ldns": {"arch": "dns"}, "scheme": {"catchment": "0.1"}}
 
 
 @pytest.mark.parametrize("key", list(GRID_KEYS))
@@ -275,6 +278,27 @@ def test_run_flag_builds_the_config_of_its_grid_line(key, tiny_inputs, tmp_path,
     assert swept == [load_grid(grid)]
     field = GRID_KEYS[key]
     assert getattr(swept[0][0], field) != getattr(ScenarioConfig, field)
+
+
+def test_run_flags_and_grid_file_give_identical_output(tmp_path, capsys):
+    """``fogcast run`` flags and the same keys in a grid file write the same
+    bytes to every output file, manifest included; the run prints one
+    unicast line per config, each under its own label."""
+    assert run_cmd(["run", "--arch", "icn", "--fog", "2,4", "--cloud", "2",
+                    "--placement", "pop,cls", "--catchment", "0,0.1,1", "--scheme", "bloom",
+                    "--count-fallback", "false", "--fog-cache-fraction", "0.2",
+                    "--items", "500", "--trials", "3", "--seed", "3",
+                    "--out", str(tmp_path / "flags")]) == 0
+    unicast = [line.split(" ")[0] for line in capsys.readouterr().out.splitlines()
+               if " unicast: " in line]
+    assert len(unicast) == len(set(unicast)) == 4
+    grid = tmp_path / "flags.cfg"
+    grid.write_text("arch = icn\nfog = 2,4\ncloud = 2\nplacement = pop,cls\n"
+                    "catchment = 0,0.1,1\nscheme = bloom\ncount_fallback = false\n"
+                    "fog_cache_fraction = 0.2\nitems = 500\ntrials = 3\nseed = 3\n")
+    assert run_cmd(["sweep", "--grid", str(grid), "--out", str(tmp_path / "grid")]) == 0
+    for name in ("backhaul.csv", "pathlen.csv", "summary.csv", "manifest.txt"):
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "grid" / name).read_bytes()
 
 
 def test_sweep_from_grid_file(tiny_inputs, tmp_path):

@@ -110,10 +110,10 @@ def test_defaults_point_at_bundled_fixtures():
         dict(arch="dns", ldns_k=0),
         dict(arch="dns", ldns_k=2, catchment=(1.0,)),
         dict(catchment=(-1.0,)),
-        dict(load_fraction=0.0),
-        dict(load_fraction=-0.4),
-        dict(load_fraction=1.5),
-        dict(load_fraction=math.nan),
+        dict(fog_k=-1),
+        dict(cloud_k=-2),
+        dict(arch="dns", ldns_k=-1),
+        dict(scheme="bloom", catchment=(0.0,)),
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -210,7 +210,7 @@ def test_trial_loads_match_manual_flow_enumeration(chain_setup):
             {"fog": ("pop", 2), "cloud": ("pop", 2), "ldns": ("pop", 0)}, seed,
         )
         catalogue = build_catalogue(30, 0.8, (20e6,), seed ^ _SALT_CATALOGUE)
-        demand = draw_demand(populations, catalogue, 0.4, 1e9, seed ^ _SALT_DEMAND)
+        demand = draw_demand(populations, catalogue, 1e9, seed ^ _SALT_DEMAND)
         profiles = make_profiles(placement.fog, placement.cloud, catalogue)
         table = build_rendezvous(profiles)
 
@@ -304,7 +304,7 @@ def test_sample_count_equals_request_count(chain_setup):
     seed = trial_seed(config.base_seed, 0)
     populations = assign_population(load_topology(top), load_population(pop))
     catalogue = build_catalogue(3, config.alpha, config.bitrates, seed ^ _SALT_CATALOGUE)
-    demand = draw_demand(populations, catalogue, config.load_fraction, 2e9, seed ^ _SALT_DEMAND)
+    demand = draw_demand(populations, catalogue, 2e9, seed ^ _SALT_DEMAND)
     assert outcome.unicast.hop_counts.sum() == demand.total_requests > 0
 
 
@@ -463,7 +463,7 @@ def test_seeded_bloom_trial_equals_per_group_loop(monkeypatch):
         return label_arc(scheme, arc_id)
 
     monkeypatch.setattr(forwarding, "label_arc", counting_label_arc)
-    monkeypatch.setattr(forwarding, "_MASK_TABLES", {})
+    forwarding.label_masks.cache_clear()
     exact = [run_trial(dataclasses.replace(c, scheme="exact"), i)
              for c in configs for i in range(2)]
     assert fp_arcs[schemes[0]] == 0 and fp_arcs[schemes[1]] > 0

@@ -251,7 +251,7 @@ def offered_loads(demand, catalogue) -> np.ndarray:
 
 def test_single_node_single_item_demand_is_exact():
     cat = build_catalogue(1, 0.8, (20e6,), seed=1)
-    demand = draw_demand(np.array([0, 10, 0]), cat, 0.4, 70e9, seed=1)
+    demand = draw_demand(np.array([0, 10, 0]), cat, 70e9, seed=1)
     assert demand.requests == {(1, 1): 3500}
     assert offered_loads(demand, cat).sum() == pytest.approx(70e9)
 
@@ -259,24 +259,24 @@ def test_single_node_single_item_demand_is_exact():
 def test_all_zero_population_rejected():
     cat = build_catalogue(10, 0.8, (20e6,), seed=1)
     with pytest.raises(WorkloadError):
-        draw_demand(np.zeros(5, dtype=np.int64), cat, 0.4, 70e9, seed=1)
+        draw_demand(np.zeros(5, dtype=np.int64), cat, 70e9, seed=1)
 
 
 def test_offered_bitrate_consistent_with_requests(geant_population):
     cat = build_catalogue(1000, 0.8, (20e6, 40e6, 60e6), seed=3)
-    demand = draw_demand(geant_population, cat, 0.4, 70e9, seed=3)
+    demand = draw_demand(geant_population, cat, 70e9, seed=3)
     recomputed = sum(count * cat.bitrates[item - 1]
                      for (_, item), count in demand.requests.items())
     assert offered_loads(demand, cat).sum() == pytest.approx(recomputed)
     assert demand.total_requests == sum(demand.requests.values())
 
 
-def per_node_demand(populations, catalogue, load_fraction, target_bitrate, seed):
+def per_node_demand(populations, catalogue, target_bitrate, seed):
     """Reference draw: one ``rng.choice`` per node, counted item by item."""
     requests: dict[tuple[int, int], int] = {}
     offered = 0.0
     budget = target_bitrate / catalogue.mean_bitrate
-    weights = load_fraction * np.asarray(populations).astype(np.float64)
+    weights = np.asarray(populations).astype(np.float64)
     shares = weights / weights.sum()
     rng = np.random.default_rng(seed)
     for node in range(len(populations)):
@@ -291,8 +291,7 @@ def per_node_demand(populations, catalogue, load_fraction, target_bitrate, seed)
     return requests, offered
 
 
-@pytest.mark.parametrize("load_fraction", [0.4, 1.0])
-def test_demand_equals_per_node_reference(geant_population, load_fraction):
+def test_demand_equals_per_node_reference(geant_population):
     # Sparse populations leave nodes with zero people, and tiny ones round
     # to zero users.
     sparse = geant_population.copy()
@@ -305,8 +304,8 @@ def test_demand_equals_per_node_reference(geant_population, load_fraction):
     for populations in (geant_population, sparse):
         for n, alpha, seed in cases:
             cat = build_catalogue(n, alpha, bitrates, seed=seed)
-            demand = draw_demand(populations, cat, load_fraction, 70e9, seed=seed)
-            requests, offered = per_node_demand(populations, cat, load_fraction, 70e9, seed)
+            demand = draw_demand(populations, cat, 70e9, seed=seed)
+            requests, offered = per_node_demand(populations, cat, 70e9, seed)
             assert list(demand.requests.items()) == list(requests.items())
             # Summed left to right in request order, as the reference sums.
             assert float(np.cumsum(offered_loads(demand, cat))[-1]) == offered
@@ -320,15 +319,15 @@ def test_demand_equals_per_node_reference(geant_population, load_fraction):
 
 def test_demand_deterministic_per_seed(geant_population):
     cat = build_catalogue(100, 0.8, (20e6, 40e6), seed=5)
-    a = draw_demand(geant_population, cat, 0.4, 70e9, seed=11)
-    b = draw_demand(geant_population, cat, 0.4, 70e9, seed=11)
+    a = draw_demand(geant_population, cat, 70e9, seed=11)
+    b = draw_demand(geant_population, cat, 70e9, seed=11)
     assert a.requests == b.requests
 
 
 def test_mean_offered_bitrate_calibrated_to_target(geant_population):
     cat = build_catalogue(1000, 0.8, (20e6, 40e6, 60e6), seed=1)
     offered = [
-        offered_loads(draw_demand(geant_population, cat, 0.4, 70e9, seed=s), cat).sum()
+        offered_loads(draw_demand(geant_population, cat, 70e9, seed=s), cat).sum()
         for s in range(100)
     ]
     assert np.mean(offered) == pytest.approx(70e9, rel=0.01)
@@ -347,7 +346,7 @@ def test_item_frequencies_follow_catalogue_distribution():
     target = 100_000 * cat.mean_bitrate  # 1e5 users
     counts = np.zeros(cat.n)
     for seed in range(4):
-        demand = draw_demand(populations, cat, 1.0, target / 4, seed=seed)
+        demand = draw_demand(populations, cat, target / 4, seed=seed)
         for (_, item), count in demand.requests.items():
             counts[item - 1] += count
     total = counts.sum()
