@@ -24,7 +24,7 @@ Every flow is charged on one canonical root -> leaf path
 (``canonical_paths``): service point -> client for the delivery, origin
 -> service point for the fallback pull. Unicast, catchment trees and
 Bloom delivery all read the same paths; Bloom forwarding of every group
-of a trial is one ``deliver_groups`` call.
+with tree arcs in a trial is one ``deliver_groups`` call.
 
 Every root is a placed point, so a trial takes the hop rows of its fog,
 cloud and LDNS points once (``HopRows.table``) and reads only their
@@ -40,7 +40,12 @@ On tree and fallback arcs it never exceeds the unicast rate, and a zero
 interval reproduces it, so the exact scheme stays within unicast on every
 arc. Bloom identifiers also pass false-positive arcs, each charged the
 whole group rate (conservatively): a Bloom variant carries at least the
-exact load on every arc, and can exceed unicast on those arcs.
+exact load on every arc, and can exceed unicast on those arcs. A group,
+one (service point, item), is keyed ``point * n_items + item - 1`` and a
+tree arc by (group key, arc): one sort of the members' path arcs sums
+every tree arc. Pulls number only the pulling requests; Bloom delivers
+only groups with tree arcs and reads group totals only for false-positive
+arcs. ``tests/oracles.py`` holds the per-group reference.
 
 Trials are embarrassingly parallel; seeds are derived independently of
 scheduling, so parallel sweeps are byte-identical to sequential ones. A
@@ -164,6 +169,10 @@ class ScenarioConfig:
             for value in values:
                 if not (_finite(value) and fits(value)):
                     raise ConfigError(f"{name} {value!r} must be {wanted}")
+        # The user budget, target / mean bitrate, is drawn as int64 counts.
+        if self.target_bitrate / min(self.bitrates) >= 2**63:
+            raise ConfigError(f"target_bitrate {self.target_bitrate!r} / bitrates "
+                              f"{min(self.bitrates)!r} must be below 2**63 users")
         if self.arch == "icn" and self.ldns_k != 0:
             raise ConfigError("icn runs take no LDNS points")
         if self.arch == "dns":
@@ -289,17 +298,18 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     # Flows: one per client node (service point -> client), then one per
     # service point that pulls counted misses (origin -> service point),
     # each kind in node order; a pull's origin depends on its point alone.
-    pulled_from = np.full(graph.n_nodes, -1)
-    pulled_from[point[pull]] = origin[pull]
-    pulling = np.flatnonzero(pulled_from >= 0)
-    # Flow of the pull at each node.
-    pull_flow = len(clients) - 1 + np.cumsum(pulled_from >= 0)
-    indptr, path = canonical_paths(hops, np.concatenate([client_point, pulled_from[pulling]]),
-                                   np.concatenate([clients, pulling]))
     request_load = counts * bitrate * CHUNK_DURATION
-    flow_load = np.bincount(np.concatenate([client_of, pull_flow[point[pull]]]),
-                            weights=np.concatenate([request_load, request_load[pull]]),
-                            minlength=len(clients) + len(pulling))
+    flows = [(client_point, clients, client_of, request_load)]
+    if pull.any():
+        pulled_from = np.full(graph.n_nodes, -1)
+        pulled_from[point[pull]] = origin[pull]
+        pulling = np.flatnonzero(pulled_from >= 0)
+        # Flow of the pull at each node.
+        pull_flow = len(clients) - 1 + np.cumsum(pulled_from >= 0)
+        flows.append((pulled_from[pulling], pulling, pull_flow[point[pull]], request_load[pull]))
+    roots, leaves, flow_of, flow_weight = (np.concatenate(column) for column in zip(*flows))
+    indptr, path = canonical_paths(hops, roots, leaves)
+    flow_load = np.bincount(flow_of, weights=flow_weight, minlength=len(leaves))
     unicast_load = _per_arc(path, np.repeat(flow_load, np.diff(indptr)), graph.n_arcs)
 
     client_hops = hops.dist[hops.slot[client_point], clients]
@@ -309,36 +319,45 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     if not intervals:
         return outcome
 
-    # Requests pool per (service point, item) group, numbered in key order;
-    # ``group_at`` is each group's first request.
-    _, group_at, group = np.unique(point * catalogue.n + (items - 1), return_index=True,
-                                   return_inverse=True)
-    group_total = np.bincount(group, weights=counts)
-
-    # Tree arcs: each arc of a group's tree carries the members crossing it.
+    # Requests pool per (service point, item) group, keyed point * n_items
+    # + item - 1. Each arc of a group's tree carries the members crossing
+    # it; one sort of (group key, arc) orders the tree arcs by group, then arc.
+    n_items, n_arcs = catalogue.n, graph.n_arcs
+    group_key = point * n_items + (items - 1)
     owner, arc = gather(indptr, path, client_of)
-    tree_keys, tree_of = np.unique(group[owner] * graph.n_arcs + arc, return_inverse=True)
-    tree_group, tree_arc = np.divmod(tree_keys, graph.n_arcs)
+    tree_keys, tree_of = np.unique(group_key[owner] * n_arcs + arc, return_inverse=True)
+    tree_group, tree_arc = np.divmod(tree_keys, n_arcs)
     entries = [(tree_group, tree_arc, np.bincount(tree_of, weights=counts[owner]))]
 
     if config.scheme == "bloom":
-        # False-positive arcs carry the tree's full group rate
-        # (conservative); exact-bit stays the headline scheme.
-        carried_group, carried_arc = deliver_groups(graph, BloomScheme(), point[group_at],
-                                                    tree_group, tree_arc)
+        # Only groups with tree arcs are delivered, each from its point.
+        first = np.diff(tree_group, prepend=-1) != 0
+        delivered = tree_group[first]
+        carried, carried_arc = deliver_groups(graph, BloomScheme(), delivered // n_items,
+                                              np.cumsum(first) - 1, tree_arc)
+        carried_group = delivered[carried]
         # Both key lists are sorted and every tree arc is carried.
         extra = np.ones(len(carried_arc), dtype=bool)
-        extra[np.searchsorted(carried_group * graph.n_arcs + carried_arc, tree_keys)] = False
-        carried_group, carried_arc = carried_group[extra], carried_arc[extra]
-        entries.append((carried_group, carried_arc, group_total[carried_group]))
+        extra[np.searchsorted(carried_group * n_arcs + carried_arc, tree_keys)] = False
+        if extra.any():
+            # False-positive arcs carry the tree's full group rate
+            # (conservative); exact-bit stays the headline scheme.
+            keys, group = np.unique(group_key, return_inverse=True)
+            group_total = np.bincount(group, weights=counts)
+            fp_group = carried_group[extra]
+            entries.append((fp_group, carried_arc[extra],
+                            group_total[np.searchsorted(keys, fp_group)]))
 
-    # Fallback pulls: one per group whose point lacks the item.
-    pulled = np.flatnonzero(pull[group_at])
-    owner, arc = gather(indptr, path, pull_flow[point[group_at[pulled]]])
-    entries.append((pulled[owner], arc, group_total[pulled[owner]]))
+    if pull.any():
+        # Fallback pulls: one per group whose point lacks the item, with the
+        # group total; a miss depends on (point, item), so whole groups pull.
+        pulled, pull_of = np.unique(group_key[pull], return_inverse=True)
+        pull_total = np.bincount(pull_of, weights=counts[pull])
+        owner, arc = gather(indptr, path, pull_flow[pulled // n_items])
+        entries.append((pulled[owner], arc, pull_total[owner]))
 
     entry_group, entry_arc, entry_rate = (np.concatenate(column) for column in zip(*entries))
-    entry_bitrate = bitrate[group_at][entry_group]
+    entry_bitrate = catalogue.bitrates[entry_group % n_items]
     for interval in intervals:
         weights = group_rate(entry_rate, interval) * entry_bitrate * CHUNK_DURATION
         outcome.by_catchment[interval] = TrialMetrics(

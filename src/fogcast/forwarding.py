@@ -93,8 +93,9 @@ def deliver_groups(graph: NetworkGraph, scheme: BloomScheme, roots, tree_group,
     """Arcs carried when each group's tree is encoded and delivered, all at once.
 
     Group ``g`` owns the arcs ``tree_arc[tree_group == g]`` (``tree_group``
-    sorted) and is delivered from ``roots[g]``; a group without arcs has
-    an all-zero identifier and carries nothing. Returns ``(group, arc)``
+    sorted) and is delivered from ``roots[g]``. Trials pass only groups
+    with tree arcs, numbered from 0 in order; a group without arcs would
+    have an all-zero identifier and carry nothing. Returns ``(group, arc)``
     pairs sorted by group, then arc: for each group, the union of
     ``forward(fid, v)`` over ``v`` in ``deliver(fid, root)``.
 

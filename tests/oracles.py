@@ -16,6 +16,9 @@ kept independent of the array kernels in ``fogcast``:
   rendezvous table (``service_router.resolve_nodes`` is the kernel);
 - resolver redirection: ``resolve_request_dns`` resolves one request
   through the client's nearest LDNS (the same kernel, given resolvers);
+- catchment aggregation: ``catchment_loads`` charges one (service point,
+  item) group at a time on the union of its members' paths
+  (``experiment.run_trial`` aggregates every group at once);
 - forwarding: ``encode_tree``, ``forward`` and ``deliver`` encode and
   deliver one tree at a time (``forwarding.deliver_groups`` is the kernel),
   under a Bloom scheme or the exact one, one bit per arc (``ExactScheme``).
@@ -33,7 +36,7 @@ from fogcast.forwarding import BloomScheme, label_arc
 from fogcast.placement import Placement, pick_order, place_all
 from fogcast.service_router import SRProfile
 from fogcast.topology import HopRows, HopTable, NetworkGraph, _hop_table, _in_arcs
-from fogcast.workload import ServiceCatalogue
+from fogcast.workload import CHUNK_DURATION, ServiceCatalogue
 
 
 # --- topology -----------------------------------------------------------------
@@ -329,6 +332,46 @@ def resolve_request_dns(client: int, item_id: int, config: DnsConfig,
         legs.append(DeliveryLeg(selected, origin,
                                 tuple(extract_path(hops, selected, origin)), bitrate))
     return DeliveryPlan(legs=tuple(legs), client_path_hops=legs[0].hops)
+
+
+# --- catchment aggregation ----------------------------------------------------
+
+def catchment_loads(hops: HopTable, requests, bitrates, intervals,
+                    count_fallback: bool) -> dict[float, np.ndarray]:
+    """Per-arc load of each catchment interval, one group at a time.
+
+    ``requests`` lists ``(client, item_id, count, plan)`` with the request's
+    resolved ``DeliveryPlan``. Requests pool per (service point, item)
+    group. A group's tree is the union of its members' paths point ->
+    client (``extract_path``); each tree arc carries the counts of the
+    members whose path crosses it. A group whose point lacks the item (its
+    plans have a second leg) pulls it once, on the path origin -> point,
+    carrying the group total when ``count_fallback`` is set. An arc entry
+    of rate r adds ``r / (1 + r T) * bitrate * CHUNK_DURATION`` under
+    interval T.
+    """
+    groups: dict[tuple[int, int], list] = {}
+    for client, item_id, count, plan in requests:
+        groups.setdefault((plan.service_point, item_id), []).append((client, count, plan))
+    entries: list[tuple[int, int, float]] = []   # (arc, rate, item_id)
+    for (point, item_id), members in groups.items():
+        crossing: dict[int, int] = {}
+        for client, count, _ in members:
+            for arc in extract_path(hops, point, client):
+                crossing[arc] = crossing.get(arc, 0) + count
+        entries += [(arc, rate, item_id) for arc, rate in crossing.items()]
+        origins = {plan.legs[1].dst for _, _, plan in members if len(plan.legs) > 1}
+        if count_fallback and origins:
+            (origin,) = origins
+            total = sum(count for _, count, _ in members)
+            entries += [(arc, total, item_id) for arc in extract_path(hops, origin, point)]
+    loads = {}
+    for interval in intervals:
+        load = np.zeros(hops.graph.n_arcs)
+        for arc, rate, item_id in entries:
+            load[arc] += rate / (1.0 + rate * interval) * bitrates[item_id - 1] * CHUNK_DURATION
+        loads[interval] = load
+    return loads
 
 
 # --- forwarding ---------------------------------------------------------------

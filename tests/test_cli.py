@@ -159,6 +159,10 @@ BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
     ("run", "--bitrates=0", "bitrates 0 must be finite and > 0"),
     ("sweep", "bitrates = 20e6,inf", "bitrates inf must be finite and > 0"),
     ("run", "--bitrates=,", "bitrates must hold at least one value"),
+    ("run", "--bitrates=1e-290",
+     "target_bitrate 70000000000.0 / bitrates 1e-290 must be below 2**63 users"),
+    ("sweep", "target_bitrate = 1e300\nbitrates = 20e6,40e6",
+     "target_bitrate 1e+300 / bitrates 20000000.0 must be below 2**63 users"),
     ("summarize", BAD_BACKHAUL + "icn,2\n", "bad.csv:2: expected 8 comma-separated fields, got 2"),
     ("summarize", BAD_BACKHAUL + "icn,2,2,0,pop,0.0,0,1e9\nicn,2,2,0,pop,0.0,1,fast\n",
      "bad.csv:3: backhaul_bps 'fast' is not a number"),

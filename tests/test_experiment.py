@@ -342,6 +342,50 @@ def test_catchment_loads_arc_by_arc_on_bundled_backbone(fog_k, cloud_k, count_fa
         assert (loads[1] <= unicast).all()
 
 
+@pytest.mark.parametrize("backbone", ["bundled", "synthetic_300"])
+@pytest.mark.parametrize("count_fallback, fog_cache_fraction",
+                         [(True, 0.1), (False, 0.1), (True, 1.0)])
+def test_catchment_loads_equal_per_group_reference(backbone, count_fallback,
+                                                   fog_cache_fraction, tmp_path):
+    """Exact-scheme catchment loads equal ``oracles.catchment_loads`` arc by
+    arc: requests resolved one at a time, each (point, item) group charged
+    on the union of its members' paths, each pull the group total."""
+    top, pop = write_synthetic(tmp_path, 1, n_nodes=300) if backbone != "bundled" else ("", "")
+    intervals = (0.1, 1.0, 10.0)
+    pulls = 0
+    for fog_k, cloud_k in ((2, 2), (6, 3)):
+        config = ScenarioConfig(arch="icn", fog_k=fog_k, cloud_k=cloud_k, catchment=intervals,
+                                topology_path=top, population_path=pop,
+                                count_fallback=count_fallback,
+                                fog_cache_fraction=fog_cache_fraction, trials=2, base_seed=4)
+        graph = load_topology(config.topology_path)
+        hops = all_pairs(graph)
+        populations = assign_population(graph, load_population(config.population_path))
+        for index in range(config.trials):
+            outcome = run_trial(config, index)
+            seed = trial_seed(config.base_seed, index)
+            placement = fresh_placement(
+                HopRows(graph), populations,
+                {"fog": ("pop", fog_k), "cloud": ("pop", cloud_k), "ldns": ("pop", 0)}, seed)
+            catalogue = build_catalogue(config.n_items, config.alpha, config.bitrates,
+                                        seed ^ _SALT_CATALOGUE)
+            demand = draw_demand(populations, catalogue, config.target_bitrate,
+                                 seed ^ _SALT_DEMAND)
+            profiles = make_profiles(placement.fog, placement.cloud, catalogue,
+                                     fog_cache_fraction)
+            table = build_rendezvous(profiles)
+            requests = [(node, item, count,
+                         resolve_request(node, item, profiles, table, hops, catalogue))
+                        for (node, item), count in demand.requests.items()]
+            pulls += sum(len(plan.legs) > 1 for *_, plan in requests)
+            want = oracles.catchment_loads(hops, requests, catalogue.bitrates, intervals,
+                                           count_fallback)
+            for interval in intervals:
+                assert outcome.by_catchment[interval].arc_load == pytest.approx(
+                    want[interval], rel=1e-12, abs=0)
+    assert (pulls > 0) == (fog_cache_fraction < 1)
+
+
 def test_zero_interval_catchment_equals_unicast_total(chain_setup):
     top, pop = chain_setup
     smallest = float(np.nextafter(0, 1))

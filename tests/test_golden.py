@@ -1,17 +1,22 @@
 """Seeded outputs pinned across changes.
 
-Three small grids on the bundled backbone, and three on the 2,000-node
-synthetic backbone of seed 1 (``conftest.write_synthetic``), are re-run and
-compared with the CSVs committed under ``tests/data/golden/<grid>/``. On
-that backbone the default Bloom scheme carries thousands of false-positive
+Five grids on the bundled backbone, and three on the 2,000-node synthetic
+backbone of seed 1 (``conftest.write_synthetic``), are re-run and compared
+with the CSVs committed under ``tests/data/golden/<grid>/``. ``grid_icn``
+has the shape of the benchmark's workload of that name (the paper's fog x
+cloud sweep with catchment intervals), and ``square`` is the same sweep
+with fallback pulls counted. On
+the synthetic backbone the default Bloom scheme carries thousands of false-positive
 arcs, so their charging is pinned too; the bundled backbone gives none.
 There, too, only 271 of the 2,000 nodes are clients, so the per-client
 resolution and paths of a ``pop`` grid of each architecture are pinned
 where most nodes are not asked about: ``scale_2k`` has the shape of the
 benchmark's workload of that name, and ``dns_pop_2k`` places LDNS points
-by population. ``pathlen.csv`` and every row label must
-match exactly; backhaul values (the float columns of ``backhaul.csv`` and
-``summary.csv``) within 1e-12 relative, so a change in numpy's float
+by population. Under the numpy version that wrote the files
+(``tests/data/golden/numpy_version.txt``) every file must match byte for
+byte. Under any other version ``pathlen.csv`` and every row label must
+match exactly and backhaul values (the float columns of ``backhaul.csv``
+and ``summary.csv``) within 1e-12 relative, so a change in numpy's float
 summation order does not fail the test. Each grid runs with one and with
 two jobs, and the two outputs must be byte-identical.
 
@@ -22,16 +27,22 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import write_synthetic
 from fogcast.experiment import load_grid, run_sweep
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+NUMPY_VERSION = GOLDEN / "numpy_version.txt"
 
 GRIDS = {
     "icn_exact": "arch = icn\nfog = 2,4\ncloud = 1,2\nplacement = pop,cls\n"
                  "catchment = 0,0.1,1,10\ntrials = 4\nseed = 7\n",
+    "grid_icn": "arch = icn\nfog = 2,4,6,8\ncloud = 2,4,6,8\ncatchment = 0.1,1,10\n"
+                "count_fallback = false\ntrials = 4\nseed = 1\n",
+    "square": "arch = icn\nfog = 2,4,6,8\ncloud = 2,4,6,8\ncatchment = 0.1,1,10\ntrials = 3\n"
+              "seed = 3\n",
     "icn_bloom": "arch = icn\nfog = 2,4\ncloud = 2\ncatchment = 0.1,1\nscheme = bloom\n"
                  "count_fallback = false\ntrials = 4\nseed = 11\n",
     "dns": "arch = dns\nfog = 2,4\ncloud = 1,2\nldns = 1,3\nplacement = cls,pop\n"
@@ -72,7 +83,11 @@ def test_seeded_outputs_match_golden(name, tmp_path):
 
 
 def check_golden(name: str, out: Path) -> None:
+    same_numpy = NUMPY_VERSION.read_text().strip() == np.__version__
     for csv, n_float in FLOAT_COLUMNS.items():
+        if same_numpy:
+            assert (out / csv).read_bytes() == (GOLDEN / name / csv).read_bytes(), csv
+            continue
         actual = (out / csv).read_text().splitlines()
         expected = (GOLDEN / name / csv).read_text().splitlines()
         assert len(actual) == len(expected), csv
@@ -93,3 +108,4 @@ if __name__ == "__main__":
         for path in (GOLDEN / grid).iterdir():
             if path.name not in FLOAT_COLUMNS:
                 path.unlink()
+    NUMPY_VERSION.write_text(np.__version__ + "\n")
