@@ -67,7 +67,7 @@ from . import data
 from .errors import FogcastError
 from .forwarding import BloomScheme, deliver_groups
 from .placement import ROLE_SALTS, PickOrder, pick_order, place_all
-from .service_router import fog_cache_items, group_rate, make_profiles, resolve_nodes
+from .service_router import fog_cache_items, group_rate, resolve_nodes
 from .topology import HopRows, canonical_paths, gather, load_topology
 from .workload import (
     CHUNK_DURATION,
@@ -284,13 +284,12 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     catalogue, demand = _trial_draws(seed, config.topology_path, config.population_path,
                                      config.n_items, config.alpha, config.bitrates,
                                      config.target_bitrate)
-    profiles = make_profiles(placement.fog, placement.cloud, catalogue,
-                             config.fog_cache_fraction)
 
     items, counts, clients, client_of = (demand.items, demand.counts, demand.clients,
                                          demand.client_of)
-    client_point, origin = resolve_nodes(hops, clients, client_of, items, profiles,
-                                         placement.ldns)
+    client_point, origin = resolve_nodes(
+        hops, clients, client_of, items, placement.fog, placement.cloud,
+        fog_cache_items(config.fog_cache_fraction, catalogue.n), placement.ldns)
     point = client_point[client_of]
     pull = (origin >= 0) & config.count_fallback
     bitrate = catalogue.bitrates[items - 1]
@@ -503,12 +502,10 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "backhaul.csv").write_text(
-            "\n".join([BACKHAUL_HEADER] + backhaul_rows) + "\n")
-        (out / "pathlen.csv").write_text(
-            "\n".join([PATHLEN_HEADER] + pathlen_rows) + "\n")
-        (out / "summary.csv").write_text(
-            "\n".join([SUMMARY_HEADER] + summary_rows) + "\n")
+        for name, header, lines in (("backhaul.csv", BACKHAUL_HEADER, backhaul_rows),
+                                    ("pathlen.csv", PATHLEN_HEADER, pathlen_rows),
+                                    ("summary.csv", SUMMARY_HEADER, summary_rows)):
+            (out / name).write_text("\n".join([header] + lines) + "\n")
         (out / "manifest.txt").write_text("\n".join(manifest))
     return results
 
@@ -552,12 +549,12 @@ GRID_KEYS = {
     "fog_cache_fraction": "fog_cache_fraction",
 }
 
-# Keys whose comma lists expand the grid rather than configure one run.
-_SWEEP_KEYS = ("fog_k", "cloud_k", "ldns_k", "mode")
+# Sweep axes, config field to grid key: their comma lists expand the grid.
+_SWEEP_KEYS = {"fog_k": "fog", "cloud_k": "cloud", "ldns_k": "ldns", "mode": "placement"}
 
 
 def expand_grid(settings: dict) -> list[ScenarioConfig]:
-    """Cross-product of the sweep axes in a parsed grid description."""
+    """Cross-product of the sweep axes of a parsed grid; no axis may repeat a value."""
     base = dict(settings)
     for key in ("catchment", "bitrates"):
         if key in base:
@@ -568,8 +565,14 @@ def expand_grid(settings: dict) -> list[ScenarioConfig]:
         value = base.pop(key, None)
         if value is not None:
             axes[key] = value if isinstance(value, list) else [value]
-    return [ScenarioConfig(**base, **dict(zip(axes, combo)))
-            for combo in product(*axes.values())]
+    configs = [ScenarioConfig(**base, **dict(zip(axes, combo)))
+               for combo in product(*axes.values())]
+    # Compared after ScenarioConfig has checked their types, as 1 == True.
+    for key, values in axes.items():
+        for at, value in enumerate(values):
+            if value in values[:at]:
+                raise ConfigError(f"{_SWEEP_KEYS[key]} {value} repeated")
+    return configs
 
 
 def grid_configs(raw: dict[str, str]) -> list[ScenarioConfig]:

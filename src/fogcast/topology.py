@@ -129,8 +129,8 @@ def load_topology(source: str | Path) -> NetworkGraph:
     """Parse a Topology Zoo GraphML document into a NetworkGraph.
 
     Dense node ids follow document order. Nodes must carry Latitude and
-    Longitude data keys; an offending node is named in the error. Every
-    error names the file.
+    Longitude data keys, in [-90, 90] and [-180, 180]; an offending node is
+    named in the error. Every error names the file.
     """
     try:
         return _graph_of(ET.parse(str(source)).getroot())
@@ -164,10 +164,11 @@ def _graph_of(root: ET.Element) -> NetworkGraph:
         data = {d.get("key"): (d.text or "") for d in el.findall(f"{_GRAPHML_NS}data")}
         label = data.get(label_key, raw_id) if label_key else raw_id
         try:
-            lat = float(data[lat_key])
-            lon = float(data[lon_key])
+            lat, lon = float(data[lat_key]), float(data[lon_key])
         except (KeyError, ValueError):
-            raise TopologyError(f"node {raw_id!r} ({label!r}) lacks usable coordinates") from None
+            lat = lon = float("nan")
+        if not (-90 <= lat <= 90 and -180 <= lon <= 180):  # NaN fails too
+            raise TopologyError(f"node {raw_id!r} ({label!r}) lacks usable coordinates")
         dense_id[raw_id] = len(coords)
         coords.append((label, lat, lon))
 
@@ -374,10 +375,11 @@ def gather(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray):
     Row ``r`` is ``values[indptr[r]:indptr[r + 1]]``; a row may be asked
     for any number of times.
     """
-    lengths = indptr[rows + 1] - indptr[rows]
+    start = indptr[rows]
+    lengths = indptr[rows + 1] - start
     owner = np.repeat(np.arange(len(rows)), lengths)
-    offset = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return owner, values[indptr[rows][owner] + offset]
+    shift = start - (np.cumsum(lengths) - lengths)
+    return owner, values[np.arange(len(owner)) + shift[owner]]
 
 
 def nearest(hops: HopTable, candidates, at) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Population-driven demand synthesis.
 
-A population grid is snapped onto backbone nodes by Voronoi assignment
-(great-circle nearest node), service popularity follows a Zipf law over a
-fixed item catalogue, and per-trial demand is calibrated so that the
-expected offered load matches a target aggregate bitrate. One request
-stands for a one-second chunk at the item bitrate per epoch second, so a
-request count is also a request rate in 1/s.
+A population grid, read as ``(lat, lon, count)`` arrays, is snapped onto
+backbone nodes by Voronoi assignment (great-circle nearest node), service
+popularity follows a Zipf law over a fixed item catalogue, and per-trial
+demand is calibrated so that the expected offered load matches a target
+aggregate bitrate. One request stands for a one-second chunk at the item
+bitrate per epoch second, so a request count is also a request rate in 1/s.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import FogcastError
 __all__ = [
-    "PopulationCell",
     "ServiceCatalogue",
     "DemandMatrix",
     "WorkloadError",
@@ -44,21 +43,18 @@ class WorkloadError(FogcastError):
     """Raised for unusable population or demand inputs."""
 
 
-@dataclass(frozen=True)
-class PopulationCell:
-    lat: float
-    lon: float
-    count: int
-
-
-def load_population(source: str | Path) -> list[PopulationCell]:
+def load_population(source: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a population grid file: one ``lat,lon,count`` record per line.
 
     Blank lines and ``#`` comments (full-line or trailing) are ignored.
+    Returns the cells' latitudes, longitudes and counts (int64). A record
+    is rejected, naming its line, when its latitude is outside [-90, 90],
+    its longitude outside [-180, 180] (NaN is outside both), or its count
+    negative or taking the running total to 2**63.
     """
-    cells: list[PopulationCell] = []
-    text = Path(source).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    cells: list[tuple[float, float, int]] = []
+    total = 0
+    for lineno, raw in enumerate(Path(source).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -66,16 +62,21 @@ def load_population(source: str | Path) -> list[PopulationCell]:
         if len(parts) != 3:
             raise WorkloadError(f"{source}:{lineno}: expected lat,lon,count")
         try:
-            lat, lon = float(parts[0]), float(parts[1])
-            count = int(parts[2])
+            lat, lon, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise WorkloadError(f"{source}:{lineno}: unparsable record {line!r}") from None
+        if not (-90 <= lat <= 90 and -180 <= lon <= 180):
+            raise WorkloadError(f"{source}:{lineno}: coordinates out of range in {line!r}")
         if count < 0:
             raise WorkloadError(f"{source}:{lineno}: negative count")
-        cells.append(PopulationCell(lat, lon, count))
-    if not any(c.count > 0 for c in cells):
+        total += count
+        if total >= 1 << 63:
+            raise WorkloadError(f"{source}:{lineno}: population total reaches 2**63")
+        cells.append((lat, lon, count))
+    if not total:
         raise WorkloadError(f"{source}: population grid holds no people")
-    return cells
+    lat, lon, count = zip(*cells)
+    return np.array(lat), np.array(lon), np.array(count, dtype=np.int64)
 
 
 def great_circle_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -103,35 +104,36 @@ _DISTANCE_BLOCK = 1 << 14
 _RECHECK_RTOL = 1e-9
 
 
-def assign_population(graph, cells: list[PopulationCell]) -> np.ndarray:
+def assign_population(graph, cells: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Voronoi-assign each grid cell to its geodesically nearest node.
 
-    Ties go to the lowest node id. Returns per-node totals (int64 array);
-    total population is conserved exactly. Distances to every node are
-    taken in numpy, a block of cells at a time; when more than one node
+    ``cells`` are the ``(lat, lon, count)`` arrays ``load_population``
+    returns. Ties go to the lowest node id. Returns per-node totals (int64
+    array); total population is conserved exactly. Distances to every node
+    are taken in numpy, a block of cells at a time; when more than one node
     lies within ``_RECHECK_RTOL`` of a cell's minimum, the scalar
     ``great_circle_km`` decides among them, so the nearest node is exactly
     the one a scalar scan in node order finds.
     """
-    if not cells:
+    cell_lat, cell_lon, count = cells
+    if not len(count):
         raise WorkloadError("empty population grid")
     node_lat, node_lon = graph.lat, graph.lon
-    cell_lat = np.array([cell.lat for cell in cells])[:, None]
-    cell_lon = np.array([cell.lon for cell in cells])[:, None]
-    best = np.empty(len(cells), dtype=np.intp)
+    best = np.empty(len(count), dtype=np.intp)
     step = max(1, _DISTANCE_BLOCK // graph.n_nodes)
-    for lo in range(0, len(cells), step):
-        d = _great_circle_km(cell_lat[lo:lo + step], cell_lon[lo:lo + step], node_lat, node_lon)
+    for lo in range(0, len(count), step):
+        d = _great_circle_km(cell_lat[lo:lo + step, None], cell_lon[lo:lo + step, None],
+                             node_lat, node_lon)
         # fmin skips NaN distances, as the scalar scan's ``d < best_d`` does.
         near = d <= np.fmin.reduce(d, axis=1, keepdims=True) * (1 + _RECHECK_RTOL)
         best[lo:lo + step] = near.argmax(axis=1)
         for i in np.flatnonzero(near.sum(axis=1) > 1):
-            cell = cells[lo + i]
+            lat, lon = float(cell_lat[lo + i]), float(cell_lon[lo + i])
             ties = np.flatnonzero(near[i]).tolist()
-            exact = [great_circle_km(cell.lat, cell.lon, node_lat[v], node_lon[v]) for v in ties]
+            exact = [great_circle_km(lat, lon, node_lat[v], node_lon[v]) for v in ties]
             best[lo + i] = ties[exact.index(min(exact))]
     totals = np.zeros(graph.n_nodes, dtype=np.int64)
-    np.add.at(totals, best, np.array([cell.count for cell in cells], dtype=np.int64))
+    np.add.at(totals, best, count)
     return totals
 
 

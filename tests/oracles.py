@@ -34,7 +34,6 @@ import numpy as np
 from fogcast.errors import NoSubscriberError
 from fogcast.forwarding import BloomScheme, label_arc
 from fogcast.placement import Placement, pick_order, place_all
-from fogcast.service_router import SRProfile
 from fogcast.topology import HopRows, HopTable, NetworkGraph, _hop_table, _in_arcs
 from fogcast.workload import CHUNK_DURATION, ServiceCatalogue
 
@@ -239,7 +238,7 @@ class DeliveryPlan:
         return self.legs[0].dst
 
 
-def build_rendezvous(profiles: dict[int, SRProfile]) -> RendezvousTable:
+def build_rendezvous(fog: Iterable[int], cloud: Iterable[int]) -> RendezvousTable:
     """Subscribe every gateway's offerings.
 
     All gateways listen for ``DEFAULT_FQDN`` under the service scope; cloud
@@ -247,28 +246,29 @@ def build_rendezvous(profiles: dict[int, SRProfile]) -> RendezvousTable:
     micro-service scope so fog cache misses can be pulled from them.
     """
     table = RendezvousTable()
-    for profile in profiles.values():
-        table.subscribe(ScopedName(SCOPE_HTTP, DEFAULT_FQDN), profile.node_id)
-        if profile.role == "cloud":
-            table.subscribe(ScopedName(SCOPE_MICRO, DEFAULT_FQDN, _MICRO_PATTERN),
-                            profile.node_id)
+    for node in fog:
+        table.subscribe(ScopedName(SCOPE_HTTP, DEFAULT_FQDN), node)
+    for node in cloud:
+        table.subscribe(ScopedName(SCOPE_HTTP, DEFAULT_FQDN), node)
+        table.subscribe(ScopedName(SCOPE_MICRO, DEFAULT_FQDN, _MICRO_PATTERN), node)
     return table
 
 
-def resolve_request(client: int, item_id: int, profiles: dict[int, SRProfile],
+def resolve_request(client: int, item_id: int, cloud: Iterable[int], fog_items: int,
                     table: RendezvousTable, hops: HopTable,
                     catalogue: ServiceCatalogue) -> DeliveryPlan:
     """Resolve one request into its delivery legs.
 
     Leg 1 goes to the nearest FQDN subscriber. If that gateway lacks the
-    item, leg 2 publishes the concrete URL under the micro-service scope
-    and pulls it from the nearest covering cloud point.
+    item (it is no cloud point and the item ranks past ``fog_items``), leg
+    2 publishes the concrete URL under the micro-service scope and pulls it
+    from the nearest covering cloud point.
     """
     bitrate = float(catalogue.bitrates[item_id - 1])
     service_point = table.match(hops, ScopedName(SCOPE_HTTP, DEFAULT_FQDN), client)
     legs = [DeliveryLeg(client, service_point,
                         tuple(extract_path(hops, client, service_point)), bitrate)]
-    if item_id > profiles[service_point].top_items:
+    if item_id > fog_items and service_point not in cloud:
         origin = table.match(
             hops, ScopedName(SCOPE_MICRO, DEFAULT_FQDN, item_url(item_id)), service_point
         )
@@ -281,15 +281,23 @@ def resolve_request(client: int, item_id: int, profiles: dict[int, SRProfile],
 
 @dataclass(frozen=True)
 class DnsConfig:
+    """A baseline placement: fog points hold items ``1..fog_items``, cloud
+    points every item."""
+
     ldns: tuple[int, ...]
-    service_points: tuple[int, ...]
-    profiles: dict[int, SRProfile]
+    fog: tuple[int, ...]
+    cloud: tuple[int, ...]
+    fog_items: int
 
     def __post_init__(self) -> None:
         if not self.ldns:
             raise ValueError("baseline runs need at least one LDNS")
         if not self.service_points:
             raise ValueError("baseline runs need at least one service point")
+
+    @property
+    def service_points(self) -> tuple[int, ...]:
+        return tuple(sorted(set(self.fog) | set(self.cloud)))
 
 
 def _nearest(origin: int, nodes: Iterable[int], hops: HopTable) -> int:
@@ -324,11 +332,10 @@ def resolve_request_dns(client: int, item_id: int, config: DnsConfig,
     selected = dns_select(resolver, config.service_points, hops)
     legs = [DeliveryLeg(client, selected,
                         tuple(extract_path(hops, client, selected)), bitrate)]
-    if item_id > config.profiles[selected].top_items:
-        clouds = [p.node_id for p in config.profiles.values() if p.role == "cloud"]
-        if not clouds:
+    if item_id > config.fog_items and selected not in config.cloud:
+        if not config.cloud:
             raise ValueError("no cloud point to satisfy a cache miss")
-        origin = _nearest(selected, clouds, hops)
+        origin = _nearest(selected, config.cloud, hops)
         legs.append(DeliveryLeg(selected, origin,
                                 tuple(extract_path(hops, selected, origin)), bitrate))
     return DeliveryPlan(legs=tuple(legs), client_path_hops=legs[0].hops)

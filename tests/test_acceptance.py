@@ -24,7 +24,7 @@ from fogcast.experiment import (
     trial_seed,
 )
 from fogcast.forwarding import BloomScheme, fpr_theoretical, label_arc
-from fogcast.service_router import group_rate, make_profiles
+from fogcast.service_router import fog_cache_items, group_rate
 from fogcast.topology import HopRows, load_topology
 from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
 from oracles import (
@@ -176,16 +176,14 @@ def _matched_resolutions(fog_k: int, cloud_k: int, ldns_k: int, trial_index: int
     )
     catalogue = build_catalogue(1000, 0.8, (20e6, 40e6, 60e6), seed ^ _SALT_CATALOGUE)
     demand = draw_demand(populations, catalogue, TARGET, seed ^ _SALT_DEMAND)
-    profiles = make_profiles(placement.fog, placement.cloud, catalogue)
-    table = build_rendezvous(profiles)
-    config = DnsConfig(
-        ldns=placement.ldns,
-        service_points=tuple(sorted(set(placement.fog) | set(placement.cloud))),
-        profiles=profiles,
-    )
+    fog_items = fog_cache_items(0.1, catalogue.n)
+    table = build_rendezvous(placement.fog, placement.cloud)
+    config = DnsConfig(ldns=placement.ldns, fog=placement.fog, cloud=placement.cloud,
+                       fog_items=fog_items)
     pairs = []
     for (node, item) in demand.requests:
-        native = resolve_request(node, item, profiles, table, hops, catalogue)
+        native = resolve_request(node, item, placement.cloud, fog_items, table, hops,
+                                 catalogue)
         baseline = resolve_request_dns(node, item, config, hops,
                                        float(catalogue.bitrates[item - 1]))
         pairs.append((native.client_path_hops, baseline.client_path_hops))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from fogcast import cli, experiment
 from fogcast.cli import main
 from fogcast.experiment import GRID_KEYS, ScenarioConfig, load_grid
 from test_experiment import write_graphml
+from test_golden import GRIDS
 
 
 @pytest.fixture()
@@ -121,6 +123,8 @@ BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
     ("sweep", "load_fraction = 0.4", "unknown key 'load_fraction'"),
     ("sweep", "fog = 2\ncloud = 2\nfog = 4", "grid.cfg:7: key 'fog' repeated (first on line 5)"),
     ("sweep", "fog = 2,-1", "fog_k -1 must be >= 0"),
+    ("sweep", "fog = 2,2", "fog 2 repeated"),
+    ("run", "--placement=pop,pop", "placement pop repeated"),
     ("run", "--cloud=-2", "cloud_k -2 must be >= 0"),
     ("run", "--scheme=bloom", "bloom forwarding needs a nonzero catchment interval"),
     ("run", "--scheme=bloom --catchment=0",
@@ -132,6 +136,13 @@ BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
     ("sweep", "target_bitrate = 1", "config icn,2,2,0,pop: no trial drew a request"),
     ("run", "--topology={tmp}/bad.graphml", "bad.graphml: malformed GraphML document"),
     ("run", "--population={tmp}/bad.txt", "bad.txt:2: expected lat,lon,count"),
+    ("run", "--population={tmp}/nan.txt", "nan.txt:1: coordinates out of range in 'nan,nan,500'"),
+    ("run", "--population={tmp}/north.txt",
+     "north.txt:2: coordinates out of range in '95.0,8.6,1000'"),
+    ("run", "--population={tmp}/huge.txt", "huge.txt:1: population total reaches 2**63"),
+    ("run", "--population={tmp}/wrap.txt", "wrap.txt:2: population total reaches 2**63"),
+    ("run", "--topology={tmp}/nan.graphml",
+     "nan.graphml: node '1' ('b') lacks usable coordinates"),
     ("sweep", "topology = no,such.graphml", "No such file or directory: 'no,such.graphml'"),
     ("run", "--topology={tmp}/nokeys.graphml",
      "nokeys.graphml: document declares no Latitude/Longitude node keys"),
@@ -180,7 +191,13 @@ def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_
         "</graphml>")
     write_graphml(tmp_path / "split.graphml",
                   [("a", 50.0, 0.0), ("b", 50.0, 1.0), ("c", 50.0, 2.0)], [(0, 1)])
-    (tmp_path / "bad.txt").write_text("50.0,0.0,60\n50.0,1.0\n")
+    write_graphml(tmp_path / "nan.graphml",
+                  [("a", 50.0, 0.0), ("b", math.nan, 1.0), ("c", 50.0, 2.0)], [(0, 1), (1, 2)])
+    for name, records in {"bad.txt": "50.0,0.0,60\n50.0,1.0\n", "nan.txt": "nan,nan,500\n",
+                          "north.txt": "50.0,0.0,60\n95.0,8.6,1000\n",
+                          "huge.txt": f"50.0,0.0,{10**20}\n",
+                          "wrap.txt": f"50.0,0.0,{5 * 10**18}\n50.0,1.0,{5 * 10**18}\n"}.items():
+        (tmp_path / name).write_text(records)
     (tmp_path / "bad.csv").write_text(setting)
     if command == "sweep":
         # The setting's own keys replace these defaults: a grid key may appear once.
@@ -408,7 +425,9 @@ def test_missing_file_is_one_error_line(command, tiny_inputs, tmp_path, capsys):
     "arch = icn\nfog = 2,4\ncloud = 2,4\ncatchment = 0.1,1,10\nscheme = bloom\ntrials = 20\n"
     "seed = 3\n",
     "arch = dns\nfog = 2,4,8\ncloud = 2,4\nldns = 2\ntrials = 20\nseed = 1\n",
-], ids=["icn", "icn_bloom", "dns"])
+    GRIDS["ci_bloom"],
+    GRIDS["ci_dns"],
+], ids=["icn", "icn_bloom", "dns", "ci_bloom", "ci_dns"])
 def test_summarize_equals_summary_csv(grid, tmp_path, capsys):
     (tmp_path / "grid.cfg").write_text(grid)
     out = tmp_path / "out"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bfs_distances
-from fogcast.service_router import make_profiles
+from fogcast.service_router import fog_cache_items
 from fogcast.workload import build_catalogue
 from oracles import (
     DnsConfig,
@@ -20,6 +20,9 @@ from oracles import (
 @pytest.fixture()
 def catalogue():
     return build_catalogue(100, 0.8, (20e6,), seed=1)
+
+
+FOG_ITEMS = fog_cache_items(0.1, 100)
 
 
 def test_client_hosting_an_ldns_resolves_locally(chain4):
@@ -53,10 +56,9 @@ def test_selection_is_nearest_to_the_resolver_not_the_client(chain4):
 
 def test_colocated_resolver_selects_like_the_native_match(chain4, catalogue):
     hops = all_pairs(chain4)
-    profiles = make_profiles([1], [3], catalogue)
-    table = build_rendezvous(profiles)
+    table = build_rendezvous([1], [3])
     for client in range(4):
-        native = resolve_request(client, 1, profiles, table, hops, catalogue)
+        native = resolve_request(client, 1, [3], FOG_ITEMS, table, hops, catalogue)
         selected = dns_select(client, (1, 3), hops)
         assert selected == native.service_point
 
@@ -73,8 +75,7 @@ def test_dns_select_matches_brute_force(geant, geant_hops):
 
 def test_cached_item_needs_one_leg(chain4, catalogue):
     hops = all_pairs(chain4)
-    profiles = make_profiles([1], [3], catalogue)
-    config = DnsConfig(ldns=(0,), service_points=(1, 3), profiles=profiles)
+    config = DnsConfig(ldns=(0,), fog=(1,), cloud=(3,), fog_items=FOG_ITEMS)
     plan = resolve_request_dns(0, 1, config, hops, float(catalogue.bitrates[0]))
     assert len(plan.legs) == 1
     assert plan.client_path_hops == 1
@@ -82,8 +83,7 @@ def test_cached_item_needs_one_leg(chain4, catalogue):
 
 def test_uncached_item_pulls_from_the_nearest_cloud(chain4, catalogue):
     hops = all_pairs(chain4)
-    profiles = make_profiles([1], [3], catalogue)
-    config = DnsConfig(ldns=(0,), service_points=(1, 3), profiles=profiles)
+    config = DnsConfig(ldns=(0,), fog=(1,), cloud=(3,), fog_items=FOG_ITEMS)
     plan = resolve_request_dns(0, 99, config, hops, float(catalogue.bitrates[98]))
     assert [(leg.src, leg.dst) for leg in plan.legs] == [(0, 1), (1, 3)]
     assert plan.client_path_hops == 1
@@ -91,18 +91,16 @@ def test_uncached_item_pulls_from_the_nearest_cloud(chain4, catalogue):
 
 def test_missing_cloud_is_a_configuration_error(chain4, catalogue):
     hops = all_pairs(chain4)
-    profiles = make_profiles([1, 3], [], catalogue)
-    config = DnsConfig(ldns=(0,), service_points=(1, 3), profiles=profiles)
+    config = DnsConfig(ldns=(0,), fog=(1, 3), cloud=(), fog_items=FOG_ITEMS)
     with pytest.raises(ValueError):
         resolve_request_dns(0, 99, config, hops, float(catalogue.bitrates[98]))
 
 
-def test_config_validation(catalogue):
-    profiles = make_profiles([1], [3], catalogue)
+def test_config_validation():
     with pytest.raises(ValueError):
-        DnsConfig(ldns=(), service_points=(1,), profiles=profiles)
+        DnsConfig(ldns=(), fog=(1,), cloud=(3,), fog_items=FOG_ITEMS)
     with pytest.raises(ValueError):
-        DnsConfig(ldns=(0,), service_points=(), profiles=profiles)
+        DnsConfig(ldns=(0,), fog=(), cloud=(), fog_items=FOG_ITEMS)
 
 
 def test_baseline_paths_dominate_native_paths(geant, geant_hops, catalogue):
@@ -111,16 +109,11 @@ def test_baseline_paths_dominate_native_paths(geant, geant_hops, catalogue):
         fog = [int(x) for x in rng.choice(geant.n_nodes, size=3, replace=False)]
         cloud = [int(x) for x in rng.choice(geant.n_nodes, size=2, replace=False)]
         ldns = tuple(int(x) for x in rng.choice(geant.n_nodes, size=2, replace=False))
-        profiles = make_profiles(fog, cloud, catalogue)
-        table = build_rendezvous(profiles)
-        config = DnsConfig(
-            ldns=ldns,
-            service_points=tuple(sorted(set(fog) | set(cloud))),
-            profiles=profiles,
-        )
+        table = build_rendezvous(fog, cloud)
+        config = DnsConfig(ldns=ldns, fog=tuple(fog), cloud=tuple(cloud), fog_items=FOG_ITEMS)
         for client in range(geant.n_nodes):
             for item in (1, 99):
-                native = resolve_request(client, item, profiles, table,
+                native = resolve_request(client, item, cloud, FOG_ITEMS, table,
                                          geant_hops, catalogue)
                 baseline = resolve_request_dns(client, item, config, geant_hops,
                                                float(catalogue.bitrates[item - 1]))

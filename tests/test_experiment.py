@@ -33,7 +33,7 @@ from conftest import random_connected_graph, write_synthetic
 from fogcast import experiment, forwarding, topology
 from fogcast.errors import NoSubscriberError
 from fogcast.forwarding import BloomScheme
-from fogcast.service_router import make_profiles, resolve_nodes
+from fogcast.service_router import fog_cache_items, resolve_nodes
 from fogcast.topology import NO_ROW, HopRows, load_topology
 from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
 from oracles import (
@@ -211,13 +211,14 @@ def test_trial_loads_match_manual_flow_enumeration(chain_setup):
         )
         catalogue = build_catalogue(30, 0.8, (20e6,), seed ^ _SALT_CATALOGUE)
         demand = draw_demand(populations, catalogue, 1e9, seed ^ _SALT_DEMAND)
-        profiles = make_profiles(placement.fog, placement.cloud, catalogue)
-        table = build_rendezvous(profiles)
+        fog_items = fog_cache_items(0.1, catalogue.n)
+        table = build_rendezvous(placement.fog, placement.cloud)
 
         expected = np.zeros(graph.n_arcs)
         expected_samples = []
         for (node, item), count in demand.requests.items():
-            plan = resolve_request(node, item, profiles, table, hops, catalogue)
+            plan = resolve_request(node, item, placement.cloud, fog_items, table, hops,
+                                   catalogue)
             expected_samples.extend([plan.client_path_hops] * count)
             point = plan.service_point
             flows = [(point, node)] + [(leg.dst, point) for leg in plan.legs[1:]]
@@ -251,18 +252,19 @@ def test_per_node_kernel_matches_scalar_resolvers():
     catalogue = build_catalogue(20, 0.8, (20e6,), seed=3)
     ties = 0
     for hops, fog, cloud, ldns, nodes, items in _resolution_cases():
-        profiles = make_profiles(fog, cloud, catalogue, fog_cache_fraction=0.25)
-        table = build_rendezvous(profiles)
-        dns_config = DnsConfig(ldns=tuple(ldns), profiles=profiles,
-                               service_points=tuple(sorted(set(fog) | set(cloud))))
+        fog_items = fog_cache_items(0.25, catalogue.n)
+        table = build_rendezvous(fog, cloud)
+        dns_config = DnsConfig(ldns=tuple(ldns), fog=tuple(fog), cloud=tuple(cloud),
+                               fog_items=fog_items)
         clients, client_of = np.unique(nodes, return_inverse=True)
         kernels = {
-            "icn": resolve_nodes(hops, clients, client_of, items, profiles),
-            "dns": resolve_nodes(hops, clients, client_of, items, profiles, tuple(ldns)),
+            "icn": resolve_nodes(hops, clients, client_of, items, fog, cloud, fog_items),
+            "dns": resolve_nodes(hops, clients, client_of, items, fog, cloud, fog_items,
+                                 tuple(ldns)),
         }
         for i, (node, item) in enumerate(zip(nodes.tolist(), items.tolist())):
             plans = {
-                "icn": resolve_request(node, item, profiles, table, hops, catalogue),
+                "icn": resolve_request(node, item, cloud, fog_items, table, hops, catalogue),
                 "dns": resolve_request_dns(node, item, dns_config, hops, 20e6),
             }
             for arch, plan in plans.items():
@@ -271,7 +273,7 @@ def test_per_node_kernel_matches_scalar_resolvers():
                 assert origin[i] == (plan.legs[1].dst if len(plan.legs) > 1 else -1)
                 assert hops.dist[node, point[client_of[i]]] == plan.client_path_hops
             ties += sum(hops.dist[node, p] == hops.dist[node, plans["icn"].service_point]
-                        for p in profiles) > 1
+                        for p in set(fog) | set(cloud)) > 1
     assert ties > 0
 
     # Trials route through the per-node kernel alone: no fogcast module
@@ -371,11 +373,11 @@ def test_catchment_loads_equal_per_group_reference(backbone, count_fallback,
                                         seed ^ _SALT_CATALOGUE)
             demand = draw_demand(populations, catalogue, config.target_bitrate,
                                  seed ^ _SALT_DEMAND)
-            profiles = make_profiles(placement.fog, placement.cloud, catalogue,
-                                     fog_cache_fraction)
-            table = build_rendezvous(profiles)
+            fog_items = fog_cache_items(fog_cache_fraction, catalogue.n)
+            table = build_rendezvous(placement.fog, placement.cloud)
             requests = [(node, item, count,
-                         resolve_request(node, item, profiles, table, hops, catalogue))
+                         resolve_request(node, item, placement.cloud, fog_items, table, hops,
+                                         catalogue))
                         for (node, item), count in demand.requests.items()]
             pulls += sum(len(plan.legs) > 1 for *_, plan in requests)
             want = oracles.catchment_loads(hops, requests, catalogue.bitrates, intervals,

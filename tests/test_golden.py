@@ -1,8 +1,11 @@
 """Seeded outputs pinned across changes.
 
-Five grids on the bundled backbone, and three on the 2,000-node synthetic
-backbone of seed 1 (``conftest.write_synthetic``), are re-run and compared
-with the CSVs committed under ``tests/data/golden/<grid>/``. ``grid_icn``
+Nine grids on the bundled backbone, six on the 2,000-node synthetic
+backbone of seed 1 (``conftest.write_synthetic``) and one on its 10,000-node
+sibling are re-run and compared with the CSVs committed under
+``tests/data/golden/<grid>/``. The ``ci_*`` grids add Bloom, resolver and
+closeness runs on the bundled backbone and on both synthetic ones, and a
+steep Zipf law over 70,000 items (``ci_steep``). ``grid_icn``
 has the shape of the benchmark's workload of that name (the paper's fog x
 cloud sweep with catchment intervals), and ``square`` is the same sweep
 with fallback pulls counted. On
@@ -52,10 +55,28 @@ GRIDS = {
     "scale_2k": "arch = icn\nfog = 8\ncloud = 8\ncatchment = 0.1,1,10\ntrials = 6\nseed = 3\n",
     "dns_pop_2k": "arch = dns\nfog = 4,8\ncloud = 2,8\nldns = 2,4\nplacement = pop\n"
                   "trials = 2\nseed = 4\n",
+    "ci_bloom": "arch = icn\nfog = 2,4\ncloud = 2\ncatchment = 0.1,1\nscheme = bloom\n"
+                "trials = 3\nseed = 3\n",
+    "ci_dns": "arch = dns\nfog = 2,4\ncloud = 1,2\nldns = 1,3\nplacement = cls\ntrials = 3\n"
+              "seed = 5\n",
+    "ci_steep": "arch = dns\nfog = 2,4\ncloud = 2,4\nldns = 2\nplacement = cls\nitems = 70000\n"
+                "alpha = 1.5\ntrials = 3\nseed = 9\n",
+    "ci_dns_modes": "arch = dns\nfog = 2,4\ncloud = 2,4\nldns = 2\nplacement = pop,cls\n"
+                    "trials = 3\nseed = 7\n",
+    "ci_scale": "arch = icn\nfog = 4,8\ncloud = 4\nplacement = pop,cls\ncatchment = 0.1,1\n"
+                "trials = 2\nseed = 5\n",
+    "ci_scale_bloom": "arch = icn\nscheme = bloom\nfog = 4,8\ncloud = 4\ncatchment = 0.1,1\n"
+                      "trials = 2\nseed = 5\n",
+    "ci_scale_dns": "arch = dns\nfog = 4,8\ncloud = 4\nldns = 2,4\nplacement = cls\n"
+                    "trials = 2\n",
+    "ci_big": "arch = icn\nfog = 4,8\ncloud = 4\ncatchment = 0.1,1\ntrials = 2\nseed = 5\n",
 }
 
-# Grids run on the 2,000-node synthetic backbone rather than the bundled one.
-SYNTHETIC = {"bloom_2k", "scale_2k", "dns_pop_2k"}
+# Grids run on a synthetic backbone of seed 1 rather than the bundled one,
+# with its node and chord counts.
+SYNTHETIC = {name: (2000, 400) for name in ("bloom_2k", "scale_2k", "dns_pop_2k", "ci_scale",
+                                            "ci_scale_bloom", "ci_scale_dns")}
+SYNTHETIC["ci_big"] = (10000, 2000)
 
 # Per file: how many trailing columns hold backhaul values.
 FLOAT_COLUMNS = {"backhaul.csv": 1, "summary.csv": 2, "pathlen.csv": 0}
@@ -67,7 +88,7 @@ def sweep(name: str, out: Path, jobs: int = 1, inputs: Path | None = None) -> No
     out.mkdir(parents=True, exist_ok=True)
     grid = GRIDS[name]
     if name in SYNTHETIC:
-        topology, population = write_synthetic(inputs or out, 1)
+        topology, population = write_synthetic(inputs or out, 1, *SYNTHETIC[name])
         grid += f"topology = {topology}\npopulation = {population}\n"
     (out / "grid.cfg").write_text(grid)
     run_sweep(load_grid(out / "grid.cfg"), out_dir=out, jobs=jobs)

@@ -7,9 +7,11 @@ import pytest
 
 from conftest import count_windows, simulated_group_rate
 from fogcast.errors import NoSubscriberError
-from fogcast.service_router import group_rate, make_profiles
+from fogcast.service_router import fog_cache_items, group_rate, resolve_nodes
 from fogcast.workload import build_catalogue
 from oracles import all_pairs, build_rendezvous, item_url, resolve_request
+
+FOG_ITEMS = fog_cache_items(0.1, 100)
 
 
 @pytest.fixture()
@@ -17,23 +19,34 @@ def catalogue():
     return build_catalogue(100, 0.8, (20e6,), seed=1)
 
 
-def test_profiles_cache_model(catalogue):
-    profiles = make_profiles([1, 2], [3], catalogue, fog_cache_fraction=0.1)
-    assert profiles[3].top_items == 100
-    assert profiles[1].top_items == 10
-    assert profiles[1].role == "fog" and profiles[3].role == "cloud"
+def test_profiles_cache_model(chain4):
+    assert fog_cache_items(0.1, 100) == 10
+    assert fog_cache_items(0.001, 100) == 1  # at least one item
+    assert fog_cache_items(1.0, 100) == 100
+    # Clients 0 and 2 are served by fog points 1 and 2, client 3 by cloud
+    # point 3: a fog point holds items 1..10, a cloud point every item.
+    clients, client_of = np.array([0, 2, 3]), np.repeat(np.arange(3), 2)
+    items = np.array([10, 11, 10, 11, 11, 100])
+    point, origin = resolve_nodes(all_pairs(chain4), clients, client_of, items,
+                                  (1, 2), (3,), fog_cache_items(0.1, 100))
+    assert point.tolist() == [1, 2, 3]
+    assert origin.tolist() == [-1, 3, -1, 3, -1, -1]
 
 
-def test_colocated_node_keeps_the_cloud_profile(catalogue):
-    profiles = make_profiles([2], [2], catalogue)
-    assert profiles[2].role == "cloud"
+def test_colocated_node_keeps_the_cloud_profile(chain4):
+    # Node 2 is fog and cloud: it serves every item, and node 1 pulls misses from it.
+    clients, client_of = np.array([1, 2]), np.repeat(np.arange(2), 2)
+    items = np.array([1, 50, 1, 50])
+    point, origin = resolve_nodes(all_pairs(chain4), clients, client_of, items,
+                                  (1, 2), (2,), 1)
+    assert point.tolist() == [1, 2]
+    assert origin.tolist() == [-1, 2, -1, -1]
 
 
 def test_item_cached_at_nearest_fog_needs_one_leg(chain4, catalogue):
     hops = all_pairs(chain4)
-    profiles = make_profiles([1], [3], catalogue)
-    table = build_rendezvous(profiles)
-    plan = resolve_request(0, 5, profiles, table, hops, catalogue)
+    table = build_rendezvous([1], [3])
+    plan = resolve_request(0, 5, [3], FOG_ITEMS, table, hops, catalogue)
     assert len(plan.legs) == 1
     assert plan.legs[0].src == 0 and plan.legs[0].dst == 1
     assert plan.client_path_hops == 1
@@ -41,9 +54,8 @@ def test_item_cached_at_nearest_fog_needs_one_leg(chain4, catalogue):
 
 def test_uncached_item_adds_the_micro_service_leg(chain4, catalogue):
     hops = all_pairs(chain4)
-    profiles = make_profiles([1], [3], catalogue)
-    table = build_rendezvous(profiles)
-    plan = resolve_request(0, 99, profiles, table, hops, catalogue)
+    table = build_rendezvous([1], [3])
+    plan = resolve_request(0, 99, [3], FOG_ITEMS, table, hops, catalogue)
     # request to the fog gateway, then the bundle pull from the cloud
     assert len(plan.legs) == 2
     assert (plan.legs[0].src, plan.legs[0].dst) == (0, 1)
@@ -53,19 +65,17 @@ def test_uncached_item_adds_the_micro_service_leg(chain4, catalogue):
 
 def test_client_colocated_with_cloud_is_served_locally(chain4, catalogue):
     hops = all_pairs(chain4)
-    profiles = make_profiles([1], [3], catalogue)
-    table = build_rendezvous(profiles)
-    plan = resolve_request(3, 99, profiles, table, hops, catalogue)
+    table = build_rendezvous([1], [3])
+    plan = resolve_request(3, 99, [3], FOG_ITEMS, table, hops, catalogue)
     assert plan.client_path_hops == 0
     assert len(plan.legs) == 1
 
 
 def test_unserviceable_item_without_cloud_coverage(chain4, catalogue):
     hops = all_pairs(chain4)
-    profiles = make_profiles([1], [], catalogue)  # no cloud anywhere
-    table = build_rendezvous(profiles)
+    table = build_rendezvous([1], [])  # no cloud anywhere
     with pytest.raises(NoSubscriberError):
-        resolve_request(0, 99, profiles, table, hops, catalogue)
+        resolve_request(0, 99, [], FOG_ITEMS, table, hops, catalogue)
 
 
 def test_item_urls_are_concrete():

@@ -16,6 +16,7 @@ from fogcast.topology import (
     build_graph,
     canonical_paths,
     closeness,
+    gather,
     load_topology,
     nearest,
 )
@@ -198,6 +199,23 @@ def test_canonical_paths_equal_extract_path_for_all_pairs(geant, geant_hops):
         indptr, arcs = canonical_paths(hops, roots, leaves)
         for flow, (root, leaf) in enumerate(zip(roots.tolist(), leaves.tolist())):
             assert arcs[indptr[flow]:indptr[flow + 1]].tolist() == extract_path(hops, root, leaf)
+
+
+def test_gather_equals_a_loop_over_rows():
+    rng = np.random.default_rng(23)
+    cases = [(np.array([0, 0, 0]), np.array([], dtype=int))]
+    for _ in range(30):
+        # Rows of 0-4 entries, some empty; rows asked for repeatedly or not at all.
+        indptr = np.concatenate([[0], np.cumsum(rng.integers(0, 5, size=int(rng.integers(1, 8))))])
+        cases.append((indptr, rng.integers(0, len(indptr) - 1, size=int(rng.integers(0, 12)))))
+    for indptr, rows in cases:
+        values = rng.integers(0, 1000, size=indptr[-1])
+        owner, entries = gather(indptr, values, rows)
+        want = [(i, value) for i, row in enumerate(rows.tolist())
+                for value in values[indptr[row]:indptr[row + 1]].tolist()]
+        assert list(zip(owner.tolist(), entries.tolist())) == want
+    assert any(len(rows) > len(set(rows.tolist())) for _, rows in cases)
+    assert any((np.diff(indptr)[rows] == 0).any() for indptr, rows in cases)
 
 
 def test_nearest_matches_brute_force_with_lowest_id_ties():

@@ -9,7 +9,6 @@ import pytest
 from fogcast.topology import build_graph
 from fogcast.workload import (
     _GUIDE_BUCKETS,
-    PopulationCell,
     WorkloadError,
     _great_circle_km,
     _guide_search,
@@ -32,14 +31,28 @@ def haversine_oracle(lat1, lon1, lat2, lon2):
 
 # --- population grid -------------------------------------------------------
 
+def cells_of(*records):
+    """The ``(lat, lon, count)`` arrays ``load_population`` returns for ``records``."""
+    lat, lon, count = zip(*records)
+    return np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64), np.array(
+        count, dtype=np.int64)
+
+
 def test_load_population_parses_records_and_comments(tmp_path):
     f = tmp_path / "pop.txt"
     f.write_text("# header\n51.5,-0.1,1000  # city\n\n48.8,2.3,500\n")
-    cells = load_population(f)
-    assert cells == [PopulationCell(51.5, -0.1, 1000), PopulationCell(48.8, 2.3, 500)]
+    lat, lon, count = load_population(f)
+    assert (lat.tolist(), lon.tolist(), count.tolist()) == ([51.5, 48.8], [-0.1, 2.3], [1000, 500])
+    assert (lat.dtype, lon.dtype, count.dtype) == (np.float64, np.float64, np.int64)
+    # Coordinates on the edge of their ranges, and a total just below 2**63.
+    f.write_text(f"-90,-180,{2**62}\n90,180,{2**62 - 1}\n")
+    assert load_population(f)[2].sum() == 2**63 - 1
 
 
-@pytest.mark.parametrize("body", ["51.5,-0.1", "x,y,z", "1,2,-5", "1,2,0\n4,5,0"])
+@pytest.mark.parametrize("body", [
+    "51.5,-0.1", "x,y,z", "1,2,-5", "1,2,0\n4,5,0", "nan,nan,500", "95.0,8.6,1000", "1,-180.5,5",
+    "1,2,100000000000000000000", "1,2,5000000000000000000\n3,4,5000000000000000000",
+])
 def test_load_population_rejects_bad_files(tmp_path, body):
     f = tmp_path / "pop.txt"
     f.write_text(body + "\n")
@@ -48,7 +61,7 @@ def test_load_population_rejects_bad_files(tmp_path, body):
 
 
 def test_single_cell_goes_to_nearest_node(star4):
-    totals = assign_population(star4, [PopulationCell(1.01, 0.0, 500)])
+    totals = assign_population(star4, cells_of((1.01, 0.0, 500)))
     assert totals[1] == 500
     assert totals.sum() == 500
 
@@ -58,13 +71,13 @@ def test_equidistant_cell_ties_to_lowest_node_id():
         [("a", 0.0, -1.0), ("b", 0.0, 1.0)],
         [(0, 1)],
     )
-    totals = assign_population(g, [PopulationCell(0.0, 0.0, 7)])
+    totals = assign_population(g, cells_of((0.0, 0.0, 7)))
     assert totals[0] == 7 and totals[1] == 0
 
 
 def test_empty_grid_rejected(star4):
     with pytest.raises(WorkloadError):
-        assign_population(star4, [])
+        assign_population(star4, (np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64)))
 
 
 def test_geant_assignment_matches_linear_scan_oracle(geant, geant_population):
@@ -73,22 +86,21 @@ def test_geant_assignment_matches_linear_scan_oracle(geant, geant_population):
     cells = load_population(bundled_population())
     expected = np.zeros(geant.n_nodes, dtype=np.int64)
     lat, lon = geant.lat.tolist(), geant.lon.tolist()
-    for cell in cells:
+    for cell_lat, cell_lon, count in zip(*(column.tolist() for column in cells)):
         best = min(
             range(geant.n_nodes),
-            key=lambda i: (haversine_oracle(cell.lat, cell.lon,
-                                            lat[i], lon[i]), i),
+            key=lambda i: (haversine_oracle(cell_lat, cell_lon, lat[i], lon[i]), i),
         )
-        expected[best] += cell.count
+        expected[best] += count
     assert (geant_population == expected).all()
-    assert geant_population.sum() == sum(c.count for c in cells)
+    assert geant_population.sum() == cells[2].sum()
 
 
-def scan_nearest(graph, cell):
+def scan_nearest(graph, cell_lat, cell_lon):
     """The scalar linear scan: first strict minimum of great_circle_km in node order."""
     best, best_d = 0, math.inf
     for node, (lat, lon) in enumerate(zip(graph.lat.tolist(), graph.lon.tolist())):
-        d = great_circle_km(cell.lat, cell.lon, lat, lon)
+        d = great_circle_km(cell_lat, cell_lon, lat, lon)
         if d < best_d:
             best, best_d = node, d
     return best
@@ -96,8 +108,8 @@ def scan_nearest(graph, cell):
 
 def scan_totals(graph, cells):
     totals = np.zeros(graph.n_nodes, dtype=np.int64)
-    for cell in cells:
-        totals[scan_nearest(graph, cell)] += cell.count
+    for lat, lon, count in zip(*(column.tolist() for column in cells)):
+        totals[scan_nearest(graph, lat, lon)] += count
     return totals
 
 
@@ -114,13 +126,12 @@ def test_assignment_equals_scalar_scan_on_bundled_and_random_grids(geant):
     rng = np.random.default_rng(31)
     graph = _chain(list(zip(rng.uniform(-90, 90, 2000).tolist(),
                             rng.uniform(-180, 180, 2000).tolist())))
-    cells = [PopulationCell(lat, lon, count) for lat, lon, count in zip(
-        rng.uniform(-90, 90, 300).tolist(), rng.uniform(-180, 180, 300).tolist(),
-        rng.integers(1, 10**6, 300).tolist())]
+    cells = (rng.uniform(-90, 90, 300), rng.uniform(-180, 180, 300),
+             rng.integers(1, 10**6, 300, dtype=np.int64))
     totals = assign_population(graph, cells)
     assert totals.dtype == np.int64
     assert (totals == scan_totals(graph, cells)).all()
-    assert totals.sum() == sum(cell.count for cell in cells)
+    assert totals.sum() == cells[2].sum()
 
 
 def test_equidistant_and_ulp_close_nodes_resolve_as_the_scalar_scan():
@@ -143,20 +154,18 @@ def test_equidistant_and_ulp_close_nodes_resolve_as_the_scalar_scan():
             kinds["ulp"].append(i)
     assert all(kinds.values())
     for i in kinds["flip"] + kinds["tie"][:40] + kinds["ulp"][:40]:
-        cell = PopulationCell(float(lat[i]), float(lon[i]), 1)
         for pair in ((lon[i] - dx[i], lon[i] + dx[i]), (lon[i] + dx[i], lon[i] - dx[i])):
             graph = _chain([(lat[i], pair[0]), (lat[i], pair[1])])
-            totals = assign_population(graph, [cell])
-            assert totals[scan_nearest(graph, cell)] == 1
+            totals = assign_population(graph, cells_of((lat[i], lon[i], 1)))
+            assert totals[scan_nearest(graph, float(lat[i]), float(lon[i]))] == 1
     # A node without usable coordinates (NaN) is skipped, as by the scan.
     graph = _chain([(math.nan, 0.0), (5.0, 5.0), (1.0, 1.0)])
-    cell = PopulationCell(0.0, 0.0, 2)
-    assert scan_nearest(graph, cell) == 2
-    assert assign_population(graph, [cell]).tolist() == [0, 0, 2]
+    assert scan_nearest(graph, 0.0, 0.0) == 2
+    assert assign_population(graph, cells_of((0.0, 0.0, 2))).tolist() == [0, 0, 2]
     # Exact ties among three or more nodes go to the lowest id.
     graph = _chain([(10.0, 5.0), (0.0, 1.0), (0.0, -1.0), (10.0, 5.0), (1.0, 0.0)])
-    assert assign_population(graph, [PopulationCell(0.0, 0.0, 3)]).tolist() == [0, 3, 0, 0, 0]
-    assert assign_population(graph, [PopulationCell(10.0, 5.0, 3)]).tolist() == [3, 0, 0, 0, 0]
+    assert assign_population(graph, cells_of((0.0, 0.0, 3))).tolist() == [0, 3, 0, 0, 0]
+    assert assign_population(graph, cells_of((10.0, 5.0, 3))).tolist() == [3, 0, 0, 0, 0]
 
 
 # --- catalogue -------------------------------------------------------------
