@@ -213,14 +213,13 @@ def _guide_search(cdf: np.ndarray, guide: np.ndarray, draws: np.ndarray) -> np.n
 class DemandMatrix:
     """Per-node, per-item request counts for one epoch.
 
-    Request ``i`` is ``counts[i]`` active users at node ``nodes[i]`` asking
-    for item ``items[i]`` of the catalogue, ordered by node, then item; each
-    user consumes one chunk per epoch second. Request ``i`` comes from client
-    ``client_of[i]`` of ``clients``, the nodes with a request, ascending.
-    The arrays are read-only.
+    Request ``i`` is ``counts[i]`` active users at node
+    ``clients[client_of[i]]`` asking for item ``items[i]`` of the catalogue,
+    ordered by node, then item; each user consumes one chunk per epoch
+    second. ``clients`` are the nodes with a request, ascending. The arrays
+    are read-only.
     """
 
-    nodes: np.ndarray
     items: np.ndarray
     counts: np.ndarray
     clients: np.ndarray
@@ -229,8 +228,8 @@ class DemandMatrix:
     @property
     def requests(self) -> MappingProxyType:
         """Read-only ``(node_id, item_id) -> count`` view of the arrays."""
-        return MappingProxyType(dict(zip(zip(self.nodes.tolist(), self.items.tolist()),
-                                         self.counts.tolist())))
+        nodes = self.clients[self.client_of].tolist()
+        return MappingProxyType(dict(zip(zip(nodes, self.items.tolist()), self.counts.tolist())))
 
     @property
     def total_requests(self) -> int:
@@ -265,6 +264,6 @@ def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
     items = index + 1
     new_client = np.diff(nodes, prepend=-1) != 0
     clients, client_of = nodes[new_client], np.cumsum(new_client) - 1
-    for array in (nodes, items, counts, clients, client_of):
+    for array in (items, counts, clients, client_of):
         array.setflags(write=False)
-    return DemandMatrix(nodes, items, counts, clients, client_of)
+    return DemandMatrix(items, counts, clients, client_of)

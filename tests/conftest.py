@@ -94,6 +94,26 @@ def write_synthetic(out_dir: Path, seed: int, n_nodes: int = 2000,
     return str(topology), str(population)
 
 
+GRAPHML_HEADER = (
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+    '<key attr.name="Latitude" attr.type="double" for="node" id="d0" />'
+    '<key attr.name="Longitude" attr.type="double" for="node" id="d1" />'
+    '<key attr.name="label" attr.type="string" for="node" id="d2" />'
+    '<graph edgedefault="undirected">'
+)
+
+
+def write_graphml(path, coords, edges):
+    """Write a GraphML backbone: node i is ``coords[i]`` as (label, lat, lon)."""
+    nodes = "".join(
+        f'<node id="{i}"><data key="d0">{lat}</data><data key="d1">{lon}</data>'
+        f"<data key=\"d2\">{label}</data></node>"
+        for i, (label, lat, lon) in enumerate(coords)
+    )
+    arcs = "".join(f'<edge source="{u}" target="{v}" />' for u, v in edges)
+    path.write_text(GRAPHML_HEADER + nodes + arcs + "</graph></graphml>")
+
+
 @pytest.fixture(scope="session")
 def geant():
     return load_topology(bundled_topology())
@@ -112,6 +132,20 @@ def geant_rows(geant):
 @pytest.fixture(scope="session")
 def geant_population(geant):
     return assign_population(geant, load_population(bundled_population()))
+
+
+@pytest.fixture()
+def chain_setup(tmp_path):
+    """Topology and population files of a populated four-node chain a-b-c-d."""
+    top = tmp_path / "chain.graphml"
+    write_graphml(
+        top,
+        [("a", 50.0, 0.0), ("b", 50.0, 1.0), ("c", 50.0, 2.0), ("d", 50.0, 3.0)],
+        [(0, 1), (1, 2), (2, 3)],
+    )
+    pop = tmp_path / "chain.txt"
+    pop.write_text("50.0,0.0,40\n50.0,1.0,30\n50.0,2.0,20\n50.0,3.0,10\n")
+    return str(top), str(pop)
 
 
 @pytest.fixture()

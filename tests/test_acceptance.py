@@ -3,42 +3,47 @@
 Headline backhaul runs use the delivery-capacity convention (fallback pull
 traffic excluded, ``count_fallback=False``) on the bundled fixture with a
 pinned base seed; one line per criterion is printed with the measured
-values.
+values. The grid's per-trial backhaul is also compared with its golden,
+``tests/data/golden/acceptance/backhaul.csv``.
+
+Criteria 6 and 9 run the kernels trials run. Criterion 6 resolves every
+request of its trials with ``resolve_nodes``, on each trial's shared draws
+and pick orders, once at the client and once through its nearest LDNS.
+Criterion 9 delivers its Bloom trees with ``deliver_groups``; its
+exact-scheme and false-positive checks stay with the scalar oracles, since
+trials charge exact trees directly. Each kernel is tied to its oracle
+elsewhere: ``test_per_node_kernel_matches_scalar_resolvers``
+(tests/test_experiment.py) and ``test_group_kernel_matches_scalar_delivery``
+(tests/test_forwarding.py).
 """
 from __future__ import annotations
 
 import time
+from itertools import product
 
 import numpy as np
 import pytest
 
 from conftest import random_connected_graph, simulated_group_rate
-from fogcast.data import bundled_population, bundled_topology
+from fogcast.data import bundled_topology
 from fogcast.experiment import (
+    BACKHAUL_HEADER,
     ScenarioConfig,
-    _SALT_CATALOGUE,
-    _SALT_DEMAND,
+    _load_context,
+    _pick_order,
+    _trial_draws,
     backhaul,
+    row_label,
     run_sweep,
     run_trial,
     trial_seed,
 )
-from fogcast.forwarding import BloomScheme, fpr_theoretical, label_arc
-from fogcast.service_router import fog_cache_items, group_rate
-from fogcast.topology import HopRows, load_topology
-from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
-from oracles import (
-    DnsConfig,
-    ExactScheme,
-    all_pairs,
-    build_rendezvous,
-    build_tree,
-    deliver,
-    encode_tree,
-    fresh_placement,
-    resolve_request,
-    resolve_request_dns,
-)
+from fogcast.forwarding import BloomScheme, deliver_groups, fpr_theoretical, label_arc
+from fogcast.placement import place_all
+from fogcast.service_router import fog_cache_items, group_rate, resolve_nodes
+from fogcast.topology import load_topology
+from oracles import ExactScheme, all_pairs, build_tree, deliver, encode_tree
+from test_golden import GOLDEN, check_text
 
 BASE_SEED = 3
 TRIALS = 50
@@ -163,47 +168,35 @@ def test_criterion_5_path_length_ecdf(grid_run):
                   f"max {max2} -> {max16}")
 
 
-def _matched_resolutions(fog_k: int, cloud_k: int, ldns_k: int, trial_index: int):
-    """Native and baseline hop counts for identical placement and demand."""
-    graph = load_topology(bundled_topology())
-    hops = all_pairs(graph)
-    populations = assign_population(graph, load_population(bundled_population()))
-    seed = trial_seed(BASE_SEED, trial_index)
-    placement = fresh_placement(
-        HopRows(graph), populations,
-        {"fog": ("pop", fog_k), "cloud": ("pop", cloud_k), "ldns": ("pop", ldns_k)},
-        seed,
-    )
-    catalogue = build_catalogue(1000, 0.8, (20e6, 40e6, 60e6), seed ^ _SALT_CATALOGUE)
-    demand = draw_demand(populations, catalogue, TARGET, seed ^ _SALT_DEMAND)
-    fog_items = fog_cache_items(0.1, catalogue.n)
-    table = build_rendezvous(placement.fog, placement.cloud)
-    config = DnsConfig(ldns=placement.ldns, fog=placement.fog, cloud=placement.cloud,
-                       fog_items=fog_items)
-    pairs = []
-    for (node, item) in demand.requests:
-        native = resolve_request(node, item, placement.cloud, fog_items, table, hops,
-                                 catalogue)
-        baseline = resolve_request_dns(node, item, config, hops,
-                                       float(catalogue.bitrates[item - 1]))
-        pairs.append((native.client_path_hops, baseline.client_path_hops))
-    return pairs
-
-
 def test_criterion_6_baseline_never_beats_native_paths():
-    checked = 0
-    violations = 0
-    for fog_k, cloud_k in ((2, 2), (4, 4)):
-        for ldns_k in (2, 8):
-            for trial_index in range(TRIALS):
-                for native, baseline in _matched_resolutions(
-                        fog_k, cloud_k, ldns_k, trial_index):
-                    checked += 1
-                    if baseline < native:
-                        violations += 1
-    ok = violations == 0 and checked > 0
-    report(6, ok, f"{checked} matched requests across 4 configs x {TRIALS} trials, "
-                  f"{violations} shorter baseline paths")
+    """Every request of a dns trial, resolved by the trials' kernel with and
+    without its LDNS points, on the trial's shared draws and placement."""
+    configs = [dns_config(k, k, ldns_k) for k in (2, 4) for ldns_k in (2, 8)]
+    checked = shorter = longer = 0
+    # Trial-major, as sweeps run: each trial index draws its workload once.
+    for trial_index, config in product(range(TRIALS), configs):
+        inputs = (config.topology_path, config.population_path)
+        seed = trial_seed(config.base_seed, trial_index)
+        roles = {role: (config.mode, k) for role, k in (
+            ("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k))}
+        placement = place_all(roles, lambda mode, role: _pick_order(seed, *inputs, mode, role))
+        hops = _load_context(*inputs)[1].table(placement.fog + placement.cloud + placement.ldns)
+        catalogue, demand = _trial_draws(seed, *inputs, config.n_items, config.alpha,
+                                         config.bitrates, config.target_bitrate)
+        clients, client_of = demand.clients, demand.client_of
+        fog_items = fog_cache_items(config.fog_cache_fraction, catalogue.n)
+        client_hops = []
+        for resolvers in ((), placement.ldns):
+            point, _ = resolve_nodes(hops, clients, client_of, demand.items, placement.fog,
+                                     placement.cloud, fog_items, resolvers)
+            client_hops.append(hops.dist[hops.slot[point], clients][client_of])
+        native, baseline = client_hops
+        checked += len(client_of)
+        shorter += int((baseline < native).sum())
+        longer += int((baseline > native).sum())
+    ok = shorter == 0 and longer > 0
+    report(6, ok, f"{checked} matched requests across {len(configs)} configs x {TRIALS} "
+                  f"trials, {shorter} shorter baseline paths, {longer} strictly longer (> 0)")
 
 
 def test_criterion_7_catchment_monotonicity(grid_run):
@@ -240,6 +233,8 @@ def test_criterion_9_forwarding_exactness():
     rng = np.random.default_rng(11)
     exact_failures = 0
     bloom_failures = 0
+    kernel_failures = 0
+    delivered = 0
     for _ in range(200):
         n = int(rng.integers(3, 31))
         g = random_connected_graph(rng, n, int(rng.integers(0, n)))
@@ -253,6 +248,12 @@ def test_criterion_9_forwarding_exactness():
             exact_failures += 1
         if not deliver(encode_tree(tree, BloomScheme()), root, g) >= tree_nodes:
             bloom_failures += 1
+        if tree.arcs:
+            # As a Bloom trial delivers a group: one root, its tree arcs sorted.
+            arcs = np.array(sorted(tree.arcs), dtype=np.intp)
+            _, carried = deliver_groups(g, BloomScheme(), [root], np.zeros_like(arcs), arcs)
+            delivered += 1
+            kernel_failures += not set(carried.tolist()) >= tree.arcs
 
     # measured Bloom FPR on the 500-arc universe, against the formula
     m, k, inserted = 256, 4, 20
@@ -272,18 +273,32 @@ def test_criterion_9_forwarding_exactness():
     predicted = fpr_theoretical(m, k, inserted)
     fpr_ok = predicted / 2 <= measured <= predicted * 2
 
-    ok = exact_failures == 0 and bloom_failures == 0 and fpr_ok
+    ok = exact_failures == bloom_failures == kernel_failures == 0 and delivered > 0 and fpr_ok
     report(9, ok, f"200 trees: {exact_failures} exact mismatches, "
-                  f"{bloom_failures} bloom non-supersets; measured FPR "
+                  f"{bloom_failures} bloom non-supersets; {delivered} trees with arcs "
+                  f"through deliver_groups, {kernel_failures} non-supersets; measured FPR "
                   f"{measured:.4f} vs formula {predicted:.4f} (within 2x)")
 
 
-def test_criterion_10_byte_identical_sweeps(tmp_path):
-    configs = [
-        ScenarioConfig(arch="icn", fog_k=k, cloud_k=2, catchment=(0.1, 1.0),
-                       trials=3, base_seed=BASE_SEED)
-        for k in (2, 4)
-    ]
+@pytest.mark.parametrize("sweep", ["icn", "bloom_and_dns", "chain"])
+def test_criterion_10_byte_identical_sweeps(sweep, chain_setup, tmp_path):
+    """Two sequential runs and one with two jobs write the same bytes: icn
+    with catchment, Bloom beside the DNS baseline, and the four-node chain."""
+    top, pop = chain_setup
+    configs = {
+        "icn": [ScenarioConfig(arch="icn", fog_k=k, cloud_k=2, catchment=(0.1, 1.0),
+                               trials=3, base_seed=BASE_SEED) for k in (2, 4)],
+        "bloom_and_dns": [
+            ScenarioConfig(arch="icn", fog_k=k, cloud_k=2, catchment=(0.1, 1.0),
+                           scheme="bloom", trials=3, base_seed=BASE_SEED) for k in (2, 4)
+        ] + [
+            ScenarioConfig(arch="dns", fog_k=k, cloud_k=2, ldns_k=2, trials=3,
+                           base_seed=BASE_SEED) for k in (2, 4)
+        ],
+        "chain": [ScenarioConfig(arch="icn", fog_k=k, cloud_k=1, catchment=(0.1,),
+                                 topology_path=top, population_path=pop, n_items=3,
+                                 target_bitrate=2e9, trials=3) for k in (1, 2)],
+    }[sweep]
     for label, jobs in (("seq1", 1), ("seq2", 1), ("par", 2)):
         run_sweep(configs, out_dir=tmp_path / label, jobs=jobs)
     names = ("backhaul.csv", "pathlen.csv", "summary.csv", "manifest.txt")
@@ -293,24 +308,20 @@ def test_criterion_10_byte_identical_sweeps(tmp_path):
         == (tmp_path / "par" / name).read_bytes()
         for name in names
     )
-    report(10, identical, "repeated and parallel sweeps byte-identical across "
+    report(10, identical, f"{sweep}: repeated and parallel sweeps byte-identical across "
                           f"{len(names)} output files")
+    # The manifest names each config's scheme: the Bloom sweep ran Bloom.
+    manifest = (tmp_path / "seq1" / "manifest.txt").read_text()
+    assert all(f"scheme = {config.scheme}" in manifest for config in configs)
 
 
-def test_bloom_and_dns_sweeps_byte_identical(tmp_path):
-    """Criterion 10's byte-identity for the Bloom scheme and the DNS baseline."""
-    configs = [
-        ScenarioConfig(arch="icn", fog_k=k, cloud_k=2, catchment=(0.1, 1.0),
-                       scheme="bloom", trials=3, base_seed=BASE_SEED)
-        for k in (2, 4)
-    ] + [
-        ScenarioConfig(arch="dns", fog_k=k, cloud_k=2, ldns_k=2, trials=3,
-                       base_seed=BASE_SEED)
-        for k in (2, 4)
-    ]
-    names = ("backhaul.csv", "pathlen.csv", "summary.csv", "manifest.txt")
-    for label, jobs in (("seq", 1), ("par", 2)):
-        run_sweep(configs, out_dir=tmp_path / label, jobs=jobs)
-    for name in names:
-        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
-    assert "bloom" in (tmp_path / "seq" / "manifest.txt").read_text()
+def test_acceptance_grid_matches_golden(grid_run):
+    """The grid's backhaul, row for row as ``run_sweep`` writes it, equals
+    the golden written by ``python tests/test_golden.py``."""
+    lines = [BACKHAUL_HEADER]
+    for (fog_k, cloud_k), cell in grid_run["results"].items():
+        prefix = row_label(icn_config(fog_k, cloud_k))
+        for interval, values in [(0.0, cell["unicast"]), *cell["catchment"].items()]:
+            lines += [f"{prefix},{interval!r},{trial},{value!r}"
+                      for trial, value in enumerate(values)]
+    check_text("\n".join(lines) + "\n", GOLDEN / "acceptance" / "backhaul.csv")

@@ -12,7 +12,7 @@ import pytest
 from fogcast import cli, experiment
 from fogcast.cli import main
 from fogcast.experiment import GRID_KEYS, ScenarioConfig, load_grid
-from test_experiment import write_graphml
+from conftest import write_graphml
 from test_golden import GRIDS
 
 

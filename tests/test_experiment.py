@@ -29,7 +29,7 @@ from fogcast.experiment import (
 )
 import fogcast
 import oracles
-from conftest import random_connected_graph, write_synthetic
+from conftest import random_connected_graph, write_graphml, write_synthetic
 from fogcast import experiment, forwarding, topology
 from fogcast.errors import NoSubscriberError
 from fogcast.forwarding import BloomScheme
@@ -50,24 +50,6 @@ from oracles import (
     resolve_request_dns,
 )
 
-GRAPHML_HEADER = (
-    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
-    '<key attr.name="Latitude" attr.type="double" for="node" id="d0" />'
-    '<key attr.name="Longitude" attr.type="double" for="node" id="d1" />'
-    '<key attr.name="label" attr.type="string" for="node" id="d2" />'
-    '<graph edgedefault="undirected">'
-)
-
-
-def write_graphml(path, coords, edges):
-    nodes = "".join(
-        f'<node id="{i}"><data key="d0">{lat}</data><data key="d1">{lon}</data>'
-        f"<data key=\"d2\">{label}</data></node>"
-        for i, (label, lat, lon) in enumerate(coords)
-    )
-    arcs = "".join(f'<edge source="{u}" target="{v}" />' for u, v in edges)
-    path.write_text(GRAPHML_HEADER + nodes + arcs + "</graph></graphml>")
-
 
 @pytest.fixture()
 def single_node_setup(tmp_path):
@@ -75,19 +57,6 @@ def single_node_setup(tmp_path):
     write_graphml(top, [("solo", 50.0, 8.0)], [])
     pop = tmp_path / "one.txt"
     pop.write_text("50.0,8.0,1000\n")
-    return str(top), str(pop)
-
-
-@pytest.fixture()
-def chain_setup(tmp_path):
-    top = tmp_path / "chain.graphml"
-    write_graphml(
-        top,
-        [("a", 50.0, 0.0), ("b", 50.0, 1.0), ("c", 50.0, 2.0), ("d", 50.0, 3.0)],
-        [(0, 1), (1, 2), (2, 3)],
-    )
-    pop = tmp_path / "chain.txt"
-    pop.write_text("50.0,0.0,40\n50.0,1.0,30\n50.0,2.0,20\n50.0,3.0,10\n")
     return str(top), str(pop)
 
 
@@ -233,7 +202,10 @@ def test_trial_loads_match_manual_flow_enumeration(chain_setup):
 
 def _resolution_cases():
     """The bundled backbone, then 50 random graphs, each with a placement
-    where one node is both fog and cloud."""
+    where one node is both fog and cloud; then the bundled backbone with the
+    placements of acceptance criterion 6's configs (up to 8 LDNS points),
+    from their shared pick orders at trial indices 0-2. Every node is a
+    client of four requests."""
     rng = np.random.default_rng(5)
     graphs = [load_topology(bundled_topology())]
     graphs += [random_connected_graph(rng, n, int(rng.integers(0, n)))
@@ -246,6 +218,16 @@ def _resolution_cases():
         nodes = np.repeat(np.arange(n), 4)
         items = rng.integers(1, 21, size=len(nodes))
         yield all_pairs(graph), fog, sorted(set(cloud) | {fog[0]}), ldns, nodes, items
+    hops = all_pairs(graphs[0])
+    inputs = (str(bundled_topology()), str(bundled_population()))
+    nodes = np.repeat(np.arange(graphs[0].n_nodes), 4)
+    for index in range(3):
+        seed = trial_seed(3, index)  # the criterion's base seed
+        for k, ldns_k in ((2, 2), (2, 8), (4, 2), (4, 8)):
+            fog, cloud, ldns = (
+                list(experiment._pick_order(seed, *inputs, "pop", role).first(count))
+                for role, count in (("fog", k), ("cloud", k), ("ldns", ldns_k)))
+            yield hops, fog, cloud, ldns, nodes, rng.integers(1, 21, size=len(nodes))
 
 
 def test_per_node_kernel_matches_scalar_resolvers():
@@ -686,22 +668,6 @@ def test_mean_backhaul_decreases_with_more_fog_points(tmp_path):
     ]
     results = run_sweep(configs)
     assert results[1].mean_backhaul[UNICAST] < results[0].mean_backhaul[UNICAST]
-
-
-def test_sweep_byte_identical_sequential_and_parallel(chain_setup, tmp_path):
-    top, pop = chain_setup
-    configs = [
-        ScenarioConfig(arch="icn", fog_k=k, cloud_k=1, catchment=(0.1,),
-                       topology_path=top, population_path=pop, n_items=3,
-                       target_bitrate=2e9, trials=3)
-        for k in (1, 2)
-    ]
-    for label, jobs in (("a", 1), ("b", 1), ("c", 2)):
-        run_sweep(configs, out_dir=tmp_path / label, jobs=jobs)
-    for name in ("backhaul.csv", "pathlen.csv", "summary.csv", "manifest.txt"):
-        a = (tmp_path / "a" / name).read_bytes()
-        assert (tmp_path / "b" / name).read_bytes() == a
-        assert (tmp_path / "c" / name).read_bytes() == a
 
 
 def test_manifest_lists_trial_seeds(chain_setup, tmp_path):

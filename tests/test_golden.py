@@ -24,7 +24,9 @@ summation order does not fail the test. Each grid runs with one and with
 two jobs, and the two outputs must be byte-identical.
 
 Regenerate the files, only when an output change is intended, with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``. It also writes the
+acceptance grid's ``backhaul.csv``, which ``tests/test_acceptance.py``
+checks against its own run of that grid with ``check_text``.
 """
 from __future__ import annotations
 
@@ -78,6 +80,12 @@ SYNTHETIC = {name: (2000, 400) for name in ("bloom_2k", "scale_2k", "dns_pop_2k"
                                             "ci_scale_bloom", "ci_scale_dns")}
 SYNTHETIC["ci_big"] = (10000, 2000)
 
+# The acceptance grid: its golden is only ``backhaul.csv``, checked against
+# the trials ``tests/test_acceptance.py``'s ``grid_run`` fixture already
+# runs, so no test here runs it again.
+ACCEPTANCE = ("arch = icn\nfog = 2,4,6,8\ncloud = 2,4,6,8\ncatchment = 0.1,1,10\n"
+              "count_fallback = false\ntrials = 50\nseed = 3\n")
+
 # Per file: how many trailing columns hold backhaul values.
 FLOAT_COLUMNS = {"backhaul.csv": 1, "summary.csv": 2, "pathlen.csv": 0}
 
@@ -86,7 +94,7 @@ def sweep(name: str, out: Path, jobs: int = 1, inputs: Path | None = None) -> No
     """Run grid ``name`` into ``out``; a synthetic backbone is written to
     ``inputs`` (default ``out``), so runs that share it load it once."""
     out.mkdir(parents=True, exist_ok=True)
-    grid = GRIDS[name]
+    grid = ACCEPTANCE if name == "acceptance" else GRIDS[name]
     if name in SYNTHETIC:
         topology, population = write_synthetic(inputs or out, 1, *SYNTHETIC[name])
         grid += f"topology = {topology}\npopulation = {population}\n"
@@ -104,29 +112,36 @@ def test_seeded_outputs_match_golden(name, tmp_path):
 
 
 def check_golden(name: str, out: Path) -> None:
-    same_numpy = NUMPY_VERSION.read_text().strip() == np.__version__
-    for csv, n_float in FLOAT_COLUMNS.items():
-        if same_numpy:
-            assert (out / csv).read_bytes() == (GOLDEN / name / csv).read_bytes(), csv
+    for csv in FLOAT_COLUMNS:
+        check_text((out / csv).read_bytes().decode(), GOLDEN / name / csv)
+
+
+def check_text(actual: str, golden: Path) -> None:
+    """An output file's text against its golden file, named as the output:
+    equal byte for byte under the writing numpy, else as the module says."""
+    csv, expected = golden.name, golden.read_bytes().decode()
+    if NUMPY_VERSION.read_text().strip() == np.__version__:
+        assert actual == expected, csv
+        return
+    n_float = FLOAT_COLUMNS[csv]
+    actual, expected = actual.splitlines(), expected.splitlines()
+    assert len(actual) == len(expected), csv
+    for got, want in zip(actual, expected):
+        if got == want:
             continue
-        actual = (out / csv).read_text().splitlines()
-        expected = (GOLDEN / name / csv).read_text().splitlines()
-        assert len(actual) == len(expected), csv
-        for got, want in zip(actual, expected):
-            if got == want:
-                continue
-            assert n_float, (csv, got, want)
-            got_label, *got_values = got.rsplit(",", n_float)
-            want_label, *want_values = want.rsplit(",", n_float)
-            assert got_label == want_label, csv
-            assert [float(v) for v in got_values] == pytest.approx(
-                [float(v) for v in want_values], rel=1e-12, abs=0), (csv, got_label)
+        assert n_float, (csv, got, want)
+        got_label, *got_values = got.rsplit(",", n_float)
+        want_label, *want_values = want.rsplit(",", n_float)
+        assert got_label == want_label, csv
+        assert [float(v) for v in got_values] == pytest.approx(
+            [float(v) for v in want_values], rel=1e-12, abs=0), (csv, got_label)
 
 
 if __name__ == "__main__":
-    for grid in GRIDS:
+    for grid in [*GRIDS, "acceptance"]:
         sweep(grid, GOLDEN / grid)
+        kept = FLOAT_COLUMNS if grid in GRIDS else ("backhaul.csv",)
         for path in (GOLDEN / grid).iterdir():
-            if path.name not in FLOAT_COLUMNS:
+            if path.name not in kept:
                 path.unlink()
     NUMPY_VERSION.write_text(np.__version__ + "\n")

@@ -322,7 +322,7 @@ def test_demand_equals_per_node_reference(geant_population):
             # The clients are the distinct request nodes, ascending, and
             # client_of maps each request to its node's client.
             assert demand.clients.tolist() == sorted({node for node, _ in requests})
-            assert demand.clients[demand.client_of].tolist() == demand.nodes.tolist()
+            assert demand.clients[demand.client_of].tolist() == [node for node, _ in requests]
             assert not (demand.clients.flags.writeable or demand.client_of.flags.writeable)
     assert (sparse == 0).any()
 
