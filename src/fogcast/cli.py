@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .errors import FogcastError
+from .errors import FogcastError, read_text
 from .experiment import (BACKHAUL_HEADER, GRID_KEYS, PATHLEN_HEADER, SUMMARY_HEADER,
                          ScenarioConfig, grid_configs, load_grid, row_label, run_sweep,
                          summary_row)
@@ -78,7 +77,7 @@ def _csv_rows(path: str, header: str) -> list[tuple[int, list[str]]]:
     their line numbers; a row of another width names its file and line."""
     width = header.count(",") + 1
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines()[1:], start=2):
+    for lineno, line in enumerate(read_text(path).splitlines()[1:], start=2):
         row = line.split(",")
         if len(row) != width:
             raise FogcastError(f"{path}:{lineno}: expected {width} comma-separated "

@@ -64,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .errors import FogcastError
+from .errors import FogcastError, read_text
 from .forwarding import BloomScheme, deliver_groups
 from .placement import ROLE_SALTS, PickOrder, pick_order, place_all
 from .service_router import fog_cache_items, group_rate, resolve_nodes
@@ -598,7 +598,7 @@ def load_grid(path: str | Path) -> list[ScenarioConfig]:
     appear once."""
     raw: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import FogcastError
+from .errors import FogcastError, read_text
 __all__ = [
     "ServiceCatalogue",
     "DemandMatrix",
@@ -54,7 +54,7 @@ def load_population(source: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     cells: list[tuple[float, float, int]] = []
     total = 0
-    for lineno, raw in enumerate(Path(source).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

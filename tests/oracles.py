@@ -16,12 +16,13 @@ kept independent of the array kernels in ``fogcast``:
   rendezvous table (``service_router.resolve_nodes`` is the kernel);
 - resolver redirection: ``resolve_request_dns`` resolves one request
   through the client's nearest LDNS (the same kernel, given resolvers);
-- catchment aggregation: ``catchment_loads`` charges one (service point,
-  item) group at a time on the union of its members' paths
-  (``experiment.run_trial`` aggregates every group at once);
 - forwarding: ``encode_tree``, ``forward`` and ``deliver`` encode and
   deliver one tree at a time (``forwarding.deliver_groups`` is the kernel),
-  under a Bloom scheme or the exact one, one bit per arc (``ExactScheme``).
+  under a Bloom scheme or the exact one, one bit per arc (``ExactScheme``);
+- the whole trial: ``reference_trial`` runs one trial from the oracles
+  above, drawn afresh, resolved one request at a time and aggregated one
+  (service point, item) group at a time, Bloom delivery included
+  (``experiment.run_trial`` is the pipeline).
 """
 from __future__ import annotations
 
@@ -32,10 +33,15 @@ from typing import Iterable
 import numpy as np
 
 from fogcast.errors import NoSubscriberError
+from fogcast.experiment import (UNICAST, ScenarioConfig, TrialMetrics, TrialOutcome,
+                                trial_seed, _SALT_CATALOGUE, _SALT_DEMAND)
 from fogcast.forwarding import BloomScheme, label_arc
 from fogcast.placement import Placement, pick_order, place_all
-from fogcast.topology import HopRows, HopTable, NetworkGraph, _hop_table, _in_arcs
-from fogcast.workload import CHUNK_DURATION, ServiceCatalogue
+from fogcast.service_router import fog_cache_items
+from fogcast.topology import (HopRows, HopTable, NetworkGraph, _hop_table, _in_arcs,
+                              load_topology)
+from fogcast.workload import (CHUNK_DURATION, ServiceCatalogue, assign_population,
+                              build_catalogue, draw_demand, load_population)
 
 
 # --- topology -----------------------------------------------------------------
@@ -341,46 +347,6 @@ def resolve_request_dns(client: int, item_id: int, config: DnsConfig,
     return DeliveryPlan(legs=tuple(legs), client_path_hops=legs[0].hops)
 
 
-# --- catchment aggregation ----------------------------------------------------
-
-def catchment_loads(hops: HopTable, requests, bitrates, intervals,
-                    count_fallback: bool) -> dict[float, np.ndarray]:
-    """Per-arc load of each catchment interval, one group at a time.
-
-    ``requests`` lists ``(client, item_id, count, plan)`` with the request's
-    resolved ``DeliveryPlan``. Requests pool per (service point, item)
-    group. A group's tree is the union of its members' paths point ->
-    client (``extract_path``); each tree arc carries the counts of the
-    members whose path crosses it. A group whose point lacks the item (its
-    plans have a second leg) pulls it once, on the path origin -> point,
-    carrying the group total when ``count_fallback`` is set. An arc entry
-    of rate r adds ``r / (1 + r T) * bitrate * CHUNK_DURATION`` under
-    interval T.
-    """
-    groups: dict[tuple[int, int], list] = {}
-    for client, item_id, count, plan in requests:
-        groups.setdefault((plan.service_point, item_id), []).append((client, count, plan))
-    entries: list[tuple[int, int, float]] = []   # (arc, rate, item_id)
-    for (point, item_id), members in groups.items():
-        crossing: dict[int, int] = {}
-        for client, count, _ in members:
-            for arc in extract_path(hops, point, client):
-                crossing[arc] = crossing.get(arc, 0) + count
-        entries += [(arc, rate, item_id) for arc, rate in crossing.items()]
-        origins = {plan.legs[1].dst for _, _, plan in members if len(plan.legs) > 1}
-        if count_fallback and origins:
-            (origin,) = origins
-            total = sum(count for _, count, _ in members)
-            entries += [(arc, total, item_id) for arc in extract_path(hops, origin, point)]
-    loads = {}
-    for interval in intervals:
-        load = np.zeros(hops.graph.n_arcs)
-        for arc, rate, item_id in entries:
-            load[arc] += rate / (1.0 + rate * interval) * bitrates[item_id - 1] * CHUNK_DURATION
-        loads[interval] = load
-    return loads
-
-
 # --- forwarding ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -393,9 +359,10 @@ class ExactScheme:
 Scheme = ExactScheme | BloomScheme
 
 
+@lru_cache(maxsize=None)
 def arc_label(scheme: Scheme, arc_id: int) -> tuple[int, ...]:
     """Bit positions of ``arc_id``: the arc id itself under the exact scheme,
-    ``label_arc``'s under a Bloom scheme."""
+    ``label_arc``'s under a Bloom scheme. Each is computed once."""
     if isinstance(scheme, BloomScheme):
         return label_arc(scheme, arc_id)
     if not 0 <= arc_id < scheme.width:
@@ -468,3 +435,94 @@ def deliver(fid: ForwardingId, root: int, graph: NetworkGraph) -> set[int]:
             frontier.append(dst)
             reached.add(dst)
     return reached
+
+
+# --- whole trial --------------------------------------------------------------
+
+def reference_trial(config: ScenarioConfig, index: int) -> tuple[TrialOutcome, dict[str, int]]:
+    """Trial ``index`` of ``config``, one request and one group at a time.
+
+    Draws everything afresh from the trial seed: the placement with
+    ``fresh_placement`` on ``all_pairs``, the catalogue and demand with
+    ``experiment``'s salts. Each request resolves through ``resolve_request``
+    (icn) or ``resolve_request_dns`` (dns). Unicast charges the request on
+    ``extract_path`` of each leg, point -> client and, when
+    ``count_fallback`` is set, origin -> point for the pull.
+
+    Catchment pools requests per (service point, item) group. A group's
+    tree is the union of its members' paths point -> client; each tree arc
+    carries the counts of the members that cross it. A group whose point
+    lacks the item pulls it once, origin -> point, carrying the group total
+    when ``count_fallback`` is set. Under Bloom identifiers a group with
+    tree arcs is encoded (``encode_tree``) and delivered from its point;
+    each carried arc (``forward`` at every ``deliver``ed node) outside the
+    tree carries the group total. An arc entry of rate r adds
+    ``r / (1 + r T) * bitrate * CHUNK_DURATION`` under interval T.
+
+    Also returns how often the trial took the rarer paths: ``pulls``, the
+    pull legs charged, and ``fp_arcs``, the (group, arc) pairs a Bloom
+    identifier carries outside its tree.
+    """
+    graph = load_topology(config.topology_path)
+    hops = all_pairs(graph)
+    populations = assign_population(graph, load_population(config.population_path))
+    seed = trial_seed(config.base_seed, index)
+    roles = {role: (config.mode, k) for role, k in (
+        ("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k))}
+    placement = fresh_placement(HopRows(graph), populations, roles, seed)
+    catalogue = build_catalogue(config.n_items, config.alpha, config.bitrates,
+                                seed ^ _SALT_CATALOGUE)
+    demand = draw_demand(populations, catalogue, config.target_bitrate, seed ^ _SALT_DEMAND)
+    fog_items = fog_cache_items(config.fog_cache_fraction, catalogue.n)
+    table = build_rendezvous(placement.fog, placement.cloud)
+    dns = (DnsConfig(placement.ldns, placement.fog, placement.cloud, fog_items)
+           if config.arch == "dns" else None)
+    bitrates = catalogue.bitrates.tolist()
+
+    unicast = np.zeros(graph.n_arcs)
+    client_hops, client_counts = [], []
+    groups: dict[tuple[int, int], list[tuple[int, int, DeliveryPlan]]] = {}
+    counters = {"pulls": 0, "fp_arcs": 0}
+    for (client, item), count in demand.requests.items():
+        plan = (resolve_request_dns(client, item, dns, hops, bitrates[item - 1]) if dns else
+                resolve_request(client, item, placement.cloud, fog_items, table, hops, catalogue))
+        client_hops.append(plan.client_path_hops)
+        client_counts.append(count)
+        legs = plan.legs if config.count_fallback else plan.legs[:1]
+        counters["pulls"] += len(legs) - 1
+        for leg in legs:
+            for arc in extract_path(hops, leg.dst, leg.src):
+                unicast[arc] += count * bitrates[item - 1] * CHUNK_DURATION
+        groups.setdefault((plan.service_point, item), []).append((client, count, plan))
+    hop_counts = np.bincount(client_hops, weights=client_counts).astype(np.int64)
+    outcome = TrialOutcome(unicast=TrialMetrics(unicast, hop_counts))
+    intervals = [t for t in config.catchment if t != UNICAST]
+    if not intervals:
+        return outcome, counters
+
+    entries: list[tuple[int, int, int]] = []   # (arc, rate, item)
+    for (point, item), members in groups.items():
+        crossing: dict[int, int] = {}
+        for client, count, _ in members:
+            for arc in extract_path(hops, point, client):
+                crossing[arc] = crossing.get(arc, 0) + count
+        entries += [(arc, rate, item) for arc, rate in crossing.items()]
+        total = sum(count for _, count, _ in members)
+        origins = {plan.legs[1].dst for *_, plan in members if len(plan.legs) > 1}
+        if config.count_fallback and origins:
+            (origin,) = origins
+            entries += [(arc, total, item) for arc in extract_path(hops, origin, point)]
+        if config.scheme == "bloom" and crossing:
+            tree = MulticastTree(point, frozenset(client for client, *_ in members),
+                                 frozenset(crossing))
+            fid = encode_tree(tree, BloomScheme())
+            carried = set().union(*(forward(fid, node, graph)
+                                    for node in deliver(fid, point, graph)))
+            counters["fp_arcs"] += len(carried - tree.arcs)
+            entries += [(arc, total, item) for arc in carried - tree.arcs]
+    for interval in intervals:
+        load = np.zeros(graph.n_arcs)
+        for arc, rate, item in entries:
+            load[arc] += rate / (1.0 + rate * interval) * bitrates[item - 1] * CHUNK_DURATION
+        outcome.by_catchment[interval] = TrialMetrics(load, hop_counts)
+    return outcome, counters

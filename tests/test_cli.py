@@ -397,27 +397,30 @@ def test_ecdf_reports_missing_config(tiny_inputs, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["run_topology", "run_population", "sweep_grid",
                                      "sweep_topology", "summarize", "ecdf"])
 def test_missing_file_is_one_error_line(command, tiny_inputs, tmp_path, capsys):
-    """A missing input file exits 2 with one stderr line naming it and no output."""
+    """A missing input file, or one that is not UTF-8, exits 2 with one
+    stderr line naming it and no output."""
     top, pop = tiny_inputs
-    missing = str(tmp_path / "missing.file")
-    grid = tmp_path / "grid.cfg"
-    grid.write_text(f"topology = {missing}\npopulation = {pop}\nitems = 3\ntrials = 1\n")
-    out = str(tmp_path / "out")
-    run = ["run", "--items", "3", "--trials", "1", "--out", out]
-    args = {
-        "run_topology": run + ["--topology", missing, "--population", pop],
-        "run_population": run + ["--topology", top, "--population", missing],
-        "sweep_grid": ["sweep", "--grid", missing, "--out", out],
-        "sweep_topology": ["sweep", "--grid", str(grid), "--out", out],
-        "summarize": ["summarize", "--backhaul", missing],
-        "ecdf": ["ecdf", "--pathlen", missing, "--arch", "icn", "--fog", "1", "--cloud", "1"],
-    }[command]
-    assert run_cmd(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("fogcast: error: ") and missing in captured.err
-    assert not (tmp_path / "out").exists()
+    not_utf8 = tmp_path / "not_utf8.file"
+    not_utf8.write_bytes(b"\xff\n")
+    for bad in (str(tmp_path / "missing.file"), str(not_utf8)):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(f"topology = {bad}\npopulation = {pop}\nitems = 3\ntrials = 1\n")
+        out = str(tmp_path / "out")
+        run = ["run", "--items", "3", "--trials", "1", "--out", out]
+        args = {
+            "run_topology": run + ["--topology", bad, "--population", pop],
+            "run_population": run + ["--topology", top, "--population", bad],
+            "sweep_grid": ["sweep", "--grid", bad, "--out", out],
+            "sweep_topology": ["sweep", "--grid", str(grid), "--out", out],
+            "summarize": ["summarize", "--backhaul", bad],
+            "ecdf": ["ecdf", "--pathlen", bad, "--arch", "icn", "--fog", "1", "--cloud", "1"],
+        }[command]
+        assert run_cmd(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("fogcast: error: ") and bad in captured.err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("grid", [

@@ -24,31 +24,17 @@ from fogcast.experiment import (
     run_sweep,
     run_trial,
     trial_seed,
-    _SALT_CATALOGUE,
-    _SALT_DEMAND,
 )
 import fogcast
 import oracles
 from conftest import random_connected_graph, write_graphml, write_synthetic
-from fogcast import experiment, forwarding, topology
+from fogcast import experiment, topology
 from fogcast.errors import NoSubscriberError
 from fogcast.forwarding import BloomScheme
 from fogcast.service_router import fog_cache_items, resolve_nodes
-from fogcast.topology import NO_ROW, HopRows, load_topology
-from fogcast.workload import assign_population, build_catalogue, draw_demand, load_population
-from oracles import (
-    DnsConfig,
-    MulticastTree,
-    all_pairs,
-    build_rendezvous,
-    deliver,
-    encode_tree,
-    extract_path,
-    forward,
-    fresh_placement,
-    resolve_request,
-    resolve_request_dns,
-)
+from fogcast.topology import NO_ROW, load_topology
+from fogcast.workload import build_catalogue
+from oracles import all_pairs, fresh_placement
 
 
 @pytest.fixture()
@@ -155,51 +141,6 @@ def test_trials_deterministic(chain_setup):
     assert not (first.unicast.arc_load == other.unicast.arc_load).all()
 
 
-def test_trial_loads_match_manual_flow_enumeration(chain_setup):
-    """Recompute tiny trials step by step and enumerate their flows by hand.
-
-    Each flow is charged on its canonical path: service point -> client,
-    and origin -> service point for a fallback pull. The bundled backbone
-    has node pairs whose canonical paths differ from reversed request paths.
-    """
-    pulls = 0
-    for top, pop in (chain_setup, ("", "")):
-        config = ScenarioConfig(
-            arch="icn", fog_k=2, cloud_k=2, topology_path=top, population_path=pop,
-            n_items=30, bitrates=(20e6,), target_bitrate=1e9, trials=1, base_seed=2,
-        )
-        outcome = run_trial(config, 0)
-
-        graph = load_topology(config.topology_path)
-        hops = all_pairs(graph)
-        populations = assign_population(graph, load_population(config.population_path))
-        seed = trial_seed(config.base_seed, 0)
-        placement = fresh_placement(
-            HopRows(graph), populations,
-            {"fog": ("pop", 2), "cloud": ("pop", 2), "ldns": ("pop", 0)}, seed,
-        )
-        catalogue = build_catalogue(30, 0.8, (20e6,), seed ^ _SALT_CATALOGUE)
-        demand = draw_demand(populations, catalogue, 1e9, seed ^ _SALT_DEMAND)
-        fog_items = fog_cache_items(0.1, catalogue.n)
-        table = build_rendezvous(placement.fog, placement.cloud)
-
-        expected = np.zeros(graph.n_arcs)
-        expected_samples = []
-        for (node, item), count in demand.requests.items():
-            plan = resolve_request(node, item, placement.cloud, fog_items, table, hops,
-                                   catalogue)
-            expected_samples.extend([plan.client_path_hops] * count)
-            point = plan.service_point
-            flows = [(point, node)] + [(leg.dst, point) for leg in plan.legs[1:]]
-            pulls += len(flows) - 1
-            for root, leaf in flows:
-                for arc in extract_path(hops, root, leaf):
-                    expected[arc] += count * 20e6
-        assert outcome.unicast.arc_load == pytest.approx(expected)
-        assert outcome.unicast.hop_counts.tolist() == np.bincount(expected_samples).tolist()
-    assert pulls > 0
-
-
 def _resolution_cases():
     """The bundled backbone, then 50 random graphs, each with a placement
     where one node is both fog and cloud; then the bundled backbone with the
@@ -235,9 +176,9 @@ def test_per_node_kernel_matches_scalar_resolvers():
     ties = 0
     for hops, fog, cloud, ldns, nodes, items in _resolution_cases():
         fog_items = fog_cache_items(0.25, catalogue.n)
-        table = build_rendezvous(fog, cloud)
-        dns_config = DnsConfig(ldns=tuple(ldns), fog=tuple(fog), cloud=tuple(cloud),
-                               fog_items=fog_items)
+        table = oracles.build_rendezvous(fog, cloud)
+        dns_config = oracles.DnsConfig(ldns=tuple(ldns), fog=tuple(fog), cloud=tuple(cloud),
+                                       fog_items=fog_items)
         clients, client_of = np.unique(nodes, return_inverse=True)
         kernels = {
             "icn": resolve_nodes(hops, clients, client_of, items, fog, cloud, fog_items),
@@ -246,8 +187,9 @@ def test_per_node_kernel_matches_scalar_resolvers():
         }
         for i, (node, item) in enumerate(zip(nodes.tolist(), items.tolist())):
             plans = {
-                "icn": resolve_request(node, item, cloud, fog_items, table, hops, catalogue),
-                "dns": resolve_request_dns(node, item, dns_config, hops, 20e6),
+                "icn": oracles.resolve_request(node, item, cloud, fog_items, table, hops,
+                                               catalogue),
+                "dns": oracles.resolve_request_dns(node, item, dns_config, hops, 20e6),
             }
             for arch, plan in plans.items():
                 point, origin = kernels[arch]
@@ -276,20 +218,6 @@ def test_missing_role_is_named_for_both_architectures(arch, ldns_k):
     # fog points cache the top 10% of items, so some request misses
     with pytest.raises(NoSubscriberError, match=r"no cloud point to serve item \d+"):
         run_trial(ScenarioConfig(arch=arch, fog_k=4, cloud_k=0, ldns_k=ldns_k, trials=1), 0)
-
-
-def test_sample_count_equals_request_count(chain_setup):
-    top, pop = chain_setup
-    config = ScenarioConfig(
-        arch="icn", fog_k=2, cloud_k=1, topology_path=top, population_path=pop,
-        n_items=3, target_bitrate=2e9, trials=1,
-    )
-    outcome = run_trial(config, 0)
-    seed = trial_seed(config.base_seed, 0)
-    populations = assign_population(load_topology(top), load_population(pop))
-    catalogue = build_catalogue(3, config.alpha, config.bitrates, seed ^ _SALT_CATALOGUE)
-    demand = draw_demand(populations, catalogue, 2e9, seed ^ _SALT_DEMAND)
-    assert outcome.unicast.hop_counts.sum() == demand.total_requests > 0
 
 
 def test_catchment_monotone_and_bounded_by_unicast(chain_setup):
@@ -326,48 +254,58 @@ def test_catchment_loads_arc_by_arc_on_bundled_backbone(fog_k, cloud_k, count_fa
         assert (loads[1] <= unicast).all()
 
 
-@pytest.mark.parametrize("backbone", ["bundled", "synthetic_300"])
-@pytest.mark.parametrize("count_fallback, fog_cache_fraction",
-                         [(True, 0.1), (False, 0.1), (True, 1.0)])
-def test_catchment_loads_equal_per_group_reference(backbone, count_fallback,
-                                                   fog_cache_fraction, tmp_path):
-    """Exact-scheme catchment loads equal ``oracles.catchment_loads`` arc by
-    arc: requests resolved one at a time, each (point, item) group charged
-    on the union of its members' paths, each pull the group total."""
-    top, pop = write_synthetic(tmp_path, 1, n_nodes=300) if backbone != "bundled" else ("", "")
-    intervals = (0.1, 1.0, 10.0)
-    pulls = 0
-    for fog_k, cloud_k in ((2, 2), (6, 3)):
-        config = ScenarioConfig(arch="icn", fog_k=fog_k, cloud_k=cloud_k, catchment=intervals,
-                                topology_path=top, population_path=pop,
-                                count_fallback=count_fallback,
-                                fog_cache_fraction=fog_cache_fraction, trials=2, base_seed=4)
-        graph = load_topology(config.topology_path)
-        hops = all_pairs(graph)
-        populations = assign_population(graph, load_population(config.population_path))
-        for index in range(config.trials):
-            outcome = run_trial(config, index)
-            seed = trial_seed(config.base_seed, index)
-            placement = fresh_placement(
-                HopRows(graph), populations,
-                {"fog": ("pop", fog_k), "cloud": ("pop", cloud_k), "ldns": ("pop", 0)}, seed)
-            catalogue = build_catalogue(config.n_items, config.alpha, config.bitrates,
-                                        seed ^ _SALT_CATALOGUE)
-            demand = draw_demand(populations, catalogue, config.target_bitrate,
-                                 seed ^ _SALT_DEMAND)
-            fog_items = fog_cache_items(fog_cache_fraction, catalogue.n)
-            table = build_rendezvous(placement.fog, placement.cloud)
-            requests = [(node, item, count,
-                         resolve_request(node, item, placement.cloud, fog_items, table, hops,
-                                         catalogue))
-                        for (node, item), count in demand.requests.items()]
-            pulls += sum(len(plan.legs) > 1 for *_, plan in requests)
-            want = oracles.catchment_loads(hops, requests, catalogue.bitrates, intervals,
-                                           count_fallback)
-            for interval in intervals:
-                assert outcome.by_catchment[interval].arc_load == pytest.approx(
-                    want[interval], rel=1e-12, abs=0)
-    assert (pulls > 0) == (fog_cache_fraction < 1)
+# One trial per row. Together the rows take every value of arch, mode,
+# scheme, count_fallback and fog_cache_fraction, and list 0 in catchment;
+# rows that share a seed differ in mode and run one after the other.
+REFERENCE_ROWS = [
+    dict(arch="icn", mode="pop", fog_k=2, cloud_k=2, catchment=(0.0, 0.1, 1.0, 10.0), base_seed=3),
+    dict(arch="icn", mode="cls", fog_k=3, cloud_k=1, catchment=(0.1, 1.0), scheme="bloom",
+         base_seed=3),
+    dict(arch="icn", mode="pop", fog_k=2, cloud_k=1, catchment=(0.0, 1.0), scheme="bloom",
+         fog_cache_fraction=1.0, base_seed=5),
+    dict(arch="icn", mode="cls", fog_k=1, cloud_k=2, catchment=(0.1, 10.0),
+         count_fallback=False, base_seed=5),
+    dict(arch="dns", mode="pop", fog_k=2, cloud_k=1, ldns_k=2, fog_cache_fraction=1.0,
+         base_seed=7),
+    dict(arch="dns", mode="cls", fog_k=2, cloud_k=2, ldns_k=1, base_seed=7),
+]
+
+
+def metric_bytes(outcome):
+    """Every variant of a trial as (key, load bytes, histogram bytes)."""
+    return [(key, m.arc_load.tobytes(), m.hop_counts.tobytes())
+            for key, m in outcome.variants().items()]
+
+
+@pytest.mark.parametrize("backbone", ["bundled", "chain", "synthetic_100", "synthetic_300"])
+def test_run_trial_equals_reference_trial(backbone, chain_setup, tmp_path):
+    """``run_trial`` equals ``oracles.reference_trial`` on every row: unicast
+    loads and the hop histogram bit for bit, catchment loads within 1e-12
+    relative, arc by arc. The rows pull, and Bloom identifiers pass
+    false-positive arcs on every backbone but the chain; where they pass
+    none, Bloom equals the exact scheme byte for byte."""
+    top, pop = {"bundled": ("", ""), "chain": chain_setup}.get(backbone, ("", ""))
+    if backbone.startswith("synthetic_"):
+        n_nodes = int(backbone.removeprefix("synthetic_"))
+        top, pop = write_synthetic(tmp_path, 1, n_nodes, n_nodes // 5)
+    seen = {"pulls": 0, "fp_arcs": 0}
+    for row in REFERENCE_ROWS:
+        config = ScenarioConfig(topology_path=top, population_path=pop, trials=1, **row)
+        got = run_trial(config, 0)
+        want, counters = oracles.reference_trial(config, 0)
+        assert list(got.variants()) == list(want.variants())
+        assert got.unicast.arc_load.tobytes() == want.unicast.arc_load.tobytes()
+        assert got.unicast.hop_counts.tolist() == want.unicast.hop_counts.tolist()
+        for interval, metrics in want.by_catchment.items():
+            assert got.by_catchment[interval].arc_load == pytest.approx(
+                metrics.arc_load, rel=1e-12, abs=0), interval
+        assert counters["pulls"] == 0 or config.fog_cache_fraction < 1
+        if config.scheme == "bloom" and not counters["fp_arcs"]:
+            exact = dataclasses.replace(config, scheme="exact")
+            assert metric_bytes(run_trial(exact, 0)) == metric_bytes(got)
+        seen = {key: seen[key] + counters[key] for key in seen}
+    assert seen["pulls"] > 0
+    assert seen["fp_arcs"] > 0 or backbone == "chain"
 
 
 def test_zero_interval_catchment_equals_unicast_total(chain_setup):
@@ -380,20 +318,6 @@ def test_zero_interval_catchment_equals_unicast_total(chain_setup):
     )
     outcome = run_trial(config, 0)
     assert backhaul(outcome.by_catchment[smallest]) == pytest.approx(backhaul(outcome.unicast))
-
-
-def test_backhaul_additivity_over_requests(chain_setup):
-    """Unicast backhaul equals the sum of per-request bitrate x hops."""
-    top, pop = chain_setup
-    config = ScenarioConfig(
-        arch="icn", fog_k=1, cloud_k=1, count_fallback=False,
-        topology_path=top, population_path=pop, n_items=3,
-        bitrates=(20e6,), target_bitrate=1e9, trials=1, base_seed=6,
-    )
-    outcome = run_trial(config, 0)
-    hop_counts = outcome.unicast.hop_counts
-    per_request = 20e6 * (np.arange(len(hop_counts)) * hop_counts).sum()
-    assert backhaul(outcome.unicast) == pytest.approx(per_request)
 
 
 def test_dns_trial_runs_without_catchment(chain_setup):
@@ -446,72 +370,6 @@ def test_bloom_aggregation_bounds_arc_by_arc_on_2000_node_backbone(tmp_path):
     assert above_unicast > 0
 
 
-def _per_group_bloom_loop(graph, scheme, roots, tree_group, tree_arc, fp_arcs):
-    """Stand-in for ``deliver_groups``: the loop trials ran before the kernel,
-    encoding, delivering and forwarding one group at a time. Counts the
-    carried arcs outside each tree into ``fp_arcs[scheme]``."""
-    bounds = np.searchsorted(tree_group, np.arange(len(roots) + 1))
-    groups, arcs = [], []
-    for g in np.unique(tree_group).tolist():
-        root = int(roots[g])
-        tree = MulticastTree(root=root, leaves=frozenset(),
-                             arcs=frozenset(tree_arc[bounds[g]:bounds[g + 1]].tolist()))
-        fid = encode_tree(tree, scheme)
-        carried: set[int] = set()
-        for node in deliver(fid, root, graph):
-            carried |= forward(fid, node, graph)
-        fp_arcs[scheme] = fp_arcs.get(scheme, 0) + len(carried - tree.arcs)
-        groups += [g] * len(carried)
-        arcs += sorted(carried)
-    return np.array(groups, dtype=np.intp), np.array(arcs, dtype=np.intp)
-
-
-def test_seeded_bloom_trial_equals_per_group_loop(monkeypatch):
-    """Kernel trials equal the per-group loop byte for byte, under the default
-    scheme (no false positive on the bundled backbone, so equal to the exact
-    scheme too) and a 16-bit one (many); trials label each arc once."""
-    configs = [ScenarioConfig(arch="icn", fog_k=f, cloud_k=c, catchment=(0.1, 1.0, 10.0),
-                              scheme="bloom", count_fallback=fallback, base_seed=7)
-               for f, c, fallback in ((4, 4, True), (2, 8, False), (8, 2, True))]
-    schemes = (BloomScheme(), BloomScheme(m=16, k=2))
-    expected = {}
-    fp_arcs = {}
-    with monkeypatch.context() as patch:
-        patch.setattr(experiment, "deliver_groups",
-                      lambda *args: _per_group_bloom_loop(*args, fp_arcs))
-        for scheme in schemes:
-            patch.setattr(experiment, "BloomScheme", lambda scheme=scheme: scheme)
-            expected[scheme] = [run_trial(c, i) for c in configs for i in range(2)]
-
-    labels = []
-    label_arc = forwarding.label_arc
-
-    def counting_label_arc(scheme, arc_id):
-        labels.append((scheme, arc_id))
-        return label_arc(scheme, arc_id)
-
-    monkeypatch.setattr(forwarding, "label_arc", counting_label_arc)
-    forwarding.label_masks.cache_clear()
-    exact = [run_trial(dataclasses.replace(c, scheme="exact"), i)
-             for c in configs for i in range(2)]
-    assert fp_arcs[schemes[0]] == 0 and fp_arcs[schemes[1]] > 0
-    for scheme in schemes:
-        monkeypatch.setattr(experiment, "BloomScheme", lambda scheme=scheme: scheme)
-        got = [run_trial(c, i) for c in configs for i in range(2)]
-        for want, have in zip(expected[scheme], got):
-            assert want.variants().keys() == have.variants().keys()
-            for key, metrics in want.variants().items():
-                assert metrics.arc_load.tobytes() == have.variants()[key].arc_load.tobytes()
-    # No false positive: Bloom trials equal exact ones; many: they add load.
-    for want, have in zip(exact, expected[schemes[0]]):
-        for key, metrics in want.variants().items():
-            assert metrics.arc_load.tobytes() == have.variants()[key].arc_load.tobytes()
-    assert backhaul(got[0].by_catchment[1.0]) > backhaul(exact[0].by_catchment[1.0])
-    n_arcs = experiment._load_context(configs[0].topology_path,
-                                      configs[0].population_path)[0].n_arcs
-    assert len(labels) == len(set(labels)) == len(schemes) * n_arcs
-
-
 def test_zero_interval_row_is_unicast_under_bloom(monkeypatch, tmp_path):
     """Listing T = 0 adds no variant: a Bloom grid's ``T = 0.0`` rows are
     unicast, with or without 0 in ``catchment``, even when a 16-bit filter
@@ -543,9 +401,7 @@ def test_held_rows_never_change_results(monkeypatch, fresh_context):
 
     def outcomes():
         experiment._load_context.cache_clear()
-        return [(key, m.arc_load.tobytes(), m.hop_counts.tobytes())
-                for c in configs for i in range(c.trials)
-                for key, m in run_trial(c, i).variants().items()]
+        return [metric_bytes(run_trial(c, i)) for c in configs for i in range(c.trials)]
 
     expected = outcomes()
     # Three held rows of the bundled backbone's 37, then none: trials then
@@ -732,18 +588,14 @@ def test_shared_draws_equal_fresh_draws(fresh_draws):
                        fog_cache_fraction=0.3),
     ]
 
-    def variants(outcome):
-        return [(key, m.arc_load.tobytes(), m.hop_counts.tobytes())
-                for key, m in outcome.variants().items()]
-
     for other in others:
         for index in range(first.trials):
             run_trial(first, index)
             hits = experiment._trial_draws.cache_info().hits
-            shared = variants(run_trial(other, index))
+            shared = metric_bytes(run_trial(other, index))
             assert experiment._trial_draws.cache_info().hits == hits + 1
             experiment._trial_draws.cache_clear()
-            assert variants(run_trial(other, index)) == shared
+            assert metric_bytes(run_trial(other, index)) == shared
 
 
 @pytest.fixture()

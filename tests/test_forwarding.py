@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph
+from fogcast import forwarding
 from fogcast.forwarding import (
     BloomScheme,
     carried_arcs,
@@ -198,8 +199,11 @@ def by_group(group, arc, n_groups):
 
 @pytest.mark.parametrize("scheme", [BloomScheme(m=16, k=2), BloomScheme(m=64, k=3),
                                     BloomScheme(m=200, k=5, hash_seed=7)])
-def test_label_masks_hold_label_positions(scheme):
+def test_label_masks_hold_label_positions(scheme, monkeypatch):
     g = random_connected_graph(np.random.default_rng(2), 5, 0)  # 8 arcs
+    labelled = []
+    monkeypatch.setattr(forwarding, "label_arc",
+                        lambda scheme, arc: labelled.append(arc) or label_arc(scheme, arc))
     masks = label_masks(g, scheme)
     width = ForwardingId(bits=0, scheme=scheme).width
     assert masks.dtype == np.uint64 and masks.shape == (g.n_arcs, -(-width // 64))
@@ -208,6 +212,8 @@ def test_label_masks_hold_label_positions(scheme):
         assert bits == encode_tree(make_tree(0, set(), {arc_id}), scheme).bits
     assert label_masks(g, scheme) is masks
     assert not masks.flags.writeable
+    # Each arc is labelled once per (graph, scheme), however often it is asked.
+    assert labelled == list(range(g.n_arcs))
 
 
 def test_group_kernel_matches_scalar_delivery(geant):

@@ -1,16 +1,17 @@
 """Seeded outputs pinned across changes.
 
-Nine grids on the bundled backbone, six on the 2,000-node synthetic
+Eleven grids on the bundled backbone, six on the 2,000-node synthetic
 backbone of seed 1 (``conftest.write_synthetic``) and one on its 10,000-node
 sibling are re-run and compared with the CSVs committed under
 ``tests/data/golden/<grid>/``. The ``ci_*`` grids add Bloom, resolver and
 closeness runs on the bundled backbone and on both synthetic ones, and a
-steep Zipf law over 70,000 items (``ci_steep``). ``grid_icn``
-has the shape of the benchmark's workload of that name (the paper's fog x
-cloud sweep with catchment intervals), and ``square`` is the same sweep
-with fallback pulls counted. On
+steep Zipf law over 70,000 items (``ci_steep``). ``grid_icn``,
+``bloom_icn`` and ``grid_dns`` have the shapes of the benchmark's workloads
+of those names (``grid_icn`` is the paper's fog x cloud sweep with
+catchment intervals), and ``square`` is the ``grid_icn`` sweep with
+fallback pulls counted. On
 the synthetic backbone the default Bloom scheme carries thousands of false-positive
-arcs, so their charging is pinned too; the bundled backbone gives none.
+arcs, so their charging is pinned too; the bundled backbone gives few.
 There, too, only 271 of the 2,000 nodes are clients, so the per-client
 resolution and paths of a ``pop`` grid of each architecture are pinned
 where most nodes are not asked about: ``scale_2k`` has the shape of the
@@ -72,6 +73,10 @@ GRIDS = {
     "ci_scale_dns": "arch = dns\nfog = 4,8\ncloud = 4\nldns = 2,4\nplacement = cls\n"
                     "trials = 2\n",
     "ci_big": "arch = icn\nfog = 4,8\ncloud = 4\ncatchment = 0.1,1\ntrials = 2\nseed = 5\n",
+    "bloom_icn": "arch = icn\nfog = 4\ncloud = 4\ncatchment = 0.1,1,10\nscheme = bloom\n"
+                 "count_fallback = true\ntrials = 4\nseed = 2\n",
+    "grid_dns": "arch = dns\nfog = 2,4,6,8\ncloud = 2,4,6,8\nldns = 4\nplacement = pop,cls\n"
+                "trials = 2\nseed = 2\n",
 }
 
 # Grids run on a synthetic backbone of seed 1 rather than the bundled one,
