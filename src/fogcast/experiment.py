@@ -23,8 +23,8 @@ Bloom delivery below, are in ``tests/oracles.py``.
 Every flow is charged on one canonical root -> leaf path
 (``canonical_paths``): service point -> client for the delivery, origin
 -> service point for the fallback pull. Unicast, catchment trees and
-Bloom delivery all read the same paths; Bloom forwarding of every group
-with tree arcs in a trial is one ``deliver_groups`` call.
+Bloom delivery all read the same paths; one ``false_positive_arcs`` call
+gives the arcs each group's Bloom identifier carries beyond its tree.
 
 Every root is a placed point, so a trial takes the hop rows of its fog,
 cloud and LDNS points once (``HopRows.table``) and reads only their
@@ -65,7 +65,7 @@ import numpy as np
 
 from . import data
 from .errors import FogcastError, read_text
-from .forwarding import BloomScheme, deliver_groups
+from .forwarding import BloomScheme, false_positive_arcs
 from .placement import ROLE_SALTS, PickOrder, pick_order, place_all
 from .service_router import fog_cache_items, group_rate, resolve_nodes
 from .topology import HopRows, canonical_paths, gather, load_topology
@@ -329,23 +329,13 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     entries = [(tree_group, tree_arc, np.bincount(tree_of, weights=counts[owner]))]
 
     if config.scheme == "bloom":
-        # Only groups with tree arcs are delivered, each from its point.
-        first = np.diff(tree_group, prepend=-1) != 0
-        delivered = tree_group[first]
-        carried, carried_arc = deliver_groups(graph, BloomScheme(), delivered // n_items,
-                                              np.cumsum(first) - 1, tree_arc)
-        carried_group = delivered[carried]
-        # Both key lists are sorted and every tree arc is carried.
-        extra = np.ones(len(carried_arc), dtype=bool)
-        extra[np.searchsorted(carried_group * n_arcs + carried_arc, tree_keys)] = False
-        if extra.any():
-            # False-positive arcs carry the tree's full group rate
-            # (conservative); exact-bit stays the headline scheme.
+        fp_group, fp_arc = false_positive_arcs(graph, BloomScheme(), tree_group // n_items,
+                                               tree_group, tree_arc)
+        if fp_group.size:
+            # False-positive arcs carry the whole group rate, conservatively.
             keys, group = np.unique(group_key, return_inverse=True)
             group_total = np.bincount(group, weights=counts)
-            fp_group = carried_group[extra]
-            entries.append((fp_group, carried_arc[extra],
-                            group_total[np.searchsorted(keys, fp_group)]))
+            entries.append((fp_group, fp_arc, group_total[np.searchsorted(keys, fp_group)]))
 
     if pull.any():
         # Fallback pulls: one per group whose point lacks the item, with the

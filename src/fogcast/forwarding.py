@@ -9,16 +9,12 @@ trial reports charges the tree arcs directly. Arc labels are
 unidirectional; reverse delivery needs its own identifier.
 
 Trials forward every group of a trial at once. ``label_masks`` holds each
-arc's label as a bit mask of ``ceil(m / 64)`` uint64 words, built once
-per (graph, scheme) with ``label_arc``. ``deliver_groups`` ORs each group's
-tree masks into its identifier and delivers each distinct (root,
-identifier) pair once: the arcs a packet takes depend on nothing else, and
-the groups of a trial share few such pairs, since a popular item served
-from one point reaches the same clients. ``carried_arcs`` tests every arc
-against every identifier (an arc passes when ``fid & mask == mask``) and
-walks the passing arcs from all roots together, level by level. The
-scalar ``encode_tree``, ``forward`` and ``deliver`` in ``tests/oracles.py``,
-built on ``label_arc``, are the reference the kernel is tested against.
+arc's label as ``ceil(m / 64)`` uint64 words, built once per (graph,
+scheme). ``false_positive_arcs`` returns only the arcs each group's
+identifier carries beyond its tree, delivering each distinct (root,
+identifier) pair once and testing only the out-arcs of the nodes it
+reaches. The scalar ``encode_tree``, ``forward`` and ``deliver`` in
+``tests/oracles.py`` are the reference it is tested against.
 """
 from __future__ import annotations
 
@@ -34,8 +30,7 @@ __all__ = [
     "BloomScheme",
     "label_arc",
     "label_masks",
-    "deliver_groups",
-    "carried_arcs",
+    "false_positive_arcs",
     "fpr_theoretical",
 ]
 
@@ -67,10 +62,6 @@ def label_arc(scheme: BloomScheme, arc_id: int) -> tuple[int, ...]:
     return tuple(sorted({(h1 + i * h2) % scheme.m for i in range(scheme.k)}))
 
 
-# Elements of the (groups, arcs) word temporary in the mask test.
-_TEST_BLOCK = 1 << 14
-
-
 @lru_cache(maxsize=8)
 def label_masks(graph: NetworkGraph, scheme: BloomScheme) -> np.ndarray:
     """Every arc's label under ``scheme`` as a read-only bit mask table.
@@ -88,77 +79,90 @@ def label_masks(graph: NetworkGraph, scheme: BloomScheme) -> np.ndarray:
     return masks
 
 
-def deliver_groups(graph: NetworkGraph, scheme: BloomScheme, roots, tree_group,
-                   tree_arc) -> tuple[np.ndarray, np.ndarray]:
-    """Arcs carried when each group's tree is encoded and delivered, all at once.
+def false_positive_arcs(graph: NetworkGraph, scheme: BloomScheme, tree_root, tree_group,
+                        tree_arc) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs each group's identifier carries beyond its own tree, all at once.
 
-    Group ``g`` owns the arcs ``tree_arc[tree_group == g]`` (``tree_group``
-    sorted) and is delivered from ``roots[g]``. Trials pass only groups
-    with tree arcs, numbered from 0 in order; a group without arcs would
-    have an all-zero identifier and carry nothing. Returns ``(group, arc)``
-    pairs sorted by group, then arc: for each group, the union of
-    ``forward(fid, v)`` over ``v`` in ``deliver(fid, root)``.
+    Arc ``tree_arc[i]`` belongs to group ``tree_group[i]`` (sorted), whose
+    arcs must form a tree rooted at ``tree_root[i]``. Delivering the group's
+    identifier, the OR of its tree masks, from the root carries the union
+    of ``forward(fid, v)`` over ``v`` in ``deliver(fid, root)``. Returns
+    that union's ``(group, arc)`` pairs outside the group's tree, sorted by
+    group, then arc.
 
-    Each distinct (root, identifier) pair is delivered once, and its arcs
-    are copied to every group that shares it. This is exact, because
-    ``forward`` and ``deliver`` read nothing but the identifier and the
-    root: groups whose trees differ but whose Bloom identifiers collide
-    carry the same arcs too.
+    Each distinct (root, identifier) pair is delivered once, from the root
+    and arc heads of one tree it encodes (every tree arc passes), testing
+    only the out-arcs of reached nodes. If every identifier passes just
+    that tree's arcs and every group's tree is as large, nothing else is
+    carried. Otherwise the walk goes on from the extra arcs' heads, and each
+    group's own tree is taken out, as colliding identifiers can encode others.
     """
+    if not len(tree_arc):
+        return tree_group[:0], tree_arc[:0]
     masks = label_masks(graph, scheme)
-    roots = np.asarray(roots, dtype=np.intp)
-    fids = np.zeros((len(roots), masks.shape[1]), dtype=np.uint64)
-    present, starts = np.unique(tree_group, return_index=True)
-    if present.size:
-        fids[present] = np.bitwise_or.reduceat(masks[tree_arc], starts, axis=0)
-    # Equal (root, identifier) rows are adjacent once sorted; each run is one tree.
-    order = np.lexsort((*fids.T, roots))
-    sorted_roots, sorted_fids = roots[order], fids[order]
+    indptr = np.concatenate(([0], np.flatnonzero(np.diff(tree_group)) + 1, [len(tree_arc)]))
+    group, size, root = tree_group[indptr[:-1]], np.diff(indptr), tree_root[indptr[:-1]]
+    fids = np.bitwise_or.reduceat(masks.take(tree_arc, axis=0), indptr[:-1], axis=0)
+    # Equal (root, identifier) rows are adjacent once sorted; each run is one identifier.
+    order = np.lexsort((*fids.T, root))
+    sorted_root = root[order]
     run_start = np.ones(len(order), dtype=bool)
-    run_start[1:] = ((sorted_roots[1:] != sorted_roots[:-1])
-                     | (sorted_fids[1:] != sorted_fids[:-1]).any(axis=1))
-    tree_of = np.empty(len(order), dtype=np.intp)
-    tree_of[order] = np.cumsum(run_start) - 1
+    np.not_equal(sorted_root[1:], sorted_root[:-1], out=run_start[1:])
+    for word in fids.take(order, axis=0).T:
+        run_start[1:] |= word[1:] != word[:-1]
     first = order[run_start]
-    tree, arc = carried_arcs(graph, scheme, fids[first], roots[first])
-    indptr = np.searchsorted(tree, np.arange(len(first) + 1))
-    return gather(indptr, arc, tree_of)
+    unset = ~fids.take(first, axis=0)  # an arc passes when its mask has no unset bit
 
+    owner, arc = gather(indptr, tree_arc, first)
+    reached_at = np.concatenate((np.arange(len(first)), owner))
+    reached_node = np.concatenate((root[first], graph.dst[arc]))
+    at, arc = _passing(graph, masks, unset, reached_at, reached_node)
+    # Each identifier passes at least its tree's arcs: equal totals mean just those.
+    if len(at) == size[first].sum() and not np.diff(size[order])[~run_start[1:]].any():
+        return tree_group[:0], tree_arc[:0]
 
-def carried_arcs(graph: NetworkGraph, scheme: BloomScheme, fids,
-                 roots) -> tuple[np.ndarray, np.ndarray]:
-    """Arcs carried by identifier ``fids[g]`` delivered from ``roots[g]``.
-
-    ``fids`` has one row of mask words per group, laid out as in
-    ``label_masks``. An arc passes when every bit of its mask is set; it
-    is carried when it passes and its source is reached from the root over
-    passing arcs. Returns ``(group, arc)`` pairs sorted by group, then arc.
-    """
-    masks = label_masks(graph, scheme)
-    roots = np.asarray(roots, dtype=np.intp)
-    # One word and one block of groups at a time: the uint64 temporary
-    # holds at most _TEST_BLOCK elements.
-    passes = np.ones((len(roots), graph.n_arcs), dtype=bool)
-    rows = max(1, _TEST_BLOCK // max(graph.n_arcs, 1))
-    for lo in range(0, len(roots), rows):
-        block = passes[lo:lo + rows]
-        for word in range(masks.shape[1]):
-            block &= (fids[lo:lo + rows, word, None] & masks[:, word]) == masks[:, word]
-    group, arc = np.nonzero(passes)
-    src, dst = graph.src[arc], graph.dst[arc]
-    reached = np.zeros((len(roots), graph.n_nodes), dtype=bool)
-    reached[np.arange(len(roots)), roots] = True
-    frontier = reached.copy()
+    n, n_arcs = graph.n_nodes, graph.n_arcs
+    reached = np.sort(reached_at * n + reached_node)
+    carried = [at * n_arcs + arc]
     while True:
-        step = frontier[group, src]
-        if not step.any():
+        heads = np.sort(at * n + graph.dst[arc])
+        known = reached[np.searchsorted(reached, heads).clip(max=len(reached) - 1)] == heads
+        heads = heads[~known & (np.diff(heads, prepend=-1) != 0)]
+        if not heads.size:
             break
-        frontier = np.zeros_like(reached)
-        frontier[group[step], dst[step]] = True
-        frontier &= ~reached
-        reached |= frontier
-    carried = reached[group, src]
-    return group[carried], arc[carried]
+        reached = np.sort(np.concatenate((reached, heads)))
+        at, arc = _passing(graph, masks, unset, *np.divmod(heads, n))
+        carried.append(at * n_arcs + arc)
+    at, arc = np.divmod(np.sort(np.concatenate(carried)), n_arcs)
+    # Every group takes its identifier's arcs, less its own tree.
+    ident = (np.cumsum(run_start) - 1)[np.argsort(order)]
+    owner, arc = gather(np.searchsorted(at, np.arange(len(first) + 1)), arc, ident)
+    keys = owner * n_arcs + arc
+    tree_keys = np.repeat(np.arange(len(group)), size) * n_arcs + tree_arc
+    at = np.searchsorted(keys, tree_keys).clip(max=len(keys) - 1)
+    extra = np.ones(len(keys), dtype=bool)
+    extra[at[keys[at] == tree_keys]] = False
+    return group[owner[extra]], arc[extra]
+
+
+def _passing(graph: NetworkGraph, masks, unset, at, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """(at, arc) pairs: out-arcs of ``nodes[i]`` whose mask meets no bit of ``unset[at[i]]``."""
+    owner, arc = gather(*_out_arcs(graph), nodes)
+    at = at[owner]
+    clash = masks.take(arc, axis=0)
+    clash &= unset.take(at, axis=0)
+    missing = clash[:, 0].copy()
+    for word in clash.T[1:]:
+        missing |= word
+    passes = missing == 0
+    return at[passes], arc[passes]
+
+
+@lru_cache(maxsize=8)
+def _out_arcs(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's out-arcs, ascending, as a CSR (indptr, arcs) built once per graph."""
+    arcs = np.argsort(graph.src, kind="stable")
+    return np.searchsorted(graph.src[arcs], np.arange(graph.n_nodes + 1)), arcs
 
 
 def fpr_theoretical(m: int, k: int, n_inserted: int) -> float:

@@ -17,8 +17,9 @@ kept independent of the array kernels in ``fogcast``:
 - resolver redirection: ``resolve_request_dns`` resolves one request
   through the client's nearest LDNS (the same kernel, given resolvers);
 - forwarding: ``encode_tree``, ``forward`` and ``deliver`` encode and
-  deliver one tree at a time (``forwarding.deliver_groups`` is the kernel),
-  under a Bloom scheme or the exact one, one bit per arc (``ExactScheme``);
+  deliver one tree at a time (``forwarding.false_positive_arcs`` is the
+  kernel), under a Bloom scheme or the exact one, one bit per arc
+  (``ExactScheme``);
 - the whole trial: ``reference_trial`` runs one trial from the oracles
   above, drawn afresh, resolved one request at a time and aggregated one
   (service point, item) group at a time, Bloom delivery included

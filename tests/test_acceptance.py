@@ -9,12 +9,13 @@ values. The grid's per-trial backhaul is also compared with its golden,
 Criteria 6 and 9 run the kernels trials run. Criterion 6 resolves every
 request of its trials with ``resolve_nodes``, on each trial's shared draws
 and pick orders, once at the client and once through its nearest LDNS.
-Criterion 9 delivers its Bloom trees with ``deliver_groups``; its
-exact-scheme and false-positive checks stay with the scalar oracles, since
-trials charge exact trees directly. Each kernel is tied to its oracle
-elsewhere: ``test_per_node_kernel_matches_scalar_resolvers``
-(tests/test_experiment.py) and ``test_group_kernel_matches_scalar_delivery``
-(tests/test_forwarding.py).
+Criterion 9 delivers its Bloom trees with ``false_positive_arcs``: each
+tree and its false-positive arcs must make up exactly what the scalar
+``forward`` over ``deliver`` carries. Its exact-scheme and false-positive
+rate checks stay with the scalar oracles, since trials charge exact trees
+directly. Each kernel is tied to its oracle elsewhere:
+``test_per_node_kernel_matches_scalar_resolvers`` (tests/test_experiment.py)
+and ``test_group_kernel_matches_scalar_delivery`` (tests/test_forwarding.py).
 """
 from __future__ import annotations
 
@@ -38,11 +39,11 @@ from fogcast.experiment import (
     run_trial,
     trial_seed,
 )
-from fogcast.forwarding import BloomScheme, deliver_groups, fpr_theoretical, label_arc
+from fogcast.forwarding import BloomScheme, false_positive_arcs, fpr_theoretical, label_arc
 from fogcast.placement import place_all
 from fogcast.service_router import fog_cache_items, group_rate, resolve_nodes
 from fogcast.topology import load_topology
-from oracles import ExactScheme, all_pairs, build_tree, deliver, encode_tree
+from oracles import ExactScheme, all_pairs, build_tree, deliver, encode_tree, forward
 from test_golden import GOLDEN, check_text
 
 BASE_SEED = 3
@@ -250,10 +251,16 @@ def test_criterion_9_forwarding_exactness():
             bloom_failures += 1
         if tree.arcs:
             # As a Bloom trial delivers a group: one root, its tree arcs sorted.
+            # The tree and the kernel's false positives make up what the
+            # scalar plane carries, and do not meet.
             arcs = np.array(sorted(tree.arcs), dtype=np.intp)
-            _, carried = deliver_groups(g, BloomScheme(), [root], np.zeros_like(arcs), arcs)
+            _, extra = false_positive_arcs(g, BloomScheme(), np.full_like(arcs, root),
+                                           np.zeros_like(arcs), arcs)
+            extra = set(extra.tolist())
+            fid = encode_tree(tree, BloomScheme())
+            carried = set().union(*(forward(fid, node, g) for node in deliver(fid, root, g)))
             delivered += 1
-            kernel_failures += not set(carried.tolist()) >= tree.arcs
+            kernel_failures += bool(extra & tree.arcs) or tree.arcs | extra != carried
 
     # measured Bloom FPR on the 500-arc universe, against the formula
     m, k, inserted = 256, 4, 20
@@ -276,7 +283,7 @@ def test_criterion_9_forwarding_exactness():
     ok = exact_failures == bloom_failures == kernel_failures == 0 and delivered > 0 and fpr_ok
     report(9, ok, f"200 trees: {exact_failures} exact mismatches, "
                   f"{bloom_failures} bloom non-supersets; {delivered} trees with arcs "
-                  f"through deliver_groups, {kernel_failures} non-supersets; measured FPR "
+                  f"through false_positive_arcs, {kernel_failures} mismatches; measured FPR "
                   f"{measured:.4f} vs formula {predicted:.4f} (within 2x)")
 
 

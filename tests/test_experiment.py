@@ -277,19 +277,21 @@ def metric_bytes(outcome):
             for key, m in outcome.variants().items()]
 
 
-@pytest.mark.parametrize("backbone", ["bundled", "chain", "synthetic_100", "synthetic_300"])
-def test_run_trial_equals_reference_trial(backbone, chain_setup, tmp_path):
-    """``run_trial`` equals ``oracles.reference_trial`` on every row: unicast
-    loads and the hop histogram bit for bit, catchment loads within 1e-12
-    relative, arc by arc. The rows pull, and Bloom identifiers pass
-    false-positive arcs on every backbone but the chain; where they pass
-    none, Bloom equals the exact scheme byte for byte."""
-    top, pop = {"bundled": ("", ""), "chain": chain_setup}.get(backbone, ("", ""))
+def backbone_files(backbone, chain_setup, tmp_path):
+    """Topology and population paths of a named backbone ('' for bundled)."""
     if backbone.startswith("synthetic_"):
         n_nodes = int(backbone.removeprefix("synthetic_"))
-        top, pop = write_synthetic(tmp_path, 1, n_nodes, n_nodes // 5)
+        return write_synthetic(tmp_path, 1, n_nodes, n_nodes // 5)
+    return {"chain": chain_setup}.get(backbone, ("", ""))
+
+
+def reference_counters(rows, top, pop):
+    """Trial 0 of each row through ``run_trial`` and ``oracles.reference_trial``:
+    unicast loads and the hop histogram bit for bit, catchment loads within
+    1e-12 relative, arc by arc. A Bloom row that passes no false-positive
+    arc equals the exact scheme byte for byte. Returns the summed counters."""
     seen = {"pulls": 0, "fp_arcs": 0}
-    for row in REFERENCE_ROWS:
+    for row in rows:
         config = ScenarioConfig(topology_path=top, population_path=pop, trials=1, **row)
         got = run_trial(config, 0)
         want, counters = oracles.reference_trial(config, 0)
@@ -304,8 +306,39 @@ def test_run_trial_equals_reference_trial(backbone, chain_setup, tmp_path):
             exact = dataclasses.replace(config, scheme="exact")
             assert metric_bytes(run_trial(exact, 0)) == metric_bytes(got)
         seen = {key: seen[key] + counters[key] for key in seen}
+    return seen
+
+
+@pytest.mark.parametrize("backbone", ["bundled", "chain", "synthetic_100", "synthetic_300"])
+def test_run_trial_equals_reference_trial(backbone, chain_setup, tmp_path):
+    """``run_trial`` equals ``oracles.reference_trial`` on every row (see
+    ``reference_counters``). The rows pull, and Bloom identifiers pass
+    false-positive arcs on every backbone but the chain; where they pass
+    none, Bloom equals the exact scheme byte for byte."""
+    seen = reference_counters(REFERENCE_ROWS, *backbone_files(backbone, chain_setup, tmp_path))
     assert seen["pulls"] > 0
     assert seen["fp_arcs"] > 0 or backbone == "chain"
+
+
+@dataclasses.dataclass(frozen=True)
+class Bloom16(BloomScheme):
+    """16-bit identifiers: most groups pass false-positive arcs."""
+
+    m: int = 16
+    k: int = 2
+
+
+@pytest.mark.parametrize("backbone", ["bundled", "synthetic_300"])
+def test_run_trial_equals_reference_trial_under_16_bit_bloom(backbone, tmp_path, monkeypatch):
+    """The Bloom rows of ``REFERENCE_ROWS`` again, with the 16-bit scheme in
+    both ``run_trial`` and the reference: the default one passes few
+    false-positive arcs on these backbones, so whole trials would seldom
+    reach the Bloom kernel's walk or its per-group subtraction."""
+    monkeypatch.setattr(experiment, "BloomScheme", Bloom16)
+    monkeypatch.setattr(oracles, "BloomScheme", Bloom16)
+    rows = [row for row in REFERENCE_ROWS if row.get("scheme") == "bloom"]
+    seen = reference_counters(rows, *backbone_files(backbone, None, tmp_path))
+    assert seen["fp_arcs"] > 0
 
 
 def test_zero_interval_catchment_equals_unicast_total(chain_setup):

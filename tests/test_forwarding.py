@@ -7,8 +7,7 @@ from conftest import random_connected_graph
 from fogcast import forwarding
 from fogcast.forwarding import (
     BloomScheme,
-    carried_arcs,
-    deliver_groups,
+    false_positive_arcs,
     fpr_theoretical,
     label_arc,
     label_masks,
@@ -217,10 +216,12 @@ def test_label_masks_hold_label_positions(scheme, monkeypatch):
 
 
 def test_group_kernel_matches_scalar_delivery(geant):
-    """Per group, the kernel carries exactly the arcs of ``forward`` over
-    ``deliver``, on the bundled backbone and 50 random graphs, under the
-    default Bloom scheme and a 16-bit one whose false positives chain over
-    several hops and close cycles."""
+    """Per group, the kernel's false-positive arcs are exactly the arcs of
+    ``forward`` over ``deliver`` outside the group's tree, on the bundled
+    backbone and 50 random graphs, under the default Bloom scheme and a
+    16-bit one whose false positives chain over several hops and close
+    cycles. Under a 1-bit scheme every identifier with a bit set passes
+    every arc, so a tree with arcs carries all the others."""
     rng = np.random.default_rng(31)
     graphs = [geant] + [random_connected_graph(rng, int(rng.integers(4, 31)),
                                                int(rng.integers(0, 20)))
@@ -232,75 +233,129 @@ def test_group_kernel_matches_scalar_delivery(geant):
                      g.n_nodes, size=int(rng.integers(1, min(6, g.n_nodes))), replace=False)})
                  for root in rng.integers(0, g.n_nodes, size=6)]
         trees.append(make_tree(int(rng.integers(g.n_nodes)), set(), set()))  # no arcs
-        roots = np.array([t.root for t in trees])
-        tree_group = np.concatenate([np.full(len(t.arcs), i) for i, t in enumerate(trees)])
-        tree_arc = np.concatenate([sorted(t.arcs) for t in trees]).astype(np.intp)
         for scheme in (BloomScheme(), BloomScheme(m=16, k=2)):
-            got = by_group(*deliver_groups(g, scheme, roots, tree_group, tree_arc), len(trees))
-            for tree, carried in zip(trees, got):
-                fid = encode_tree(tree, scheme)
-                assert carried == scalar_carried(fid, tree.root, g)
+            for tree, extra in zip(trees, kernel_matches_scalar(g, scheme, trees)):
                 tree_nodes = {tree.root} | {int(g.dst[a]) for a in tree.arcs}
-                extra = carried - tree.arcs
                 chained += sum(g.src[a] not in tree_nodes for a in extra)
-                cycles += sum(a ^ 1 in carried for a in extra)
-
-            # An all-ones identifier from every root carries every arc.
-            words = label_masks(g, scheme).shape[1]
-            ones = np.full((len(roots), words), np.iinfo(np.uint64).max, dtype=np.uint64)
-            fid = ForwardingId(bits=(1 << scheme.m) - 1, scheme=scheme)
-            got = by_group(*carried_arcs(g, scheme, ones, roots), len(roots))
-            for root, carried in zip(roots.tolist(), got):
-                assert carried == scalar_carried(fid, root, g) == set(range(g.n_arcs))
+                cycles += sum(a ^ 1 in extra | tree.arcs for a in extra)
+        got = kernel_matches_scalar(g, BloomScheme(m=1, k=1), trees)
+        assert got == [set(range(g.n_arcs)) - t.arcs if t.arcs else set() for t in trees]
     assert chained > 0 and cycles > 0
 
 
-def test_group_kernel_delivers_each_distinct_identifier_once(geant, geant_hops, monkeypatch):
-    """Groups sharing a (root, identifier) pair cost one delivery: repeated
-    trees, one arc set from two roots, two arc sets whose 16-bit Bloom
-    identifiers collide, identifiers equal in their first word only and
-    empty trees between them. Every group still carries the arcs of
-    ``forward`` over ``deliver`` from its own root."""
+def is_tree(graph, tree):
+    """Whether ``tree.arcs`` form a tree rooted at ``tree.root``: each arc
+    leaves a node reached from the root and enters a node reached by no
+    other arc."""
+    reached, left = {tree.root}, set(tree.arcs)
+    while left:
+        step = {a for a in left if graph.src[a] in reached}
+        heads = [int(graph.dst[a]) for a in step]
+        if not step or len(set(heads)) < len(heads) or reached & set(heads):
+            return False
+        reached |= set(heads)
+        left -= step
+    return True
+
+
+def test_group_kernel_delivers_each_distinct_identifier_once(geant, geant_hops):
+    """Groups that share a (root, identifier) pair are delivered once but
+    keep their own trees: a repeated tree, a tree grown by an arc its
+    16-bit identifier already passes, and one grown tree that passes
+    exactly its own arcs ahead of the smaller tree it collides with. Pairs
+    that differ in the root alone, or in an identifier word past the first,
+    are delivered twice. Every group, empty ones between them, gets exactly
+    the arcs of ``forward`` over ``deliver`` from its own root outside its
+    own tree."""
     tree = build_tree(geant_hops, 3, {20, 30})
-    small = BloomScheme(m=16, k=2)
-    bits = encode_tree(tree, small).bits
-    # An arc the 16-bit identifier of ``tree`` already passes collides with it.
-    surplus = next(a for a in range(geant.n_arcs) if a not in tree.arcs
-                   and ForwardingId(bits, small).test(label_arc(small, a)))
-    # An arc whose default-scheme bits, not all set yet, lie past the first
-    # word leaves that word of the identifier as it was.
-    bloom = BloomScheme()
-    fid = encode_tree(tree, bloom)
-    wide = next(a for a in range(geant.n_arcs) if a not in tree.arcs
-                and min(label_arc(bloom, a)) >= 64 and not fid.test(label_arc(bloom, a)))
+    small, bloom = BloomScheme(m=16, k=2), BloomScheme()
+    surplus = next(a for a in growing(geant, tree)
+                   if encode_tree(tree, small).test(label_arc(small, a)))
+    # Arcs from different nodes with one 16-bit label, the second carried
+    # from the first's source, that carry different arcs from the two.
+    a, b = next((a, b) for a in range(geant.n_arcs) for b in range(geant.n_arcs)
+                if label_arc(small, a) == label_arc(small, b) and geant.src[a] != geant.src[b]
+                and b in (first := scalar_carried(encode_tree(single(geant, a), small),
+                                                  int(geant.src[a]), geant))
+                and first - {b} != scalar_carried(encode_tree(single(geant, b), small),
+                                                  int(geant.src[b]), geant) - {b})
     other = build_tree(geant_hops, 11, {0, 25})
     empty = set()
-    trees = [tree, make_tree(3, empty, empty), make_tree(3, {20, 30}, tree.arcs | {wide}),
-             tree, make_tree(20, {30}, tree.arcs), make_tree(3, empty, empty),
-             make_tree(3, {20, 30}, tree.arcs | {surplus}), other,
-             make_tree(12, {0, 25}, other.arcs), make_tree(20, empty, empty), tree, other]
-    roots = np.array([t.root for t in trees])
+    trees = [tree, make_tree(3, empty, empty), grow(geant, tree, surplus), single(geant, a),
+             make_tree(3, empty, empty), other, single(geant, b), make_tree(20, empty, empty),
+             tree, other]
+    assert encode_tree(trees[2], small) == encode_tree(tree, small)
+    assert encode_tree(single(geant, a), small) == encode_tree(single(geant, b), small)
+    for scheme in (bloom, small):
+        got = kernel_matches_scalar(geant, scheme, trees)
+    assert surplus in got[0] and surplus not in got[2]
+
+    # Identifiers equal in their first word only: a tree grown by one arc
+    # and by two others, all with default bits past that word alone.
+    w0, w1 = wide_arcs(geant, bloom, tree)[:2]
+    w2 = next(w for w in wide_arcs(geant, bloom, grow(geant, tree, w1)) if w != w0)
+    pair = [grow(geant, tree, w0), grow(geant, grow(geant, tree, w1), w2)]
+    first, second = (encode_tree(t, bloom).bits for t in pair)
+    assert first != second and (first ^ second) & (1 << 64) - 1 == 0
+    kernel_matches_scalar(geant, bloom, pair)
+
+    # A one-arc tree grown by an arc its 16-bit identifier passes, such that
+    # the grown tree passes nothing more, listed first.
+    e, x = next((e, x) for e in range(geant.n_arcs) for x in growing(geant, single(geant, e))
+                if encode_tree(single(geant, e), small).test(label_arc(small, x))
+                and scalar_carried(encode_tree(grow(geant, single(geant, e), x), small),
+                                   int(geant.src[e]), geant) == {e, x})
+    pair = [grow(geant, single(geant, e), x), single(geant, e)]
+    assert kernel_matches_scalar(geant, small, pair) == [set(), {x}]
+
+
+def kernel_matches_scalar(graph, scheme, trees):
+    """Each tree's false-positive arcs from one kernel call, checked sorted
+    and against the scalar plane; a list of sets, one per tree. The
+    identifiers the kernel delivers are one per distinct (root, identifier)
+    pair of the trees with arcs."""
+    assert all(is_tree(graph, t) for t in trees)
     tree_group = np.concatenate([np.full(len(t.arcs), i) for i, t in enumerate(trees)])
     tree_arc = np.concatenate([sorted(t.arcs) for t in trees]).astype(np.intp)
-    assert encode_tree(trees[6], small).bits == bits
-    wide_bits = encode_tree(trees[2], bloom).bits
-    assert wide_bits != fid.bits and (wide_bits ^ fid.bits) & (1 << 64) - 1 == 0
-
+    tree_root = np.array([t.root for t in trees])[tree_group]
     delivered = []
 
-    def spy(graph, scheme, fids, roots):
-        delivered.extend(
-            (int(root), sum(int(word) << 64 * i for i, word in enumerate(row)))
-            for root, row in zip(roots.tolist(), fids))
-        return carried_arcs(graph, scheme, fids, roots)
+    def spy(graph, masks, unset, at, nodes):
+        delivered.append(len(unset))
+        return passing(graph, masks, unset, at, nodes)
 
-    monkeypatch.setattr("fogcast.forwarding.carried_arcs", spy)
-    for scheme in (bloom, small):
-        delivered.clear()
-        group, arc = deliver_groups(geant, scheme, roots, tree_group, tree_arc)
-        keys = group * geant.n_arcs + arc
-        assert (np.diff(keys) > 0).all()
-        for t, carried in zip(trees, by_group(group, arc, len(trees))):
-            assert carried == scalar_carried(encode_tree(t, scheme), t.root, geant)
-        pairs = [(t.root, encode_tree(t, scheme).bits) for t in trees]
-        assert sorted(delivered) == sorted(set(pairs))
+    passing = forwarding._passing
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forwarding, "_passing", spy)
+        group, arc = false_positive_arcs(graph, scheme, tree_root, tree_group, tree_arc)
+    pairs = {(t.root, encode_tree(t, scheme).bits) for t in trees if t.arcs}
+    assert set(delivered) == ({len(pairs)} if pairs else set())
+    assert (np.diff(group * graph.n_arcs + arc) > 0).all()
+    got = by_group(group, arc, len(trees))
+    for t, extra in zip(trees, got):
+        assert extra == scalar_carried(encode_tree(t, scheme), t.root, graph) - t.arcs
+    return got
+
+
+def growing(graph, tree):
+    """Arcs that grow ``tree`` by one node: out of a tree node, into a new one."""
+    nodes = {tree.root} | {int(graph.dst[a]) for a in tree.arcs}
+    return [a for a in range(graph.n_arcs)
+            if graph.src[a] in nodes and graph.dst[a] not in nodes]
+
+
+def wide_arcs(graph, scheme, tree):
+    """Arcs that grow ``tree`` and whose label, not passed yet, lies past the
+    identifier's first word."""
+    fid = encode_tree(tree, scheme)
+    return [a for a in growing(graph, tree)
+            if min(label_arc(scheme, a)) >= 64 and not fid.test(label_arc(scheme, a))]
+
+
+def grow(graph, tree, arc):
+    return make_tree(tree.root, tree.leaves | {int(graph.dst[arc])}, tree.arcs | {arc})
+
+
+def single(graph, arc):
+    """The one-arc tree of ``arc``, rooted at its source."""
+    return make_tree(int(graph.src[arc]), {int(graph.dst[arc])}, {arc})
