@@ -2,7 +2,7 @@
 
 A trial is a deterministic function of (config, trial index): it derives a
 trial seed, places service points, draws a catalogue and demand, resolves
-the requests and accumulates per-arc response loads and a hop histogram.
+each client node and accumulates per-arc response loads and a hop histogram.
 
 Trials are paired: the trial seed depends on the base seed and the trial
 index alone, and no sweep axis changes the draws, so trial i of every
@@ -13,18 +13,23 @@ Placement is shared the same way: each (trial seed, mode, role) is one
 seeded pick order (``_pick_order``), and a config takes its first k
 picks, which are exactly what a fresh draw of k points would give.
 
-Resolution runs once per client node, not once per request: the service
-point depends on the node alone and the fallback origin on the service
-point alone; the demand draw lists each request's client. Both
-architectures take the same ``resolve_nodes`` call; the only difference
-is where the lookup starts, at the client (icn places no LDNS) or at its
-nearest LDNS (dns). The scalar oracles of both, and of the paths and
-Bloom delivery below, are in ``tests/oracles.py``.
+Resolution and unicast accounting run once per client node, not once per
+request: the service point depends on the node alone and the fallback
+origin on the service point alone, so requests reach the unicast pass only
+as three per-client sums that ``_trial_draws`` computes with the draws:
+users, load, and load of items past the fog cache. Both architectures take
+the same ``resolve_nodes`` call; the only difference is where the lookup
+starts, at the client (icn places no LDNS) or at its nearest LDNS (dns).
+The scalar oracles of both, and of the paths and Bloom delivery below, are
+in ``tests/oracles.py``.
 Every flow is charged on one canonical root -> leaf path
-(``canonical_paths``): service point -> client for the delivery, origin
--> service point for the fallback pull. Unicast, catchment trees and
+(``canonical_paths``): one per client, service point -> client with the
+client's load, and with ``count_fallback`` one per pulling point, origin ->
+point with its clients' summed load past the fog cache. The hop histogram
+weighs each client's hops by its users. Unicast, catchment trees and
 Bloom delivery all read the same paths; one ``false_positive_arcs`` call
 gives the arcs each group's Bloom identifier carries beyond its tree.
+Only catchment expands the per-client facts to requests.
 
 Every root is a placed point, so a trial takes the hop rows of its fog,
 cloud and LDNS points once (``HopRows.table``) and reads only their
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import platform
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product
@@ -233,24 +239,45 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return _splitmix64((base_seed & _MASK64) + _splitmix64(trial_index + 1))
 
 
+def _sha256(path: str) -> str:
+    import hashlib  # here alone: loading it costs every CLI start a few ms
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 @lru_cache(maxsize=8)
 def _load_context(topology_path: str, population_path: str):
+    """The graph, its hop rows and per-node populations of one pair of
+    input files, and a function giving the files' sha256 digests for the
+    manifest, taken once per context when first asked for."""
     graph = load_topology(topology_path)
     populations = assign_population(graph, load_population(population_path))
+    digests = lru_cache(maxsize=1)(lambda: (_sha256(topology_path), _sha256(population_path)))
     # pop placement draws only populated nodes: their rows are held.
-    return graph, HopRows(graph, np.flatnonzero(populations)), populations
+    return graph, HopRows(graph, np.flatnonzero(populations)), populations, digests
 
 
 @lru_cache(maxsize=1)
 def _trial_draws(seed: int, topology_path: str, population_path: str, n_items: int,
-                 alpha: float, bitrates: tuple[float, ...], target_bitrate: float):
-    """The catalogue and demand of one trial seed. Every field they read is
-    in the key, so configs that differ in placement, architecture or
-    accounting share them; both are read-only."""
-    _, _, populations = _load_context(topology_path, population_path)
+                 alpha: float, bitrates: tuple[float, ...], target_bitrate: float,
+                 fog_items: int):
+    """The catalogue and demand of one trial seed, and three sums per client
+    node (``demand.clients``): its users, its load, and its load of items
+    past ``fog_items``. Every field they read is in the key, so configs that
+    differ in placement, architecture or accounting share them; all are
+    read-only."""
+    populations = _load_context(topology_path, population_path)[2]
     catalogue = build_catalogue(n_items, alpha, bitrates, seed ^ _SALT_CATALOGUE)
     demand = draw_demand(populations, catalogue, target_bitrate, seed ^ _SALT_DEMAND)
-    return catalogue, demand
+    client_of, counts, items = demand.client_of, demand.counts, demand.items
+    load = counts * catalogue.bitrates[items - 1] * CHUNK_DURATION
+    n_clients = len(demand.clients)
+    sums = (np.bincount(client_of, weights=counts, minlength=n_clients),
+            np.bincount(client_of, weights=load, minlength=n_clients),
+            np.bincount(client_of, weights=np.where(items > fog_items, load, 0.0),
+                        minlength=n_clients))
+    for array in sums:
+        array.setflags(write=False)
+    return catalogue, demand, sums
 
 
 @lru_cache(maxsize=2 * len(ROLE_SALTS))
@@ -259,7 +286,7 @@ def _pick_order(seed: int, topology_path: str, population_path: str, mode: str,
     """The pick order of one (trial seed, mode, role), kept for every config
     of the trial index: each takes its first k picks. Room for every mode
     and role of one trial index."""
-    _, rows, populations = _load_context(topology_path, population_path)
+    _, rows, populations, _ = _load_context(topology_path, population_path)
     return pick_order(rows, populations, mode, role, seed)
 
 
@@ -270,7 +297,7 @@ def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
 
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     """Execute one seeded trial; deterministic for fixed (config, index)."""
-    graph, rows, _ = _load_context(config.topology_path, config.population_path)
+    graph, rows, _, _ = _load_context(config.topology_path, config.population_path)
     seed = trial_seed(config.base_seed, trial_index)
 
     roles = {
@@ -281,42 +308,44 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     placement = place_all(roles, lambda mode, role: _pick_order(
         seed, config.topology_path, config.population_path, mode, role))
     hops = rows.table(placement.fog + placement.cloud + placement.ldns)
-    catalogue, demand = _trial_draws(seed, config.topology_path, config.population_path,
-                                     config.n_items, config.alpha, config.bitrates,
-                                     config.target_bitrate)
+    fog_items = fog_cache_items(config.fog_cache_fraction, config.n_items)
+    catalogue, demand, (users, load, past_load) = _trial_draws(
+        seed, config.topology_path, config.population_path, config.n_items, config.alpha,
+        config.bitrates, config.target_bitrate, fog_items)
 
     items, counts, clients, client_of = (demand.items, demand.counts, demand.clients,
                                          demand.client_of)
-    client_point, origin = resolve_nodes(
-        hops, clients, client_of, items, placement.fog, placement.cloud,
-        fog_cache_items(config.fog_cache_fraction, catalogue.n), placement.ldns)
-    point = client_point[client_of]
-    pull = (origin >= 0) & config.count_fallback
-    bitrate = catalogue.bitrates[items - 1]
+    point, origin = resolve_nodes(hops, clients, items, placement.fog, placement.cloud,
+                                  fog_items, placement.ldns)
 
-    # Flows: one per client node (service point -> client), then one per
-    # service point that pulls counted misses (origin -> service point),
-    # each kind in node order; a pull's origin depends on its point alone.
-    request_load = counts * bitrate * CHUNK_DURATION
-    flows = [(client_point, clients, client_of, request_load)]
-    if pull.any():
-        pulled_from = np.full(graph.n_nodes, -1)
-        pulled_from[point[pull]] = origin[pull]
-        pulling = np.flatnonzero(pulled_from >= 0)
-        # Flow of the pull at each node.
-        pull_flow = len(clients) - 1 + np.cumsum(pulled_from >= 0)
-        flows.append((pulled_from[pulling], pulling, pull_flow[point[pull]], request_load[pull]))
-    roots, leaves, flow_of, flow_weight = (np.concatenate(column) for column in zip(*flows))
-    indptr, path = canonical_paths(hops, roots, leaves)
-    flow_load = np.bincount(flow_of, weights=flow_weight, minlength=len(leaves))
+    # Flows: one per client node (service point -> client) with its load,
+    # then with count_fallback one per pulling point (origin -> point) with
+    # its clients' summed load past the fog cache, each kind in node order.
+    n_nodes = graph.n_nodes
+    pull_load = (np.bincount(point, weights=np.where(origin >= 0, past_load, 0.0),
+                             minlength=n_nodes)
+                 if config.count_fallback else np.zeros(n_nodes))
+    pulling = np.flatnonzero(pull_load)
+    origin_at = np.empty(n_nodes, dtype=np.intp)
+    origin_at[point] = origin
+    indptr, path = canonical_paths(hops, np.concatenate([point, origin_at[pulling]]),
+                                   np.concatenate([clients, pulling]))
+    flow_load = np.concatenate([load, pull_load[pulling]])
     unicast_load = _per_arc(path, np.repeat(flow_load, np.diff(indptr)), graph.n_arcs)
 
-    client_hops = hops.dist[hops.slot[client_point], clients]
-    hop_counts = np.bincount(client_hops[client_of], weights=counts)
+    client_hops = hops.dist[hops.slot[point], clients]
+    hop_counts = np.bincount(client_hops, weights=users)
     outcome = TrialOutcome(unicast=TrialMetrics(unicast_load, hop_counts.astype(np.int64)))
     intervals = [t for t in config.catchment if t != UNICAST]
     if not intervals:
         return outcome
+
+    # Catchment reads requests: each one's service point, and whether it is
+    # a counted miss, pulled by its point's pull flow.
+    point = point[client_of]
+    pull_flow = np.full(n_nodes, -1)
+    pull_flow[pulling] = len(clients) + np.arange(len(pulling))
+    pull = (pull_flow[point] >= 0) & (items > fog_items)
 
     # Requests pool per (service point, item) group, keyed point * n_items
     # + item - 1. Each arc of a group's tree carries the members crossing
@@ -428,7 +457,7 @@ def _check_fits(config: ScenarioConfig) -> None:
     """Reject a config its topology cannot run: a role with more points than
     its placement can draw, no service point at all, or a miss without a
     cloud point to pull from."""
-    graph, _, populations = _load_context(config.topology_path, config.population_path)
+    graph, _, populations, _ = _load_context(config.topology_path, config.population_path)
     n, nodes = ((np.count_nonzero(populations), "populated nodes") if config.mode == "pop"
                 else (graph.n_nodes, "nodes"))
     for key, k in (("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k)):
@@ -451,13 +480,17 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
     ``backhaul.csv`` with one row per (config, interval, trial);
     ``pathlen.csv`` with the pooled path-length ECDF per config;
     ``summary.csv`` with one aggregate row per (config, interval);
-    ``manifest.txt`` echoing configs and derived seeds.
+    ``manifest.txt`` with the fogcast, Python and numpy versions, then per
+    config its fields, the sha256 of its input files and its derived seeds.
     """
+    from . import __version__  # here: the package imports this module first
+
     results: list[SweepResult] = []
     backhaul_rows: list[str] = []
     pathlen_rows: list[str] = []
     summary_rows: list[str] = []
-    manifest: list[str] = []
+    manifest = ["[versions]", f"fogcast = {__version__}",
+                f"python = {platform.python_version()}", f"numpy = {np.__version__}", ""]
 
     for config in configs:
         _check_fits(config)
@@ -484,6 +517,9 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
         manifest.append(f"[config {len(results) - 1}]")
         for f_ in fields(config):
             manifest.append(f"{f_.name} = {getattr(config, f_.name)}")
+        digests = _load_context(config.topology_path, config.population_path)[3]()
+        manifest.append(f"topology_sha256 = {digests[0]}")
+        manifest.append(f"population_sha256 = {digests[1]}")
         seeds = ",".join(str(trial_seed(config.base_seed, i)) for i in range(config.trials))
         manifest.append(f"trial_seeds = {seeds}")
         manifest.append("ecdf_pooling = all trial samples pooled per config")

@@ -11,10 +11,12 @@ analytic rate of such groups.
 
 ``resolve_nodes`` is the resolver trials use, for both architectures: a
 request is looked up at its client node (rendezvous matching) or at the
-client's nearest resolver (resolver redirection), so it runs once per
-client node and reads only the clients' columns of the placed points'
-rows. Its scalar oracles, ``resolve_request`` through a rendezvous table
-and ``resolve_request_dns`` through a resolver, are in ``tests/oracles.py``.
+client's nearest resolver (resolver redirection), so its service point
+depends on its client node alone, and its fallback origin on that point
+alone. It runs once per client node, returns per-client facts only, and
+reads only the clients' and points' columns of the placed points' rows.
+Its scalar oracles, ``resolve_request`` through a rendezvous table and
+``resolve_request_dns`` through a resolver, are in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -31,29 +33,33 @@ def fog_cache_items(fog_cache_fraction: float, n_items: int) -> int:
     return max(1, int(fog_cache_fraction * n_items))
 
 
-def resolve_nodes(hops: HopTable, clients: np.ndarray, client_of: np.ndarray,
-                  items: np.ndarray, fog, cloud, fog_items: int,
-                  resolvers: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve the requests ``(clients[client_of[i]], items[i])`` once per client.
+def resolve_nodes(hops: HopTable, clients: np.ndarray, items: np.ndarray, fog, cloud,
+                  fog_items: int, resolvers: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Service point and pull origin of every client node.
 
-    A request is looked up at its client node, or at the client's nearest
-    resolver when ``resolvers`` are given. It is served by the fog or cloud
-    point nearest the lookup node; a point that lacks the item (a fog point
-    that is no cloud point, for an item past ``fog_items``) pulls it from
-    the cloud point nearest to it. Ties go to the lowest id, as in the
-    oracles' ``RendezvousTable.match`` and ``dns_select``. Returns the
-    service point of each client and the fallback origin of each request,
-    -1 where the point holds the item. ``hops`` must hold the rows of the
-    resolvers and the points; only their clients' and points' columns are read.
+    A client is looked up at its own node, or at its nearest resolver when
+    ``resolvers`` are given, and served by the fog or cloud point nearest
+    the lookup node. A point that is no cloud point (a fog point) holds
+    items ``1..fog_items`` and pulls the others from its origin, the cloud
+    point nearest to it; a cloud point holds every item, also when the same
+    node is placed as fog, and its origin is -1. Ties go to the lowest id,
+    as in the oracles' ``RendezvousTable.match`` and ``dns_select``.
+    ``items`` are the requested items, read only to name the first one past
+    the fog cache when no cloud point can serve it. ``hops`` must hold the
+    rows of the resolvers and the points; only their clients' and points'
+    columns are read.
     """
     if not len(fog) + len(cloud):
         raise NoSubscriberError("no service point placed")
+    if not len(cloud):
+        past = np.flatnonzero(items > fog_items)
+        if past.size:
+            raise NoSubscriberError(f"no cloud point to serve item {int(items[past[0]])}")
     lookup = nearest(hops, resolvers, clients) if len(resolvers) else clients
     point = nearest(hops, [*fog, *cloud], lookup)
-    miss = (items > fog_items) & ~np.isin(point, cloud)[client_of]
-    if miss.any() and not len(cloud):
-        raise NoSubscriberError(f"no cloud point to serve item {int(items[miss][0])}")
-    return point, np.where(miss, nearest(hops, cloud, point)[client_of], -1)
+    is_cloud = np.zeros(hops.graph.n_nodes, dtype=bool)
+    is_cloud[list(cloud)] = True
+    return point, np.where(is_cloud[point], -1, nearest(hops, cloud, point))
 
 
 def group_rate(rate, interval: float):

@@ -182,13 +182,13 @@ def test_criterion_6_baseline_never_beats_native_paths():
             ("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k))}
         placement = place_all(roles, lambda mode, role: _pick_order(seed, *inputs, mode, role))
         hops = _load_context(*inputs)[1].table(placement.fog + placement.cloud + placement.ldns)
-        catalogue, demand = _trial_draws(seed, *inputs, config.n_items, config.alpha,
-                                         config.bitrates, config.target_bitrate)
+        fog_items = fog_cache_items(config.fog_cache_fraction, config.n_items)
+        _, demand, _ = _trial_draws(seed, *inputs, config.n_items, config.alpha,
+                                    config.bitrates, config.target_bitrate, fog_items)
         clients, client_of = demand.clients, demand.client_of
-        fog_items = fog_cache_items(config.fog_cache_fraction, catalogue.n)
         client_hops = []
         for resolvers in ((), placement.ldns):
-            point, _ = resolve_nodes(hops, clients, client_of, demand.items, placement.fog,
+            point, _ = resolve_nodes(hops, clients, demand.items, placement.fog,
                                      placement.cloud, fog_items, resolvers)
             client_hops.append(hops.dist[hops.slot[point], clients][client_of])
         native, baseline = client_hops

@@ -23,24 +23,27 @@ def test_profiles_cache_model(chain4):
     assert fog_cache_items(0.1, 100) == 10
     assert fog_cache_items(0.001, 100) == 1  # at least one item
     assert fog_cache_items(1.0, 100) == 100
-    # Clients 0 and 2 are served by fog points 1 and 2, client 3 by cloud
-    # point 3: a fog point holds items 1..10, a cloud point every item.
+    # Clients 0 and 2 are served by fog points 1 and 2, which pull from
+    # cloud point 3, client 3 by cloud point 3 itself: a fog point holds
+    # items 1..10, a cloud point every item.
     clients, client_of = np.array([0, 2, 3]), np.repeat(np.arange(3), 2)
     items = np.array([10, 11, 10, 11, 11, 100])
-    point, origin = resolve_nodes(all_pairs(chain4), clients, client_of, items,
+    point, origin = resolve_nodes(all_pairs(chain4), clients, items,
                                   (1, 2), (3,), fog_cache_items(0.1, 100))
     assert point.tolist() == [1, 2, 3]
-    assert origin.tolist() == [-1, 3, -1, 3, -1, -1]
+    assert origin.tolist() == [3, 3, -1]
+    # Pulled: the requests past the cache at a point with an origin.
+    pulled = np.where(items > 10, origin[client_of], -1)
+    assert pulled.tolist() == [-1, 3, -1, 3, -1, -1]
 
 
 def test_colocated_node_keeps_the_cloud_profile(chain4):
     # Node 2 is fog and cloud: it serves every item, and node 1 pulls misses from it.
-    clients, client_of = np.array([1, 2]), np.repeat(np.arange(2), 2)
-    items = np.array([1, 50, 1, 50])
-    point, origin = resolve_nodes(all_pairs(chain4), clients, client_of, items,
+    clients = np.array([1, 2])
+    point, origin = resolve_nodes(all_pairs(chain4), clients, np.array([1, 50, 1, 50]),
                                   (1, 2), (2,), 1)
     assert point.tolist() == [1, 2]
-    assert origin.tolist() == [-1, 2, -1, -1]
+    assert origin.tolist() == [2, -1]
 
 
 def test_item_cached_at_nearest_fog_needs_one_leg(chain4, catalogue):
