@@ -147,6 +147,9 @@ class ScenarioConfig:
     fog_cache_fraction: float = 0.1
 
     def __post_init__(self) -> None:
+        # Stored as tuples, so a config given lists still hashes.
+        for name in ("catchment", "bitrates"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("fog_k", "cloud_k", "ldns_k", "n_items", "trials", "base_seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -582,10 +585,6 @@ _SWEEP_KEYS = {"fog_k": "fog", "cloud_k": "cloud", "ldns_k": "ldns", "mode": "pl
 def expand_grid(settings: dict) -> list[ScenarioConfig]:
     """Cross-product of the sweep axes of a parsed grid; no axis may repeat a value."""
     base = dict(settings)
-    for key in ("catchment", "bitrates"):
-        if key in base:
-            value = base[key]
-            base[key] = tuple(value) if isinstance(value, (list, tuple)) else (value,)
     axes: dict[str, list] = {}
     for key in _SWEEP_KEYS:
         value = base.pop(key, None)
@@ -613,9 +612,12 @@ def grid_configs(raw: dict[str, str]) -> list[ScenarioConfig]:
     for key, value in raw.items():
         parsed = (value.strip() if key in ("topology", "population") else
                   _parse_list(value) if "," in value else _parse_value(value))
-        if isinstance(parsed, list) and len(parsed) == 1:
+        field = GRID_KEYS[key]
+        if field in ("catchment", "bitrates"):
+            parsed = parsed if isinstance(parsed, list) else [parsed]
+        elif isinstance(parsed, list) and len(parsed) == 1:
             parsed = parsed[0]
-        settings[GRID_KEYS[key]] = parsed
+        settings[field] = parsed
     return expand_grid(settings)
 
 

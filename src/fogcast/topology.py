@@ -161,6 +161,8 @@ def _graph_of(root: ET.Element) -> NetworkGraph:
         raw_id = el.get("id")
         if raw_id is None:
             raise TopologyError("node without id attribute")
+        if raw_id in dense_id:
+            raise TopologyError(f"node id {raw_id!r} repeated")
         data = {d.get("key"): (d.text or "") for d in el.findall(f"{_GRAPHML_NS}data")}
         label = data.get(label_key, raw_id) if label_key else raw_id
         try:

@@ -105,15 +105,6 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
     assert not out.exists()
 
 
-def test_run_rejects_repeated_catchment(tiny_inputs, tmp_path, capsys):
-    top, pop = tiny_inputs
-    out = tmp_path / "out"
-    assert run_cmd(["run", "--topology", top, "--population", pop, "--items", "3",
-                    "--catchment", "1,1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "fogcast: error: catchment interval 1 repeated\n"
-    assert not out.exists()
-
-
 # A malformed row for ``summarize`` and ``ecdf``, after a valid header.
 BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
 
@@ -147,6 +138,7 @@ BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
     ("run", "--topology={tmp}/nokeys.graphml",
      "nokeys.graphml: document declares no Latitude/Longitude node keys"),
     ("run", "--topology={tmp}/split.graphml", "split.graphml: graph is disconnected"),
+    ("run", "--topology={tmp}/dup.graphml", "dup.graphml: node id '0' repeated"),
     ("run", "--topology= --population= --fog=40",
      "config icn,40,2,0,pop: fog = 40 exceeds the 37 populated nodes"),
     ("sweep", "fog = 1,4", "config icn,4,2,0,pop: fog = 4 exceeds the 3 populated nodes"),
@@ -159,6 +151,15 @@ BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
     ("sweep", "catchment = abc", "catchment interval 'abc' must be finite and >= 0"),
     ("run", "--catchment abc", "catchment interval 'abc' must be finite and >= 0"),
     ("sweep", "catchment = 0.1,true", "catchment interval True must be finite and >= 0"),
+    ("run", "--catchment=-1", "catchment interval -1 must be finite and >= 0"),
+    ("run", "--catchment=1,1", "catchment interval 1 repeated"),
+    ("run", "--arch=p2p", "unknown architecture 'p2p'"),
+    ("run", "--placement=random", "unknown placement mode 'random'"),
+    ("run", "--scheme=xor", "unknown forwarding scheme 'xor'"),
+    ("run", "--ldns=2", "icn runs take no LDNS points"),
+    ("run", "--arch=dns", "dns runs need at least one LDNS point"),
+    ("run", "--arch=dns --ldns=-1", "ldns_k -1 must be >= 0"),
+    ("run", "--arch=dns --ldns=2 --catchment=1", "dns runs support no catchment aggregation"),
     ("run", "--items=0", "n_items 0 must be >= 1"),
     ("run", "--alpha=-1", "alpha -1 must be finite and >= 0"),
     ("sweep", "alpha = nan", "alpha nan must be finite and >= 0"),
@@ -191,6 +192,9 @@ def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_
         "</graphml>")
     write_graphml(tmp_path / "split.graphml",
                   [("a", 50.0, 0.0), ("b", 50.0, 1.0), ("c", 50.0, 2.0)], [(0, 1)])
+    dup = tmp_path / "dup.graphml"  # node 2 takes node 0's id
+    write_graphml(dup, [("a", 50.0, 0.0), ("b", 50.0, 1.0), ("c", 50.0, 2.0)], [(0, 1)])
+    dup.write_text(dup.read_text().replace('<node id="2">', '<node id="0">'))
     write_graphml(tmp_path / "nan.graphml",
                   [("a", 50.0, 0.0), ("b", math.nan, 1.0), ("c", 50.0, 2.0)], [(0, 1), (1, 2)])
     for name, records in {"bad.txt": "50.0,0.0,60\n50.0,1.0\n", "nan.txt": "nan,nan,500\n",

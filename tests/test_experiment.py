@@ -271,6 +271,48 @@ def test_catchment_loads_arc_by_arc_on_bundled_backbone(fog_k, cloud_k, count_fa
         assert (loads[1] <= unicast).all()
 
 
+# Per backbone, (config fields, trial indices) of each case.
+CATCHMENT_CASES = {
+    "chain": [(dict(fog_k=1, cloud_k=1, n_items=3, target_bitrate=2e9, base_seed=seed), indices)
+              for seed, indices in ((1, range(5)), (9, range(1)))],
+    "bundled": [(dict(fog_k=fog_k, cloud_k=cloud_k, count_fallback=fallback, base_seed=3),
+                 range(10))
+                for fog_k, cloud_k in ((2, 2), (2, 8), (8, 2), (8, 8))
+                for fallback in (True, False)],
+    "synthetic_2000": [(dict(fog_k=fog_k, cloud_k=4, base_seed=5), range(2)) for fog_k in (4, 8)],
+}
+
+
+@pytest.mark.parametrize("backbone", list(CATCHMENT_CASES))
+def test_catchment_loads_bounded_arc_by_arc(backbone, chain_setup, tmp_path):
+    """On every arc: the smallest positive T reproduces unicast within 1e-12
+    under the exact scheme, load falls as T grows under both schemes, exact
+    catchment load stays within unicast, and Bloom leaves unicast byte-equal
+    and carries at least the exact load. On the 2,000-node backbone some
+    Bloom false-positive arc carries more than unicast."""
+    top, pop = backbone_files(backbone, chain_setup, tmp_path)
+    intervals = (float(np.nextafter(0, 1)), 0.1, 1.0, 10.0)
+    above_unicast = 0
+    for fields, indices in CATCHMENT_CASES[backbone]:
+        base = dict(fields, catchment=intervals, topology_path=top, population_path=pop)
+        for index in indices:
+            exact = run_trial(ScenarioConfig(**base, scheme="exact"), index)
+            bloom = run_trial(ScenarioConfig(**base, scheme="bloom"), index)
+            unicast = exact.unicast.arc_load
+            assert metric_bytes(bloom)[0] == metric_bytes(exact)[0]
+            loads = {scheme: [outcome.by_catchment[t].arc_load for t in intervals]
+                     for scheme, outcome in (("exact", exact), ("bloom", bloom))}
+            assert loads["exact"][0] == pytest.approx(unicast, rel=1e-12, abs=0)
+            assert (loads["exact"][1] <= unicast).all()
+            for scheme_loads in loads.values():
+                for smaller, larger in zip(scheme_loads, scheme_loads[1:]):
+                    assert (larger <= smaller).all()
+            for exact_load, bloom_load in zip(loads["exact"], loads["bloom"]):
+                assert (bloom_load >= exact_load).all()
+                above_unicast += int((bloom_load > unicast).sum())
+    assert above_unicast > 0 or backbone != "synthetic_2000"
+
+
 # One trial per row. Together the rows take every value of arch, mode,
 # scheme, count_fallback and fog_cache_fraction, and list 0 in catchment;
 # rows that share a seed differ in mode and run one after the other.
@@ -408,30 +450,6 @@ def test_bloom_scheme_only_adds_load(chain_setup):
     assert (exact.unicast.arc_load == bloom.unicast.arc_load).all()
     assert backhaul(bloom.by_catchment[1.0]) >= backhaul(exact.by_catchment[1.0])
     assert (bloom.by_catchment[1.0].arc_load >= exact.by_catchment[1.0].arc_load - 1e-9).all()
-
-
-def test_bloom_aggregation_bounds_arc_by_arc_on_2000_node_backbone(tmp_path):
-    """On the ``bloom_2k`` golden grid's backbone and config, exact
-    aggregation stays within unicast on every arc, Bloom aggregation carries
-    at least the exact load on every arc, and some Bloom false-positive arc
-    carries more than unicast."""
-    topology, population = write_synthetic(tmp_path, 1)
-    above_unicast = 0
-    for fog_k in (4, 8):
-        base = dict(arch="icn", fog_k=fog_k, cloud_k=4, catchment=(0.1, 1.0), trials=2,
-                    base_seed=5, topology_path=topology, population_path=population)
-        for index in range(2):
-            exact = run_trial(ScenarioConfig(**base, scheme="exact"), index)
-            bloom = run_trial(ScenarioConfig(**base, scheme="bloom"), index)
-            unicast = exact.unicast.arc_load
-            assert (bloom.unicast.arc_load == unicast).all()
-            for interval in (0.1, 1.0):
-                exact_load = exact.by_catchment[interval].arc_load
-                bloom_load = bloom.by_catchment[interval].arc_load
-                assert (exact_load <= unicast).all()
-                assert (bloom_load >= exact_load).all()
-                above_unicast += int((bloom_load > unicast).sum())
-    assert above_unicast > 0
 
 
 def test_zero_interval_row_is_unicast_under_bloom(monkeypatch, tmp_path):
@@ -768,6 +786,11 @@ def test_expand_grid_cross_product():
     assert len(configs) == 4
     assert {(c.fog_k, c.cloud_k) for c in configs} == {(2, 2), (2, 8), (4, 2), (4, 8)}
     assert all(c.catchment == (0.1, 1.0) for c in configs)
+    # A config built from lists stores tuples, so it hashes and runs.
+    config = ScenarioConfig(bitrates=[20e6, 40e6], catchment=[0.1], trials=1)
+    assert (config.bitrates, config.catchment) == ((20e6, 40e6), (0.1,))
+    assert hash(config) == hash(dataclasses.replace(config))
+    assert backhaul(run_trial(config, 0).by_catchment[0.1]) > 0
 
 
 def test_load_grid_roundtrip(tmp_path):
