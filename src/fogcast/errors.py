@@ -9,15 +9,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-__all__ = ["FogcastError", "NoSubscriberError", "read_text"]
+__all__ = ["FogcastError", "read_text"]
 
 
 class FogcastError(ValueError):
     """Base of every error fogcast raises for bad input or an unrunnable scenario."""
-
-
-class NoSubscriberError(FogcastError, LookupError):
-    """A request found no service point to serve it."""
 
 
 def read_text(path: str | Path) -> str:

@@ -147,9 +147,12 @@ class ScenarioConfig:
     fog_cache_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        # Stored as tuples, so a config given lists still hashes.
+        # Stored as tuples, so a config given lists still hashes; any value
+        # but a list or tuple is one entry.
         for name in ("catchment", "bitrates"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            value = getattr(self, name)
+            object.__setattr__(self, name, tuple(value) if isinstance(value, (list, tuple))
+                               else (value,))
         for name in ("fog_k", "cloud_k", "ldns_k", "n_items", "trials", "base_seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -299,17 +302,14 @@ def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
 
 
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
-    """Execute one seeded trial; deterministic for fixed (config, index)."""
+    """Execute one seeded trial; deterministic for fixed (config, index).
+    A config its topology cannot run raises ``_check_fits``'s ``ConfigError``."""
+    _check_fits(config)
     graph, rows, _, _ = _load_context(config.topology_path, config.population_path)
     seed = trial_seed(config.base_seed, trial_index)
 
-    roles = {
-        "fog": (config.mode, config.fog_k),
-        "cloud": (config.mode, config.cloud_k),
-        "ldns": (config.mode, config.ldns_k),
-    }
-    placement = place_all(roles, lambda mode, role: _pick_order(
-        seed, config.topology_path, config.population_path, mode, role))
+    placement = place_all(config.fog_k, config.cloud_k, config.ldns_k, lambda role: _pick_order(
+        seed, config.topology_path, config.population_path, config.mode, role))
     hops = rows.table(placement.fog + placement.cloud + placement.ldns)
     fog_items = fog_cache_items(config.fog_cache_fraction, config.n_items)
     catalogue, demand, (users, load, past_load) = _trial_draws(
@@ -318,8 +318,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
 
     items, counts, clients, client_of = (demand.items, demand.counts, demand.clients,
                                          demand.client_of)
-    point, origin = resolve_nodes(hops, clients, items, placement.fog, placement.cloud,
-                                  fog_items, placement.ldns)
+    point, origin = resolve_nodes(hops, clients, placement.fog, placement.cloud, placement.ldns)
 
     # Flows: one per client node (service point -> client) with its load,
     # then with count_fallback one per pulling point (origin -> point) with
@@ -405,11 +404,12 @@ def ecdf(hop_counts) -> list[tuple[int, float]]:
     return [(int(v), float(f)) for v, f in zip(values, fractions)]
 
 
-def _trial_row(task: tuple[ScenarioConfig, int]) -> tuple[list[float], np.ndarray]:
+def _trial_row(task: tuple[ScenarioConfig, int]) -> tuple[dict[float, float], np.ndarray]:
     """One trial reduced to what ``run_sweep`` writes: the backhaul of each
-    variant, unicast first, and the hop histogram."""
+    variant keyed by its interval, unicast first, and the hop histogram."""
     outcome = run_trial(*task)
-    return [backhaul(m) for m in outcome.variants().values()], outcome.unicast.hop_counts
+    return ({key: backhaul(m) for key, m in outcome.variants().items()},
+            outcome.unicast.hop_counts)
 
 
 def _run_configs(configs: list[ScenarioConfig], jobs: int) -> list[list]:
@@ -459,7 +459,8 @@ def row_label(config: ScenarioConfig) -> str:
 def _check_fits(config: ScenarioConfig) -> None:
     """Reject a config its topology cannot run: a role with more points than
     its placement can draw, no service point at all, or a miss without a
-    cloud point to pull from."""
+    cloud point to pull from. The one such check: ``run_trial`` makes it
+    first, and ``run_sweep`` for every config before the first trial."""
     graph, _, populations, _ = _load_context(config.topology_path, config.population_path)
     n, nodes = ((np.count_nonzero(populations), "populated nodes") if config.mode == "pop"
                 else (graph.n_nodes, "nodes"))
@@ -499,11 +500,10 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
         _check_fits(config)
     for config, rows in zip(configs, _run_configs(configs, jobs)):
         prefix = row_label(config)
-        variant_keys = [UNICAST] + [t for t in config.catchment if t != UNICAST]
         mean: dict[float, float] = {}
         std: dict[float, float] = {}
-        for at, key in enumerate(variant_keys):
-            values = [backhauls[at] for backhauls, _ in rows]
+        for key in rows[0][0]:  # every trial reports the same variants
+            values = [backhauls[key] for backhauls, _ in rows]
             for index, value in enumerate(values):
                 backhaul_rows.append(f"{prefix},{_fmt(key)},{index},{_fmt(value)}")
             row, mean[key], std[key] = summary_row(f"{prefix},{_fmt(key)}", values)
@@ -612,12 +612,9 @@ def grid_configs(raw: dict[str, str]) -> list[ScenarioConfig]:
     for key, value in raw.items():
         parsed = (value.strip() if key in ("topology", "population") else
                   _parse_list(value) if "," in value else _parse_value(value))
-        field = GRID_KEYS[key]
-        if field in ("catchment", "bitrates"):
-            parsed = parsed if isinstance(parsed, list) else [parsed]
-        elif isinstance(parsed, list) and len(parsed) == 1:
+        if isinstance(parsed, list) and len(parsed) == 1:
             parsed = parsed[0]
-        settings[field] = parsed
+        settings[GRID_KEYS[key]] = parsed
     return expand_grid(settings)
 
 

@@ -104,14 +104,13 @@ def _weights_for(mode: str, populations: np.ndarray, hops: HopRows) -> np.ndarra
     raise PlacementError(f"unknown placement mode {mode!r}")
 
 
-def place_all(roles: dict[str, tuple[str, int]],
-              orders: Callable[[str, str], PickOrder]) -> Placement:
-    """Place every role: its first k picks of ``orders(mode, role)``.
+def place_all(fog_k: int, cloud_k: int, ldns_k: int,
+              orders: Callable[[str], PickOrder]) -> Placement:
+    """Place every role: its first k picks of ``orders(role)``.
 
-    ``roles`` maps each role name (fog / cloud / ldns) to its ``(mode, k)``;
-    a role with k = 0 stays empty. Overlap across roles is permitted.
-    ``orders`` supplies a role's ``pick_order`` for the trial seed, a cache
-    shared by the configs that differ only in k.
+    A role with k = 0 stays empty. Overlap across roles is permitted.
+    ``orders`` supplies a role's ``pick_order`` for the trial seed and the
+    caller's mode, a cache shared by the configs that differ only in k.
     """
-    return Placement(**{role: orders(mode, role).first(k) if k else ()
-                        for role, (mode, k) in roles.items()})
+    return Placement(**{role: orders(role).first(k) if k else ()
+                        for role, k in (("fog", fog_k), ("cloud", cloud_k), ("ldns", ldns_k))})

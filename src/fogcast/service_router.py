@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoSubscriberError
 from .topology import HopTable, nearest
 
 __all__ = ["fog_cache_items", "resolve_nodes", "group_rate"]
@@ -33,8 +32,8 @@ def fog_cache_items(fog_cache_fraction: float, n_items: int) -> int:
     return max(1, int(fog_cache_fraction * n_items))
 
 
-def resolve_nodes(hops: HopTable, clients: np.ndarray, items: np.ndarray, fog, cloud,
-                  fog_items: int, resolvers: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+def resolve_nodes(hops: HopTable, clients: np.ndarray, fog, cloud,
+                  resolvers: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Service point and pull origin of every client node.
 
     A client is looked up at its own node, or at its nearest resolver when
@@ -44,17 +43,11 @@ def resolve_nodes(hops: HopTable, clients: np.ndarray, items: np.ndarray, fog, c
     point nearest to it; a cloud point holds every item, also when the same
     node is placed as fog, and its origin is -1. Ties go to the lowest id,
     as in the oracles' ``RendezvousTable.match`` and ``dns_select``.
-    ``items`` are the requested items, read only to name the first one past
-    the fog cache when no cloud point can serve it. ``hops`` must hold the
-    rows of the resolvers and the points; only their clients' and points'
-    columns are read.
+    A trial checks first that some point is placed, and a cloud point unless
+    fog points cache every item (``experiment._check_fits``). ``hops`` must
+    hold the rows of the resolvers and the points; only their clients' and
+    points' columns are read.
     """
-    if not len(fog) + len(cloud):
-        raise NoSubscriberError("no service point placed")
-    if not len(cloud):
-        past = np.flatnonzero(items > fog_items)
-        if past.size:
-            raise NoSubscriberError(f"no cloud point to serve item {int(items[past[0]])}")
     lookup = nearest(hops, resolvers, clients) if len(resolvers) else clients
     point = nearest(hops, [*fog, *cloud], lookup)
     is_cloud = np.zeros(hops.graph.n_nodes, dtype=bool)

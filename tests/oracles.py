@@ -9,9 +9,10 @@ kept independent of the array kernels in ``fogcast``:
   one canonical shortest path of an ``all_pairs`` table back from its
   leaf, one in-arc at a time (``canonical_paths`` is the kernel);
 - placement: ``fresh_placement`` draws every role from a fresh pick order,
-  the reference for the pick orders trials share;
+  the reference for ``place_all`` and the pick orders trials share;
 - rendezvous: scoped names, the subscription table with nearest-subscriber
-  matching, and shortest-path delivery trees;
+  matching (``NoSubscriberError`` when nothing matches), and shortest-path
+  delivery trees;
 - service routing: ``resolve_request`` resolves one request through the
   rendezvous table (``service_router.resolve_nodes`` is the kernel);
 - resolver redirection: ``resolve_request_dns`` resolves one request
@@ -33,11 +34,10 @@ from typing import Iterable
 
 import numpy as np
 
-from fogcast.errors import NoSubscriberError
 from fogcast.experiment import (UNICAST, ScenarioConfig, TrialMetrics, TrialOutcome,
                                 trial_seed, _SALT_CATALOGUE, _SALT_DEMAND)
 from fogcast.forwarding import BloomScheme, label_arc
-from fogcast.placement import Placement, pick_order, place_all
+from fogcast.placement import Placement, pick_order
 from fogcast.service_router import fog_cache_items
 from fogcast.topology import (HopRows, HopTable, NetworkGraph, _hop_table, _in_arcs,
                               load_topology)
@@ -88,11 +88,13 @@ def extract_path(hops: HopTable, src: int, dst: int) -> list[int]:
 
 # --- placement ----------------------------------------------------------------
 
-def fresh_placement(hops: HopRows, populations, roles: dict[str, tuple[str, int]],
-                    seed: int) -> Placement:
-    """``place_all`` with a fresh ``pick_order`` per role for ``seed``: what a
-    trial places from the pick orders its sweep shares."""
-    return place_all(roles, lambda mode, role: pick_order(hops, populations, mode, role, seed))
+def fresh_placement(hops: HopRows, populations, mode: str, fog_k: int, cloud_k: int,
+                    ldns_k: int, seed: int) -> Placement:
+    """Each role's first k picks of its own fresh ``pick_order`` for ``mode``
+    and ``seed``: what ``place_all`` places from the pick orders a sweep
+    shares. It does not call ``place_all``, so a role mixed up there shows."""
+    return Placement(*(pick_order(hops, populations, mode, role, seed).first(k) if k else ()
+                       for role, k in (("fog", fog_k), ("cloud", cloud_k), ("ldns", ldns_k))))
 
 
 # --- rendezvous ---------------------------------------------------------------
@@ -134,6 +136,10 @@ def wildcard_match(pattern: str, url: str) -> bool:
     if stars == 0:
         return url == pattern
     return url.startswith(pattern[:-1])
+
+
+class NoSubscriberError(LookupError):
+    """A publication found no subscriber to match."""
 
 
 class RendezvousTable:
@@ -468,9 +474,8 @@ def reference_trial(config: ScenarioConfig, index: int) -> tuple[TrialOutcome, d
     hops = all_pairs(graph)
     populations = assign_population(graph, load_population(config.population_path))
     seed = trial_seed(config.base_seed, index)
-    roles = {role: (config.mode, k) for role, k in (
-        ("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k))}
-    placement = fresh_placement(HopRows(graph), populations, roles, seed)
+    placement = fresh_placement(HopRows(graph), populations, config.mode, config.fog_k,
+                                config.cloud_k, config.ldns_k, seed)
     catalogue = build_catalogue(config.n_items, config.alpha, config.bitrates,
                                 seed ^ _SALT_CATALOGUE)
     demand = draw_demand(populations, catalogue, config.target_bitrate, seed ^ _SALT_DEMAND)

@@ -178,9 +178,8 @@ def test_criterion_6_baseline_never_beats_native_paths():
     for trial_index, config in product(range(TRIALS), configs):
         inputs = (config.topology_path, config.population_path)
         seed = trial_seed(config.base_seed, trial_index)
-        roles = {role: (config.mode, k) for role, k in (
-            ("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k))}
-        placement = place_all(roles, lambda mode, role: _pick_order(seed, *inputs, mode, role))
+        placement = place_all(config.fog_k, config.cloud_k, config.ldns_k,
+                              lambda role: _pick_order(seed, *inputs, config.mode, role))
         hops = _load_context(*inputs)[1].table(placement.fog + placement.cloud + placement.ldns)
         fog_items = fog_cache_items(config.fog_cache_fraction, config.n_items)
         _, demand, _ = _trial_draws(seed, *inputs, config.n_items, config.alpha,
@@ -188,8 +187,7 @@ def test_criterion_6_baseline_never_beats_native_paths():
         clients, client_of = demand.clients, demand.client_of
         client_hops = []
         for resolvers in ((), placement.ldns):
-            point, _ = resolve_nodes(hops, clients, demand.items, placement.fog,
-                                     placement.cloud, fog_items, resolvers)
+            point, _ = resolve_nodes(hops, clients, placement.fog, placement.cloud, resolvers)
             client_hops.append(hops.dist[hops.slot[point], clients][client_of])
         native, baseline = client_hops
         checked += len(client_of)

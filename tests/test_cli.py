@@ -76,7 +76,7 @@ def test_run_dns_arch(tiny_inputs, tmp_path):
 @pytest.mark.parametrize("command, flag, value", [
     ("run", "--jobs", "0"), ("run", "--jobs", "two"), ("run", "--trials", "0"),
     ("run", "--trials", "1.5"), ("sweep", "--jobs", "0"), ("sweep", "--jobs", "-2"),
-    ("run", "--catchment", "abc"), ("run", "--bitrates", "1e6,x"),
+    ("run", "--bitrates", "1e6,x"),
 ])
 def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp_path, capsys):
     """Bad counts and number lists exit 2 with one error line and no output:
@@ -98,7 +98,6 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
                   f"expected an integer >= 1, got {value!r}",
         "--trials": {"0": "fogcast: error: trials 0 must be >= 1",
                      "1.5": "fogcast: error: trials must be an integer, got 1.5"}.get(value),
-        "--catchment": "fogcast: error: catchment interval 'abc' must be finite and >= 0",
         "--bitrates": "fogcast: error: bitrates 'x' must be finite and > 0",
     }[flag]
     assert errors == [expected]
@@ -111,6 +110,7 @@ BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
 
 @pytest.mark.parametrize("command, setting, named", [
     ("sweep", "unknown = 3", "unknown key 'unknown'"),
+    ("sweep", "just some words", "grid.cfg:5: expected key = value"),
     ("sweep", "load_fraction = 0.4", "unknown key 'load_fraction'"),
     ("sweep", "fog = 2\ncloud = 2\nfog = 4", "grid.cfg:7: key 'fog' repeated (first on line 5)"),
     ("sweep", "fog = 2,-1", "fog_k -1 must be >= 0"),

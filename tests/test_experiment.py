@@ -35,7 +35,6 @@ import fogcast
 import oracles
 from conftest import random_connected_graph, write_graphml, write_synthetic
 from fogcast import experiment, topology
-from fogcast.errors import NoSubscriberError
 from fogcast.forwarding import BloomScheme
 from fogcast.service_router import fog_cache_items, resolve_nodes
 from fogcast.topology import NO_ROW, load_topology
@@ -190,8 +189,8 @@ def test_per_node_kernel_matches_scalar_resolvers():
                                        fog_items=fog_items)
         clients, client_of = np.unique(nodes, return_inverse=True)
         kernels = {
-            "icn": resolve_nodes(hops, clients, items, fog, cloud, fog_items),
-            "dns": resolve_nodes(hops, clients, items, fog, cloud, fog_items, tuple(ldns)),
+            "icn": resolve_nodes(hops, clients, fog, cloud),
+            "dns": resolve_nodes(hops, clients, fog, cloud, tuple(ldns)),
         }
 
         def plans(node, item):
@@ -230,11 +229,15 @@ def test_per_node_kernel_matches_scalar_resolvers():
 
 @pytest.mark.parametrize("arch, ldns_k", [("icn", 0), ("dns", 2)])
 def test_missing_role_is_named_for_both_architectures(arch, ldns_k):
-    with pytest.raises(NoSubscriberError, match="no service point placed"):
-        run_trial(ScenarioConfig(arch=arch, fog_k=0, cloud_k=0, ldns_k=ldns_k, trials=1), 0)
-    # fog points cache the top 10% of items, so some request misses
-    with pytest.raises(NoSubscriberError, match=r"no cloud point to serve item \d+"):
-        run_trial(ScenarioConfig(arch=arch, fog_k=4, cloud_k=0, ldns_k=ldns_k, trials=1), 0)
+    """``run_trial`` rejects what ``fogcast run`` rejects, with its text,
+    before any draw: no point at all, or no cloud point while fog points
+    cache only the top 10% of items."""
+    for fog_k, named in ((0, "no service point (fog = 0 and cloud = 0)"),
+                         (4, "no cloud point to serve items past the fog cache")):
+        config = ScenarioConfig(arch=arch, fog_k=fog_k, cloud_k=0, ldns_k=ldns_k, trials=1)
+        with pytest.raises(ConfigError) as info:
+            run_trial(config, 0)
+        assert str(info.value) == f"config {arch},{fog_k},0,{ldns_k},pop: {named}"
 
 
 def test_catchment_monotone_and_bounded_by_unicast(chain_setup):
@@ -755,12 +758,11 @@ def test_shared_placement_equals_fresh_placement(fresh_orders):
     for index in range(3):
         seed = trial_seed(1, index)
         for config in configs:
-            roles = {role: (config.mode, k) for role, k in (
-                ("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k))}
-            shared = experiment.place_all(roles, lambda mode, role: (
+            counts = (config.fog_k, config.cloud_k, config.ldns_k)
+            shared = experiment.place_all(*counts, lambda role: (
                 experiment._pick_order(seed, config.topology_path, config.population_path,
-                                       mode, role)))
-            assert shared == fresh_placement(rows, populations, roles, seed)
+                                       config.mode, role)))
+            assert shared == fresh_placement(rows, populations, config.mode, *counts, seed)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -786,11 +788,17 @@ def test_expand_grid_cross_product():
     assert len(configs) == 4
     assert {(c.fog_k, c.cloud_k) for c in configs} == {(2, 2), (2, 8), (4, 2), (4, 8)}
     assert all(c.catchment == (0.1, 1.0) for c in configs)
-    # A config built from lists stores tuples, so it hashes and runs.
+    # A config built from lists stores tuples, so it hashes and runs; any
+    # other value, a string included, is one entry.
     config = ScenarioConfig(bitrates=[20e6, 40e6], catchment=[0.1], trials=1)
     assert (config.bitrates, config.catchment) == ((20e6, 40e6), (0.1,))
     assert hash(config) == hash(dataclasses.replace(config))
     assert backhaul(run_trial(config, 0).by_catchment[0.1]) > 0
+    single = ScenarioConfig(bitrates=20e6, catchment=0.1, trials=1)
+    assert (single.bitrates, single.catchment) == ((20e6,), (0.1,))
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig(catchment="abc")
+    assert str(info.value) == "catchment interval 'abc' must be finite and >= 0"
 
 
 def test_load_grid_roundtrip(tmp_path):
@@ -811,16 +819,3 @@ def test_load_grid_roundtrip(tmp_path):
     assert all(c.arch == "dns" and c.trials == 5 and c.base_seed == 7 for c in configs)
     assert all(c.bitrates == (20e6, 40e6) for c in configs)
 
-
-def test_load_grid_rejects_unknown_keys(tmp_path):
-    grid = tmp_path / "grid.cfg"
-    grid.write_text("frobnicate = 3\n")
-    with pytest.raises(ConfigError):
-        load_grid(grid)
-
-
-def test_load_grid_rejects_bad_lines(tmp_path):
-    grid = tmp_path / "grid.cfg"
-    grid.write_text("just some words\n")
-    with pytest.raises(ConfigError):
-        load_grid(grid)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import write_synthetic
-from fogcast.placement import PickOrder, PlacementError
+from fogcast.placement import PickOrder, PlacementError, pick_order, place_all
 from fogcast.topology import HopRows, load_topology
 from fogcast.workload import assign_population, load_population
 from oracles import fresh_placement
@@ -218,33 +218,24 @@ def test_selection_frequency_proportional_to_weight():
 
 
 def test_place_all_role_sizes(geant_rows, geant_population):
-    placement = fresh_placement(
-        geant_rows, geant_population,
-        {"fog": ("pop", 2), "cloud": ("pop", 2), "ldns": ("pop", 0)},
-        seed=5,
-    )
+    placement = place_all(2, 2, 0, lambda role: pick_order(geant_rows, geant_population,
+                                                           "pop", role, 5))
     assert len(placement.fog) == 2
     assert len(placement.cloud) == 2
     assert placement.ldns == ()
 
 
 def test_place_all_deterministic(geant_rows, geant_population):
-    roles = {"fog": ("pop", 3), "cloud": ("cls", 2), "ldns": ("pop", 4)}
-    a = fresh_placement(geant_rows, geant_population, roles, seed=17)
-    b = fresh_placement(geant_rows, geant_population, roles, seed=17)
-    assert a == b
+    for mode in ("pop", "cls"):
+        def orders(role):
+            return pick_order(geant_rows, geant_population, mode, role, 17)
+        assert place_all(3, 2, 4, orders) == place_all(3, 2, 4, orders)
 
 
 def test_roles_draw_independent_streams(geant_rows, geant_population):
     # the fog draw must not move when another role's k changes
-    with_ldns = fresh_placement(
-        geant_rows, geant_population,
-        {"fog": ("pop", 3), "cloud": ("pop", 2), "ldns": ("pop", 6)}, seed=23,
-    )
-    without_ldns = fresh_placement(
-        geant_rows, geant_population,
-        {"fog": ("pop", 3), "cloud": ("pop", 2), "ldns": ("pop", 0)}, seed=23,
-    )
+    with_ldns = fresh_placement(geant_rows, geant_population, "pop", 3, 2, 6, seed=23)
+    without_ldns = fresh_placement(geant_rows, geant_population, "pop", 3, 2, 0, seed=23)
     assert with_ldns.fog == without_ldns.fog
     assert with_ldns.cloud == without_ldns.cloud
 
@@ -258,10 +249,7 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
 def test_pop_mode_selection_tracks_population(geant_rows, geant_population):
     freq = np.zeros(geant_rows.graph.n_nodes)
     for seed in range(50):
-        placement = fresh_placement(
-            geant_rows, geant_population,
-            {"fog": ("pop", 4), "cloud": ("pop", 4), "ldns": ("pop", 0)}, seed=seed,
-        )
+        placement = fresh_placement(geant_rows, geant_population, "pop", 4, 4, 0, seed=seed)
         for node in placement.fog + placement.cloud:
             freq[node] += 1
     assert spearman(freq, geant_population.astype(float)) > 0.5
@@ -271,8 +259,7 @@ def test_cls_mode_weights_are_closeness(star4):
     hops = HopRows(star4)
     # center holds closeness 1.0 vs 0.6 leaves; with k=1 it should dominate
     hits = sum(
-        fresh_placement(hops, np.ones(4), {"fog": ("cls", 1), "cloud": ("cls", 0),
-                                           "ldns": ("cls", 0)}, seed=s).fog[0] == 0
+        fresh_placement(hops, np.ones(4), "cls", 1, 0, 0, seed=s).fog[0] == 0
         for s in range(2000)
     )
     assert hits / 2000 == pytest.approx(1.0 / (1.0 + 3 * 0.6), abs=0.03)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import bfs_distances, random_connected_graph
-from fogcast.errors import NoSubscriberError
 from oracles import (
     SCOPE_HTTP,
     SCOPE_MICRO,
+    NoSubscriberError,
     RendezvousTable,
     ScopedName,
     adjacency,

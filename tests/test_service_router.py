@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import count_windows, simulated_group_rate
-from fogcast.errors import NoSubscriberError
 from fogcast.service_router import fog_cache_items, group_rate, resolve_nodes
 from fogcast.workload import build_catalogue
-from oracles import all_pairs, build_rendezvous, item_url, resolve_request
+from oracles import (NoSubscriberError, all_pairs, build_rendezvous, item_url,
+                     resolve_request)
 
 FOG_ITEMS = fog_cache_items(0.1, 100)
 
@@ -28,8 +28,7 @@ def test_profiles_cache_model(chain4):
     # items 1..10, a cloud point every item.
     clients, client_of = np.array([0, 2, 3]), np.repeat(np.arange(3), 2)
     items = np.array([10, 11, 10, 11, 11, 100])
-    point, origin = resolve_nodes(all_pairs(chain4), clients, items,
-                                  (1, 2), (3,), fog_cache_items(0.1, 100))
+    point, origin = resolve_nodes(all_pairs(chain4), clients, (1, 2), (3,))
     assert point.tolist() == [1, 2, 3]
     assert origin.tolist() == [3, 3, -1]
     # Pulled: the requests past the cache at a point with an origin.
@@ -40,8 +39,7 @@ def test_profiles_cache_model(chain4):
 def test_colocated_node_keeps_the_cloud_profile(chain4):
     # Node 2 is fog and cloud: it serves every item, and node 1 pulls misses from it.
     clients = np.array([1, 2])
-    point, origin = resolve_nodes(all_pairs(chain4), clients, np.array([1, 50, 1, 50]),
-                                  (1, 2), (2,), 1)
+    point, origin = resolve_nodes(all_pairs(chain4), clients, (1, 2), (2,))
     assert point.tolist() == [1, 2]
     assert origin.tolist() == [2, -1]
 
