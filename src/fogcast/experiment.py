@@ -16,10 +16,11 @@ picks, which are exactly what a fresh draw of k points would give.
 Resolution and unicast accounting run once per client node, not once per
 request: the service point depends on the node alone and the fallback
 origin on the service point alone, so requests reach the unicast pass only
-as three per-client sums that ``_trial_draws`` computes with the draws:
-users, load, and load of items past the fog cache. Both architectures take
-the same ``resolve_nodes`` call; the only difference is where the lookup
-starts, at the client (icn places no LDNS) or at its nearest LDNS (dns).
+as per-client sums that ``_trial_draws`` computes with the draws: users,
+load, and, once per fog cache size, load of items past it. Both
+architectures take the same ``resolve_nodes`` call; the only difference is
+where the lookup starts, at the client (icn places no LDNS) or at its
+nearest LDNS (dns).
 The scalar oracles of both, and of the paths and Bloom delivery below, are
 in ``tests/oracles.py``.
 Every flow is charged on one canonical root -> leaf path
@@ -264,26 +265,26 @@ def _load_context(topology_path: str, population_path: str):
 
 @lru_cache(maxsize=1)
 def _trial_draws(seed: int, topology_path: str, population_path: str, n_items: int,
-                 alpha: float, bitrates: tuple[float, ...], target_bitrate: float,
-                 fog_items: int):
-    """The catalogue and demand of one trial seed, and three sums per client
-    node (``demand.clients``): its users, its load, and its load of items
-    past ``fog_items``. Every field they read is in the key, so configs that
-    differ in placement, architecture or accounting share them; all are
-    read-only."""
+                 alpha: float, bitrates: tuple[float, ...], target_bitrate: float):
+    """The catalogue and demand of one trial seed, two sums per client node
+    (``demand.clients``), its users and its load, and a memo of its load of
+    items past ``fog_items``, summed once per ``fog_items``. Every field the
+    draws read is in the key, so configs that differ in placement,
+    architecture, accounting or fog cache share them; all are read-only."""
     populations = _load_context(topology_path, population_path)[2]
     catalogue = build_catalogue(n_items, alpha, bitrates, seed ^ _SALT_CATALOGUE)
     demand = draw_demand(populations, catalogue, target_bitrate, seed ^ _SALT_DEMAND)
     client_of, counts, items = demand.client_of, demand.counts, demand.items
     load = counts * catalogue.bitrates[items - 1] * CHUNK_DURATION
-    n_clients = len(demand.clients)
-    sums = (np.bincount(client_of, weights=counts, minlength=n_clients),
-            np.bincount(client_of, weights=load, minlength=n_clients),
-            np.bincount(client_of, weights=np.where(items > fog_items, load, 0.0),
-                        minlength=n_clients))
-    for array in sums:
-        array.setflags(write=False)
-    return catalogue, demand, sums
+
+    def per_client(weights: np.ndarray) -> np.ndarray:
+        sums = np.bincount(client_of, weights=weights, minlength=len(demand.clients))
+        sums.setflags(write=False)
+        return sums
+
+    past_load = lru_cache(maxsize=None)(
+        lambda fog_items: per_client(np.where(items > fog_items, load, 0.0)))
+    return catalogue, demand, per_client(counts), per_client(load), past_load
 
 
 @lru_cache(maxsize=2 * len(ROLE_SALTS))
@@ -312,9 +313,9 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
         seed, config.topology_path, config.population_path, config.mode, role))
     hops = rows.table(placement.fog + placement.cloud + placement.ldns)
     fog_items = fog_cache_items(config.fog_cache_fraction, config.n_items)
-    catalogue, demand, (users, load, past_load) = _trial_draws(
+    catalogue, demand, users, load, past_load = _trial_draws(
         seed, config.topology_path, config.population_path, config.n_items, config.alpha,
-        config.bitrates, config.target_bitrate, fog_items)
+        config.bitrates, config.target_bitrate)
 
     items, counts, clients, client_of = (demand.items, demand.counts, demand.clients,
                                          demand.client_of)
@@ -324,13 +325,10 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     # then with count_fallback one per pulling point (origin -> point) with
     # its clients' summed load past the fog cache, each kind in node order.
     n_nodes = graph.n_nodes
-    pull_load = (np.bincount(point, weights=np.where(origin >= 0, past_load, 0.0),
-                             minlength=n_nodes)
-                 if config.count_fallback else np.zeros(n_nodes))
+    pull_load = (np.bincount(point, weights=past_load(fog_items), minlength=n_nodes)
+                 * (origin >= 0) if config.count_fallback else np.zeros(n_nodes))
     pulling = np.flatnonzero(pull_load)
-    origin_at = np.empty(n_nodes, dtype=np.intp)
-    origin_at[point] = origin
-    indptr, path = canonical_paths(hops, np.concatenate([point, origin_at[pulling]]),
+    indptr, path = canonical_paths(hops, np.concatenate([point, origin[pulling]]),
                                    np.concatenate([clients, pulling]))
     flow_load = np.concatenate([load, pull_load[pulling]])
     unicast_load = _per_arc(path, np.repeat(flow_load, np.diff(indptr)), graph.n_arcs)

@@ -13,8 +13,8 @@ analytic rate of such groups.
 request is looked up at its client node (rendezvous matching) or at the
 client's nearest resolver (resolver redirection), so its service point
 depends on its client node alone, and its fallback origin on that point
-alone. It runs once per client node, returns per-client facts only, and
-reads only the clients' and points' columns of the placed points' rows.
+alone. It returns each client's service point and each node's origin,
+and reads only the clients' and points' columns of the placed points' rows.
 Its scalar oracles, ``resolve_request`` through a rendezvous table and
 ``resolve_request_dns`` through a resolver, are in ``tests/oracles.py``.
 """
@@ -34,25 +34,26 @@ def fog_cache_items(fog_cache_fraction: float, n_items: int) -> int:
 
 def resolve_nodes(hops: HopTable, clients: np.ndarray, fog, cloud,
                   resolvers: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Service point and pull origin of every client node.
+    """Each client node's service point, and each node's pull origin.
 
     A client is looked up at its own node, or at its nearest resolver when
     ``resolvers`` are given, and served by the fog or cloud point nearest
     the lookup node. A point that is no cloud point (a fog point) holds
     items ``1..fog_items`` and pulls the others from its origin, the cloud
-    point nearest to it; a cloud point holds every item, also when the same
-    node is placed as fog, and its origin is -1. Ties go to the lowest id,
-    as in the oracles' ``RendezvousTable.match`` and ``dns_select``.
+    point nearest to it; a cloud point holds every item, also when placed
+    as fog, and its origin is -1, as is an unplaced node's. Ties go to the
+    lowest id, as in the oracles' ``RendezvousTable.match`` and
+    ``dns_select``.
     A trial checks first that some point is placed, and a cloud point unless
     fog points cache every item (``experiment._check_fits``). ``hops`` must
     hold the rows of the resolvers and the points; only their clients' and
     points' columns are read.
     """
     lookup = nearest(hops, resolvers, clients) if len(resolvers) else clients
-    point = nearest(hops, [*fog, *cloud], lookup)
-    is_cloud = np.zeros(hops.graph.n_nodes, dtype=bool)
-    is_cloud[list(cloud)] = True
-    return point, np.where(is_cloud[point], -1, nearest(hops, cloud, point))
+    origin = np.full(hops.graph.n_nodes, -1, dtype=np.intp)
+    fog_only = sorted(set(fog) - set(cloud))
+    origin[fog_only] = nearest(hops, cloud, fog_only)
+    return nearest(hops, [*fog, *cloud], lookup), origin
 
 
 def group_rate(rate, interval: float):

@@ -3,8 +3,9 @@
 Headline backhaul runs use the delivery-capacity convention (fallback pull
 traffic excluded, ``count_fallback=False``) on the bundled fixture with a
 pinned base seed; one line per criterion is printed with the measured
-values. The grid's per-trial backhaul is also compared with its golden,
-``tests/data/golden/acceptance/backhaul.csv``.
+values. Criteria 2-5 and 7 read what ``run_sweep`` writes or returns; the
+acceptance grid, ``test_golden.ACCEPTANCE``, is swept once, and its
+``backhaul.csv`` is also compared with its golden.
 
 Criteria 6 and 9 run the kernels trials run. Criterion 6 resolves every
 request of its trials with ``resolve_nodes``, on each trial's shared draws
@@ -19,8 +20,10 @@ and ``test_group_kernel_matches_scalar_delivery`` (tests/test_forwarding.py).
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,50 +31,30 @@ import pytest
 from conftest import random_connected_graph, simulated_group_rate
 from fogcast.data import bundled_topology
 from fogcast.experiment import (
-    BACKHAUL_HEADER,
     ScenarioConfig,
     _load_context,
     _pick_order,
     _trial_draws,
-    backhaul,
-    row_label,
+    load_grid,
     run_sweep,
-    run_trial,
     trial_seed,
 )
 from fogcast.forwarding import BloomScheme, false_positive_arcs, fpr_theoretical, label_arc
 from fogcast.placement import place_all
-from fogcast.service_router import fog_cache_items, group_rate, resolve_nodes
+from fogcast.service_router import group_rate, resolve_nodes
 from fogcast.topology import load_topology
 from oracles import ExactScheme, all_pairs, build_tree, deliver, encode_tree, forward
+import test_golden
 from test_golden import GOLDEN, check_text
 
 BASE_SEED = 3
 TRIALS = 50
 TARGET = 70e9
-CATCHMENTS = (0.1, 1.0, 10.0)
-
-
-def pooled_hops(outcomes) -> np.ndarray:
-    """The trials' hop histograms summed: users per hop count."""
-    histograms = [o.unicast.hop_counts for o in outcomes]
-    pooled = np.zeros(max(len(h) for h in histograms), dtype=np.int64)
-    for h in histograms:
-        pooled[:len(h)] += h
-    return pooled
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[acceptance] criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def icn_config(fog_k: int, cloud_k: int, catchment=()) -> ScenarioConfig:
-    return ScenarioConfig(
-        arch="icn", fog_k=fog_k, cloud_k=cloud_k, mode="pop",
-        catchment=tuple(catchment), trials=TRIALS, base_seed=BASE_SEED,
-        count_fallback=False,
-    )
 
 
 def dns_config(fog_k: int, cloud_k: int, ldns_k: int) -> ScenarioConfig:
@@ -81,39 +64,34 @@ def dns_config(fog_k: int, cloud_k: int, ldns_k: int) -> ScenarioConfig:
     )
 
 
+def read_sweep(out: Path) -> dict:
+    """What a sweep wrote to ``out``: per file and (fog_k, cloud_k), the last
+    column grouped by the first past ``mode``, so ``backhaul`` holds each
+    interval's per-trial values and ``pathlen`` each hop count's fraction."""
+    written: dict = {"backhaul": {}, "pathlen": {}}
+    for name, table in written.items():
+        for line in (out / f"{name}.csv").read_text().splitlines()[1:]:
+            _, fog_k, cloud_k, _, _, first, *_, last = line.split(",")
+            cell = table.setdefault((int(fog_k), int(cloud_k)), {})
+            cell.setdefault(float(first), []).append(float(last))
+    return written
+
+
 @pytest.fixture(scope="module")
-def grid_run():
-    """Full fog x cloud grid, 50 trials each, with catchment variants."""
+def grid_run(tmp_path_factory):
+    """The acceptance grid, swept as ``fogcast sweep`` runs it: trial-major, with shared draws."""
+    out = tmp_path_factory.mktemp("acceptance")
     start = time.perf_counter()
-    results = {}
-    for fog_k in (2, 4, 6, 8):
-        for cloud_k in (2, 4, 6, 8):
-            config = icn_config(fog_k, cloud_k, CATCHMENTS)
-            outcomes = [run_trial(config, i) for i in range(TRIALS)]
-            results[(fog_k, cloud_k)] = {
-                "unicast": [backhaul(o.unicast) for o in outcomes],
-                "catchment": {
-                    t: [backhaul(o.by_catchment[t]) for o in outcomes]
-                    for t in CATCHMENTS
-                },
-                "hops": pooled_hops(outcomes),
-            }
-    return {"results": results, "elapsed": time.perf_counter() - start}
+    test_golden.sweep("acceptance", out)
+    return {"out": out, "elapsed": time.perf_counter() - start, **read_sweep(out)}
 
 
 @pytest.fixture(scope="module")
 def dns_runs():
-    configs = {
-        (2, 2, 2): dns_config(2, 2, 2),
-        (2, 2, 8): dns_config(2, 2, 8),
-        (2, 8, 8): dns_config(2, 8, 8),
-    }
-    means = {}
-    for key, config in configs.items():
-        means[key] = float(np.mean([
-            backhaul(run_trial(config, i).unicast) for i in range(TRIALS)
-        ]))
-    return means
+    """Mean unicast backhaul of three baseline configs, from one sweep."""
+    keys = [(2, 2, 2), (2, 2, 8), (2, 8, 8)]
+    results = run_sweep([dns_config(*key) for key in keys])
+    return {key: result.mean_backhaul[0.0] for key, result in zip(keys, results)}
 
 
 def test_criterion_1_topology_dimensions():
@@ -125,18 +103,17 @@ def test_criterion_1_topology_dimensions():
 
 
 def test_criterion_2_service_point_scaling(grid_run):
-    results = grid_run["results"]
-    base = np.mean(results[(2, 2)]["unicast"])
-    fog_red = 100 * (1 - np.mean(results[(8, 2)]["unicast"]) / base)
-    cloud_red = 100 * (1 - np.mean(results[(2, 8)]["unicast"]) / base)
+    means = {key: np.mean(cell[0.0]) for key, cell in grid_run["backhaul"].items()}
+    fog_red = 100 * (1 - means[(8, 2)] / means[(2, 2)])
+    cloud_red = 100 * (1 - means[(2, 8)] / means[(2, 2)])
     elapsed = grid_run["elapsed"]
     ok = (28 <= fog_red <= 48) and (40 <= cloud_red <= 60) and elapsed < 120
     report(2, ok, f"fog 2->8 cuts {fog_red:.1f}% (38+-10), cloud 2->8 cuts "
-                  f"{cloud_red:.1f}% (50+-10); grid took {elapsed:.0f} s (< 120)")
+                  f"{cloud_red:.1f}% (50+-10); grid took {elapsed:.2f} s (< 120)")
 
 
 def test_criterion_3_backhaul_brackets_demand(grid_run):
-    means = [np.mean(cell["unicast"]) for cell in grid_run["results"].values()]
+    means = [np.mean(cell[0.0]) for cell in grid_run["backhaul"].values()]
     low, high = min(means), max(means)
     ok = low >= 0.5 * TARGET and high <= 2.5 * TARGET
     report(3, ok, f"grid means span {low / 1e9:.1f}-{high / 1e9:.1f} Gb/s "
@@ -154,15 +131,21 @@ def test_criterion_4_dns_baseline_scaling(dns_runs):
                   f"{max(folds):.2f}x demand (need 1-2x)")
 
 
-def test_criterion_5_path_length_ecdf(grid_run):
-    config = icn_config(1, 1)
-    two_points = pooled_hops([run_trial(config, i) for i in range(TRIALS)])
-    sixteen_points = grid_run["results"][(8, 8)]["hops"]
-    local2 = 100 * two_points[0] / two_points.sum()
-    le2_2 = 100 * two_points[:3].sum() / two_points.sum()
-    local16 = 100 * sixteen_points[0] / sixteen_points.sum()
-    le2_16 = 100 * sixteen_points[:3].sum() / sixteen_points.sum()
-    max2, max16 = (int(np.flatnonzero(h)[-1]) for h in (two_points, sixteen_points))
+def path_shares(ecdf: dict) -> tuple[float, float, int]:
+    """A written ECDF's percent of users 0 and at most 2 hops from their
+    service point, and its longest path."""
+    steps = [(int(hops), fraction) for hops, (fraction,) in ecdf.items()]
+    local = 100 * steps[0][1] if steps[0][0] == 0 else 0.0
+    within_two = 100 * next((f for hops, f in reversed(steps) if hops <= 2), 0.0)
+    return local, within_two, steps[-1][0]
+
+
+def test_criterion_5_path_length_ecdf(grid_run, tmp_path):
+    # Two service points: the grid's config at fog 1, cloud 1, swept alone.
+    grid_config = load_grid(grid_run["out"] / "grid.cfg")[0]
+    run_sweep([dataclasses.replace(grid_config, fog_k=1, cloud_k=1)], out_dir=tmp_path)
+    local2, le2_2, max2 = path_shares(read_sweep(tmp_path)["pathlen"][(1, 1)])
+    local16, le2_16, max16 = path_shares(grid_run["pathlen"][(8, 8)])
     ok = (2 <= local2 <= 18) and le2_2 >= 65 and local16 >= 30 and le2_16 >= 90 and max2 > max16
     report(5, ok, f"2 points: {local2:.1f}% local (10+-8), {le2_2:.0f}% <=2 hops (>=65); "
                   f"16 points: {local16:.0f}% local (>=30), {le2_16:.0f}% <=2 hops (>=90); "
@@ -181,9 +164,8 @@ def test_criterion_6_baseline_never_beats_native_paths():
         placement = place_all(config.fog_k, config.cloud_k, config.ldns_k,
                               lambda role: _pick_order(seed, *inputs, config.mode, role))
         hops = _load_context(*inputs)[1].table(placement.fog + placement.cloud + placement.ldns)
-        fog_items = fog_cache_items(config.fog_cache_fraction, config.n_items)
-        _, demand, _ = _trial_draws(seed, *inputs, config.n_items, config.alpha,
-                                    config.bitrates, config.target_bitrate, fog_items)
+        _, demand, *_ = _trial_draws(seed, *inputs, config.n_items, config.alpha,
+                                     config.bitrates, config.target_bitrate)
         clients, client_of = demand.clients, demand.client_of
         client_hops = []
         for resolvers in ((), placement.ldns):
@@ -201,14 +183,10 @@ def test_criterion_6_baseline_never_beats_native_paths():
 def test_criterion_7_catchment_monotonicity(grid_run):
     worst = 0.0
     trials_checked = 0
-    for cell in grid_run["results"].values():
-        uni = cell["unicast"]
-        for i in range(len(uni)):
-            b01 = cell["catchment"][0.1][i]
-            b1 = cell["catchment"][1.0][i]
-            b10 = cell["catchment"][10.0][i]
+    for cell in grid_run["backhaul"].values():
+        for uni, b01, b1, b10 in zip(cell[0.0], cell[0.1], cell[1.0], cell[10.0]):
             trials_checked += 1
-            worst = max(worst, b10 - b1, b1 - b01, b01 - uni[i])
+            worst = max(worst, b10 - b1, b1 - b01, b01 - uni)
     ok = worst <= 1e-6
     report(7, ok, f"T=10 <= T=1 <= T=0.1 <= unicast in all {trials_checked} trials "
                   f"(worst violation {worst:.2e} b/s)")
@@ -321,12 +299,7 @@ def test_criterion_10_byte_identical_sweeps(sweep, chain_setup, tmp_path):
 
 
 def test_acceptance_grid_matches_golden(grid_run):
-    """The grid's backhaul, row for row as ``run_sweep`` writes it, equals
-    the golden written by ``python tests/test_golden.py``."""
-    lines = [BACKHAUL_HEADER]
-    for (fog_k, cloud_k), cell in grid_run["results"].items():
-        prefix = row_label(icn_config(fog_k, cloud_k))
-        for interval, values in [(0.0, cell["unicast"]), *cell["catchment"].items()]:
-            lines += [f"{prefix},{interval!r},{trial},{value!r}"
-                      for trial, value in enumerate(values)]
-    check_text("\n".join(lines) + "\n", GOLDEN / "acceptance" / "backhaul.csv")
+    """The grid's ``backhaul.csv``, as ``run_sweep`` wrote it, equals the
+    golden written by ``python tests/test_golden.py``."""
+    check_text((grid_run["out"] / "backhaul.csv").read_bytes().decode(),
+               GOLDEN / "acceptance" / "backhaul.csv")

@@ -202,14 +202,15 @@ def test_per_node_kernel_matches_scalar_resolvers():
 
         for c, node in enumerate(clients.tolist()):
             for arch, plan in plans(node, catalogue.n).items():
-                origin = kernels[arch][1][c]
-                assert origin == (plan.legs[1].dst if len(plan.legs) > 1 else -1), (arch, node)
+                point, origin = kernels[arch]
+                leg = plan.legs[1].dst if len(plan.legs) > 1 else -1
+                assert origin[point[c]] == leg, (arch, node)
         for i, (node, item) in enumerate(zip(nodes.tolist(), items.tolist())):
             by_arch = plans(node, item)
             for arch, plan in by_arch.items():
                 point, origin = kernels[arch]
                 assert point[client_of[i]] == plan.service_point, (arch, node, item)
-                pulled = origin[client_of[i]] if item > fog_items else -1
+                pulled = origin[point[client_of[i]]] if item > fog_items else -1
                 assert pulled == (plan.legs[1].dst if len(plan.legs) > 1 else -1)
                 assert hops.dist[node, point[client_of[i]]] == plan.client_path_hops
             ties += sum(hops.dist[node, p] == hops.dist[node, by_arch["icn"].service_point]
@@ -688,16 +689,17 @@ def test_sweep_draws_once_per_trial_index(monkeypatch, fresh_draws):
 
 
 def test_sweep_draws_per_workload(monkeypatch, fresh_draws):
-    """Configs that differ in a field the draws or their per-client sums
-    read draw their own: the item count, or the items a fog point caches."""
+    """Configs that differ in a field the draws read draw their own: the item
+    count does, the items a fog point caches does not, so the (1000, 0.1)
+    and (1000, 0.3) configs share a draw."""
     configs = [ScenarioConfig(fog_k=2, cloud_k=2, n_items=n, fog_cache_fraction=fraction,
                               trials=3)
                for n, fraction in ((500, 0.1), (1000, 0.1), (1000, 0.3))]
     catalogues = count_calls(monkeypatch, "build_catalogue")
     demands = count_calls(monkeypatch, "draw_demand")
     run_sweep(configs)
-    assert len(catalogues) == len(demands) == 3 * 3
-    assert [args[0] for args in catalogues] == [500, 1000, 1000] * 3
+    assert len(catalogues) == len(demands) == 2 * 3
+    assert [args[0] for args in catalogues] == [500, 1000] * 3
 
 
 def test_shared_draws_equal_fresh_draws(fresh_draws):
@@ -706,6 +708,7 @@ def test_shared_draws_equal_fresh_draws(fresh_draws):
     first = ScenarioConfig(fog_k=2, cloud_k=4, catchment=(0.1, 1.0), trials=3, base_seed=8)
     others = [
         dataclasses.replace(first, fog_k=6, mode="cls", scheme="bloom", count_fallback=False),
+        dataclasses.replace(first, fog_cache_fraction=0.3),
         ScenarioConfig(arch="dns", fog_k=4, cloud_k=2, ldns_k=3, trials=3, base_seed=8),
     ]
 

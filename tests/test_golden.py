@@ -27,7 +27,7 @@ two jobs, and the two outputs must be byte-identical.
 Regenerate the files, only when an output change is intended, with
 ``PYTHONPATH=src python tests/test_golden.py``. It also writes the
 acceptance grid's ``backhaul.csv``, which ``tests/test_acceptance.py``
-checks against its own run of that grid with ``check_text``.
+checks with ``check_text`` on the sweep of that grid its criteria read.
 """
 from __future__ import annotations
 
@@ -85,9 +85,8 @@ SYNTHETIC = {name: (2000, 400) for name in ("bloom_2k", "scale_2k", "dns_pop_2k"
                                             "ci_scale_bloom", "ci_scale_dns")}
 SYNTHETIC["ci_big"] = (10000, 2000)
 
-# The acceptance grid: its golden is only ``backhaul.csv``, checked against
-# the trials ``tests/test_acceptance.py``'s ``grid_run`` fixture already
-# runs, so no test here runs it again.
+# The acceptance grid: its golden is only ``backhaul.csv``, checked on the
+# sweep whose files ``tests/test_acceptance.py``'s criteria read.
 ACCEPTANCE = ("arch = icn\nfog = 2,4,6,8\ncloud = 2,4,6,8\ncatchment = 0.1,1,10\n"
               "count_fallback = false\ntrials = 50\nseed = 3\n")
 

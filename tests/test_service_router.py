@@ -30,9 +30,9 @@ def test_profiles_cache_model(chain4):
     items = np.array([10, 11, 10, 11, 11, 100])
     point, origin = resolve_nodes(all_pairs(chain4), clients, (1, 2), (3,))
     assert point.tolist() == [1, 2, 3]
-    assert origin.tolist() == [3, 3, -1]
+    assert origin[point].tolist() == [3, 3, -1]
     # Pulled: the requests past the cache at a point with an origin.
-    pulled = np.where(items > 10, origin[client_of], -1)
+    pulled = np.where(items > 10, origin[point][client_of], -1)
     assert pulled.tolist() == [-1, 3, -1, 3, -1, -1]
 
 
@@ -41,7 +41,7 @@ def test_colocated_node_keeps_the_cloud_profile(chain4):
     clients = np.array([1, 2])
     point, origin = resolve_nodes(all_pairs(chain4), clients, (1, 2), (2,))
     assert point.tolist() == [1, 2]
-    assert origin.tolist() == [2, -1]
+    assert origin[point].tolist() == [2, -1]
 
 
 def test_item_cached_at_nearest_fog_needs_one_leg(chain4, catalogue):
