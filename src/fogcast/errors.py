@@ -1,9 +1,9 @@
 """The errors fogcast raises for bad input or a scenario it cannot run.
 
 Each message names the file, line, key or value at fault; ``cli.main``
-prints it as one ``fogcast: error:`` line and exits 2. Text inputs (grid,
-population and CSV files) are read with ``read_text``, so one that is not
-UTF-8 is such an error too.
+prints it as one ``fogcast: error:`` line and exits 2. Text inputs (grid
+and population files) are read with ``read_text``, so one that is not UTF-8
+is such an error too.
 """
 from __future__ import annotations
 

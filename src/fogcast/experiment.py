@@ -94,12 +94,10 @@ __all__ = [
     "run_trial",
     "backhaul",
     "ecdf",
-    "summary_row",
     "row_label",
     "run_sweep",
     "load_grid",
     "grid_configs",
-    "expand_grid",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -436,19 +434,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def summary_row(label: str, values) -> tuple[str, float, float]:
-    """The ``summary.csv`` row of one (config, interval) and its mean and std.
-
-    ``label`` is the row's ``arch,fog_k,cloud_k,ldns_k,mode,T`` prefix and
-    ``values`` the per-trial backhaul, in trial order; the std is the
-    population std. ``fogcast summarize`` rebuilds the rows from
-    ``backhaul.csv`` with it, which reproduces ``summary.csv`` exactly.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    mean, std = float(values.mean()), float(values.std())
-    return f"{label},{len(values)},{_fmt(mean)},{_fmt(std)}", mean, std
-
-
 def row_label(config: ScenarioConfig) -> str:
     """The config's columns of every CSV row: ``arch,fog_k,cloud_k,ldns_k,mode``."""
     return f"{config.arch},{config.fog_k},{config.cloud_k},{config.ldns_k},{config.mode}"
@@ -481,7 +466,7 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
     so a bad grid spends no trial and writes no file. Output files:
     ``backhaul.csv`` with one row per (config, interval, trial);
     ``pathlen.csv`` with the pooled path-length ECDF per config;
-    ``summary.csv`` with one aggregate row per (config, interval);
+    ``summary.csv`` with the mean and population std per (config, interval);
     ``manifest.txt`` with the fogcast, Python and numpy versions, then per
     config its fields, the sha256 of its input files and its derived seeds.
     """
@@ -504,8 +489,9 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
             values = [backhauls[key] for backhauls, _ in rows]
             for index, value in enumerate(values):
                 backhaul_rows.append(f"{prefix},{_fmt(key)},{index},{_fmt(value)}")
-            row, mean[key], std[key] = summary_row(f"{prefix},{_fmt(key)}", values)
-            summary_rows.append(row)
+            mean[key], std[key] = float(np.mean(values)), float(np.std(values))
+            summary_rows.append(f"{prefix},{_fmt(key)},{len(values)},{_fmt(mean[key])},"
+                                f"{_fmt(std[key])}")
         pooled = np.zeros(max(len(hop_counts) for _, hop_counts in rows), dtype=np.int64)
         for _, hop_counts in rows:
             pooled[:len(hop_counts)] += hop_counts
@@ -580,30 +566,13 @@ GRID_KEYS = {
 _SWEEP_KEYS = {"fog_k": "fog", "cloud_k": "cloud", "ldns_k": "ldns", "mode": "placement"}
 
 
-def expand_grid(settings: dict) -> list[ScenarioConfig]:
-    """Cross-product of the sweep axes of a parsed grid; no axis may repeat a value."""
-    base = dict(settings)
-    axes: dict[str, list] = {}
-    for key in _SWEEP_KEYS:
-        value = base.pop(key, None)
-        if value is not None:
-            axes[key] = value if isinstance(value, list) else [value]
-    configs = [ScenarioConfig(**base, **dict(zip(axes, combo)))
-               for combo in product(*axes.values())]
-    # Compared after ScenarioConfig has checked their types, as 1 == True.
-    for key, values in axes.items():
-        for at, value in enumerate(values):
-            if value in values[:at]:
-                raise ConfigError(f"{_SWEEP_KEYS[key]} {value} repeated")
-    return configs
-
-
 def grid_configs(raw: dict[str, str]) -> list[ScenarioConfig]:
     """The configs of a grid given as ``{grid key: raw value}``.
 
     Comma-separated values of ``fog``, ``cloud``, ``ldns`` and
     ``placement`` sweep the grid; other list-valued keys configure every
     run (catchment intervals, bitrate set); file paths are taken as given.
+    No sweep axis may repeat a value.
     ``fogcast run`` passes its flags here, so a flag reads as its grid line does.
     """
     settings: dict = {}
@@ -613,7 +582,19 @@ def grid_configs(raw: dict[str, str]) -> list[ScenarioConfig]:
         if isinstance(parsed, list) and len(parsed) == 1:
             parsed = parsed[0]
         settings[GRID_KEYS[key]] = parsed
-    return expand_grid(settings)
+    axes: dict[str, list] = {}
+    for key in _SWEEP_KEYS:
+        value = settings.pop(key, None)
+        if value is not None:
+            axes[key] = value if isinstance(value, list) else [value]
+    configs = [ScenarioConfig(**settings, **dict(zip(axes, combo)))
+               for combo in product(*axes.values())]
+    # Compared after ScenarioConfig has checked their types, as 1 == True.
+    for key, values in axes.items():
+        for at, value in enumerate(values):
+            if value in values[:at]:
+                raise ConfigError(f"{_SWEEP_KEYS[key]} {value} repeated")
+    return configs
 
 
 def load_grid(path: str | Path) -> list[ScenarioConfig]:

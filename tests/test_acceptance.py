@@ -4,8 +4,9 @@ Headline backhaul runs use the delivery-capacity convention (fallback pull
 traffic excluded, ``count_fallback=False``) on the bundled fixture with a
 pinned base seed; one line per criterion is printed with the measured
 values. Criteria 2-5 and 7 read what ``run_sweep`` writes or returns; the
-acceptance grid, ``test_golden.ACCEPTANCE``, is swept once, and its
-``backhaul.csv`` is also compared with its golden.
+acceptance grid, ``test_golden.ACCEPTANCE``, is swept once, and its three
+CSVs are also compared with their goldens, so the published means and
+pooled path lengths are pinned where the paper's results are checked.
 
 Criteria 6 and 9 run the kernels trials run. Criterion 6 resolves every
 request of its trials with ``resolve_nodes``, on each trial's shared draws
@@ -45,7 +46,7 @@ from fogcast.service_router import group_rate, resolve_nodes
 from fogcast.topology import load_topology
 from oracles import ExactScheme, all_pairs, build_tree, deliver, encode_tree, forward
 import test_golden
-from test_golden import GOLDEN, check_text
+from test_golden import check_golden
 
 BASE_SEED = 3
 TRIALS = 50
@@ -299,7 +300,7 @@ def test_criterion_10_byte_identical_sweeps(sweep, chain_setup, tmp_path):
 
 
 def test_acceptance_grid_matches_golden(grid_run):
-    """The grid's ``backhaul.csv``, as ``run_sweep`` wrote it, equals the
-    golden written by ``python tests/test_golden.py``."""
-    check_text((grid_run["out"] / "backhaul.csv").read_bytes().decode(),
-               GOLDEN / "acceptance" / "backhaul.csv")
+    """The grid's ``backhaul.csv``, ``pathlen.csv`` and ``summary.csv``, as
+    ``run_sweep`` wrote them, equal the goldens written by
+    ``python tests/test_golden.py``."""
+    check_golden("acceptance", grid_run["out"])

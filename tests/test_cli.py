@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fogcast import cli, experiment
@@ -104,10 +105,6 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
     assert not out.exists()
 
 
-# A malformed row for ``summarize`` and ``ecdf``, after a valid header.
-BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
-
-
 @pytest.mark.parametrize("command, setting, named", [
     ("sweep", "unknown = 3", "unknown key 'unknown'"),
     ("sweep", "just some words", "grid.cfg:5: expected key = value"),
@@ -175,15 +172,10 @@ BAD_BACKHAUL = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps\n"
      "target_bitrate 70000000000.0 / bitrates 1e-290 must be below 2**63 users"),
     ("sweep", "target_bitrate = 1e300\nbitrates = 20e6,40e6",
      "target_bitrate 1e+300 / bitrates 20000000.0 must be below 2**63 users"),
-    ("summarize", BAD_BACKHAUL + "icn,2\n", "bad.csv:2: expected 8 comma-separated fields, got 2"),
-    ("summarize", BAD_BACKHAUL + "icn,2,2,0,pop,0.0,0,1e9\nicn,2,2,0,pop,0.0,1,fast\n",
-     "bad.csv:3: backhaul_bps 'fast' is not a number"),
-    ("ecdf", "arch,fog_k,cloud_k,ldns_k,mode,hops,cum_fraction\nicn,1,1,0,pop,2\n",
-     "bad.csv:2: expected 7 comma-separated fields, got 6"),
 ])
 def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_path, capsys):
-    """A bad grid key, config value, input file or CSV row exits 2 with one
-    stderr line naming it and no output."""
+    """A bad grid key, config value or input file exits 2 with one stderr
+    line naming it and no output."""
     top, pop = tiny_inputs
     out = tmp_path / "out"
     (tmp_path / "bad.graphml").write_text("<graphml><graph>")
@@ -202,7 +194,6 @@ def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_
                           "huge.txt": f"50.0,0.0,{10**20}\n",
                           "wrap.txt": f"50.0,0.0,{5 * 10**18}\n50.0,1.0,{5 * 10**18}\n"}.items():
         (tmp_path / name).write_text(records)
-    (tmp_path / "bad.csv").write_text(setting)
     if command == "sweep":
         # The setting's own keys replace these defaults: a grid key may appear once.
         defaults = {"topology": top, "population": pop, "items": "3", "trials": "1"}
@@ -211,13 +202,9 @@ def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_
         grid.write_text("".join(f"{key} = {value}\n" for key, value in defaults.items()
                                 if key not in given) + f"{setting}\n")
         args = ["sweep", "--grid", str(grid), "--out", str(out)]
-    elif command == "run":
+    else:
         args = ["run", "--topology", top, "--population", pop, "--items", "3",
                 *setting.format(tmp=tmp_path).split(), "--out", str(out)]
-    else:
-        args = {"summarize": ["summarize", "--backhaul", str(tmp_path / "bad.csv")],
-                "ecdf": ["ecdf", "--pathlen", str(tmp_path / "bad.csv"),
-                         "--arch", "icn", "--fog", "1", "--cloud", "1"]}[command]
     assert run_cmd(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -345,61 +332,8 @@ def test_sweep_from_grid_file(tiny_inputs, tmp_path):
     assert len(summary) - 1 == 2
 
 
-def test_summarize_round_trips_backhaul(tiny_inputs, tmp_path, capsys):
-    top, pop = tiny_inputs
-    out = tmp_path / "out"
-    run_cmd([
-        "run", "--topology", top, "--population", pop,
-        "--arch", "icn", "--fog", "1", "--cloud", "1",
-        "--trials", "2", "--items", "3", "--target-bitrate", "2e9",
-        "--out", str(out),
-    ])
-    capsys.readouterr()
-    assert run_cmd(["summarize", "--backhaul", str(out / "backhaul.csv")]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("arch,")
-    assert len(lines) == 2  # one variant row
-
-
-def test_ecdf_emits_gnuplot_columns(tiny_inputs, tmp_path, capsys):
-    top, pop = tiny_inputs
-    out = tmp_path / "out"
-    run_cmd([
-        "run", "--topology", top, "--population", pop,
-        "--arch", "icn", "--fog", "1", "--cloud", "1",
-        "--trials", "2", "--items", "3", "--target-bitrate", "2e9",
-        "--out", str(out),
-    ])
-    capsys.readouterr()
-    code = run_cmd([
-        "ecdf", "--pathlen", str(out / "pathlen.csv"),
-        "--arch", "icn", "--fog", "1", "--cloud", "1",
-    ])
-    assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("#")
-    assert all(len(line.split()) == 2 for line in lines[1:])
-
-
-def test_ecdf_reports_missing_config(tiny_inputs, tmp_path, capsys):
-    top, pop = tiny_inputs
-    out = tmp_path / "out"
-    run_cmd([
-        "run", "--topology", top, "--population", pop,
-        "--arch", "icn", "--fog", "1", "--cloud", "1",
-        "--trials", "1", "--items", "3", "--target-bitrate", "2e9",
-        "--out", str(out),
-    ])
-    capsys.readouterr()
-    code = run_cmd([
-        "ecdf", "--pathlen", str(out / "pathlen.csv"),
-        "--arch", "dns", "--fog", "9", "--cloud", "9",
-    ])
-    assert code == 1
-
-
 @pytest.mark.parametrize("command", ["run_topology", "run_population", "sweep_grid",
-                                     "sweep_topology", "summarize", "ecdf"])
+                                     "sweep_topology"])
 def test_missing_file_is_one_error_line(command, tiny_inputs, tmp_path, capsys):
     """A missing input file, or one that is not UTF-8, exits 2 with one
     stderr line naming it and no output."""
@@ -416,8 +350,6 @@ def test_missing_file_is_one_error_line(command, tiny_inputs, tmp_path, capsys):
             "run_population": run + ["--topology", top, "--population", bad],
             "sweep_grid": ["sweep", "--grid", bad, "--out", out],
             "sweep_topology": ["sweep", "--grid", str(grid), "--out", out],
-            "summarize": ["summarize", "--backhaul", bad],
-            "ecdf": ["ecdf", "--pathlen", bad, "--arch", "icn", "--fog", "1", "--cloud", "1"],
         }[command]
         assert run_cmd(args) == 2
         captured = capsys.readouterr()
@@ -435,10 +367,19 @@ def test_missing_file_is_one_error_line(command, tiny_inputs, tmp_path, capsys):
     GRIDS["ci_bloom"],
     GRIDS["ci_dns"],
 ], ids=["icn", "icn_bloom", "dns", "ci_bloom", "ci_dns"])
-def test_summarize_equals_summary_csv(grid, tmp_path, capsys):
+def test_summary_csv_is_the_mean_and_std_of_backhaul_csv(grid, tmp_path):
+    """Each ``summary.csv`` row is the mean and population std of its
+    (config, interval)'s ``backhaul.csv`` rows, which run from trial 0."""
     (tmp_path / "grid.cfg").write_text(grid)
     out = tmp_path / "out"
     assert run_cmd(["sweep", "--grid", str(tmp_path / "grid.cfg"), "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert run_cmd(["summarize", "--backhaul", str(out / "backhaul.csv")]) == 0
-    assert capsys.readouterr().out == (out / "summary.csv").read_text()
+    runs: dict[str, list[float]] = {}
+    for row in (out / "backhaul.csv").read_text().splitlines()[1:]:
+        label, trial, value = row.rsplit(",", 2)
+        values = runs.setdefault(label, [])
+        assert int(trial) == len(values)
+        values.append(float(value))
+    expected = [experiment.SUMMARY_HEADER] + [
+        f"{label},{len(values)},{float(np.mean(values))!r},{float(np.std(values))!r}"
+        for label, values in runs.items()]
+    assert (out / "summary.csv").read_text() == "\n".join(expected) + "\n"

@@ -24,7 +24,6 @@ from fogcast.experiment import (
     UNICAST,
     backhaul,
     ecdf,
-    expand_grid,
     grid_configs,
     load_grid,
     run_sweep,
@@ -241,22 +240,6 @@ def test_missing_role_is_named_for_both_architectures(arch, ldns_k):
         assert str(info.value) == f"config {arch},{fog_k},0,{ldns_k},pop: {named}"
 
 
-def test_catchment_monotone_and_bounded_by_unicast(chain_setup):
-    top, pop = chain_setup
-    config = ScenarioConfig(
-        arch="icn", fog_k=1, cloud_k=1, catchment=(0.1, 1.0, 10.0),
-        topology_path=top, population_path=pop, n_items=3,
-        target_bitrate=2e9, trials=1,
-    )
-    for index in range(5):
-        outcome = run_trial(config, index)
-        uni = backhaul(outcome.unicast)
-        b01 = backhaul(outcome.by_catchment[0.1])
-        b1 = backhaul(outcome.by_catchment[1.0])
-        b10 = backhaul(outcome.by_catchment[10.0])
-        assert b10 <= b1 <= b01 <= uni
-
-
 @pytest.mark.parametrize("count_fallback", [True, False])
 @pytest.mark.parametrize("fog_k,cloud_k", [(2, 2), (2, 8), (8, 2), (8, 8)])
 def test_catchment_loads_arc_by_arc_on_bundled_backbone(fog_k, cloud_k, count_fallback):
@@ -416,44 +399,6 @@ def test_run_trial_equals_reference_trial_under_16_bit_bloom(backbone, tmp_path,
     rows = [row for row in REFERENCE_ROWS if row.get("scheme") == "bloom"]
     seen = reference_counters(rows, *backbone_files(backbone, None, tmp_path))
     assert seen["fp_arcs"] > 0
-
-
-def test_zero_interval_catchment_equals_unicast_total(chain_setup):
-    top, pop = chain_setup
-    smallest = float(np.nextafter(0, 1))
-    config = ScenarioConfig(
-        arch="icn", fog_k=1, cloud_k=1, catchment=(smallest,),
-        topology_path=top, population_path=pop, n_items=3,
-        target_bitrate=2e9, trials=1,
-    )
-    outcome = run_trial(config, 0)
-    assert backhaul(outcome.by_catchment[smallest]) == pytest.approx(backhaul(outcome.unicast))
-
-
-def test_dns_trial_runs_without_catchment(chain_setup):
-    top, pop = chain_setup
-    config = ScenarioConfig(
-        arch="dns", fog_k=1, cloud_k=1, ldns_k=1,
-        topology_path=top, population_path=pop, n_items=3,
-        target_bitrate=2e9, trials=1,
-    )
-    outcome = run_trial(config, 0)
-    assert outcome.by_catchment == {}
-    assert backhaul(outcome.unicast) >= 0.0
-
-
-def test_bloom_scheme_only_adds_load(chain_setup):
-    top, pop = chain_setup
-    base = dict(
-        arch="icn", fog_k=1, cloud_k=1, catchment=(1.0,),
-        topology_path=top, population_path=pop, n_items=3,
-        target_bitrate=2e9, trials=1, base_seed=9,
-    )
-    exact = run_trial(ScenarioConfig(**base, scheme="exact"), 0)
-    bloom = run_trial(ScenarioConfig(**base, scheme="bloom"), 0)
-    assert (exact.unicast.arc_load == bloom.unicast.arc_load).all()
-    assert backhaul(bloom.by_catchment[1.0]) >= backhaul(exact.by_catchment[1.0])
-    assert (bloom.by_catchment[1.0].arc_load >= exact.by_catchment[1.0].arc_load - 1e-9).all()
 
 
 def test_zero_interval_row_is_unicast_under_bloom(monkeypatch, tmp_path):
@@ -784,9 +729,9 @@ def test_reversed_axes_give_every_config_the_same_rows(tmp_path, fresh_orders, j
 # --- grid files -------------------------------------------------------------
 
 def test_expand_grid_cross_product():
-    configs = expand_grid({
-        "arch": "icn", "fog_k": [2, 4], "cloud_k": [2, 8], "mode": ["pop"],
-        "catchment": [0.1, 1.0], "trials": 5,
+    configs = grid_configs({
+        "arch": "icn", "fog": "2,4", "cloud": "2,8", "placement": "pop",
+        "catchment": "0.1,1.0", "trials": "5",
     })
     assert len(configs) == 4
     assert {(c.fog_k, c.cloud_k) for c in configs} == {(2, 2), (2, 8), (4, 2), (4, 8)}

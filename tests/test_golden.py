@@ -26,8 +26,8 @@ two jobs, and the two outputs must be byte-identical.
 
 Regenerate the files, only when an output change is intended, with
 ``PYTHONPATH=src python tests/test_golden.py``. It also writes the
-acceptance grid's ``backhaul.csv``, which ``tests/test_acceptance.py``
-checks with ``check_text`` on the sweep of that grid its criteria read.
+acceptance grid's three CSVs, which ``tests/test_acceptance.py`` checks
+with ``check_golden`` on the sweep of that grid its criteria read.
 """
 from __future__ import annotations
 
@@ -85,8 +85,8 @@ SYNTHETIC = {name: (2000, 400) for name in ("bloom_2k", "scale_2k", "dns_pop_2k"
                                             "ci_scale_bloom", "ci_scale_dns")}
 SYNTHETIC["ci_big"] = (10000, 2000)
 
-# The acceptance grid: its golden is only ``backhaul.csv``, checked on the
-# sweep whose files ``tests/test_acceptance.py``'s criteria read.
+# The acceptance grid, whose golden is checked on the sweep whose files
+# ``tests/test_acceptance.py``'s criteria read.
 ACCEPTANCE = ("arch = icn\nfog = 2,4,6,8\ncloud = 2,4,6,8\ncatchment = 0.1,1,10\n"
               "count_fallback = false\ntrials = 50\nseed = 3\n")
 
@@ -144,8 +144,7 @@ def check_text(actual: str, golden: Path) -> None:
 if __name__ == "__main__":
     for grid in [*GRIDS, "acceptance"]:
         sweep(grid, GOLDEN / grid)
-        kept = FLOAT_COLUMNS if grid in GRIDS else ("backhaul.csv",)
         for path in (GOLDEN / grid).iterdir():
-            if path.name not in kept:
+            if path.name not in FLOAT_COLUMNS:
                 path.unlink()
     NUMPY_VERSION.write_text(np.__version__ + "\n")
