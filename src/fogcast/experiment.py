@@ -10,8 +10,9 @@ config of a sweep serves the same catalogue and demand (common random
 numbers). The draws of the last trial seed are kept (``_trial_draws``),
 and sweeps run trial-major, so each trial index draws its workload once.
 Placement is shared the same way: each (trial seed, mode, role) is one
-seeded pick order (``_pick_order``), and a config takes its first k
-picks, which are exactly what a fresh draw of k points would give.
+seeded pick order (``_pick_order``: the mode's weights, drawn on the role's
+salt of the seed), and a config takes its first k picks, none for k = 0,
+which are exactly what a fresh draw of k points would give.
 
 Resolution and unicast accounting run once per client node, not once per
 request: the service point depends on the node alone and the fallback
@@ -73,7 +74,7 @@ import numpy as np
 from . import data
 from .errors import FogcastError, read_text
 from .forwarding import BloomScheme, false_positive_arcs
-from .placement import ROLE_SALTS, PickOrder, pick_order, place_all
+from .placement import ROLE_SALTS, PickOrder
 from .service_router import fog_cache_items, group_rate, resolve_nodes
 from .topology import HopRows, canonical_paths, gather, load_topology
 from .workload import (
@@ -289,10 +290,11 @@ def _trial_draws(seed: int, topology_path: str, population_path: str, n_items: i
 def _pick_order(seed: int, topology_path: str, population_path: str, mode: str,
                 role: str) -> PickOrder:
     """The pick order of one (trial seed, mode, role), kept for every config
-    of the trial index: each takes its first k picks. Room for every mode
-    and role of one trial index."""
+    of the trial index: each takes its first k picks. The mode picks the
+    weights, the role its salt of the seed. Room for every mode and role of
+    one trial index."""
     _, rows, populations, _ = _load_context(topology_path, population_path)
-    return pick_order(rows, populations, mode, role, seed)
+    return PickOrder(populations if mode == "pop" else rows.centrality, seed ^ ROLE_SALTS[role])
 
 
 def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
@@ -307,9 +309,11 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     graph, rows, _, _ = _load_context(config.topology_path, config.population_path)
     seed = trial_seed(config.base_seed, trial_index)
 
-    placement = place_all(config.fog_k, config.cloud_k, config.ldns_k, lambda role: _pick_order(
-        seed, config.topology_path, config.population_path, config.mode, role))
-    hops = rows.table(placement.fog + placement.cloud + placement.ldns)
+    fog, cloud, ldns = (_pick_order(seed, config.topology_path, config.population_path,
+                                    config.mode, role).first(k)
+                        for role, k in (("fog", config.fog_k), ("cloud", config.cloud_k),
+                                        ("ldns", config.ldns_k)))
+    hops = rows.table(fog + cloud + ldns)
     fog_items = fog_cache_items(config.fog_cache_fraction, config.n_items)
     catalogue, demand, users, load, past_load = _trial_draws(
         seed, config.topology_path, config.population_path, config.n_items, config.alpha,
@@ -317,7 +321,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
 
     items, counts, clients, client_of = (demand.items, demand.counts, demand.clients,
                                          demand.client_of)
-    point, origin = resolve_nodes(hops, clients, placement.fog, placement.cloud, placement.ldns)
+    point, origin = resolve_nodes(hops, clients, fog, cloud, ldns)
 
     # Flows: one per client node (service point -> client) with its load,
     # then with count_fallback one per pulling point (origin -> point) with

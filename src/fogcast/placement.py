@@ -7,21 +7,16 @@ which ``HopRows.centrality`` computes once per graph.
 
 One draw is a ``PickOrder`` that grows on demand: the points for k are
 its first k picks, for every k, so a sweep draws each (trial seed, mode,
-role) once and configs that differ only in their counts share it;
-``place_all`` takes every role's points from such orders.
+role) once and configs that differ only in their counts share it.
+``experiment._pick_order`` chooses the weights and the salt.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import FogcastError
-from .topology import HopRows
 
-__all__ = ["Placement", "PlacementError", "PickOrder", "pick_order", "place_all",
-           "ROLE_SALTS"]
+__all__ = ["PlacementError", "PickOrder", "ROLE_SALTS"]
 
 # XOR salts keep the per-role draws on independent streams for one trial seed.
 ROLE_SALTS = {
@@ -33,13 +28,6 @@ ROLE_SALTS = {
 
 class PlacementError(FogcastError):
     """Raised when a placement request cannot be satisfied."""
-
-
-@dataclass(frozen=True)
-class Placement:
-    fog: tuple[int, ...]
-    cloud: tuple[int, ...]
-    ldns: tuple[int, ...]
 
 
 class PickOrder:
@@ -72,10 +60,10 @@ class PickOrder:
         self._picks: list[int] = []
 
     def first(self, k: int) -> tuple[int, ...]:
-        """The first ``k`` picks as sorted node ids."""
+        """The first ``k`` picks as sorted node ids; ``first(0)`` is ``()``."""
         n = len(self._remaining)
-        if k < 1 or k > n:
-            raise PlacementError(f"k={k} outside 1..{n}")
+        if k < 0 or k > n:
+            raise PlacementError(f"k={k} outside 0..{n}")
         support, remaining, weights = self._support, self._remaining, self._remaining_support
         if k > len(support):
             raise PlacementError(f"k={k} exceeds the {len(support)} positive-weight node(s)")
@@ -88,29 +76,3 @@ class PickOrder:
                 self._picks.append(node)
                 remaining[node] = weights[at] = 0.0
         return tuple(sorted(self._picks[:k]))
-
-
-def pick_order(hops: HopRows, populations: np.ndarray, mode: str, role: str,
-               seed: int) -> PickOrder:
-    """The pick order of one role: its mode's weights on the role's stream."""
-    return PickOrder(_weights_for(mode, populations, hops), seed ^ ROLE_SALTS[role])
-
-
-def _weights_for(mode: str, populations: np.ndarray, hops: HopRows) -> np.ndarray:
-    if mode == "pop":
-        return np.asarray(populations, dtype=np.float64)
-    if mode == "cls":
-        return hops.centrality
-    raise PlacementError(f"unknown placement mode {mode!r}")
-
-
-def place_all(fog_k: int, cloud_k: int, ldns_k: int,
-              orders: Callable[[str], PickOrder]) -> Placement:
-    """Place every role: its first k picks of ``orders(role)``.
-
-    A role with k = 0 stays empty. Overlap across roles is permitted.
-    ``orders`` supplies a role's ``pick_order`` for the trial seed and the
-    caller's mode, a cache shared by the configs that differ only in k.
-    """
-    return Placement(**{role: orders(role).first(k) if k else ()
-                        for role, k in (("fog", fog_k), ("cloud", cloud_k), ("ldns", ldns_k))})

@@ -8,8 +8,9 @@ kept independent of the array kernels in ``fogcast``:
   lists each node's out-arcs in plain Python, and ``extract_path`` walks
   one canonical shortest path of an ``all_pairs`` table back from its
   leaf, one in-arc at a time (``canonical_paths`` is the kernel);
-- placement: ``fresh_placement`` draws every role from a fresh pick order,
-  the reference for ``place_all`` and the pick orders trials share;
+- placement: ``fresh_placement`` draws every role from a fresh pick order
+  with its own weights and salts, the reference for the pick orders trials
+  share (``experiment._pick_order``);
 - rendezvous: scoped names, the subscription table with nearest-subscriber
   matching (``NoSubscriberError`` when nothing matches), and shortest-path
   delivery trees;
@@ -30,14 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from fogcast.experiment import (UNICAST, ScenarioConfig, TrialMetrics, TrialOutcome,
                                 trial_seed, _SALT_CATALOGUE, _SALT_DEMAND)
 from fogcast.forwarding import BloomScheme, label_arc
-from fogcast.placement import Placement, pick_order
+from fogcast.placement import PickOrder
 from fogcast.service_router import fog_cache_items
 from fogcast.topology import (HopRows, HopTable, NetworkGraph, _hop_table, _in_arcs,
                               load_topology)
@@ -88,12 +89,25 @@ def extract_path(hops: HopTable, src: int, dst: int) -> list[int]:
 
 # --- placement ----------------------------------------------------------------
 
+# Each role's salt of the trial seed, stated apart from ``placement.ROLE_SALTS``.
+ROLE_SALTS = {"fog": 0x1F09, "cloud": 0x2C10, "ldns": 0x3D25}
+
+
+class Placement(NamedTuple):
+    fog: tuple[int, ...]
+    cloud: tuple[int, ...]
+    ldns: tuple[int, ...]
+
+
 def fresh_placement(hops: HopRows, populations, mode: str, fog_k: int, cloud_k: int,
                     ldns_k: int, seed: int) -> Placement:
-    """Each role's first k picks of its own fresh ``pick_order`` for ``mode``
-    and ``seed``: what ``place_all`` places from the pick orders a sweep
-    shares. It does not call ``place_all``, so a role mixed up there shows."""
-    return Placement(*(pick_order(hops, populations, mode, role, seed).first(k) if k else ()
+    """Each role's first k picks of its own fresh ``PickOrder``: weighted by
+    population (``pop``) or closeness (``cls``), seeded ``seed ^`` the role's
+    salt. What ``run_trial`` takes from the pick orders a sweep shares; the
+    weights and salts are stated here, so a mode or role mixed up in
+    ``experiment._pick_order`` shows."""
+    weights = populations if mode == "pop" else hops.centrality
+    return Placement(*(PickOrder(weights, seed ^ ROLE_SALTS[role]).first(k)
                        for role, k in (("fog", fog_k), ("cloud", cloud_k), ("ldns", ldns_k))))
 
 

@@ -41,7 +41,6 @@ from fogcast.experiment import (
     trial_seed,
 )
 from fogcast.forwarding import BloomScheme, false_positive_arcs, fpr_theoretical, label_arc
-from fogcast.placement import place_all
 from fogcast.service_router import group_rate, resolve_nodes
 from fogcast.topology import load_topology
 from oracles import ExactScheme, all_pairs, build_tree, deliver, encode_tree, forward
@@ -162,15 +161,16 @@ def test_criterion_6_baseline_never_beats_native_paths():
     for trial_index, config in product(range(TRIALS), configs):
         inputs = (config.topology_path, config.population_path)
         seed = trial_seed(config.base_seed, trial_index)
-        placement = place_all(config.fog_k, config.cloud_k, config.ldns_k,
-                              lambda role: _pick_order(seed, *inputs, config.mode, role))
-        hops = _load_context(*inputs)[1].table(placement.fog + placement.cloud + placement.ldns)
+        fog, cloud, ldns = (_pick_order(seed, *inputs, config.mode, role).first(k)
+                            for role, k in (("fog", config.fog_k), ("cloud", config.cloud_k),
+                                            ("ldns", config.ldns_k)))
+        hops = _load_context(*inputs)[1].table(fog + cloud + ldns)
         _, demand, *_ = _trial_draws(seed, *inputs, config.n_items, config.alpha,
                                      config.bitrates, config.target_bitrate)
         clients, client_of = demand.clients, demand.client_of
         client_hops = []
-        for resolvers in ((), placement.ldns):
-            point, _ = resolve_nodes(hops, clients, placement.fog, placement.cloud, resolvers)
+        for resolvers in ((), ldns):
+            point, _ = resolve_nodes(hops, clients, fog, cloud, resolvers)
             client_hops.append(hops.dist[hops.slot[point], clients][client_of])
         native, baseline = client_hops
         checked += len(client_of)

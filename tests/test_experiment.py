@@ -682,18 +682,22 @@ GRID_DNS = {"arch": "dns", "fog": "2,4,6,8", "cloud": "2,4,6,8", "ldns": "4",
 
 def test_sweep_places_once_per_trial_index(monkeypatch, fresh_orders):
     """Trial i of every config takes its points from one pick order per
-    (mode, role): 6 per trial index, not one per config and role (96)."""
+    (mode, role), seeded ``seed ^`` the role's salt: 6 per trial index, not
+    one per config and role (96)."""
     configs = grid_configs(GRID_DNS)
     assert len(configs) == 32
-    orders = count_calls(monkeypatch, "pick_order")
+    rows, populations = experiment._load_context(configs[0].topology_path,
+                                                 configs[0].population_path)[1:3]
+    modes = {id(populations): "pop", id(rows.centrality): "cls"}
+    orders = count_calls(monkeypatch, "PickOrder")
     run_sweep(configs)
     assert len(orders) == 6 * 3
     for index in range(3):
         seed = trial_seed(1, index)
         drawn = orders[6 * index:6 * (index + 1)]
-        assert {(args[2], args[3]) for args in drawn} == {
-            (mode, role) for mode in ("pop", "cls") for role in ("fog", "cloud", "ldns")}
-        assert {args[4] for args in drawn} == {seed}
+        pairs = sorted((modes.get(id(weights)), order_seed) for weights, order_seed in drawn)
+        assert pairs == sorted((mode, seed ^ salt) for mode in ("pop", "cls")
+                               for salt in oracles.ROLE_SALTS.values())
     info = experiment._pick_order.cache_info()
     assert (info.misses, info.hits) == (6 * 3, (96 - 6) * 3)
 
@@ -707,9 +711,10 @@ def test_shared_placement_equals_fresh_placement(fresh_orders):
         seed = trial_seed(1, index)
         for config in configs:
             counts = (config.fog_k, config.cloud_k, config.ldns_k)
-            shared = experiment.place_all(*counts, lambda role: (
-                experiment._pick_order(seed, config.topology_path, config.population_path,
-                                       config.mode, role)))
+            shared = tuple(experiment._pick_order(seed, config.topology_path,
+                                                  config.population_path, config.mode,
+                                                  role).first(k)
+                           for role, k in zip(("fog", "cloud", "ldns"), counts))
             assert shared == fresh_placement(rows, populations, config.mode, *counts, seed)
 
 

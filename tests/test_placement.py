@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import write_synthetic
-from fogcast.placement import PickOrder, PlacementError, pick_order, place_all
+from fogcast.placement import PickOrder, PlacementError
 from fogcast.topology import HopRows, load_topology
 from fogcast.workload import assign_population, load_population
 from oracles import fresh_placement
@@ -16,8 +16,8 @@ def choice_reference(weights: np.ndarray, k: int, seed: int) -> tuple[int, ...]:
     """Reference draw: one ``rng.choice`` per pick, as placement drew before
     ``PickOrder`` took its doubles from one ``rng.random`` stream."""
     weights = np.asarray(weights, dtype=np.float64)
-    if k < 1 or k > len(weights):
-        raise PlacementError(f"k={k} outside 1..{len(weights)}")
+    if k < 0 or k > len(weights):
+        raise PlacementError(f"k={k} outside 0..{len(weights)}")
     positive = int((weights > 0).sum())
     if k > positive:
         raise PlacementError(f"k={k} exceeds the {positive} positive-weight node(s)")
@@ -117,10 +117,11 @@ def test_pick_order_of_zero_weights_and_ties():
             assert order.first(k) == choice_reference(weights, k, seed), (seed, k)
         with pytest.raises(PlacementError, match=r"^k=15 exceeds the 14 positive-weight"):
             order.first(15)
-        with pytest.raises(PlacementError, match=r"^k=21 outside 1\.\.20$"):
+        with pytest.raises(PlacementError, match=r"^k=21 outside 0\.\.20$"):
             order.first(21)
-        with pytest.raises(PlacementError, match=r"^k=0 outside 1\.\.20$"):
-            order.first(0)
+        with pytest.raises(PlacementError, match=r"^k=-1 outside 0\.\.20$"):
+            order.first(-1)
+        assert order.first(0) == ()
 
 
 def test_pick_order_over_its_support_keeps_the_total_of_all_weights():
@@ -199,8 +200,9 @@ def test_zero_weight_nodes_never_selected_while_positive_remain():
 def test_requesting_more_than_positive_weight_nodes_fails():
     with pytest.raises(PlacementError):
         PickOrder(np.array([1.0, 0.0]), 1).first(2)
+    assert PickOrder(np.array([1.0]), 1).first(0) == ()
     with pytest.raises(PlacementError):
-        PickOrder(np.array([1.0]), 1).first(0)
+        PickOrder(np.array([1.0]), 1).first(-1)
 
 
 def test_no_repeats_within_a_draw():
@@ -215,21 +217,6 @@ def test_selection_frequency_proportional_to_weight():
     weights = np.array([3.0, 1.0])
     hits = sum(PickOrder(weights, seed).first(1)[0] == 0 for seed in range(100_000))
     assert hits / 100_000 == pytest.approx(0.75, abs=0.01)
-
-
-def test_place_all_role_sizes(geant_rows, geant_population):
-    placement = place_all(2, 2, 0, lambda role: pick_order(geant_rows, geant_population,
-                                                           "pop", role, 5))
-    assert len(placement.fog) == 2
-    assert len(placement.cloud) == 2
-    assert placement.ldns == ()
-
-
-def test_place_all_deterministic(geant_rows, geant_population):
-    for mode in ("pop", "cls"):
-        def orders(role):
-            return pick_order(geant_rows, geant_population, mode, role, 17)
-        assert place_all(3, 2, 4, orders) == place_all(3, 2, 4, orders)
 
 
 def test_roles_draw_independent_streams(geant_rows, geant_population):

@@ -376,13 +376,25 @@ def test_hop_rows_equal_all_pairs(row_table):
         assert (table.in_arc[at] == reference.in_arc[sources]).all()
 
 
-def test_streaming_closeness_equals_all_pairs_row_sums(row_table):
+def test_streaming_closeness_equals_all_pairs_row_sums(row_table, row_graphs, star4):
+    """Each node's closeness is (n - 1) over its own ``all_pairs`` row sum,
+    bit for bit, and lies in (0, 1]. With the bundled backbone run star4,
+    whose hub is exactly 1.0 and leaves 3/5, and random graphs of 1-130 nodes."""
     graph, hops = row_table
-    n = graph.n_nodes
-    values = closeness(graph)
-    expected = [(n - 1) / float(hops.dist[v].sum()) if n > 1 else 1.0 for v in range(n)]
-    assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
-    assert HopRows(graph).centrality.tobytes() == values.tobytes()
+    tables = [(graph, hops)]
+    if graph is row_graphs[0]:
+        rng = np.random.default_rng(24)
+        tables += [(g, all_pairs(g)) for g in [star4] + [random_connected_graph(rng, n, n // 3)
+                                                          for n in (1, 2, 5, 40, 130)]]
+        assert closeness(star4).tolist() == [1.0, 3 / 5, 3 / 5, 3 / 5]
+    for graph, hops in tables:
+        n = graph.n_nodes
+        values = closeness(graph)
+        expected = [(n - 1) / float(hops.dist[v].sum()) if n > 1 else 1.0 for v in range(n)]
+        assert values.dtype == np.float64 and values.shape == (n,)
+        assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+        assert ((0.0 < values) & (values <= 1.0)).all()
+        assert HopRows(graph).centrality.tobytes() == values.tobytes()
 
 
 def test_closeness_runs_no_predecessor_sweep(row_graphs, monkeypatch):
@@ -432,7 +444,7 @@ def test_hop_row_store_holds_every_likely_source(monkeypatch):
     assert not (rows.held.dist.flags.writeable or rows.held.slot.flags.writeable)
 
 
-def test_hop_row_store_starts_over_past_its_budget(monkeypatch):
+def test_hop_rows_search_sources_past_the_held_ones(monkeypatch):
     """A call that asks past the held rows gets a new table of exactly its
     rows; searched rows are not kept, and earlier tables keep theirs."""
     rng = np.random.default_rng(27)
@@ -463,36 +475,6 @@ def test_hop_row_store_starts_over_past_its_budget(monkeypatch):
         at = table.slot[sources]
         assert (table.dist[at] == reference.dist[sources]).all()
         assert (table.in_arc[at] == reference.in_arc[sources]).all()
-
-
-def test_closeness_star_center_and_leaf(star4):
-    values = closeness(star4)
-    assert values[0] == 1.0
-    assert values[1] == pytest.approx(3 / 5)
-
-
-def test_closeness_in_unit_interval(geant):
-    values = closeness(geant)
-    assert ((0.0 < values) & (values <= 1.0)).all()
-
-
-def test_closeness_of_all_nodes_equals_one_node_calls(geant_hops):
-    rng = np.random.default_rng(24)
-    tables = [geant_hops] + [all_pairs(random_connected_graph(rng, n, n // 3))
-                             for n in (1, 2, 5, 40, 130)]
-    for hops in tables:
-        n = hops.graph.n_nodes
-        values = closeness(hops.graph)
-        assert values.dtype == np.float64 and values.shape == (n,)
-        for v in range(n):
-            # One node's closeness, from its own row alone.
-            expected = (n - 1) / float(hops.dist[v].sum()) if n > 1 else 1.0
-            assert values[v] == expected
-
-
-def test_geant_closeness_matches_direct_summation(geant):
-    total = sum(bfs_distances(geant, 0))
-    assert closeness(geant)[0] == pytest.approx((geant.n_nodes - 1) / total)
 
 
 def test_fixture_loads_quickly():
