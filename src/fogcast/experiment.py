@@ -34,12 +34,12 @@ gives the arcs each group's Bloom identifier carries beyond its tree.
 Only catchment expands the per-client facts to requests.
 
 Every root is a placed point, so a trial takes the hop rows of its fog,
-cloud and LDNS points once (``HopRows.table``) and reads only their
-columns of its clients and points, for the nearest-point maps, the
-canonical paths and the hop histogram; no n x n table is built. The rows
-of populated nodes, the only ones ``pop`` placement draws, are searched
-once per topology; any other point's row is searched in the trial that
-asks for it.
+cloud and LDNS points once and reads only their columns of its clients
+and points, for the nearest-point maps, the canonical paths and the hop
+histogram; no n x n table is built. The context holds the rows of
+populated nodes, the only ones ``pop`` placement draws, searched once per
+topology; a trial that places a point elsewhere searches a table of its
+own points (``hop_table``).
 
 Catchment aggregation is applied analytically: each arc a group's packets
 take carries the group rate, which shrinks monotonically with the interval.
@@ -76,7 +76,7 @@ from .errors import FogcastError, read_text
 from .forwarding import BloomScheme, false_positive_arcs
 from .placement import ROLE_SALTS, PickOrder
 from .service_router import fog_cache_items, group_rate, resolve_nodes
-from .topology import HopRows, canonical_paths, gather, load_topology
+from .topology import NO_ROW, canonical_paths, closeness, gather, hop_table, load_topology
 from .workload import (
     CHUNK_DURATION,
     build_catalogue,
@@ -252,14 +252,15 @@ def _sha256(path: str) -> str:
 
 @lru_cache(maxsize=8)
 def _load_context(topology_path: str, population_path: str):
-    """The graph, its hop rows and per-node populations of one pair of
-    input files, and a function giving the files' sha256 digests for the
-    manifest, taken once per context when first asked for."""
+    """The graph, the hop table of its populated nodes and per-node
+    populations of one pair of input files, and a function giving the
+    files' sha256 digests for the manifest, taken once per context when
+    first asked for."""
     graph = load_topology(topology_path)
     populations = assign_population(graph, load_population(population_path))
     digests = lru_cache(maxsize=1)(lambda: (_sha256(topology_path), _sha256(population_path)))
     # pop placement draws only populated nodes: their rows are held.
-    return graph, HopRows(graph, np.flatnonzero(populations)), populations, digests
+    return graph, hop_table(graph, np.flatnonzero(populations)), populations, digests
 
 
 @lru_cache(maxsize=1)
@@ -293,8 +294,8 @@ def _pick_order(seed: int, topology_path: str, population_path: str, mode: str,
     of the trial index: each takes its first k picks. The mode picks the
     weights, the role its salt of the seed. Room for every mode and role of
     one trial index."""
-    _, rows, populations, _ = _load_context(topology_path, population_path)
-    return PickOrder(populations if mode == "pop" else rows.centrality, seed ^ ROLE_SALTS[role])
+    graph, _, populations, _ = _load_context(topology_path, population_path)
+    return PickOrder(populations if mode == "pop" else closeness(graph), seed ^ ROLE_SALTS[role])
 
 
 def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
@@ -306,14 +307,15 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     """Execute one seeded trial; deterministic for fixed (config, index).
     A config its topology cannot run raises ``_check_fits``'s ``ConfigError``."""
     _check_fits(config)
-    graph, rows, _, _ = _load_context(config.topology_path, config.population_path)
+    graph, held, _, _ = _load_context(config.topology_path, config.population_path)
     seed = trial_seed(config.base_seed, trial_index)
 
     fog, cloud, ldns = (_pick_order(seed, config.topology_path, config.population_path,
                                     config.mode, role).first(k)
                         for role, k in (("fog", config.fog_k), ("cloud", config.cloud_k),
                                         ("ldns", config.ldns_k)))
-    hops = rows.table(fog + cloud + ldns)
+    points = np.array(fog + cloud + ldns, dtype=np.intp)
+    hops = held if (held.slot[points] != NO_ROW).all() else hop_table(graph, points)
     fog_items = fog_cache_items(config.fog_cache_fraction, config.n_items)
     catalogue, demand, users, load, past_load = _trial_draws(
         seed, config.topology_path, config.population_path, config.n_items, config.alpha,
@@ -333,10 +335,10 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     indptr, path = canonical_paths(hops, np.concatenate([point, origin[pulling]]),
                                    np.concatenate([clients, pulling]))
     flow_load = np.concatenate([load, pull_load[pulling]])
-    unicast_load = _per_arc(path, np.repeat(flow_load, np.diff(indptr)), graph.n_arcs)
+    lengths = np.diff(indptr)
+    unicast_load = _per_arc(path, np.repeat(flow_load, lengths), graph.n_arcs)
 
-    client_hops = hops.dist[hops.slot[point], clients]
-    hop_counts = np.bincount(client_hops, weights=users)
+    hop_counts = np.bincount(lengths[:len(clients)], weights=users)
     outcome = TrialOutcome(unicast=TrialMetrics(unicast_load, hop_counts.astype(np.int64)))
     intervals = [t for t in config.catchment if t != UNICAST]
     if not intervals:

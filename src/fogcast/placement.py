@@ -3,7 +3,7 @@
 Nodes are drawn sequentially without replacement, with probability
 proportional to their weight among the remaining candidates. ``pop`` mode
 weighs nodes by assigned population, ``cls`` mode by closeness centrality,
-which ``HopRows.centrality`` computes once per graph.
+which ``topology.closeness`` computes once per graph.
 
 One draw is a ``PickOrder`` that grows on demand: the points for k are
 its first k picks, for every k, so a sweep draws each (trial seed, mode,

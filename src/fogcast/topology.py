@@ -10,17 +10,17 @@ arc ``a`` simply ``a ^ 1``.
 
 Hop counts come as rows, one per source, from a breadth-first search of 64
 sources at a time, each with a row of canonical in-arcs that paths are read
-from. The pipeline reads only the rows of a trial's fog, cloud and LDNS
+from. ``hop_table(graph, sources)`` searches exactly the rows it is asked
+for. The pipeline reads only the rows of a trial's fog, cloud and LDNS
 points, and of those only the columns it asks about, so no n x n table is
-built: ``HopRows`` searches the rows of a held set of nodes once, and any
-other row per call. The full table of every row, ``all_pairs``, is the
-tests' reference and lives with their scalar oracles (``tests/oracles.py``).
+built. The full table of every row, ``all_pairs``, is the tests' reference
+and lives with their scalar oracles (``tests/oracles.py``).
 """
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +30,11 @@ from .errors import FogcastError
 __all__ = [
     "NetworkGraph",
     "HopTable",
-    "HopRows",
     "NO_ROW",
     "TopologyError",
     "build_graph",
     "load_topology",
+    "hop_table",
     "canonical_paths",
     "gather",
     "nearest",
@@ -199,7 +199,8 @@ class HopTable:
     every array, so reading a row it lacks raises IndexError; the tests'
     full table (``all_pairs`` in ``tests/oracles.py``) gives node ``s`` row
     ``s``, so its ``dist[s, v]`` reads directly.
-    Rows are deterministic, so the held set never changes results.
+    Rows are deterministic, so the table a row is read from never changes
+    results.
     """
 
     graph: NetworkGraph
@@ -221,11 +222,12 @@ def _bits(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=count, bitorder="little")
 
 
+@lru_cache(maxsize=8)
 def _in_arcs(graph: NetworkGraph):
     """The arcs as ``_bfs_block`` and ``_predecessors`` read them: sources
     sorted by (dst, src), the first arc into each node, and per slot ``k``
     the nodes with more than ``k`` in-arcs, their ``k``-th lowest
-    in-neighbours and the ids of the arcs from them."""
+    in-neighbours and the ids of the arcs from them. Sorted once per graph."""
     order = np.lexsort((graph.src, graph.dst))
     src, dst = graph.src[order], graph.dst[order]
     # A connected graph of two or more nodes gives every node an in-arc.
@@ -284,68 +286,29 @@ def _predecessors(in_arcs, d):
     return p
 
 
-def _hop_table(graph: NetworkGraph, in_arcs, sources, held: HopTable | None = None) -> HopTable:
-    """A read-only HopTable of exactly the rows of distinct ``sources``.
+def hop_table(graph: NetworkGraph, sources) -> HopTable:
+    """A read-only HopTable of exactly the rows of ``sources``, deduplicated.
 
-    Row ``i`` belongs to ``sources[i]``. Rows ``held`` holds are copied from
-    it; ``_bfs_block`` and ``_predecessors`` search the others, 64 at a time.
+    Row ``i`` belongs to the ``i``-th lowest distinct source; ``_bfs_block``
+    and ``_predecessors`` search them, 64 at a time.
     """
+    # Deduped by a sort: a plain np.unique imports numpy.ma (about 16 ms)
+    # under numpy 2.x.
+    sources = np.sort(np.asarray(sources, dtype=np.intp))
+    sources = sources[np.diff(sources, prepend=-1) != 0]
+    in_arcs = _in_arcs(graph)
     n = graph.n_nodes
     slot = np.full(n, NO_ROW, dtype=np.intp)
     slot[sources] = np.arange(len(sources))
     dist = np.empty((len(sources), n), dtype=np.int32)
     in_arc = np.empty((len(sources), n), dtype=np.int32)
-    missing = np.arange(len(sources))
-    if held is not None:
-        copied = held.slot[sources] != NO_ROW
-        rows = held.slot[sources[copied]]
-        dist[copied], in_arc[copied] = held.dist[rows], held.in_arc[rows]
-        missing = missing[~copied]
-    for at in range(0, len(missing), _BLOCK):
-        rows = missing[at:at + _BLOCK]
-        d = _bfs_block(in_arcs, sources[rows])
-        dist[rows] = d.T
-        in_arc[rows] = _predecessors(in_arcs, d).T
+    for at in range(0, len(sources), _BLOCK):
+        d = _bfs_block(in_arcs, sources[at:at + _BLOCK])
+        dist[at:at + _BLOCK] = d.T
+        in_arc[at:at + _BLOCK] = _predecessors(in_arcs, d).T
     for table in (dist, in_arc, slot):
         table.setflags(write=False)
     return HopTable(graph=graph, dist=dist, in_arc=in_arc, slot=slot)
-
-
-class HopRows:
-    """Hop rows of a graph: those of ``held`` searched once, any other per call.
-
-    ``held`` lists distinct nodes, the sources trials ask for most; their
-    rows are searched at construction into the read-only table ``held``.
-    ``table(sources)`` returns that table when it holds every row of
-    ``sources``, and otherwise a new table of exactly their rows, the held
-    ones copied and the others searched; searched rows are not kept.
-    Nothing changes after construction but the cached ``centrality``, every
-    node's closeness, computed on first use, so a HopRows is safe to share.
-    """
-
-    def __init__(self, graph: NetworkGraph, held=()):
-        self.graph = graph
-        self._in_arcs = _in_arcs(graph)
-        self.held = _hop_table(graph, self._in_arcs, np.asarray(held, dtype=np.intp))
-
-    def table(self, sources) -> HopTable:
-        """A HopTable holding (at least) the rows of ``sources``."""
-        sources = np.asarray(sources, dtype=np.intp)
-        held = self.held
-        if (held.slot[sources] != NO_ROW).all():
-            return held
-        # Deduped by a sort: a plain np.unique imports numpy.ma (about 16 ms)
-        # under numpy 2.x.
-        sources = np.sort(sources)
-        distinct = sources[np.diff(sources, prepend=-1) != 0]
-        return _hop_table(self.graph, self._in_arcs, distinct, held)
-
-    @cached_property
-    def centrality(self) -> np.ndarray:
-        """``closeness`` of every node, read-only."""
-        value = closeness(self.graph)
-        value.setflags(write=False)
-        return value
 
 
 def canonical_paths(hops: HopTable, roots, leaves) -> tuple[np.ndarray, np.ndarray]:
@@ -401,17 +364,21 @@ def nearest(hops: HopTable, candidates, at) -> np.ndarray:
     return candidates[np.argmin(hops.dist[hops.slot[candidates][:, None], at], axis=0)]
 
 
+@lru_cache(maxsize=8)
 def closeness(graph: NetworkGraph) -> np.ndarray:
     """Closeness centrality of every node: (|V| - 1) / sum of its hop distances.
 
     The sums come from one streaming pass over every 64-source block,
-    which keeps only each block's distance sums; ``HopRows.centrality``
-    keeps the result.
+    which keeps only each block's distance sums. Computed once per graph;
+    the array is read-only.
     """
     n = graph.n_nodes
     if n < 2:
-        return np.ones(n)
-    in_arcs = _in_arcs(graph)
-    sums = np.concatenate([_bfs_block(in_arcs, np.arange(s0, min(s0 + _BLOCK, n))).sum(axis=0)
-                           for s0 in range(0, n, _BLOCK)])
-    return (n - 1) / sums.astype(np.float64)
+        value = np.ones(n)
+    else:
+        in_arcs = _in_arcs(graph)
+        sums = np.concatenate([_bfs_block(in_arcs, np.arange(s0, min(s0 + _BLOCK, n))).sum(axis=0)
+                               for s0 in range(0, n, _BLOCK)])
+        value = (n - 1) / sums.astype(np.float64)
+    value.setflags(write=False)
+    return value

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fogcast.data import bundled_population, bundled_topology
-from fogcast.topology import HopRows, NetworkGraph, build_graph, load_topology
+from fogcast.topology import NetworkGraph, build_graph, load_topology
 from fogcast.workload import assign_population, load_population
 from oracles import adjacency, all_pairs
 
@@ -122,11 +122,6 @@ def geant():
 @pytest.fixture(scope="session")
 def geant_hops(geant):
     return all_pairs(geant)
-
-
-@pytest.fixture()
-def geant_rows(geant):
-    return HopRows(geant)
 
 
 @pytest.fixture(scope="session")

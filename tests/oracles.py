@@ -4,7 +4,7 @@ Each is a plain, per-request or per-node model of one piece of a trial,
 kept independent of the array kernels in ``fogcast``:
 
 - topology: ``all_pairs`` is the full hop table, every node's row (the
-  pipeline reads only the rows it asks ``HopRows`` for); ``adjacency``
+  pipeline reads only the rows it asks ``hop_table`` for); ``adjacency``
   lists each node's out-arcs in plain Python, and ``extract_path`` walks
   one canonical shortest path of an ``all_pairs`` table back from its
   leaf, one in-arc at a time (``canonical_paths`` is the kernel);
@@ -40,8 +40,7 @@ from fogcast.experiment import (UNICAST, ScenarioConfig, TrialMetrics, TrialOutc
 from fogcast.forwarding import BloomScheme, label_arc
 from fogcast.placement import PickOrder
 from fogcast.service_router import fog_cache_items
-from fogcast.topology import (HopRows, HopTable, NetworkGraph, _hop_table, _in_arcs,
-                              load_topology)
+from fogcast.topology import HopTable, NetworkGraph, closeness, hop_table, load_topology
 from fogcast.workload import (CHUNK_DURATION, ServiceCatalogue, assign_population,
                               build_catalogue, draw_demand, load_population)
 
@@ -50,7 +49,7 @@ from fogcast.workload import (CHUNK_DURATION, ServiceCatalogue, assign_populatio
 
 def all_pairs(graph: NetworkGraph) -> HopTable:
     """Every node's hop row: an n x n ``dist`` and ``in_arc``, ``slot[s] = s``."""
-    return _hop_table(graph, _in_arcs(graph), np.arange(graph.n_nodes))
+    return hop_table(graph, np.arange(graph.n_nodes))
 
 
 @lru_cache(maxsize=64)
@@ -99,14 +98,14 @@ class Placement(NamedTuple):
     ldns: tuple[int, ...]
 
 
-def fresh_placement(hops: HopRows, populations, mode: str, fog_k: int, cloud_k: int,
+def fresh_placement(graph: NetworkGraph, populations, mode: str, fog_k: int, cloud_k: int,
                     ldns_k: int, seed: int) -> Placement:
     """Each role's first k picks of its own fresh ``PickOrder``: weighted by
     population (``pop``) or closeness (``cls``), seeded ``seed ^`` the role's
     salt. What ``run_trial`` takes from the pick orders a sweep shares; the
     weights and salts are stated here, so a mode or role mixed up in
     ``experiment._pick_order`` shows."""
-    weights = populations if mode == "pop" else hops.centrality
+    weights = populations if mode == "pop" else closeness(graph)
     return Placement(*(PickOrder(weights, seed ^ ROLE_SALTS[role]).first(k)
                        for role, k in (("fog", fog_k), ("cloud", cloud_k), ("ldns", ldns_k))))
 
@@ -488,7 +487,7 @@ def reference_trial(config: ScenarioConfig, index: int) -> tuple[TrialOutcome, d
     hops = all_pairs(graph)
     populations = assign_population(graph, load_population(config.population_path))
     seed = trial_seed(config.base_seed, index)
-    placement = fresh_placement(HopRows(graph), populations, config.mode, config.fog_k,
+    placement = fresh_placement(graph, populations, config.mode, config.fog_k,
                                 config.cloud_k, config.ldns_k, seed)
     catalogue = build_catalogue(config.n_items, config.alpha, config.bitrates,
                                 seed ^ _SALT_CATALOGUE)

@@ -42,7 +42,7 @@ from fogcast.experiment import (
 )
 from fogcast.forwarding import BloomScheme, false_positive_arcs, fpr_theoretical, label_arc
 from fogcast.service_router import group_rate, resolve_nodes
-from fogcast.topology import load_topology
+from fogcast.topology import hop_table, load_topology
 from oracles import ExactScheme, all_pairs, build_tree, deliver, encode_tree, forward
 import test_golden
 from test_golden import check_golden
@@ -164,7 +164,7 @@ def test_criterion_6_baseline_never_beats_native_paths():
         fog, cloud, ldns = (_pick_order(seed, *inputs, config.mode, role).first(k)
                             for role, k in (("fog", config.fog_k), ("cloud", config.cloud_k),
                                             ("ldns", config.ldns_k)))
-        hops = _load_context(*inputs)[1].table(fog + cloud + ldns)
+        hops = hop_table(_load_context(*inputs)[0], fog + cloud + ldns)
         _, demand, *_ = _trial_draws(seed, *inputs, config.n_items, config.alpha,
                                      config.bitrates, config.target_bitrate)
         clients, client_of = demand.clients, demand.client_of

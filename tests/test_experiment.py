@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from conftest import random_connected_graph, write_graphml, write_synthetic
 from fogcast import experiment, topology
 from fogcast.forwarding import BloomScheme
 from fogcast.service_router import fog_cache_items, resolve_nodes
-from fogcast.topology import NO_ROW, load_topology
+from fogcast.topology import NO_ROW, closeness, load_topology
 from fogcast.workload import build_catalogue
 from oracles import all_pairs, fresh_placement
 
@@ -240,24 +241,6 @@ def test_missing_role_is_named_for_both_architectures(arch, ldns_k):
         assert str(info.value) == f"config {arch},{fog_k},0,{ldns_k},pop: {named}"
 
 
-@pytest.mark.parametrize("count_fallback", [True, False])
-@pytest.mark.parametrize("fog_k,cloud_k", [(2, 2), (2, 8), (8, 2), (8, 8)])
-def test_catchment_loads_arc_by_arc_on_bundled_backbone(fog_k, cloud_k, count_fallback):
-    """The smallest positive T reproduces unicast (T = 0 is unicast itself),
-    and T1 < T2 gives load(T2) <= load(T1) <= unicast, on every arc."""
-    intervals = (float(np.nextafter(0, 1)), 0.1, 1.0, 10.0)
-    config = ScenarioConfig(arch="icn", fog_k=fog_k, cloud_k=cloud_k, catchment=intervals,
-                            count_fallback=count_fallback, trials=10, base_seed=3)
-    for index in range(config.trials):
-        outcome = run_trial(config, index)
-        unicast = outcome.unicast.arc_load
-        loads = [outcome.by_catchment[t].arc_load for t in intervals]
-        assert loads[0] == pytest.approx(unicast, rel=1e-12, abs=0)
-        for smaller, larger in zip(loads, loads[1:]):
-            assert (larger <= smaller).all()
-        assert (loads[1] <= unicast).all()
-
-
 # Per backbone, (config fields, trial indices) of each case.
 CATCHMENT_CASES = {
     "chain": [(dict(fog_k=1, cloud_k=1, n_items=3, target_bitrate=2e9, base_seed=seed), indices)
@@ -425,43 +408,57 @@ def fresh_context():
     experiment._load_context.cache_clear()
 
 
-def test_held_rows_never_change_results(monkeypatch, fresh_context):
+def test_held_rows_never_change_results(fresh_context, monkeypatch):
     configs = [ScenarioConfig(fog_k=4, cloud_k=4, mode=mode, catchment=(0.1, 1.0), trials=8)
                for mode in ("pop", "cls")]
     configs.append(ScenarioConfig(arch="dns", fog_k=4, cloud_k=2, ldns_k=3, mode="cls", trials=8))
+    searches = count_calls(monkeypatch, "hop_table")
 
     def outcomes():
         experiment._load_context.cache_clear()
+        searches.clear()
         return [metric_bytes(run_trial(c, i)) for c in configs for i in range(c.trials)]
 
+    # Every node of the bundled backbone is populated: the context's table
+    # is the only one searched.
     expected = outcomes()
-    # Three held rows of the bundled backbone's 37, then none: trials then
-    # search most of their rows, and copy the held ones they ask for.
+    assert len(searches) == 1
+    # Contexts that hold three of its 37 rows, then none: every trial then
+    # searches a table of its own points.
+    load = experiment._load_context
     for held in (3, 0):
-        monkeypatch.setattr(experiment, "HopRows",
-                            lambda graph, nodes, held=held: topology.HopRows(graph, nodes[:held]))
+        def holding(topology_path, population_path, held=held):
+            graph, _, populations, digests = load(topology_path, population_path)
+            rows = topology.hop_table(graph, np.flatnonzero(populations)[:held])
+            return graph, rows, populations, digests
+
+        monkeypatch.setattr(experiment, "_load_context", lru_cache(maxsize=1)(holding))
         assert outcomes() == expected
+        assert len(searches) == sum(config.trials for config in configs)
 
 
 def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
     top, pop = write_synthetic(tmp_path, 1)
+    searched = []
+    hop_table = experiment.hop_table
 
-    hop_table = topology._hop_table
-
-    def refuse_all_rows(graph, in_arcs, sources, held=None):
+    def refuse_all_rows(graph, sources):
         if len(sources) == graph.n_nodes:
             raise AssertionError("the pipeline built an all-pairs table")
-        return hop_table(graph, in_arcs, sources, held)
+        searched[-1].append(sorted(set(sources.tolist())))
+        return hop_table(graph, sources)
 
-    monkeypatch.setattr(topology, "_hop_table", refuse_all_rows)
+    monkeypatch.setattr(experiment, "hop_table", refuse_all_rows)
     configs = [ScenarioConfig(fog_k=8, cloud_k=8, mode=mode, catchment=(0.1, 1.0, 10.0),
                               topology_path=top, population_path=pop, trials=2)
                for mode in ("pop", "cls")]
     tracemalloc.start()
     try:
-        graph, rows, populations, _ = experiment._load_context(top, pop)
+        searched.append([])
+        graph, held, populations, _ = experiment._load_context(top, pop)
         for config in configs:
             for index in range(config.trials):
+                searched.append([])
                 run_trial(config, index)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -469,8 +466,18 @@ def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
     # The held table is the populated nodes' rows, and only theirs.
     populated = np.flatnonzero(populations)
     assert len(populated) == 271
-    assert np.flatnonzero(rows.held.slot != NO_ROW).tolist() == populated.tolist()
-    assert rows.held.dist.shape == rows.held.in_arc.shape == (271, graph.n_nodes)
+    assert searched[0] == [populated.tolist()]
+    assert np.flatnonzero(held.slot != NO_ROW).tolist() == populated.tolist()
+    assert held.dist.shape == held.in_arc.shape == (271, graph.n_nodes)
+    # A pop trial searches no row; a cls trial one table of its own points.
+    trials = [(config, index) for config in configs for index in range(config.trials)]
+    for (config, index), tables in zip(trials, searched[1:]):
+        if config.mode == "pop":
+            assert tables == []
+        else:
+            placement = fresh_placement(graph, populations, "cls", config.fog_k, config.cloud_k,
+                                        0, trial_seed(config.base_seed, index))
+            assert tables == [sorted(set(placement.fog + placement.cloud))]
     # The n x n dist and in_arc tables alone would take 32 MB on 2,000 nodes.
     assert graph.n_nodes == 2000 and peak < 16e6
 
@@ -686,9 +693,9 @@ def test_sweep_places_once_per_trial_index(monkeypatch, fresh_orders):
     one per config and role (96)."""
     configs = grid_configs(GRID_DNS)
     assert len(configs) == 32
-    rows, populations = experiment._load_context(configs[0].topology_path,
-                                                 configs[0].population_path)[1:3]
-    modes = {id(populations): "pop", id(rows.centrality): "cls"}
+    graph, _, populations, _ = experiment._load_context(configs[0].topology_path,
+                                                        configs[0].population_path)
+    modes = {id(populations): "pop", id(closeness(graph)): "cls"}
     orders = count_calls(monkeypatch, "PickOrder")
     run_sweep(configs)
     assert len(orders) == 6 * 3
@@ -705,8 +712,8 @@ def test_sweep_places_once_per_trial_index(monkeypatch, fresh_orders):
 def test_shared_placement_equals_fresh_placement(fresh_orders):
     """Points a config takes from a pick order others grew equal a fresh draw."""
     configs = grid_configs(dict(GRID_DNS, fog="8,2,6,4", ldns="3,1"))
-    rows, populations = experiment._load_context(configs[0].topology_path,
-                                                 configs[0].population_path)[1:3]
+    graph, _, populations, _ = experiment._load_context(configs[0].topology_path,
+                                                        configs[0].population_path)
     for index in range(3):
         seed = trial_seed(1, index)
         for config in configs:
@@ -715,7 +722,7 @@ def test_shared_placement_equals_fresh_placement(fresh_orders):
                                                   config.population_path, config.mode,
                                                   role).first(k)
                            for role, k in zip(("fog", "cloud", "ldns"), counts))
-            assert shared == fresh_placement(rows, populations, config.mode, *counts, seed)
+            assert shared == fresh_placement(graph, populations, config.mode, *counts, seed)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

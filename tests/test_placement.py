@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import write_synthetic
+from conftest import write_graphml, write_synthetic
+from fogcast import experiment
+from fogcast.data import bundled_population, bundled_topology
 from fogcast.placement import PickOrder, PlacementError
-from fogcast.topology import HopRows, load_topology
+from fogcast.topology import closeness, load_topology
 from fogcast.workload import assign_population, load_population
-from oracles import fresh_placement
 
 
 def choice_reference(weights: np.ndarray, k: int, seed: int) -> tuple[int, ...]:
@@ -39,8 +40,8 @@ def assert_draws_equal_reference(weights: np.ndarray, seeds: range) -> None:
         assert PickOrder(weights, seed).first(k) == choice_reference(weights, k, seed), (seed, k)
 
 
-def test_draw_equals_choice_reference_on_bundled_weights(geant_rows, geant_population):
-    for weights in (geant_population, geant_rows.centrality):
+def test_draw_equals_choice_reference_on_bundled_weights(geant, geant_population):
+    for weights in (geant_population, closeness(geant)):
         assert_draws_equal_reference(weights, range(2048))
 
 
@@ -49,7 +50,7 @@ def test_draw_equals_choice_reference_on_2000_node_backbone(tmp_path):
     graph = load_topology(topology)
     assert graph.n_nodes == 2000
     populations = assign_population(graph, load_population(population))
-    for weights in (populations, HopRows(graph).centrality):
+    for weights in (populations, closeness(graph)):
         assert_draws_equal_reference(weights, range(2048))
 
 
@@ -93,9 +94,8 @@ def assert_orders_equal_fresh_draws(weights: np.ndarray, seeds: range) -> None:
                 assert order.first(k) == expected, (seed, requests, k)
 
 
-def test_pick_order_is_request_order_independent_on_bundled_weights(geant_rows,
-                                                                     geant_population):
-    for weights in (geant_population, geant_rows.centrality):
+def test_pick_order_is_request_order_independent_on_bundled_weights(geant, geant_population):
+    for weights in (geant_population, closeness(geant)):
         assert_orders_equal_fresh_draws(weights, range(48))
 
 
@@ -103,7 +103,7 @@ def test_pick_order_is_request_order_independent_on_2000_node_backbone(tmp_path)
     topology, population = write_synthetic(tmp_path, 1)
     graph = load_topology(topology)
     populations = assign_population(graph, load_population(population))
-    for weights in (populations, HopRows(graph).centrality):
+    for weights in (populations, closeness(graph)):
         assert_orders_equal_fresh_draws(weights, range(16))
 
 
@@ -219,12 +219,25 @@ def test_selection_frequency_proportional_to_weight():
     assert hits / 100_000 == pytest.approx(0.75, abs=0.01)
 
 
-def test_roles_draw_independent_streams(geant_rows, geant_population):
-    # the fog draw must not move when another role's k changes
-    with_ldns = fresh_placement(geant_rows, geant_population, "pop", 3, 2, 6, seed=23)
-    without_ldns = fresh_placement(geant_rows, geant_population, "pop", 3, 2, 0, seed=23)
-    assert with_ldns.fog == without_ldns.fog
-    assert with_ldns.cloud == without_ldns.cloud
+def pipeline_picks(files, mode: str, counts, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Fog, cloud and LDNS points as ``run_trial`` takes them: each role's
+    first k picks of ``experiment._pick_order``, drawn on fresh orders."""
+    experiment._pick_order.cache_clear()
+    return tuple(experiment._pick_order(seed, *files, mode, role).first(k)
+                 for role, k in zip(("fog", "cloud", "ldns"), counts))
+
+
+BUNDLED = (str(bundled_topology()), str(bundled_population()))
+
+
+def test_roles_draw_independent_streams():
+    # the fog and cloud draws must not move when another role's k changes
+    with_ldns = pipeline_picks(BUNDLED, "pop", (3, 2, 6), seed=23)
+    without_ldns = pipeline_picks(BUNDLED, "pop", (3, 2, 0), seed=23)
+    assert with_ldns[:2] == without_ldns[:2]
+    # and the roles of one trial seed draw on different streams
+    for seed in range(20):
+        assert len(set(pipeline_picks(BUNDLED, "pop", (4, 4, 4), seed))) == 3, seed
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
@@ -233,20 +246,23 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-def test_pop_mode_selection_tracks_population(geant_rows, geant_population):
-    freq = np.zeros(geant_rows.graph.n_nodes)
+def test_pop_mode_selection_tracks_population(geant, geant_population):
+    freq = np.zeros(geant.n_nodes)
     for seed in range(50):
-        placement = fresh_placement(geant_rows, geant_population, "pop", 4, 4, 0, seed=seed)
-        for node in placement.fog + placement.cloud:
+        fog, cloud, _ = pipeline_picks(BUNDLED, "pop", (4, 4, 0), seed)
+        for node in fog + cloud:
             freq[node] += 1
     assert spearman(freq, geant_population.astype(float)) > 0.5
 
 
-def test_cls_mode_weights_are_closeness(star4):
-    hops = HopRows(star4)
-    # center holds closeness 1.0 vs 0.6 leaves; with k=1 it should dominate
-    hits = sum(
-        fresh_placement(hops, np.ones(4), "cls", 1, 0, 0, seed=s).fog[0] == 0
-        for s in range(2000)
-    )
+def test_cls_mode_weights_are_closeness(tmp_path):
+    # star4 with one user at every node: population weighs the four nodes
+    # alike, while the hub holds closeness 1.0 against 0.6 at each leaf
+    coords = [("hub", 0.0, 0.0), ("l1", 1.0, 0.0), ("l2", 0.0, 1.0), ("l3", -1.0, 0.0)]
+    top, pop = tmp_path / "star4.graphml", tmp_path / "star4.txt"
+    write_graphml(top, coords, [(0, 1), (0, 2), (0, 3)])
+    pop.write_text("".join(f"{lat},{lon},1\n" for _, lat, lon in coords))
+    files = (str(top), str(pop))
+    assert experiment._load_context(*files)[2].tolist() == [1, 1, 1, 1]
+    hits = sum(pipeline_picks(files, "cls", (1, 0, 0), seed=s)[0] == (0,) for s in range(2000))
     assert hits / 2000 == pytest.approx(1.0 / (1.0 + 3 * 0.6), abs=0.03)

@@ -11,12 +11,12 @@ from fogcast.data import bundled_topology
 from fogcast.topology import (
     _BLOCK,
     NO_ROW,
-    HopRows,
     TopologyError,
     build_graph,
     canonical_paths,
     closeness,
     gather,
+    hop_table,
     load_topology,
     nearest,
 )
@@ -245,15 +245,15 @@ def test_nearest_at_some_nodes_equals_the_full_map_at_them(row_graphs):
         n = graph.n_nodes
         for size in sorted({1, min(n, 3), min(n, 20)}):
             candidates = rng.choice(n, size=size, replace=False)
-            hops = HopRows(graph).table(candidates)
+            hops = hop_table(graph, candidates)
             full = nearest(hops, candidates, np.arange(n))
             for at in (rng.integers(0, n, size=2 * n), np.repeat(rng.integers(0, n, size=3), 4),
                        np.zeros(0, dtype=np.intp)):
                 found = nearest(hops, candidates.tolist() + candidates[:1].tolist(), at)
                 assert found.dtype == np.intp and found.tolist() == full[at].tolist()
         at = rng.integers(0, n, size=5)
-        assert nearest(HopRows(graph).table([]), [], at).tolist() == [-1] * 5
-        assert nearest(HopRows(graph).table([]), (), at[:0]).tolist() == []
+        assert nearest(hop_table(graph, []), [], at).tolist() == [-1] * 5
+        assert nearest(hop_table(graph, []), (), at[:0]).tolist() == []
 
 
 def test_predecessor_tie_breaks_to_lowest_node_id():
@@ -365,15 +365,19 @@ def test_hop_rows_equal_all_pairs(row_table):
     graph, reference = row_table
     rng = np.random.default_rng(25)
     n = graph.n_nodes
-    rows = HopRows(graph, held=rng.permutation(n)[:n // 4])
     # Every node, in shuffled requests of 1-191 sources with duplicates.
     order = np.concatenate([rng.permutation(n), rng.integers(0, n, size=n // 2)])
     cuts = np.cumsum(rng.integers(1, 3 * _BLOCK, size=len(order)))
     for sources in np.split(order, cuts[cuts < len(order)]):
-        table = rows.table(sources)
+        table = hop_table(graph, sources)
         at = table.slot[sources]
         assert (table.dist[at] == reference.dist[sources]).all()
         assert (table.in_arc[at] == reference.in_arc[sources]).all()
+        # Row i belongs to the i-th lowest distinct source.
+        distinct = np.flatnonzero(table.slot != NO_ROW)
+        assert table.slot[distinct].tolist() == list(range(len(distinct)))
+        assert distinct.tolist() == sorted(set(sources.tolist()))
+        assert not any(a.flags.writeable for a in (table.dist, table.in_arc, table.slot))
 
 
 def test_streaming_closeness_equals_all_pairs_row_sums(row_table, row_graphs, star4):
@@ -394,7 +398,8 @@ def test_streaming_closeness_equals_all_pairs_row_sums(row_table, row_graphs, st
         assert values.dtype == np.float64 and values.shape == (n,)
         assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
         assert ((0.0 < values) & (values <= 1.0)).all()
-        assert HopRows(graph).centrality.tobytes() == values.tobytes()
+        # Cached per graph, and read-only so no caller can change it.
+        assert closeness(graph) is values and not values.flags.writeable
 
 
 def test_closeness_runs_no_predecessor_sweep(row_graphs, monkeypatch):
@@ -402,11 +407,12 @@ def test_closeness_runs_no_predecessor_sweep(row_graphs, monkeypatch):
     sweep = topology._predecessors
     monkeypatch.setattr(topology, "_predecessors",
                         lambda *args: sweeps.append(args) or sweep(*args))
+    closeness.cache_clear()
     for graph in row_graphs:
         closeness(graph)
     assert sweeps == []
     # The spy sees the sweep of every block a hop table searches.
-    HopRows(row_graphs[0], held=[0])
+    hop_table(row_graphs[0], [0])
     assert len(sweeps) == 1
 
 
@@ -424,45 +430,45 @@ def _counting_searches(monkeypatch):
 
 
 def test_hop_row_store_holds_every_likely_source(monkeypatch):
-    """The held rows are searched once, at construction, and serve every call
-    whose sources they cover."""
+    """A table of shuffled sources with duplicates searches each distinct
+    source once, 64 to a block, and holds exactly their rows, read-only;
+    reading it again searches nothing."""
     rng = np.random.default_rng(26)
     graph = random_connected_graph(rng, 300, 150)
     reference = all_pairs(graph)
     searches = _counting_searches(monkeypatch)
-    held = rng.permutation(300)[:150]
-    rows = HopRows(graph, held=held)
+    nodes = rng.permutation(300)[:150]
+    table = hop_table(graph, np.concatenate([nodes, rng.choice(nodes, size=40)]))
     assert searches == [64, 64, 22]
-    assert sorted(np.flatnonzero(rows.held.slot != NO_ROW)) == sorted(held)
+    assert sorted(np.flatnonzero(table.slot != NO_ROW)) == sorted(nodes)
     for _ in range(50):
-        sources = rng.choice(held, size=rng.integers(0, 12))
-        assert rows.table(sources) is rows.held
-        at = rows.held.slot[sources]
-        assert (rows.held.dist[at] == reference.dist[sources]).all()
-        assert (rows.held.in_arc[at] == reference.in_arc[sources]).all()
+        sources = rng.choice(nodes, size=rng.integers(0, 12))
+        at = table.slot[sources]
+        assert (table.dist[at] == reference.dist[sources]).all()
+        assert (table.in_arc[at] == reference.in_arc[sources]).all()
     assert len(searches) == 3
-    assert not (rows.held.dist.flags.writeable or rows.held.slot.flags.writeable)
+    assert not (table.dist.flags.writeable or table.slot.flags.writeable)
 
 
-def test_hop_rows_search_sources_past_the_held_ones(monkeypatch):
-    """A call that asks past the held rows gets a new table of exactly its
-    rows; searched rows are not kept, and earlier tables keep theirs."""
+def test_every_call_searches_its_distinct_sources(monkeypatch):
+    """Every call searches each distinct source it is given, and returns a
+    new table of exactly their rows; no row is kept between calls, and
+    earlier tables keep theirs."""
     rng = np.random.default_rng(27)
     graph = random_connected_graph(rng, 300, 150)
     reference = all_pairs(graph)
     searches = _counting_searches(monkeypatch)
-    held = rng.permutation(300)[:150]
-    rows = HopRows(graph, held=held)
-    others = np.setdiff1d(np.arange(300), held)
+    kept = rng.permutation(300)[:150]
+    others = np.setdiff1d(np.arange(300), kept)
     earlier = []
     for m in (1, 64, 65, 130):
         fresh = rng.choice(others, size=m, replace=False)
-        sources = np.concatenate([fresh, fresh[:m // 2], held[:5]])
+        sources = np.concatenate([fresh, fresh[:m // 2], kept[:5]])
+        distinct = m + 5
         for _ in range(2):  # searched rows are not kept
             searches.clear()
-            table = rows.table(rng.permutation(sources))
-            assert searches == [min(64, m - at) for at in range(0, m, 64)]
-        assert table is not rows.held
+            table = hop_table(graph, rng.permutation(sources))
+            assert searches == [min(64, distinct - at) for at in range(0, distinct, 64)]
         asked = np.zeros(300, dtype=bool)
         asked[sources] = True
         assert ((table.slot != NO_ROW) == asked).all()
