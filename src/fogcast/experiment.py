@@ -109,6 +109,13 @@ BACKHAUL_HEADER = "arch,fog_k,cloud_k,ldns_k,mode,T,trial,backhaul_bps"
 PATHLEN_HEADER = "arch,fog_k,cloud_k,ldns_k,mode,hops,cum_fraction"
 SUMMARY_HEADER = "arch,fog_k,cloud_k,ldns_k,mode,T,trials,mean_backhaul_bps,std_backhaul_bps"
 
+# Largest catalogue, trials per config and user budget (target_bitrate /
+# min(bitrates)) a config may ask for: every trial draws one double per user
+# and holds a few arrays of n_items, and a sweep lists every trial first.
+MAX_ITEMS = 10**6
+MAX_TRIALS = 10**5
+MAX_USERS = 10**6
+
 # Variant key for plain unicast rows. A listed zero interval adds no variant:
 # under Bloom identifiers it would charge false-positive arcs as unicast.
 UNICAST = 0.0
@@ -169,6 +176,9 @@ class ScenarioConfig:
                             ("trials", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} {getattr(self, name)} must be >= {least}")
+        for name, most in (("n_items", MAX_ITEMS), ("trials", MAX_TRIALS)):
+            if getattr(self, name) > most:
+                raise ConfigError(f"{name} {getattr(self, name)} must be <= {most}")
         if not self.bitrates:
             raise ConfigError("bitrates must hold at least one value")
         for name, values, wanted, fits in (
@@ -181,10 +191,10 @@ class ScenarioConfig:
             for value in values:
                 if not (_finite(value) and fits(value)):
                     raise ConfigError(f"{name} {value!r} must be {wanted}")
-        # The user budget, target / mean bitrate, is drawn as int64 counts.
-        if self.target_bitrate / min(self.bitrates) >= 2**63:
+        # The user budget, target / mean bitrate, is at most target / min.
+        if self.target_bitrate / min(self.bitrates) > MAX_USERS:
             raise ConfigError(f"target_bitrate {self.target_bitrate!r} / bitrates "
-                              f"{min(self.bitrates)!r} must be below 2**63 users")
+                              f"{min(self.bitrates)!r} must be <= {MAX_USERS} users")
         if self.arch == "icn" and self.ldns_k != 0:
             raise ConfigError("icn runs take no LDNS points")
         if self.arch == "dns":

@@ -1,12 +1,14 @@
 """Backbone topology ingestion and unit-weight shortest-path services.
 
 Graphs come from Internet Topology Zoo GraphML documents (``Latitude`` /
-``Longitude`` node keys). A graph is an arc table: read-only ``lat`` and
-``lon`` arrays per node and ``src`` and ``dst`` arrays per directed arc.
-Every undirected edge is expanded into a pair of arcs so that forward and
-reverse traffic can be accounted separately; arc ``2j`` and ``2j+1`` are
-the two directions of deduplicated edge ``j``, which makes the reverse of
-arc ``a`` simply ``a ^ 1``.
+``Longitude`` node keys), read in one streamed pass that keeps each node's
+data and each edge's ends and drops the elements once read, so a large
+backbone is never held as a tree. A graph is an arc table: read-only
+``lat`` and ``lon`` arrays per node and ``src`` and ``dst`` arrays per
+directed arc. Every undirected edge is expanded into a pair of arcs so that
+forward and reverse traffic can be accounted separately; arc ``2j`` and
+``2j+1`` are the two directions of deduplicated edge ``j``, which makes the
+reverse of arc ``a`` simply ``a ^ 1``.
 
 Hop counts come as rows, one per source, from a breadth-first search of 64
 sources at a time, each with a row of canonical in-arcs that paths are read
@@ -42,6 +44,8 @@ __all__ = [
 ]
 
 _GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
+_KEY, _GRAPH, _NODE, _EDGE, _DATA = (f"{_GRAPHML_NS}{tag}"
+                                    for tag in ("key", "graph", "node", "edge", "data"))
 
 
 class TopologyError(FogcastError):
@@ -130,40 +134,75 @@ def load_topology(source: str | Path) -> NetworkGraph:
 
     Dense node ids follow document order. Nodes must carry Latitude and
     Longitude data keys, in [-90, 90] and [-180, 180]; an offending node is
-    named in the error. Every error names the file.
+    named in the error. Every error names the file; a syntax error anywhere
+    in the document is reported before any other.
     """
     try:
-        return _graph_of(ET.parse(str(source)).getroot())
+        return _graph_of(*_read_graphml(str(source)))
     except ET.ParseError as exc:
         raise TopologyError(f"{source}: malformed GraphML document: {exc}") from exc
     except TopologyError as exc:
         raise TopologyError(f"{source}: {exc}") from None
 
 
-def _graph_of(root: ET.Element) -> NetworkGraph:
-    key_ids: dict[str, str] = {}
-    for key in root.findall(f"{_GRAPHML_NS}key"):
-        if key.get("for") == "node":
-            key_ids[key.get("attr.name", "")] = key.get("id", "")
-    lat_key = key_ids.get("Latitude")
-    lon_key = key_ids.get("Longitude")
-    label_key = key_ids.get("label")
+def _read_graphml(path: str):
+    """One streamed pass over a GraphML document, read to its end.
+
+    Returns the root's node keys as ``{attr.name: id}`` (a later key wins),
+    whether the root has a ``<graph>`` child, and the direct ``<node>`` and
+    ``<edge>`` children of the first one, as ``(id, {data key: text})`` and
+    ``(source, target)`` in document order: what ``findall`` on a parsed
+    tree gives. Each child of the root and of its children is dropped once
+    read, so no tree of the document is held.
+    """
+    keys: dict[str, str] = {}
+    nodes: list[tuple[str | None, dict]] = []
+    edges: list[tuple[str | None, str | None]] = []
+    root = parent = graph = None
+    depth = 0  # elements open: one's own level at its start, its parent's at its end
+    with open(path, "rb") as file:
+        for event, el in ET.iterparse(file, events=("start", "end")):
+            if event == "start":
+                depth += 1
+                if depth == 2:
+                    parent = el
+                    if graph is None and el.tag == _GRAPH:
+                        graph = el
+                elif depth == 1:
+                    root = el
+                continue
+            depth -= 1
+            if depth == 2:  # a child of the root's child ``parent`` ended
+                if parent is graph:
+                    if el.tag == _NODE:
+                        nodes.append((el.get("id"), {d.get("key"): d.text or ""
+                                                     for d in el if d.tag == _DATA}))
+                    elif el.tag == _EDGE:
+                        edges.append((el.get("source"), el.get("target")))
+                del parent[:]
+            elif depth == 1:  # a child of the root ended
+                if el.tag == _KEY and el.get("for") == "node":
+                    keys[el.get("attr.name", "")] = el.get("id", "")
+                del root[:]
+    return keys, graph is not None, nodes, edges
+
+
+def _graph_of(keys: dict[str, str], has_graph: bool, nodes, edges) -> NetworkGraph:
+    lat_key = keys.get("Latitude")
+    lon_key = keys.get("Longitude")
+    label_key = keys.get("label")
     if lat_key is None or lon_key is None:
         raise TopologyError("document declares no Latitude/Longitude node keys")
-
-    graph_el = root.find(f"{_GRAPHML_NS}graph")
-    if graph_el is None:
+    if not has_graph:
         raise TopologyError("document contains no <graph> element")
 
     coords: list[tuple[str, float, float]] = []
     dense_id: dict[str, int] = {}
-    for el in graph_el.findall(f"{_GRAPHML_NS}node"):
-        raw_id = el.get("id")
+    for raw_id, data in nodes:
         if raw_id is None:
             raise TopologyError("node without id attribute")
         if raw_id in dense_id:
             raise TopologyError(f"node id {raw_id!r} repeated")
-        data = {d.get("key"): (d.text or "") for d in el.findall(f"{_GRAPHML_NS}data")}
         label = data.get(label_key, raw_id) if label_key else raw_id
         try:
             lat, lon = float(data[lat_key]), float(data[lon_key])
@@ -174,16 +213,11 @@ def _graph_of(root: ET.Element) -> NetworkGraph:
         dense_id[raw_id] = len(coords)
         coords.append((label, lat, lon))
 
-    edges: list[tuple[int, int]] = []
-    for el in graph_el.findall(f"{_GRAPHML_NS}edge"):
-        try:
-            u = dense_id[el.get("source")]
-            v = dense_id[el.get("target")]
-        except KeyError as exc:
-            raise TopologyError(f"edge references unknown node {exc}") from None
-        edges.append((u, v))
-
-    return build_graph(coords, edges)
+    try:
+        pairs = [(dense_id[u], dense_id[v]) for u, v in edges]
+    except KeyError as exc:
+        raise TopologyError(f"edge references unknown node {exc}") from None
+    return build_graph(coords, pairs)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Population-driven demand synthesis.
 
 A population grid, read as ``(lat, lon, count)`` arrays, is snapped onto
-backbone nodes by Voronoi assignment (great-circle nearest node), service
+backbone nodes by Voronoi assignment (great-circle nearest node, ranked by
+the cosine between unit vectors and settled by the scalar haversine), service
 popularity follows a Zipf law over a fixed item catalogue, and per-trial
 demand is calibrated so that the expected offered load matches a target
 aggregate bitrate. One request stands for a one-second chunk at the item
@@ -88,20 +89,19 @@ def great_circle_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float
     return 2 * _EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
 
-def _great_circle_km(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """``great_circle_km`` on broadcast numpy arrays."""
-    p1, p2 = np.radians(lat1), np.radians(lat2)
-    dl = np.radians(lon2 - lon1)
-    a = np.sin((p2 - p1) / 2) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2) ** 2
-    return 2 * _EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
+def _unit_vectors(lat: np.ndarray, lon: np.ndarray):
+    """Each point's position on the unit sphere, as its x, y and z arrays."""
+    p, l = np.radians(lat), np.radians(lon)
+    c = np.cos(p)
+    return c * np.cos(l), c * np.sin(l), np.sin(p)
 
 
-# Cell-to-node distances taken at once, at most: 128 KB per temporary, so
+# Cell-to-node cosines taken at once, at most: 128 KB per temporary, so
 # set-up leaves no megabytes of freed blocks in the heap.
-_DISTANCE_BLOCK = 1 << 14
-# numpy's sin/cos may differ from math's by an ulp or so: nodes this close
-# (relative) to a cell's numpy minimum are compared again with great_circle_km.
-_RECHECK_RTOL = 1e-9
+_COSINE_BLOCK = 1 << 14
+# Nodes whose cosine is this close (absolute) to a cell's largest are compared
+# again with great_circle_km; assign_population gives the rounding argument.
+_RECHECK_ATOL = 1e-12
 
 
 def assign_population(graph, cells: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
@@ -109,25 +109,40 @@ def assign_population(graph, cells: tuple[np.ndarray, np.ndarray, np.ndarray]) -
 
     ``cells`` are the ``(lat, lon, count)`` arrays ``load_population``
     returns. Ties go to the lowest node id. Returns per-node totals (int64
-    array); total population is conserved exactly. Distances to every node
-    are taken in numpy, a block of cells at a time; when more than one node
-    lies within ``_RECHECK_RTOL`` of a cell's minimum, the scalar
-    ``great_circle_km`` decides among them, so the nearest node is exactly
-    the one a scalar scan in node order finds.
+    array); total population is conserved exactly.
+
+    Nodes are ranked by the cosine of their angle to the cell, the dot
+    product of the two unit vectors: each node's vector is computed once,
+    and a block of cells takes three products and two sums per (cell, node)
+    pair. Every node within ``_RECHECK_ATOL`` of the cell's largest cosine
+    is compared again with the scalar ``great_circle_km``, which decides
+    among them, so the nearest node is exactly the one a scalar scan in
+    node order finds. The exact cosine is ``1 - 2a`` for the haversine term
+    ``a`` that ``great_circle_km`` computes, and both the computed cosine and
+    the computed ``a`` lie within a few units of 2**-53 of their exact
+    values (under 5e-16 on 20,000 random and near-antipodal pairs); the
+    monotone sqrt, asin and scaling that follow ``a`` merge values at most
+    about 2.2e-16 apart. A node the scan would prefer to the one of largest
+    cosine therefore has a cosine at most about 5e-15 below it, and 1e-12
+    leaves a margin of 200 times. NaN cosines are skipped, as by the scan.
     """
     cell_lat, cell_lon, count = cells
     if not len(count):
         raise WorkloadError("empty population grid")
     node_lat, node_lon = graph.lat, graph.lon
+    nx, ny, nz = _unit_vectors(node_lat, node_lon)
+    cx, cy, cz = (axis[:, None] for axis in _unit_vectors(cell_lat, cell_lon))
     best = np.empty(len(count), dtype=np.intp)
-    step = max(1, _DISTANCE_BLOCK // graph.n_nodes)
+    step = max(1, _COSINE_BLOCK // graph.n_nodes)
     for lo in range(0, len(count), step):
-        d = _great_circle_km(cell_lat[lo:lo + step, None], cell_lon[lo:lo + step, None],
-                             node_lat, node_lon)
-        # fmin skips NaN distances, as the scalar scan's ``d < best_d`` does.
-        near = d <= np.fmin.reduce(d, axis=1, keepdims=True) * (1 + _RECHECK_RTOL)
-        best[lo:lo + step] = near.argmax(axis=1)
-        for i in np.flatnonzero(near.sum(axis=1) > 1):
+        block = slice(lo, lo + step)
+        cos = cx[block] * nx
+        cos += cy[block] * ny
+        cos += cz[block] * nz
+        # fmax skips NaN cosines, as the scalar scan's ``d < best_d`` does.
+        near = cos >= np.fmax.reduce(cos, axis=1, keepdims=True) - _RECHECK_ATOL
+        best[block] = near.argmax(axis=1)
+        for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
             lat, lon = float(cell_lat[lo + i]), float(cell_lon[lo + i])
             ties = np.flatnonzero(near[i]).tolist()
             exact = [great_circle_km(lat, lon, node_lat[v], node_lon[v]) for v in ties]
@@ -242,12 +257,14 @@ def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
 
     The active-user budget is ``target_bitrate / E[bitrate]``; users are
     split across nodes in proportion to population and each user requests
-    exactly one catalogue item sampled from the popularity distribution. Expected offered bitrate equals the target.
-    All users draw from one seeded stream, node after node, so the result
+    exactly one catalogue item sampled from the popularity distribution, so
+    the expected offered bitrate equals the target. All users draw from one
+    seeded stream, node after node, so the result
     equals a per-node ``rng.choice(n, size=users, p=probabilities)`` loop:
     ``choice`` maps each double u to ``cdf.searchsorted(u, side="right")``,
     which ``_guide_search`` returns exactly. ``ScenarioConfig`` checks the
-    target; only an all-zero population is rejected here.
+    target and bounds the budget; only an all-zero population is rejected
+    here.
     """
     populations = np.asarray(populations)
     if populations.sum() <= 0:

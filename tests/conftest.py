@@ -114,6 +114,25 @@ def write_graphml(path, coords, edges):
     path.write_text(GRAPHML_HEADER + nodes + arcs + "</graph></graphml>")
 
 
+def write_bad_topologies(out_dir: Path) -> list[Path]:
+    """Write the GraphML files of the bad-config table under ``out_dir``: one
+    malformed, one without coordinate keys, one disconnected, one with a
+    repeated node id and one with a NaN latitude."""
+    three = [("a", 50.0, 0.0), ("b", 50.0, 1.0), ("c", 50.0, 2.0)]
+    paths = [out_dir / f"{name}.graphml" for name in ("bad", "nokeys", "split", "dup", "nan")]
+    bad, nokeys, split, dup, nan = paths
+    bad.write_text("<graphml><graph>")
+    nokeys.write_text(
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph><node id="0"/></graph>'
+        "</graphml>")
+    write_graphml(split, three, [(0, 1)])
+    write_graphml(dup, three, [(0, 1)])  # node 2 takes node 0's id
+    dup.write_text(dup.read_text().replace('<node id="2">', '<node id="0">'))
+    write_graphml(nan, [("a", 50.0, 0.0), ("b", math.nan, 1.0), ("c", 50.0, 2.0)],
+                  [(0, 1), (1, 2)])
+    return paths
+
+
 @pytest.fixture(scope="session")
 def geant():
     return load_topology(bundled_topology())

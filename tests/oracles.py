@@ -3,7 +3,8 @@
 Each is a plain, per-request or per-node model of one piece of a trial,
 kept independent of the array kernels in ``fogcast``:
 
-- topology: ``all_pairs`` is the full hop table, every node's row (the
+- topology: ``dom_topology`` reads a GraphML document from a whole parsed
+  tree (``load_topology`` streams it); ``all_pairs`` is the full hop table, every node's row (the
   pipeline reads only the rows it asks ``hop_table`` for); ``adjacency``
   lists each node's out-arcs in plain Python, and ``extract_path`` walks
   one canonical shortest path of an ``all_pairs`` table back from its
@@ -29,6 +30,7 @@ kept independent of the array kernels in ``fogcast``:
 """
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -40,12 +42,75 @@ from fogcast.experiment import (UNICAST, ScenarioConfig, TrialMetrics, TrialOutc
 from fogcast.forwarding import BloomScheme, label_arc
 from fogcast.placement import PickOrder
 from fogcast.service_router import fog_cache_items
-from fogcast.topology import HopTable, NetworkGraph, closeness, hop_table, load_topology
+from fogcast.topology import (HopTable, NetworkGraph, TopologyError, build_graph, closeness,
+                              hop_table, load_topology)
 from fogcast.workload import (CHUNK_DURATION, ServiceCatalogue, assign_population,
                               build_catalogue, draw_demand, load_population)
 
 
 # --- topology -----------------------------------------------------------------
+
+_GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
+
+
+def dom_topology(source) -> NetworkGraph:
+    """``load_topology`` from the whole parsed tree: ``ET.parse`` and ``findall``.
+
+    The same checks in the same order, with the same error text.
+    """
+    try:
+        return _dom_graph_of(ET.parse(str(source)).getroot())
+    except ET.ParseError as exc:
+        raise TopologyError(f"{source}: malformed GraphML document: {exc}") from exc
+    except TopologyError as exc:
+        raise TopologyError(f"{source}: {exc}") from None
+
+
+def _dom_graph_of(root: ET.Element) -> NetworkGraph:
+    key_ids: dict[str, str] = {}
+    for key in root.findall(f"{_GRAPHML_NS}key"):
+        if key.get("for") == "node":
+            key_ids[key.get("attr.name", "")] = key.get("id", "")
+    lat_key = key_ids.get("Latitude")
+    lon_key = key_ids.get("Longitude")
+    label_key = key_ids.get("label")
+    if lat_key is None or lon_key is None:
+        raise TopologyError("document declares no Latitude/Longitude node keys")
+
+    graph_el = root.find(f"{_GRAPHML_NS}graph")
+    if graph_el is None:
+        raise TopologyError("document contains no <graph> element")
+
+    coords: list[tuple[str, float, float]] = []
+    dense_id: dict[str, int] = {}
+    for el in graph_el.findall(f"{_GRAPHML_NS}node"):
+        raw_id = el.get("id")
+        if raw_id is None:
+            raise TopologyError("node without id attribute")
+        if raw_id in dense_id:
+            raise TopologyError(f"node id {raw_id!r} repeated")
+        data = {d.get("key"): (d.text or "") for d in el.findall(f"{_GRAPHML_NS}data")}
+        label = data.get(label_key, raw_id) if label_key else raw_id
+        try:
+            lat, lon = float(data[lat_key]), float(data[lon_key])
+        except (KeyError, ValueError):
+            lat = lon = float("nan")
+        if not (-90 <= lat <= 90 and -180 <= lon <= 180):  # NaN fails too
+            raise TopologyError(f"node {raw_id!r} ({label!r}) lacks usable coordinates")
+        dense_id[raw_id] = len(coords)
+        coords.append((label, lat, lon))
+
+    edges: list[tuple[int, int]] = []
+    for el in graph_el.findall(f"{_GRAPHML_NS}edge"):
+        try:
+            u = dense_id[el.get("source")]
+            v = dense_id[el.get("target")]
+        except KeyError as exc:
+            raise TopologyError(f"edge references unknown node {exc}") from None
+        edges.append((u, v))
+
+    return build_graph(coords, edges)
+
 
 def all_pairs(graph: NetworkGraph) -> HopTable:
     """Every node's hop row: an n x n ``dist`` and ``in_arc``, ``slot[s] = s``."""

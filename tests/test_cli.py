@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import math
 import os
 import subprocess
 import sys
@@ -13,7 +12,7 @@ import pytest
 from fogcast import cli, experiment
 from fogcast.cli import main
 from fogcast.experiment import GRID_KEYS, ScenarioConfig, load_grid
-from conftest import write_graphml
+from conftest import write_bad_topologies, write_graphml
 from test_golden import GRIDS
 
 
@@ -169,26 +168,25 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
     ("sweep", "bitrates = 20e6,inf", "bitrates inf must be finite and > 0"),
     ("run", "--bitrates=,", "bitrates must hold at least one value"),
     ("run", "--bitrates=1e-290",
-     "target_bitrate 70000000000.0 / bitrates 1e-290 must be below 2**63 users"),
+     "target_bitrate 70000000000.0 / bitrates 1e-290 must be <= 1000000 users"),
     ("sweep", "target_bitrate = 1e300\nbitrates = 20e6,40e6",
-     "target_bitrate 1e+300 / bitrates 20000000.0 must be below 2**63 users"),
+     "target_bitrate 1e+300 / bitrates 20000000.0 must be <= 1000000 users"),
+    ("run", "--items 9223372036854775807", "n_items 9223372036854775807 must be <= 1000000"),
+    ("run", "--items 4611686018427387904", "n_items 4611686018427387904 must be <= 1000000"),
+    ("run", "--items 10000000000", "n_items 10000000000 must be <= 1000000"),
+    ("run", "--trials 9223372036854775807", "trials 9223372036854775807 must be <= 100000"),
+    ("run", "--bitrates 1e-5",
+     "target_bitrate 70000000000.0 / bitrates 1e-05 must be <= 1000000 users"),
+    ("run", "--target-bitrate 1e19",
+     "target_bitrate 1e+19 / bitrates 20000000.0 must be <= 1000000 users"),
+    ("run", "--bitrates 1", "target_bitrate 70000000000.0 / bitrates 1 must be <= 1000000 users"),
 ])
 def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_path, capsys):
     """A bad grid key, config value or input file exits 2 with one stderr
     line naming it and no output."""
     top, pop = tiny_inputs
     out = tmp_path / "out"
-    (tmp_path / "bad.graphml").write_text("<graphml><graph>")
-    (tmp_path / "nokeys.graphml").write_text(
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph><node id="0"/></graph>'
-        "</graphml>")
-    write_graphml(tmp_path / "split.graphml",
-                  [("a", 50.0, 0.0), ("b", 50.0, 1.0), ("c", 50.0, 2.0)], [(0, 1)])
-    dup = tmp_path / "dup.graphml"  # node 2 takes node 0's id
-    write_graphml(dup, [("a", 50.0, 0.0), ("b", 50.0, 1.0), ("c", 50.0, 2.0)], [(0, 1)])
-    dup.write_text(dup.read_text().replace('<node id="2">', '<node id="0">'))
-    write_graphml(tmp_path / "nan.graphml",
-                  [("a", 50.0, 0.0), ("b", math.nan, 1.0), ("c", 50.0, 2.0)], [(0, 1), (1, 2)])
+    write_bad_topologies(tmp_path)
     for name, records in {"bad.txt": "50.0,0.0,60\n50.0,1.0\n", "nan.txt": "nan,nan,500\n",
                           "north.txt": "50.0,0.0,60\n95.0,8.6,1000\n",
                           "huge.txt": f"50.0,0.0,{10**20}\n",

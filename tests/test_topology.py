@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import bfs_distances, random_connected_graph, write_synthetic
+from conftest import (GRAPHML_HEADER, bfs_distances, random_connected_graph,
+                      write_bad_topologies, write_synthetic)
 from fogcast import topology
 from fogcast.data import bundled_topology
 from fogcast.topology import (
@@ -20,7 +23,7 @@ from fogcast.topology import (
     load_topology,
     nearest,
 )
-from oracles import adjacency, all_pairs, extract_path
+from oracles import adjacency, all_pairs, dom_topology, extract_path
 
 
 def test_geant_fixture_dimensions(geant):
@@ -120,6 +123,100 @@ def test_missing_coordinates_names_the_node(tmp_path):
     )
     with pytest.raises(TopologyError, match="Nowhere"):
         load_topology(doc)
+
+
+_NS = "http://graphml.graphdrawing.org/xmlns"
+_KEYS = ('<key attr.name="Latitude" for="node" id="d0" />'
+         '<key attr.name="Longitude" for="node" id="d1" />'
+         '<key attr.name="label" for="node" id="d2" />')
+
+
+def _node(node_id, lat, lon, inner=""):
+    return (f'<node id="{node_id}"><data key="d0">{lat}</data><data key="d1">{lon}</data>'
+            f"{inner}</node>")
+
+
+_ABC = _node("a", 1, 2) + _node("b", 3, 4) + _node("c", 5, 6)
+_AB_BC = '<edge source="a" target="b" /><edge source="b" target="c" />'
+
+# Hand-written documents where reading the document's order, depth and
+# namespaces matters.
+HAND_WRITTEN = {
+    "key_after_graph": f'<graphml xmlns="{_NS}"><graph>{_ABC}{_AB_BC}</graph>{_KEYS}</graphml>',
+    "edge_before_nodes": f'<graphml xmlns="{_NS}">{_KEYS}<graph>{_AB_BC}{_ABC}</graph></graphml>',
+    "graph_in_node": (f'<graphml xmlns="{_NS}">{_KEYS}<graph>'
+                      + _node("a", 1, 2, f"<graph>{_node('x', 7, 8)}{_node('a', 9, 9)}"
+                                         '<edge source="x" target="y" /></graph>')
+                      + _node("b", 3, 4) + _node("c", 5, 6) + f"{_AB_BC}</graph></graphml>"),
+    "second_graph": (f'<graphml xmlns="{_NS}">{_KEYS}<graph>{_ABC}{_AB_BC}</graph>'
+                     f'<graph>{_node("a", 0, 0)}<edge source="a" target="q" /></graph></graphml>'),
+    "foreign_namespace": (
+        f'<graphml xmlns="{_NS}" xmlns:y="urn:other">{_KEYS}'
+        '<y:key attr.name="Latitude" for="node" id="d1" /><y:graph />'
+        f'<graph><y:node id="z" />{_ABC}<y:edge source="a" target="z" />'
+        '<node id="d"><y:data key="d0">99</y:data><data key="d0">8</data>'
+        f'<data key="d1">9</data></node>{_AB_BC}<edge source="c" target="d" /></graph>'
+        "</graphml>"),
+    "late_key_wins_and_edge_keys_ignored": (
+        f'<graphml xmlns="{_NS}">{_KEYS}<key attr.name="Latitude" for="edge" id="d1" />'
+        f'<graph>{_ABC}{_AB_BC}</graph><key attr.name="Longitude" for="node" id="d0" />'
+        "</graphml>"),
+    "no_graph": f'<graphml xmlns="{_NS}">{_KEYS}<y:graph xmlns:y="urn:other" /></graphml>',
+    "node_without_id": f'<graphml xmlns="{_NS}">{_KEYS}<graph><node /></graph></graphml>',
+    "unknown_edge_end": f'<graphml xmlns="{_NS}">{_KEYS}<graph>{_ABC}<edge source="a" /></graph>'
+                        "</graphml>",
+    "truncated_with_repeated_id": (GRAPHML_HEADER + _node("a", 1, 2) + _node("a", 3, 4)
+                                   + '<edge source="a" tar'),
+}
+
+
+def _read_back(load, path):
+    """What ``load`` makes of ``path``: the graph's arrays, or its error text."""
+    try:
+        graph = load(path)
+    except TopologyError as exc:
+        return str(exc)
+    return (graph.labels, graph.lat.tolist(), graph.lon.tolist(), graph.src.tolist(),
+            graph.dst.tolist())
+
+
+def test_streamed_reader_equals_the_dom_reader(tmp_path):
+    """``load_topology`` gives what a whole parsed tree gives: the same graph
+    or the same error, on the bundled and synthetic backbones, every GraphML
+    file of the bad-config table and the hand-written documents."""
+    paths = [bundled_topology(), write_synthetic(tmp_path, 3)[0]]
+    paths += write_bad_topologies(tmp_path)
+    for name, text in HAND_WRITTEN.items():
+        paths.append(tmp_path / f"{name}.graphml")
+        paths[-1].write_text(text)
+    outcomes = {}
+    for path in paths:
+        outcomes[path] = _read_back(load_topology, path)
+        assert outcomes[path] == _read_back(dom_topology, path), path
+    loaded = {Path(path).stem: outcome for path, outcome in outcomes.items()
+              if not isinstance(outcome, str)}
+    assert sorted(loaded) == sorted(["geant2012", "backbone_3_2000", "key_after_graph",
+                                     "edge_before_nodes", "graph_in_node", "second_graph",
+                                     "foreign_namespace", "late_key_wins_and_edge_keys_ignored"])
+    assert loaded["foreign_namespace"][1] == [1.0, 3.0, 5.0, 8.0]
+    assert loaded["late_key_wins_and_edge_keys_ignored"][1:3] == ([1.0, 3.0, 5.0], [1.0, 3.0, 5.0])
+    assert "malformed GraphML document" in outcomes[paths[-1]]
+
+
+def test_streamed_reader_holds_no_tree(tmp_path):
+    """Read elements are dropped as the document streams by: on the synthetic
+    backbone, ``load_topology`` allocates at its peak under half of what the
+    whole parsed tree takes."""
+    path = write_synthetic(tmp_path, 3)[0]
+    peaks = []
+    for load in (load_topology, dom_topology):
+        tracemalloc.start()
+        try:
+            load(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 2
 
 
 def test_node_ids_follow_document_order(geant):

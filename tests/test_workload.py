@@ -10,7 +10,6 @@ from fogcast.topology import build_graph
 from fogcast.workload import (
     _GUIDE_BUCKETS,
     WorkloadError,
-    _great_circle_km,
     _guide_search,
     assign_population,
     build_catalogue,
@@ -27,6 +26,15 @@ def haversine_oracle(lat1, lon1, lat2, lon2):
     a = (math.sin((p2 - p1) / 2) ** 2
          + math.cos(p1) * math.cos(p2) * math.sin(math.radians(lon2 - lon1) / 2) ** 2)
     return 2 * r * math.atan2(math.sqrt(a), math.sqrt(1 - a))
+
+
+def _great_circle_km(lat1, lon1, lat2, lon2):
+    """``great_circle_km`` on broadcast numpy arrays, whose sin and cos may
+    differ from math's by an ulp or so."""
+    p1, p2 = np.radians(lat1), np.radians(lat2)
+    dl = np.radians(lon2 - lon1)
+    a = np.sin((p2 - p1) / 2) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2) ** 2
+    return 2 * 6371.0 * np.arcsin(np.sqrt(a))
 
 
 # --- population grid -------------------------------------------------------
@@ -132,6 +140,24 @@ def test_assignment_equals_scalar_scan_on_bundled_and_random_grids(geant):
     assert totals.dtype == np.int64
     assert (totals == scan_totals(graph, cells)).all()
     assert totals.sum() == cells[2].sum()
+    # Harder inputs: nodes with duplicate coordinates, on both poles and on
+    # longitude +-180; cells exactly on nodes, on the poles at any longitude,
+    # on the antimeridian from either side and near the antipodes of nodes.
+    nodes = list(zip(rng.uniform(-80, 80, 40).tolist(), rng.uniform(-179, 179, 40).tolist()))
+    nodes += nodes[:5] + [(90.0, 0.0), (90.0, 45.0), (-90.0, -120.0), (-90.0, 120.0),
+                          (10.0, 180.0), (10.0, -180.0), (-35.5, 180.0), (89.999, 180.0)]
+    graph = _chain(nodes)
+    lat, lon = (np.array(axis) for axis in zip(*nodes))
+    near_antipodes = (-lat + rng.normal(0, 1e-6, len(lat)),
+                      np.where(lon > 0, lon - 180, lon + 180) + rng.normal(0, 1e-6, len(lon)))
+    cell_lat = np.concatenate([lat, [90.0, 90.0, -90.0, -90.0, 10.0, 10.0, -35.5, 0.0, 0.0],
+                               np.clip(near_antipodes[0], -90, 90), -lat])
+    cell_lon = np.concatenate([lon, [-77.0, 180.0, 0.0, 33.3, -180.0, 180.0, -180.0, 180.0,
+                                     -180.0],
+                               np.clip(near_antipodes[1], -180, 180),
+                               np.where(lon > 0, lon - 180, lon + 180)])
+    cells = (cell_lat, cell_lon, np.arange(1, len(cell_lat) + 1, dtype=np.int64))
+    assert (assign_population(graph, cells) == scan_totals(graph, cells)).all()
 
 
 def test_equidistant_and_ulp_close_nodes_resolve_as_the_scalar_scan():
