@@ -7,18 +7,19 @@ each client node and accumulates per-arc response loads and a hop histogram.
 Trials are paired: the trial seed depends on the base seed and the trial
 index alone, and no sweep axis changes the draws, so trial i of every
 config of a sweep serves the same catalogue and demand (common random
-numbers). The draws of the last trial seed are kept (``_trial_draws``),
-and sweeps run trial-major, so each trial index draws its workload once.
-Placement is shared the same way: each (trial seed, mode, role) is one
-seeded pick order (``_pick_order``: the mode's weights, drawn on the role's
-salt of the seed), and a config takes its first k picks, none for k = 0,
-which are exactly what a fresh draw of k points would give.
+numbers). The configs of one trial index share one value
+(``_trial_index``), kept for the last trial seed; sweeps run trial-major,
+so each index draws each workload once. Its parts are built when first
+asked for: per workload the catalogue and demand, and per (mode, role) one
+seeded pick order (the mode's weights, drawn on the role's salt of the
+seed); a config takes its first k picks, none for k = 0, exactly what a
+fresh draw of k points would give.
 
 Resolution and unicast accounting run once per client node, not once per
 request: the service point depends on the node alone and the fallback
 origin on the service point alone, so requests reach the unicast pass only
-as per-client sums that ``_trial_draws`` computes with the draws: users,
-load, and, once per fog cache size, load of items past it. Both
+as per-client sums computed with the draws: users, load, and, once per fog
+cache size, load of items past it. Both
 architectures take the same ``resolve_nodes`` call; the only difference is
 where the lookup starts, at the client (icn places no LDNS) or at its
 nearest LDNS (dns).
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import platform
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -274,38 +276,36 @@ def _load_context(topology_path: str, population_path: str):
 
 
 @lru_cache(maxsize=1)
-def _trial_draws(seed: int, topology_path: str, population_path: str, n_items: int,
-                 alpha: float, bitrates: tuple[float, ...], target_bitrate: float):
-    """The catalogue and demand of one trial seed, two sums per client node
-    (``demand.clients``), its users and its load, and a memo of its load of
-    items past ``fog_items``, summed once per ``fog_items``. Every field the
-    draws read is in the key, so configs that differ in placement,
-    architecture, accounting or fog cache share them; all are read-only."""
-    populations = _load_context(topology_path, population_path)[2]
-    catalogue = build_catalogue(n_items, alpha, bitrates, seed ^ _SALT_CATALOGUE)
-    demand = draw_demand(populations, catalogue, target_bitrate, seed ^ _SALT_DEMAND)
-    client_of, counts, items = demand.client_of, demand.counts, demand.items
-    load = counts * catalogue.bitrates[items - 1] * CHUNK_DURATION
-
-    def per_client(weights: np.ndarray) -> np.ndarray:
-        sums = np.bincount(client_of, weights=weights, minlength=len(demand.clients))
-        sums.setflags(write=False)
-        return sums
-
-    past_load = lru_cache(maxsize=None)(
-        lambda fog_items: per_client(np.where(items > fog_items, load, 0.0)))
-    return catalogue, demand, per_client(counts), per_client(load), past_load
-
-
-@lru_cache(maxsize=2 * len(ROLE_SALTS))
-def _pick_order(seed: int, topology_path: str, population_path: str, mode: str,
-                role: str) -> PickOrder:
-    """The pick order of one (trial seed, mode, role), kept for every config
-    of the trial index: each takes its first k picks. The mode picks the
-    weights, the role its salt of the seed. Room for every mode and role of
-    one trial index."""
+def _trial_index(seed: int, topology_path: str, population_path: str):
+    """The value the configs of one trial index share, each part built when
+    first asked for: ``order(mode, role)``, the role's pick order, and
+    ``draws(n_items, alpha, bitrates, target_bitrate)``, the catalogue, the
+    demand, users and load per client node (``demand.clients``) and a memo
+    of that load past ``fog_items``."""
     graph, _, populations, _ = _load_context(topology_path, population_path)
-    return PickOrder(populations if mode == "pop" else closeness(graph), seed ^ ROLE_SALTS[role])
+
+    @lru_cache(maxsize=None)
+    def order(mode: str, role: str) -> PickOrder:
+        return PickOrder(populations if mode == "pop" else closeness(graph),
+                         seed ^ ROLE_SALTS[role])
+
+    @lru_cache(maxsize=None)
+    def draws(n_items: int, alpha: float, bitrates: tuple[float, ...], target_bitrate: float):
+        catalogue = build_catalogue(n_items, alpha, bitrates, seed ^ _SALT_CATALOGUE)
+        demand = draw_demand(populations, catalogue, target_bitrate, seed ^ _SALT_DEMAND)
+        client_of, counts, items = demand.client_of, demand.counts, demand.items
+        load = counts * catalogue.bitrates[items - 1] * CHUNK_DURATION
+
+        def per_client(weights: np.ndarray) -> np.ndarray:
+            sums = np.bincount(client_of, weights=weights, minlength=len(demand.clients))
+            sums.setflags(write=False)
+            return sums
+
+        past_load = lru_cache(maxsize=None)(
+            lambda fog_items: per_client(np.where(items > fog_items, load, 0.0)))
+        return catalogue, demand, per_client(counts), per_client(load), past_load
+
+    return order, draws
 
 
 def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
@@ -318,18 +318,16 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     A config its topology cannot run raises ``_check_fits``'s ``ConfigError``."""
     _check_fits(config)
     graph, held, _, _ = _load_context(config.topology_path, config.population_path)
-    seed = trial_seed(config.base_seed, trial_index)
-
-    fog, cloud, ldns = (_pick_order(seed, config.topology_path, config.population_path,
-                                    config.mode, role).first(k)
+    order, draws = _trial_index(trial_seed(config.base_seed, trial_index),
+                                config.topology_path, config.population_path)
+    fog, cloud, ldns = (order(config.mode, role).first(k)
                         for role, k in (("fog", config.fog_k), ("cloud", config.cloud_k),
                                         ("ldns", config.ldns_k)))
     points = np.array(fog + cloud + ldns, dtype=np.intp)
     hops = held if (held.slot[points] != NO_ROW).all() else hop_table(graph, points)
     fog_items = fog_cache_items(config.fog_cache_fraction, config.n_items)
-    catalogue, demand, users, load, past_load = _trial_draws(
-        seed, config.topology_path, config.population_path, config.n_items, config.alpha,
-        config.bitrates, config.target_bitrate)
+    catalogue, demand, users, load, past_load = draws(config.n_items, config.alpha,
+                                                      config.bitrates, config.target_bitrate)
 
     items, counts, clients, client_of = (demand.items, demand.counts, demand.clients,
                                          demand.client_of)
@@ -427,13 +425,15 @@ def _trial_row(task: tuple[ScenarioConfig, int]) -> tuple[dict[float, float], np
 def _run_configs(configs: list[ScenarioConfig], jobs: int) -> list[list]:
     """Per config, the ``_trial_row`` of each of its trials, in trial order.
 
-    Trials run trial-major, so consecutive trials share their draws; with
-    ``jobs > 1`` a worker takes one trial index of every config at a time.
+    Trials run trial-major, so consecutive trials share their draws. A pool
+    forks all its workers at once, so it has ``jobs`` workers but no more
+    than trial indices or CPUs; each takes one trial index of every config.
     """
     tasks = sorted(((at, index) for at, config in enumerate(configs)
                     for index in range(config.trials)), key=lambda task: task[1])
     calls = [(configs[at], index) for at, index in tasks]
-    if jobs <= 1 or not calls:
+    jobs = min(jobs, max((config.trials for config in configs), default=0), os.cpu_count() or 1)
+    if jobs <= 1:
         rows = map(_trial_row, calls)
     else:
         # Imported only here: it adds tens of ms to every start of the CLI.

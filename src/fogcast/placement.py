@@ -8,7 +8,7 @@ which ``topology.closeness`` computes once per graph.
 One draw is a ``PickOrder`` that grows on demand: the points for k are
 its first k picks, for every k, so a sweep draws each (trial seed, mode,
 role) once and configs that differ only in their counts share it.
-``experiment._pick_order`` chooses the weights and the salt.
+``experiment._trial_index`` chooses the weights and the salt.
 """
 from __future__ import annotations
 

@@ -10,8 +10,8 @@ kept independent of the array kernels in ``fogcast``:
   one canonical shortest path of an ``all_pairs`` table back from its
   leaf, one in-arc at a time (``canonical_paths`` is the kernel);
 - placement: ``fresh_placement`` draws every role from a fresh pick order
-  with its own weights and salts, the reference for the pick orders trials
-  share (``experiment._pick_order``);
+  with its own weights and salts, the reference for the pick orders the
+  configs of a trial index share (``order`` of ``experiment._trial_index``);
 - rendezvous: scoped names, the subscription table with nearest-subscriber
   matching (``NoSubscriberError`` when nothing matches), and shortest-path
   delivery trees;
@@ -169,7 +169,7 @@ def fresh_placement(graph: NetworkGraph, populations, mode: str, fog_k: int, clo
     population (``pop``) or closeness (``cls``), seeded ``seed ^`` the role's
     salt. What ``run_trial`` takes from the pick orders a sweep shares; the
     weights and salts are stated here, so a mode or role mixed up in
-    ``experiment._pick_order`` shows."""
+    ``experiment._trial_index`` shows."""
     weights = populations if mode == "pop" else closeness(graph)
     return Placement(*(PickOrder(weights, seed ^ ROLE_SALTS[role]).first(k)
                        for role, k in (("fog", fog_k), ("cloud", cloud_k), ("ldns", ldns_k))))

@@ -34,8 +34,7 @@ from fogcast.data import bundled_topology
 from fogcast.experiment import (
     ScenarioConfig,
     _load_context,
-    _pick_order,
-    _trial_draws,
+    _trial_index,
     load_grid,
     run_sweep,
     trial_seed,
@@ -160,13 +159,13 @@ def test_criterion_6_baseline_never_beats_native_paths():
     # Trial-major, as sweeps run: each trial index draws its workload once.
     for trial_index, config in product(range(TRIALS), configs):
         inputs = (config.topology_path, config.population_path)
-        seed = trial_seed(config.base_seed, trial_index)
-        fog, cloud, ldns = (_pick_order(seed, *inputs, config.mode, role).first(k)
+        order, draws = _trial_index(trial_seed(config.base_seed, trial_index), *inputs)
+        fog, cloud, ldns = (order(config.mode, role).first(k)
                             for role, k in (("fog", config.fog_k), ("cloud", config.cloud_k),
                                             ("ldns", config.ldns_k)))
         hops = hop_table(_load_context(*inputs)[0], fog + cloud + ldns)
-        _, demand, *_ = _trial_draws(seed, *inputs, config.n_items, config.alpha,
-                                     config.bitrates, config.target_bitrate)
+        _, demand, *_ = draws(config.n_items, config.alpha, config.bitrates,
+                              config.target_bitrate)
         clients, client_of = demand.clients, demand.client_of
         client_hops = []
         for resolvers in ((), ldns):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import importlib
@@ -170,9 +171,9 @@ def _resolution_cases():
     for index in range(3):
         seed = trial_seed(3, index)  # the criterion's base seed
         for k, ldns_k in ((2, 2), (2, 8), (4, 2), (4, 8)):
-            fog, cloud, ldns = (
-                list(experiment._pick_order(seed, *inputs, "pop", role).first(count))
-                for role, count in (("fog", k), ("cloud", k), ("ldns", ldns_k)))
+            order, _ = experiment._trial_index(seed, *inputs)
+            fog, cloud, ldns = (list(order("pop", role).first(count))
+                                for role, count in (("fog", k), ("cloud", k), ("ldns", ldns_k)))
             yield hops, fog, cloud, ldns, nodes, rng.integers(1, 21, size=len(nodes))
 
 
@@ -610,11 +611,11 @@ def test_cls_trial_leaves_numpy_ma_unloaded(tmp_path):
 
 
 @pytest.fixture()
-def fresh_draws():
-    """No trial's draws are kept before or after the test."""
-    experiment._trial_draws.cache_clear()
+def fresh_index():
+    """No trial index's value is kept before or after the test."""
+    experiment._trial_index.cache_clear()
     yield
-    experiment._trial_draws.cache_clear()
+    experiment._trial_index.cache_clear()
 
 
 def count_calls(monkeypatch, name: str) -> list:
@@ -625,8 +626,14 @@ def count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-def test_sweep_draws_once_per_trial_index(monkeypatch, fresh_draws):
-    """Trial i of every config of a grid shares one catalogue and one demand."""
+# grid_dns: fog 2,4,6,8 x cloud 2,4,6,8 x pop,cls, 4 LDNS points.
+GRID_DNS = {"arch": "dns", "fog": "2,4,6,8", "cloud": "2,4,6,8", "ldns": "4",
+            "placement": "pop,cls", "trials": "3"}
+
+
+def test_sweep_draws_once_per_trial_index(monkeypatch, fresh_index):
+    """Trial i of every config of a grid shares one catalogue and one demand,
+    built once per trial index. Trials run trial-major."""
     configs = grid_configs({"fog": "2,4,6,8", "cloud": "2,4,6,8", "catchment": "0.1,1,10",
                             "trials": "3"})
     assert len(configs) == 16
@@ -640,54 +647,7 @@ def test_sweep_draws_once_per_trial_index(monkeypatch, fresh_draws):
     assert [index for _, index in trials] == [i for i in range(3) for _ in configs]
 
 
-def test_sweep_draws_per_workload(monkeypatch, fresh_draws):
-    """Configs that differ in a field the draws read draw their own: the item
-    count does, the items a fog point caches does not, so the (1000, 0.1)
-    and (1000, 0.3) configs share a draw."""
-    configs = [ScenarioConfig(fog_k=2, cloud_k=2, n_items=n, fog_cache_fraction=fraction,
-                              trials=3)
-               for n, fraction in ((500, 0.1), (1000, 0.1), (1000, 0.3))]
-    catalogues = count_calls(monkeypatch, "build_catalogue")
-    demands = count_calls(monkeypatch, "draw_demand")
-    run_sweep(configs)
-    assert len(catalogues) == len(demands) == 2 * 3
-    assert [args[0] for args in catalogues] == [500, 1000] * 3
-
-
-def test_shared_draws_equal_fresh_draws(fresh_draws):
-    """A trial that takes the draws another config left equals one that draws
-    them anew, arc by arc and hop bin by hop bin."""
-    first = ScenarioConfig(fog_k=2, cloud_k=4, catchment=(0.1, 1.0), trials=3, base_seed=8)
-    others = [
-        dataclasses.replace(first, fog_k=6, mode="cls", scheme="bloom", count_fallback=False),
-        dataclasses.replace(first, fog_cache_fraction=0.3),
-        ScenarioConfig(arch="dns", fog_k=4, cloud_k=2, ldns_k=3, trials=3, base_seed=8),
-    ]
-
-    for other in others:
-        for index in range(first.trials):
-            run_trial(first, index)
-            hits = experiment._trial_draws.cache_info().hits
-            shared = metric_bytes(run_trial(other, index))
-            assert experiment._trial_draws.cache_info().hits == hits + 1
-            experiment._trial_draws.cache_clear()
-            assert metric_bytes(run_trial(other, index)) == shared
-
-
-@pytest.fixture()
-def fresh_orders():
-    """No trial's pick orders are kept before or after the test."""
-    experiment._pick_order.cache_clear()
-    yield
-    experiment._pick_order.cache_clear()
-
-
-# grid_dns: fog 2,4,6,8 x cloud 2,4,6,8 x pop,cls, 4 LDNS points.
-GRID_DNS = {"arch": "dns", "fog": "2,4,6,8", "cloud": "2,4,6,8", "ldns": "4",
-            "placement": "pop,cls", "trials": "3"}
-
-
-def test_sweep_places_once_per_trial_index(monkeypatch, fresh_orders):
+def test_sweep_places_once_per_trial_index(monkeypatch, fresh_index):
     """Trial i of every config takes its points from one pick order per
     (mode, role), seeded ``seed ^`` the role's salt: 6 per trial index, not
     one per config and role (96)."""
@@ -705,28 +665,60 @@ def test_sweep_places_once_per_trial_index(monkeypatch, fresh_orders):
         pairs = sorted((modes.get(id(weights)), order_seed) for weights, order_seed in drawn)
         assert pairs == sorted((mode, seed ^ salt) for mode in ("pop", "cls")
                                for salt in oracles.ROLE_SALTS.values())
-    info = experiment._pick_order.cache_info()
-    assert (info.misses, info.hits) == (6 * 3, (96 - 6) * 3)
 
 
-def test_shared_placement_equals_fresh_placement(fresh_orders):
+def test_sweep_draws_per_workload(monkeypatch, fresh_index):
+    """Configs that differ in a field the draws read draw their own: the item
+    count does, the items a fog point caches does not, so the (1000, 0.1)
+    and (1000, 0.3) configs share a draw."""
+    configs = [ScenarioConfig(fog_k=2, cloud_k=2, n_items=n, fog_cache_fraction=fraction,
+                              trials=3)
+               for n, fraction in ((500, 0.1), (1000, 0.1), (1000, 0.3))]
+    catalogues = count_calls(monkeypatch, "build_catalogue")
+    demands = count_calls(monkeypatch, "draw_demand")
+    run_sweep(configs)
+    assert len(catalogues) == len(demands) == 2 * 3
+    assert [args[0] for args in catalogues] == [500, 1000] * 3
+
+
+def test_shared_draws_equal_fresh_draws(monkeypatch, fresh_index):
+    """A trial that takes the draws another config left equals one that draws
+    them anew, arc by arc and hop bin by hop bin."""
+    first = ScenarioConfig(fog_k=2, cloud_k=4, catchment=(0.1, 1.0), trials=3, base_seed=8)
+    others = [
+        dataclasses.replace(first, fog_k=6, mode="cls", scheme="bloom", count_fallback=False),
+        dataclasses.replace(first, fog_cache_fraction=0.3),
+        ScenarioConfig(arch="dns", fog_k=4, cloud_k=2, ldns_k=3, trials=3, base_seed=8),
+    ]
+    demands = count_calls(monkeypatch, "draw_demand")
+    for other in others:
+        for index in range(first.trials):
+            run_trial(first, index)
+            drawn = len(demands)
+            shared = metric_bytes(run_trial(other, index))
+            assert len(demands) == drawn
+            experiment._trial_index.cache_clear()
+            assert metric_bytes(run_trial(other, index)) == shared
+            assert len(demands) == drawn + 1
+
+
+def test_shared_placement_equals_fresh_placement(fresh_index):
     """Points a config takes from a pick order others grew equal a fresh draw."""
     configs = grid_configs(dict(GRID_DNS, fog="8,2,6,4", ldns="3,1"))
-    graph, _, populations, _ = experiment._load_context(configs[0].topology_path,
-                                                        configs[0].population_path)
+    files = (configs[0].topology_path, configs[0].population_path)
+    graph, _, populations, _ = experiment._load_context(*files)
     for index in range(3):
         seed = trial_seed(1, index)
+        order, _ = experiment._trial_index(seed, *files)
         for config in configs:
             counts = (config.fog_k, config.cloud_k, config.ldns_k)
-            shared = tuple(experiment._pick_order(seed, config.topology_path,
-                                                  config.population_path, config.mode,
-                                                  role).first(k)
+            shared = tuple(order(config.mode, role).first(k)
                            for role, k in zip(("fog", "cloud", "ldns"), counts))
             assert shared == fresh_placement(graph, populations, config.mode, *counts, seed)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_reversed_axes_give_every_config_the_same_rows(tmp_path, fresh_orders, jobs):
+def test_reversed_axes_give_every_config_the_same_rows(tmp_path, fresh_index, jobs):
     """Configs that grow a pick order in another order get the same rows."""
     reverse = dict(GRID_DNS, fog="8,6,4,2", placement="cls,pop")
     run_sweep(grid_configs(GRID_DNS), out_dir=tmp_path / "forward")
@@ -736,6 +728,38 @@ def test_reversed_axes_give_every_config_the_same_rows(tmp_path, fresh_orders, j
         reversed_ = (tmp_path / "reverse" / name).read_text().splitlines()
         assert forward != reversed_
         assert sorted(forward) == sorted(reversed_)
+
+
+def test_pool_has_no_more_workers_than_trial_indices_or_cpus(monkeypatch):
+    """A pool forks all its workers at once, so ``jobs`` far past the sweep
+    gets one worker per trial index or CPU, whichever is fewer, and one
+    worker runs in-process. A recording pool runs the tasks in-process, so
+    no worker is forked; the results equal a sequential sweep's."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for trials, cpus, workers in ((3, 64, [3]), (3, 2, [2]), (3, 1, []), (3, None, []),
+                                  (1, 64, [])):
+        configs = [ScenarioConfig(fog_k=k, cloud_k=2, catchment=(1.0,), trials=trials)
+                   for k in (2, 4)]
+        sequential = run_sweep(configs)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pools.clear()
+        assert run_sweep(configs, jobs=10**6) == sequential
+        assert pools == workers, (trials, cpus)
 
 
 # --- grid files -------------------------------------------------------------

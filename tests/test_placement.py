@@ -221,10 +221,10 @@ def test_selection_frequency_proportional_to_weight():
 
 def pipeline_picks(files, mode: str, counts, seed: int) -> tuple[tuple[int, ...], ...]:
     """Fog, cloud and LDNS points as ``run_trial`` takes them: each role's
-    first k picks of ``experiment._pick_order``, drawn on fresh orders."""
-    experiment._pick_order.cache_clear()
-    return tuple(experiment._pick_order(seed, *files, mode, role).first(k)
-                 for role, k in zip(("fog", "cloud", "ldns"), counts))
+    first k picks of its order in ``experiment._trial_index``, drawn anew."""
+    experiment._trial_index.cache_clear()
+    order, _ = experiment._trial_index(seed, *files)
+    return tuple(order(mode, role).first(k) for role, k in zip(("fog", "cloud", "ldns"), counts))
 
 
 BUNDLED = (str(bundled_topology()), str(bundled_population()))
