@@ -209,6 +209,9 @@ class ScenarioConfig:
         for at, t in enumerate(self.catchment):
             if t in self.catchment[:at]:
                 raise ConfigError(f"catchment interval {t} repeated")
+        for name in ("topology_path", "population_path"):
+            if "\0" in str(getattr(self, name)):  # open() takes no such name
+                raise ConfigError(f"{name} {getattr(self, name)!r} holds a NUL byte")
         if not self.topology_path:
             object.__setattr__(self, "topology_path", str(data.bundled_topology()))
         if not self.population_path:

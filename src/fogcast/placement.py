@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FogcastError
-
-__all__ = ["PlacementError", "PickOrder", "ROLE_SALTS"]
+__all__ = ["PickOrder", "ROLE_SALTS"]
 
 # XOR salts keep the per-role draws on independent streams for one trial seed.
 ROLE_SALTS = {
@@ -26,10 +24,6 @@ ROLE_SALTS = {
 }
 
 
-class PlacementError(FogcastError):
-    """Raised when a placement request cannot be satisfied."""
-
-
 class PickOrder:
     """The picks of one (weights, seed), drawn as far as ``first`` asked.
 
@@ -37,10 +31,12 @@ class PickOrder:
     only on the picks before it, so ``first(k)`` is the same whatever was
     asked before: a later call extends the draw where the last stopped
     (``random(a)`` then ``random(b)`` gives the doubles of ``random(a + b)``).
-    A request that fails draws nothing. ``first(k)`` is bit-identical to
-    one ``rng.choice(n, p=probs)`` per pick: that maps one double u to
-    ``cdf.searchsorted(u, side="right")`` with ``cdf = probs.cumsum() / last``,
-    and each pick repeats those float operations, minus the checks.
+    ``first(k)`` is bit-identical to one ``rng.choice(n, p=probs)`` per
+    pick: that maps one double u to ``cdf.searchsorted(u, side="right")`` with
+    ``cdf = probs.cumsum() / last``, and each pick repeats those float
+    operations, minus the checks. Weights must be finite and >= 0 and k at
+    most the positive ones; ``experiment._check_fits`` bounds k before a
+    trial draws, and the weights are population totals or closeness.
 
     A pick reads only the positive-weight nodes but for the total, a pairwise
     sum over all n that rounds by position: a zero adds exactly 0 to the
@@ -49,11 +45,6 @@ class PickOrder:
 
     def __init__(self, weights: np.ndarray, seed: int) -> None:
         weights = np.asarray(weights, dtype=np.float64)
-        valid = (weights >= 0) & (weights < np.inf)  # False at NaN too
-        if not valid.all():
-            node = int(np.argmin(valid))
-            raise PlacementError(f"node {node} has weight {weights[node]}; "
-                                 "weights must be finite and >= 0")
         self._support = np.flatnonzero(weights)
         self._rng = np.random.default_rng(seed)
         self._remaining, self._remaining_support = weights.copy(), weights[self._support]
@@ -61,12 +52,7 @@ class PickOrder:
 
     def first(self, k: int) -> tuple[int, ...]:
         """The first ``k`` picks as sorted node ids; ``first(0)`` is ``()``."""
-        n = len(self._remaining)
-        if k < 0 or k > n:
-            raise PlacementError(f"k={k} outside 0..{n}")
         support, remaining, weights = self._support, self._remaining, self._remaining_support
-        if k > len(support):
-            raise PlacementError(f"k={k} exceeds the {len(support)} positive-weight node(s)")
         if k > len(self._picks):
             for u in self._rng.random(k - len(self._picks)):
                 cdf = (weights / remaining.sum()).cumsum()

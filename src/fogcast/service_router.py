@@ -62,10 +62,9 @@ def group_rate(rate, interval: float):
     A window opens on an arrival and absorbs everything for ``interval``
     seconds, so inter-group gaps average ``interval + 1/rate``: the group
     rate is ``rate / (1 + rate * interval)``, which is exactly 0 where
-    ``rate`` is 0; an endless window forms none. ``rate`` may be an array.
+    ``rate`` is 0. ``rate`` may be an array of sums of request counts, and
+    ``interval`` is finite and >= 0, as ``ScenarioConfig`` admits.
     """
     rate = np.asarray(rate, dtype=np.float64)
-    if (rate < 0).any() or interval < 0:
-        raise ValueError("rate and interval must be >= 0")
-    groups = rate / (1.0 + rate * interval) if interval != np.inf else np.zeros_like(rate)
+    groups = rate / (1.0 + rate * interval)
     return groups if groups.ndim else float(groups)

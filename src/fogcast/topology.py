@@ -82,21 +82,18 @@ def build_graph(coords: list[tuple[str, float, float]],
                 edges: list[tuple[int, int]]) -> NetworkGraph:
     """Assemble a NetworkGraph from (label, lat, lon) nodes and undirected edges.
 
-    Duplicate undirected edges are collapsed, keeping the first occurrence
-    in place; self-loops are rejected. Edge ``j`` of what is left becomes
-    arcs ``2j`` (as given) and ``2j + 1`` (reversed).
+    Edges join node indices into ``coords``. Duplicate undirected edges are
+    collapsed, keeping the first occurrence in place; self-loops are
+    rejected. Edge ``j`` of what is left becomes arcs ``2j`` (as given) and
+    ``2j + 1`` (reversed).
     """
     n = len(coords)
     ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
     u, v = ends[:, 0], ends[:, 1]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    unknown = (lo < 0) | (hi >= n)
-    bad = np.flatnonzero(unknown | (u == v))
-    if bad.size:
-        i = bad[0]
-        if unknown[i]:
-            raise TopologyError(f"edge ({u[i]}, {v[i]}) references an unknown node")
-        raise TopologyError(f"self-loop on node {u[i]}")
+    loops = np.flatnonzero(u == v)
+    if loops.size:
+        raise TopologyError(f"self-loop on node {u[loops[0]]}")
     _, first = np.unique(lo * n + hi, return_index=True)
     kept = ends[np.sort(first)].astype(np.intp)
     src, dst = kept.reshape(-1), kept[:, ::-1].reshape(-1)

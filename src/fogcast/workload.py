@@ -127,8 +127,6 @@ def assign_population(graph, cells: tuple[np.ndarray, np.ndarray, np.ndarray]) -
     leaves a margin of 200 times. NaN cosines are skipped, as by the scan.
     """
     cell_lat, cell_lon, count = cells
-    if not len(count):
-        raise WorkloadError("empty population grid")
     node_lat, node_lon = graph.lat, graph.lon
     nx, ny, nz = _unit_vectors(node_lat, node_lon)
     cx, cy, cz = (axis[:, None] for axis in _unit_vectors(cell_lat, cell_lon))
@@ -263,13 +261,9 @@ def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
     equals a per-node ``rng.choice(n, size=users, p=probabilities)`` loop:
     ``choice`` maps each double u to ``cdf.searchsorted(u, side="right")``,
     which ``_guide_search`` returns exactly. ``ScenarioConfig`` checks the
-    target and bounds the budget; only an all-zero population is rejected
-    here.
+    target and bounds the budget; ``load_population`` rejects a grid with
+    no people, and ``assign_population`` keeps its total.
     """
-    populations = np.asarray(populations)
-    if populations.sum() <= 0:
-        raise WorkloadError("all-zero population")
-
     budget = target_bitrate / catalogue.mean_bitrate
     weights = populations.astype(np.float64)
     users = np.rint(budget * (weights / weights.sum())).astype(np.int64)

@@ -117,10 +117,12 @@ def write_graphml(path, coords, edges):
 def write_bad_topologies(out_dir: Path) -> list[Path]:
     """Write the GraphML files of the bad-config table under ``out_dir``: one
     malformed, one without coordinate keys, one disconnected, one with a
-    repeated node id and one with a NaN latitude."""
+    repeated node id, one with a NaN latitude, one with a self-loop and one
+    with coordinate keys but no nodes."""
     three = [("a", 50.0, 0.0), ("b", 50.0, 1.0), ("c", 50.0, 2.0)]
-    paths = [out_dir / f"{name}.graphml" for name in ("bad", "nokeys", "split", "dup", "nan")]
-    bad, nokeys, split, dup, nan = paths
+    paths = [out_dir / f"{name}.graphml"
+             for name in ("bad", "nokeys", "split", "dup", "nan", "loop", "empty")]
+    bad, nokeys, split, dup, nan, loop, empty = paths
     bad.write_text("<graphml><graph>")
     nokeys.write_text(
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph><node id="0"/></graph>'
@@ -130,6 +132,8 @@ def write_bad_topologies(out_dir: Path) -> list[Path]:
     dup.write_text(dup.read_text().replace('<node id="2">', '<node id="0">'))
     write_graphml(nan, [("a", 50.0, 0.0), ("b", math.nan, 1.0), ("c", 50.0, 2.0)],
                   [(0, 1), (1, 2)])
+    write_graphml(loop, three, [(0, 1), (1, 1), (1, 2)])
+    write_graphml(empty, [], [])
     return paths
 
 

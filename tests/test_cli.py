@@ -128,13 +128,17 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
      "north.txt:2: coordinates out of range in '95.0,8.6,1000'"),
     ("run", "--population={tmp}/huge.txt", "huge.txt:1: population total reaches 2**63"),
     ("run", "--population={tmp}/wrap.txt", "wrap.txt:2: population total reaches 2**63"),
+    ("run", "--population={tmp}/zero.txt", "zero.txt: population grid holds no people"),
     ("run", "--topology={tmp}/nan.graphml",
      "nan.graphml: node '1' ('b') lacks usable coordinates"),
     ("sweep", "topology = no,such.graphml", "No such file or directory: 'no,such.graphml'"),
+    ("sweep", "population = no\0such.txt", "population_path 'no\\x00such.txt' holds a NUL byte"),
     ("run", "--topology={tmp}/nokeys.graphml",
      "nokeys.graphml: document declares no Latitude/Longitude node keys"),
     ("run", "--topology={tmp}/split.graphml", "split.graphml: graph is disconnected"),
     ("run", "--topology={tmp}/dup.graphml", "dup.graphml: node id '0' repeated"),
+    ("run", "--topology={tmp}/loop.graphml", "loop.graphml: self-loop on node 1"),
+    ("run", "--topology={tmp}/empty.graphml", "empty.graphml: graph has no nodes"),
     ("run", "--topology= --population= --fog=40",
      "config icn,40,2,0,pop: fog = 40 exceeds the 37 populated nodes"),
     ("sweep", "fog = 1,4", "config icn,4,2,0,pop: fog = 4 exceeds the 3 populated nodes"),
@@ -190,7 +194,8 @@ def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_
     for name, records in {"bad.txt": "50.0,0.0,60\n50.0,1.0\n", "nan.txt": "nan,nan,500\n",
                           "north.txt": "50.0,0.0,60\n95.0,8.6,1000\n",
                           "huge.txt": f"50.0,0.0,{10**20}\n",
-                          "wrap.txt": f"50.0,0.0,{5 * 10**18}\n50.0,1.0,{5 * 10**18}\n"}.items():
+                          "wrap.txt": f"50.0,0.0,{5 * 10**18}\n50.0,1.0,{5 * 10**18}\n",
+                          "zero.txt": "50.0,0.0,0\n50.0,1.0,0\n"}.items():
         (tmp_path / name).write_text(records)
     if command == "sweep":
         # The setting's own keys replace these defaults: a grid key may appear once.

@@ -797,9 +797,11 @@ def test_load_grid_roundtrip(tmp_path):
         "trials = 5\n"
         "seed = 7\n"
         "bitrates = 20e6,40e6\n"
+        "items = 3,\n"  # a one-value list reads as its value
     )
     configs = load_grid(grid)
     assert len(configs) == 8
-    assert all(c.arch == "dns" and c.trials == 5 and c.base_seed == 7 for c in configs)
+    assert all(c.arch == "dns" and c.trials == 5 and c.base_seed == 7 and c.n_items == 3
+               for c in configs)
     assert all(c.bitrates == (20e6, 40e6) for c in configs)
 

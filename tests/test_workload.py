@@ -83,9 +83,13 @@ def test_equidistant_cell_ties_to_lowest_node_id():
     assert totals[0] == 7 and totals[1] == 0
 
 
-def test_empty_grid_rejected(star4):
-    with pytest.raises(WorkloadError):
-        assign_population(star4, (np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64)))
+def test_empty_grid_rejected(tmp_path):
+    """A file of no records is rejected where it is read, as a grid of
+    zero counts is, so assignment never sees an empty grid."""
+    f = tmp_path / "pop.txt"
+    f.write_text("# no records\n\n")
+    with pytest.raises(WorkloadError, match="pop.txt: population grid holds no people$"):
+        load_population(f)
 
 
 def test_geant_assignment_matches_linear_scan_oracle(geant, geant_population):
@@ -289,12 +293,6 @@ def test_single_node_single_item_demand_is_exact():
     demand = draw_demand(np.array([0, 10, 0]), cat, 70e9, seed=1)
     assert demand.requests == {(1, 1): 3500}
     assert offered_loads(demand, cat).sum() == pytest.approx(70e9)
-
-
-def test_all_zero_population_rejected():
-    cat = build_catalogue(10, 0.8, (20e6,), seed=1)
-    with pytest.raises(WorkloadError):
-        draw_demand(np.zeros(5, dtype=np.int64), cat, 70e9, seed=1)
 
 
 def test_offered_bitrate_consistent_with_requests(geant_population):
