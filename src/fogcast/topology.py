@@ -232,6 +232,11 @@ class HopTable:
     ``s``, so its ``dist[s, v]`` reads directly.
     Rows are deterministic, so the table a row is read from never changes
     results.
+
+    ``dist`` and ``in_arc`` share the least signed integer type that holds
+    -1 and ``n_arcs``, so every arc id: int8 up to 127 arcs, int16 up to
+    32,767. On a connected graph a hop count is at most ``n_arcs / 2``, so
+    that type also holds the sum of any two hop counts.
     """
 
     graph: NetworkGraph
@@ -267,6 +272,10 @@ def _in_arcs(graph: NetworkGraph):
     slots = []
     for k in range(int(indeg.max(initial=0))):
         v = np.flatnonzero(indeg > k)
+        # Arc ids stay intp, not the hop table's narrower type: they make
+        # ``_predecessors``' ``np.where`` temporaries the largest blocks set-up
+        # frees (1 MB at 2,000 nodes), and glibc sets its heap-trim threshold
+        # from them; at half that, steady trials return and re-fault heap.
         slots.append((v, src[start[v] + k], order[start[v] + k]))
     return src, start, slots
 
@@ -331,8 +340,10 @@ def hop_table(graph: NetworkGraph, sources) -> HopTable:
     n = graph.n_nodes
     slot = np.full(n, NO_ROW, dtype=np.intp)
     slot[sources] = np.arange(len(sources))
-    dist = np.empty((len(sources), n), dtype=np.int32)
-    in_arc = np.empty((len(sources), n), dtype=np.int32)
+    # Not -n_arcs: a lone node has no arcs, and uint8 holds no -1.
+    dtype = np.min_scalar_type(-1 - graph.n_arcs)
+    dist = np.empty((len(sources), n), dtype=dtype)
+    in_arc = np.empty((len(sources), n), dtype=dtype)
     for at in range(0, len(sources), _BLOCK):
         d = _bfs_block(in_arcs, sources[at:at + _BLOCK])
         dist[at:at + _BLOCK] = d.T

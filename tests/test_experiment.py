@@ -470,6 +470,8 @@ def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
     assert searched[0] == [populated.tolist()]
     assert np.flatnonzero(held.slot != NO_ROW).tolist() == populated.tolist()
     assert held.dist.shape == held.in_arc.shape == (271, graph.n_nodes)
+    # 4,798 arcs: int16 holds every arc id, half the bytes of int32.
+    assert graph.n_arcs == 4798 and held.dist.dtype == held.in_arc.dtype == np.int16
     # A pop trial searches no row; a cls trial one table of its own points.
     trials = [(config, index) for config in configs for index in range(config.trials)]
     for (config, index), tables in zip(trials, searched[1:]):
@@ -479,7 +481,7 @@ def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
             placement = fresh_placement(graph, populations, "cls", config.fog_k, config.cloud_k,
                                         0, trial_seed(config.base_seed, index))
             assert tables == [sorted(set(placement.fog + placement.cloud))]
-    # The n x n dist and in_arc tables alone would take 32 MB on 2,000 nodes.
+    # The n x n dist and in_arc tables alone would take 16 MB on 2,000 nodes.
     assert graph.n_nodes == 2000 and peak < 16e6
 
 

@@ -388,7 +388,9 @@ def _path(n):
 def _edge_graphs() -> list:
     """Graphs at the edges of the block search: 1 and 2 nodes, a 131-node
     path, a star with hub 32, K12, and trees plus chords of 63, 64, 65, 129
-    and 300 nodes (both sides of the source-block and 64-bit word sizes)."""
+    and 300 nodes (both sides of the source-block and 64-bit word sizes);
+    then at the edge of the hop table's type: paths of 64 and 65 nodes, 126
+    and 128 arcs, the last int8 table and the first int16 one."""
     rng = np.random.default_rng(23)
     # A star whose hub sits mid-range, with leaf ids on both sides of it.
     star = build_graph([(f"s{i}", 0.0, float(i)) for i in range(_BLOCK + 1)],
@@ -398,17 +400,33 @@ def _edge_graphs() -> list:
     graphs = [_path(1), _path(2), _path(2 * _BLOCK + 3), star, complete]
     for n in sorted({63, 64, 65, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 300}):
         graphs.append(random_connected_graph(rng, n, n // 2))
-    return graphs
+    return graphs + [_path(64), _path(65)]
 
 
-def test_all_pairs_dist_and_in_arc_equal_bfs_oracle(geant):
-    for graph in [geant] + _edge_graphs():
+def test_all_pairs_dist_and_in_arc_equal_bfs_oracle(geant, triangle):
+    """Every row of ``all_pairs`` equals the queue BFS and its in-arc oracle,
+    in the least signed type that holds -1 and the arc count; the distances
+    are symmetric and, summed in that type, keep the triangle inequality.
+    On the bundled backbone, the triangle, the edge graphs and 30 random
+    graphs of 2-20 nodes."""
+    rng = np.random.default_rng(42)
+    randoms = []
+    for _ in range(30):
+        n = int(rng.integers(2, 21))
+        randoms.append(random_connected_graph(rng, n, int(rng.integers(0, 2 * n))))
+    for graph in [geant, triangle] + _edge_graphs() + randoms:
         hops = all_pairs(graph)
         n = graph.n_nodes
         assert hops.dist.shape == hops.in_arc.shape == (n, n)
+        want = np.int8 if graph.n_arcs <= 127 else np.int16
+        assert hops.dist.dtype == hops.in_arc.dtype == want
         for s in range(n):
             assert hops.dist[s].tolist() == bfs_distances(graph, s)
             assert hops.in_arc[s].tolist() == bfs_in_arcs(graph, s)
+        d = hops.dist
+        assert (d == d.T).all()
+        for w in range(n):
+            assert (d <= d[:, w, None] + d[w]).all()
 
 
 SYNTHETIC_SEEDS = (1, 2, 3, 4)
