@@ -10,7 +10,8 @@ import argparse
 import sys
 
 from .errors import FogcastError
-from .experiment import GRID_KEYS, ScenarioConfig, grid_configs, load_grid, row_label, run_sweep
+from .experiment import (GRID_KEYS, UNICAST, ScenarioConfig, grid_configs, load_grid, row_label,
+                         run_sweep)
 
 
 def _positive_int(raw: str) -> int:
@@ -42,7 +43,7 @@ def _cmd_run(args) -> int:
     results = run_sweep(grid_configs(raw), out_dir=args.out, jobs=args.jobs)
     for result in results:
         for key, mean in sorted(result.mean_backhaul.items()):
-            label = "unicast" if key == 0.0 else f"T={key:g}s"
+            label = "unicast" if key == UNICAST else f"T={key:g}s"
             print(f"{row_label(result.config)} {label}: mean backhaul {mean / 1e9:.2f} Gb/s "
                   f"(std {result.std_backhaul[key] / 1e9:.2f}) over {result.trials} trials")
     return 0

@@ -114,9 +114,13 @@ SUMMARY_HEADER = "arch,fog_k,cloud_k,ldns_k,mode,T,trials,mean_backhaul_bps,std_
 # Largest catalogue, trials per config and user budget (target_bitrate /
 # min(bitrates)) a config may ask for: every trial draws one double per user
 # and holds a few arrays of n_items, and a sweep lists every trial first.
+# Largest target bitrate (b/s) and catchment interval (s): request rates are
+# sums of at most about MAX_USERS counts, so loads and rate * T stay finite.
 MAX_ITEMS = 10**6
 MAX_TRIALS = 10**5
 MAX_USERS = 10**6
+MAX_TARGET_BITRATE = 1e18
+MAX_INTERVAL = 1e9
 
 # Variant key for plain unicast rows. A listed zero interval adds no variant:
 # under Bloom identifiers it would charge false-positive arcs as unicast.
@@ -212,6 +216,12 @@ class ScenarioConfig:
         for name in ("topology_path", "population_path"):
             if "\0" in str(getattr(self, name)):  # open() takes no such name
                 raise ConfigError(f"{name} {getattr(self, name)!r} holds a NUL byte")
+        if self.target_bitrate > MAX_TARGET_BITRATE:
+            raise ConfigError(f"target_bitrate {self.target_bitrate!r} must be "
+                              f"<= {MAX_TARGET_BITRATE:g} b/s")
+        for t in self.catchment:
+            if t > MAX_INTERVAL:
+                raise ConfigError(f"catchment interval {t!r} must be <= {MAX_INTERVAL:g} s")
         if not self.topology_path:
             object.__setattr__(self, "topology_path", str(data.bundled_topology()))
         if not self.population_path:

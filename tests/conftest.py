@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import math
+import warnings
 from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 import pytest
 
+from fogcast import cli
 from fogcast.data import bundled_population, bundled_topology
+from fogcast.forwarding import BloomScheme
 from fogcast.topology import NetworkGraph, build_graph, load_topology
 from fogcast.workload import assign_population, load_population
 from oracles import adjacency, all_pairs
@@ -116,17 +122,24 @@ def write_graphml(path, coords, edges):
 
 def write_bad_topologies(out_dir: Path) -> list[Path]:
     """Write the GraphML files of the bad-config table under ``out_dir``: one
-    malformed, one without coordinate keys, one disconnected, one with a
-    repeated node id, one with a NaN latitude, one with a self-loop and one
-    with coordinate keys but no nodes."""
+    malformed, one without coordinate keys, one without a graph, one with a
+    node without an id, one with an edge without a target, one disconnected,
+    one with a repeated node id, one with a NaN latitude, one with a
+    self-loop and one with coordinate keys but no nodes."""
     three = [("a", 50.0, 0.0), ("b", 50.0, 1.0), ("c", 50.0, 2.0)]
-    paths = [out_dir / f"{name}.graphml"
-             for name in ("bad", "nokeys", "split", "dup", "nan", "loop", "empty")]
-    bad, nokeys, split, dup, nan, loop, empty = paths
+    paths = [out_dir / f"{name}.graphml" for name in ("bad", "nokeys", "nograph", "noid",
+                                                      "noend", "split", "dup", "nan", "loop",
+                                                      "empty")]
+    bad, nokeys, nograph, noid, noend, split, dup, nan, loop, empty = paths
     bad.write_text("<graphml><graph>")
     nokeys.write_text(
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph><node id="0"/></graph>'
         "</graphml>")
+    nograph.write_text(GRAPHML_HEADER[:GRAPHML_HEADER.index("<graph ")] + "</graphml>")
+    for path in (noid, noend):
+        write_graphml(path, three, [(0, 1), (1, 2)])
+    noid.write_text(noid.read_text().replace('<node id="1">', "<node>"))
+    noend.write_text(noend.read_text().replace(' target="2"', ""))
     write_graphml(split, three, [(0, 1)])
     write_graphml(dup, three, [(0, 1)])  # node 2 takes node 0's id
     dup.write_text(dup.read_text().replace('<node id="2">', '<node id="0">'))
@@ -135,6 +148,41 @@ def write_bad_topologies(out_dir: Path) -> list[Path]:
     write_graphml(loop, three, [(0, 1), (1, 1), (1, 2)])
     write_graphml(empty, [], [])
     return paths
+
+
+@dataclass(frozen=True)
+class Bloom16(BloomScheme):
+    """16-bit identifiers: most groups pass false-positive arcs."""
+
+    m: int = 16
+    k: int = 2
+
+
+def cli_error(argv: list[str], out: Path) -> str | None:
+    """Run ``fogcast`` on ``argv`` in this process and hold it to the
+    one-error-line rule: exit 0 with nothing on stderr, or exit 2 with one
+    ``fogcast: error:`` line on stderr, nothing on stdout and no ``out``.
+    Every warning is shown and counts as a stderr line. Returns the error
+    line, or None after exit 0; raises AssertionError naming the outcome
+    otherwise."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        except Exception as error:  # a crash breaks the rule too
+            code = f"{type(error).__name__}: {error}"
+    errors = stderr.getvalue().splitlines() + [
+        f"{warning.category.__name__}: {warning.message}" for warning in shown]
+    if code == 0 and not errors:
+        return None
+    if not (code == 2 and len(errors) == 1 and errors[0].startswith("fogcast: error: ")
+            and not stdout.getvalue() and not Path(out).exists()):
+        raise AssertionError(f"{argv} gave {code!r}, stderr {errors[:3]}")
+    return errors[0]
 
 
 @pytest.fixture(scope="session")

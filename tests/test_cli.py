@@ -12,7 +12,7 @@ import pytest
 from fogcast import cli, experiment
 from fogcast.cli import main
 from fogcast.experiment import GRID_KEYS, ScenarioConfig, load_grid
-from conftest import write_bad_topologies, write_graphml
+from conftest import cli_error, write_bad_topologies, write_graphml
 from test_golden import GRIDS
 
 
@@ -135,6 +135,10 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
     ("sweep", "population = no\0such.txt", "population_path 'no\\x00such.txt' holds a NUL byte"),
     ("run", "--topology={tmp}/nokeys.graphml",
      "nokeys.graphml: document declares no Latitude/Longitude node keys"),
+    ("run", "--topology={tmp}/nograph.graphml",
+     "nograph.graphml: document contains no <graph> element"),
+    ("run", "--topology={tmp}/noid.graphml", "noid.graphml: node without id attribute"),
+    ("run", "--topology={tmp}/noend.graphml", "noend.graphml: edge references unknown node None"),
     ("run", "--topology={tmp}/split.graphml", "split.graphml: graph is disconnected"),
     ("run", "--topology={tmp}/dup.graphml", "dup.graphml: node id '0' repeated"),
     ("run", "--topology={tmp}/loop.graphml", "loop.graphml: self-loop on node 1"),
@@ -153,6 +157,10 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
     ("sweep", "catchment = 0.1,true", "catchment interval True must be finite and >= 0"),
     ("run", "--catchment=-1", "catchment interval -1 must be finite and >= 0"),
     ("run", "--catchment=1,1", "catchment interval 1 repeated"),
+    ("sweep", "catchment = 0.1,1,0.1", "catchment interval 0.1 repeated"),
+    ("sweep", "catchment = nan", "catchment interval nan must be finite and >= 0"),
+    ("run", "--catchment=0.1,inf", "catchment interval inf must be finite and >= 0"),
+    ("run", "--catchment=1e308", "catchment interval 1e+308 must be <= 1e+09 s"),
     ("run", "--arch=p2p", "unknown architecture 'p2p'"),
     ("run", "--placement=random", "unknown placement mode 'random'"),
     ("run", "--scheme=xor", "unknown forwarding scheme 'xor'"),
@@ -184,10 +192,12 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
     ("run", "--target-bitrate 1e19",
      "target_bitrate 1e+19 / bitrates 20000000.0 must be <= 1000000 users"),
     ("run", "--bitrates 1", "target_bitrate 70000000000.0 / bitrates 1 must be <= 1000000 users"),
+    ("run", "--target-bitrate 1.7e308 --bitrates 1.7e302",
+     "target_bitrate 1.7e+308 must be <= 1e+18 b/s"),
 ])
-def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_path, capsys):
+def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_path):
     """A bad grid key, config value or input file exits 2 with one stderr
-    line naming it and no output."""
+    line naming it, no warning and no output (``cli_error``)."""
     top, pop = tiny_inputs
     out = tmp_path / "out"
     write_bad_topologies(tmp_path)
@@ -208,12 +218,8 @@ def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_
     else:
         args = ["run", "--topology", top, "--population", pop, "--items", "3",
                 *setting.format(tmp=tmp_path).split(), "--out", str(out)]
-    assert run_cmd(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("fogcast: error: ") and named in captured.err
-    assert not out.exists()
+    error = cli_error(args, out)
+    assert error is not None and named in error
 
 
 @pytest.mark.parametrize("setting, named", [
@@ -227,7 +233,7 @@ def test_bad_config_is_one_error_line(command, setting, named, tiny_inputs, tmp_
     ("fog = 2,0\ncloud = 0\nfog_cache_fraction = 1",
      "config icn,0,0,0,pop: no service point (fog = 0 and cloud = 0)"),
 ])
-def test_bad_grid_fails_before_the_first_trial(setting, named, tmp_path, capsys, monkeypatch):
+def test_bad_grid_fails_before_the_first_trial(setting, named, tmp_path, monkeypatch):
     """A grid whose second config cannot run spends no trial and writes no file."""
     calls = []
     run_trial = experiment.run_trial
@@ -236,10 +242,9 @@ def test_bad_grid_fails_before_the_first_trial(setting, named, tmp_path, capsys,
     grid = tmp_path / "grid.cfg"
     grid.write_text(f"{setting}\ntrials = 2\n")
     out = tmp_path / "out"
-    assert run_cmd(["sweep", "--grid", str(grid), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"fogcast: error: {named}\n"
+    assert cli_error(["sweep", "--grid", str(grid), "--out", str(out)], out) == \
+        f"fogcast: error: {named}"
     assert calls == []
-    assert not out.exists()
 
 
 def test_importing_the_cli_loads_no_worker_pool_and_no_hashlib():
@@ -337,9 +342,9 @@ def test_sweep_from_grid_file(tiny_inputs, tmp_path):
 
 @pytest.mark.parametrize("command", ["run_topology", "run_population", "sweep_grid",
                                      "sweep_topology"])
-def test_missing_file_is_one_error_line(command, tiny_inputs, tmp_path, capsys):
+def test_missing_file_is_one_error_line(command, tiny_inputs, tmp_path):
     """A missing input file, or one that is not UTF-8, exits 2 with one
-    stderr line naming it and no output."""
+    stderr line naming it, no warning and no output (``cli_error``)."""
     top, pop = tiny_inputs
     not_utf8 = tmp_path / "not_utf8.file"
     not_utf8.write_bytes(b"\xff\n")
@@ -354,12 +359,8 @@ def test_missing_file_is_one_error_line(command, tiny_inputs, tmp_path, capsys):
             "sweep_grid": ["sweep", "--grid", bad, "--out", out],
             "sweep_topology": ["sweep", "--grid", str(grid), "--out", out],
         }[command]
-        assert run_cmd(args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("fogcast: error: ") and bad in captured.err
-        assert not (tmp_path / "out").exists()
+        error = cli_error(args, tmp_path / "out")
+        assert error is not None and bad in error
 
 
 @pytest.mark.parametrize("grid", [

@@ -4,11 +4,9 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import importlib
-import math
 import os
 import pkgutil
 import platform
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -34,7 +32,7 @@ from fogcast.experiment import (
 )
 import fogcast
 import oracles
-from conftest import random_connected_graph, write_graphml, write_synthetic
+from conftest import Bloom16, random_connected_graph, write_graphml, write_synthetic
 from fogcast import experiment, topology
 from fogcast.forwarding import BloomScheme
 from fogcast.service_router import fog_cache_items, resolve_nodes
@@ -80,21 +78,6 @@ def test_defaults_point_at_bundled_fixtures():
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ConfigError):
         ScenarioConfig(**kwargs)
-
-
-@pytest.mark.parametrize("catchment, message", [
-    ((1.0, 1.0), "catchment interval 1.0 repeated"),
-    ((0.1, 1.0, 0.1), "catchment interval 0.1 repeated"),
-    ((math.nan,), "catchment interval nan must be finite"),
-    ((0.1, math.inf), "catchment interval inf must be finite"),
-])
-def test_repeated_and_non_finite_catchment_rejected(catchment, message, tmp_path):
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        ScenarioConfig(catchment=catchment)
-    grid = tmp_path / "grid.cfg"
-    grid.write_text("catchment = " + ",".join(map(str, catchment)) + "\n")
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        load_grid(grid)
 
 
 def test_trial_seeds_mix_base_and_index():
@@ -362,14 +345,6 @@ def test_run_trial_equals_reference_trial(backbone, chain_setup, tmp_path):
     seen = reference_counters(rows, *backbone_files(backbone, chain_setup, tmp_path))
     assert seen["pulls"] > 0
     assert seen["fp_arcs"] > 0 or backbone == "chain"
-
-
-@dataclasses.dataclass(frozen=True)
-class Bloom16(BloomScheme):
-    """16-bit identifiers: most groups pass false-positive arcs."""
-
-    m: int = 16
-    k: int = 2
 
 
 @pytest.mark.parametrize("backbone", ["bundled", "synthetic_300"])

@@ -23,7 +23,7 @@ from fogcast.topology import (
     load_topology,
     nearest,
 )
-from oracles import adjacency, all_pairs, dom_topology, extract_path
+from oracles import adjacency, all_pairs, dom_read, extract_path
 
 
 def test_geant_fixture_dimensions(geant):
@@ -170,20 +170,29 @@ HAND_WRITTEN = {
 }
 
 
-def _read_back(load, path):
-    """What ``load`` makes of ``path``: the graph's arrays, or its error text."""
+def _read_back(path):
+    """What ``load_topology`` makes of ``path``: the graph's arrays, or its error text."""
     try:
-        graph = load(path)
+        graph = load_topology(path)
     except TopologyError as exc:
         return str(exc)
     return (graph.labels, graph.lat.tolist(), graph.lon.tolist(), graph.src.tolist(),
             graph.dst.tolist())
 
 
+def _reading(read, path):
+    """What ``read`` reads of ``path``, or its ``ParseError`` text."""
+    try:
+        return read(str(path))
+    except ET.ParseError as exc:
+        return str(exc)
+
+
 def test_streamed_reader_equals_the_dom_reader(tmp_path):
-    """``load_topology`` gives what a whole parsed tree gives: the same graph
-    or the same error, on the bundled and synthetic backbones, every GraphML
-    file of the bad-config table and the hand-written documents."""
+    """``topology._read_graphml`` reads what a whole parsed tree gives: the
+    same keys, nodes and edges or the same syntax error, on the bundled and
+    synthetic backbones, every GraphML file of the bad-config table and the
+    hand-written documents; ``load_topology`` checks what it read."""
     paths = [bundled_topology(), write_synthetic(tmp_path, 3)[0]]
     paths += write_bad_topologies(tmp_path)
     for name, text in HAND_WRITTEN.items():
@@ -191,8 +200,8 @@ def test_streamed_reader_equals_the_dom_reader(tmp_path):
         paths[-1].write_text(text)
     outcomes = {}
     for path in paths:
-        outcomes[path] = _read_back(load_topology, path)
-        assert outcomes[path] == _read_back(dom_topology, path), path
+        assert _reading(topology._read_graphml, path) == _reading(dom_read, path), path
+        outcomes[path] = _read_back(path)
     loaded = {Path(path).stem: outcome for path, outcome in outcomes.items()
               if not isinstance(outcome, str)}
     assert sorted(loaded) == sorted(["geant2012", "backbone_3_2000", "key_after_graph",
@@ -205,11 +214,11 @@ def test_streamed_reader_equals_the_dom_reader(tmp_path):
 
 def test_streamed_reader_holds_no_tree(tmp_path):
     """Read elements are dropped as the document streams by: on the synthetic
-    backbone, ``load_topology`` allocates at its peak under half of what the
-    whole parsed tree takes."""
+    backbone, ``load_topology`` allocates at its peak under half of what
+    checking the whole parsed tree takes."""
     path = write_synthetic(tmp_path, 3)[0]
     peaks = []
-    for load in (load_topology, dom_topology):
+    for load in (load_topology, lambda p: topology._graph_of(*dom_read(p))):
         tracemalloc.start()
         try:
             load(path)
