@@ -3,6 +3,8 @@
 ``run`` executes one scenario and ``sweep`` a grid file; both write the
 CSV files ``run_sweep`` publishes.
 ``run`` takes every grid key ``key_name`` as a flag ``--key-name``, read as its grid line is.
+Every error, argparse's own included, is one ``fogcast: error:`` line on
+stderr and exit status 2.
 """
 from __future__ import annotations
 
@@ -14,28 +16,19 @@ from .experiment import (GRID_KEYS, UNICAST, ScenarioConfig, grid_configs, load_
                          run_sweep)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors, the subcommands' too, as one ``fogcast: error:`` line."""
+
+    def error(self, message: str):
+        print(f"fogcast: error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _positive_int(raw: str) -> int:
     """argparse type of ``--jobs``: an integer >= 1."""
     if not raw.strip().isdigit() or int(raw) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
     return int(raw)
-
-
-def _add_run_parser(sub) -> None:
-    p = sub.add_parser("run", help="run one scenario, given as grid keys, and write CSV output")
-    for key, name in GRID_KEYS.items():
-        default = getattr(ScenarioConfig, name)  # the dataclass default
-        p.add_argument(f"--{key.replace('_', '-')}", metavar="VALUE",
-                       help=f"default: {default if default != '' else 'bundled'}")
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--out", required=True, metavar="DIR")
-
-
-def _add_sweep_parser(sub) -> None:
-    p = sub.add_parser("sweep", help="run a grid file")
-    p.add_argument("--grid", required=True, metavar="FILE")
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--out", required=True, metavar="DIR")
 
 
 def _cmd_run(args) -> int:
@@ -57,21 +50,26 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fogcast",
         description="Flow-level evaluation of service-routed fog delivery "
                     "against a resolver-redirection baseline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_run_parser(sub)
-    _add_sweep_parser(sub)
+    run = sub.add_parser("run", help="run one scenario, given as grid keys, and write CSV output")
+    for key, name in GRID_KEYS.items():
+        default = getattr(ScenarioConfig, name)  # the dataclass default
+        run.add_argument(f"--{key.replace('_', '-')}", metavar="VALUE",
+                         help=f"default: {default if default != '' else 'bundled'}")
+    sweep = sub.add_parser("sweep", help="run a grid file")
+    sweep.add_argument("--grid", required=True, metavar="FILE")
+    for command, handler in ((run, _cmd_run), (sweep, _cmd_sweep)):
+        command.add_argument("--jobs", type=_positive_int, default=1)
+        command.add_argument("--out", required=True, metavar="DIR")
+        command.set_defaults(handler=handler)
     args = parser.parse_args(argv)
-    handler = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except (OSError, FogcastError) as error:
         # A missing or unreadable input file, a bad input, config or grid
         # key, or a scenario that cannot run; the message names the path,

@@ -9,22 +9,20 @@ index alone, and no sweep axis changes the draws, so trial i of every
 config of a sweep serves the same catalogue and demand (common random
 numbers). The configs of one trial index share one value
 (``_trial_index``), kept for the last trial seed; sweeps run trial-major,
-so each index draws each workload once. Its parts are built when first
-asked for: per workload the catalogue and demand, and per (mode, role) one
-seeded pick order (the mode's weights, drawn on the role's salt of the
-seed); a config takes its first k picks, none for k = 0, exactly what a
-fresh draw of k points would give.
+so each index builds each part once, when first asked for: per workload
+the catalogue and demand, and per (mode, role, k) the first k picks of the
+role's seeded pick order, exactly what a fresh draw of k points gives, and
+their nearest-point row (``topology.nearest``).
 
 Resolution and unicast accounting run once per client node, not once per
 request: the service point depends on the node alone and the fallback
 origin on the service point alone, so requests reach the unicast pass only
 as per-client sums computed with the draws: users, load, and, once per fog
-cache size, load of items past it. Both
-architectures take the same ``resolve_nodes`` call; the only difference is
-where the lookup starts, at the client (icn places no LDNS) or at its
-nearest LDNS (dns).
-The scalar oracles of both, and of the paths and Bloom delivery below, are
-in ``tests/oracles.py``.
+cache size, load of items past it. Both architectures take the same
+``resolve_nodes`` call, a few array operations on the index's rows; the
+only difference is where the lookup starts, at the client (icn places no
+LDNS) or at its nearest LDNS (dns). The scalar oracles of both, and of the
+paths and Bloom delivery below, are in ``tests/oracles.py``.
 Every flow is charged on one canonical root -> leaf path
 (``canonical_paths``): one per client, service point -> client with the
 client's load, and with ``count_fallback`` one per pulling point, origin ->
@@ -34,13 +32,12 @@ Bloom delivery all read the same paths; one ``false_positive_arcs`` call
 gives the arcs each group's Bloom identifier carries beyond its tree.
 Only catchment expands the per-client facts to requests.
 
-Every root is a placed point, so a trial takes the hop rows of its fog,
-cloud and LDNS points once and reads only their columns of its clients
-and points, for the nearest-point maps, the canonical paths and the hop
-histogram; no n x n table is built. The context holds the rows of
-populated nodes, the only ones ``pop`` placement draws, searched once per
-topology; a trial that places a point elsewhere searches a table of its
-own points (``hop_table``).
+Every root is a placed point, so a trial reads only the hop rows of its
+fog, cloud and LDNS points: whole for the nearest-point rows, at its
+clients and points for the paths and hop histogram; no n x n table is
+built. The context holds the rows of populated nodes, the only ones
+``pop`` placement draws, searched once per topology; a trial that places a
+point elsewhere searches a table of its own points (``hop_table``).
 
 Catchment aggregation is applied analytically: each arc a group's packets
 take carries the group rate, which shrinks monotonically with the interval.
@@ -78,7 +75,8 @@ from .errors import FogcastError, read_text
 from .forwarding import BloomScheme, false_positive_arcs
 from .placement import ROLE_SALTS, PickOrder
 from .service_router import fog_cache_items, group_rate, resolve_nodes
-from .topology import NO_ROW, canonical_paths, closeness, gather, hop_table, load_topology
+from .topology import (NO_ROW, canonical_paths, closeness, gather, hop_table, load_topology,
+                       nearest)
 from .workload import (
     CHUNK_DURATION,
     build_catalogue,
@@ -290,17 +288,32 @@ def _load_context(topology_path: str, population_path: str):
 
 @lru_cache(maxsize=1)
 def _trial_index(seed: int, topology_path: str, population_path: str):
-    """The value the configs of one trial index share, each part built when
-    first asked for: ``order(mode, role)``, the role's pick order, and
-    ``draws(n_items, alpha, bitrates, target_bitrate)``, the catalogue, the
+    """The value the configs of one trial index share, ``(picks, row,
+    draws)``, each part built when first asked for. ``picks(mode, role, k)``
+    is the role's first k picks (no pick order drawn for k = 0) and whether
+    the held table has their rows; ``row(mode, role, k, hops)`` their
+    ``nearest`` row, read on the first call from ``hops``, which holds them;
+    ``draws(n_items, alpha, bitrates, target_bitrate)`` the catalogue, the
     demand, users and load per client node (``demand.clients``) and a memo
     of that load past ``fog_items``."""
-    graph, _, populations, _ = _load_context(topology_path, population_path)
+    graph, held, populations, _ = _load_context(topology_path, population_path)
 
     @lru_cache(maxsize=None)
     def order(mode: str, role: str) -> PickOrder:
         return PickOrder(populations if mode == "pop" else closeness(graph),
                          seed ^ ROLE_SALTS[role])
+
+    @lru_cache(maxsize=None)
+    def picks(mode: str, role: str, k: int) -> tuple[tuple[int, ...], bool]:
+        points = order(mode, role).first(k) if k else ()
+        return points, (held.slot[list(points)] != NO_ROW).all()
+
+    rows = {}
+
+    def row(mode: str, role: str, k: int, hops) -> np.ndarray | None:
+        if (mode, role, k) not in rows:
+            rows[mode, role, k] = nearest(hops, picks(mode, role, k)[0])
+        return rows[mode, role, k]
 
     @lru_cache(maxsize=None)
     def draws(n_items: int, alpha: float, bitrates: tuple[float, ...], target_bitrate: float):
@@ -318,7 +331,7 @@ def _trial_index(seed: int, topology_path: str, population_path: str):
             lambda fog_items: per_client(np.where(items > fog_items, load, 0.0)))
         return catalogue, demand, per_client(counts), per_client(load), past_load
 
-    return order, draws
+    return picks, row, draws
 
 
 def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
@@ -331,20 +344,20 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     A config its topology cannot run raises ``_check_fits``'s ``ConfigError``."""
     _check_fits(config)
     graph, held, _, _ = _load_context(config.topology_path, config.population_path)
-    order, draws = _trial_index(trial_seed(config.base_seed, trial_index),
-                                config.topology_path, config.population_path)
-    fog, cloud, ldns = (order(config.mode, role).first(k)
-                        for role, k in (("fog", config.fog_k), ("cloud", config.cloud_k),
-                                        ("ldns", config.ldns_k)))
-    points = np.array(fog + cloud + ldns, dtype=np.intp)
-    hops = held if (held.slot[points] != NO_ROW).all() else hop_table(graph, points)
+    picks, row, draws = _trial_index(trial_seed(config.base_seed, trial_index),
+                                     config.topology_path, config.population_path)
+    roles = [(config.mode, "fog", config.fog_k), (config.mode, "cloud", config.cloud_k),
+             (config.mode, "ldns", config.ldns_k)]
+    placed = [picks(*role) for role in roles]
+    hops = held if all(in_held for _, in_held in placed) else hop_table(
+        graph, np.array([point for points, _ in placed for point in points], dtype=np.intp))
     fog_items = fog_cache_items(config.fog_cache_fraction, config.n_items)
     catalogue, demand, users, load, past_load = draws(config.n_items, config.alpha,
                                                       config.bitrates, config.target_bitrate)
 
     items, counts, clients, client_of = (demand.items, demand.counts, demand.clients,
                                          demand.client_of)
-    point, origin = resolve_nodes(hops, clients, fog, cloud, ldns)
+    point, origin = resolve_nodes(clients, *(row(*role, hops) for role in roles))
 
     # Flows: one per client node (service point -> client) with its load,
     # then with count_fallback one per pulling point (origin -> point) with

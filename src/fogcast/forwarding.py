@@ -18,7 +18,6 @@ reaches. The scalar ``encode_tree``, ``forward`` and ``deliver`` in
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +30,6 @@ __all__ = [
     "label_arc",
     "label_masks",
     "false_positive_arcs",
-    "fpr_theoretical",
 ]
 
 DEFAULT_BLOOM_M = 256
@@ -163,12 +161,3 @@ def _out_arcs(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
     """Every node's out-arcs, ascending, as a CSR (indptr, arcs) built once per graph."""
     arcs = np.argsort(graph.src, kind="stable")
     return np.searchsorted(graph.src[arcs], np.arange(graph.n_nodes + 1)), arcs
-
-
-def fpr_theoretical(m: int, k: int, n_inserted: int) -> float:
-    """Expected Bloom false-positive rate after ``n_inserted`` arcs."""
-    if m < 1 or k < 1 or n_inserted < 0:
-        raise ValueError("m, k must be >= 1 and n_inserted >= 0")
-    if n_inserted == 0:
-        return 0.0
-    return (1.0 - math.exp(-k * n_inserted / m)) ** k

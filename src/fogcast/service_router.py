@@ -13,16 +13,13 @@ analytic rate of such groups.
 request is looked up at its client node (rendezvous matching) or at the
 client's nearest resolver (resolver redirection), so its service point
 depends on its client node alone, and its fallback origin on that point
-alone. It returns each client's service point and each node's origin,
-and reads only the clients' and points' columns of the placed points' rows.
+alone. It reads each role's nearest-point row, built once per trial index.
 Its scalar oracles, ``resolve_request`` through a rendezvous table and
 ``resolve_request_dns`` through a resolver, are in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from .topology import HopTable, nearest
 
 __all__ = ["fog_cache_items", "resolve_nodes", "group_rate"]
 
@@ -32,28 +29,28 @@ def fog_cache_items(fog_cache_fraction: float, n_items: int) -> int:
     return max(1, int(fog_cache_fraction * n_items))
 
 
-def resolve_nodes(hops: HopTable, clients: np.ndarray, fog, cloud,
-                  resolvers: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+def resolve_nodes(clients: np.ndarray, fog, cloud, resolvers=None) -> tuple[np.ndarray, np.ndarray]:
     """Each client node's service point, and each node's pull origin.
 
-    A client is looked up at its own node, or at its nearest resolver when
-    ``resolvers`` are given, and served by the fog or cloud point nearest
-    the lookup node. A point that is no cloud point (a fog point) holds
-    items ``1..fog_items`` and pulls the others from its origin, the cloud
-    point nearest to it; a cloud point holds every item, also when placed
-    as fog, and its origin is -1, as is an unplaced node's. Ties go to the
-    lowest id, as in the oracles' ``RendezvousTable.match`` and
-    ``dns_select``.
-    A trial checks first that some point is placed, and a cloud point unless
-    fog points cache every item (``experiment._check_fits``). ``hops`` must
-    hold the rows of the resolvers and the points; only their clients' and
-    points' columns are read.
+    ``fog``, ``cloud`` and ``resolvers`` are ``topology.nearest`` rows of
+    each role's points, None for a role that places none. A client is looked
+    up at its own node, or at its nearest resolver, and served by the point
+    nearest the lookup node: the smaller of the fog and cloud keys. A point
+    that is no cloud point (a fog point) holds items ``1..fog_items`` and
+    pulls the others from its origin, the cloud point nearest to it; a cloud
+    point holds every item, also when placed as fog, and its origin is -1,
+    as is an unplaced node's. Ties go to the lowest id, as in the oracles'
+    ``RendezvousTable.match`` and ``dns_select``. A trial checks first that
+    some point is placed, and a cloud point unless fog points cache every
+    item (``experiment._check_fits``).
     """
-    lookup = nearest(hops, resolvers, clients) if len(resolvers) else clients
-    origin = np.full(hops.graph.n_nodes, -1, dtype=np.intp)
-    fog_only = sorted(set(fog) - set(cloud))
-    origin[fog_only] = nearest(hops, cloud, fog_only)
-    return nearest(hops, [*fog, *cloud], lookup), origin
+    n = len(cloud if fog is None else fog)
+    lookup = clients if resolvers is None else resolvers[clients] % n
+    if fog is None or cloud is None:
+        return (cloud if fog is None else fog)[lookup] % n, np.full(n, -1)
+    nodes = np.arange(n)
+    origin = np.where((fog == nodes) & (cloud != nodes), cloud % n, -1)
+    return np.minimum(fog[lookup], cloud[lookup]) % n, origin
 
 
 def group_rate(rate, interval: float):

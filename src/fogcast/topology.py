@@ -14,9 +14,9 @@ Hop counts come as rows, one per source, from a breadth-first search of 64
 sources at a time, each with a row of canonical in-arcs that paths are read
 from. ``hop_table(graph, sources)`` searches exactly the rows it is asked
 for. The pipeline reads only the rows of a trial's fog, cloud and LDNS
-points, and of those only the columns it asks about, so no n x n table is
-built. The full table of every row, ``all_pairs``, is the tests' reference
-and lives with their scalar oracles (``tests/oracles.py``).
+points (``nearest`` folds each role's into one key per node), so no n x n
+table is built. The full table of every row, ``all_pairs``, is the tests'
+reference and lives with their scalar oracles (``tests/oracles.py``).
 """
 from __future__ import annotations
 
@@ -393,17 +393,20 @@ def gather(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray):
     return owner, values[np.arange(len(owner)) + shift[owner]]
 
 
-def nearest(hops: HopTable, candidates, at) -> np.ndarray:
-    """Per node ``at[i]``: the candidate nearest to it in hops, ties to the lowest id.
-
-    Reads the ``at`` columns of the candidates' own rows, which ``hops`` must
-    hold: ``build_graph`` adds both arcs of every edge, so hop distances are
-    symmetric. Every entry is -1 when there is no candidate.
-    """
-    candidates = np.array(sorted(set(candidates)), dtype=np.intp)
+def nearest(hops: HopTable, candidates) -> np.ndarray | None:
+    """Per node v, ``min over candidates c of dist(c, v) * n_nodes + c``, as a
+    read-only int64 row; None when there is no candidate. ``key % n_nodes`` is
+    the candidate nearest to v, ties to the lowest id; the minimum of two rows
+    is that of their candidates together, and a key equals v exactly at a
+    candidate. Reads the candidates' own rows, which ``hops`` must hold:
+    ``build_graph`` adds both arcs of every edge, so distances are symmetric."""
+    candidates = np.asarray(candidates, dtype=np.intp)
     if candidates.size == 0:
-        return np.full(len(at), -1, dtype=np.intp)
-    return candidates[np.argmin(hops.dist[hops.slot[candidates][:, None], at], axis=0)]
+        return None
+    row = (hops.dist[hops.slot[candidates]] * np.int64(hops.graph.n_nodes)
+           + candidates[:, None]).min(axis=0)
+    row.setflags(write=False)
+    return row
 
 
 @lru_cache(maxsize=8)

@@ -12,7 +12,7 @@ kept independent of the array kernels in ``fogcast``:
   leaf, one in-arc at a time (``canonical_paths`` is the kernel);
 - placement: ``fresh_placement`` draws every role from a fresh pick order
   with its own weights and salts, the reference for the pick orders the
-  configs of a trial index share (``order`` of ``experiment._trial_index``);
+  configs of a trial index share (``picks`` of ``experiment._trial_index``);
 - rendezvous: scoped names, the subscription table with nearest-subscriber
   matching (``NoSubscriberError`` when nothing matches), and shortest-path
   delivery trees;
@@ -23,7 +23,8 @@ kept independent of the array kernels in ``fogcast``:
 - forwarding: ``encode_tree``, ``forward`` and ``deliver`` encode and
   deliver one tree at a time (``forwarding.false_positive_arcs`` is the
   kernel), under a Bloom scheme or the exact one, one bit per arc
-  (``ExactScheme``);
+  (``ExactScheme``); ``fpr_theoretical`` is the Bloom false-positive
+  rate the delivered trees are held to;
 - the whole trial: ``reference_trial`` runs one trial from the oracles
   above, drawn afresh, resolved one request at a time and aggregated one
   (service point, item) group at a time, Bloom delivery included
@@ -31,6 +32,7 @@ kept independent of the array kernels in ``fogcast``:
 """
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import lru_cache
@@ -478,6 +480,15 @@ def deliver(fid: ForwardingId, root: int, graph: NetworkGraph) -> set[int]:
             frontier.append(dst)
             reached.add(dst)
     return reached
+
+
+def fpr_theoretical(m: int, k: int, n_inserted: int) -> float:
+    """Expected Bloom false-positive rate after ``n_inserted`` arcs."""
+    if m < 1 or k < 1 or n_inserted < 0:
+        raise ValueError("m, k must be >= 1 and n_inserted >= 0")
+    if n_inserted == 0:
+        return 0.0
+    return (1.0 - math.exp(-k * n_inserted / m)) ** k
 
 
 # --- whole trial --------------------------------------------------------------

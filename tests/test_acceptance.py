@@ -9,8 +9,9 @@ CSVs are also compared with their goldens, so the published means and
 pooled path lengths are pinned where the paper's results are checked.
 
 Criteria 6 and 9 run the kernels trials run. Criterion 6 resolves every
-request of its trials with ``resolve_nodes``, on each trial's shared draws
-and pick orders, once at the client and once through its nearest LDNS.
+request of its trials with ``resolve_nodes``, on each trial's shared draws,
+picks and nearest-point rows, once at the client and once through its
+nearest LDNS.
 Criterion 9 delivers its Bloom trees with ``false_positive_arcs``: each
 tree and its false-positive arcs must make up exactly what the scalar
 ``forward`` over ``deliver`` carries. Its exact-scheme and false-positive
@@ -39,10 +40,11 @@ from fogcast.experiment import (
     run_sweep,
     trial_seed,
 )
-from fogcast.forwarding import BloomScheme, false_positive_arcs, fpr_theoretical, label_arc
+from fogcast.forwarding import BloomScheme, false_positive_arcs, label_arc
 from fogcast.service_router import group_rate, resolve_nodes
 from fogcast.topology import hop_table, load_topology
-from oracles import ExactScheme, all_pairs, build_tree, deliver, encode_tree, forward
+from oracles import (ExactScheme, all_pairs, build_tree, deliver, encode_tree, forward,
+                     fpr_theoretical)
 import test_golden
 from test_golden import check_golden
 
@@ -159,17 +161,19 @@ def test_criterion_6_baseline_never_beats_native_paths():
     # Trial-major, as sweeps run: each trial index draws its workload once.
     for trial_index, config in product(range(TRIALS), configs):
         inputs = (config.topology_path, config.population_path)
-        order, draws = _trial_index(trial_seed(config.base_seed, trial_index), *inputs)
-        fog, cloud, ldns = (order(config.mode, role).first(k)
-                            for role, k in (("fog", config.fog_k), ("cloud", config.cloud_k),
-                                            ("ldns", config.ldns_k)))
-        hops = hop_table(_load_context(*inputs)[0], fog + cloud + ldns)
+        picks, row, draws = _trial_index(trial_seed(config.base_seed, trial_index), *inputs)
+        roles = [(config.mode, role, k) for role, k in (("fog", config.fog_k),
+                                                        ("cloud", config.cloud_k),
+                                                        ("ldns", config.ldns_k))]
+        hops = hop_table(_load_context(*inputs)[0],
+                         [point for role in roles for point in picks(*role)[0]])
+        fog, cloud, ldns = (row(*role, hops) for role in roles)
         _, demand, *_ = draws(config.n_items, config.alpha, config.bitrates,
                               config.target_bitrate)
         clients, client_of = demand.clients, demand.client_of
         client_hops = []
-        for resolvers in ((), ldns):
-            point, _ = resolve_nodes(hops, clients, fog, cloud, resolvers)
+        for resolvers in (None, ldns):
+            point, _ = resolve_nodes(clients, fog, cloud, resolvers)
             client_hops.append(hops.dist[hops.slot[point], clients][client_of])
         native, baseline = client_hops
         checked += len(client_of)

@@ -77,31 +77,32 @@ def test_run_dns_arch(tiny_inputs, tmp_path):
     ("run", "--jobs", "0"), ("run", "--jobs", "two"), ("run", "--trials", "0"),
     ("run", "--trials", "1.5"), ("sweep", "--jobs", "0"), ("sweep", "--jobs", "-2"),
     ("run", "--bitrates", "1e6,x"),
+    pytest.param("run", "--bogus", "1", id="unknown-flag"),
+    pytest.param("", "", "", id="no-command"),
+    pytest.param("sweep", "", "", id="bare-sweep"),
 ])
-def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp_path, capsys):
-    """Bad counts and number lists exit 2 with one error line and no output:
-    argparse checks ``--jobs``, the config checks the grid keys."""
+def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp_path):
+    """Bad counts and number lists, an unknown flag, and a missing command
+    or argument exit 2 with one error line and no output (``cli_error``):
+    argparse checks the command line and ``--jobs``, the config the grid keys."""
     top, pop = tiny_inputs
     grid = tmp_path / "grid.cfg"
     grid.write_text(f"topology = {top}\npopulation = {pop}\nitems = 3\ntrials = 1\n")
     out = tmp_path / "out"
     args = {"run": ["run", "--topology", top, "--population", pop, "--items", "3"],
-            "sweep": ["sweep", "--grid", str(grid)]}[command]
-    try:
-        code = run_cmd(args + [flag, value, "--out", str(out)])
-    except SystemExit as exit_info:
-        code = exit_info.code
-    assert code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+            "sweep": ["sweep", "--grid", str(grid)], "": []}[command]
+    # The rows without a flag give the bare command, or none at all.
+    argv = args + [flag, value, "--out", str(out)] if flag else [command] if command else []
     expected = {
-        "--jobs": f"fogcast {command}: error: argument --jobs: "
-                  f"expected an integer >= 1, got {value!r}",
-        "--trials": {"0": "fogcast: error: trials 0 must be >= 1",
-                     "1.5": "fogcast: error: trials must be an integer, got 1.5"}.get(value),
-        "--bitrates": "fogcast: error: bitrates 'x' must be finite and > 0",
+        "--jobs": f"argument --jobs: expected an integer >= 1, got {value!r}",
+        "--trials": {"0": "trials 0 must be >= 1",
+                     "1.5": "trials must be an integer, got 1.5"}.get(value),
+        "--bitrates": "bitrates 'x' must be finite and > 0",
+        "--bogus": "unrecognized arguments: --bogus 1",
+        "": {"": "the following arguments are required: command",
+             "sweep": "the following arguments are required: --grid, --out"}.get(command),
     }[flag]
-    assert errors == [expected]
-    assert not out.exists()
+    assert cli_error(argv, out) == f"fogcast: error: {expected}"
 
 
 @pytest.mark.parametrize("command, setting, named", [

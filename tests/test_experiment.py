@@ -32,10 +32,10 @@ from fogcast.experiment import (
 )
 import fogcast
 import oracles
-from conftest import Bloom16, random_connected_graph, write_graphml, write_synthetic
+from conftest import Bloom16, random_connected_graph, resolve, write_graphml, write_synthetic
 from fogcast import experiment, topology
 from fogcast.forwarding import BloomScheme
-from fogcast.service_router import fog_cache_items, resolve_nodes
+from fogcast.service_router import fog_cache_items
 from fogcast.topology import NO_ROW, closeness, load_topology
 from fogcast.workload import build_catalogue
 from oracles import all_pairs, fresh_placement
@@ -154,8 +154,8 @@ def _resolution_cases():
     for index in range(3):
         seed = trial_seed(3, index)  # the criterion's base seed
         for k, ldns_k in ((2, 2), (2, 8), (4, 2), (4, 8)):
-            order, _ = experiment._trial_index(seed, *inputs)
-            fog, cloud, ldns = (list(order("pop", role).first(count))
+            picks, _, _ = experiment._trial_index(seed, *inputs)
+            fog, cloud, ldns = (list(picks("pop", role, count)[0])
                                 for role, count in (("fog", k), ("cloud", k), ("ldns", ldns_k)))
             yield hops, fog, cloud, ldns, nodes, rng.integers(1, 21, size=len(nodes))
 
@@ -173,8 +173,8 @@ def test_per_node_kernel_matches_scalar_resolvers():
                                        fog_items=fog_items)
         clients, client_of = np.unique(nodes, return_inverse=True)
         kernels = {
-            "icn": resolve_nodes(hops, clients, fog, cloud),
-            "dns": resolve_nodes(hops, clients, fog, cloud, tuple(ldns)),
+            "icn": resolve(hops, clients, fog, cloud),
+            "dns": resolve(hops, clients, fog, cloud, ldns),
         }
 
         def plans(node, item):
@@ -644,6 +644,42 @@ def test_sweep_places_once_per_trial_index(monkeypatch, fresh_index):
                                for salt in oracles.ROLE_SALTS.values())
 
 
+def test_icn_sweep_draws_no_ldns_order(monkeypatch, fresh_index):
+    """An icn config places no LDNS point, so a trial index draws the fog
+    and cloud orders of each mode and none for the LDNS: 4 per index, not 6."""
+    configs = grid_configs(dict(GRID_DNS, arch="icn", ldns="0"))
+    graph, _, populations, _ = experiment._load_context(configs[0].topology_path,
+                                                        configs[0].population_path)
+    modes = {id(populations): "pop", id(closeness(graph)): "cls"}
+    orders = count_calls(monkeypatch, "PickOrder")
+    run_sweep(configs)
+    assert len(orders) == 4 * 3
+    for index in range(3):
+        seed = trial_seed(1, index)
+        drawn = orders[4 * index:4 * (index + 1)]
+        pairs = sorted((modes.get(id(weights)), order_seed) for weights, order_seed in drawn)
+        assert pairs == sorted((mode, seed ^ oracles.ROLE_SALTS[role]) for mode in ("pop", "cls")
+                               for role in ("fog", "cloud"))
+
+
+def test_sweep_builds_each_nearest_row_once_per_trial_index(monkeypatch, fresh_index):
+    """Trial i of every config reads the ``nearest`` row of each (mode,
+    role, k) from one build per trial index: GRID_DNS's 32 configs ask for
+    2 modes x (4 fog + 4 cloud + 1 LDNS) = 18 rows per index, not 96."""
+    configs = grid_configs(GRID_DNS)
+    rows = count_calls(monkeypatch, "nearest")
+    run_sweep(configs)
+    wanted = sorted({(config.mode, role, k) for config in configs
+                     for role, k in (("fog", config.fog_k), ("cloud", config.cloud_k),
+                                     ("ldns", config.ldns_k))})
+    assert len(wanted) == 18 and len(rows) == 18 * 3
+    files = (configs[0].topology_path, configs[0].population_path)
+    for index in range(3):
+        picks, _, _ = experiment._trial_index(trial_seed(1, index), *files)
+        built = sorted(tuple(points) for _, points in rows[18 * index:18 * (index + 1)])
+        assert built == sorted(picks(*role)[0] for role in wanted)
+
+
 def test_sweep_draws_per_workload(monkeypatch, fresh_index):
     """Configs that differ in a field the draws read draw their own: the item
     count does, the items a fog point caches does not, so the (1000, 0.1)
@@ -686,10 +722,10 @@ def test_shared_placement_equals_fresh_placement(fresh_index):
     graph, _, populations, _ = experiment._load_context(*files)
     for index in range(3):
         seed = trial_seed(1, index)
-        order, _ = experiment._trial_index(seed, *files)
+        picks, _, _ = experiment._trial_index(seed, *files)
         for config in configs:
             counts = (config.fog_k, config.cloud_k, config.ldns_k)
-            shared = tuple(order(config.mode, role).first(k)
+            shared = tuple(picks(config.mode, role, k)[0]
                            for role, k in zip(("fog", "cloud", "ldns"), counts))
             assert shared == fresh_placement(graph, populations, config.mode, *counts, seed)
 

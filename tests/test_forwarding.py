@@ -8,7 +8,6 @@ from fogcast import forwarding
 from fogcast.forwarding import (
     BloomScheme,
     false_positive_arcs,
-    fpr_theoretical,
     label_arc,
     label_masks,
 )
@@ -24,6 +23,7 @@ from oracles import (
     encode_tree,
     extract_path,
     forward,
+    fpr_theoretical,
 )
 
 

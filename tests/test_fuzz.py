@@ -15,10 +15,11 @@ by arc.
 The input slice feeds ``cli.main`` bad input: ``fogcast sweep`` over seeded
 byte mutations of a grid file, a population file and a GraphML file, and
 ``fogcast run`` with random ``--flag=value`` sets drawn from a pool of bad
-values. Every case must keep the one-error-line rule of
-``conftest.cli_error``: the config and file gates alone must catch every
-bad input. The cases run in one subprocess whose address space is capped;
-none passes ``--jobs``, so none starts a worker pool.
+values, some with a ``--jobs`` value or an unknown flag. Every case must
+keep the one-error-line rule of ``conftest.cli_error``: argparse and the
+config and file gates alone must catch every bad input. The cases run in
+one subprocess whose address space is capped; no ``--jobs`` value drawn
+exceeds 1, so none starts a worker pool.
 
 A failing case names its seed; ``PYTHONPATH=src python tests/test_fuzz.py
 SEED`` runs that differential case alone, and ``PYTHONPATH=src python
@@ -166,6 +167,8 @@ BASE_GRID = "fog = 1,2\ncloud = 1\ncatchment = 0.1\nitems = 30\ntrials = 1\nseed
 # Flag values: each bad in some flag, and some good in others.
 BAD_VALUES = ["nan", "inf", "-1", "0", "1e400", "1e308", str(2**63 - 1), "1,,2", ",", "abc",
               "true"]
+# ``--jobs`` values: 1 runs in-process, the others are no integer >= 1.
+JOBS_VALUES = ["1", "0", "-1", "1.5", "two", "", " "]
 # Bytes a mutation writes: half of them from this set, which keeps records
 # parsable more often; the other half any byte.
 SYNTAX_BYTES = b"0123456789.,-e=#\n <>/\"'"
@@ -211,6 +214,10 @@ def _input_argv(seed: int, out: Path) -> list[str]:
     # Half the sets hold one flag, so a bad value meets the gates alone.
     for key in rng.choice(list(GRID_KEYS), size=min(int(rng.geometric(0.5)), 4), replace=False):
         argv.append(f"--{key.replace('_', '-')}={values[int(rng.integers(len(values)))]}")
+    if rng.random() < 0.25:
+        argv.append(f"--jobs={JOBS_VALUES[int(rng.integers(len(JOBS_VALUES)))]}")
+    if rng.random() < 0.1:
+        argv.append("--bogus=1")
     return argv + [f"--out={out / 'out'}"]
 
 

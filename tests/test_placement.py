@@ -186,8 +186,8 @@ def pipeline_picks(files, mode: str, counts, seed: int) -> tuple[tuple[int, ...]
     """Fog, cloud and LDNS points as ``run_trial`` takes them: each role's
     first k picks of its order in ``experiment._trial_index``, drawn anew."""
     experiment._trial_index.cache_clear()
-    order, _ = experiment._trial_index(seed, *files)
-    return tuple(order(mode, role).first(k) for role, k in zip(("fog", "cloud", "ldns"), counts))
+    picks, _, _ = experiment._trial_index(seed, *files)
+    return tuple(picks(mode, role, k)[0] for role, k in zip(("fog", "cloud", "ldns"), counts))
 
 
 BUNDLED = (str(bundled_topology()), str(bundled_population()))

@@ -3,8 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import count_windows
-from fogcast.service_router import fog_cache_items, group_rate, resolve_nodes
+import oracles
+from conftest import count_windows, resolve
+from fogcast.service_router import fog_cache_items, group_rate
+from fogcast.topology import build_graph
 from fogcast.workload import build_catalogue
 from oracles import (NoSubscriberError, all_pairs, build_rendezvous, item_url,
                      resolve_request)
@@ -26,7 +28,7 @@ def test_profiles_cache_model(chain4):
     # items 1..10, a cloud point every item.
     clients, client_of = np.array([0, 2, 3]), np.repeat(np.arange(3), 2)
     items = np.array([10, 11, 10, 11, 11, 100])
-    point, origin = resolve_nodes(all_pairs(chain4), clients, (1, 2), (3,))
+    point, origin = resolve(all_pairs(chain4), clients, (1, 2), (3,))
     assert point.tolist() == [1, 2, 3]
     assert origin[point].tolist() == [3, 3, -1]
     # Pulled: the requests past the cache at a point with an origin.
@@ -37,9 +39,35 @@ def test_profiles_cache_model(chain4):
 def test_colocated_node_keeps_the_cloud_profile(chain4):
     # Node 2 is fog and cloud: it serves every item, and node 1 pulls misses from it.
     clients = np.array([1, 2])
-    point, origin = resolve_nodes(all_pairs(chain4), clients, (1, 2), (2,))
+    point, origin = resolve(all_pairs(chain4), clients, (1, 2), (2,))
     assert point.tolist() == [1, 2]
     assert origin[point].tolist() == [2, -1]
+
+
+@pytest.mark.parametrize("shape", ["cycle", "star"])
+def test_equidistant_fog_and_cloud_resolve_to_the_lowest_id(shape):
+    """On a six-node cycle and a star of five leaves, every fog and cloud
+    point pair of distinct ids leaves nodes equidistant from both. Each
+    client, looked up at its node (icn) or at any one LDNS (dns), is served
+    by the point the oracles' scalar ``_nearest`` picks, the lowest id on a
+    tie; the fog point pulls from the cloud point."""
+    n = 6
+    edges = ([(v, (v + 1) % n) for v in range(n)] if shape == "cycle"
+             else [(0, leaf) for leaf in range(1, n)])
+    hops = all_pairs(build_graph([(str(v), 0.0, float(v)) for v in range(n)], edges))
+    clients = np.arange(n)
+    ties = {True: 0, False: 0}
+    for fog in range(n):
+        for cloud in set(range(n)) - {fog}:
+            for ldns in [()] + [(node,) for node in range(n)]:
+                point, origin = resolve(hops, clients, (fog,), (cloud,), ldns)
+                assert origin.tolist() == [cloud if v == fog else -1 for v in range(n)]
+                for v in range(n):
+                    lookup = oracles._nearest(v, ldns, hops) if ldns else v
+                    assert point[v] == oracles._nearest(lookup, (fog, cloud), hops)
+                    if hops.dist[lookup, fog] == hops.dist[lookup, cloud]:
+                        ties[fog < cloud] += 1
+    assert ties[True] > 0 and ties[False] > 0
 
 
 def test_item_cached_at_nearest_fog_needs_one_leg(chain4, catalogue):

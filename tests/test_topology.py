@@ -325,6 +325,9 @@ def test_gather_equals_a_loop_over_rows():
 
 
 def test_nearest_matches_brute_force_with_lowest_id_ties():
+    """Each node's key is (hops to its nearest candidate) * n + that
+    candidate, ties to the lowest id; it equals the node exactly at a
+    candidate. No candidate gives no row."""
     rng = np.random.default_rng(22)
     ties = 0
     for _ in range(30):
@@ -333,33 +336,34 @@ def test_nearest_matches_brute_force_with_lowest_id_ties():
         hops = all_pairs(graph)
         size = int(rng.integers(1, n + 1))
         candidates = [int(v) for v in rng.choice(n, size=size, replace=False)]
-        found = nearest(hops, candidates, np.arange(n))
+        row = nearest(hops, candidates)
         for v in range(n):
             best = min(int(hops.dist[v, c]) for c in candidates)
             closest = [c for c in candidates if hops.dist[v, c] == best]
             ties += len(closest) > 1
-            assert found[v] == min(closest)
+            assert row[v] == best * n + min(closest)
+            assert row[v] % n == min(closest) and (row[v] == v) == (v in candidates)
     assert ties > 0
-    assert (nearest(hops, [], np.arange(hops.graph.n_nodes)) == -1).all()
+    assert nearest(hops, []) is None
 
 
 def test_nearest_at_some_nodes_equals_the_full_map_at_them(row_graphs):
-    """``nearest(hops, candidates, at)`` reads the ``at`` columns alone and
-    equals the every-node map indexed by ``at``, duplicates in ``at`` too."""
+    """The row read from a table of the candidates' rows alone equals the
+    one read from a table of more rows, whatever the candidates' order and
+    repeats. The row is int64 and read-only."""
     rng = np.random.default_rng(28)
     for graph in row_graphs:
         n = graph.n_nodes
         for size in sorted({1, min(n, 3), min(n, 20)}):
             candidates = rng.choice(n, size=size, replace=False)
-            hops = hop_table(graph, candidates)
-            full = nearest(hops, candidates, np.arange(n))
-            for at in (rng.integers(0, n, size=2 * n), np.repeat(rng.integers(0, n, size=3), 4),
-                       np.zeros(0, dtype=np.intp)):
-                found = nearest(hops, candidates.tolist() + candidates[:1].tolist(), at)
-                assert found.dtype == np.intp and found.tolist() == full[at].tolist()
-        at = rng.integers(0, n, size=5)
-        assert nearest(hop_table(graph, []), [], at).tolist() == [-1] * 5
-        assert nearest(hop_table(graph, []), (), at[:0]).tolist() == []
+            more = np.concatenate([candidates, rng.choice(n, size=min(n, 64), replace=False)])
+            full = nearest(hop_table(graph, more), np.sort(candidates))
+            row = nearest(hop_table(graph, candidates),
+                          candidates.tolist() + candidates[:1].tolist())
+            assert row.dtype == np.int64 and not row.flags.writeable
+            assert row.tolist() == full.tolist()
+        assert nearest(hop_table(graph, []), []) is None
+        assert nearest(hop_table(graph, []), ()) is None
 
 
 def test_predecessor_tie_breaks_to_lowest_node_id():
