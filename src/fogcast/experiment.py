@@ -54,8 +54,8 @@ arcs. ``tests/oracles.py`` holds the per-group reference.
 
 Trials are embarrassingly parallel; seeds are derived independently of
 scheduling, so parallel sweeps are byte-identical to sequential ones. A
-worker reduces each trial to what ``run_sweep`` writes: the backhaul of
-every variant and the hop histogram ``hop_counts``.
+sweep walks trial indices and folds each trial as it ends into its config's
+backhaul array and pooled hop histogram ``hop_counts``.
 """
 from __future__ import annotations
 
@@ -63,9 +63,10 @@ import math
 import numbers
 import os
 import platform
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,7 @@ SUMMARY_HEADER = "arch,fog_k,cloud_k,ldns_k,mode,T,trials,mean_backhaul_bps,std_
 
 # Largest catalogue, trials per config and user budget (target_bitrate /
 # min(bitrates)) a config may ask for: every trial draws one double per user
-# and holds a few arrays of n_items, and a sweep lists every trial first.
+# and holds a few arrays of n_items, and a sweep holds each trial's backhaul.
 # Largest target bitrate (b/s) and catchment interval (s): request rates are
 # sums of at most about MAX_USERS counts, so loads and rate * T stay finite.
 MAX_ITEMS = 10**6
@@ -275,13 +276,11 @@ def _sha256(path: str) -> str:
 
 @lru_cache(maxsize=8)
 def _load_context(topology_path: str, population_path: str):
-    """The graph, the hop table of its populated nodes and per-node
-    populations of one pair of input files, and a function giving the
-    files' sha256 digests for the manifest, taken once per context when
-    first asked for."""
+    """One pair of input files' graph, hop table of populated nodes, per-node
+    populations and sha256 digests, the digests taken right after parsing."""
     graph = load_topology(topology_path)
     populations = assign_population(graph, load_population(population_path))
-    digests = lru_cache(maxsize=1)(lambda: (_sha256(topology_path), _sha256(population_path)))
+    digests = _sha256(topology_path), _sha256(population_path)
     # pop placement draws only populated nodes: their rows are held.
     return graph, hop_table(graph, np.flatnonzero(populations)), populations, digests
 
@@ -440,36 +439,39 @@ def ecdf(hop_counts) -> list[tuple[int, float]]:
     return [(int(v), float(f)) for v, f in zip(values, fractions)]
 
 
-def _trial_row(task: tuple[ScenarioConfig, int]) -> tuple[dict[float, float], np.ndarray]:
-    """One trial reduced to what ``run_sweep`` writes: the backhaul of each
-    variant keyed by its interval, unicast first, and the hop histogram."""
-    outcome = run_trial(*task)
-    return ({key: backhaul(m) for key, m in outcome.variants().items()},
-            outcome.unicast.hop_counts)
+def _index_rows(configs: list[ScenarioConfig], index: int) -> list[tuple[list, np.ndarray]]:
+    """Trial ``index`` of every config with more trials, in config order:
+    the backhaul of each variant, unicast first, and the hop histogram."""
+    return [([backhaul(m) for m in outcome.variants().values()], outcome.unicast.hop_counts)
+            for outcome in (run_trial(config, index) for config in configs
+                            if index < config.trials)]
 
 
-def _run_configs(configs: list[ScenarioConfig], jobs: int) -> list[list]:
-    """Per config, the ``_trial_row`` of each of its trials, in trial order.
-
-    Trials run trial-major, so consecutive trials share their draws. A pool
-    forks all its workers at once, so it has ``jobs`` workers but no more
-    than trial indices or CPUs; each takes one trial index of every config.
-    """
-    tasks = sorted(((at, index) for at, config in enumerate(configs)
-                    for index in range(config.trials)), key=lambda task: task[1])
-    calls = [(configs[at], index) for at, index in tasks]
-    jobs = min(jobs, max((config.trials for config in configs), default=0), os.cpu_count() or 1)
-    if jobs <= 1:
-        rows = map(_trial_row, calls)
-    else:
-        # Imported only here: it adds tens of ms to every start of the CLI.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_trial_row, calls, chunksize=len(configs)))
-    by_config: list[list] = [[] for _ in configs]
-    for (at, _), row in zip(tasks, rows):
-        by_config[at].append(row)
-    return by_config
+def _run_configs(configs: list[ScenarioConfig], jobs: int) -> list[tuple]:
+    """Per config, its variant keys (unicast first), their backhaul in each
+    trial (a row per variant) and its hop histogram pooled over trials.
+    Trials run one trial index of every config at a time, sharing draws, and
+    fold in as they end; a pool task is one index. A pool forks all its
+    workers at once: ``jobs`` of them, but no more than indices or CPUs."""
+    keys = [[UNICAST, *(t for t in config.catchment if t != UNICAST)] for config in configs]
+    backhauls = [np.empty((len(keys[at]), config.trials)) for at, config in enumerate(configs)]
+    pooled = [np.zeros(0, dtype=np.int64) for _ in configs]
+    indices = range(max((config.trials for config in configs), default=0))
+    jobs = min(jobs, len(indices), os.cpu_count() or 1)
+    with ExitStack() as stack:
+        index_map = map
+        if jobs > 1:
+            # Imported only here: it adds tens of ms to every start of the CLI.
+            from concurrent.futures import ProcessPoolExecutor
+            index_map = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        for index, rows in enumerate(index_map(partial(_index_rows, configs), indices)):
+            live = (at for at, config in enumerate(configs) if index < config.trials)
+            for at, (values, hop_counts) in zip(live, rows):
+                backhauls[at][:, index] = values
+                if len(hop_counts) > len(pooled[at]):
+                    pooled[at] = np.pad(pooled[at], (0, len(hop_counts) - len(pooled[at])))
+                pooled[at][:len(hop_counts)] += hop_counts
+    return list(zip(keys, backhauls, pooled))
 
 
 def _fmt(x: float) -> str:
@@ -511,42 +513,32 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
     ``summary.csv`` with the mean and population std per (config, interval);
     ``manifest.txt`` with the fogcast, Python and numpy versions, then per
     config its fields, the sha256 of its input files and its derived seeds.
+    A sweep holds 8 bytes per (config, variant, trial), no per-trial object
+    (``jobs`` > 1 adds ``Executor.map``'s future per trial index), and
+    writes ``backhaul.csv`` row by row from them.
     """
     from . import __version__  # here: the package imports this module first
 
     results: list[SweepResult] = []
-    backhaul_rows: list[str] = []
     pathlen_rows: list[str] = []
-    summary_rows: list[str] = []
     manifest = ["[versions]", f"fogcast = {__version__}",
                 f"python = {platform.python_version()}", f"numpy = {np.__version__}", ""]
 
     for config in configs:
         _check_fits(config)
-    for config, rows in zip(configs, _run_configs(configs, jobs)):
+    runs = _run_configs(configs, jobs)
+    for config, (keys, values, pooled) in zip(configs, runs):
         prefix = row_label(config)
-        mean: dict[float, float] = {}
-        std: dict[float, float] = {}
-        for key in rows[0][0]:  # every trial reports the same variants
-            values = [backhauls[key] for backhauls, _ in rows]
-            for index, value in enumerate(values):
-                backhaul_rows.append(f"{prefix},{_fmt(key)},{index},{_fmt(value)}")
-            mean[key], std[key] = float(np.mean(values)), float(np.std(values))
-            summary_rows.append(f"{prefix},{_fmt(key)},{len(values)},{_fmt(mean[key])},"
-                                f"{_fmt(std[key])}")
-        pooled = np.zeros(max(len(hop_counts) for _, hop_counts in rows), dtype=np.int64)
-        for _, hop_counts in rows:
-            pooled[:len(hop_counts)] += hop_counts
         if not pooled.any():
             raise ConfigError(f"config {prefix}: no trial drew a request")
-        for hopcount, fraction in ecdf(pooled):
-            pathlen_rows.append(f"{prefix},{hopcount},{_fmt(fraction)}")
-        results.append(SweepResult(config=config, trials=len(rows),
-                                   mean_backhaul=mean, std_backhaul=std))
+        pathlen_rows.extend(f"{prefix},{hops},{_fmt(fraction)}" for hops, fraction in ecdf(pooled))
+        results.append(SweepResult(config, config.trials,
+                                   {key: float(np.mean(row)) for key, row in zip(keys, values)},
+                                   {key: float(np.std(row)) for key, row in zip(keys, values)}))
         manifest.append(f"[config {len(results) - 1}]")
         for f_ in fields(config):
             manifest.append(f"{f_.name} = {getattr(config, f_.name)}")
-        digests = _load_context(config.topology_path, config.population_path)[3]()
+        digests = _load_context(config.topology_path, config.population_path)[3]
         manifest.append(f"topology_sha256 = {digests[0]}")
         manifest.append(f"population_sha256 = {digests[1]}")
         seeds = ",".join(str(trial_seed(config.base_seed, i)) for i in range(config.trials))
@@ -557,10 +549,18 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for name, header, lines in (("backhaul.csv", BACKHAUL_HEADER, backhaul_rows),
-                                    ("pathlen.csv", PATHLEN_HEADER, pathlen_rows),
-                                    ("summary.csv", SUMMARY_HEADER, summary_rows)):
-            (out / name).write_text("\n".join([header] + lines) + "\n")
+        for name, header, lines in (
+                ("backhaul.csv", BACKHAUL_HEADER,
+                 (f"{row_label(config)},{_fmt(key)},{index},{_fmt(value)}"
+                  for config, (keys, values, _) in zip(configs, runs)
+                  for key, row in zip(keys, values) for index, value in enumerate(row))),
+                ("pathlen.csv", PATHLEN_HEADER, pathlen_rows),
+                ("summary.csv", SUMMARY_HEADER,
+                 (f"{row_label(r.config)},{_fmt(key)},{r.trials},{_fmt(mean)},"
+                  f"{_fmt(r.std_backhaul[key])}" for r in results
+                  for key, mean in r.mean_backhaul.items()))):
+            with open(out / name, "w") as file:
+                file.writelines(f"{line}\n" for line in chain([header], lines))
         (out / "manifest.txt").write_text("\n".join(manifest))
     return results
 
@@ -627,6 +627,8 @@ def grid_configs(raw: dict[str, str]) -> list[ScenarioConfig]:
     axes: dict[str, list] = {}
     for key in _SWEEP_KEYS:
         value = settings.pop(key, None)
+        if value == []:  # as `fog = ,` reads: no config to build, so none to check
+            raise ConfigError(f"{_SWEEP_KEYS[key]} must hold at least one value")
         if value is not None:
             axes[key] = value if isinstance(value, list) else [value]
     configs = [ScenarioConfig(**settings, **dict(zip(axes, combo)))

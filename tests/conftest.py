@@ -167,11 +167,12 @@ def resolve(hops, clients, fog, cloud, resolvers=()):
 
 def cli_error(argv: list[str], out: Path) -> str | None:
     """Run ``fogcast`` on ``argv`` in this process and hold it to the
-    one-error-line rule: exit 0 with nothing on stderr, or exit 2 with one
-    ``fogcast: error:`` line on stderr, nothing on stdout and no ``out``.
-    Every warning is shown and counts as a stderr line. Returns the error
-    line, or None after exit 0; raises AssertionError naming the outcome
-    otherwise."""
+    one-error-line rule: exit 0 with nothing on stderr and at least one row
+    below the header of ``out/summary.csv`` (every runnable scenario writes
+    one), or exit 2 with one ``fogcast: error:`` line on stderr, nothing on
+    stdout and no ``out``. Every warning is shown and counts as a stderr
+    line. Returns the error line, or None after exit 0; raises
+    AssertionError naming the outcome otherwise."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
             warnings.catch_warnings(record=True) as shown:
@@ -185,6 +186,9 @@ def cli_error(argv: list[str], out: Path) -> str | None:
     errors = stderr.getvalue().splitlines() + [
         f"{warning.category.__name__}: {warning.message}" for warning in shown]
     if code == 0 and not errors:
+        summary = Path(out) / "summary.csv"
+        if not (summary.exists() and len(summary.read_text().splitlines()) > 1):
+            raise AssertionError(f"{argv} exited 0 but wrote no summary row")
         return None
     if not (code == 2 and len(errors) == 1 and errors[0].startswith("fogcast: error: ")
             and not stdout.getvalue() and not Path(out).exists()):

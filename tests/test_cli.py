@@ -180,6 +180,8 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
     ("run", "--bitrates=0", "bitrates 0 must be finite and > 0"),
     ("sweep", "bitrates = 20e6,inf", "bitrates inf must be finite and > 0"),
     ("run", "--bitrates=,", "bitrates must hold at least one value"),
+    ("sweep", "fog = ,", "fog must hold at least one value"),
+    ("run", "--cloud=,", "cloud must hold at least one value"),
     ("run", "--bitrates=1e-290",
      "target_bitrate 70000000000.0 / bitrates 1e-290 must be <= 1000000 users"),
     ("sweep", "target_bitrate = 1e300\nbitrates = 20e6,40e6",

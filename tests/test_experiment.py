@@ -515,6 +515,7 @@ def test_single_config_sweep(chain_setup, tmp_path):
     assert UNICAST in results[0].mean_backhaul
     for name in ("backhaul.csv", "pathlen.csv", "summary.csv", "manifest.txt"):
         assert (tmp_path / "out" / name).exists()
+    assert run_sweep([]) == run_sweep([], jobs=2) == []  # no config runs no trial
 
 
 def test_summary_row_count_is_configs_times_variants(chain_setup, tmp_path):
@@ -571,6 +572,28 @@ def test_manifest_hashes_inputs_once_per_context(chain_setup, tmp_path, monkeypa
     for at in range(3):
         run_sweep([config, dataclasses.replace(config, fog_k=2)], out_dir=tmp_path / str(at))
     assert sorted(args[0] for args in hashed) == sorted([top, pop])
+
+
+def test_manifest_hashes_the_inputs_the_trials_read(chain_setup, tmp_path, monkeypatch,
+                                                    fresh_context):
+    """A population file rewritten after the first trial leaves the
+    manifest with the digest of the file the trials read."""
+    top, pop = chain_setup
+    read = Path(pop).read_bytes()
+    run_trial = experiment.run_trial
+
+    def rewriting(*args):
+        outcome = run_trial(*args)
+        Path(pop).write_text("50.0,0.0,1\n50.0,1.0,1\n50.0,2.0,1\n50.0,3.0,1\n")
+        return outcome
+
+    monkeypatch.setattr(experiment, "run_trial", rewriting)
+    config = ScenarioConfig(fog_k=1, cloud_k=1, topology_path=top, population_path=pop,
+                            n_items=3, target_bitrate=2e9, trials=2)
+    run_sweep([config], out_dir=tmp_path / "out")
+    assert Path(pop).read_bytes() != read
+    lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert f"population_sha256 = {hashlib.sha256(read).hexdigest()}" in lines
 
 
 def test_cls_trial_leaves_numpy_ma_unloaded(tmp_path):
@@ -773,6 +796,41 @@ def test_pool_has_no_more_workers_than_trial_indices_or_cpus(monkeypatch):
         pools.clear()
         assert run_sweep(configs, jobs=10**6) == sequential
         assert pools == workers, (trials, cpus)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_mixed_trial_counts_give_each_config_its_own_rows(tmp_path, jobs):
+    """Configs of 3, 1 and 2 trials write, config by config, exactly the
+    rows each writes when swept alone."""
+    configs = [ScenarioConfig(fog_k=k, cloud_k=2, catchment=(0.1, 1.0), trials=trials)
+               for k, trials in ((2, 3), (4, 1), (6, 2))]
+    run_sweep(configs, out_dir=tmp_path / "mixed", jobs=jobs)
+    for at, config in enumerate(configs):
+        run_sweep([config], out_dir=tmp_path / str(at))
+    for name in ("summary.csv", "pathlen.csv", "backhaul.csv"):
+        alone = [line for at in range(len(configs))
+                 for line in (tmp_path / str(at) / name).read_text().splitlines()[1:]]
+        assert (tmp_path / "mixed" / name).read_text().splitlines()[1:] == alone
+    assert len(alone) == 3 * (3 + 1 + 2)  # backhaul.csv: one row per variant and trial
+
+
+def test_sweep_memory_grows_by_bytes_per_trial(tmp_path):
+    """A sweep holds each (config, trial) as its variants' backhaul, 8 bytes
+    each, and its manifest seed: 16 configs of 4 variants grew the traced
+    peak by 40-75 bytes per (config, trial) from 10 to 60 trials, where
+    lists of per-trial objects grew it by 800-890."""
+    def peak(trials: int) -> int:
+        configs = grid_configs({"fog": "2,4,6,8", "cloud": "2,4,6,8", "catchment": "0.1,1,10",
+                                "count_fallback": "false", "trials": str(trials)})
+        run_sweep(configs[:1])  # the context loads outside the trace
+        tracemalloc.start()
+        try:
+            run_sweep(configs, out_dir=tmp_path / str(trials))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(60) - peak(10)) / (16 * 50) < 200
 
 
 # --- grid files -------------------------------------------------------------
