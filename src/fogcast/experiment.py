@@ -9,10 +9,10 @@ index alone, and no sweep axis changes the draws, so trial i of every
 config of a sweep serves the same catalogue and demand (common random
 numbers). The configs of one trial index share one value
 (``_trial_index``), kept for the last trial seed; sweeps run trial-major,
-so each index builds each part once, when first asked for: per workload
-the catalogue and demand, and per (mode, role, k) the first k picks of the
-role's seeded pick order, exactly what a fresh draw of k points gives, and
-their nearest-point row (``topology.nearest``).
+so each index builds each part once, when first asked for, and keeps it in
+a plain dict: per workload the catalogue and demand, and per (mode, role,
+k) the first k picks of the role's seeded pick order, exactly what a fresh
+draw of k points gives, and their nearest-point row (``topology.nearest``).
 
 Resolution and unicast accounting run once per client node, not once per
 request: the service point depends on the node alone and the fallback
@@ -46,11 +46,15 @@ interval reproduces it, so the exact scheme stays within unicast on every
 arc. Bloom identifiers also pass false-positive arcs, each charged the
 whole group rate (conservatively): a Bloom variant carries at least the
 exact load on every arc, and can exceed unicast on those arcs. A group,
-one (service point, item), is keyed ``point * n_items + item - 1`` and a
-tree arc by (group key, arc): one sort of the members' path arcs sums
-every tree arc. Pulls number only the pulling requests; Bloom delivers
-only groups with tree arcs and reads group totals only for false-positive
-arcs. ``tests/oracles.py`` holds the per-group reference.
+one (service point, item), is keyed ``point << item_bits | item - 1`` and
+a tree arc ``group << arc_bits | arc``: one argsort of the members' path
+arcs and one ``np.add.reduceat`` of their integer counts sum every tree
+arc, exactly in any order. Pulls number only the pulling requests, and
+their arrays are built only when some point pulls; Bloom delivers only
+groups with tree arcs and reads group totals only for false-positive arcs.
+``group_rate`` takes every interval at once, a row each, and each arc sums
+its row's entries in input order. ``tests/oracles.py`` holds the per-group
+reference.
 
 Trials are embarrassingly parallel; seeds are derived independently of
 scheduling, so parallel sweeps are byte-identical to sequential ones. A
@@ -288,47 +292,47 @@ def _load_context(topology_path: str, population_path: str):
 @lru_cache(maxsize=1)
 def _trial_index(seed: int, topology_path: str, population_path: str):
     """The value the configs of one trial index share, ``(picks, row,
-    draws)``, each part built when first asked for. ``picks(mode, role, k)``
-    is the role's first k picks (no pick order drawn for k = 0) and whether
-    the held table has their rows; ``row(mode, role, k, hops)`` their
-    ``nearest`` row, read on the first call from ``hops``, which holds them;
-    ``draws(n_items, alpha, bitrates, target_bitrate)`` the catalogue, the
-    demand, users and load per client node (``demand.clients``) and a memo
-    of that load past ``fog_items``."""
+    draws)``, each part built when first asked for and kept in a plain dict.
+    ``picks(mode, role, k)`` is the role's first k picks (no pick order drawn
+    for k = 0) and whether the held table has their rows; ``row(mode, role,
+    k, hops)`` their ``nearest`` row, read on the first call from ``hops``,
+    which holds them; ``draws(n_items, alpha, bitrates, target_bitrate)`` the
+    catalogue, the demand, users and load per client node (``demand.clients``)
+    and a memo of that load past ``fog_items``."""
     graph, held, populations, _ = _load_context(topology_path, population_path)
+    orders, chosen, rows, drawn = {}, {}, {}, {}
 
-    @lru_cache(maxsize=None)
-    def order(mode: str, role: str) -> PickOrder:
-        return PickOrder(populations if mode == "pop" else closeness(graph),
-                         seed ^ ROLE_SALTS[role])
-
-    @lru_cache(maxsize=None)
     def picks(mode: str, role: str, k: int) -> tuple[tuple[int, ...], bool]:
-        points = order(mode, role).first(k) if k else ()
-        return points, (held.slot[list(points)] != NO_ROW).all()
-
-    rows = {}
+        if (mode, role, k) not in chosen:
+            if k and (mode, role) not in orders:
+                orders[mode, role] = PickOrder(populations if mode == "pop" else closeness(graph),
+                                               seed ^ ROLE_SALTS[role])
+            points = orders[mode, role].first(k) if k else ()
+            chosen[mode, role, k] = points, (held.slot[list(points)] != NO_ROW).all()
+        return chosen[mode, role, k]
 
     def row(mode: str, role: str, k: int, hops) -> np.ndarray | None:
         if (mode, role, k) not in rows:
             rows[mode, role, k] = nearest(hops, picks(mode, role, k)[0])
         return rows[mode, role, k]
 
-    @lru_cache(maxsize=None)
     def draws(n_items: int, alpha: float, bitrates: tuple[float, ...], target_bitrate: float):
-        catalogue = build_catalogue(n_items, alpha, bitrates, seed ^ _SALT_CATALOGUE)
-        demand = draw_demand(populations, catalogue, target_bitrate, seed ^ _SALT_DEMAND)
-        client_of, counts, items = demand.client_of, demand.counts, demand.items
-        load = counts * catalogue.bitrates[items - 1] * CHUNK_DURATION
+        workload = n_items, alpha, bitrates, target_bitrate
+        if workload not in drawn:
+            catalogue = build_catalogue(n_items, alpha, bitrates, seed ^ _SALT_CATALOGUE)
+            demand = draw_demand(populations, catalogue, target_bitrate, seed ^ _SALT_DEMAND)
+            client_of, counts, items = demand.client_of, demand.counts, demand.items
+            load = counts * catalogue.bitrates[items - 1] * CHUNK_DURATION
 
-        def per_client(weights: np.ndarray) -> np.ndarray:
-            sums = np.bincount(client_of, weights=weights, minlength=len(demand.clients))
-            sums.setflags(write=False)
-            return sums
+            def per_client(weights: np.ndarray) -> np.ndarray:
+                sums = np.bincount(client_of, weights=weights, minlength=len(demand.clients))
+                sums.setflags(write=False)
+                return sums
 
-        past_load = lru_cache(maxsize=None)(
-            lambda fog_items: per_client(np.where(items > fog_items, load, 0.0)))
-        return catalogue, demand, per_client(counts), per_client(load), past_load
+            past_load = lru_cache(maxsize=None)(
+                lambda fog_items: per_client(np.where(items > fog_items, load, 0.0)))
+            drawn[workload] = catalogue, demand, per_client(counts), per_client(load), past_load
+        return drawn[workload]
 
     return picks, row, draws
 
@@ -336,6 +340,17 @@ def _trial_index(seed: int, topology_path: str, population_path: str):
 def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
     """Weights summed per arc, in input order; float even when empty."""
     return np.bincount(arcs, weights=weights, minlength=n_arcs).astype(np.float64, copy=False)
+
+
+def _key_sums(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the integer ``counts`` summed per
+    key: one sort, exact in any order within a key."""
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    start = first.nonzero()[0]
+    return keys[start], np.add.reduceat(counts[order], start)
 
 
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
@@ -361,15 +376,17 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     # Flows: one per client node (service point -> client) with its load,
     # then with count_fallback one per pulling point (origin -> point) with
     # its clients' summed load past the fog cache, each kind in node order.
-    n_nodes = graph.n_nodes
-    pull_load = (np.bincount(point, weights=past_load(fog_items), minlength=n_nodes)
-                 * (origin >= 0) if config.count_fallback else np.zeros(n_nodes))
-    pulling = np.flatnonzero(pull_load)
-    indptr, path = canonical_paths(hops, np.concatenate([point, origin[pulling]]),
-                                   np.concatenate([clients, pulling]))
-    flow_load = np.concatenate([load, pull_load[pulling]])
-    lengths = np.diff(indptr)
-    unicast_load = _per_arc(path, np.repeat(flow_load, lengths), graph.n_arcs)
+    n_nodes, n_arcs = graph.n_nodes, graph.n_arcs
+    roots, leaves, flow_load, pulling = point, clients, load, ()
+    if config.count_fallback:
+        pull_load = (np.bincount(point, weights=past_load(fog_items), minlength=n_nodes)
+                     * (origin >= 0))
+        pulling = pull_load.nonzero()[0]
+        roots, leaves, flow_load = (np.concatenate(pair) for pair in (
+            (point, origin[pulling]), (clients, pulling), (load, pull_load[pulling])))
+    indptr, path = canonical_paths(hops, roots, leaves)
+    lengths = indptr[1:] - indptr[:-1]
+    unicast_load = _per_arc(path, flow_load.repeat(lengths), n_arcs)
 
     hop_counts = np.bincount(lengths[:len(clients)], weights=users)
     outcome = TrialOutcome(unicast=TrialMetrics(unicast_load, hop_counts.astype(np.int64)))
@@ -377,48 +394,46 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     if not intervals:
         return outcome
 
-    # Catchment reads requests: each one's service point, and whether it is
-    # a counted miss, pulled by its point's pull flow.
+    # Requests pool per (service point, item) group; the shifted keys sort as
+    # (point, item) and (group, arc) do. Each arc of a group's tree carries
+    # the members crossing it; one sort orders the tree arcs by group, then arc.
+    item_bits, arc_bits = (catalogue.n - 1).bit_length(), (n_arcs - 1).bit_length()
     point = point[client_of]
-    pull_flow = np.full(n_nodes, -1)
-    pull_flow[pulling] = len(clients) + np.arange(len(pulling))
-    pull = (pull_flow[point] >= 0) & (items > fog_items)
-
-    # Requests pool per (service point, item) group, keyed point * n_items
-    # + item - 1. Each arc of a group's tree carries the members crossing
-    # it; one sort of (group key, arc) orders the tree arcs by group, then arc.
-    n_items, n_arcs = catalogue.n, graph.n_arcs
-    group_key = point * n_items + (items - 1)
+    group_key = point << item_bits | (items - 1)
     owner, arc = gather(indptr, path, client_of)
-    tree_keys, tree_of = np.unique(group_key[owner] * n_arcs + arc, return_inverse=True)
-    tree_group, tree_arc = np.divmod(tree_keys, n_arcs)
-    entries = [(tree_group, tree_arc, np.bincount(tree_of, weights=counts[owner]))]
+    tree_keys, tree_rate = _key_sums(group_key[owner] << arc_bits | arc, counts[owner])
+    tree_group, tree_arc = tree_keys >> arc_bits, tree_keys & ((1 << arc_bits) - 1)
+    entries = [(tree_group, tree_arc, tree_rate)]
 
     if config.scheme == "bloom":
-        fp_group, fp_arc = false_positive_arcs(graph, BloomScheme(), tree_group // n_items,
+        fp_group, fp_arc = false_positive_arcs(graph, BloomScheme(), tree_group >> item_bits,
                                                tree_group, tree_arc)
         if fp_group.size:
             # False-positive arcs carry the whole group rate, conservatively.
-            keys, group = np.unique(group_key, return_inverse=True)
-            group_total = np.bincount(group, weights=counts)
-            entries.append((fp_group, fp_arc, group_total[np.searchsorted(keys, fp_group)]))
+            keys, group_total = _key_sums(group_key, counts)
+            entries.append((fp_group, fp_arc, group_total[keys.searchsorted(fp_group)]))
 
-    if pull.any():
+    if len(pulling):
         # Fallback pulls: one per group whose point lacks the item, with the
-        # group total; a miss depends on (point, item), so whole groups pull.
-        pulled, pull_of = np.unique(group_key[pull], return_inverse=True)
-        pull_total = np.bincount(pull_of, weights=counts[pull])
-        owner, arc = gather(indptr, path, pull_flow[pulled // n_items])
+        # group total; a miss, a counted request its point's pull flow
+        # carries, depends on (point, item), so whole groups pull.
+        pull_flow = np.full(n_nodes, -1)
+        pull_flow[pulling] = len(clients) + np.arange(len(pulling))
+        pull = (pull_flow[point] >= 0) & (items > fog_items)
+        pulled, pull_total = _key_sums(group_key[pull], counts[pull])
+        owner, arc = gather(indptr, path, pull_flow[pulled >> item_bits])
         entries.append((pulled[owner], arc, pull_total[owner]))
 
-    entry_group, entry_arc, entry_rate = (np.concatenate(column) for column in zip(*entries))
-    entry_bitrate = catalogue.bitrates[entry_group % n_items]
-    for interval in intervals:
-        weights = group_rate(entry_rate, interval) * entry_bitrate * CHUNK_DURATION
-        outcome.by_catchment[interval] = TrialMetrics(
-            arc_load=_per_arc(entry_arc, weights, graph.n_arcs),
-            hop_counts=outcome.unicast.hop_counts,
-        )
+    entry_group, entry_arc, entry_rate = entries[0] if len(entries) == 1 else (
+        np.concatenate(column) for column in zip(*entries))
+    # Every interval's weights at once, a row each; each arc sums its row in
+    # input order.
+    weights = group_rate(entry_rate, np.array(intervals)[:, None])
+    weights *= catalogue.bitrates[entry_group & ((1 << item_bits) - 1)]
+    weights *= CHUNK_DURATION
+    for interval, interval_weights in zip(intervals, weights):
+        outcome.by_catchment[interval] = TrialMetrics(_per_arc(entry_arc, interval_weights, n_arcs),
+                                                      outcome.unicast.hop_counts)
     return outcome
 
 
@@ -468,8 +483,8 @@ def _run_configs(configs: list[ScenarioConfig], jobs: int) -> list[tuple]:
             live = (at for at, config in enumerate(configs) if index < config.trials)
             for at, (values, hop_counts) in zip(live, rows):
                 backhauls[at][:, index] = values
-                if len(hop_counts) > len(pooled[at]):
-                    pooled[at] = np.pad(pooled[at], (0, len(hop_counts) - len(pooled[at])))
+                if len(hop_counts) > len(pooled[at]):  # the longer one takes the sum
+                    pooled[at], hop_counts = hop_counts.astype(np.int64), pooled[at]
                 pooled[at][:len(hop_counts)] += hop_counts
     return list(zip(keys, backhauls, pooled))
 
@@ -580,8 +595,13 @@ def _parse_value(raw: str):
         return raw
 
 
-def _parse_list(raw: str) -> list:
-    return [_parse_value(part) for part in raw.split(",") if part.strip()]
+def _parse_list(key: str, raw: str) -> list:
+    """The values of a comma list; one with an empty item is rejected."""
+    parts = [part.strip() for part in raw.split(",")]
+    if not all(parts):
+        raise ConfigError(f"{key} must hold at least one value" if not any(parts)
+                          else f"{key} {raw.strip()!r} holds an empty item")
+    return [_parse_value(part) for part in parts]
 
 
 GRID_KEYS = {
@@ -620,15 +640,11 @@ def grid_configs(raw: dict[str, str]) -> list[ScenarioConfig]:
     settings: dict = {}
     for key, value in raw.items():
         parsed = (value.strip() if key in ("topology", "population") else
-                  _parse_list(value) if "," in value else _parse_value(value))
-        if isinstance(parsed, list) and len(parsed) == 1:
-            parsed = parsed[0]
+                  _parse_list(key, value) if "," in value else _parse_value(value))
         settings[GRID_KEYS[key]] = parsed
     axes: dict[str, list] = {}
     for key in _SWEEP_KEYS:
         value = settings.pop(key, None)
-        if value == []:  # as `fog = ,` reads: no config to build, so none to check
-            raise ConfigError(f"{_SWEEP_KEYS[key]} must hold at least one value")
         if value is not None:
             axes[key] = value if isinstance(value, list) else [value]
     configs = [ScenarioConfig(**settings, **dict(zip(axes, combo)))

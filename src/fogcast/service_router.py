@@ -59,9 +59,13 @@ def group_rate(rate, interval: float):
     A window opens on an arrival and absorbs everything for ``interval``
     seconds, so inter-group gaps average ``interval + 1/rate``: the group
     rate is ``rate / (1 + rate * interval)``, which is exactly 0 where
-    ``rate`` is 0. ``rate`` may be an array of sums of request counts, and
-    ``interval`` is finite and >= 0, as ``ScenarioConfig`` admits.
+    ``rate`` is 0. ``rate`` may be an array of sums of request counts and
+    ``interval`` a column of intervals, finite and >= 0 as
+    ``ScenarioConfig`` admits, which gives a row per interval.
     """
     rate = np.asarray(rate, dtype=np.float64)
-    groups = rate / (1.0 + rate * interval)
+    # rate / (1 + rate * interval), built in place in one array
+    groups = np.asarray(rate * interval)
+    groups += 1.0
+    np.divide(rate, groups, out=groups)
     return groups if groups.ndim else float(groups)

@@ -360,23 +360,26 @@ def canonical_paths(hops: HopTable, roots, leaves) -> tuple[np.ndarray, np.ndarr
     from ``roots[f]`` to ``leaves[f]``, in order. Every flow walks the
     ``in_arc`` row of its root up from its leaf, one level per step for all
     flows together: the arc into a node, then the arc into that arc's
-    source. ``hops`` must hold the roots' rows.
+    source. Flows are taken longest first, so the flows a level still walks
+    are a prefix and every level reads only their arcs. ``hops`` must hold
+    the roots' rows.
     """
-    roots = np.asarray(roots, dtype=np.intp)
-    leaves = np.asarray(leaves, dtype=np.intp)
     rows = hops.slot[roots]
-    indptr = np.zeros(len(leaves) + 1, dtype=np.intp)
-    np.cumsum(hops.dist[rows, leaves], out=indptr[1:])
+    lengths = hops.dist[rows, leaves]
+    indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
+    lengths.cumsum(out=indptr[1:])
     arcs = np.empty(indptr[-1], dtype=np.intp)
-    flow = np.flatnonzero(indptr[1:] > indptr[:-1])
-    node = leaves[flow]
-    slot = indptr[flow + 1]
-    while flow.size:
-        slot = slot - 1
-        arcs[slot] = arc = hops.in_arc[rows[flow], node]
-        node = hops.graph.src[arc]
-        more = node != roots[flow]
-        flow, node, slot = flow[more], node[more], slot[more]
+    order = lengths.argsort(kind="stable")[::-1]
+    # Level L walks the flows longer than L.
+    walking = np.bincount(lengths)[:0:-1].cumsum()[::-1].tolist()
+    node, slot = np.asarray(leaves, dtype=np.intp)[order], indptr[1:][order]
+    # Flat offsets of each flow's root row into the ``in_arc`` table.
+    base = rows[order] * hops.graph.n_nodes
+    in_arc, src = hops.in_arc.reshape(-1), hops.graph.src
+    for count in walking:
+        slot = slot[:count] - 1
+        arcs[slot] = arc = in_arc[base[:count] + node[:count]]
+        node = src[arc]
     return indptr, arcs
 
 
@@ -388,8 +391,8 @@ def gather(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray):
     """
     start = indptr[rows]
     lengths = indptr[rows + 1] - start
-    owner = np.repeat(np.arange(len(rows)), lengths)
-    shift = start - (np.cumsum(lengths) - lengths)
+    owner = np.arange(len(rows)).repeat(lengths)
+    shift = start - (lengths.cumsum() - lengths)
     return owner, values[np.arange(len(owner)) + shift[owner]]
 
 

@@ -273,8 +273,9 @@ def draw_demand(populations: np.ndarray, catalogue: ServiceCatalogue,
                              return_counts=True)
     nodes, index = np.divmod(keys, catalogue.n)
     items = index + 1
-    new_client = np.diff(nodes, prepend=-1) != 0
-    clients, client_of = nodes[new_client], np.cumsum(new_client) - 1
+    new_client = np.ones(len(nodes), dtype=bool)
+    np.not_equal(nodes[1:], nodes[:-1], out=new_client[1:])
+    clients, client_of = nodes[new_client], new_client.cumsum() - 1
     for array in (items, counts, clients, client_of):
         array.setflags(write=False)
     return DemandMatrix(items, counts, clients, client_of)

@@ -182,6 +182,11 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
     ("run", "--bitrates=,", "bitrates must hold at least one value"),
     ("sweep", "fog = ,", "fog must hold at least one value"),
     ("run", "--cloud=,", "cloud must hold at least one value"),
+    ("run", "--fog=2,,4", "fog '2,,4' holds an empty item"),
+    ("sweep", "fog = 2,", "fog '2,' holds an empty item"),
+    ("run", "--catchment=,", "catchment must hold at least one value"),
+    ("sweep", "catchment = 0.1, ,10", "catchment '0.1, ,10' holds an empty item"),
+    ("run", "--bitrates=20e6,,40e6", "bitrates '20e6,,40e6' holds an empty item"),
     ("run", "--bitrates=1e-290",
      "target_bitrate 70000000000.0 / bitrates 1e-290 must be <= 1000000 users"),
     ("sweep", "target_bitrate = 1e300\nbitrates = 20e6,40e6",

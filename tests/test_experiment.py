@@ -360,6 +360,36 @@ def test_run_trial_equals_reference_trial_under_16_bit_bloom(backbone, tmp_path,
     assert seen["fp_arcs"] > 0
 
 
+@pytest.mark.parametrize("scheme", ["exact", "bloom"])
+@pytest.mark.parametrize("backbone", ["bundled", "synthetic_300"])
+def test_each_interval_alone_equals_it_among_three(backbone, scheme, tmp_path, monkeypatch):
+    """Relation (e): a catchment interval's variant is the same trial,
+    byte for byte, alone as among three intervals, and so is unicast. The
+    configs count fallback, so pulls ride along, and Bloom runs the 16-bit
+    scheme, so false-positive arcs do; no oracle is needed."""
+    monkeypatch.setattr(experiment, "BloomScheme", Bloom16)
+    fp_arcs = []
+    false_positive_arcs = experiment.false_positive_arcs
+    monkeypatch.setattr(experiment, "false_positive_arcs",
+                        lambda *args: fp_arcs.append(false_positive_arcs(*args)) or fp_arcs[-1])
+    top, pop = backbone_files(backbone, None, tmp_path)
+    intervals = (0.1, 1.0, 10.0)
+    pulled = 0
+    for fog_k, cloud_k in ((2, 2), (4, 2), (8, 4)):
+        config = ScenarioConfig(topology_path=top, population_path=pop, fog_k=fog_k,
+                                cloud_k=cloud_k, catchment=intervals, scheme=scheme, trials=2)
+        for index in range(config.trials):
+            together = metric_bytes(run_trial(config, index))
+            for at, interval in enumerate(intervals):
+                alone = run_trial(dataclasses.replace(config, catchment=(interval,)), index)
+                assert metric_bytes(alone) == [together[0], together[1 + at]], interval
+            unpulled = run_trial(dataclasses.replace(config, count_fallback=False), index)
+            pulled += unpulled.unicast.arc_load.tobytes() != together[0][1]
+    assert pulled > 0
+    assert (scheme == "exact") == (not fp_arcs)
+    assert scheme == "exact" or any(len(group) for group, _ in fp_arcs)
+
+
 def test_zero_interval_row_is_unicast_under_bloom(monkeypatch, tmp_path):
     """Listing T = 0 adds no variant: a Bloom grid's ``T = 0.0`` rows are
     unicast, with or without 0 in ``catchment``, even when a 16-bit filter
@@ -868,7 +898,7 @@ def test_load_grid_roundtrip(tmp_path):
         "trials = 5\n"
         "seed = 7\n"
         "bitrates = 20e6,40e6\n"
-        "items = 3,\n"  # a one-value list reads as its value
+        "items = 3\n"
     )
     configs = load_grid(grid)
     assert len(configs) == 8

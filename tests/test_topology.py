@@ -292,19 +292,57 @@ def test_extract_path_reconstructs_walk_for_all_pairs(geant, geant_hops):
             assert at == dst
 
 
+def lollipop(clique: int, tail: int):
+    """A clique of ``clique`` nodes with a path of ``tail`` more hanging off
+    its last node: paths from 0 to 2 hops in the clique, to ``tail + 1`` down it."""
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges += [(v - 1, v) for v in range(clique, clique + tail)]
+    return build_graph([(f"n{v}", 0.0, 0.0) for v in range(clique + tail)], edges)
+
+
+def check_paths(hops, roots: list[int], leaves: list[int]) -> None:
+    """Each flow's arcs equal ``extract_path`` on the full table, and
+    ``indptr`` steps by each flow's hop count."""
+    full = all_pairs(hops.graph)
+    indptr, arcs = canonical_paths(hops, np.array(roots, dtype=np.intp),
+                                   np.array(leaves, dtype=np.intp))
+    assert len(indptr) == len(roots) + 1 and indptr[0] == 0 and indptr[-1] == len(arcs)
+    assert np.diff(indptr).tolist() == [int(full.dist[r, v]) for r, v in zip(roots, leaves)]
+    for flow, (root, leaf) in enumerate(zip(roots, leaves)):
+        assert arcs[indptr[flow]:indptr[flow + 1]].tolist() == extract_path(full, root, leaf)
+
+
 def test_canonical_paths_equal_extract_path_for_all_pairs(geant, geant_hops):
+    """Every (root, leaf) pair at once, on GEANT, random graphs, a lollipop
+    (paths of 0 to 31 hops in one call) and a lone node."""
     rng = np.random.default_rng(21)
     cases = [(geant, geant_hops)]
     for _ in range(20):
         n = int(rng.integers(1, 25))
         graph = random_connected_graph(rng, n, int(rng.integers(0, n + 1)))
         cases.append((graph, all_pairs(graph)))
+    for graph in (lollipop(6, 30), build_graph([("only", 0.0, 0.0)], [])):
+        cases.append((graph, all_pairs(graph)))
     for graph, hops in cases:
         n = graph.n_nodes
         roots, leaves = np.divmod(np.arange(n * n), n)
-        indptr, arcs = canonical_paths(hops, roots, leaves)
-        for flow, (root, leaf) in enumerate(zip(roots.tolist(), leaves.tolist())):
-            assert arcs[indptr[flow]:indptr[flow + 1]].tolist() == extract_path(hops, root, leaf)
+        check_paths(hops, roots.tolist(), leaves.tolist())
+
+
+def test_canonical_paths_of_very_different_lengths():
+    """Many short flows inside a lollipop's clique plus the one longest
+    flow, 31 hops down its tail, in shuffled order; the longest both ways,
+    repeated; and no flow at all. Read from the full table and from one
+    holding only the roots' rows."""
+    graph = lollipop(6, 30)
+    last = graph.n_nodes - 1
+    short = np.random.default_rng(29).integers(0, 6, size=(2, 500)).tolist()
+    cases = [(short[0] + [last] + short[1], short[1] + [0] + short[0]),
+             ([last, 0, last], [0, last, 0]), ([], [])]
+    for roots, leaves in cases:
+        for hops in (all_pairs(graph), hop_table(graph, sorted(set(roots)))):
+            check_paths(hops, roots, leaves)
+    assert int(all_pairs(graph).dist[last, 0]) == 31
 
 
 def test_gather_equals_a_loop_over_rows():
