@@ -36,8 +36,13 @@ Every root is a placed point, so a trial reads only the hop rows of its
 fog, cloud and LDNS points: whole for the nearest-point rows, at its
 clients and points for the paths and hop histogram; no n x n table is
 built. The context holds the rows of populated nodes, the only ones
-``pop`` placement draws, searched once per topology; a trial that places a
-point elsewhere searches a table of its own points (``hop_table``).
+``pop`` placement draws, searched once per topology, and their path memo
+(``topology.PathMemo``): a trial whose placed points are all held reads
+its paths there, as its clients (populated) and pulling points (placed)
+are held too, and each pair is walked once per context and process.
+The memo's index is n_pop / n of the held table (294 KB at 2,000 nodes);
+its arcs grow with the pairs used. A trial that places a point elsewhere
+searches a table of its own points (``hop_table``) and walks its paths.
 
 Catchment aggregation is applied analytically: each arc a group's packets
 take carries the group rate, which shrinks monotonically with the interval.
@@ -79,9 +84,9 @@ from . import data
 from .errors import FogcastError, read_text
 from .forwarding import BloomScheme, false_positive_arcs
 from .placement import ROLE_SALTS, PickOrder
-from .service_router import fog_cache_items, group_rate, resolve_nodes
-from .topology import (NO_ROW, canonical_paths, closeness, gather, hop_table, load_topology,
-                       nearest)
+from .service_router import fog_cache_items, group_rate, pull_origins, resolve_nodes
+from .topology import (NO_ROW, PathMemo, canonical_paths, closeness, gather, hop_table,
+                       load_topology, nearest)
 from .workload import (
     CHUNK_DURATION,
     build_catalogue,
@@ -280,13 +285,14 @@ def _sha256(path: str) -> str:
 
 @lru_cache(maxsize=8)
 def _load_context(topology_path: str, population_path: str):
-    """One pair of input files' graph, hop table of populated nodes, per-node
-    populations and sha256 digests, the digests taken right after parsing."""
+    """One pair of input files' graph, path memo of the populated nodes' hop
+    table (``memo.hops``), per-node populations and sha256 digests, the
+    digests taken right after parsing."""
     graph = load_topology(topology_path)
     populations = assign_population(graph, load_population(population_path))
     digests = _sha256(topology_path), _sha256(population_path)
     # pop placement draws only populated nodes: their rows are held.
-    return graph, hop_table(graph, np.flatnonzero(populations)), populations, digests
+    return graph, PathMemo(hop_table(graph, np.flatnonzero(populations))), populations, digests
 
 
 @lru_cache(maxsize=1)
@@ -299,7 +305,7 @@ def _trial_index(seed: int, topology_path: str, population_path: str):
     which holds them; ``draws(n_items, alpha, bitrates, target_bitrate)`` the
     catalogue, the demand, users and load per client node (``demand.clients``)
     and a memo of that load past ``fog_items``."""
-    graph, held, populations, _ = _load_context(topology_path, population_path)
+    graph, memo, populations, _ = _load_context(topology_path, population_path)
     orders, chosen, rows, drawn = {}, {}, {}, {}
 
     def picks(mode: str, role: str, k: int) -> tuple[tuple[int, ...], bool]:
@@ -308,7 +314,7 @@ def _trial_index(seed: int, topology_path: str, population_path: str):
                 orders[mode, role] = PickOrder(populations if mode == "pop" else closeness(graph),
                                                seed ^ ROLE_SALTS[role])
             points = orders[mode, role].first(k) if k else ()
-            chosen[mode, role, k] = points, (held.slot[list(points)] != NO_ROW).all()
+            chosen[mode, role, k] = points, (memo.hops.slot[list(points)] != NO_ROW).all()
         return chosen[mode, role, k]
 
     def row(mode: str, role: str, k: int, hops) -> np.ndarray | None:
@@ -357,21 +363,25 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     """Execute one seeded trial; deterministic for fixed (config, index).
     A config its topology cannot run raises ``_check_fits``'s ``ConfigError``."""
     _check_fits(config)
-    graph, held, _, _ = _load_context(config.topology_path, config.population_path)
+    graph, memo, _, _ = _load_context(config.topology_path, config.population_path)
     picks, row, draws = _trial_index(trial_seed(config.base_seed, trial_index),
                                      config.topology_path, config.population_path)
     roles = [(config.mode, "fog", config.fog_k), (config.mode, "cloud", config.cloud_k),
              (config.mode, "ldns", config.ldns_k)]
     placed = [picks(*role) for role in roles]
-    hops = held if all(in_held for _, in_held in placed) else hop_table(
+    # Held points read the context's memo; others search and walk per trial.
+    held = all(in_held for _, in_held in placed)
+    hops = memo.hops if held else hop_table(
         graph, np.array([point for points, _ in placed for point in points], dtype=np.intp))
+    paths = memo.paths if held else partial(canonical_paths, hops)
     fog_items = fog_cache_items(config.fog_cache_fraction, config.n_items)
     catalogue, demand, users, load, past_load = draws(config.n_items, config.alpha,
                                                       config.bitrates, config.target_bitrate)
 
     items, counts, clients, client_of = (demand.items, demand.counts, demand.clients,
                                          demand.client_of)
-    point, origin = resolve_nodes(clients, *(row(*role, hops) for role in roles))
+    fog, cloud, resolvers = (row(*role, hops) for role in roles)
+    point = resolve_nodes(clients, fog, cloud, resolvers)
 
     # Flows: one per client node (service point -> client) with its load,
     # then with count_fallback one per pulling point (origin -> point) with
@@ -379,12 +389,13 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     n_nodes, n_arcs = graph.n_nodes, graph.n_arcs
     roots, leaves, flow_load, pulling = point, clients, load, ()
     if config.count_fallback:
+        origin = pull_origins(fog, cloud)
         pull_load = (np.bincount(point, weights=past_load(fog_items), minlength=n_nodes)
                      * (origin >= 0))
         pulling = pull_load.nonzero()[0]
         roots, leaves, flow_load = (np.concatenate(pair) for pair in (
             (point, origin[pulling]), (clients, pulling), (load, pull_load[pulling])))
-    indptr, path = canonical_paths(hops, roots, leaves)
+    indptr, path = paths(roots, leaves)
     lengths = indptr[1:] - indptr[:-1]
     unicast_load = _per_arc(path, flow_load.repeat(lengths), n_arcs)
 

@@ -13,7 +13,8 @@ analytic rate of such groups.
 request is looked up at its client node (rendezvous matching) or at the
 client's nearest resolver (resolver redirection), so its service point
 depends on its client node alone, and its fallback origin on that point
-alone. It reads each role's nearest-point row, built once per trial index.
+alone (``pull_origins``, built only where pulls are counted). Both read
+each role's nearest-point row, built once per trial index.
 Its scalar oracles, ``resolve_request`` through a rendezvous table and
 ``resolve_request_dns`` through a resolver, are in ``tests/oracles.py``.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fog_cache_items", "resolve_nodes", "group_rate"]
+__all__ = ["fog_cache_items", "resolve_nodes", "pull_origins", "group_rate"]
 
 
 def fog_cache_items(fog_cache_fraction: float, n_items: int) -> int:
@@ -29,28 +30,35 @@ def fog_cache_items(fog_cache_fraction: float, n_items: int) -> int:
     return max(1, int(fog_cache_fraction * n_items))
 
 
-def resolve_nodes(clients: np.ndarray, fog, cloud, resolvers=None) -> tuple[np.ndarray, np.ndarray]:
-    """Each client node's service point, and each node's pull origin.
+def resolve_nodes(clients: np.ndarray, fog, cloud, resolvers=None) -> np.ndarray:
+    """Each client node's service point.
 
     ``fog``, ``cloud`` and ``resolvers`` are ``topology.nearest`` rows of
     each role's points, None for a role that places none. A client is looked
     up at its own node, or at its nearest resolver, and served by the point
-    nearest the lookup node: the smaller of the fog and cloud keys. A point
-    that is no cloud point (a fog point) holds items ``1..fog_items`` and
-    pulls the others from its origin, the cloud point nearest to it; a cloud
-    point holds every item, also when placed as fog, and its origin is -1,
-    as is an unplaced node's. Ties go to the lowest id, as in the oracles'
-    ``RendezvousTable.match`` and ``dns_select``. A trial checks first that
-    some point is placed, and a cloud point unless fog points cache every
-    item (``experiment._check_fits``).
+    nearest the lookup node: the smaller of the fog and cloud keys. Ties go
+    to the lowest id, as in the oracles' ``RendezvousTable.match`` and
+    ``dns_select``. A trial checks first that some point is placed, and a
+    cloud point unless fog points cache every item
+    (``experiment._check_fits``).
     """
     n = len(cloud if fog is None else fog)
     lookup = clients if resolvers is None else resolvers[clients] % n
     if fog is None or cloud is None:
-        return (cloud if fog is None else fog)[lookup] % n, np.full(n, -1)
-    nodes = np.arange(n)
-    origin = np.where((fog == nodes) & (cloud != nodes), cloud % n, -1)
-    return np.minimum(fog[lookup], cloud[lookup]) % n, origin
+        return (cloud if fog is None else fog)[lookup] % n
+    return np.minimum(fog[lookup], cloud[lookup]) % n
+
+
+def pull_origins(fog, cloud) -> np.ndarray:
+    """Each node's pull origin, from ``resolve_nodes``' rows: a point that is
+    no cloud point (a fog point) holds items ``1..fog_items`` and pulls the
+    others from the cloud point nearest to it, ties to the lowest id; a
+    cloud point holds every item, also when placed as fog, and its origin is
+    -1, as is an unplaced node's."""
+    if fog is None or cloud is None:
+        return np.full(len(cloud if fog is None else fog), -1)
+    nodes = np.arange(len(fog))
+    return np.where((fog == nodes) & (cloud != nodes), cloud % len(fog), -1)
 
 
 def group_rate(rate, interval: float):

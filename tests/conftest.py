@@ -16,7 +16,7 @@ import pytest
 from fogcast import cli
 from fogcast.data import bundled_population, bundled_topology
 from fogcast.forwarding import BloomScheme
-from fogcast.service_router import resolve_nodes
+from fogcast.service_router import pull_origins, resolve_nodes
 from fogcast.topology import NetworkGraph, build_graph, load_topology, nearest
 from fogcast.workload import assign_population, load_population
 from oracles import adjacency, all_pairs
@@ -160,9 +160,10 @@ class Bloom16(BloomScheme):
 
 
 def resolve(hops, clients, fog, cloud, resolvers=()):
-    """``resolve_nodes`` on the ``nearest`` rows, read from ``hops``, of
-    each role's points; no resolvers resolve at the client."""
-    return resolve_nodes(clients, *(nearest(hops, points) for points in (fog, cloud, resolvers)))
+    """``resolve_nodes`` and ``pull_origins`` on the ``nearest`` rows, read
+    from ``hops``, of each role's points; no resolvers resolve at the client."""
+    fog, cloud, resolvers = (nearest(hops, points) for points in (fog, cloud, resolvers))
+    return resolve_nodes(clients, fog, cloud, resolvers), pull_origins(fog, cloud)
 
 
 def cli_error(argv: list[str], out: Path) -> str | None:

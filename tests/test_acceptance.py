@@ -173,7 +173,7 @@ def test_criterion_6_baseline_never_beats_native_paths():
         clients, client_of = demand.clients, demand.client_of
         client_hops = []
         for resolvers in (None, ldns):
-            point, _ = resolve_nodes(clients, fog, cloud, resolvers)
+            point = resolve_nodes(clients, fog, cloud, resolvers)
             client_hops.append(hops.dist[hops.slot[point], clients][client_of])
         native, baseline = client_hops
         checked += len(client_of)

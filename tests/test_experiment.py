@@ -419,28 +419,30 @@ def test_held_rows_never_change_results(fresh_context, monkeypatch):
                for mode in ("pop", "cls")]
     configs.append(ScenarioConfig(arch="dns", fog_k=4, cloud_k=2, ldns_k=3, mode="cls", trials=8))
     searches = count_calls(monkeypatch, "hop_table")
+    walks = count_calls(monkeypatch, "canonical_paths")
 
     def outcomes():
         experiment._load_context.cache_clear()
         searches.clear()
+        walks.clear()
         return [metric_bytes(run_trial(c, i)) for c in configs for i in range(c.trials)]
 
     # Every node of the bundled backbone is populated: the context's table
-    # is the only one searched.
+    # is the only one searched, and its memo walks every path.
     expected = outcomes()
-    assert len(searches) == 1
+    assert len(searches) == 1 and walks == []
     # Contexts that hold three of its 37 rows, then none: every trial then
-    # searches a table of its own points.
+    # searches a table of its own points and walks its paths on it.
     load = experiment._load_context
     for held in (3, 0):
         def holding(topology_path, population_path, held=held):
             graph, _, populations, digests = load(topology_path, population_path)
             rows = topology.hop_table(graph, np.flatnonzero(populations)[:held])
-            return graph, rows, populations, digests
+            return graph, topology.PathMemo(rows), populations, digests
 
         monkeypatch.setattr(experiment, "_load_context", lru_cache(maxsize=1)(holding))
         assert outcomes() == expected
-        assert len(searches) == sum(config.trials for config in configs)
+        assert len(searches) == len(walks) == sum(config.trials for config in configs)
 
 
 def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
@@ -461,7 +463,8 @@ def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
     tracemalloc.start()
     try:
         searched.append([])
-        graph, held, populations, _ = experiment._load_context(top, pop)
+        graph, memo, populations, _ = experiment._load_context(top, pop)
+        held = memo.hops
         for config in configs:
             for index in range(config.trials):
                 searched.append([])
@@ -766,6 +769,35 @@ def test_shared_draws_equal_fresh_draws(monkeypatch, fresh_index):
             experiment._trial_index.cache_clear()
             assert metric_bytes(run_trial(other, index)) == shared
             assert len(demands) == drawn + 1
+
+
+def test_sweep_walks_each_pair_once(monkeypatch, fresh_context, fresh_index):
+    """Over a two-index grid_dns sweep, the flows the context's memo walks
+    are exactly the distinct (root, leaf) pairs its trials ask for."""
+    asked, walked = [], []
+    paths, walk = topology.PathMemo.paths, topology.canonical_paths
+
+    def asking(memo, roots, leaves):
+        asked.extend(zip(roots.tolist(), leaves.tolist()))
+        return paths(memo, roots, leaves)
+
+    def walking(hops, roots, leaves):
+        walked.extend(zip(roots.tolist(), leaves.tolist()))
+        return walk(hops, roots, leaves)
+
+    monkeypatch.setattr(topology.PathMemo, "paths", asking)
+    monkeypatch.setattr(topology, "canonical_paths", walking)
+    run_sweep(grid_configs(dict(GRID_DNS, trials="2")))
+    assert len(asked) > 2 * len(set(asked))
+    assert len(walked) == len(set(walked)) and set(walked) == set(asked)
+
+
+def test_trial_without_fallback_builds_no_pull_origin(monkeypatch):
+    """Pull origins are built only by trials that count pulls."""
+    origins = count_calls(monkeypatch, "pull_origins")
+    for count_fallback in (False, True):
+        run_trial(ScenarioConfig(catchment=(0.1,), count_fallback=count_fallback, trials=1), 0)
+        assert len(origins) == count_fallback
 
 
 def test_shared_placement_equals_fresh_placement(fresh_index):

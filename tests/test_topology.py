@@ -300,12 +300,13 @@ def lollipop(clique: int, tail: int):
     return build_graph([(f"n{v}", 0.0, 0.0) for v in range(clique + tail)], edges)
 
 
-def check_paths(hops, roots: list[int], leaves: list[int]) -> None:
-    """Each flow's arcs equal ``extract_path`` on the full table, and
-    ``indptr`` steps by each flow's hop count."""
+def check_paths(hops, roots: list[int], leaves: list[int], paths=None) -> None:
+    """Each flow's arcs, from ``canonical_paths`` on ``hops`` or from
+    ``paths``, equal ``extract_path`` on the full table, and ``indptr`` steps
+    by each flow's hop count."""
     full = all_pairs(hops.graph)
-    indptr, arcs = canonical_paths(hops, np.array(roots, dtype=np.intp),
-                                   np.array(leaves, dtype=np.intp))
+    paths = paths or (lambda roots, leaves: canonical_paths(hops, roots, leaves))
+    indptr, arcs = paths(np.array(roots, dtype=np.intp), np.array(leaves, dtype=np.intp))
     assert len(indptr) == len(roots) + 1 and indptr[0] == 0 and indptr[-1] == len(arcs)
     assert np.diff(indptr).tolist() == [int(full.dist[r, v]) for r, v in zip(roots, leaves)]
     for flow, (root, leaf) in enumerate(zip(roots, leaves)):
@@ -343,6 +344,49 @@ def test_canonical_paths_of_very_different_lengths():
         for hops in (all_pairs(graph), hop_table(graph, sorted(set(roots)))):
             check_paths(hops, roots, leaves)
     assert int(all_pairs(graph).dist[last, 0]) == 31
+
+
+def test_path_memo_equals_canonical_paths(geant, tmp_path, monkeypatch):
+    """``PathMemo.paths`` returns what ``canonical_paths`` does on the
+    bundled backbone, a 300-node synthetic one and a lollipop, from a table
+    of some rows: shuffled batches with repeated pairs over several calls,
+    so later calls mix walked and new pairs. No pair is walked twice."""
+    walked = []
+    walk = topology.canonical_paths
+    monkeypatch.setattr(topology, "canonical_paths", lambda hops, roots, leaves: walked.extend(
+        zip(roots.tolist(), leaves.tolist())) or walk(hops, roots, leaves))
+    rng = np.random.default_rng(31)
+    synthetic = load_topology(write_synthetic(tmp_path, 1, 300, 60)[0])
+    for graph in (geant, synthetic, lollipop(6, 30)):
+        held = np.sort(rng.choice(graph.n_nodes, size=min(graph.n_nodes, 40), replace=False))
+        hops = hop_table(graph, held)
+        memo = topology.PathMemo(hops)
+        walked.clear()
+        asked = set()
+        for size in (0, 1, 60, 400, 400):
+            roots, leaves = rng.choice(held, size=(2, size))
+            pairs = set(zip(roots.tolist(), leaves.tolist()))
+            assert size < 400 or 0 < len(pairs - asked) < len(pairs)
+            asked |= pairs
+            want = canonical_paths(hops, roots, leaves)
+            got = memo.paths(roots, leaves)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            check_paths(hops, roots.tolist(), leaves.tolist(), memo.paths)
+        assert len(walked) == len(set(walked)) and set(walked) == asked
+
+
+def test_path_memo_needs_rows_of_roots_and_leaves(geant):
+    """A root or a leaf without a row raises IndexError, as a missing hop
+    row does in ``canonical_paths``."""
+    hops = hop_table(geant, [0, 1])
+    memo = topology.PathMemo(hops)
+    with pytest.raises(IndexError):
+        canonical_paths(hops, [2], [0])
+    for roots, leaves in (([2], [0]), ([0], [2]), ([0, 1], [1, 5])):
+        with pytest.raises(IndexError):
+            memo.paths(roots, leaves)
+    indptr, arcs = memo.paths([0, 1], [1, 0])
+    assert indptr.tolist() == [0, 1, 2] and arcs.tolist() == [arcs[0], arcs[0] ^ 1]
 
 
 def test_gather_equals_a_loop_over_rows():
