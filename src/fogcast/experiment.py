@@ -8,11 +8,12 @@ Trials are paired: the trial seed depends on the base seed and the trial
 index alone, and no sweep axis changes the draws, so trial i of every
 config of a sweep serves the same catalogue and demand (common random
 numbers). The configs of one trial index share one value
-(``_trial_index``), kept for the last trial seed; sweeps run trial-major,
-so each index builds each part once, when first asked for, and keeps it in
-a plain dict: per workload the catalogue and demand, and per (mode, role,
-k) the first k picks of the role's seeded pick order, exactly what a fresh
-draw of k points gives, and their nearest-point row (``topology.nearest``).
+(``_trial_index``), which the inputs' ``_Context`` keeps for the last trial
+seed; sweeps run trial-major, so each index builds each part once, when
+first asked for, and keeps it in a plain dict: per workload the catalogue
+and demand, and per (mode, role, k) the first k picks of the role's seeded
+pick order, exactly what a fresh draw of k points gives, and their
+nearest-point row (``topology.nearest``).
 
 Resolution and unicast accounting run once per client node, not once per
 request: the service point depends on the node alone and the fallback
@@ -36,7 +37,7 @@ Every root is a placed point, so a trial reads only the hop rows of its
 fog, cloud and LDNS points: whole for the nearest-point rows, at its
 clients and points for the paths and hop histogram; no n x n table is
 built. The context holds the rows of populated nodes, the only ones
-``pop`` placement draws, searched once per topology, and their path memo
+``pop`` placement draws, searched once per context, and their path memo
 (``topology.PathMemo``): a trial whose placed points are all held reads
 its paths there, as its clients (populated) and pulling points (placed)
 are held too, and each pair is walked once per context and process.
@@ -85,8 +86,8 @@ from .errors import FogcastError, read_text
 from .forwarding import BloomScheme, false_positive_arcs
 from .placement import ROLE_SALTS, PickOrder
 from .service_router import fog_cache_items, group_rate, pull_origins, resolve_nodes
-from .topology import (NO_ROW, PathMemo, canonical_paths, closeness, gather, hop_table,
-                       load_topology, nearest)
+from .topology import (NO_ROW, NetworkGraph, PathMemo, canonical_paths, closeness, gather,
+                       hop_table, load_topology, nearest)
 from .workload import (
     CHUNK_DURATION,
     build_catalogue,
@@ -129,6 +130,8 @@ MAX_TRIALS = 10**5
 MAX_USERS = 10**6
 MAX_TARGET_BITRATE = 1e18
 MAX_INTERVAL = 1e9
+
+_contexts: dict[tuple[str, str], _Context] = {}  # by input paths, oldest first
 
 # Variant key for plain unicast rows. A listed zero interval adds no variant:
 # under Bloom identifiers it would charge false-positive arcs as unicast.
@@ -283,29 +286,47 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@lru_cache(maxsize=8)
-def _load_context(topology_path: str, population_path: str):
-    """One pair of input files' graph, path memo of the populated nodes' hop
-    table (``memo.hops``), per-node populations and sha256 digests, the
-    digests taken right after parsing."""
-    graph = load_topology(topology_path)
-    populations = assign_population(graph, load_population(population_path))
-    digests = _sha256(topology_path), _sha256(population_path)
-    # pop placement draws only populated nodes: their rows are held.
-    return graph, PathMemo(hop_table(graph, np.flatnonzero(populations))), populations, digests
+@dataclass
+class _Context:
+    """One pair of input files as loaded, and the last trial index's value."""
+
+    graph: NetworkGraph
+    memo: PathMemo  # of the populated nodes' rows: pop placement draws only them
+    populations: np.ndarray
+    digests: tuple[str, str]  # sha256, taken after parsing
+    stamps: tuple  # each file's (size, mtime_ns), taken before parsing
+    index: tuple = (None, None)  # (seed, its _trial_index value)
 
 
-@lru_cache(maxsize=1)
-def _trial_index(seed: int, topology_path: str, population_path: str):
-    """The value the configs of one trial index share, ``(picks, row,
-    draws)``, each part built when first asked for and kept in a plain dict.
-    ``picks(mode, role, k)`` is the role's first k picks (no pick order drawn
-    for k = 0) and whether the held table has their rows; ``row(mode, role,
-    k, hops)`` their ``nearest`` row, read on the first call from ``hops``,
-    which holds them; ``draws(n_items, alpha, bitrates, target_bitrate)`` the
-    catalogue, the demand, users and load per client node (``demand.clients``)
-    and a memo of that load past ``fog_items``."""
-    graph, memo, populations, _ = _load_context(topology_path, population_path)
+def _stamps(*paths: str) -> tuple:
+    return tuple((s.st_size, s.st_mtime_ns) for s in map(os.stat, paths))
+
+
+def _load_context(topology_path: str, population_path: str) -> _Context:
+    """The context of a pair of input files, loaded on first use; a ninth
+    drops the oldest. Trials take it as held: ``run_sweep`` checks stamps."""
+    key = topology_path, population_path
+    if key not in _contexts:
+        stamps = _stamps(*key)
+        graph = load_topology(topology_path)
+        populations = assign_population(graph, load_population(population_path))
+        if len(_contexts) == 8:
+            del _contexts[next(iter(_contexts))]
+        _contexts[key] = _Context(graph, PathMemo(hop_table(graph, np.flatnonzero(populations))),
+                                  populations, tuple(map(_sha256, key)), stamps)
+    return _contexts[key]
+
+
+def _trial_index(context: _Context, seed: int):
+    """The value the configs of one trial index share, ``(picks, row, draws)``,
+    built anew (``run_trial`` keeps it in the context), each part when first asked
+    for and kept in a plain dict. ``picks(mode, role, k)`` is the role's first k
+    picks (no pick order drawn for k = 0) and whether the held table has their
+    rows; ``row(mode, role, k, hops)`` their ``nearest`` row, read on the first
+    call from ``hops``, which holds them; ``draws(n_items, alpha, bitrates,
+    target_bitrate)`` the catalogue, the demand, users and load per client node
+    (``demand.clients``) and a memo of that load past ``fog_items``."""
+    graph, memo, populations = context.graph, context.memo, context.populations
     orders, chosen, rows, drawn = {}, {}, {}, {}
 
     def picks(mode: str, role: str, k: int) -> tuple[tuple[int, ...], bool]:
@@ -362,10 +383,11 @@ def _key_sums(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     """Execute one seeded trial; deterministic for fixed (config, index).
     A config its topology cannot run raises ``_check_fits``'s ``ConfigError``."""
-    _check_fits(config)
-    graph, memo, _, _ = _load_context(config.topology_path, config.population_path)
-    picks, row, draws = _trial_index(trial_seed(config.base_seed, trial_index),
-                                     config.topology_path, config.population_path)
+    context = _check_fits(config)
+    graph, memo, seed = context.graph, context.memo, trial_seed(config.base_seed, trial_index)
+    if context.index[0] != seed:
+        context.index = seed, _trial_index(context, seed)
+    picks, row, draws = context.index[1]
     roles = [(config.mode, "fog", config.fog_k), (config.mode, "cloud", config.cloud_k),
              (config.mode, "ldns", config.ldns_k)]
     placed = [picks(*role) for role in roles]
@@ -488,6 +510,8 @@ def _run_configs(configs: list[ScenarioConfig], jobs: int) -> list[tuple]:
         index_map = map
         if jobs > 1:
             # Imported only here: it adds tens of ms to every start of the CLI.
+            # Forked workers inherit the checked contexts; under forkserver or
+            # spawn (Linux's default from Python 3.14) each loads them again.
             from concurrent.futures import ProcessPoolExecutor
             index_map = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
         for index, rows in enumerate(index_map(partial(_index_rows, configs), indices)):
@@ -509,14 +533,14 @@ def row_label(config: ScenarioConfig) -> str:
     return f"{config.arch},{config.fog_k},{config.cloud_k},{config.ldns_k},{config.mode}"
 
 
-def _check_fits(config: ScenarioConfig) -> None:
+def _check_fits(config: ScenarioConfig) -> _Context:
     """Reject a config its topology cannot run: a role with more points than
     its placement can draw, no service point at all, or a miss without a
-    cloud point to pull from. The one such check: ``run_trial`` makes it
-    first, and ``run_sweep`` for every config before the first trial."""
-    graph, _, populations, _ = _load_context(config.topology_path, config.population_path)
-    n, nodes = ((np.count_nonzero(populations), "populated nodes") if config.mode == "pop"
-                else (graph.n_nodes, "nodes"))
+    cloud point to pull from. Returns its context. The one such check:
+    ``run_trial`` makes it first, and ``run_sweep`` for every config."""
+    context = _load_context(config.topology_path, config.population_path)
+    n, nodes = ((np.count_nonzero(context.populations), "populated nodes")
+                if config.mode == "pop" else (context.graph.n_nodes, "nodes"))
     for key, k in (("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k)):
         if k > n:
             raise ConfigError(f"config {row_label(config)}: {key} = {k} exceeds the {n} {nodes}")
@@ -526,6 +550,7 @@ def _check_fits(config: ScenarioConfig) -> None:
                                                 config.n_items) < config.n_items:
         raise ConfigError(f"config {row_label(config)}: no cloud point to serve items past "
                           "the fog cache")
+    return context
 
 
 def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
@@ -550,10 +575,12 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
     manifest = ["[versions]", f"fogcast = {__version__}",
                 f"python = {platform.python_version()}", f"numpy = {np.__version__}", ""]
 
-    for config in configs:
-        _check_fits(config)
+    for key in {(config.topology_path, config.population_path) for config in configs}:
+        if key in _contexts and _contexts[key].stamps != _stamps(*key):
+            del _contexts[key]
+    contexts = [_check_fits(config) for config in configs]
     runs = _run_configs(configs, jobs)
-    for config, (keys, values, pooled) in zip(configs, runs):
+    for config, context, (keys, values, pooled) in zip(configs, contexts, runs):
         prefix = row_label(config)
         if not pooled.any():
             raise ConfigError(f"config {prefix}: no trial drew a request")
@@ -564,9 +591,8 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
         manifest.append(f"[config {len(results) - 1}]")
         for f_ in fields(config):
             manifest.append(f"{f_.name} = {getattr(config, f_.name)}")
-        digests = _load_context(config.topology_path, config.population_path)[3]
-        manifest.append(f"topology_sha256 = {digests[0]}")
-        manifest.append(f"population_sha256 = {digests[1]}")
+        manifest.append(f"topology_sha256 = {context.digests[0]}")
+        manifest.append(f"population_sha256 = {context.digests[1]}")
         seeds = ",".join(str(trial_seed(config.base_seed, i)) for i in range(config.trials))
         manifest.append(f"trial_seeds = {seeds}")
         manifest.append("ecdf_pooling = all trial samples pooled per config")

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import pytest
 
-from fogcast import cli
+from fogcast import cli, experiment
 from fogcast.data import bundled_population, bundled_topology
 from fogcast.forwarding import BloomScheme
 from fogcast.service_router import pull_origins, resolve_nodes
@@ -195,6 +195,15 @@ def cli_error(argv: list[str], out: Path) -> str | None:
             and not stdout.getvalue() and not Path(out).exists()):
         raise AssertionError(f"{argv} gave {code!r}, stderr {errors[:3]}")
     return errors[0]
+
+
+@pytest.fixture()
+def fresh_contexts():
+    """Input files load anew, and the test leaves no context behind. The
+    fixture's value resets the contexts again when called."""
+    experiment._contexts.clear()
+    yield experiment._contexts.clear
+    experiment._contexts.clear()
 
 
 @pytest.fixture(scope="session")

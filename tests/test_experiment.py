@@ -10,7 +10,6 @@ import platform
 import subprocess
 import sys
 import tracemalloc
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +32,11 @@ from fogcast.experiment import (
 import fogcast
 import oracles
 from conftest import Bloom16, random_connected_graph, resolve, write_graphml, write_synthetic
-from fogcast import experiment, topology
+from fogcast import cli, experiment, topology
 from fogcast.forwarding import BloomScheme
 from fogcast.service_router import fog_cache_items
 from fogcast.topology import NO_ROW, closeness, load_topology
-from fogcast.workload import build_catalogue
+from fogcast.workload import CHUNK_DURATION, build_catalogue
 from oracles import all_pairs, fresh_placement
 
 
@@ -153,8 +152,8 @@ def _resolution_cases():
     nodes = np.repeat(np.arange(graphs[0].n_nodes), 4)
     for index in range(3):
         seed = trial_seed(3, index)  # the criterion's base seed
+        picks, _, _ = experiment._trial_index(experiment._load_context(*inputs), seed)
         for k, ldns_k in ((2, 2), (2, 8), (4, 2), (4, 8)):
-            picks, _, _ = experiment._trial_index(seed, *inputs)
             fog, cloud, ldns = (list(picks("pop", role, count)[0])
                                 for role, count in (("fog", k), ("cloud", k), ("ldns", ldns_k)))
             yield hops, fog, cloud, ldns, nodes, rng.integers(1, 21, size=len(nodes))
@@ -390,6 +389,35 @@ def test_each_interval_alone_equals_it_among_three(backbone, scheme, tmp_path, m
     assert scheme == "exact" or any(len(group) for group, _ in fp_arcs)
 
 
+@pytest.mark.parametrize("fog_k, cloud_k", [(2, 2), (4, 4), (8, 2), (0, 3)])
+def test_unicast_backhaul_is_the_bitrate_times_the_users_hops(fog_k, cloud_k):
+    """Relation (a): with one bitrate and fallback not counted, a trial's
+    unicast backhaul is the bitrate times its users' summed hops,
+    ``sum(h * hop_counts[h])``, exactly. It ties the per-arc loads of
+    ``backhaul.csv`` to the histogram of ``pathlen.csv``, two code paths."""
+    config = ScenarioConfig(fog_k=fog_k, cloud_k=cloud_k, bitrates=(40e6,),
+                            count_fallback=False, trials=20)
+    for index in range(config.trials):
+        unicast = run_trial(config, index).unicast
+        user_hops = int(np.arange(len(unicast.hop_counts)) @ unicast.hop_counts)
+        assert user_hops > 0
+        assert backhaul(unicast) == 40e6 * CHUNK_DURATION * user_hops, index
+
+
+@pytest.mark.parametrize("count_fallback", [False, True])
+@pytest.mark.parametrize("fog_k, cloud_k", [(2, 2), (4, 4), (8, 2)])
+def test_dns_with_an_ldns_at_every_populated_node_equals_icn(fog_k, cloud_k, count_fallback,
+                                                            geant_population):
+    """Relation (b): every bundled node is populated, so ``dns`` under ``pop``
+    with 37 LDNS points resolves each client at its own node, as ``icn``
+    does: arc loads and hop histograms are equal byte for byte."""
+    assert len(geant_population) == 37 and (geant_population > 0).all()
+    icn = ScenarioConfig(fog_k=fog_k, cloud_k=cloud_k, count_fallback=count_fallback, trials=20)
+    dns = dataclasses.replace(icn, arch="dns", ldns_k=37)
+    for index in range(icn.trials):
+        assert metric_bytes(run_trial(dns, index)) == metric_bytes(run_trial(icn, index)), index
+
+
 def test_zero_interval_row_is_unicast_under_bloom(monkeypatch, tmp_path):
     """Listing T = 0 adds no variant: a Bloom grid's ``T = 0.0`` rows are
     unicast, with or without 0 in ``catchment``, even when a 16-bit filter
@@ -406,23 +434,20 @@ def test_zero_interval_row_is_unicast_under_bloom(monkeypatch, tmp_path):
     assert rows["0,0.1,1"] == rows["0.1,1"]
 
 
-@pytest.fixture()
-def fresh_context():
-    """Trials load their topology anew, and leave no context behind."""
-    experiment._load_context.cache_clear()
-    yield
-    experiment._load_context.cache_clear()
-
-
-def test_held_rows_never_change_results(fresh_context, monkeypatch):
+def test_held_rows_never_change_results(fresh_contexts, monkeypatch):
     configs = [ScenarioConfig(fog_k=4, cloud_k=4, mode=mode, catchment=(0.1, 1.0), trials=8)
                for mode in ("pop", "cls")]
     configs.append(ScenarioConfig(arch="dns", fog_k=4, cloud_k=2, ldns_k=3, mode="cls", trials=8))
     searches = count_calls(monkeypatch, "hop_table")
     walks = count_calls(monkeypatch, "canonical_paths")
 
-    def outcomes():
-        experiment._load_context.cache_clear()
+    def outcomes(held=None):
+        fresh_contexts()
+        if held is not None:  # the context then holds the first `held` populated rows
+            context = experiment._load_context(configs[0].topology_path,
+                                               configs[0].population_path)
+            rows = np.flatnonzero(context.populations)[:held]
+            context.memo = topology.PathMemo(topology.hop_table(context.graph, rows))
         searches.clear()
         walks.clear()
         return [metric_bytes(run_trial(c, i)) for c in configs for i in range(c.trials)]
@@ -433,19 +458,12 @@ def test_held_rows_never_change_results(fresh_context, monkeypatch):
     assert len(searches) == 1 and walks == []
     # Contexts that hold three of its 37 rows, then none: every trial then
     # searches a table of its own points and walks its paths on it.
-    load = experiment._load_context
     for held in (3, 0):
-        def holding(topology_path, population_path, held=held):
-            graph, _, populations, digests = load(topology_path, population_path)
-            rows = topology.hop_table(graph, np.flatnonzero(populations)[:held])
-            return graph, topology.PathMemo(rows), populations, digests
-
-        monkeypatch.setattr(experiment, "_load_context", lru_cache(maxsize=1)(holding))
-        assert outcomes() == expected
+        assert outcomes(held) == expected
         assert len(searches) == len(walks) == sum(config.trials for config in configs)
 
 
-def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
+def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_contexts):
     top, pop = write_synthetic(tmp_path, 1)
     searched = []
     hop_table = experiment.hop_table
@@ -463,8 +481,8 @@ def test_pipeline_builds_no_n_by_n_table(tmp_path, monkeypatch, fresh_context):
     tracemalloc.start()
     try:
         searched.append([])
-        graph, memo, populations, _ = experiment._load_context(top, pop)
-        held = memo.hops
+        context = experiment._load_context(top, pop)
+        graph, held, populations = context.graph, context.memo.hops, context.populations
         for config in configs:
             for index in range(config.trials):
                 searched.append([])
@@ -596,7 +614,7 @@ def test_manifest_lists_trial_seeds(chain_setup, tmp_path):
 
 
 def test_manifest_hashes_inputs_once_per_context(chain_setup, tmp_path, monkeypatch,
-                                                 fresh_context):
+                                                 fresh_contexts):
     """Sweeps of one loaded context hash its two files once in all."""
     top, pop = chain_setup
     hashed = count_calls(monkeypatch, "_sha256")
@@ -608,7 +626,7 @@ def test_manifest_hashes_inputs_once_per_context(chain_setup, tmp_path, monkeypa
 
 
 def test_manifest_hashes_the_inputs_the_trials_read(chain_setup, tmp_path, monkeypatch,
-                                                    fresh_context):
+                                                    fresh_contexts):
     """A population file rewritten after the first trial leaves the
     manifest with the digest of the file the trials read."""
     top, pop = chain_setup
@@ -629,6 +647,67 @@ def test_manifest_hashes_the_inputs_the_trials_read(chain_setup, tmp_path, monke
     assert f"population_sha256 = {hashlib.sha256(read).hexdigest()}" in lines
 
 
+def test_second_sweep_reads_an_edited_input(tmp_path, fresh_contexts):
+    """A population file edited between two sweeps of one process: the second
+    sweep's four files equal a fresh ``fogcast`` process's bytes, and its
+    manifest holds the edited file's sha256."""
+    pop = tmp_path / "population.txt"
+    pop.write_bytes(Path(bundled_population()).read_bytes())
+    argv = ["run", "--population", str(pop), "--trials", "2", "--seed", "1", "--out"]
+    assert cli.main([*argv, str(tmp_path / "before")]) == 0
+    lines = []
+    for line in pop.read_text().splitlines():  # counts east of 10 degrees E times 50
+        if line and not line.startswith("#"):
+            lat, lon, count = line.split("#")[0].split(",")
+            line = f"{lat},{lon},{int(count) * 50 if float(lon) > 10 else count}"
+        lines.append(line)
+    pop.write_text("\n".join(lines) + "\n")
+    assert cli.main([*argv, str(tmp_path / "after")]) == 0
+    fresh = [*argv, str(tmp_path / "fresh")]
+    code = f"from fogcast import cli; raise SystemExit(cli.main({fresh!r}))"
+    subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
+                   env=dict(os.environ, PYTHONPATH="src"), capture_output=True, check=True)
+    files = ("backhaul.csv", "pathlen.csv", "summary.csv", "manifest.txt")
+    for name in files:
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert (tmp_path / "before" / "summary.csv").read_bytes() != (
+        tmp_path / "after" / "summary.csv").read_bytes()
+    digest = hashlib.sha256(pop.read_bytes()).hexdigest()
+    assert f"population_sha256 = {digest}" in (tmp_path / "after" / "manifest.txt").read_text()
+
+
+def test_unchanged_inputs_keep_their_context(tmp_path, monkeypatch, fresh_contexts):
+    """A second sweep of unchanged files keeps their context, its held table
+    and path memo: it searches no hop table and walks no path. At most 8
+    contexts are held: a ninth input pair drops the oldest."""
+    configs = grid_configs(dict(GRID_DNS, trials="2"))
+    searches = count_calls(monkeypatch, "hop_table")
+    walks = count_calls(monkeypatch, "canonical_paths")
+    memo_walks = count_calls(monkeypatch, "canonical_paths", topology)
+    run_sweep(configs, out_dir=tmp_path / "first")
+    assert len(searches) == 1 and walks == [] and memo_walks
+    key = configs[0].topology_path, configs[0].population_path
+    context = experiment._contexts[key]
+    searches.clear()
+    memo_walks.clear()
+    run_sweep(configs, out_dir=tmp_path / "second")
+    assert searches == walks == memo_walks == []
+    assert experiment._contexts[key] is context
+    for name in ("backhaul.csv", "pathlen.csv", "summary.csv"):
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+
+    coords = [("a", 50.0, 0.0), ("b", 50.0, 1.0)]
+    for pair in range(9):
+        top, pop = tmp_path / f"top{pair}.graphml", tmp_path / f"pop{pair}.txt"
+        write_graphml(top, coords, [(0, 1)])
+        pop.write_text(f"50.0,0.0,{pair + 1}\n50.0,1.0,1\n")
+        run_sweep([ScenarioConfig(fog_k=1, cloud_k=1, topology_path=str(top),
+                                  population_path=str(pop), n_items=3, target_bitrate=2e9,
+                                  trials=1)])
+    assert len(experiment._contexts) == 8 and key not in experiment._contexts
+    assert (str(top), str(pop)) in experiment._contexts
+
+
 def test_cls_trial_leaves_numpy_ma_unloaded(tmp_path):
     """A ``cls`` trial that searches rows beyond the held ones loads no
     ``numpy.ma``: a plain ``np.unique`` would, at about 16 ms, under numpy 2.x."""
@@ -643,19 +722,11 @@ def test_cls_trial_leaves_numpy_ma_unloaded(tmp_path):
     assert done.stdout == "False\n"
 
 
-@pytest.fixture()
-def fresh_index():
-    """No trial index's value is kept before or after the test."""
-    experiment._trial_index.cache_clear()
-    yield
-    experiment._trial_index.cache_clear()
-
-
-def count_calls(monkeypatch, name: str) -> list:
-    """Record every call of ``experiment.<name>``, which still runs."""
+def count_calls(monkeypatch, name: str, module=experiment) -> list:
+    """Record every call of ``module.<name>``, which still runs."""
     calls = []
-    fn = getattr(experiment, name)
-    monkeypatch.setattr(experiment, name, lambda *args: calls.append(args) or fn(*args))
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
     return calls
 
 
@@ -664,7 +735,7 @@ GRID_DNS = {"arch": "dns", "fog": "2,4,6,8", "cloud": "2,4,6,8", "ldns": "4",
             "placement": "pop,cls", "trials": "3"}
 
 
-def test_sweep_draws_once_per_trial_index(monkeypatch, fresh_index):
+def test_sweep_draws_once_per_trial_index(monkeypatch, fresh_contexts):
     """Trial i of every config of a grid shares one catalogue and one demand,
     built once per trial index. Trials run trial-major."""
     configs = grid_configs({"fog": "2,4,6,8", "cloud": "2,4,6,8", "catchment": "0.1,1,10",
@@ -680,15 +751,14 @@ def test_sweep_draws_once_per_trial_index(monkeypatch, fresh_index):
     assert [index for _, index in trials] == [i for i in range(3) for _ in configs]
 
 
-def test_sweep_places_once_per_trial_index(monkeypatch, fresh_index):
+def test_sweep_places_once_per_trial_index(monkeypatch, fresh_contexts):
     """Trial i of every config takes its points from one pick order per
     (mode, role), seeded ``seed ^`` the role's salt: 6 per trial index, not
     one per config and role (96)."""
     configs = grid_configs(GRID_DNS)
     assert len(configs) == 32
-    graph, _, populations, _ = experiment._load_context(configs[0].topology_path,
-                                                        configs[0].population_path)
-    modes = {id(populations): "pop", id(closeness(graph)): "cls"}
+    context = experiment._load_context(configs[0].topology_path, configs[0].population_path)
+    modes = {id(context.populations): "pop", id(closeness(context.graph)): "cls"}
     orders = count_calls(monkeypatch, "PickOrder")
     run_sweep(configs)
     assert len(orders) == 6 * 3
@@ -700,13 +770,12 @@ def test_sweep_places_once_per_trial_index(monkeypatch, fresh_index):
                                for salt in oracles.ROLE_SALTS.values())
 
 
-def test_icn_sweep_draws_no_ldns_order(monkeypatch, fresh_index):
+def test_icn_sweep_draws_no_ldns_order(monkeypatch, fresh_contexts):
     """An icn config places no LDNS point, so a trial index draws the fog
     and cloud orders of each mode and none for the LDNS: 4 per index, not 6."""
     configs = grid_configs(dict(GRID_DNS, arch="icn", ldns="0"))
-    graph, _, populations, _ = experiment._load_context(configs[0].topology_path,
-                                                        configs[0].population_path)
-    modes = {id(populations): "pop", id(closeness(graph)): "cls"}
+    context = experiment._load_context(configs[0].topology_path, configs[0].population_path)
+    modes = {id(context.populations): "pop", id(closeness(context.graph)): "cls"}
     orders = count_calls(monkeypatch, "PickOrder")
     run_sweep(configs)
     assert len(orders) == 4 * 3
@@ -718,7 +787,7 @@ def test_icn_sweep_draws_no_ldns_order(monkeypatch, fresh_index):
                                for role in ("fog", "cloud"))
 
 
-def test_sweep_builds_each_nearest_row_once_per_trial_index(monkeypatch, fresh_index):
+def test_sweep_builds_each_nearest_row_once_per_trial_index(monkeypatch, fresh_contexts):
     """Trial i of every config reads the ``nearest`` row of each (mode,
     role, k) from one build per trial index: GRID_DNS's 32 configs ask for
     2 modes x (4 fog + 4 cloud + 1 LDNS) = 18 rows per index, not 96."""
@@ -729,14 +798,14 @@ def test_sweep_builds_each_nearest_row_once_per_trial_index(monkeypatch, fresh_i
                      for role, k in (("fog", config.fog_k), ("cloud", config.cloud_k),
                                      ("ldns", config.ldns_k))})
     assert len(wanted) == 18 and len(rows) == 18 * 3
-    files = (configs[0].topology_path, configs[0].population_path)
+    context = experiment._load_context(configs[0].topology_path, configs[0].population_path)
     for index in range(3):
-        picks, _, _ = experiment._trial_index(trial_seed(1, index), *files)
+        picks, _, _ = experiment._trial_index(context, trial_seed(1, index))
         built = sorted(tuple(points) for _, points in rows[18 * index:18 * (index + 1)])
         assert built == sorted(picks(*role)[0] for role in wanted)
 
 
-def test_sweep_draws_per_workload(monkeypatch, fresh_index):
+def test_sweep_draws_per_workload(monkeypatch, fresh_contexts):
     """Configs that differ in a field the draws read draw their own: the item
     count does, the items a fog point caches does not, so the (1000, 0.1)
     and (1000, 0.3) configs share a draw."""
@@ -750,7 +819,7 @@ def test_sweep_draws_per_workload(monkeypatch, fresh_index):
     assert [args[0] for args in catalogues] == [500, 1000] * 3
 
 
-def test_shared_draws_equal_fresh_draws(monkeypatch, fresh_index):
+def test_shared_draws_equal_fresh_draws(monkeypatch, fresh_contexts):
     """A trial that takes the draws another config left equals one that draws
     them anew, arc by arc and hop bin by hop bin."""
     first = ScenarioConfig(fog_k=2, cloud_k=4, catchment=(0.1, 1.0), trials=3, base_seed=8)
@@ -766,12 +835,12 @@ def test_shared_draws_equal_fresh_draws(monkeypatch, fresh_index):
             drawn = len(demands)
             shared = metric_bytes(run_trial(other, index))
             assert len(demands) == drawn
-            experiment._trial_index.cache_clear()
+            fresh_contexts()
             assert metric_bytes(run_trial(other, index)) == shared
             assert len(demands) == drawn + 1
 
 
-def test_sweep_walks_each_pair_once(monkeypatch, fresh_context, fresh_index):
+def test_sweep_walks_each_pair_once(monkeypatch, fresh_contexts):
     """Over a two-index grid_dns sweep, the flows the context's memo walks
     are exactly the distinct (root, leaf) pairs its trials ask for."""
     asked, walked = [], []
@@ -800,14 +869,14 @@ def test_trial_without_fallback_builds_no_pull_origin(monkeypatch):
         assert len(origins) == count_fallback
 
 
-def test_shared_placement_equals_fresh_placement(fresh_index):
+def test_shared_placement_equals_fresh_placement(fresh_contexts):
     """Points a config takes from a pick order others grew equal a fresh draw."""
     configs = grid_configs(dict(GRID_DNS, fog="8,2,6,4", ldns="3,1"))
-    files = (configs[0].topology_path, configs[0].population_path)
-    graph, _, populations, _ = experiment._load_context(*files)
+    context = experiment._load_context(configs[0].topology_path, configs[0].population_path)
+    graph, populations = context.graph, context.populations
     for index in range(3):
         seed = trial_seed(1, index)
-        picks, _, _ = experiment._trial_index(seed, *files)
+        picks, _, _ = experiment._trial_index(context, seed)
         for config in configs:
             counts = (config.fog_k, config.cloud_k, config.ldns_k)
             shared = tuple(picks(config.mode, role, k)[0]
@@ -816,7 +885,7 @@ def test_shared_placement_equals_fresh_placement(fresh_index):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_reversed_axes_give_every_config_the_same_rows(tmp_path, fresh_index, jobs):
+def test_reversed_axes_give_every_config_the_same_rows(tmp_path, fresh_contexts, jobs):
     """Configs that grow a pick order in another order get the same rows."""
     reverse = dict(GRID_DNS, fog="8,6,4,2", placement="cls,pop")
     run_sweep(grid_configs(GRID_DNS), out_dir=tmp_path / "forward")

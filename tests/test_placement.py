@@ -185,8 +185,7 @@ def test_selection_frequency_proportional_to_weight():
 def pipeline_picks(files, mode: str, counts, seed: int) -> tuple[tuple[int, ...], ...]:
     """Fog, cloud and LDNS points as ``run_trial`` takes them: each role's
     first k picks of its order in ``experiment._trial_index``, drawn anew."""
-    experiment._trial_index.cache_clear()
-    picks, _, _ = experiment._trial_index(seed, *files)
+    picks, _, _ = experiment._trial_index(experiment._load_context(*files), seed)
     return tuple(picks(mode, role, k)[0] for role, k in zip(("fog", "cloud", "ldns"), counts))
 
 
@@ -226,6 +225,6 @@ def test_cls_mode_weights_are_closeness(tmp_path):
     write_graphml(top, coords, [(0, 1), (0, 2), (0, 3)])
     pop.write_text("".join(f"{lat},{lon},1\n" for _, lat, lon in coords))
     files = (str(top), str(pop))
-    assert experiment._load_context(*files)[2].tolist() == [1, 1, 1, 1]
+    assert experiment._load_context(*files).populations.tolist() == [1, 1, 1, 1]
     hits = sum(pipeline_picks(files, "cls", (1, 0, 0), seed=s)[0] == (0,) for s in range(2000))
     assert hits / 2000 == pytest.approx(1.0 / (1.0 + 3 * 0.6), abs=0.03)
