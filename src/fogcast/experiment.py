@@ -53,14 +53,16 @@ arc. Bloom identifiers also pass false-positive arcs, each charged the
 whole group rate (conservatively): a Bloom variant carries at least the
 exact load on every arc, and can exceed unicast on those arcs. A group,
 one (service point, item), is keyed ``point << item_bits | item - 1`` and
-a tree arc ``group << arc_bits | arc``: one argsort of the members' path
-arcs and one ``np.add.reduceat`` of their integer counts sum every tree
-arc, exactly in any order. Pulls number only the pulling requests, and
-their arrays are built only when some point pulls; Bloom delivers only
-groups with tree arcs and reads group totals only for false-positive arcs.
-``group_rate`` takes every interval at once, a row each, and each arc sums
-its row's entries in input order. ``tests/oracles.py`` holds the per-group
-reference.
+a tree arc ``group << arc_bits | arc``, with each member's integer count
+in the bits below: one value sort of the members' packed path arcs and
+one ``np.add.reduceat`` of their counts sum every tree arc, exactly in any
+order (``_key_sums``; ``_check_fits`` keeps the packed key within 63
+bits). Pulls number only the pulling requests, and their arrays are built
+only when some point pulls; Bloom delivers only groups with tree arcs and
+reads group totals only for false-positive arcs. ``group_rate`` takes
+every interval at once, a row each, and one ``bincount`` of the arcs
+offset by row sums them all, each arc its row's entries in input order.
+``tests/oracles.py`` holds the per-group reference.
 
 Trials are embarrassingly parallel; seeds are derived independently of
 scheduling, so parallel sweeps are byte-identical to sequential ones. A
@@ -293,6 +295,7 @@ class _Context:
     graph: NetworkGraph
     memo: PathMemo  # of the populated nodes' rows: pop placement draws only them
     populations: np.ndarray
+    peak_share: float  # the most populated node's share of the people
     digests: tuple[str, str]  # sha256, taken after parsing
     stamps: tuple  # each file's (size, mtime_ns), taken before parsing
     index: tuple = (None, None)  # (seed, its _trial_index value)
@@ -303,17 +306,17 @@ def _stamps(*paths: str) -> tuple:
 
 
 def _load_context(topology_path: str, population_path: str) -> _Context:
-    """The context of a pair of input files, loaded on first use; a ninth
-    drops the oldest. Trials take it as held: ``run_sweep`` checks stamps."""
+    """The context of a pair of input files, loaded on first use and kept
+    until ``run_sweep`` drops it. Trials take it as held: ``run_sweep``
+    checks stamps."""
     key = topology_path, population_path
     if key not in _contexts:
         stamps = _stamps(*key)
         graph = load_topology(topology_path)
         populations = assign_population(graph, load_population(population_path))
-        if len(_contexts) == 8:
-            del _contexts[next(iter(_contexts))]
         _contexts[key] = _Context(graph, PathMemo(hop_table(graph, np.flatnonzero(populations))),
-                                  populations, tuple(map(_sha256, key)), stamps)
+                                  populations, populations.max() / populations.sum(),
+                                  tuple(map(_sha256, key)), stamps)
     return _contexts[key]
 
 
@@ -369,15 +372,18 @@ def _per_arc(arcs: np.ndarray, weights: np.ndarray, n_arcs: int) -> np.ndarray:
     return np.bincount(arcs, weights=weights, minlength=n_arcs).astype(np.float64, copy=False)
 
 
-def _key_sums(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and the integer ``counts`` summed per
-    key: one sort, exact in any order within a key."""
-    order = keys.argsort()
-    keys = keys[order]
+def _key_sums(packed: np.ndarray, count_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the counts summed per key, of
+    entries packed ``key << count_bits | count`` with counts below
+    ``2**count_bits``: one sort of the values, in place, and one
+    ``np.add.reduceat`` of their low bits, exact in any order within a key."""
+    packed.sort()
+    keys = packed >> count_bits
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     start = first.nonzero()[0]
-    return keys[start], np.add.reduceat(counts[order], start)
+    packed &= (1 << count_bits) - 1
+    return keys[start], np.add.reduceat(packed, start)
 
 
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
@@ -429,12 +435,16 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
 
     # Requests pool per (service point, item) group; the shifted keys sort as
     # (point, item) and (group, arc) do. Each arc of a group's tree carries
-    # the members crossing it; one sort orders the tree arcs by group, then arc.
+    # the members crossing it; one sort orders the tree arcs by group, then
+    # arc, with each member's count in the bits below.
     item_bits, arc_bits = (catalogue.n - 1).bit_length(), (n_arcs - 1).bit_length()
+    count_bits = int(counts.max(initial=0)).bit_length()
     point = point[client_of]
     group_key = point << item_bits | (items - 1)
-    owner, arc = gather(indptr, path, client_of)
-    tree_keys, tree_rate = _key_sums(group_key[owner] << arc_bits | arc, counts[owner])
+    _, arc = gather(indptr, np.left_shift(path, count_bits, dtype=np.int64), client_of)
+    packed = (group_key << (arc_bits + count_bits) | counts).repeat(lengths[client_of])
+    packed |= arc
+    tree_keys, tree_rate = _key_sums(packed, count_bits)
     tree_group, tree_arc = tree_keys >> arc_bits, tree_keys & ((1 << arc_bits) - 1)
     entries = [(tree_group, tree_arc, tree_rate)]
 
@@ -443,7 +453,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
                                                tree_group, tree_arc)
         if fp_group.size:
             # False-positive arcs carry the whole group rate, conservatively.
-            keys, group_total = _key_sums(group_key, counts)
+            keys, group_total = _key_sums(group_key << count_bits | counts, count_bits)
             entries.append((fp_group, fp_arc, group_total[keys.searchsorted(fp_group)]))
 
     if len(pulling):
@@ -453,20 +463,22 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
         pull_flow = np.full(n_nodes, -1)
         pull_flow[pulling] = len(clients) + np.arange(len(pulling))
         pull = (pull_flow[point] >= 0) & (items > fog_items)
-        pulled, pull_total = _key_sums(group_key[pull], counts[pull])
+        pulled, pull_total = _key_sums(group_key[pull] << count_bits | counts[pull], count_bits)
         owner, arc = gather(indptr, path, pull_flow[pulled >> item_bits])
         entries.append((pulled[owner], arc, pull_total[owner]))
 
     entry_group, entry_arc, entry_rate = entries[0] if len(entries) == 1 else (
         np.concatenate(column) for column in zip(*entries))
-    # Every interval's weights at once, a row each; each arc sums its row in
-    # input order.
+    # Every interval's weights at once, a row each, and one per-arc pass over
+    # them all: row i's arcs are offset by i * n_arcs, so each arc sums its
+    # row's entries in input order.
     weights = group_rate(entry_rate, np.array(intervals)[:, None])
     weights *= catalogue.bitrates[entry_group & ((1 << item_bits) - 1)]
     weights *= CHUNK_DURATION
-    for interval, interval_weights in zip(intervals, weights):
-        outcome.by_catchment[interval] = TrialMetrics(_per_arc(entry_arc, interval_weights, n_arcs),
-                                                      outcome.unicast.hop_counts)
+    offset_arc = entry_arc + np.arange(len(intervals))[:, None] * n_arcs
+    loads = _per_arc(offset_arc.ravel(), weights.ravel(), len(intervals) * n_arcs)
+    for interval, arc_load in zip(intervals, loads.reshape(len(intervals), n_arcs)):
+        outcome.by_catchment[interval] = TrialMetrics(arc_load, outcome.unicast.hop_counts)
     return outcome
 
 
@@ -535,9 +547,10 @@ def row_label(config: ScenarioConfig) -> str:
 
 def _check_fits(config: ScenarioConfig) -> _Context:
     """Reject a config its topology cannot run: a role with more points than
-    its placement can draw, no service point at all, or a miss without a
-    cloud point to pull from. Returns its context. The one such check:
-    ``run_trial`` makes it first, and ``run_sweep`` for every config."""
+    its placement can draw, no service point at all, a miss without a
+    cloud point to pull from, or catchment keys past 63 bits. Returns its
+    context. The one such check: ``run_trial`` makes it first, and
+    ``run_sweep`` for every config."""
     context = _load_context(config.topology_path, config.population_path)
     n, nodes = ((np.count_nonzero(context.populations), "populated nodes")
                 if config.mode == "pop" else (context.graph.n_nodes, "nodes"))
@@ -550,6 +563,18 @@ def _check_fits(config: ScenarioConfig) -> _Context:
                                                 config.n_items) < config.n_items:
         raise ConfigError(f"config {row_label(config)}: no cloud point to serve items past "
                           "the fog cache")
+    if any(config.catchment):
+        # A packed tree key holds a point, an item, an arc and a request's
+        # count, at most the most populated node's share of the user budget.
+        graph = context.graph
+        users = config.target_bitrate / min(config.bitrates) * context.peak_share
+        node, item, arc, count = widths = (
+            (graph.n_nodes - 1).bit_length(), (config.n_items - 1).bit_length(),
+            (graph.n_arcs - 1).bit_length(), (int(users) + 1).bit_length())
+        if sum(widths) > 63:
+            raise ConfigError(f"config {row_label(config)}: catchment keys need {node} node + "
+                              f"{item} item + {arc} arc + {count} count bits = {sum(widths)}, "
+                              "over 63")
     return context
 
 
@@ -575,9 +600,15 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
     manifest = ["[versions]", f"fogcast = {__version__}",
                 f"python = {platform.python_version()}", f"numpy = {np.__version__}", ""]
 
-    for key in {(config.topology_path, config.population_path) for config in configs}:
-        if key in _contexts and _contexts[key].stamps != _stamps(*key):
-            del _contexts[key]
+    # The sweep's held pairs move to the newest end, or go when a file changed;
+    # of the others, the 8 newest stay. No trial then drops a context.
+    swept = dict.fromkeys((config.topology_path, config.population_path) for config in configs)
+    for key in swept:
+        context = _contexts.pop(key, None)
+        if context is not None and context.stamps == _stamps(*key):
+            _contexts[key] = context
+    for key in [key for key in _contexts if key not in swept][:-8]:
+        del _contexts[key]
     contexts = [_check_fits(config) for config in configs]
     runs = _run_configs(configs, jobs)
     for config, context, (keys, values, pooled) in zip(configs, contexts, runs):

@@ -3,7 +3,7 @@
 Headline backhaul runs use the delivery-capacity convention (fallback pull
 traffic excluded, ``count_fallback=False``) on the bundled fixture with a
 pinned base seed; one line per criterion is printed with the measured
-values. Criteria 2-5 and 7 read what ``run_sweep`` writes or returns; the
+values. Criteria 2-5, 7 and 11 read what ``run_sweep`` writes or returns; the
 acceptance grid, ``test_golden.ACCEPTANCE``, is swept once, and its three
 CSVs are also compared with their goldens, so the published means and
 pooled path lengths are pinned where the paper's results are checked.
@@ -299,6 +299,36 @@ def test_criterion_10_byte_identical_sweeps(sweep, chain_setup, tmp_path):
     # The manifest names each config's scheme: the Bloom sweep ran Bloom.
     manifest = (tmp_path / "seq1" / "manifest.txt").read_text()
     assert all(f"scheme = {config.scheme}" in manifest for config in configs)
+
+
+def test_criterion_11_dns_never_beats_icn_backhaul(grid_run, tmp_path):
+    """The paper's headline as a paired comparison. A trial's draws and
+    service points depend on the base seed and trial index alone, so trial i
+    of each ``dns`` config below, on an acceptance cell's fog and cloud
+    counts with LDNS 2, 4 or 8, pairs with trial i of that cell's ``icn``
+    config in ``grid_run`` (common random numbers). With fallback not
+    counted, the ``dns`` unicast backhaul is at least ``icn``'s in every
+    pair: no ``dns`` client path is shorter (criterion 6), and unicast is
+    the bitrate times the users' summed hops. The paper gives no size for
+    the gap, so its spread is reported and not bounded."""
+    cells = list(grid_run["backhaul"])
+    run_sweep([dns_config(fog, cloud, ldns) for fog, cloud in cells for ldns in (2, 4, 8)],
+              out_dir=tmp_path)
+    dns: dict = {}
+    for line in (tmp_path / "backhaul.csv").read_text().splitlines()[1:]:
+        _, fog, cloud, ldns, _, _, _, value = line.split(",")
+        dns.setdefault((int(fog), int(cloud), int(ldns)), []).append(float(value))
+    ratios, sd_ratios, below = [], [], 0
+    for (fog, cloud, ldns), values in dns.items():
+        icn, values = np.array(grid_run["backhaul"][fog, cloud][0.0]), np.array(values)
+        below += int((values < icn).sum())
+        ratios.extend(values / icn)
+        sd_ratios.append(np.std(values - icn) / np.sqrt(np.var(values) + np.var(icn)))
+    low, median, high = np.percentile(ratios, [5, 50, 95])
+    ok = below == 0 and len(ratios) == len(cells) * 3 * TRIALS
+    report(11, ok, f"{len(ratios)} paired trials, {below} with dns below icn (need 0); dns/icn "
+                   f"median {median:.2f}, 5-95% {low:.2f}-{high:.2f}, min {min(ratios):.3f}; "
+                   f"paired SD {min(sd_ratios):.2f}-{max(sd_ratios):.2f}x the unpaired")
 
 
 def test_acceptance_grid_matches_golden(grid_run):

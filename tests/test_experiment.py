@@ -31,7 +31,8 @@ from fogcast.experiment import (
 )
 import fogcast
 import oracles
-from conftest import Bloom16, random_connected_graph, resolve, write_graphml, write_synthetic
+from conftest import (Bloom16, cli_error, random_connected_graph, resolve, write_graphml,
+                      write_synthetic)
 from fogcast import cli, experiment, topology
 from fogcast.forwarding import BloomScheme
 from fogcast.service_router import fog_cache_items
@@ -112,6 +113,66 @@ def test_trial_without_demand_has_zero_float_loads(chain_setup):
     for metrics in outcome.variants().values():
         assert metrics.arc_load.dtype == np.float64
         assert backhaul(metrics) == 0.0
+
+
+def test_key_sums_equal_a_dict_of_sums():
+    """``_key_sums`` of entries packed ``key << count_bits | count`` gives the
+    distinct keys, ascending, and each key's summed counts: random keys with
+    repeats, one key, no keys, and keys at the widest width the gate admits,
+    63 bits with the count."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for _ in range(20):
+        count_bits = int(rng.integers(1, 12))
+        keys = rng.integers(0, int(rng.integers(1, 200)), size=int(rng.integers(1, 300)))
+        cases.append((keys, rng.integers(1, 1 << count_bits, size=len(keys)), count_bits))
+    cases.append((np.array([5]), np.array([3]), 2))
+    cases.append((np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0))
+    wide = rng.integers(0, 1 << 43, size=500)
+    wide[:100] = wide[100:200]
+    wide[0] = (1 << 43) - 1
+    counts = rng.integers(1, 1 << 20, size=500)
+    counts[0] = (1 << 20) - 1
+    assert (wide << 20 | counts).max() == (1 << 63) - 1
+    cases.append((wide, counts, 20))
+    for keys, counts, count_bits in cases:
+        sums: dict[int, int] = {}
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            sums[key] = sums.get(key, 0) + count
+        packed = keys << count_bits | counts
+        got_keys, got_sums = experiment._key_sums(packed, count_bits)
+        assert list(zip(got_keys.tolist(), got_sums.tolist())) == sorted(sums.items())
+    assert sum(len(set(keys.tolist())) < len(keys) for keys, *_ in cases) > 10
+
+
+def one_node_inputs(tmp_path) -> tuple[str, str]:
+    """The 2,000-node synthetic backbone with all its people on node 0."""
+    top, _ = write_synthetic(tmp_path, 1)
+    graph = load_topology(top)
+    pop = tmp_path / "one_node.txt"
+    pop.write_text(f"{float(graph.lat[0])!r},{float(graph.lon[0])!r},1000\n")
+    return top, str(pop)
+
+
+def test_catchment_keys_past_63_bits_fail_before_any_trial(tmp_path, monkeypatch, fresh_contexts):
+    """A million items and a million users on one node of 2,000 nodes and
+    4,798 arcs need 11 + 20 + 13 + 20 = 64 bits of packed tree key: the
+    sweep stops with one error line before any trial. Half the items, or no
+    catchment interval (nothing is packed), pass the check."""
+    top, pop = one_node_inputs(tmp_path)
+    trials = count_calls(monkeypatch, "run_trial")
+    flags = ["--topology", top, "--population", pop, "--fog", "1", "--cloud", "1",
+             "--bitrates", "20e6", "--target-bitrate", "2e13", "--trials", "1"]
+    out = tmp_path / "out"
+    assert cli_error(["run", *flags, "--items", "1000000", "--catchment", "1",
+                      "--out", str(out)], out) == (
+        "fogcast: error: config icn,1,1,0,pop: catchment keys need 11 node + 20 item + "
+        "13 arc + 20 count bits = 64, over 63")
+    assert trials == []
+    config = ScenarioConfig(fog_k=1, cloud_k=1, bitrates=(20e6,), target_bitrate=2e13,
+                            topology_path=top, population_path=pop, n_items=10**6)
+    for fits in (dataclasses.replace(config, n_items=500000, catchment=(1.0,)), config):
+        assert experiment._check_fits(fits) is experiment._contexts[top, pop]
 
 
 def test_trials_deterministic(chain_setup):
@@ -678,8 +739,9 @@ def test_second_sweep_reads_an_edited_input(tmp_path, fresh_contexts):
 
 def test_unchanged_inputs_keep_their_context(tmp_path, monkeypatch, fresh_contexts):
     """A second sweep of unchanged files keeps their context, its held table
-    and path memo: it searches no hop table and walks no path. At most 8
-    contexts are held: a ninth input pair drops the oldest."""
+    and path memo: it searches no hop table and walks no path. A sweep keeps
+    its own input pairs and the 8 newest others: a ninth other drops the
+    oldest."""
     configs = grid_configs(dict(GRID_DNS, trials="2"))
     searches = count_calls(monkeypatch, "hop_table")
     walks = count_calls(monkeypatch, "canonical_paths")
@@ -704,8 +766,30 @@ def test_unchanged_inputs_keep_their_context(tmp_path, monkeypatch, fresh_contex
         run_sweep([ScenarioConfig(fog_k=1, cloud_k=1, topology_path=str(top),
                                   population_path=str(pop), n_items=3, target_bitrate=2e9,
                                   trials=1)])
-    assert len(experiment._contexts) == 8 and key not in experiment._contexts
+    assert len(experiment._contexts) == 9 and key not in experiment._contexts
     assert (str(top), str(pop)) in experiment._contexts
+
+
+def test_sweep_over_nine_input_pairs_loads_each_once(tmp_path, monkeypatch, fresh_contexts):
+    """A sweep holds the context of every input pair it reads, however many:
+    nine copies of the bundled inputs, one config and 3 trials each, load
+    each topology once, and the manifest names the digests of those loads."""
+    loads = count_calls(monkeypatch, "load_topology")
+    configs = []
+    for copy in range(9):
+        top, pop = tmp_path / f"top{copy}.graphml", tmp_path / f"pop{copy}.txt"
+        top.write_bytes(Path(bundled_topology()).read_bytes() + b"\n" * copy)
+        pop.write_bytes(Path(bundled_population()).read_bytes() + b"\n" * copy)
+        configs.append(ScenarioConfig(fog_k=2, cloud_k=2, topology_path=str(top),
+                                      population_path=str(pop), trials=3))
+    run_sweep(configs, out_dir=tmp_path / "out")
+    assert sorted(args[0] for args in loads) == sorted(c.topology_path for c in configs)
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    for config in configs:
+        digests = experiment._contexts[config.topology_path, config.population_path].digests
+        for path, digest in zip((config.topology_path, config.population_path), digests):
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            assert f"_sha256 = {digest}\n" in manifest
 
 
 def test_cls_trial_leaves_numpy_ma_unloaded(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -446,6 +447,40 @@ def test_nearest_at_some_nodes_equals_the_full_map_at_them(row_graphs):
             assert row.tolist() == full.tolist()
         assert nearest(hop_table(graph, []), []) is None
         assert nearest(hop_table(graph, []), ()) is None
+
+
+def test_nearest_equals_the_int64_formula_on_large_backbones(geant, tmp_path):
+    """The row built in the graph's key type equals ``(dist * n + c).min(axis=0)``
+    taken in int64, on the bundled, 2,000-node and 10,000-node backbones."""
+    rng = np.random.default_rng(41)
+    graphs = [geant] + [load_topology(write_synthetic(tmp_path, 1, n, chords)[0])
+                        for n, chords in ((2000, 400), (10000, 2000))]
+    for graph in graphs:
+        n = graph.n_nodes
+        for size in (1, 8, 37):
+            candidates = np.sort(rng.choice(n, size=size, replace=False))
+            hops = hop_table(graph, candidates)
+            want = (hops.dist[hops.slot[candidates]] * np.int64(n)
+                    + candidates[:, None]).min(axis=0)
+            row = nearest(hops, candidates)
+            assert row.dtype == np.int64 and row.tolist() == want.tolist()
+
+
+def test_nearest_keys_are_int32_up_to_46340_nodes():
+    """Keys reach n**2 - 1, which int32 holds up to 46,340 nodes and not at
+    46,341. A stub table of one row, every node as far as can be from the
+    highest id, puts the largest key at each node without a graph that large."""
+    for n, key in ((46340, np.int32), (46341, np.int64)):
+        assert topology._key_type(n) is key
+        assert (n * n - 1 <= np.iinfo(np.int32).max) == (key is np.int32)
+        dist = np.full((1, n), n - 1, dtype=np.int32)
+        dist[0, -1] = 0
+        slot = np.full(n, NO_ROW, dtype=np.intp)
+        slot[-1] = 0
+        hops = topology.HopTable(graph=SimpleNamespace(n_nodes=n), dist=dist, in_arc=dist,
+                                 slot=slot)
+        row = nearest(hops, [n - 1])
+        assert row.dtype == np.int64 and row[0] == n * n - 1 and row[-1] == n - 1
 
 
 def test_predecessor_tie_breaks_to_lowest_node_id():
