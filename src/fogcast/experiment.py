@@ -60,8 +60,8 @@ order (``_key_sums``; ``_check_fits`` keeps the packed key within 63
 bits). Pulls number only the pulling requests, and their arrays are built
 only when some point pulls; Bloom delivers only groups with tree arcs and
 reads group totals only for false-positive arcs. ``group_rate`` takes
-every interval at once, a row each, and one ``bincount`` of the arcs
-offset by row sums them all, each arc its row's entries in input order.
+every interval at once, a row each, and one ``bincount`` per row sums its
+entries per arc, in input order.
 ``tests/oracles.py`` holds the per-group reference.
 
 Trials are embarrassingly parallel; seeds are derived independently of
@@ -88,8 +88,8 @@ from .errors import FogcastError, read_text
 from .forwarding import BloomScheme, false_positive_arcs
 from .placement import ROLE_SALTS, PickOrder
 from .service_router import fog_cache_items, group_rate, pull_origins, resolve_nodes
-from .topology import (NO_ROW, NetworkGraph, PathMemo, canonical_paths, closeness, gather,
-                       hop_table, load_topology, nearest)
+from .topology import (NO_ROW, NetworkGraph, PathMemo, canonical_paths, gather, hop_table,
+                       load_topology, nearest)
 from .workload import (
     CHUNK_DURATION,
     build_catalogue,
@@ -335,7 +335,7 @@ def _trial_index(context: _Context, seed: int):
     def picks(mode: str, role: str, k: int) -> tuple[tuple[int, ...], bool]:
         if (mode, role, k) not in chosen:
             if k and (mode, role) not in orders:
-                orders[mode, role] = PickOrder(populations if mode == "pop" else closeness(graph),
+                orders[mode, role] = PickOrder(populations if mode == "pop" else graph.closeness,
                                                seed ^ ROLE_SALTS[role])
             points = orders[mode, role].first(k) if k else ()
             chosen[mode, role, k] = points, (memo.hops.slot[list(points)] != NO_ROW).all()
@@ -469,16 +469,13 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
 
     entry_group, entry_arc, entry_rate = entries[0] if len(entries) == 1 else (
         np.concatenate(column) for column in zip(*entries))
-    # Every interval's weights at once, a row each, and one per-arc pass over
-    # them all: row i's arcs are offset by i * n_arcs, so each arc sums its
-    # row's entries in input order.
+    # Every interval's weights at once, a row each, and one per-arc pass per row.
     weights = group_rate(entry_rate, np.array(intervals)[:, None])
     weights *= catalogue.bitrates[entry_group & ((1 << item_bits) - 1)]
     weights *= CHUNK_DURATION
-    offset_arc = entry_arc + np.arange(len(intervals))[:, None] * n_arcs
-    loads = _per_arc(offset_arc.ravel(), weights.ravel(), len(intervals) * n_arcs)
-    for interval, arc_load in zip(intervals, loads.reshape(len(intervals), n_arcs)):
-        outcome.by_catchment[interval] = TrialMetrics(arc_load, outcome.unicast.hop_counts)
+    for interval, row_weights in zip(intervals, weights):
+        outcome.by_catchment[interval] = TrialMetrics(_per_arc(entry_arc, row_weights, n_arcs),
+                                                      outcome.unicast.hop_counts)
     return outcome
 
 

@@ -9,17 +9,18 @@ trial reports charges the tree arcs directly. Arc labels are
 unidirectional; reverse delivery needs its own identifier.
 
 Trials forward every group of a trial at once. ``label_masks`` holds each
-arc's label as ``ceil(m / 64)`` uint64 words, built once per (graph,
-scheme). ``false_positive_arcs`` returns only the arcs each group's
-identifier carries beyond its tree, delivering each distinct (root,
-identifier) pair once and testing only the out-arcs of the nodes it
-reaches. The scalar ``encode_tree``, ``forward`` and ``deliver`` in
-``tests/oracles.py`` are the reference it is tested against.
+arc's label as ``ceil(m / 64)`` uint64 words, built once per (scheme, arc
+count), as a label depends on nothing else. ``false_positive_arcs``
+returns only the arcs each group's identifier carries beyond its tree,
+delivering each distinct (root, identifier) pair once and testing only the
+out-arcs of the nodes it reaches. The scalar ``encode_tree``, ``forward``
+and ``deliver`` in ``tests/oracles.py`` are the reference it is tested
+against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -60,17 +61,18 @@ def label_arc(scheme: BloomScheme, arc_id: int) -> tuple[int, ...]:
     return tuple(sorted({(h1 + i * h2) % scheme.m for i in range(scheme.k)}))
 
 
-@lru_cache(maxsize=8)
-def label_masks(graph: NetworkGraph, scheme: BloomScheme) -> np.ndarray:
-    """Every arc's label under ``scheme`` as a read-only bit mask table.
+@cache
+def label_masks(scheme: BloomScheme, n_arcs: int) -> np.ndarray:
+    """Labels of arcs ``0 .. n_arcs - 1`` under ``scheme`` as a read-only bit
+    mask table.
 
     Row ``a`` holds ``ceil(m / 64)`` uint64 words; position ``p`` of
     ``label_arc(scheme, a)`` is bit ``p % 64`` of word ``p // 64``. Built
-    once per (graph, scheme) and process; later calls return the table (a
-    graph hashes by identity, and a cached one stays alive to keep its key).
+    once per (scheme, n_arcs) and process, keyed by value, so graphs of one
+    arc count share a table and none is kept alive by it.
     """
-    masks = np.zeros((graph.n_arcs, -(-scheme.m // 64)), dtype=np.uint64)
-    for arc_id in range(graph.n_arcs):
+    masks = np.zeros((n_arcs, -(-scheme.m // 64)), dtype=np.uint64)
+    for arc_id in range(n_arcs):
         for p in label_arc(scheme, arc_id):
             masks[arc_id, p // 64] |= np.uint64(1 << (p % 64))
     masks.setflags(write=False)
@@ -97,7 +99,7 @@ def false_positive_arcs(graph: NetworkGraph, scheme: BloomScheme, tree_root, tre
     """
     if not len(tree_arc):
         return tree_group[:0], tree_arc[:0]
-    masks = label_masks(graph, scheme)
+    masks = label_masks(scheme, graph.n_arcs)
     indptr = np.concatenate(([0], np.flatnonzero(np.diff(tree_group)) + 1, [len(tree_arc)]))
     group, size, root = tree_group[indptr[:-1]], np.diff(indptr), tree_root[indptr[:-1]]
     fids = np.bitwise_or.reduceat(masks.take(tree_arc, axis=0), indptr[:-1], axis=0)
@@ -145,7 +147,7 @@ def false_positive_arcs(graph: NetworkGraph, scheme: BloomScheme, tree_root, tre
 
 def _passing(graph: NetworkGraph, masks, unset, at, nodes) -> tuple[np.ndarray, np.ndarray]:
     """(at, arc) pairs: out-arcs of ``nodes[i]`` whose mask meets no bit of ``unset[at[i]]``."""
-    owner, arc = gather(*_out_arcs(graph), nodes)
+    owner, arc = gather(*graph.out_arcs, nodes)
     at = at[owner]
     clash = masks.take(arc, axis=0)
     clash &= unset.take(at, axis=0)
@@ -155,9 +157,3 @@ def _passing(graph: NetworkGraph, masks, unset, at, nodes) -> tuple[np.ndarray, 
     passes = missing == 0
     return at[passes], arc[passes]
 
-
-@lru_cache(maxsize=8)
-def _out_arcs(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Every node's out-arcs, ascending, as a CSR (indptr, arcs) built once per graph."""
-    arcs = np.argsort(graph.src, kind="stable")
-    return np.searchsorted(graph.src[arcs], np.arange(graph.n_nodes + 1)), arcs

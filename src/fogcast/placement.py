@@ -3,7 +3,7 @@
 Nodes are drawn sequentially without replacement, with probability
 proportional to their weight among the remaining candidates. ``pop`` mode
 weighs nodes by assigned population, ``cls`` mode by closeness centrality,
-which ``topology.closeness`` computes once per graph.
+which ``NetworkGraph.closeness`` computes once per graph.
 
 One draw is a ``PickOrder`` that grows on demand: the points for k are
 its first k picks, for every k, so a sweep draws each (trial seed, mode,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,6 @@ __all__ = [
     "PathMemo",
     "gather",
     "nearest",
-    "closeness",
 ]
 
 _GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
@@ -66,7 +65,10 @@ class NetworkGraph:
     (``lat[v]``, ``lon[v]``), and arc ``a`` runs ``src[a] -> dst[a]``. The
     graph is guaranteed connected; construction fails otherwise. The arrays
     are read-only, so instances are immutable and safe to share across
-    concurrent trial workers; they compare and hash by identity.
+    concurrent trial workers; they compare and hash by identity. The views
+    ``in_arcs``, ``out_arcs`` and ``closeness`` are computed on first read
+    and kept on the instance, so they are freed with it; being frozen, it
+    takes no assignment to them.
     """
 
     labels: tuple[str, ...]
@@ -82,6 +84,48 @@ class NetworkGraph:
     @property
     def n_arcs(self) -> int:
         return len(self.src)
+
+    @cached_property
+    def in_arcs(self):
+        """The arcs as ``_bfs_block`` and ``_predecessors`` read them: sources
+        sorted by (dst, src), the first arc into each node, and per slot ``k``
+        the nodes with more than ``k`` in-arcs, their ``k``-th lowest
+        in-neighbours and the ids of the arcs from them. Sorted once per graph."""
+        order = np.lexsort((self.src, self.dst))
+        src, dst = self.src[order], self.dst[order]
+        # A connected graph of two or more nodes gives every node an in-arc.
+        start = np.searchsorted(dst, np.arange(self.n_nodes))
+        indeg = np.bincount(dst, minlength=self.n_nodes)
+        slots = []
+        for k in range(int(indeg.max(initial=0))):
+            v = np.flatnonzero(indeg > k)
+            # Arc ids stay intp, not the hop table's narrower type: they make
+            # ``_predecessors``' ``np.where`` temporaries the largest blocks set-up
+            # frees (1 MB at 2,000 nodes), and glibc sets its heap-trim threshold
+            # from them; at half that, steady trials return and re-fault heap.
+            slots.append((v, src[start[v] + k], order[start[v] + k]))
+        return src, start, slots
+
+    @cached_property
+    def out_arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's out-arcs, ascending, as a CSR (indptr, arcs)."""
+        arcs = np.argsort(self.src, kind="stable")
+        return np.searchsorted(self.src[arcs], np.arange(self.n_nodes + 1)), arcs
+
+    @cached_property
+    def closeness(self) -> np.ndarray:
+        """Closeness centrality of every node: (|V| - 1) / sum of its hop
+        distances, read-only. The sums come from one streaming pass over every
+        64-source block, which keeps only each block's distance sums."""
+        n = self.n_nodes
+        if n < 2:
+            value = np.ones(n)
+        else:
+            blocks = (np.arange(s0, min(s0 + _BLOCK, n)) for s0 in range(0, n, _BLOCK))
+            sums = np.concatenate([_bfs_block(self.in_arcs, b).sum(axis=0) for b in blocks])
+            value = (n - 1) / sums.astype(np.float64)
+        value.setflags(write=False)
+        return value
 
 
 def build_graph(coords: list[tuple[str, float, float]],
@@ -264,28 +308,6 @@ def _bits(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=count, bitorder="little")
 
 
-@lru_cache(maxsize=8)
-def _in_arcs(graph: NetworkGraph):
-    """The arcs as ``_bfs_block`` and ``_predecessors`` read them: sources
-    sorted by (dst, src), the first arc into each node, and per slot ``k``
-    the nodes with more than ``k`` in-arcs, their ``k``-th lowest
-    in-neighbours and the ids of the arcs from them. Sorted once per graph."""
-    order = np.lexsort((graph.src, graph.dst))
-    src, dst = graph.src[order], graph.dst[order]
-    # A connected graph of two or more nodes gives every node an in-arc.
-    start = np.searchsorted(dst, np.arange(graph.n_nodes))
-    indeg = np.bincount(dst, minlength=graph.n_nodes)
-    slots = []
-    for k in range(int(indeg.max(initial=0))):
-        v = np.flatnonzero(indeg > k)
-        # Arc ids stay intp, not the hop table's narrower type: they make
-        # ``_predecessors``' ``np.where`` temporaries the largest blocks set-up
-        # frees (1 MB at 2,000 nodes), and glibc sets its heap-trim threshold
-        # from them; at half that, steady trials return and re-fault heap.
-        slots.append((v, src[start[v] + k], order[start[v] + k]))
-    return src, start, slots
-
-
 def _bfs_block(in_arcs, sources):
     """Hop counts from up to 64 distinct sources.
 
@@ -342,7 +364,7 @@ def hop_table(graph: NetworkGraph, sources) -> HopTable:
     # under numpy 2.x.
     sources = np.sort(np.asarray(sources, dtype=np.intp))
     sources = sources[np.diff(sources, prepend=-1) != 0]
-    in_arcs = _in_arcs(graph)
+    in_arcs = graph.in_arcs
     n = graph.n_nodes
     slot = np.full(n, NO_ROW, dtype=np.intp)
     slot[sources] = np.arange(len(sources))
@@ -464,23 +486,3 @@ def nearest(hops: HopTable, candidates) -> np.ndarray | None:
     row = keys.min(axis=0).astype(np.int64)
     row.setflags(write=False)
     return row
-
-
-@lru_cache(maxsize=8)
-def closeness(graph: NetworkGraph) -> np.ndarray:
-    """Closeness centrality of every node: (|V| - 1) / sum of its hop distances.
-
-    The sums come from one streaming pass over every 64-source block,
-    which keeps only each block's distance sums. Computed once per graph;
-    the array is read-only.
-    """
-    n = graph.n_nodes
-    if n < 2:
-        value = np.ones(n)
-    else:
-        in_arcs = _in_arcs(graph)
-        sums = np.concatenate([_bfs_block(in_arcs, np.arange(s0, min(s0 + _BLOCK, n))).sum(axis=0)
-                               for s0 in range(0, n, _BLOCK)])
-        value = (n - 1) / sums.astype(np.float64)
-    value.setflags(write=False)
-    return value

@@ -45,7 +45,7 @@ from fogcast.experiment import (UNICAST, ScenarioConfig, TrialMetrics, TrialOutc
 from fogcast.forwarding import BloomScheme, label_arc
 from fogcast.placement import PickOrder
 from fogcast.service_router import fog_cache_items
-from fogcast.topology import HopTable, NetworkGraph, closeness, hop_table, load_topology
+from fogcast.topology import HopTable, NetworkGraph, hop_table, load_topology
 from fogcast.workload import (CHUNK_DURATION, ServiceCatalogue, assign_population,
                               build_catalogue, draw_demand, load_population)
 
@@ -130,7 +130,7 @@ def fresh_placement(graph: NetworkGraph, populations, mode: str, fog_k: int, clo
     salt. What ``run_trial`` takes from the pick orders a sweep shares; the
     weights and salts are stated here, so a mode or role mixed up in
     ``experiment._trial_index`` shows."""
-    weights = populations if mode == "pop" else closeness(graph)
+    weights = populations if mode == "pop" else graph.closeness
     return Placement(*(PickOrder(weights, seed ^ ROLE_SALTS[role]).first(k)
                        for role, k in (("fog", fog_k), ("cloud", cloud_k), ("ldns", ldns_k))))
 

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
+import gc
 import hashlib
 import importlib
+import multiprocessing
 import os
 import pkgutil
 import platform
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +37,10 @@ import fogcast
 import oracles
 from conftest import (Bloom16, cli_error, random_connected_graph, resolve, write_graphml,
                       write_synthetic)
-from fogcast import cli, experiment, topology
+from fogcast import cli, experiment, forwarding, topology
 from fogcast.forwarding import BloomScheme
 from fogcast.service_router import fog_cache_items
-from fogcast.topology import NO_ROW, closeness, load_topology
+from fogcast.topology import NO_ROW, NetworkGraph, load_topology
 from fogcast.workload import CHUNK_DURATION, build_catalogue
 from oracles import all_pairs, fresh_placement
 
@@ -775,13 +779,8 @@ def test_sweep_over_nine_input_pairs_loads_each_once(tmp_path, monkeypatch, fres
     nine copies of the bundled inputs, one config and 3 trials each, load
     each topology once, and the manifest names the digests of those loads."""
     loads = count_calls(monkeypatch, "load_topology")
-    configs = []
-    for copy in range(9):
-        top, pop = tmp_path / f"top{copy}.graphml", tmp_path / f"pop{copy}.txt"
-        top.write_bytes(Path(bundled_topology()).read_bytes() + b"\n" * copy)
-        pop.write_bytes(Path(bundled_population()).read_bytes() + b"\n" * copy)
-        configs.append(ScenarioConfig(fog_k=2, cloud_k=2, topology_path=str(top),
-                                      population_path=str(pop), trials=3))
+    configs = [ScenarioConfig(fog_k=2, cloud_k=2, topology_path=top, population_path=pop,
+                              trials=3) for top, pop in bundled_copies(tmp_path, 9)]
     run_sweep(configs, out_dir=tmp_path / "out")
     assert sorted(args[0] for args in loads) == sorted(c.topology_path for c in configs)
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
@@ -790,6 +789,86 @@ def test_sweep_over_nine_input_pairs_loads_each_once(tmp_path, monkeypatch, fres
         for path, digest in zip((config.topology_path, config.population_path), digests):
             assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
             assert f"_sha256 = {digest}\n" in manifest
+
+
+def bundled_copies(tmp_path, count: int) -> list[tuple[str, str]]:
+    """``count`` distinct copies of the bundled inputs, as (topology, population)."""
+    copies = []
+    for copy in range(count):
+        top, pop = tmp_path / f"top{copy}.graphml", tmp_path / f"pop{copy}.txt"
+        top.write_bytes(Path(bundled_topology()).read_bytes() + b"\n" * copy)
+        pop.write_bytes(Path(bundled_population()).read_bytes() + b"\n" * copy)
+        copies.append((str(top), str(pop)))
+    return copies
+
+
+def count_view(monkeypatch, name: str) -> list:
+    """Record each graph whose ``NetworkGraph.<name>`` view is computed."""
+    graphs = []
+    compute = NetworkGraph.__dict__[name].func
+    view = functools.cached_property(lambda graph: graphs.append(graph) or compute(graph))
+    view.__set_name__(NetworkGraph, name)
+    monkeypatch.setattr(NetworkGraph, name, view)
+    return graphs
+
+
+def cls_bloom(top: str, pop: str, trials: int) -> ScenarioConfig:
+    return ScenarioConfig(mode="cls", catchment=(1.0,), scheme="bloom", topology_path=top,
+                          population_path=pop, trials=trials)
+
+
+def test_sweep_builds_each_view_once_per_graph(tmp_path, monkeypatch, fresh_contexts):
+    """A cls + Bloom sweep over nine copies of the bundled inputs, 20 trials
+    each, computes closeness, in-arcs and out-arcs once per graph, as views
+    kept on it, and the label masks once: they are keyed by value, and the
+    copies share a scheme and an arc count."""
+    views = {name: count_view(monkeypatch, name) for name in ("closeness", "in_arcs", "out_arcs")}
+    built = []
+    build = forwarding.label_masks.__wrapped__
+    monkeypatch.setattr(forwarding, "label_masks", functools.cache(
+        lambda scheme, n_arcs: built.append(n_arcs) or build(scheme, n_arcs)))
+    run_sweep([cls_bloom(top, pop, 20) for top, pop in bundled_copies(tmp_path, 9)])
+    graphs = {context.graph for context in experiment._contexts.values()}
+    assert len(graphs) == 9
+    for name, computed in views.items():
+        assert len(computed) == 9 and set(computed) == graphs, name
+    assert built == [116]
+
+
+def test_dropped_context_frees_its_graph(tmp_path, fresh_contexts):
+    """A second sweep that drops the context of an edited input frees its
+    graph: its views live on it, and nothing outside the context keeps it."""
+    (top, pop), = bundled_copies(tmp_path, 1)
+    run_sweep([cls_bloom(top, pop, 2)])
+    graph = weakref.ref(experiment._contexts[top, pop].graph)
+    assert {"closeness", "in_arcs", "out_arcs"} <= vars(graph()).keys()
+    stat = os.stat(pop)
+    os.utime(pop, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    run_sweep([cls_bloom(top, pop, 2)])
+    gc.collect()
+    assert graph() is None and experiment._contexts[top, pop].graph is not None
+
+
+def test_spawned_workers_equal_one_process(tmp_path, monkeypatch, fresh_contexts):
+    """Under the spawn start method each worker loads the inputs and builds
+    the graph's views itself: a cls + Bloom sweep with two workers writes
+    the bytes of an in-process one."""
+    pools = []
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    def spawning_pool(max_workers):
+        pools.append(max_workers)
+        return pool(max_workers=max_workers, mp_context=multiprocessing.get_context("spawn"))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    configs = grid_configs({"placement": "cls", "fog": "2,4", "cloud": "2",
+                            "catchment": "0.1,1", "scheme": "bloom", "trials": "4"})
+    for jobs in (1, 2):
+        run_sweep(configs, out_dir=tmp_path / f"jobs{jobs}", jobs=jobs)
+    assert pools == [2]
+    for name in ("backhaul.csv", "pathlen.csv", "summary.csv", "manifest.txt"):
+        assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
 
 
 def test_cls_trial_leaves_numpy_ma_unloaded(tmp_path):
@@ -842,7 +921,7 @@ def test_sweep_places_once_per_trial_index(monkeypatch, fresh_contexts):
     configs = grid_configs(GRID_DNS)
     assert len(configs) == 32
     context = experiment._load_context(configs[0].topology_path, configs[0].population_path)
-    modes = {id(context.populations): "pop", id(closeness(context.graph)): "cls"}
+    modes = {id(context.populations): "pop", id(context.graph.closeness): "cls"}
     orders = count_calls(monkeypatch, "PickOrder")
     run_sweep(configs)
     assert len(orders) == 6 * 3
@@ -859,7 +938,7 @@ def test_icn_sweep_draws_no_ldns_order(monkeypatch, fresh_contexts):
     and cloud orders of each mode and none for the LDNS: 4 per index, not 6."""
     configs = grid_configs(dict(GRID_DNS, arch="icn", ldns="0"))
     context = experiment._load_context(configs[0].topology_path, configs[0].population_path)
-    modes = {id(context.populations): "pop", id(closeness(context.graph)): "cls"}
+    modes = {id(context.populations): "pop", id(context.graph.closeness): "cls"}
     orders = count_calls(monkeypatch, "PickOrder")
     run_sweep(configs)
     assert len(orders) == 4 * 3

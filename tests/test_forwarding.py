@@ -203,16 +203,21 @@ def test_label_masks_hold_label_positions(scheme, monkeypatch):
     labelled = []
     monkeypatch.setattr(forwarding, "label_arc",
                         lambda scheme, arc: labelled.append(arc) or label_arc(scheme, arc))
-    masks = label_masks(g, scheme)
+    # The table is built here, whatever an earlier test left in the cache.
+    masks = label_masks.__wrapped__(scheme, g.n_arcs)
     width = ForwardingId(bits=0, scheme=scheme).width
     assert masks.dtype == np.uint64 and masks.shape == (g.n_arcs, -(-width // 64))
     for arc_id in range(g.n_arcs):
         bits = sum(int(word) << (64 * i) for i, word in enumerate(masks[arc_id].tolist()))
         assert bits == encode_tree(make_tree(0, set(), {arc_id}), scheme).bits
-    assert label_masks(g, scheme) is masks
     assert not masks.flags.writeable
-    # Each arc is labelled once per (graph, scheme), however often it is asked.
+    # Each arc is labelled once per build; the cache keys by value, so every
+    # graph of the arc count reads one table equal to it.
     assert labelled == list(range(g.n_arcs))
+    shared = label_masks(scheme, g.n_arcs)
+    assert shared.tobytes() == masks.tobytes() and not shared.flags.writeable
+    copy = random_connected_graph(np.random.default_rng(2), 5, 0)
+    assert label_masks(scheme, copy.n_arcs) is shared
 
 
 def test_group_kernel_matches_scalar_delivery(geant):

@@ -7,7 +7,7 @@ from conftest import write_graphml, write_synthetic
 from fogcast import experiment
 from fogcast.data import bundled_population, bundled_topology
 from fogcast.placement import PickOrder
-from fogcast.topology import closeness, load_topology
+from fogcast.topology import load_topology
 from fogcast.workload import assign_population, load_population
 
 
@@ -34,7 +34,7 @@ def assert_draws_equal_reference(weights: np.ndarray, seeds: range) -> None:
 
 
 def test_draw_equals_choice_reference_on_bundled_weights(geant, geant_population):
-    for weights in (geant_population, closeness(geant)):
+    for weights in (geant_population, geant.closeness):
         assert_draws_equal_reference(weights, range(2048))
 
 
@@ -43,7 +43,7 @@ def test_draw_equals_choice_reference_on_2000_node_backbone(tmp_path):
     graph = load_topology(topology)
     assert graph.n_nodes == 2000
     populations = assign_population(graph, load_population(population))
-    for weights in (populations, closeness(graph)):
+    for weights in (populations, graph.closeness):
         assert_draws_equal_reference(weights, range(2048))
 
 
@@ -80,7 +80,7 @@ def assert_orders_equal_fresh_draws(weights: np.ndarray, seeds: range) -> None:
 
 
 def test_pick_order_is_request_order_independent_on_bundled_weights(geant, geant_population):
-    for weights in (geant_population, closeness(geant)):
+    for weights in (geant_population, geant.closeness):
         assert_orders_equal_fresh_draws(weights, range(48))
 
 
@@ -88,7 +88,7 @@ def test_pick_order_is_request_order_independent_on_2000_node_backbone(tmp_path)
     topology, population = write_synthetic(tmp_path, 1)
     graph = load_topology(topology)
     populations = assign_population(graph, load_population(population))
-    for weights in (populations, closeness(graph)):
+    for weights in (populations, graph.closeness):
         assert_orders_equal_fresh_draws(weights, range(16))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -18,7 +19,6 @@ from fogcast.topology import (
     TopologyError,
     build_graph,
     canonical_paths,
-    closeness,
     gather,
     hop_table,
     load_topology,
@@ -635,26 +635,33 @@ def test_streaming_closeness_equals_all_pairs_row_sums(row_table, row_graphs, st
         rng = np.random.default_rng(24)
         tables += [(g, all_pairs(g)) for g in [star4] + [random_connected_graph(rng, n, n // 3)
                                                           for n in (1, 2, 5, 40, 130)]]
-        assert closeness(star4).tolist() == [1.0, 3 / 5, 3 / 5, 3 / 5]
+        assert star4.closeness.tolist() == [1.0, 3 / 5, 3 / 5, 3 / 5]
     for graph, hops in tables:
         n = graph.n_nodes
-        values = closeness(graph)
+        values = graph.closeness
         expected = [(n - 1) / float(hops.dist[v].sum()) if n > 1 else 1.0 for v in range(n)]
         assert values.dtype == np.float64 and values.shape == (n,)
         assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
         assert ((0.0 < values) & (values <= 1.0)).all()
-        # Cached per graph, and read-only so no caller can change it.
-        assert closeness(graph) is values and not values.flags.writeable
+        # Kept on the graph, and read-only so no caller can change it.
+        assert graph.closeness is values and not values.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.closeness = values
 
 
 def test_closeness_runs_no_predecessor_sweep(row_graphs, monkeypatch):
+    """Closeness of fresh copies of the row graphs, which hold no view yet,
+    searches every 64-source block of each and sweeps no predecessors."""
     sweeps = []
     sweep = topology._predecessors
     monkeypatch.setattr(topology, "_predecessors",
                         lambda *args: sweeps.append(args) or sweep(*args))
-    closeness.cache_clear()
-    for graph in row_graphs:
-        closeness(graph)
+    searches = _counting_searches(monkeypatch)
+    graphs = [dataclasses.replace(graph) for graph in row_graphs]
+    for graph in graphs:
+        graph.closeness
+    assert searches == [min(_BLOCK, graph.n_nodes - s0) for graph in graphs
+                        if graph.n_nodes > 1 for s0 in range(0, graph.n_nodes, _BLOCK)]
     assert sweeps == []
     # The spy sees the sweep of every block a hop table searches.
     hop_table(row_graphs[0], [0])
