@@ -348,6 +348,32 @@ def test_sweep_from_grid_file(tiny_inputs, tmp_path):
     assert len(summary) - 1 == 2
 
 
+def test_sweep_replaces_its_outputs_rather_than_rewriting_them(tmp_path):
+    """A sweep into a used directory puts a new file at each output path:
+    a hard link to an earlier sweep's file keeps that sweep's bytes, each
+    path reads what the new sweep writes into a fresh directory, and a file
+    that is not an output is left alone."""
+    names = ("backhaul.csv", "pathlen.csv", "summary.csv", "manifest.txt")
+    first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+    first.write_text("arch = icn\nfog = 2,4\ncloud = 2\ncatchment = 0.1,1\nitems = 50\n"
+                     "trials = 3\nseed = 1\n")
+    second.write_text("arch = icn\nfog = 2\ncloud = 2\nitems = 50\ntrials = 2\nseed = 2\n")
+    out, fresh, links = tmp_path / "out", tmp_path / "fresh", tmp_path / "links"
+    assert run_cmd(["sweep", "--grid", str(first), "--out", str(out)]) == 0
+    links.mkdir()
+    before = {}
+    for name in names:
+        before[name] = (out / name).read_bytes()
+        os.link(out / name, links / name)
+    (out / "notes.txt").write_text("not an output\n")
+    assert run_cmd(["sweep", "--grid", str(second), "--out", str(out)]) == 0
+    assert run_cmd(["sweep", "--grid", str(second), "--out", str(fresh)]) == 0
+    for name in names:
+        assert (links / name).read_bytes() == before[name]
+        assert (out / name).read_bytes() == (fresh / name).read_bytes() != before[name]
+    assert (out / "notes.txt").read_text() == "not an output\n"
+
+
 @pytest.mark.parametrize("command", ["run_topology", "run_population", "sweep_grid",
                                      "sweep_topology"])
 def test_missing_file_is_one_error_line(command, tiny_inputs, tmp_path):

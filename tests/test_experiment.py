@@ -678,6 +678,35 @@ def test_manifest_lists_trial_seeds(chain_setup, tmp_path):
         assert lines.count(f"{name}_sha256 = {digest}") == 1
 
 
+def test_manifest_seeds_stay_per_config(chain_setup, tmp_path):
+    """Configs of different base seeds and trial counts each list their own
+    derived seeds, though the manifest joins each (seed, trials) once."""
+    top, pop = chain_setup
+    runs = ((1, 3), (2, 5), (1, 5), (1, 3))
+    configs = [ScenarioConfig(fog_k=fog, cloud_k=1, topology_path=top, population_path=pop,
+                              n_items=3, target_bitrate=2e9, trials=trials, base_seed=base)
+               for fog, (base, trials) in enumerate(runs, start=1)]
+    run_sweep(configs, out_dir=tmp_path / "out")
+    lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("trial_seeds = ")] == [
+        "trial_seeds = " + ",".join(str(trial_seed(base, i)) for i in range(trials))
+        for base, trials in runs]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 9, 129, 2000])
+def test_block_summaries_equal_per_row_ones(trials):
+    """``run_sweep``'s summaries, one mean and one std over a config's
+    (variants x trials) block, equal ``np.mean`` and ``np.std`` of each row
+    to the last bit, for values from 1e3 to 1e12."""
+    rng = np.random.default_rng(trials)
+    for variants in (1, 4):
+        block = np.empty((variants, trials))
+        for index in range(trials):  # filled as _run_configs does, a trial at a time
+            block[:, index] = 10.0 ** rng.uniform(3, 12, size=variants)
+        assert repr(block.mean(axis=1).tolist()) == repr([float(np.mean(row)) for row in block])
+        assert repr(block.std(axis=1).tolist()) == repr([float(np.std(row)) for row in block])
+
+
 def test_manifest_hashes_inputs_once_per_context(chain_setup, tmp_path, monkeypatch,
                                                  fresh_contexts):
     """Sweeps of one loaded context hash its two files once in all."""
