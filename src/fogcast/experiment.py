@@ -67,7 +67,8 @@ entries per arc, in input order.
 Trials are embarrassingly parallel; seeds are derived independently of
 scheduling, so parallel sweeps are byte-identical to sequential ones. A
 sweep walks trial indices and folds each trial as it ends into its config's
-backhaul array and pooled hop histogram ``hop_counts``.
+backhaul array and pooled hop histogram ``hop_counts``. Loaded inputs are
+one ``_Context`` per pair of input paths, kept by content (``run_sweep``).
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ import os
 import platform
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from functools import lru_cache, partial
+from functools import cache, partial
 from itertools import chain, product
 from pathlib import Path
 
@@ -133,7 +134,7 @@ MAX_USERS = 10**6
 MAX_TARGET_BITRATE = 1e18
 MAX_INTERVAL = 1e9
 
-_contexts: dict[tuple[str, str], _Context] = {}  # by input paths, oldest first
+_contexts: dict[tuple[str, str], _Context] = {}  # by input paths
 
 # Variant key for plain unicast rows. A listed zero interval adds no variant:
 # under Bloom identifiers it would charge false-positive arcs as unicast.
@@ -235,6 +236,13 @@ class ScenarioConfig:
         for t in self.catchment:
             if t > MAX_INTERVAL:
                 raise ConfigError(f"catchment interval {t!r} must be <= {MAX_INTERVAL:g} s")
+        if self.fog_k == self.cloud_k == 0:
+            raise ConfigError(f"config {row_label(self)}: no service point "
+                              "(fog = 0 and cloud = 0)")
+        if self.cloud_k == 0 and fog_cache_items(self.fog_cache_fraction,
+                                                  self.n_items) < self.n_items:
+            raise ConfigError(f"config {row_label(self)}: no cloud point to serve items past "
+                              "the fog cache")
         if not self.topology_path:
             object.__setattr__(self, "topology_path", str(data.bundled_topology()))
         if not self.population_path:
@@ -296,27 +304,21 @@ class _Context:
     memo: PathMemo  # of the populated nodes' rows: pop placement draws only them
     populations: np.ndarray
     peak_share: float  # the most populated node's share of the people
-    digests: tuple[str, str]  # sha256, taken after parsing
-    stamps: tuple  # each file's (size, mtime_ns), taken before parsing
+    digests: tuple[str, str]  # sha256, taken before parsing
     index: tuple = (None, None)  # (seed, its _trial_index value)
-
-
-def _stamps(*paths: str) -> tuple:
-    return tuple((s.st_size, s.st_mtime_ns) for s in map(os.stat, paths))
 
 
 def _load_context(topology_path: str, population_path: str) -> _Context:
     """The context of a pair of input files, loaded on first use and kept
     until ``run_sweep`` drops it. Trials take it as held: ``run_sweep``
-    checks stamps."""
+    checks that both files still hash to its digests."""
     key = topology_path, population_path
     if key not in _contexts:
-        stamps = _stamps(*key)
+        digests = tuple(map(_sha256, key))
         graph = load_topology(topology_path)
         populations = assign_population(graph, load_population(population_path))
         _contexts[key] = _Context(graph, PathMemo(hop_table(graph, np.flatnonzero(populations))),
-                                  populations, populations.max() / populations.sum(),
-                                  tuple(map(_sha256, key)), stamps)
+                                  populations, populations.max() / populations.sum(), digests)
     return _contexts[key]
 
 
@@ -359,8 +361,7 @@ def _trial_index(context: _Context, seed: int):
                 sums.setflags(write=False)
                 return sums
 
-            past_load = lru_cache(maxsize=None)(
-                lambda fog_items: per_client(np.where(items > fog_items, load, 0.0)))
+            past_load = cache(lambda fog_items: per_client(np.where(items > fog_items, load, 0.0)))
             drawn[workload] = catalogue, demand, per_client(counts), per_client(load), past_load
         return drawn[workload]
 
@@ -544,22 +545,16 @@ def row_label(config: ScenarioConfig) -> str:
 
 def _check_fits(config: ScenarioConfig) -> _Context:
     """Reject a config its topology cannot run: a role with more points than
-    its placement can draw, no service point at all, a miss without a
-    cloud point to pull from, or catchment keys past 63 bits. Returns its
+    its placement can draw, or catchment keys past 63 bits. Returns its
     context. The one such check: ``run_trial`` makes it first, and
-    ``run_sweep`` for every config."""
+    ``run_sweep`` for every config. The checks a config's own fields decide
+    (no service point, a miss without a cloud point) are ``ScenarioConfig``'s."""
     context = _load_context(config.topology_path, config.population_path)
     n, nodes = ((np.count_nonzero(context.populations), "populated nodes")
                 if config.mode == "pop" else (context.graph.n_nodes, "nodes"))
     for key, k in (("fog", config.fog_k), ("cloud", config.cloud_k), ("ldns", config.ldns_k)):
         if k > n:
             raise ConfigError(f"config {row_label(config)}: {key} = {k} exceeds the {n} {nodes}")
-    if config.fog_k == config.cloud_k == 0:
-        raise ConfigError(f"config {row_label(config)}: no service point (fog = 0 and cloud = 0)")
-    if config.cloud_k == 0 and fog_cache_items(config.fog_cache_fraction,
-                                                config.n_items) < config.n_items:
-        raise ConfigError(f"config {row_label(config)}: no cloud point to serve items past "
-                          "the fog cache")
     if any(config.catchment):
         # A packed tree key holds a point, an item, an arc and a request's
         # count, at most the most populated node's share of the user budget.
@@ -597,10 +592,12 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
     ``summary.csv`` with the mean and population std per (config, interval);
     ``manifest.txt`` with the fogcast, Python and numpy versions, then per
     config its fields, the sha256 of its input files and its derived seeds.
-    A sweep holds 8 bytes per (config, variant, trial), no per-trial object
-    (``jobs`` > 1 adds ``Executor.map``'s future per trial index), and
-    writes ``backhaul.csv`` row by row from them. Each output already in
-    ``out_dir`` is replaced by a new file (``_write_new``).
+    First it drops each held context of a pair it does not sweep, or whose
+    files no longer hash to its digests. A sweep holds 8 bytes per (config,
+    variant, trial), no per-trial object (``jobs`` > 1 adds
+    ``Executor.map``'s future per trial index), and writes ``backhaul.csv``
+    row by row from them. Each output already in ``out_dir`` is replaced by
+    a new file (``_write_new``).
     """
     from . import __version__  # here: the package imports this module first
 
@@ -610,15 +607,12 @@ def run_sweep(configs: list[ScenarioConfig], out_dir: str | Path | None = None,
                 f"python = {platform.python_version()}", f"numpy = {np.__version__}", ""]
     seed_lines: dict[tuple[int, int], str] = {}  # by (base seed, trials)
 
-    # The sweep's held pairs move to the newest end, or go when a file changed;
-    # of the others, the 8 newest stay. No trial then drops a context.
-    swept = dict.fromkeys((config.topology_path, config.population_path) for config in configs)
-    for key in swept:
-        context = _contexts.pop(key, None)
-        if context is not None and context.stamps == _stamps(*key):
-            _contexts[key] = context
-    for key in [key for key in _contexts if key not in swept][:-8]:
-        del _contexts[key]
+    # A held context stays only while this sweep reads its pair and both
+    # files still hash to its digests. No trial then drops a context.
+    swept = {(config.topology_path, config.population_path) for config in configs}
+    for key in list(_contexts):
+        if key not in swept or _contexts[key].digests != tuple(map(_sha256, key)):
+            del _contexts[key]
     contexts = [_check_fits(config) for config in configs]
     runs = _run_configs(configs, jobs)
     for config, context, (keys, values, pooled) in zip(configs, contexts, runs):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 from types import MappingProxyType
 
@@ -174,9 +174,10 @@ class ServiceCatalogue:
         return float(np.dot(self.probabilities, self.bitrates))
 
 
-@lru_cache(maxsize=8)
+@cache
 def _zipf_law(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only probabilities, cdf and guide table of a Zipf catalogue."""
+    """Read-only probabilities, cdf and guide table of a Zipf catalogue,
+    kept by value for the process."""
     weights = np.arange(1, n + 1, dtype=np.float64) ** (-alpha)
     probabilities = weights / weights.sum()
     cdf = probabilities.cumsum()
@@ -198,7 +199,8 @@ def build_catalogue(n: int, alpha: float, bitrate_set: tuple[float, ...],
 
     Each item's bitrate is drawn uniformly from ``bitrate_set`` with the
     seeded generator, once, at build time. The rest depends on ``(n,
-    alpha)`` alone and is computed once per pair, as a fresh build would.
+    alpha)`` alone and is computed once per pair and process, as a fresh
+    build would.
     ``ScenarioConfig`` checks ``n``, ``alpha`` and the bitrate set.
     """
     probabilities, cdf, guide = _zipf_law(n, float(alpha))

@@ -536,7 +536,8 @@ def reference_trial(config: ScenarioConfig, index: int) -> tuple[TrialOutcome, d
     client_hops, client_counts = [], []
     groups: dict[tuple[int, int], list[tuple[int, int, DeliveryPlan]]] = {}
     counters = {"pulls": 0, "fp_arcs": 0}
-    for (client, item), count in demand.requests.items():
+    for client, item, count in zip(demand.clients[demand.client_of].tolist(),
+                                   demand.items.tolist(), demand.counts.tolist()):
         plan = (resolve_request_dns(client, item, dns, hops, bitrates[item - 1]) if dns else
                 resolve_request(client, item, placement.cloud, fog_items, table, hops, catalogue))
         client_hops.append(plan.client_path_hops)

@@ -151,6 +151,8 @@ def test_jobs_and_trials_must_be_positive(command, flag, value, tiny_inputs, tmp
     ("run", "--cloud=0", "no cloud point to serve item"),
     ("run", "--fog=0 --cloud=0 --fog-cache-fraction=1",
      "config icn,0,0,0,pop: no service point (fog = 0 and cloud = 0)"),
+    ("run", "--fog=0 --cloud=0 --topology={tmp}/missing.graphml",
+     "config icn,0,0,0,pop: no service point (fog = 0 and cloud = 0)"),
     ("sweep", "count_fallback = 1", "count_fallback 1 must be true or false"),
     ("run", "--count-fallback 1", "count_fallback 1 must be true or false"),
     ("sweep", "catchment = abc", "catchment interval 'abc' must be finite and >= 0"),

@@ -37,7 +37,7 @@ import fogcast
 import oracles
 from conftest import (Bloom16, cli_error, random_connected_graph, resolve, write_graphml,
                       write_synthetic)
-from fogcast import cli, experiment, forwarding, topology
+from fogcast import cli, experiment, forwarding, topology, workload
 from fogcast.forwarding import BloomScheme
 from fogcast.service_router import fog_cache_items
 from fogcast.topology import NO_ROW, NetworkGraph, load_topology
@@ -278,14 +278,15 @@ def test_per_node_kernel_matches_scalar_resolvers():
 
 @pytest.mark.parametrize("arch, ldns_k", [("icn", 0), ("dns", 2)])
 def test_missing_role_is_named_for_both_architectures(arch, ldns_k):
-    """``run_trial`` rejects what ``fogcast run`` rejects, with its text,
-    before any draw: no point at all, or no cloud point while fog points
-    cache only the top 10% of items."""
+    """A config that names no service point at all, or no cloud point while
+    fog points cache only the top 10% of items, is rejected when built, with
+    the text ``fogcast run`` prints: its fields alone decide, so no input is
+    read and no trial can run it."""
     for fog_k, named in ((0, "no service point (fog = 0 and cloud = 0)"),
                          (4, "no cloud point to serve items past the fog cache")):
-        config = ScenarioConfig(arch=arch, fog_k=fog_k, cloud_k=0, ldns_k=ldns_k, trials=1)
         with pytest.raises(ConfigError) as info:
-            run_trial(config, 0)
+            ScenarioConfig(arch=arch, fog_k=fog_k, cloud_k=0, ldns_k=ldns_k, trials=1,
+                           topology_path="missing.graphml")
         assert str(info.value) == f"config {arch},{fog_k},0,{ldns_k},pop: {named}"
 
 
@@ -709,14 +710,15 @@ def test_block_summaries_equal_per_row_ones(trials):
 
 def test_manifest_hashes_inputs_once_per_context(chain_setup, tmp_path, monkeypatch,
                                                  fresh_contexts):
-    """Sweeps of one loaded context hash its two files once in all."""
+    """Sweeps of one held context hash each of its two files once at load,
+    then once per later sweep of the pair, however many configs read it."""
     top, pop = chain_setup
     hashed = count_calls(monkeypatch, "_sha256")
     config = ScenarioConfig(fog_k=1, cloud_k=1, topology_path=top, population_path=pop,
                             n_items=3, target_bitrate=2e9, trials=1)
     for at in range(3):
         run_sweep([config, dataclasses.replace(config, fog_k=2)], out_dir=tmp_path / str(at))
-    assert sorted(args[0] for args in hashed) == sorted([top, pop])
+    assert [args[0] for args in hashed] == [top, pop] * 3
 
 
 def test_manifest_hashes_the_inputs_the_trials_read(chain_setup, tmp_path, monkeypatch,
@@ -770,11 +772,68 @@ def test_second_sweep_reads_an_edited_input(tmp_path, fresh_contexts):
     assert f"population_sha256 = {digest}" in (tmp_path / "after" / "manifest.txt").read_text()
 
 
+def test_second_sweep_sees_an_edit_that_keeps_size_and_mtime(tmp_path, fresh_contexts):
+    """A population edit that keeps the file's size and ``mtime_ns`` (London's
+    and Madrid's counts swapped, the time set back): the second sweep reads
+    it, 117.24 Gb/s mean unicast where the first read 107.07 (fog 2, cloud 2,
+    3 trials), its four files equal a fresh load's, and its manifest names
+    the edited file's sha256."""
+    pop = tmp_path / "population.txt"
+    text = Path(bundled_population()).read_text()
+    pop.write_text(text)
+    config = ScenarioConfig(population_path=str(pop), trials=3)
+
+    def mean_gbps(out: str) -> float:
+        return run_sweep([config], out_dir=tmp_path / out)[0].mean_backhaul[UNICAST] / 1e9
+
+    assert round(mean_gbps("before"), 2) == 107.07
+    stat = os.stat(pop)
+    edited = text.replace(",15050  # London", ",6890  # London").replace(
+        ",6890  # Madrid", ",15050  # Madrid")
+    assert edited != text and len(edited) == len(text)
+    pop.write_text(edited)
+    os.utime(pop, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    after = os.stat(pop)
+    assert (after.st_size, after.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    assert round(mean_gbps("after"), 2) == 117.24
+    fresh_contexts()
+    mean_gbps("fresh")
+    for name in ("backhaul.csv", "pathlen.csv", "summary.csv", "manifest.txt"):
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    digest = hashlib.sha256(edited.encode()).hexdigest()
+    assert f"population_sha256 = {digest}" in (tmp_path / "after" / "manifest.txt").read_text()
+
+
+def test_touched_inputs_keep_their_context(tmp_path, monkeypatch, fresh_contexts):
+    """Inputs whose mtime alone changed hash as before: a second sweep keeps
+    their context, and loads no topology and searches no hop table."""
+    (top, pop), = bundled_copies(tmp_path, 1)
+    config = ScenarioConfig(topology_path=top, population_path=pop, trials=2)
+    run_sweep([config])
+    context = experiment._contexts[top, pop]
+    loads = count_calls(monkeypatch, "load_topology")
+    searches = count_calls(monkeypatch, "hop_table")
+    for path in (top, pop):
+        stat = os.stat(path)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    run_sweep([config])
+    assert loads == searches == [] and experiment._contexts[top, pop] is context
+
+
+def test_sweep_builds_each_zipf_law_once(fresh_contexts):
+    """Nine workloads in one sweep, n_items 1000-1008 over 10 trials, build
+    each Zipf law once: laws are kept by value, however many workloads."""
+    workload._zipf_law.cache_clear()
+    run_sweep([ScenarioConfig(n_items=n, trials=10) for n in range(1000, 1009)])
+    info = workload._zipf_law.cache_info()
+    assert (info.misses, info.hits) == (9, 81)
+
+
 def test_unchanged_inputs_keep_their_context(tmp_path, monkeypatch, fresh_contexts):
     """A second sweep of unchanged files keeps their context, its held table
     and path memo: it searches no hop table and walks no path. A sweep keeps
-    its own input pairs and the 8 newest others: a ninth other drops the
-    oldest."""
+    only its own input pairs: after nine sweeps of other pairs, only the
+    last one's context is held."""
     configs = grid_configs(dict(GRID_DNS, trials="2"))
     searches = count_calls(monkeypatch, "hop_table")
     walks = count_calls(monkeypatch, "canonical_paths")
@@ -799,8 +858,7 @@ def test_unchanged_inputs_keep_their_context(tmp_path, monkeypatch, fresh_contex
         run_sweep([ScenarioConfig(fog_k=1, cloud_k=1, topology_path=str(top),
                                   population_path=str(pop), n_items=3, target_bitrate=2e9,
                                   trials=1)])
-    assert len(experiment._contexts) == 9 and key not in experiment._contexts
-    assert (str(top), str(pop)) in experiment._contexts
+    assert list(experiment._contexts) == [(str(top), str(pop))]
 
 
 def test_sweep_over_nine_input_pairs_loads_each_once(tmp_path, monkeypatch, fresh_contexts):
@@ -871,8 +929,8 @@ def test_dropped_context_frees_its_graph(tmp_path, fresh_contexts):
     run_sweep([cls_bloom(top, pop, 2)])
     graph = weakref.ref(experiment._contexts[top, pop].graph)
     assert {"closeness", "in_arcs", "out_arcs"} <= vars(graph()).keys()
-    stat = os.stat(pop)
-    os.utime(pop, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    with open(pop, "a") as file:  # new content, the same people
+        file.write("# edited\n")
     run_sweep([cls_bloom(top, pop, 2)])
     gc.collect()
     assert graph() is None and experiment._contexts[top, pop].graph is not None

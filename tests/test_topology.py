@@ -628,13 +628,18 @@ def test_hop_rows_equal_all_pairs(row_table):
 def test_streaming_closeness_equals_all_pairs_row_sums(row_table, row_graphs, star4):
     """Each node's closeness is (n - 1) over its own ``all_pairs`` row sum,
     bit for bit, and lies in (0, 1]. With the bundled backbone run star4,
-    whose hub is exactly 1.0 and leaves 3/5, and random graphs of 1-130 nodes."""
+    whose hub is exactly 1.0 and leaves 3/5, a 9-node path, a 9-node cycle,
+    a 40-node tree with 4 chords (a 2-core with trees hanging off it) and
+    random graphs of 1-130 nodes."""
     graph, hops = row_table
     tables = [(graph, hops)]
     if graph is row_graphs[0]:
         rng = np.random.default_rng(24)
-        tables += [(g, all_pairs(g)) for g in [star4] + [random_connected_graph(rng, n, n // 3)
-                                                          for n in (1, 2, 5, 40, 130)]]
+        cycle = build_graph([(f"c{i}", 0.0, float(i)) for i in range(9)],
+                            [(i, (i + 1) % 9) for i in range(9)])
+        graphs = [random_connected_graph(rng, n, n // 3) for n in (1, 2, 5, 40, 130)]
+        graphs += [star4, _path(9), cycle, random_connected_graph(rng, 40, 4)]
+        tables += [(g, all_pairs(g)) for g in graphs]
         assert star4.closeness.tolist() == [1.0, 3 / 5, 3 / 5, 3 / 5]
     for graph, hops in tables:
         n = graph.n_nodes
